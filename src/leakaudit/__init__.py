@@ -5,7 +5,7 @@ ensembles, LiRA and RMIA scoring) and evaluates leakage via TPR at low
 FPR, overlap analysis, and minority-class enrichment.
 """
 
-from leakaudit.data import Dataset, SampleRecord, SplitAssignment, class_weights, load_dataset, split_dataset
+from leakaudit.data import Dataset, SplitAssignment, class_weights, load_dataset, split_dataset
 from leakaudit.nnet import MlpModel, TrainConfig, TrainedModel, fit, init_model, predict_confidence
 from leakaudit.game import (
     Challenge,

@@ -2,7 +2,12 @@
 
 Both attacks consume the target model's true-label confidences and the
 shadow ConfidenceMatrix; they are pure functions of their inputs and
-bit-deterministic on recomputation.
+bit-deterministic on recomputation. Both score every candidate at once
+with array operations: LiRA from masked row sums over the candidate x
+shadow logit matrix, RMIA from (Z x K) @ (K x block) products over
+fixed-size candidate blocks. The LiRA score is the natural-log
+likelihood ratio. The scalar :func:`lira_score` and :func:`rmia_score`
+state each attack for a single candidate and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from leakaudit.game import Challenge, ConfidenceMatrix, ShadowEnsemble, TargetArtifacts, collect_confidences
 from leakaudit.nnet import predict_confidences
-from leakaudit.stats import fit_gaussian, gaussian_pdf
+from leakaudit.stats import fit_gaussian
 
 __all__ = [
     "LiraParams",
@@ -38,6 +43,8 @@ log = logging.getLogger(__name__)
 DEFAULT_CLIP_EPS = 1e-6
 DEFAULT_VARIANCE_FLOOR = 1e-6
 DEFAULT_GAMMA = 2.0
+# most elements of one (Z x block) temporary in run_rmia; bounds its memory whatever Z and N are
+RMIA_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -93,17 +100,19 @@ def lira_score(
     o_out: Sequence[float],
     params: LiraParams = LiraParams(),
 ) -> float:
-    """Gaussian likelihood ratio N(o|in-fit) / N(o|out-fit)."""
+    """Gaussian log-likelihood ratio log N(o|in-fit) - log N(o|out-fit)."""
     fit_in = fit_gaussian(o_in, floor=params.variance_floor)
     fit_out = fit_gaussian(o_out, floor=params.variance_floor)
-    # ratio in log space to survive saturated logits
-    log_l_in = _log_normal_pdf(o_target, fit_in.mean, fit_in.variance)
-    log_l_out = _log_normal_pdf(o_target, fit_out.mean, fit_out.variance)
-    return float(np.exp(log_l_in - log_l_out))
+    return float(_log_normal_pdf(o_target, fit_in.mean, fit_in.variance)
+                 - _log_normal_pdf(o_target, fit_out.mean, fit_out.variance))
 
 
-def _log_normal_pdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+def _log_normal_pdf(x, mean, var):
+    return -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+
+
+def _target_confidences(artifacts: TargetArtifacts, ids: Sequence[str]) -> np.ndarray:
+    return np.array([artifacts.confidences[i] for i in ids])
 
 
 def run_lira(
@@ -111,66 +120,60 @@ def run_lira(
     confs: ConfidenceMatrix,
     params: LiraParams = LiraParams(),
 ) -> AttackScores:
-    """Per-candidate likelihood ratios from the shadow confidence matrix.
+    """Per-candidate log-likelihood ratios from the shadow confidence matrix.
 
-    Candidates lacking an in-shadow (or out-shadow) population are scored
-    against a Gaussian pooled over all candidates' out-shadow logits and
-    flagged.
+    Each side's Gaussian is fitted to the candidate's in-shadow (or
+    out-shadow) logits: the mean, and the unbiased variance floored at
+    ``variance_floor`` (exactly the floor for a single logit). Candidates
+    lacking an in-shadow (or out-shadow) population are scored against a
+    Gaussian pooled over all candidates' out-shadow logits and flagged.
     """
     logits = rescale_confidence(confs.values, params.clip_eps)
-    mask = confs.mask.astype(bool)
-    pooled_out = logits[~mask]
-    pooled_fit = fit_gaussian(pooled_out, floor=params.variance_floor) if pooled_out.size else None
+    inside = confs.mask.astype(bool)
+    floor = params.variance_floor
+    pooled_out = logits[~inside]
+    pooled_fit = fit_gaussian(pooled_out, floor=floor) if pooled_out.size else None
+
+    # per side (in, out): logit count, mean and sum of squared deviations of every candidate
+    sides = []
+    for name, member in (("in", inside), ("out", ~inside)):
+        count = member.sum(axis=1)
+        mean = np.where(member, logits, 0.0).sum(axis=1) / np.maximum(count, 1)
+        sq_dev = np.where(member, (logits - mean[:, None]) ** 2, 0.0).sum(axis=1)
+        sides.append((name, count, mean, sq_dev))
     global_var = None
     if params.global_variance:
         # Within-candidate variance pooled across the whole matrix: residuals
-        # against each candidate's own in-mean and out-mean. Between-candidate
-        # spread is deliberately excluded; it reflects sample difficulty, not
-        # shadow-training noise.
-        residuals = []
-        for r in range(logits.shape[0]):
-            for side in (logits[r][mask[r]], logits[r][~mask[r]]):
-                if side.size >= 2:
-                    residuals.append(side - side.mean())
-        if residuals:
-            pooled = np.concatenate(residuals)
-            global_var = max(float(np.dot(pooled, pooled) / (pooled.size - 1)), params.variance_floor)
+        # against each candidate's own in-mean and out-mean, from every side
+        # with at least two logits. Between-candidate spread is deliberately
+        # excluded; it reflects sample difficulty, not shadow-training noise.
+        n_res = sum(int(count[count >= 2].sum()) for _, count, _, _ in sides)
+        if n_res:
+            ss = sum(float(sq_dev[count >= 2].sum()) for _, count, _, sq_dev in sides)
+            global_var = max(ss / (n_res - 1), floor)
 
-    scores: dict[str, float] = {}
+    o_target = rescale_confidence(_target_confidences(artifacts, confs.ids), params.clip_eps)
+    log_l = []
     flags: dict[str, str] = {}
-    for r, sample_id in enumerate(confs.ids):
-        o_target = rescale_confidence(artifacts.confidences[sample_id], params.clip_eps)
-        o_in = logits[r][mask[r]]
-        o_out = logits[r][~mask[r]]
-        flag = []
-        if o_in.size == 0:
+    for name, count, mean, sq_dev in sides:
+        # unbiased variance; a side with a single logit gets the floor
+        var = np.maximum(sq_dev / np.maximum(count - 1, 1), floor)
+        if global_var is not None:
+            var = np.full_like(var, global_var)
+        missing = count == 0
+        if missing.any():
             if pooled_fit is None:
-                raise ValueError(f"candidate {sample_id!r}: no in-shadows and no pooled fallback")
-            mu_in, var_in = pooled_fit.mean, pooled_fit.variance
-            flag.append("no_in_shadow")
-        else:
-            g = fit_gaussian(o_in, floor=params.variance_floor)
-            mu_in, var_in = g.mean, g.variance
-            if global_var is not None:
-                var_in = global_var
-        if o_out.size == 0:
-            if pooled_fit is None:
-                raise ValueError(f"candidate {sample_id!r}: no out-shadows and no pooled fallback")
-            mu_out, var_out = pooled_fit.mean, pooled_fit.variance
-            flag.append("no_out_shadow")
-        else:
-            g = fit_gaussian(o_out, floor=params.variance_floor)
-            mu_out, var_out = g.mean, g.variance
-            if global_var is not None:
-                var_out = global_var
-        log_lr = _log_normal_pdf(o_target, mu_in, var_in) - _log_normal_pdf(o_target, mu_out, var_out)
-        # clip in log space to keep the ratio finite; the ROC only uses ranks
-        scores[sample_id] = float(np.exp(np.clip(log_lr, -700.0, 700.0)))
-        if flag:
-            flags[sample_id] = ",".join(flag)
+                first = confs.ids[np.argmax(missing)]
+                raise ValueError(f"candidate {first!r}: no {name}-shadows and no pooled fallback")
+            mean = np.where(missing, pooled_fit.mean, mean)
+            var = np.where(missing, pooled_fit.variance, var)
+            flags.update({confs.ids[r]: f"no_{name}_shadow" for r in np.flatnonzero(missing)})
+        log_l.append(_log_normal_pdf(o_target, mean, var))
+    log_lr = log_l[0] - log_l[1]
     if flags:
         log.warning("LiRA: %d candidates scored via pooled fallback", len(flags))
-    return AttackScores(attack="lira", scores=scores, challenge=artifacts.challenge, flags=flags)
+    return AttackScores(attack="lira", scores=dict(zip(confs.ids, log_lr.tolist())),
+                        challenge=artifacts.challenge, flags=flags)
 
 
 def rmia_score(
@@ -204,45 +207,51 @@ def run_rmia(
     ensemble: ShadowEnsemble,
     params: RmiaParams = RmiaParams(),
 ) -> AttackScores:
-    """RMIA scores for every candidate against the ensemble's shared Z table."""
+    """RMIA scores for every candidate against the ensemble's shared Z table.
+
+    A candidate's P(z) averages the Z confidences over the shadows that
+    excluded it, or over all shadows when none did (flagged). Candidates
+    are scored in blocks so that no temporary exceeds
+    ``RMIA_BLOCK_ELEMENTS`` elements however large Z and the challenge are.
+    """
     if not ensemble.z_ids:
         raise ValueError("ensemble carries an empty Z set")
     if ensemble.z_confidences is not None:
         z_shadow = ensemble.z_confidences
     else:
-        z_shadow = collect_confidences(ensemble, ensemble.z_records).values
+        z_shadow = collect_confidences(ensemble, ensemble.z).values
     z_target = _z_target_confidences(artifacts, ensemble)
 
-    mask = confs.mask.astype(bool)
-    scores: dict[str, float] = {}
-    flags: dict[str, str] = {}
-    for r, sample_id in enumerate(confs.ids):
-        out = ~mask[r]
-        if not out.any():
-            flags[sample_id] = "no_out_shadow"
-        scores[sample_id] = rmia_score(
-            artifacts.confidences[sample_id],
-            confs.values[r],
-            out,
-            z_target,
-            z_shadow,
-            gamma=params.gamma,
-        )
+    out = ~confs.mask.astype(bool)
+    no_out = ~out.any(axis=1)
+    out[no_out] = True
+    n_out = out.sum(axis=1)
+    ratio_m = _target_confidences(artifacts, confs.ids) / confs.values.mean(axis=1)
+    block = max(1, RMIA_BLOCK_ELEMENTS // len(z_target))
+    dominated = np.empty(len(confs.ids), dtype=np.int64)
+    for lo in range(0, len(confs.ids), block):
+        hi = lo + block
+        p_z = z_shadow @ out[lo:hi].T.astype(float)
+        p_z /= n_out[lo:hi]
+        ratio_z = z_target[:, None] / p_z
+        dominated[lo:hi] = np.count_nonzero(ratio_m[lo:hi] / ratio_z >= params.gamma, axis=0)
+    scores = dominated / len(z_target)
+
+    flags = {confs.ids[r]: "no_out_shadow" for r in np.flatnonzero(no_out)}
     if flags:
         log.warning("RMIA: %d candidates had no excluding shadow; averaged over all shadows",
                     len(flags))
-    return AttackScores(attack="rmia", scores=scores, challenge=artifacts.challenge, flags=flags)
+    return AttackScores(attack="rmia", scores=dict(zip(confs.ids, scores.tolist())),
+                        challenge=artifacts.challenge, flags=flags)
 
 
 def _z_target_confidences(artifacts: TargetArtifacts, ensemble: ShadowEnsemble) -> np.ndarray:
     known = artifacts.confidences
     if all(zid in known for zid in ensemble.z_ids):
-        return np.array([known[zid] for zid in ensemble.z_ids])
+        return _target_confidences(artifacts, ensemble.z_ids)
     if artifacts.model is None:
         raise ValueError("target confidences for Z unavailable and no target model to query")
-    X = np.stack([np.asarray(rec.features, dtype=float) for rec in ensemble.z_records])
-    y = np.array([rec.label for rec in ensemble.z_records])
-    return predict_confidences(artifacts.model, X, y)
+    return predict_confidences(artifacts.model, ensemble.z.X, ensemble.z.y)
 
 
 def save_scores(scores: AttackScores, path: str | Path) -> None:

@@ -4,6 +4,10 @@ The on-disk format is a header-bearing UTF-8 CSV with columns
 ``id,label[,meta_*...],f_0..f_{d-1}``. Labels are binary. Exact duplicate
 feature vectors with the same label collapse to one record; identical
 feature vectors with conflicting labels are all removed.
+
+In memory a :class:`Dataset` is columnar: a tuple of ids, a read-only
+feature matrix, a label vector and one array per metadata column, all
+indexed by row. Sub-datasets are taken by row position.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -19,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "IngestError",
-    "SampleRecord",
     "Dataset",
     "SplitAssignment",
     "IngestReport",
@@ -48,25 +52,6 @@ class CsvSchema:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    """One labeled feature vector with a stable id and opaque metadata."""
-
-    id: str
-    label: int
-    features: np.ndarray
-    metadata: Mapping[str, float] | None = None
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        if self.label not in (0, 1):
-            raise IngestError(f"sample {self.id!r}: label must be 0 or 1, got {self.label}")
-        if not np.all(np.isfinite(feats)):
-            raise IngestError(f"sample {self.id!r}: non-finite feature value")
-
-
-@dataclass(frozen=True)
 class IngestReport:
     """Counts of records removed during cleaning."""
 
@@ -76,53 +61,57 @@ class IngestReport:
 
 
 class Dataset:
-    """Immutable ordered collection of validated samples.
+    """Immutable columnar dataset: ``ids``, features ``X`` (n x d), labels ``y``, ``meta`` columns.
 
-    Enforces unique ids and a uniform feature dimension. Deduplication is
-    the loader's job; the constructor only refuses duplicate ids and
-    dimension mismatches.
+    Row ``r`` of every column describes sample ``ids[r]``; the arrays are
+    read-only copies. The constructor refuses duplicate ids, non-binary
+    labels, non-finite features and columns of the wrong length;
+    deduplication of feature vectors is the loader's job.
     """
 
-    def __init__(self, samples: Sequence[SampleRecord]):
-        samples = tuple(samples)
-        if not samples:
+    def __init__(
+        self,
+        ids: Sequence[str],
+        X: np.ndarray,
+        y: Sequence[int],
+        meta: Mapping[str, Sequence[float]] | None = None,
+    ):
+        self.ids = tuple(ids)
+        self.X = np.array(X, dtype=float)
+        self.y = np.array(y, dtype=int)
+        self.meta = {key: np.array(col, dtype=float) for key, col in (meta or {}).items()}
+        n = len(self.ids)
+        if not n:
             raise IngestError("dataset must contain at least one sample")
-        dim = samples[0].features.shape[0]
-        seen: dict[str, int] = {}
-        for i, rec in enumerate(samples):
-            if rec.features.shape != (dim,):
-                raise IngestError(
-                    f"sample {rec.id!r}: expected {dim} features, got {rec.features.shape[0]}"
-                )
-            if rec.id in seen:
-                raise IngestError(f"duplicate id {rec.id!r}")
-            seen[rec.id] = i
-        self._samples = samples
-        self._dim = int(dim)
-        self._index = seen
-
-    @property
-    def samples(self) -> tuple[SampleRecord, ...]:
-        return self._samples
+        if self.X.ndim != 2 or self.X.shape[0] != n or self.y.shape != (n,):
+            raise IngestError(f"{n} ids need an (n, d) feature matrix and n labels, "
+                              f"got {self.X.shape} and {self.y.shape}")
+        for key, col in self.meta.items():
+            if col.shape != (n,):
+                raise IngestError(f"meta column {key!r}: expected {n} values, got {col.shape}")
+        for bad, what in (((self.y != 0) & (self.y != 1), "label must be 0 or 1"),
+                          (~np.isfinite(self.X).all(axis=1), "non-finite feature value")):
+            if bad.any():
+                raise IngestError(f"sample {self.ids[np.argmax(bad)]!r}: {what}")
+        self._index = {sample_id: r for r, sample_id in enumerate(self.ids)}
+        if len(self._index) != n:
+            # the index keeps each id's last row, so an earlier row of a duplicate disagrees
+            dup = next(i for r, i in enumerate(self.ids) if self._index[i] != r)
+            raise IngestError(f"duplicate id {dup!r}")
+        for arr in (self.X, self.y, *self.meta.values()):
+            arr.setflags(write=False)
 
     @property
     def dimension(self) -> int:
-        return self._dim
+        return self.X.shape[1]
 
     @property
     def class_counts(self) -> tuple[int, int]:
-        n1 = sum(rec.label for rec in self._samples)
-        return (len(self._samples) - n1, n1)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rec.id for rec in self._samples)
+        n1 = int(self.y.sum())
+        return (len(self) - n1, n1)
 
     def __len__(self) -> int:
-        return len(self._samples)
-
-    def __getitem__(self, sample_id: str) -> SampleRecord:
-        return self._samples[self._index[sample_id]]
+        return len(self.ids)
 
     def __contains__(self, sample_id: str) -> bool:
         return sample_id in self._index
@@ -130,27 +119,36 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        for a, b in zip(self._samples, other._samples):
-            if a.id != b.id or a.label != b.label:
-                return False
-            if not np.array_equal(a.features, b.features):
-                return False
-            if (a.metadata or {}) != (b.metadata or {}):
-                return False
-        return True
+        return (
+            self.ids == other.ids
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.X, other.X)
+            and self.meta.keys() == other.meta.keys()
+            and all(np.array_equal(col, other.meta[k]) for k, col in self.meta.items())
+        )
+
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """Row positions of ``ids``, in the order given."""
+        try:
+            return np.array([self._index[i] for i in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise KeyError(f"sample id {exc.args[0]!r} is not in the dataset") from None
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
+        """Sub-dataset of the given row positions, in the order given."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Dataset([self.ids[r] for r in rows], self.X[rows], self.y[rows],
+                       {k: col[rows] for k, col in self.meta.items()})
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """Sub-dataset restricted to ``ids``, preserving this dataset's order."""
-        wanted = set(ids)
-        return Dataset([rec for rec in self._samples if rec.id in wanted])
+        return self.take(np.unique(self.rows(ids)))
 
     def features_array(self) -> np.ndarray:
-        return np.stack([rec.features for rec in self._samples])
+        return self.X
 
     def labels_array(self) -> np.ndarray:
-        return np.array([rec.label for rec in self._samples], dtype=int)
+        return self.y
 
 
 @dataclass(frozen=True)
@@ -196,15 +194,16 @@ def ingest_dataset(path: str | Path, schema: CsvSchema | None = None) -> tuple[D
     if not path.exists():
         raise IngestError(f"no such file: {path}")
 
-    records: list[SampleRecord] = []
-    seen_ids: set[str] = set()
+    row_of: dict[str, int] = {}  # sample id -> CSV row number, in file order
+    labels: list[int] = []
+    values = array("d")  # meta and feature values, row after row, without a Python object per value
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
-        meta_cols, feature_cols = _parse_header(header, schema)
+        meta_cols, _ = _parse_header(header, schema)
         n_cols = len(header)
         for row_no, row in enumerate(reader, start=2):
             if not row:
@@ -212,7 +211,7 @@ def ingest_dataset(path: str | Path, schema: CsvSchema | None = None) -> tuple[D
             if len(row) != n_cols:
                 raise IngestError(f"{path}: row {row_no}: expected {n_cols} columns, got {len(row)}")
             sample_id = row[0]
-            if sample_id in seen_ids:
+            if sample_id in row_of:
                 raise IngestError(f"{path}: row {row_no}: duplicate id {sample_id!r}")
             try:
                 label = int(row[1])
@@ -221,46 +220,50 @@ def ingest_dataset(path: str | Path, schema: CsvSchema | None = None) -> tuple[D
             if label not in (0, 1):
                 raise IngestError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
             try:
-                meta = {
-                    col[len(schema.meta_prefix):]: float(row[2 + j])
-                    for j, col in enumerate(meta_cols)
-                }
-                feats = np.array([float(v) for v in row[2 + len(meta_cols):]], dtype=float)
+                values.extend([float(v) for v in row[2:]])
             except ValueError:
                 raise IngestError(f"{path}: row {row_no}: non-numeric value") from None
-            if not np.all(np.isfinite(feats)):
-                raise IngestError(f"{path}: row {row_no}: non-finite feature value")
-            seen_ids.add(sample_id)
-            records.append(SampleRecord(sample_id, label, feats, meta or None))
+            row_of[sample_id] = row_no
+            labels.append(label)
 
-    n_read = len(records)
-    cleaned, n_dup, n_conflict = _deduplicate(records)
-    if not cleaned:
+    if not row_of:
         raise IngestError(f"{path}: no samples remain after cleaning")
-    report = IngestReport(n_read=n_read, n_exact_duplicates_removed=n_dup, n_conflicting_removed=n_conflict)
+    table = np.frombuffer(values, dtype=float).reshape(len(row_of), n_cols - 2)
+    X = table[:, len(meta_cols):]
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise IngestError(f"{path}: row {list(row_of.values())[bad[0]]}: non-finite feature value")
+    meta = {col[len(schema.meta_prefix):]: table[:, j] for j, col in enumerate(meta_cols)}
+    dataset = Dataset(list(row_of), X, labels, meta)
+    keep, n_dup, n_conflict = _deduplicate(dataset)
+    if keep.size == 0:
+        raise IngestError(f"{path}: no samples remain after cleaning")
+    report = IngestReport(n_read=len(dataset), n_exact_duplicates_removed=n_dup, n_conflicting_removed=n_conflict)
     if n_dup or n_conflict:
         log.info(
             "cleaned %s: removed %d exact duplicates, %d conflicting-label records",
             path, n_dup, n_conflict,
         )
-    return Dataset(cleaned), report
+        dataset = dataset.take(keep)
+    return dataset, report
 
 
-def _deduplicate(records: list[SampleRecord]) -> tuple[list[SampleRecord], int, int]:
-    groups: dict[bytes, list[SampleRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.features.tobytes(), []).append(rec)
-    keep_ids: set[str] = set()
+def _deduplicate(dataset: Dataset) -> tuple[np.ndarray, int, int]:
+    """Rows to keep: the first of each group of identical feature vectors, unless labels conflict."""
+    groups: dict[bytes, list[int]] = {}
+    for r, x in enumerate(dataset.X):
+        groups.setdefault(x.tobytes(), []).append(r)
+    labels = dataset.y.tolist()
+    keep: list[int] = []
     n_dup = 0
     n_conflict = 0
     for group in groups.values():
-        labels = {rec.label for rec in group}
-        if len(labels) > 1:
+        if len({labels[r] for r in group}) > 1:
             n_conflict += len(group)
         else:
-            keep_ids.add(group[0].id)
+            keep.append(group[0])
             n_dup += len(group) - 1
-    return [rec for rec in records if rec.id in keep_ids], n_dup, n_conflict
+    return np.sort(np.array(keep, dtype=np.intp)), n_dup, n_conflict
 
 
 def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> Dataset:
@@ -272,18 +275,18 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> Dataset:
 def save_dataset(dataset: Dataset, path: str | Path, schema: CsvSchema | None = None) -> None:
     """Serialize a dataset to CSV; byte-stable for a fixed dataset."""
     schema = schema or CsvSchema()
-    meta_keys = sorted({k for rec in dataset.samples for k in (rec.metadata or {})})
+    meta_keys = sorted(dataset.meta)
     header = [schema.id_column, schema.label_column]
     header += [schema.meta_prefix + k for k in meta_keys]
     header += [f"f_{j}" for j in range(dataset.dimension)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rec in dataset.samples:
-            meta = rec.metadata or {}
-            row = [rec.id, str(rec.label)]
-            row += [repr(float(meta[k])) for k in meta_keys]
-            row += [repr(float(v)) for v in rec.features]
+        meta = [dataset.meta[k].tolist() for k in meta_keys]
+        for r, (sample_id, label, x) in enumerate(zip(dataset.ids, dataset.y.tolist(), dataset.X.tolist())):
+            row = [sample_id, str(label)]
+            row += [repr(col[r]) for col in meta]
+            row += [repr(v) for v in x]
             writer.writerow(row)
 
 

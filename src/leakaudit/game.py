@@ -8,7 +8,6 @@ shadow training.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 from dataclasses import dataclass, replace
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from leakaudit.data import Dataset, SampleRecord, SplitAssignment, split_dataset
+from leakaudit.data import Dataset, SplitAssignment, split_dataset
 from leakaudit.nnet import TrainConfig, TrainedModel, fit, predict_confidences
 from leakaudit.seeds import derive_rng, derive_seed
 
@@ -60,9 +59,6 @@ class Challenge:
     def candidate_ids(self) -> tuple[str, ...]:
         return self.member_ids + self.nonmember_ids
 
-    def is_member(self, sample_id: str) -> bool:
-        return sample_id in set(self.member_ids)
-
     def membership_bits(self) -> dict[str, int]:
         bits = {i: 1 for i in self.member_ids}
         bits.update({i: 0 for i in self.nonmember_ids})
@@ -91,33 +87,40 @@ class ShadowEnsemble:
     """K shadow models with a (sample x shadow) inclusion mask.
 
     ``ids`` indexes the mask rows and covers every sample the ensemble
-    saw or reserved; the reserved Z ids always have all-zero rows.
+    saw or reserved; the reserved Z ids always have all-zero rows. ``z``
+    holds the Z samples themselves, in ``z_ids`` order, when the ensemble
+    needs to query its shadows on them (``z_confidences`` unset).
     """
 
     models: tuple[TrainedModel, ...]
     ids: tuple[str, ...]
     mask: np.ndarray
     z_ids: tuple[str, ...]
-    z_records: tuple[SampleRecord, ...]
     shadow_epochs: int
     seed: int
+    z: Dataset | None = None
     shadow_seeds: tuple[int, ...] = ()
     z_confidences: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mask.shape != (len(self.ids), self.k):
             raise ValueError(f"mask shape {self.mask.shape} does not match ids x shadows")
-        row = {i: r for r, i in enumerate(self.ids)}
-        for zid in self.z_ids:
-            if zid in row and self.mask[row[zid]].any():
-                raise ValueError(f"reserved Z id {zid!r} appears in a shadow training set")
+        if self.z is not None and self.z.ids != self.z_ids:
+            raise ValueError("Z dataset rows do not match z_ids")
+        row = self.rows(self.z_ids)
+        row = row[row >= 0]
+        trained_on = row[self.mask[row].any(axis=1)]
+        if trained_on.size:
+            raise ValueError(f"reserved Z id {self.ids[trained_on[0]]!r} appears in a shadow training set")
 
     @property
     def k(self) -> int:
         return len(self.models) if self.models else self.mask.shape[1]
 
-    def mask_row(self, sample_id: str) -> np.ndarray:
-        return self.mask[self.ids.index(sample_id)]
+    def rows(self, sample_ids: Sequence[str]) -> np.ndarray:
+        """Mask row of each id, or -1 for an id the ensemble never saw."""
+        index = {i: r for r, i in enumerate(self.ids)}
+        return np.array([index.get(i, -1) for i in sample_ids], dtype=np.intp)
 
 
 @dataclass
@@ -201,7 +204,6 @@ def train_shadow_ensemble(
     seed: int = 0,
     shadow_epochs: int = DEFAULT_SHADOW_EPOCHS,
     z_cap: int | None = None,
-    candidate_ids_to_watch: Sequence[str] | None = None,
 ) -> ShadowEnsemble:
     """Train K shadows over the pool-plus-candidates sampling universe.
 
@@ -221,8 +223,7 @@ def train_shadow_ensemble(
         raise ValueError("empty shadow pool")
     cfg = cfg or TrainConfig()
 
-    candidate_id_set = set(candidates.ids) if candidates is not None else set()
-    z_eligible = [i for i in pool.ids if i not in candidate_id_set]
+    z_eligible = [i for i in pool.ids if candidates is None or i not in candidates]
     n_z = int(round(z_fraction * len(pool)))
     if z_cap is not None:
         n_z = min(n_z, z_cap)
@@ -231,49 +232,44 @@ def train_shadow_ensemble(
     z_ids = tuple(str(i) for i in rng.choice(np.array(z_eligible), size=n_z, replace=False)) if n_z else ()
     z_set = set(z_ids)
 
-    # sampling universe: pool minus Z, union candidates
-    universe: list[SampleRecord] = [rec for rec in pool.samples if rec.id not in z_set]
-    seen = {rec.id for rec in universe}
+    # sampling universe: pool minus Z, then the candidates outside the pool
+    parts = [(pool, [r for r, i in enumerate(pool.ids) if i not in z_set])]
     if candidates is not None:
-        universe.extend(rec for rec in candidates.samples if rec.id not in seen)
-    universe_ids = [rec.id for rec in universe]
+        parts.append((candidates, [r for r, i in enumerate(candidates.ids) if i not in pool]))
+    universe = Dataset(
+        [d.ids[r] for d, rows in parts for r in rows],
+        np.concatenate([d.X[rows] for d, rows in parts]),
+        np.concatenate([d.y[rows] for d, rows in parts]),
+    )
 
     coin_rng = derive_rng(seed, "inclusion")
     incl = (coin_rng.random((len(universe), k)) < inclusion_rate).astype(np.uint8)
     # a shadow with no samples or one class cannot train; re-flip such columns
-    labels = np.array([rec.label for rec in universe])
     for j in range(k):
         tries = 0
         while True:
             col = incl[:, j].astype(bool)
-            if col.any() and len(set(labels[col])) == 2:
+            if col.any() and len(set(universe.y[col])) == 2:
                 break
             tries += 1
             if tries > 100:
                 raise ValueError(f"could not draw a two-class training set for shadow {j}")
             incl[:, j] = (coin_rng.random(len(universe)) < inclusion_rate).astype(np.uint8)
 
-    z_dataset = Dataset([pool[i] for i in z_ids]) if z_ids else None
+    z_dataset = pool.take(pool.rows(z_ids)) if z_ids else None
     models: list[TrainedModel] = []
     shadow_seeds: list[int] = []
     for j in range(k):
         s_seed = derive_seed(seed, "shadow", j)
         shadow_seeds.append(s_seed)
-        included = [rec for rec, flag in zip(universe, incl[:, j]) if flag]
-        d_train = Dataset(included)
+        d_train = universe.take(np.flatnonzero(incl[:, j]))
         d_val = z_dataset if z_dataset is not None else d_train
         models.append(fit(d_train, d_val, replace(cfg, seed=s_seed), fixed_epochs=shadow_epochs))
 
-    all_ids = tuple(universe_ids) + z_ids
-    mask = np.vstack([incl, np.zeros((len(z_ids), k), dtype=np.uint8)])
-
-    watch = candidate_ids_to_watch
-    if watch is None and candidates is not None:
-        watch = candidates.ids
-    if watch:
-        row = {i: r for r, i in enumerate(all_ids)}
-        n_no_in = sum(1 for i in watch if i in row and not mask[row[i]].any())
-        n_no_out = sum(1 for i in watch if i in row and mask[row[i]].all())
+    if candidates is not None:
+        in_count = incl[universe.rows(candidates.ids)].sum(axis=1)
+        n_no_in = int(np.count_nonzero(in_count == 0))
+        n_no_out = int(np.count_nonzero(in_count == k))
         if n_no_in or n_no_out:
             log.warning(
                 "shadow ensemble: %d candidates have no in-shadow, %d have no out-shadow",
@@ -282,29 +278,26 @@ def train_shadow_ensemble(
 
     return ShadowEnsemble(
         models=tuple(models),
-        ids=all_ids,
-        mask=mask,
+        ids=universe.ids + z_ids,
+        mask=np.vstack([incl, np.zeros((len(z_ids), k), dtype=np.uint8)]),
         z_ids=z_ids,
-        z_records=tuple(pool[i] for i in z_ids),
+        z=z_dataset,
         shadow_epochs=shadow_epochs,
         seed=seed,
         shadow_seeds=tuple(shadow_seeds),
     )
 
 
-def collect_confidences(ensemble: ShadowEnsemble, samples: Sequence[SampleRecord]) -> ConfidenceMatrix:
+def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> ConfidenceMatrix:
     """True-label confidence of every (sample, shadow) pair, with mask rows aligned."""
     if not ensemble.models:
         raise ValueError("ensemble carries no trained models")
-    X = np.stack([np.asarray(rec.features, dtype=float) for rec in samples])
-    y = np.array([rec.label for rec in samples])
-    values = np.column_stack([predict_confidences(m, X, y) for m in ensemble.models])
-    row = {i: r for r, i in enumerate(ensemble.ids)}
+    values = np.column_stack([predict_confidences(m, samples.X, samples.y) for m in ensemble.models])
+    row = ensemble.rows(samples.ids)
+    seen = row >= 0
     mask = np.zeros((len(samples), ensemble.k), dtype=np.uint8)
-    for r, rec in enumerate(samples):
-        if rec.id in row:
-            mask[r] = ensemble.mask[row[rec.id]]
-    return ConfidenceMatrix(ids=tuple(rec.id for rec in samples), values=values, mask=mask)
+    mask[seen] = ensemble.mask[row[seen]]
+    return ConfidenceMatrix(ids=samples.ids, values=values, mask=mask)
 
 
 def save_manifest(ensemble: ShadowEnsemble, path: str | Path,

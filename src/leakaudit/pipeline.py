@@ -3,7 +3,10 @@
 Each repetition writes its artifacts (checkpoints, ensemble manifest,
 score and ROC CSVs) into its own directory and finishes with a
 ``rep_report.json`` marker; re-running resumes from completed repetitions
-and reproduces byte-identical outputs.
+and reproduces byte-identical outputs. A run and a re-attack share one
+scoring path (:func:`_score_rep`), from the target and shadow ensemble to
+the written ``scores_*.csv`` and ``roc_*.csv``; a re-attack only loads the
+stored challenge, target and ensemble first.
 """
 
 from __future__ import annotations
@@ -11,18 +14,17 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from leakaudit.attacks import AttackScores, load_scores, run_lira, run_rmia, save_scores
+from leakaudit.attacks import AttackScores, run_lira, run_rmia, save_scores
 from leakaudit.config import ExperimentConfig
 from leakaudit.data import Dataset, load_dataset
 from leakaudit.evaluation import (
     RocCurve,
-    aggregate_repetitions,
     baseline_tpr,
     auroc,
     characteristic_analysis,
@@ -48,7 +50,7 @@ from leakaudit.seeds import derive_seed
 from leakaudit.stats import wilcoxon_signed_rank
 from leakaudit.synth import synth_dataset
 
-__all__ = ["run_experiment", "rerun_attacks", "report_render", "flatten_report", "unflatten_report"]
+__all__ = ["run_experiment", "rerun_attacks", "report_render"]
 
 log = logging.getLogger(__name__)
 
@@ -87,11 +89,9 @@ def _run_single_rep(
     artifacts = run_game(dataset, cfg.train, game_cfg, fixed_epochs=cfg.target_fixed_epochs)
     challenge = artifacts.challenge
 
-    pool = dataset.subset(artifacts.split.population_ids)
-    candidates = dataset.subset(challenge.candidate_ids)
     ensemble = train_shadow_ensemble(
-        pool,
-        candidates,
+        dataset.subset(artifacts.split.population_ids),
+        dataset.subset(challenge.candidate_ids),
         k=cfg.shadow.count,
         inclusion_rate=cfg.shadow.inclusion_rate,
         z_fraction=cfg.shadow.z_fraction,
@@ -100,11 +100,6 @@ def _run_single_rep(
         shadow_epochs=cfg.shadow.epochs,
         z_cap=cfg.shadow.z_cap,
     )
-    confs = collect_confidences(ensemble, candidates.samples)
-    scores = {
-        "lira": run_lira(artifacts, confs, cfg.lira),
-        "rmia": run_rmia(artifacts, confs, ensemble, cfg.rmia),
-    }
 
     rep_dir.mkdir(parents=True, exist_ok=True)
     save_model(artifacts.model, rep_dir / "target.npz")
@@ -115,38 +110,49 @@ def _run_single_rep(
         checkpoints.append(name)
     save_manifest(ensemble, rep_dir / "manifest.json", checkpoint_paths=checkpoints)
     with open(rep_dir / "challenge.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "member_ids": list(challenge.member_ids),
-                "nonmember_ids": list(challenge.nonmember_ids),
-                "p_member": challenge.p_member,
-                "seed": challenge.seed,
-            },
-            fh, indent=2, sort_keys=True,
-        )
+        json.dump(asdict(challenge), fh, indent=2, sort_keys=True)
 
+    scores = _score_rep(dataset, cfg, artifacts, ensemble, rep_dir)
     summary = _evaluate_rep(dataset, cfg, scores)
     summary["rep"] = rep
     summary["population_auroc"] = _population_auroc(dataset, artifacts)
-    for name in ATTACK_NAMES:
-        save_scores(scores[name], rep_dir / f"scores_{name}.csv")
-        _write_roc_csv(roc_curve(scores[name]), rep_dir / f"roc_{name}.csv")
     with open(rep_dir / "rep_report.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary
 
 
+def _score_rep(
+    dataset: Dataset,
+    cfg: ExperimentConfig,
+    artifacts: TargetArtifacts,
+    ensemble: ShadowEnsemble,
+    rep_dir: Path,
+) -> dict[str, AttackScores]:
+    """Score every candidate with both attacks and write the score and ROC CSVs."""
+    confs = collect_confidences(ensemble, dataset.subset(artifacts.challenge.candidate_ids))
+    scores = {
+        "lira": run_lira(artifacts, confs, cfg.lira),
+        "rmia": run_rmia(artifacts, confs, ensemble, cfg.rmia),
+    }
+    for name in ATTACK_NAMES:
+        save_scores(scores[name], rep_dir / f"scores_{name}.csv")
+        _write_roc_csv(roc_curve(scores[name]), rep_dir / f"roc_{name}.csv")
+    return scores
+
+
 def _population_auroc(dataset: Dataset, artifacts: TargetArtifacts) -> float:
     pop = dataset.subset(artifacts.split.population_ids)
     # score = predicted probability of class 1
-    conf1 = predict_confidences(
-        artifacts.model, pop.features_array(), np.ones(len(pop), dtype=int)
-    )
-    return auroc(conf1, pop.labels_array())
+    conf1 = predict_confidences(artifacts.model, pop.X, np.ones(len(pop), dtype=int))
+    return auroc(conf1, pop.y)
+
+
+def _labels(dataset: Dataset) -> dict[str, int]:
+    return dict(zip(dataset.ids, dataset.y.tolist()))
 
 
 def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, AttackScores]) -> dict:
-    labels = {rec.id: rec.label for rec in dataset.samples}
+    labels = _labels(dataset)
     summary: dict = {"attacks": {}}
     any_challenge = next(iter(scores.values())).challenge
     summary["n_members"] = len(any_challenge.member_ids)
@@ -223,7 +229,7 @@ def _aggregate(
     reps: Sequence[dict],
     errors: dict[str, str],
 ) -> dict:
-    labels = {rec.id: rec.label for rec in dataset.samples}
+    labels = _labels(dataset)
     report: dict = {
         "config": {
             "p_member": cfg.p_member,
@@ -270,9 +276,6 @@ def _aggregate(
         name: [set(r["attacks"][name]["identified"][zero]) for r in reps]
         for name in ATTACK_NAMES
     }
-    # members per rep: reconstruct from per-rep counts is not enough; use scores files?
-    # the identified sets are subsets of members; for characteristics we need the
-    # member id sets, which the rep summaries carry via identified + tpr only.
     member_sets = [set(r.get("member_ids", [])) for r in reps]
     report["combined_fpr0_sizes"] = [len(set(r.get("combined_identified_fpr0", []))) for r in reps]
     report["per_attack_fpr0_sizes"] = {
@@ -308,15 +311,12 @@ def _aggregate(
             except ValueError as exc:
                 report["attacks"][name]["label_analysis"] = {"not_applicable": str(exc)}
             if cfg.metadata_key:
-                meta = {
-                    rec.id: (rec.metadata or {}).get(cfg.metadata_key)
-                    for rec in dataset.samples
-                }
-                if any(v is None for v in meta.values()):
+                if cfg.metadata_key not in dataset.meta:
                     report["attacks"][name]["metadata_analysis"] = {
                         "not_applicable": f"metadata key {cfg.metadata_key!r} absent"
                     }
                 else:
+                    meta = dict(zip(dataset.ids, dataset.meta[cfg.metadata_key].tolist()))
                     try:
                         res = characteristic_analysis(ident[name], member_sets, meta, mode="metadata")
                         report["attacks"][name]["metadata_analysis"] = {
@@ -347,8 +347,6 @@ def rerun_attacks(cfg: ExperimentConfig) -> None:
         if not (rep_dir / "manifest.json").exists():
             continue
         found = True
-        with open(rep_dir / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
         with open(rep_dir / "challenge.json", encoding="utf-8") as fh:
             ch = json.load(fh)
         challenge = Challenge(
@@ -359,89 +357,32 @@ def rerun_attacks(cfg: ExperimentConfig) -> None:
         )
         target = load_model(rep_dir / "target.npz")
         candidates = dataset.subset(challenge.candidate_ids)
-        confs_target = predict_confidences(
-            target, candidates.features_array(), candidates.labels_array()
-        )
-        artifacts = TargetArtifacts(
-            model=target,
-            confidences=dict(zip(candidates.ids, map(float, confs_target))),
-            challenge=challenge,
-            split=None,
-        )
-        models = tuple(load_model(rep_dir / name) for name in manifest["checkpoints"])
-        z_ids = tuple(manifest["z_ids"])
-        ensemble = ShadowEnsemble(
-            models=models,
-            ids=tuple(manifest["ids"]),
-            mask=np.array(manifest["mask"], dtype=np.uint8),
-            z_ids=z_ids,
-            z_records=tuple(dataset[i] for i in z_ids),
-            shadow_epochs=manifest["shadow_epochs"],
-            seed=manifest["seed"],
-            shadow_seeds=tuple(manifest["shadow_seeds"]),
-        )
-        confs = collect_confidences(ensemble, candidates.samples)
-        for name, table in (
-            ("lira", run_lira(artifacts, confs, cfg.lira)),
-            ("rmia", run_rmia(artifacts, confs, ensemble, cfg.rmia)),
-        ):
-            save_scores(table, rep_dir / f"scores_{name}.csv")
-            _write_roc_csv(roc_curve(table), rep_dir / f"roc_{name}.csv")
+        confidences = predict_confidences(target, candidates.X, candidates.y)
+        artifacts = TargetArtifacts(model=target, confidences=dict(zip(candidates.ids, confidences.tolist())),
+                                    challenge=challenge, split=None)
+        _score_rep(dataset, cfg, artifacts, _load_ensemble(rep_dir, dataset), rep_dir)
         log.info("re-ran attacks for repetition %d", rep)
     if not found:
         raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
 
 
+def _load_ensemble(rep_dir: Path, dataset: Dataset) -> ShadowEnsemble:
+    with open(rep_dir / "manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    z_ids = tuple(manifest["z_ids"])
+    return ShadowEnsemble(
+        models=tuple(load_model(rep_dir / name) for name in manifest["checkpoints"]),
+        ids=tuple(manifest["ids"]),
+        mask=np.array(manifest["mask"], dtype=np.uint8),
+        z_ids=z_ids,
+        z=dataset.take(dataset.rows(z_ids)) if z_ids else None,
+        shadow_epochs=manifest["shadow_epochs"],
+        seed=manifest["seed"],
+        shadow_seeds=tuple(manifest["shadow_seeds"]),
+    )
+
+
 # --- report rendering -------------------------------------------------------
-
-
-def flatten_report(report: dict, prefix: str = "") -> dict[str, object]:
-    """Flatten nested dicts/lists into slash-separated path keys."""
-    flat: dict[str, object] = {}
-    if isinstance(report, dict):
-        items = report.items()
-    else:
-        items = ((str(i), v) for i, v in enumerate(report))
-    for key, value in items:
-        path = f"{prefix}/{key}" if prefix else str(key)
-        if isinstance(value, (dict, list)):
-            flat[path + "{}" if isinstance(value, dict) else path + "[]"] = len(value)
-            flat.update(flatten_report(value, path))
-        else:
-            flat[path] = value
-    return flat
-
-
-def unflatten_report(flat: dict[str, object]) -> dict:
-    """Inverse of :func:`flatten_report`."""
-    root: dict = {}
-    containers: dict[str, object] = {"": root}
-    # container declarations first, sorted so parents precede children
-    for key in sorted(flat, key=len):
-        if key.endswith("{}") or key.endswith("[]"):
-            path = key[:-2]
-            containers[path] = {} if key.endswith("{}") else []
-            _attach(containers, path, containers[path])
-    for key, value in flat.items():
-        if key.endswith("{}") or key.endswith("[]"):
-            continue
-        _attach(containers, key, value)
-    return root
-
-
-def _attach(containers: dict, path: str, value) -> None:
-    if "/" in path:
-        parent_path, leaf = path.rsplit("/", 1)
-    else:
-        parent_path, leaf = "", path
-    parent = containers[parent_path]
-    if isinstance(parent, list):
-        idx = int(leaf)
-        while len(parent) <= idx:
-            parent.append(None)
-        parent[idx] = value
-    else:
-        parent[leaf] = value
 
 
 def _csv_value(value) -> str:
@@ -457,8 +398,8 @@ def _csv_value(value) -> str:
 def report_render(report_path: str | Path, fmt: str) -> list[Path]:
     """Emit summary tables or plots next to the report file.
 
-    ``csv`` writes a per-attack summary, a label-fraction table, an
-    overlap table and a lossless flat dump; ``svg`` writes a log-FPR ROC
+    ``csv`` writes three tables: a per-attack summary, a label-fraction
+    table and an overlap table; ``svg`` writes a log-FPR ROC
     plot with one polyline per attack; ``json`` re-emits a normalized
     pretty-printed copy.
     """
@@ -508,35 +449,11 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
                     f"{_csv_value(ov['p_value'])},{ov['stars']}\n"
                 )
         written.append(path)
-        path = out_dir / "report_flat.csv"
-        flat = flatten_report(report)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            import csv as _csv
-
-            writer = _csv.writer(fh)
-            writer.writerow(["path", "value"])
-            # JSON-encoded values keep the dump lossless (None vs empty string,
-            # ints vs floats) so the report can be rebuilt exactly
-            for key in sorted(flat):
-                writer.writerow([key, json.dumps(flat[key])])
-        written.append(path)
     elif fmt == "svg":
         written.append(_render_roc_svg(report, out_dir))
     else:
         raise ValueError(f"unknown format {fmt!r} (expected json, csv or svg)")
     return written
-
-
-def load_flat_csv(path: str | Path) -> dict:
-    """Rebuild a report dict from the flat CSV dump."""
-    import csv as _csv
-
-    flat: dict[str, object] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        for row in reader:
-            flat[row["path"]] = json.loads(row["value"])
-    return unflatten_report(flat)
 
 
 def _render_roc_svg(report: dict, out_dir: Path) -> Path:

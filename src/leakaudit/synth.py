@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from leakaudit.data import Dataset, SampleRecord
+from leakaudit.data import Dataset
 
 __all__ = ["SynthSpec", "synth_dataset"]
 
@@ -48,13 +48,9 @@ def synth_dataset(spec: SynthSpec) -> Dataset:
     X = rng.standard_normal((spec.n, spec.dim))
     X[labels == 1] += offset
     width = len(str(spec.n - 1))
-    records = [
-        SampleRecord(
-            id=f"s{idx:0{width}d}",
-            label=int(labels[idx]),
-            features=X[idx],
-            metadata={"size": float(np.count_nonzero(X[idx] > 0))},
-        )
-        for idx in range(spec.n)
-    ]
-    return Dataset(records)
+    return Dataset(
+        ids=[f"s{idx:0{width}d}" for idx in range(spec.n)],
+        X=X,
+        y=labels,
+        meta={"size": np.count_nonzero(X > 0, axis=1)},
+    )

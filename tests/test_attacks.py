@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakaudit import attacks
 from leakaudit.attacks import (
     AttackScores,
     LiraParams,
@@ -20,6 +21,7 @@ from leakaudit.attacks import (
     save_scores,
 )
 from leakaudit.game import Challenge, ConfidenceMatrix, ShadowEnsemble, TargetArtifacts
+from leakaudit.stats import fit_gaussian
 
 
 def sigmoid(x):
@@ -34,9 +36,9 @@ def make_fixture():
     """
     # (target logit, in logit, out logit) per candidate
     logits = {
-        "A": (0.0, 0.0, -2.0),   # LR = e^2
-        "B": (0.0, 1.0, -1.0),   # LR = e^0 = 1
-        "C": (1.0, 2.0, -2.0),   # LR = e^4
+        "A": (0.0, 0.0, -2.0),   # log LR = 2
+        "B": (0.0, 1.0, -1.0),   # log LR = 0
+        "C": (1.0, 2.0, -2.0),   # log LR = 4
     }
     ids = ("A", "B", "C")
     target_confs = {i: sigmoid(logits[i][0]) for i in ids}
@@ -50,7 +52,7 @@ def make_fixture():
     challenge = Challenge(member_ids=("A", "B"), nonmember_ids=("C",), p_member=0.67, seed=0)
     artifacts = TargetArtifacts(model=None, confidences=target_confs, challenge=challenge, split=None)
     confs = ConfidenceMatrix(ids=ids, values=values, mask=mask)
-    expected = {"A": math.exp(2.0), "B": 1.0, "C": math.exp(4.0)}
+    expected = {"A": 2.0, "B": 0.0, "C": 4.0}
     return artifacts, confs, expected
 
 
@@ -74,21 +76,22 @@ class TestRescale:
 
 class TestLiraScore:
     def test_closed_form_unit_variance(self):
-        # o = 0, in fit N(0,1), out fit N(-2,1): LR = e^2
+        # o = 0, in fit N(0,1), out fit N(-2,1): log LR = 2
         score = lira_score(0.0, [0.0], [-2.0], LiraParams(variance_floor=1.0))
-        assert score == pytest.approx(math.exp(2.0), rel=1e-12)
+        assert score == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_fits_give_unit_ratio(self):
+        # LR = 1, so log LR = 0
         score = lira_score(0.5, [1.0], [0.0], LiraParams(variance_floor=1.0))
-        assert score == pytest.approx(1.0, rel=1e-12)
+        assert score == pytest.approx(0.0, abs=1e-12)
 
     def test_multi_sample_fits(self):
         o_in = [1.0, 2.0, 3.0]
         o_out = [-1.0, 0.0, 1.0]
         score = lira_score(2.0, o_in, o_out)
         var = 1.0  # both samples have unbiased variance 1
-        expected = math.exp(-((2.0 - 2.0) ** 2) / (2 * var)) / math.exp(-((2.0 - 0.0) ** 2) / (2 * var))
-        assert score == pytest.approx(expected, rel=1e-12)
+        expected = ((2.0 - 0.0) ** 2 - (2.0 - 2.0) ** 2) / (2 * var)
+        assert score == pytest.approx(expected, abs=1e-12)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -102,7 +105,7 @@ class TestRunLira:
         artifacts, confs, expected = make_fixture()
         table = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
         for i, value in expected.items():
-            assert table.scores[i] == pytest.approx(value, rel=1e-10)
+            assert table.scores[i] == pytest.approx(value, abs=1e-10)
         assert table.flags == {}
 
     def test_no_out_shadow_uses_pooled_fallback(self):
@@ -117,7 +120,7 @@ class TestRunLira:
         mu_in, var_in = -1.0, 2.0
         log_num = -0.5 * math.log(2 * math.pi * var_in) - (o - mu_in) ** 2 / (2 * var_in)
         log_den = -0.5 * math.log(2 * math.pi * pooled_var) - (o - pooled_mean) ** 2 / (2 * pooled_var)
-        assert table.scores["A"] == pytest.approx(math.exp(log_num - log_den), rel=1e-10)
+        assert table.scores["A"] == pytest.approx(log_num - log_den, abs=1e-10)
 
     def test_no_in_shadow_flagged(self):
         artifacts, confs, _ = make_fixture()
@@ -153,8 +156,8 @@ class TestRunLira:
             o = rescale_confidence(artifacts.confidences[i])
             mu_in = logits[r, : k // 2].mean()
             mu_out = logits[r, k // 2 :].mean()
-            expected = math.exp(((o - mu_out) ** 2 - (o - mu_in) ** 2) / (2 * gv))
-            assert table.scores[i] == pytest.approx(expected, rel=1e-10)
+            expected = ((o - mu_out) ** 2 - (o - mu_in) ** 2) / (2 * gv)
+            assert table.scores[i] == pytest.approx(expected, abs=1e-10)
 
     def test_scores_finite_and_complete(self):
         artifacts, confs, _ = make_fixture()
@@ -220,7 +223,7 @@ class TestRunRmia:
         z_ids = ("z0", "z1")
         artifacts.confidences.update({"z0": 0.5, "z1": 0.8})
         ensemble = ShadowEnsemble(
-            models=(), ids=confs.ids, mask=confs.mask, z_ids=z_ids, z_records=(),
+            models=(), ids=confs.ids, mask=confs.mask, z_ids=z_ids,
             shadow_epochs=1, seed=0,
             z_confidences=np.array([[0.9, 0.5], [0.1, 0.4]]),
         )
@@ -247,7 +250,7 @@ class TestRunRmia:
     def test_empty_z_rejected(self):
         artifacts, confs, _ = self.make_ensemble_fixture()
         ensemble = ShadowEnsemble(
-            models=(), ids=confs.ids, mask=confs.mask, z_ids=(), z_records=(),
+            models=(), ids=confs.ids, mask=confs.mask, z_ids=(),
             shadow_epochs=1, seed=0,
         )
         with pytest.raises(ValueError):
@@ -274,3 +277,100 @@ class TestScoreTable:
         assert loaded.scores == table.scores
         assert set(loaded.challenge.member_ids) == set(table.challenge.member_ids)
         assert loaded.flags == table.flags
+
+
+# --- the array attacks against the per-candidate oracles --------------------
+
+
+@st.composite
+def attack_inputs(draw, min_rows=1, max_rows=12):
+    """Random confidences with a mask that includes all-in and all-out rows."""
+    n = draw(st.integers(min_rows, max_rows))
+    k = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row_kind = draw(st.lists(st.sampled_from(["random", "all_in", "all_out", "one_in", "one_out"]),
+                             min_size=n, max_size=n))
+    mask = (rng.random((n, k)) < 0.5).astype(np.uint8)
+    for r, kind in enumerate(row_kind):
+        if kind in ("all_in", "all_out"):
+            mask[r] = kind == "all_in"
+        elif kind in ("one_in", "one_out"):
+            mask[r] = kind == "one_out"
+            mask[r, rng.integers(k)] = kind == "one_in"
+    values = rng.uniform(1e-4, 1 - 1e-4, size=(n, k))
+    ids = tuple(f"c{r}" for r in range(n))
+    challenge = Challenge(member_ids=ids[: n // 2], nonmember_ids=ids[n // 2:], p_member=0.5, seed=0)
+    artifacts = TargetArtifacts(model=None, confidences=dict(zip(ids, rng.uniform(1e-4, 1 - 1e-4, n).tolist())),
+                                challenge=challenge, split=None)
+    return artifacts, ConfidenceMatrix(ids=ids, values=values, mask=mask), rng
+
+
+def lira_oracle(artifacts, confs, params):
+    """Candidate by candidate with fit_gaussian, as LiRA is defined; (scores, flags)."""
+    logits = rescale_confidence(confs.values, params.clip_eps)
+    inside = confs.mask.astype(bool)
+    pooled = fit_gaussian(logits[~inside], floor=params.variance_floor) if (~inside).any() else None
+    global_var = None
+    if params.global_variance:
+        res = [side - side.mean() for r in range(len(confs.ids))
+               for side in (logits[r][inside[r]], logits[r][~inside[r]]) if side.size >= 2]
+        if res:
+            pooled_res = np.concatenate(res)
+            global_var = max(float(pooled_res @ pooled_res) / (pooled_res.size - 1), params.variance_floor)
+    scores, flags = {}, {}
+    for r, i in enumerate(confs.ids):
+        o = rescale_confidence(artifacts.confidences[i], params.clip_eps)
+        fits = []
+        for name, side in (("no_in_shadow", logits[r][inside[r]]), ("no_out_shadow", logits[r][~inside[r]])):
+            if side.size == 0:
+                fits.append((pooled.mean, pooled.variance))
+                flags[i] = name
+            else:
+                g = fit_gaussian(side, floor=params.variance_floor)
+                fits.append((g.mean, global_var if global_var is not None else g.variance))
+        (mu_in, var_in), (mu_out, var_out) = fits
+        scores[i] = (-0.5 * math.log(var_in) - (o - mu_in) ** 2 / (2 * var_in)
+                     + 0.5 * math.log(var_out) + (o - mu_out) ** 2 / (2 * var_out))
+        if i not in flags and global_var is None:
+            assert scores[i] == pytest.approx(
+                lira_score(o, logits[r][inside[r]], logits[r][~inside[r]], params), rel=1e-9, abs=1e-9)
+    return scores, flags
+
+
+class TestArrayAttacksMatchOracles:
+    @given(attack_inputs(), st.booleans(), st.sampled_from([1e-6, 1e-2, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_run_lira_matches_lira_score(self, inputs, global_variance, floor):
+        artifacts, confs, _ = inputs
+        params = LiraParams(variance_floor=floor, global_variance=global_variance)
+        if not (confs.mask == 0).any():
+            with pytest.raises(ValueError, match="no pooled fallback"):
+                run_lira(artifacts, confs, params)
+            return
+        table = run_lira(artifacts, confs, params)
+        scores, flags = lira_oracle(artifacts, confs, params)
+        assert table.flags == flags
+        for i in confs.ids:
+            # a log ratio reaches 1e7 at a tiny floor, so the tolerance is relative there
+            assert table.scores[i] == pytest.approx(scores[i], rel=1e-9, abs=1e-9)
+
+    @given(attack_inputs(min_rows=5, max_rows=40), st.integers(1, 6), st.floats(0.5, 4.0))
+    @settings(max_examples=150, deadline=None)
+    def test_blocked_run_rmia_matches_rmia_score(self, inputs, n_z, gamma):
+        artifacts, confs, rng = inputs
+        k = confs.values.shape[1]
+        z_ids = tuple(f"z{j}" for j in range(n_z))
+        z_target = rng.uniform(1e-4, 1 - 1e-4, n_z)
+        z_shadow = rng.uniform(1e-4, 1 - 1e-4, (n_z, k))
+        artifacts.confidences.update(zip(z_ids, z_target.tolist()))
+        ensemble = ShadowEnsemble(models=(), ids=confs.ids, mask=confs.mask, z_ids=z_ids,
+                                  shadow_epochs=1, seed=0, z_confidences=z_shadow)
+        # blocks of two candidates, so every fixture spans several blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attacks, "RMIA_BLOCK_ELEMENTS", 2 * n_z)
+            table = run_rmia(artifacts, confs, ensemble, RmiaParams(gamma=gamma))
+        for r, i in enumerate(confs.ids):
+            expected = rmia_score(artifacts.confidences[i], confs.values[r], confs.mask[r] == 0,
+                                  z_target, z_shadow, gamma=gamma)
+            assert table.scores[i] == pytest.approx(expected, abs=1e-9)
+        assert table.flags == {i: "no_out_shadow" for r, i in enumerate(confs.ids) if confs.mask[r].all()}

@@ -1,5 +1,7 @@
 """Tests for CSV ingestion, cleaning, splitting and class weights."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,40 +11,27 @@ from leakaudit.data import (
     CsvSchema,
     Dataset,
     IngestError,
-    SampleRecord,
     class_weights,
     ingest_dataset,
     load_dataset,
     save_dataset,
     split_dataset,
 )
+from leakaudit.synth import SynthSpec, synth_dataset
 
 
 def make_dataset(n=10, dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    return Dataset([
-        SampleRecord(f"s{i}", int(i % 2), rng.normal(size=dim), {"size": float(i)})
-        for i in range(n)
-    ])
+    return Dataset(
+        [f"s{i}" for i in range(n)],
+        rng.normal(size=(n, dim)),
+        [i % 2 for i in range(n)],
+        {"size": np.arange(n, dtype=float)},
+    )
 
 
 def write_csv(path, rows, header="id,label,meta_size,f_0,f_1"):
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-
-
-class TestSampleRecord:
-    def test_features_read_only(self):
-        rec = SampleRecord("a", 1, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            rec.features[0] = 5.0
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(IngestError):
-            SampleRecord("a", 2, np.array([1.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(IngestError):
-            SampleRecord("a", 0, np.array([np.nan]))
 
 
 class TestDataset:
@@ -53,28 +42,62 @@ class TestDataset:
         assert ds.class_counts == (4, 3)
         assert ds.ids == tuple(f"s{i}" for i in range(7))
         assert "s3" in ds and "zzz" not in ds
-        assert ds["s3"].label == 1
+        assert ds.y[ds.rows(["s3"])[0]] == 1
+
+    def test_features_read_only(self):
+        ds = make_dataset(n=3)
+        for column in (ds.X, ds.y, ds.meta["size"]):
+            with pytest.raises(ValueError):
+                column[0] = 5
+
+    def test_constructor_copies_its_input(self):
+        X = np.ones((2, 1))
+        ds = Dataset(["a", "b"], X, [0, 1])
+        X[0, 0] = 7.0
+        assert ds.X[0, 0] == 1.0
+
+    def test_rejects_bad_label(self):
+        with pytest.raises(IngestError):
+            Dataset(["a"], [[1.0]], [2])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(IngestError, match="'b'"):
+            Dataset(["a", "b"], [[1.0], [np.nan]], [0, 0])
 
     def test_rejects_duplicate_ids(self):
-        rec = SampleRecord("a", 0, np.array([1.0]))
-        with pytest.raises(IngestError):
-            Dataset([rec, rec])
+        with pytest.raises(IngestError, match="duplicate id 'a'"):
+            Dataset(["a", "b", "a"], np.ones((3, 1)), [0, 0, 0])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(IngestError):
-            Dataset([
-                SampleRecord("a", 0, np.array([1.0])),
-                SampleRecord("b", 0, np.array([1.0, 2.0])),
-            ])
+            Dataset(["a", "b"], np.ones((3, 2)), [0, 0])
+        with pytest.raises(IngestError):
+            Dataset(["a", "b"], np.ones(2), [0, 0])
+        with pytest.raises(IngestError):
+            Dataset(["a", "b"], np.ones((2, 2)), [0, 0], {"size": [1.0]})
 
     def test_rejects_empty(self):
         with pytest.raises(IngestError):
-            Dataset([])
+            Dataset([], np.zeros((0, 1)), [])
 
     def test_subset_preserves_order(self):
         ds = make_dataset(n=6)
         sub = ds.subset(["s4", "s1"])
         assert sub.ids == ("s1", "s4")
+        assert np.array_equal(sub.X, ds.X[[1, 4]])
+        assert sub.meta["size"].tolist() == [1.0, 4.0]
+
+    def test_take_keeps_given_order(self):
+        ds = make_dataset(n=6)
+        rows = ds.rows(["s4", "s1"])
+        assert rows.tolist() == [4, 1]
+        sub = ds.take(rows)
+        assert sub.ids == ("s4", "s1")
+        assert np.array_equal(sub.y, ds.y[[4, 1]])
+
+    def test_unknown_id_raises(self):
+        with pytest.raises(KeyError):
+            make_dataset(n=3).subset(["s1", "zzz"])
 
     def test_arrays_align(self):
         ds = make_dataset(n=5)
@@ -130,7 +153,14 @@ class TestIngest:
         path = tmp_path / "d.csv"
         write_csv(path, ["a,1,7.5,1.0,2.0"])
         ds = load_dataset(path)
-        assert ds["a"].metadata == {"size": 7.5}
+        assert list(ds.meta) == ["size"] and ds.meta["size"].tolist() == [7.5]
+
+    def test_synthetic_csv_bytes_pinned(self, tmp_path):
+        # the benchmark generates its inputs with these two functions
+        path = tmp_path / "d.csv"
+        save_dataset(synth_dataset(SynthSpec(n=50, dim=4, positive_fraction=0.3, separation=2.0, seed=7)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "6b1afd0968465f728f10ef95b8ea039bf6a633c57dcfaf2642390fc20557a54c"
 
     @pytest.mark.parametrize("rows,header", [
         (["a,1,0.0,1.0,2.0"], "wrong,label,meta_size,f_0,f_1"),

@@ -48,7 +48,6 @@ class TestChallenge:
         ch = Challenge(member_ids=("a", "b"), nonmember_ids=("c",), p_member=0.67, seed=0)
         assert ch.membership_bits() == {"a": 1, "b": 1, "c": 0}
         assert ch.candidate_ids == ("a", "b", "c")
-        assert ch.is_member("a") and not ch.is_member("c")
 
 
 class TestAssignMembership:
@@ -119,8 +118,13 @@ class TestShadowEnsemble:
         assert len(ensemble.shadow_seeds) == 4
 
     def test_z_ids_have_zero_rows(self, ensemble):
+        row = {i: r for r, i in enumerate(ensemble.ids)}
         for zid in ensemble.z_ids:
-            assert not ensemble.mask_row(zid).any()
+            assert not ensemble.mask[row[zid]].any()
+
+    def test_z_dataset_holds_the_z_rows(self, dataset, ensemble):
+        assert ensemble.z.ids == ensemble.z_ids
+        assert np.array_equal(ensemble.z.X, dataset.X[dataset.rows(ensemble.z_ids)])
 
     def test_z_excludes_candidates(self, ensemble, artifacts):
         assert not set(ensemble.z_ids) & set(artifacts.challenge.candidate_ids)
@@ -136,10 +140,10 @@ class TestShadowEnsemble:
         assert len(ens.z_ids) == 5
 
     def test_every_shadow_saw_two_classes(self, dataset, ensemble):
+        label = dict(zip(dataset.ids, dataset.y.tolist()))
         for j in range(ensemble.k):
             included = [i for i, row in zip(ensemble.ids, ensemble.mask) if row[j]]
-            labels = {dataset[i].label for i in included}
-            assert labels == {0, 1}
+            assert {label[i] for i in included} == {0, 1}
 
     def test_deterministic(self, dataset, artifacts):
         pool = dataset.subset(artifacts.split.population_ids)
@@ -164,21 +168,21 @@ class TestShadowEnsemble:
         with pytest.raises(ValueError):
             ShadowEnsemble(
                 models=(), ids=("a", "b"), mask=np.zeros((3, 2), dtype=np.uint8),
-                z_ids=(), z_records=(), shadow_epochs=1, seed=0,
+                z_ids=(), shadow_epochs=1, seed=0,
             )
 
     def test_z_in_training_set_rejected(self):
         with pytest.raises(ValueError):
             ShadowEnsemble(
                 models=(), ids=("a",), mask=np.ones((1, 2), dtype=np.uint8),
-                z_ids=("a",), z_records=(), shadow_epochs=1, seed=0,
+                z_ids=("a",), shadow_epochs=1, seed=0,
             )
 
 
 class TestConfidences:
     def test_matrix_aligned_with_mask(self, dataset, artifacts, ensemble):
         candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        confs = collect_confidences(ensemble, candidates.samples)
+        confs = collect_confidences(ensemble, candidates)
         assert confs.values.shape == (len(candidates), ensemble.k)
         assert confs.ids == candidates.ids
         row = {i: r for r, i in enumerate(ensemble.ids)}
@@ -187,7 +191,7 @@ class TestConfidences:
 
     def test_values_in_open_interval(self, dataset, artifacts, ensemble):
         candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        confs = collect_confidences(ensemble, candidates.samples)
+        confs = collect_confidences(ensemble, candidates)
         assert np.all((confs.values > 0.0) & (confs.values < 1.0))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leakaudit.data import Dataset, SampleRecord
+from leakaudit.data import Dataset
 from leakaudit.nnet import (
     AdamState,
     MlpModel,
@@ -27,9 +27,7 @@ def toy_dataset(n=40, dim=4, seed=0, separation=3.0):
     labels = np.array([i % 2 for i in range(n)])
     X = rng.normal(size=(n, dim))
     X[labels == 1] += separation / np.sqrt(dim)
-    return Dataset([
-        SampleRecord(f"t{i}", int(labels[i]), X[i]) for i in range(n)
-    ])
+    return Dataset([f"t{i}" for i in range(n)], X, labels)
 
 
 def numeric_gradients(model, X, y, weights, eps=1e-6):
@@ -255,7 +253,7 @@ class TestFit:
 
     def test_single_class_training_set(self):
         rng = np.random.default_rng(0)
-        ds = Dataset([SampleRecord(f"p{i}", 1, rng.normal(size=2)) for i in range(5)])
+        ds = Dataset([f"p{i}" for i in range(5)], rng.normal(size=(5, 2)), [1] * 5)
         with pytest.raises(ValueError):
             fit(ds, ds, TrainConfig(max_epochs=1))
 

@@ -7,14 +7,7 @@ import pytest
 
 from leakaudit.config import ExperimentConfig, ShadowParams
 from leakaudit.nnet import TrainConfig
-from leakaudit.pipeline import (
-    flatten_report,
-    load_flat_csv,
-    report_render,
-    rerun_attacks,
-    run_experiment,
-    unflatten_report,
-)
+from leakaudit.pipeline import report_render, rerun_attacks, run_experiment
 from leakaudit.synth import SynthSpec
 
 TINY = ExperimentConfig(
@@ -109,17 +102,11 @@ class TestReportRender:
         out, _, report = run_dir
         written = report_render(out / "report.json", "csv")
         names = {p.name for p in written}
-        assert names == {"summary.csv", "label_fractions.csv", "overlap.csv", "report_flat.csv"}
+        assert names == {"summary.csv", "label_fractions.csv", "overlap.csv"}
         summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
         assert summary[0] == "attack,fpr_target,median_tpr,baseline,p_value,stars"
         # one row per attack per FPR target
         assert len(summary) == 1 + 2 * 2
-
-    def test_flat_csv_round_trips(self, run_dir):
-        out, _, report = run_dir
-        report_render(out / "report.json", "csv")
-        rebuilt = load_flat_csv(out / "report_flat.csv")
-        assert rebuilt == json.loads((out / "report.json").read_text(encoding="utf-8"))
 
     def test_svg_output(self, run_dir):
         out, _, _ = run_dir
@@ -142,18 +129,3 @@ class TestReportRender:
         with pytest.raises(ValueError):
             report_render(out / "report.json", "pdf")
 
-
-class TestFlatten:
-    def test_round_trip_nested(self):
-        doc = {
-            "a": 1,
-            "b": {"c": [1.5, None, "x"], "d": {}},
-            "e": [],
-            "f": [{"g": True}, [2, 3]],
-        }
-        assert unflatten_report(flatten_report(doc)) == doc
-
-    def test_container_lengths_recorded(self):
-        flat = flatten_report({"a": [10, 20]})
-        assert flat["a[]"] == 2
-        assert flat["a/0"] == 10 and flat["a/1"] == 20

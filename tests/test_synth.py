@@ -51,5 +51,4 @@ class TestGenerator:
 
     def test_metadata_counts_positive_features(self):
         ds = synth_dataset(SynthSpec(n=20, dim=6, positive_fraction=0.5, seed=3))
-        for rec in ds.samples:
-            assert rec.metadata["size"] == float(np.count_nonzero(rec.features > 0))
+        assert np.array_equal(ds.meta["size"], np.count_nonzero(ds.X > 0, axis=1))
