@@ -6,7 +6,7 @@ FPR, overlap analysis, and minority-class enrichment.
 """
 
 from leakaudit.data import Dataset, SplitAssignment, class_weights, load_dataset, split_dataset
-from leakaudit.nnet import MlpModel, TrainConfig, TrainedModel, fit, init_model, predict_confidence
+from leakaudit.nnet import MlpModel, TrainConfig, TrainedModel, fit, init_model, predict_confidences
 from leakaudit.game import (
     Challenge,
     ConfidenceMatrix,

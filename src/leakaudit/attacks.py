@@ -35,22 +35,18 @@ __all__ = [
     "rmia_score",
     "run_rmia",
     "save_scores",
-    "load_scores",
 ]
 
 log = logging.getLogger(__name__)
 
-DEFAULT_CLIP_EPS = 1e-6
-DEFAULT_VARIANCE_FLOOR = 1e-6
-DEFAULT_GAMMA = 2.0
 # most elements of one (Z x block) temporary in run_rmia; bounds its memory whatever Z and N are
 RMIA_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
 class LiraParams:
-    clip_eps: float = DEFAULT_CLIP_EPS
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR
+    clip_eps: float = 1e-6
+    variance_floor: float = 1e-6
     global_variance: bool = False
 
     def __post_init__(self):
@@ -62,7 +58,7 @@ class LiraParams:
 
 @dataclass(frozen=True)
 class RmiaParams:
-    gamma: float = DEFAULT_GAMMA
+    gamma: float = 2.0
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -87,7 +83,7 @@ class AttackScores:
             raise ValueError(f"non-finite scores for ids {bad[:5]}")
 
 
-def rescale_confidence(p: float | np.ndarray, eps: float = DEFAULT_CLIP_EPS) -> float | np.ndarray:
+def rescale_confidence(p: float | np.ndarray, eps: float = LiraParams.clip_eps) -> float | np.ndarray:
     """Logit rescaling log(p / (1 - p)) with endpoint clipping."""
     clipped = np.clip(np.asarray(p, dtype=float), eps, 1.0 - eps)
     out = np.log(clipped / (1.0 - clipped))
@@ -182,7 +178,7 @@ def rmia_score(
     out_mask: np.ndarray,
     z_target_confs: np.ndarray,
     z_shadow_confs: np.ndarray,
-    gamma: float = DEFAULT_GAMMA,
+    gamma: float = RmiaParams.gamma,
 ) -> float:
     """Fraction of reference points z dominated by factor gamma.
 
@@ -268,20 +264,3 @@ def save_scores(scores: AttackScores, path: str | Path) -> None:
                 scores.flags.get(sample_id, ""),
             ])
 
-
-def load_scores(path: str | Path, attack: str, p_member: float = 0.0, seed: int = 0) -> AttackScores:
-    """Rebuild an AttackScores table (and its challenge) from a score CSV."""
-    members, nonmembers = [], []
-    values: dict[str, float] = {}
-    flags: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            values[row["id"]] = float(row["score"])
-            (members if row["is_member"] == "1" else nonmembers).append(row["id"])
-            if row["flags"]:
-                flags[row["id"]] = row["flags"]
-    challenge = Challenge(
-        member_ids=tuple(members), nonmember_ids=tuple(nonmembers), p_member=p_member, seed=seed
-    )
-    return AttackScores(attack=attack, scores=values, challenge=challenge, flags=flags)

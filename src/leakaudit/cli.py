@@ -78,24 +78,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.out}")
             return EXIT_OK
 
-        if args.command == "validate":
+        if args.command in ("validate", "run", "attack"):
             try:
                 cfg = validate_config(args.config)
             except ConfigError as exc:
                 for err in exc.errors:
                     print(f"config error: {err}", file=sys.stderr)
                 return EXIT_USAGE
+
+        if args.command == "validate":
             print(f"config ok: {args.config} (repetitions={cfg.repetitions}, "
                   f"shadows={cfg.shadow.count}, p_member={cfg.p_member})")
             return EXIT_OK
 
         if args.command == "run":
-            try:
-                cfg = validate_config(args.config)
-            except ConfigError as exc:
-                for err in exc.errors:
-                    print(f"config error: {err}", file=sys.stderr)
-                return EXIT_USAGE
             report = run_experiment(cfg)
             n_done = report["n_repetitions_completed"]
             print(f"completed {n_done}/{cfg.repetitions} repetitions; "
@@ -103,12 +99,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK if n_done == cfg.repetitions else EXIT_RUNTIME
 
         if args.command == "attack":
-            try:
-                cfg = validate_config(args.config)
-            except ConfigError as exc:
-                for err in exc.errors:
-                    print(f"config error: {err}", file=sys.stderr)
-                return EXIT_USAGE
             rerun_attacks(cfg)
             print(f"attack scores refreshed under {cfg.output_dir}")
             return EXIT_OK

@@ -1,21 +1,23 @@
 """Experiment configuration: flat ``key = value`` files with dotted namespaces.
 
-Unknown keys and range violations are all reported at once. Defaults
-carry the audit's standard constants (p_member 0.67, 10 shadows trained
-for 15 epochs at 0.5 inclusion, gamma 2, 45/10/45 splits, FPR targets
-0 and 1e-3).
+``_KEYS`` maps every config key to the dataclass field it sets; a key
+left out takes the default of the dataclass that owns the field
+(``GameConfig``, ``ShadowParams``, ``TrainConfig``, ``LiraParams``,
+``RmiaParams``, ``SynthSpec`` or ``ExperimentConfig``). Unknown keys,
+unparsable values and range violations are all reported at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from leakaudit.attacks import LiraParams, RmiaParams
+from leakaudit.game import GameConfig, ShadowParams
 from leakaudit.nnet import TrainConfig
 from leakaudit.synth import SynthSpec
 
-__all__ = ["ConfigError", "ShadowParams", "ExperimentConfig", "parse_config_text", "validate_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -27,25 +29,16 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ShadowParams:
-    count: int = 10
-    inclusion_rate: float = 0.5
-    epochs: int = 15
-    z_fraction: float = 0.25
-    z_cap: int | None = None
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     dataset_path: str | None = None
     synth: SynthSpec | None = None
-    fractions: tuple[float, float, float] = (0.45, 0.10, 0.45)
+    fractions: tuple[float, float, float] = GameConfig.fractions
     train: TrainConfig = field(default_factory=TrainConfig)
     target_fixed_epochs: int | None = None
     shadow: ShadowParams = field(default_factory=ShadowParams)
     lira: LiraParams = field(default_factory=LiraParams)
     rmia: RmiaParams = field(default_factory=RmiaParams)
-    p_member: float = 0.67
+    p_member: float = GameConfig.p_member
     repetitions: int = 5
     fpr_targets: tuple[float, ...] = (0.0, 1e-3)
     seed: int = 0
@@ -54,19 +47,67 @@ class ExperimentConfig:
     write_svg: bool = True
 
 
-_KNOWN_KEYS = {
-    "data.path", "data.synth.n", "data.synth.dim", "data.synth.positive_fraction",
-    "data.synth.separation", "data.synth.seed",
-    "split.train", "split.validation", "split.population",
-    "train.hidden_dims", "train.dropout", "train.learning_rate", "train.weight_decay",
-    "train.batch_size", "train.max_epochs", "train.patience", "train.fixed_epochs",
-    "shadow.count", "shadow.inclusion_rate", "shadow.epochs", "shadow.z_fraction",
-    "shadow.z_cap",
-    "attack.lira.clip_eps", "attack.lira.variance_floor", "attack.lira.global_variance",
-    "attack.rmia.gamma",
-    "game.p_member",
-    "run.repetitions", "run.fpr_targets", "run.seed", "run.output_dir", "run.svg",
-    "report.metadata_key",
+# parsers of the stripped value strings that parse_config_text returns
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(",")) if raw else ()
+
+
+def _float_tuple(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _opt_int(raw: str) -> int | None:
+    return None if raw in ("", "none") else int(raw)
+
+
+def _bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+# config key -> (section, field, parser). Section "" is ExperimentConfig itself,
+# "split" fills its fractions by position, "synth" is the SynthSpec built when a
+# data.synth.* key is set, and the others are the dataclasses in _SECTIONS.
+_KEYS = {
+    "data.path": ("", "dataset_path", str),
+    "data.synth.n": ("synth", "n", int),
+    "data.synth.dim": ("synth", "dim", int),
+    "data.synth.positive_fraction": ("synth", "positive_fraction", float),
+    "data.synth.separation": ("synth", "separation", float),
+    "data.synth.seed": ("synth", "seed", int),
+    "split.train": ("split", 0, float),
+    "split.validation": ("split", 1, float),
+    "split.population": ("split", 2, float),
+    "train.hidden_dims": ("train", "hidden_dims", _int_tuple),
+    "train.dropout": ("train", "dropout_rate", float),
+    "train.learning_rate": ("train", "learning_rate", float),
+    "train.weight_decay": ("train", "weight_decay", float),
+    "train.batch_size": ("train", "batch_size", int),
+    "train.max_epochs": ("train", "max_epochs", int),
+    "train.patience": ("train", "patience", int),
+    "train.fixed_epochs": ("", "target_fixed_epochs", _opt_int),
+    "shadow.count": ("shadow", "count", int),
+    "shadow.inclusion_rate": ("shadow", "inclusion_rate", float),
+    "shadow.epochs": ("shadow", "epochs", int),
+    "shadow.z_fraction": ("shadow", "z_fraction", float),
+    "shadow.z_cap": ("shadow", "z_cap", _opt_int),
+    "attack.lira.clip_eps": ("lira", "clip_eps", float),
+    "attack.lira.variance_floor": ("lira", "variance_floor", float),
+    "attack.lira.global_variance": ("lira", "global_variance", _bool),
+    "attack.rmia.gamma": ("rmia", "gamma", float),
+    "game.p_member": ("", "p_member", float),
+    "run.repetitions": ("", "repetitions", int),
+    "run.fpr_targets": ("", "fpr_targets", _float_tuple),
+    "run.seed": ("", "seed", int),
+    "run.output_dir": ("", "output_dir", str),
+    "run.svg": ("", "write_svg", _bool),
+    "report.metadata_key": ("", "metadata_key", str),
+}
+# section -> (key prefix named in errors, dataclass)
+_SECTIONS = {
+    "train": ("train", TrainConfig),
+    "shadow": ("shadow", ShadowParams),
+    "lira": ("attack.lira", LiraParams),
+    "rmia": ("attack.rmia", RmiaParams),
 }
 
 
@@ -92,33 +133,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return pairs
 
 
-def _get(pairs, key, cast, default, errors):
-    if key not in pairs:
-        return default
-    raw = pairs[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        errors.append(f"{key}: cannot parse {raw!r}")
-        return default
-
-
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(v.strip()) for v in raw.split(","))
-
-
-def _float_tuple(raw: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in raw.split(","))
-
-
-def _opt_int(raw: str) -> int | None:
-    raw = raw.strip()
-    return None if raw in ("", "none") else int(raw)
-
-
 def validate_config(path: str | Path) -> ExperimentConfig:
     """Load, default-fill and validate a config file.
 
@@ -129,56 +143,50 @@ def validate_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError([f"no such config file: {path}"])
     pairs = parse_config_text(path.read_text(encoding="utf-8"))
 
-    errors: list[str] = [f"unknown key {k!r}" for k in pairs if k not in _KNOWN_KEYS]
-
-    dataset_path = pairs.get("data.path")
-    synth = None
-    if "data.synth.n" in pairs or "data.synth.dim" in pairs:
-        n = _get(pairs, "data.synth.n", int, 0, errors)
-        dim = _get(pairs, "data.synth.dim", int, 0, errors)
-        pos = _get(pairs, "data.synth.positive_fraction", float, 0.5, errors)
-        sep = _get(pairs, "data.synth.separation", float, 1.0, errors)
-        sseed = _get(pairs, "data.synth.seed", int, 0, errors)
+    errors: list[str] = []
+    values: dict[str, dict] = {section: {} for section in ("", "synth", "split", *_SECTIONS)}
+    for key, raw in pairs.items():
+        if key not in _KEYS:
+            errors.append(f"unknown key {key!r}")
+            continue
+        section, name, parse = _KEYS[key]
         try:
-            synth = SynthSpec(n=n, dim=dim, positive_fraction=pos, separation=sep, seed=sseed)
-        except ValueError as exc:
-            errors.append(f"data.synth: {exc}")
-    if dataset_path is None and synth is None:
-        errors.append("config must set data.path or data.synth.*")
-    if dataset_path is not None and synth is not None:
-        errors.append("data.path and data.synth.* are mutually exclusive")
+            values[section][name] = parse(raw)
+        except (TypeError, ValueError):
+            errors.append(f"{key}: cannot parse {raw!r}")
 
-    f_train = _get(pairs, "split.train", float, 0.45, errors)
-    f_val = _get(pairs, "split.validation", float, 0.10, errors)
-    f_pop = _get(pairs, "split.population", float, 0.45, errors)
-    fractions = (f_train, f_val, f_pop)
+    sections = {}
+    for section, (prefix, cls) in _SECTIONS.items():
+        try:
+            sections[section] = cls(**values[section])
+        except ValueError as exc:
+            errors.append(f"{prefix}: {exc}")
+            sections[section] = cls()
+
+    has_synth = any(key.startswith("data.synth.") for key in pairs)
+    synth = None
+    if "data.path" in pairs and has_synth:
+        errors.append("data.path and data.synth.* are mutually exclusive")
+    elif not has_synth and "data.path" not in pairs:
+        errors.append("config must set data.path or data.synth.*")
+    elif has_synth:
+        missing = [f"data.synth.{name}" for name in ("n", "dim") if f"data.synth.{name}" not in pairs]
+        if missing:
+            errors.append(f"data.synth: missing {' and '.join(missing)}")
+        elif {"n", "dim"} <= values["synth"].keys():
+            try:
+                synth = SynthSpec(**values["synth"])
+            except ValueError as exc:
+                errors.append(f"data.synth: {exc}")
+
+    fractions = tuple(values["split"].get(i, f) for i, f in enumerate(ExperimentConfig.fractions))
+    cfg = ExperimentConfig(**values[""], synth=synth, fractions=fractions, **sections)
+
     if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
         errors.append(f"split fractions must be non-negative and sum to 1, got {fractions}")
-
-    try:
-        train = TrainConfig(
-            hidden_dims=_get(pairs, "train.hidden_dims", _int_tuple, (256, 128), errors),
-            dropout_rate=_get(pairs, "train.dropout", float, 0.2, errors),
-            learning_rate=_get(pairs, "train.learning_rate", float, 1e-3, errors),
-            weight_decay=_get(pairs, "train.weight_decay", float, 1e-4, errors),
-            batch_size=_get(pairs, "train.batch_size", int, 64, errors),
-            max_epochs=_get(pairs, "train.max_epochs", int, 100, errors),
-            patience=_get(pairs, "train.patience", int, 10, errors),
-        )
-    except ValueError as exc:
-        errors.append(f"train: {exc}")
-        train = TrainConfig()
-    target_fixed_epochs = _get(pairs, "train.fixed_epochs", _opt_int, None, errors)
-    if target_fixed_epochs is not None and target_fixed_epochs < 1:
-        errors.append(f"train.fixed_epochs must be >= 1, got {target_fixed_epochs}")
-
-    shadow = ShadowParams(
-        count=_get(pairs, "shadow.count", int, 10, errors),
-        inclusion_rate=_get(pairs, "shadow.inclusion_rate", float, 0.5, errors),
-        epochs=_get(pairs, "shadow.epochs", int, 15, errors),
-        z_fraction=_get(pairs, "shadow.z_fraction", float, 0.25, errors),
-        z_cap=_get(pairs, "shadow.z_cap", _opt_int, None, errors),
-    )
+    if cfg.target_fixed_epochs is not None and cfg.target_fixed_epochs < 1:
+        errors.append(f"train.fixed_epochs must be >= 1, got {cfg.target_fixed_epochs}")
+    shadow = cfg.shadow
     if shadow.count < 2:
         errors.append(f"shadow.count must be >= 2, got {shadow.count}")
     if not 0.0 < shadow.inclusion_rate < 1.0:
@@ -187,51 +195,12 @@ def validate_config(path: str | Path) -> ExperimentConfig:
         errors.append(f"shadow.epochs must be >= 1, got {shadow.epochs}")
     if not 0.0 <= shadow.z_fraction < 1.0:
         errors.append(f"shadow.z_fraction must be in [0,1), got {shadow.z_fraction}")
-
-    try:
-        lira = LiraParams(
-            clip_eps=_get(pairs, "attack.lira.clip_eps", float, 1e-6, errors),
-            variance_floor=_get(pairs, "attack.lira.variance_floor", float, 1e-6, errors),
-            global_variance=_get(pairs, "attack.lira.global_variance",
-                                 lambda s: s.lower() in ("1", "true", "yes"), False, errors),
-        )
-    except ValueError as exc:
-        errors.append(f"attack.lira: {exc}")
-        lira = LiraParams()
-    try:
-        rmia = RmiaParams(gamma=_get(pairs, "attack.rmia.gamma", float, 2.0, errors))
-    except ValueError as exc:
-        errors.append(f"attack.rmia.gamma: {exc}")
-        rmia = RmiaParams()
-
-    p_member = _get(pairs, "game.p_member", float, 0.67, errors)
-    if not 0.0 < p_member < 1.0:
-        errors.append(f"game.p_member must be in (0,1), got {p_member}")
-
-    repetitions = _get(pairs, "run.repetitions", int, 5, errors)
-    if repetitions < 1:
-        errors.append(f"run.repetitions must be >= 1, got {repetitions}")
-    fpr_targets = _get(pairs, "run.fpr_targets", _float_tuple, (0.0, 1e-3), errors)
-    if any(not 0.0 <= f <= 1.0 for f in fpr_targets):
-        errors.append(f"run.fpr_targets must lie in [0,1], got {fpr_targets}")
-
-    cfg = ExperimentConfig(
-        dataset_path=dataset_path,
-        synth=synth,
-        fractions=fractions,
-        train=train,
-        target_fixed_epochs=target_fixed_epochs,
-        shadow=shadow,
-        lira=lira,
-        rmia=rmia,
-        p_member=p_member,
-        repetitions=repetitions,
-        fpr_targets=fpr_targets,
-        seed=_get(pairs, "run.seed", int, 0, errors),
-        output_dir=pairs.get("run.output_dir", "leakaudit_out"),
-        metadata_key=pairs.get("report.metadata_key"),
-        write_svg=_get(pairs, "run.svg", lambda s: s.lower() in ("1", "true", "yes"), True, errors),
-    )
+    if not 0.0 < cfg.p_member < 1.0:
+        errors.append(f"game.p_member must be in (0,1), got {cfg.p_member}")
+    if cfg.repetitions < 1:
+        errors.append(f"run.repetitions must be >= 1, got {cfg.repetitions}")
+    if any(not 0.0 <= f <= 1.0 for f in cfg.fpr_targets):
+        errors.append(f"run.fpr_targets must lie in [0,1], got {cfg.fpr_targets}")
     if errors:
         raise ConfigError(errors)
     return cfg

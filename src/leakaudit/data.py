@@ -1,7 +1,9 @@
 """Tabular dataset ingestion, validation, deduplication and splitting.
 
 The on-disk format is a header-bearing UTF-8 CSV with columns
-``id,label[,meta_*...],f_0..f_{d-1}``. Labels are binary. Exact duplicate
+``id,label[,meta_*...],f_0..f_{d-1}``; the column names are fixed
+(:data:`ID_COLUMN`, :data:`LABEL_COLUMN`, :data:`META_PREFIX`), while
+feature columns may carry any name. Labels are binary. Exact duplicate
 feature vectors with the same label collapse to one record; identical
 feature vectors with conflicting labels are all removed.
 
@@ -27,7 +29,6 @@ __all__ = [
     "Dataset",
     "SplitAssignment",
     "IngestReport",
-    "CsvSchema",
     "ingest_dataset",
     "load_dataset",
     "save_dataset",
@@ -37,18 +38,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+ID_COLUMN = "id"
+LABEL_COLUMN = "label"
+META_PREFIX = "meta_"
+
 
 class IngestError(ValueError):
     """Raised for malformed input files or invalid records."""
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column naming convention for dataset CSV files."""
-
-    id_column: str = "id"
-    label_column: str = "label"
-    meta_prefix: str = "meta_"
 
 
 @dataclass(frozen=True)
@@ -104,11 +100,6 @@ class Dataset:
     @property
     def dimension(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def class_counts(self) -> tuple[int, int]:
-        n1 = int(self.y.sum())
-        return (len(self) - n1, n1)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -167,14 +158,12 @@ class SplitAssignment:
             raise ValueError("split groups must be pairwise disjoint")
 
 
-def _parse_header(header: Sequence[str], schema: CsvSchema) -> tuple[list[str], list[str]]:
-    if len(header) < 3 or header[0] != schema.id_column or header[1] != schema.label_column:
-        raise IngestError(
-            f"header must start with {schema.id_column!r},{schema.label_column!r}, got {header[:2]}"
-        )
+def _parse_header(header: Sequence[str]) -> tuple[list[str], list[str]]:
+    if len(header) < 3 or header[0] != ID_COLUMN or header[1] != LABEL_COLUMN:
+        raise IngestError(f"header must start with {ID_COLUMN!r},{LABEL_COLUMN!r}, got {header[:2]}")
     meta_cols: list[str] = []
     i = 2
-    while i < len(header) and header[i].startswith(schema.meta_prefix):
+    while i < len(header) and header[i].startswith(META_PREFIX):
         meta_cols.append(header[i])
         i += 1
     feature_cols = list(header[i:])
@@ -183,13 +172,12 @@ def _parse_header(header: Sequence[str], schema: CsvSchema) -> tuple[list[str], 
     return meta_cols, feature_cols
 
 
-def ingest_dataset(path: str | Path, schema: CsvSchema | None = None) -> tuple[Dataset, IngestReport]:
+def ingest_dataset(path: str | Path) -> tuple[Dataset, IngestReport]:
     """Read, validate and deduplicate a CSV dataset.
 
     Returns the cleaned dataset together with removal counts. Raises
     :class:`IngestError` naming the offending row for malformed input.
     """
-    schema = schema or CsvSchema()
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
@@ -203,7 +191,7 @@ def ingest_dataset(path: str | Path, schema: CsvSchema | None = None) -> tuple[D
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
-        meta_cols, _ = _parse_header(header, schema)
+        meta_cols, _ = _parse_header(header)
         n_cols = len(header)
         for row_no, row in enumerate(reader, start=2):
             if not row:
@@ -233,7 +221,7 @@ def ingest_dataset(path: str | Path, schema: CsvSchema | None = None) -> tuple[D
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise IngestError(f"{path}: row {list(row_of.values())[bad[0]]}: non-finite feature value")
-    meta = {col[len(schema.meta_prefix):]: table[:, j] for j, col in enumerate(meta_cols)}
+    meta = {col[len(META_PREFIX):]: table[:, j] for j, col in enumerate(meta_cols)}
     dataset = Dataset(list(row_of), X, labels, meta)
     keep, n_dup, n_conflict = _deduplicate(dataset)
     if keep.size == 0:
@@ -266,18 +254,16 @@ def _deduplicate(dataset: Dataset) -> tuple[np.ndarray, int, int]:
     return np.sort(np.array(keep, dtype=np.intp)), n_dup, n_conflict
 
 
-def load_dataset(path: str | Path, schema: CsvSchema | None = None) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Load and clean a CSV dataset (see :func:`ingest_dataset`)."""
-    dataset, _ = ingest_dataset(path, schema)
+    dataset, _ = ingest_dataset(path)
     return dataset
 
 
-def save_dataset(dataset: Dataset, path: str | Path, schema: CsvSchema | None = None) -> None:
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Serialize a dataset to CSV; byte-stable for a fixed dataset."""
-    schema = schema or CsvSchema()
     meta_keys = sorted(dataset.meta)
-    header = [schema.id_column, schema.label_column]
-    header += [schema.meta_prefix + k for k in meta_keys]
+    header = [ID_COLUMN, LABEL_COLUMN] + [META_PREFIX + k for k in meta_keys]
     header += [f"f_{j}" for j in range(dataset.dimension)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -331,12 +317,9 @@ def class_weights(labels: Dataset | Iterable[int]) -> tuple[float, float]:
 
     The weighted class masses balance exactly: w_0*n_0 == w_1*n_1.
     """
-    if isinstance(labels, Dataset):
-        n0, n1 = labels.class_counts
-    else:
-        lab = list(labels)
-        n1 = sum(1 for y in lab if y == 1)
-        n0 = len(lab) - n1
+    y = labels.y if isinstance(labels, Dataset) else np.array(list(labels))
+    n1 = int(np.count_nonzero(y == 1))
+    n0 = len(y) - n1
     if n0 == 0 or n1 == 0:
         raise ValueError("class weights undefined: both classes must be present")
     n = n0 + n1

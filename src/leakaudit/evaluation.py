@@ -8,7 +8,6 @@ atomically, so the reported FPR never exceeds the target. FPR = 0 means
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -20,7 +19,6 @@ from leakaudit.stats import TestResult, hypergeom_expected, mann_whitney_u, wilc
 __all__ = [
     "RocCurve",
     "IdentifiedSet",
-    "AggregateResult",
     "OverlapAnalysis",
     "CharacteristicResult",
     "roc_curve",
@@ -32,7 +30,6 @@ __all__ = [
     "overlap_analysis",
     "characteristic_analysis",
     "minority_tpr",
-    "aggregate_repetitions",
     "star_level",
     "auroc",
 ]
@@ -59,14 +56,6 @@ class IdentifiedSet:
     fpr_target: float
     attack: str
     threshold: float
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    median: float
-    p_value: float
-    stars: str
-    n_repetitions: int
 
 
 @dataclass(frozen=True)
@@ -261,23 +250,6 @@ def minority_tpr(
     thr = threshold_at_fpr(roc, fpr_target)
     hits = sum(1 for i in minority if scores.scores[i] >= thr)
     return hits / len(minority)
-
-
-def aggregate_repetitions(
-    tprs: Sequence[float],
-    baseline: float,
-    alternative: str = "greater",
-) -> AggregateResult:
-    """Median TPR and a one-sided signed-rank test against the baseline."""
-    if len(tprs) < 1:
-        raise ValueError("need at least one repetition")
-    test = wilcoxon_signed_rank(np.asarray(tprs, dtype=float), mu0=baseline, alternative=alternative)
-    return AggregateResult(
-        median=float(np.median(tprs)),
-        p_value=test.p_value,
-        stars=star_level(test.p_value),
-        n_repetitions=len(tprs),
-    )
 
 
 def star_level(p: float) -> str:

@@ -23,6 +23,7 @@ from leakaudit.seeds import derive_rng, derive_seed
 __all__ = [
     "Challenge",
     "GameConfig",
+    "ShadowParams",
     "TargetArtifacts",
     "ShadowEnsemble",
     "ConfidenceMatrix",
@@ -31,15 +32,10 @@ __all__ = [
     "train_shadow_ensemble",
     "collect_confidences",
     "save_manifest",
+    "load_manifest",
 ]
 
 log = logging.getLogger(__name__)
-
-DEFAULT_P_MEMBER = 0.67
-DEFAULT_SHADOW_COUNT = 10
-DEFAULT_INCLUSION_RATE = 0.5
-DEFAULT_SHADOW_EPOCHS = 15
-DEFAULT_Z_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -67,9 +63,20 @@ class Challenge:
 
 @dataclass(frozen=True)
 class GameConfig:
-    p_member: float = DEFAULT_P_MEMBER
+    p_member: float = 0.67
     fractions: tuple[float, float, float] = (0.45, 0.10, 0.45)
     seed: int = 0
+
+
+@dataclass(frozen=True)
+class ShadowParams:
+    """Shadow ensemble recipe; see :func:`train_shadow_ensemble`."""
+
+    count: int = 10
+    inclusion_rate: float = 0.5
+    epochs: int = 15
+    z_fraction: float = 0.25
+    z_cap: int | None = None
 
 
 @dataclass
@@ -197,13 +204,13 @@ def run_game(
 def train_shadow_ensemble(
     pool: Dataset,
     candidates: Dataset | None,
-    k: int = DEFAULT_SHADOW_COUNT,
-    inclusion_rate: float = DEFAULT_INCLUSION_RATE,
-    z_fraction: float = DEFAULT_Z_FRACTION,
+    k: int = ShadowParams.count,
+    inclusion_rate: float = ShadowParams.inclusion_rate,
+    z_fraction: float = ShadowParams.z_fraction,
     cfg: TrainConfig | None = None,
     seed: int = 0,
-    shadow_epochs: int = DEFAULT_SHADOW_EPOCHS,
-    z_cap: int | None = None,
+    shadow_epochs: int = ShadowParams.epochs,
+    z_cap: int | None = ShadowParams.z_cap,
 ) -> ShadowEnsemble:
     """Train K shadows over the pool-plus-candidates sampling universe.
 
@@ -302,15 +309,31 @@ def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> Confidenc
 
 def save_manifest(ensemble: ShadowEnsemble, path: str | Path,
                   checkpoint_paths: Sequence[str] | None = None) -> None:
-    """Write a JSON manifest sufficient to re-verify the inclusion mask offline."""
+    """Write a JSON manifest sufficient to re-verify the inclusion mask offline (see :func:`load_manifest`)."""
+    n, k = ensemble.mask.shape
+    bits = (ensemble.mask + ord("0")).astype(np.uint8).tobytes().decode("ascii")
     manifest = {
         "seed": ensemble.seed,
         "shadow_epochs": ensemble.shadow_epochs,
         "shadow_seeds": list(ensemble.shadow_seeds),
         "z_ids": list(ensemble.z_ids),
         "ids": list(ensemble.ids),
-        "mask": ensemble.mask.tolist(),
+        "mask": [bits[r * k:(r + 1) * k] for r in range(n)],
         "checkpoints": list(checkpoint_paths) if checkpoint_paths else [],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def load_manifest(path: str | Path) -> dict:
+    """Read a :func:`save_manifest` file; its mask rows, one '0'/'1' per checkpoint, become a uint8 array."""
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    rows, k = manifest["mask"], len(manifest["checkpoints"])
+    if not all(isinstance(row, str) and len(row) == k for row in rows):
+        raise ValueError(f"{path}: every mask row must be a string of {k} characters")
+    bits = np.frombuffer("".join(rows).encode("utf-8"), dtype=np.uint8) - ord("0")
+    if (bits > 1).any():
+        raise ValueError(f"{path}: mask rows may hold only '0' and '1'")
+    manifest["mask"] = bits.reshape(len(rows), k)
+    return manifest

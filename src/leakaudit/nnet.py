@@ -4,15 +4,17 @@ Rectifier hidden layers, a single logit output, inverted dropout,
 class-weighted binary cross-entropy, AdamW with decoupled weight decay,
 and early stopping on validation loss. Everything is plain numpy and
 bit-deterministic under the config seed.
+
+A model keeps all its weights and biases in one flat ``params`` vector,
+so one optimizer step is a single pass over one array.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +26,11 @@ __all__ = [
     "MlpModel",
     "TrainedModel",
     "init_model",
-    "forward_logit",
     "forward_logits",
     "weighted_bce_loss",
     "loss_and_grads",
-    "AdamState",
     "adamw_step",
     "fit",
-    "predict_confidence",
     "predict_confidences",
     "save_model",
     "load_model",
@@ -73,26 +72,27 @@ class TrainConfig:
             raise ValueError(f"patience must be non-negative, got {self.patience}")
 
 
-@dataclass
 class MlpModel:
-    """Layer parameters; weights[l] has shape (d_l, d_{l+1})."""
+    """Layer parameters packed in one flat vector ``params``.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    dropout_rate: float
-    input_dim: int
+    ``params`` holds every weight matrix, then every bias vector;
+    ``weights[l]`` (shape (d_l, d_{l+1})) and ``biases[l]`` are views of
+    it, so writing either writes the other.
+    """
 
-    @property
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
+                 dropout_rate: float, input_dim: int):
+        blocks = [np.asarray(b, dtype=float) for b in (*weights, *biases)]
+        self.params = np.concatenate([b.ravel() for b in blocks])
+        ends = np.cumsum([b.size for b in blocks])
+        views = [self.params[end - b.size:end].reshape(b.shape) for b, end in zip(blocks, ends)]
+        self.weights = views[:len(weights)]
+        self.biases = views[len(weights):]
+        self.dropout_rate = dropout_rate
+        self.input_dim = input_dim
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            dropout_rate=self.dropout_rate,
-            input_dim=self.input_dim,
-        )
+        return MlpModel(self.weights, self.biases, self.dropout_rate, self.input_dim)
 
 
 @dataclass
@@ -160,16 +160,6 @@ def forward_logits(
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     logits, _ = _forward(model, np.asarray(X, dtype=float), mode == "train", rng)
     return logits
-
-
-def forward_logit(
-    model: MlpModel,
-    x: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Single-sample logit."""
-    return float(forward_logits(model, np.asarray(x, dtype=float)[None, :], mode, rng)[0])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -240,41 +230,31 @@ def loss_and_grads(
     return loss, grad_w, grad_b
 
 
-@dataclass
-class AdamState:
-    """First/second-moment accumulators, one pair per parameter array."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: Sequence[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
-
-
 def adamw_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
+    params: np.ndarray,
+    grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     lr: float,
     weight_decay: float,
     step: int,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """In-place AdamW update: adaptive step, then decoupled decay p -= lr*wd*p."""
+    """In-place AdamW on flat ``params`` and moments ``m``, ``v``: adaptive step, then p -= lr*wd*p."""
     if step < 1:
         raise ValueError(f"step index must be >= 1, got {step}")
+    if not np.isfinite(grads).all():
+        raise FloatingPointError("non-finite gradient")
     b1, b2 = betas
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter block {i}")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1 ** step)
-        v_hat = state.v[i] / (1 - b2 ** step)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        p -= lr * weight_decay * p
+    m *= b1
+    m += (1 - b1) * grads
+    v *= b2
+    v += (1 - b2) * grads * grads
+    m_hat = m / (1 - b1 ** step)
+    v_hat = v / (1 - b2 ** step)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    params -= lr * weight_decay * params
 
 
 def fit(
@@ -300,8 +280,8 @@ def fit(
     model = init_model(d_train.dimension, cfg)
     shuffle_rng = derive_rng(cfg.seed, "shuffle")
     dropout_rng = derive_rng(cfg.seed, "dropout")
-    params = model.weights + model.biases
-    state = AdamState.zeros_like(params)
+    m = np.zeros_like(model.params)
+    v = np.zeros_like(model.params)
 
     n = len(d_train)
     n_epochs = fixed_epochs if fixed_epochs is not None else cfg.max_epochs
@@ -321,7 +301,8 @@ def fit(
                 model, X_train[idx], y_train[idx], weights, train=True, rng=dropout_rng
             )
             step += 1
-            adamw_step(params, gw + gb, state, cfg.learning_rate, cfg.weight_decay, step)
+            grads = np.concatenate([g.ravel() for g in gw + gb])
+            adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
 
         train_loss = weighted_bce_loss(forward_logits(model, X_train), y_train, weights)
         val_loss = weighted_bce_loss(forward_logits(model, X_val), y_val, weights)
@@ -343,11 +324,6 @@ def fit(
         val_losses=val_losses,
         best_epoch=best_epoch,
     )
-
-
-def predict_confidence(model: MlpModel | TrainedModel, x: np.ndarray, y: int) -> float:
-    """Probability assigned to the true label y: sigma(logit) if y=1 else 1-sigma."""
-    return float(predict_confidences(model, np.asarray(x, dtype=float)[None, :], np.array([y]))[0])
 
 
 def predict_confidences(model: MlpModel | TrainedModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

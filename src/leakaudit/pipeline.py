@@ -41,6 +41,7 @@ from leakaudit.game import (
     ShadowEnsemble,
     TargetArtifacts,
     collect_confidences,
+    load_manifest,
     run_game,
     save_manifest,
     train_shadow_ensemble,
@@ -285,15 +286,7 @@ def _aggregate(
     omega = [r["n_members"] for r in reps]
     try:
         ov = overlap_analysis(list(zip(ident["lira"], ident["rmia"])), omega)
-        report["overlap"] = {
-            "observed": list(ov.observed),
-            "expected": list(ov.expected),
-            "observed_mean": ov.observed_mean,
-            "expected_mean": ov.expected_mean,
-            "p_value": ov.p_value,
-            "stars": ov.stars,
-            "n_skipped": ov.n_skipped,
-        }
+        report["overlap"] = asdict(ov)
     except ValueError as exc:
         report["overlap"] = {"not_applicable": str(exc)}
 
@@ -367,13 +360,12 @@ def rerun_attacks(cfg: ExperimentConfig) -> None:
 
 
 def _load_ensemble(rep_dir: Path, dataset: Dataset) -> ShadowEnsemble:
-    with open(rep_dir / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = load_manifest(rep_dir / "manifest.json")
     z_ids = tuple(manifest["z_ids"])
     return ShadowEnsemble(
         models=tuple(load_model(rep_dir / name) for name in manifest["checkpoints"]),
         ids=tuple(manifest["ids"]),
-        mask=np.array(manifest["mask"], dtype=np.uint8),
+        mask=manifest["mask"],
         z_ids=z_ids,
         z=dataset.take(dataset.rows(z_ids)) if z_ids else None,
         shadow_epochs=manifest["shadow_epochs"],

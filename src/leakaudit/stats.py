@@ -1,6 +1,6 @@
 """Numerical statistics kernel.
 
-Gaussian density and fitting for the likelihood-ratio attack, exact and
+Gaussian fitting for the likelihood-ratio attack, exact and
 normal-approximation nonparametric tests (Wilcoxon signed-rank,
 Mann-Whitney U) for the repetition-level significance analysis, and the
 hypergeometric overlap expectation.
@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "GaussianFit",
     "TestResult",
-    "gaussian_pdf",
     "fit_gaussian",
     "wilcoxon_signed_rank",
     "mann_whitney_u",
@@ -60,15 +59,6 @@ class TestResult:
     alternative: str
 
 
-def gaussian_pdf(x: float | np.ndarray, mean: float, variance: float) -> float | np.ndarray:
-    """Normal density N(x | mean, variance)."""
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    z = (np.asarray(x, dtype=float) - mean) ** 2 / (2.0 * variance)
-    out = np.exp(-z) / math.sqrt(2.0 * math.pi * variance)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
 def fit_gaussian(samples: Sequence[float], floor: float = 1e-6) -> GaussianFit:
     """Fit mean and unbiased variance, flooring the variance at ``floor``.
 
@@ -89,6 +79,12 @@ def _normal_sf(z: float) -> float:
 def _check_alternative(alternative: str) -> None:
     if alternative not in _ALTERNATIVES:
         raise ValueError(f"alternative must be one of {_ALTERNATIVES}, got {alternative!r}")
+
+
+def _result(statistic: float, p_greater: float, p_less: float, method: str, alternative: str) -> TestResult:
+    """The outcome for ``alternative`` from the two one-sided tail probabilities."""
+    p = {"greater": p_greater, "less": p_less}.get(alternative, 2.0 * min(p_greater, p_less))
+    return TestResult(statistic=statistic, p_value=float(min(p, 1.0)), method=method, alternative=alternative)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -155,13 +151,7 @@ def wilcoxon_signed_rank(
         p_less = _normal_sf(-(w_plus - mean + 0.5) / sd)
         meth = "normal"
 
-    if alternative == "greater":
-        p = p_greater
-    elif alternative == "less":
-        p = p_less
-    else:
-        p = min(1.0, 2.0 * min(p_greater, p_less))
-    return TestResult(statistic=w_plus, p_value=float(min(p, 1.0)), method=meth, alternative=alternative)
+    return _result(w_plus, p_greater, p_less, meth, alternative)
 
 
 def _mwu_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -226,13 +216,7 @@ def mann_whitney_u(
         p_less = _normal_sf(-(u_a - mean + 0.5) / sd)
         meth = "normal"
 
-    if alternative == "greater":
-        p = p_greater
-    elif alternative == "less":
-        p = p_less
-    else:
-        p = min(1.0, 2.0 * min(p_greater, p_less))
-    return TestResult(statistic=u_a, p_value=float(min(p, 1.0)), method=meth, alternative=alternative)
+    return _result(u_a, p_greater, p_less, meth, alternative)
 
 
 def hypergeom_expected(N: int, K: int, n: int) -> float:

@@ -17,7 +17,7 @@ class SynthSpec:
 
     n: int
     dim: int
-    positive_fraction: float
+    positive_fraction: float = 0.5
     separation: float = 1.0
     seed: int = 0
 

@@ -6,7 +6,6 @@ auditable checklist. The two slow criteria (positive control and its
 byte-identical re-run) share one frozen experiment configuration.
 """
 
-import json
 import math
 import time
 from dataclasses import replace
@@ -19,7 +18,6 @@ from leakaudit.attacks import LiraParams, RmiaParams, run_lira, run_rmia
 from leakaudit.config import ExperimentConfig, ShadowParams
 from leakaudit.data import split_dataset
 from leakaudit.evaluation import (
-    aggregate_repetitions,
     baseline_tpr,
     characteristic_analysis,
     overlap_analysis,

@@ -1,5 +1,6 @@
 """Tests for the likelihood-ratio and robust membership attacks."""
 
+import csv
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from leakaudit.attacks import (
     LiraParams,
     RmiaParams,
     lira_score,
-    load_scores,
     rescale_confidence,
     rmia_score,
     run_lira,
@@ -273,10 +273,11 @@ class TestScoreTable:
         table = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
         path = tmp_path / "scores.csv"
         save_scores(table, path)
-        loaded = load_scores(path, "lira", p_member=0.67)
-        assert loaded.scores == table.scores
-        assert set(loaded.challenge.member_ids) == set(table.challenge.member_ids)
-        assert loaded.flags == table.flags
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["id"]: float(r["score"]) for r in rows} == table.scores
+        assert {r["id"] for r in rows if r["is_member"] == "1"} == set(table.challenge.member_ids)
+        assert {r["id"]: r["flags"] for r in rows if r["flags"]} == table.flags
 
 
 # --- the array attacks against the per-candidate oracles --------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from leakaudit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from leakaudit.cli import EXIT_OK, EXIT_USAGE, main
 from leakaudit.data import load_dataset
 
 TINY_RUN = """

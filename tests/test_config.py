@@ -2,7 +2,8 @@
 
 import pytest
 
-from leakaudit.config import ConfigError, parse_config_text, validate_config
+from leakaudit.config import ConfigError, ExperimentConfig, parse_config_text, validate_config
+from leakaudit.synth import SynthSpec
 
 
 def write_config(tmp_path, text):
@@ -56,6 +57,10 @@ class TestValidate:
         assert cfg.repetitions == 5
         assert cfg.target_fixed_epochs is None
         assert cfg.write_svg is True
+
+    def test_defaults_come_from_the_dataclasses(self, tmp_path):
+        cfg = validate_config(write_config(tmp_path, MINIMAL))
+        assert cfg == ExperimentConfig(synth=SynthSpec(100, 4))
 
     def test_full_happy_path(self, tmp_path):
         text = """
@@ -121,6 +126,25 @@ class TestValidate:
         with pytest.raises(ConfigError) as exc:
             validate_config(path)
         assert any("mutually exclusive" in e for e in exc.value.errors)
+
+    def test_stray_synth_key_with_data_path_rejected(self, tmp_path):
+        path = write_config(tmp_path, "data.path = d.csv\ndata.synth.seed = 3\n")
+        with pytest.raises(ConfigError) as exc:
+            validate_config(path)
+        assert any("mutually exclusive" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("text,missing", [
+        ("data.synth.seed = 3\n", ("data.synth.n", "data.synth.dim")),
+        ("data.synth.n = 100\n", ("data.synth.dim",)),
+        ("data.synth.dim = 4\n", ("data.synth.n",)),
+    ])
+    def test_synth_without_size_names_missing_keys(self, tmp_path, text, missing):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(write_config(tmp_path, text))
+        joined = "\n".join(exc.value.errors)
+        for key in missing:
+            assert key in joined
+        assert "mutually exclusive" not in joined
 
     def test_split_must_sum_to_one(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "split.train = 0.6\n")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from leakaudit.attacks import AttackScores
 from leakaudit.evaluation import (
-    aggregate_repetitions,
     auroc,
     baseline_tpr,
     characteristic_analysis,
@@ -235,21 +234,6 @@ class TestMinorityTpr:
 
 
 class TestAggregate:
-    def test_median_and_significance(self):
-        result = aggregate_repetitions([0.05, 0.06, 0.07, 0.08, 0.09], baseline=0.01)
-        assert result.median == pytest.approx(0.07)
-        assert result.p_value == pytest.approx(1.0 / 32.0)
-        assert result.stars == "*"
-        assert result.n_repetitions == 5
-
-    def test_null_not_significant(self):
-        result = aggregate_repetitions([0.0, 0.0, 0.01, 0.0, 0.0], baseline=0.01)
-        assert result.p_value > 0.05
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_repetitions([], baseline=0.0)
-
     @pytest.mark.parametrize("p,stars", [
         (0.2, ""), (0.049, "*"), (0.009, "**"), (0.0009, "***"),
     ])

@@ -202,5 +202,7 @@ class TestManifest:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         assert manifest["seed"] == ensemble.seed
         assert tuple(manifest["z_ids"]) == ensemble.z_ids
-        assert np.array_equal(np.array(manifest["mask"], dtype=np.uint8), ensemble.mask)
+        assert all(isinstance(row, str) and len(row) == ensemble.k for row in manifest["mask"])
+        decoded = np.array([[int(c) for c in row] for row in manifest["mask"]], dtype=np.uint8)
+        assert np.array_equal(decoded, ensemble.mask)
         assert manifest["checkpoints"] == ["s0.npz"]

@@ -5,17 +5,14 @@ import pytest
 
 from leakaudit.data import Dataset
 from leakaudit.nnet import (
-    AdamState,
     MlpModel,
     TrainConfig,
     adamw_step,
     fit,
-    forward_logit,
     forward_logits,
     init_model,
     load_model,
     loss_and_grads,
-    predict_confidence,
     predict_confidences,
     save_model,
     weighted_bce_loss,
@@ -92,12 +89,29 @@ class TestForward:
             dropout_rate=0.0,
             input_dim=2,
         )
-        assert forward_logit(model, np.array([1.0, 3.0])) == pytest.approx(-0.5)
+        assert forward_logits(model, np.array([[1.0, 3.0]]))[0] == pytest.approx(-0.5)
 
     def test_dimension_mismatch(self):
         model = init_model(3, TrainConfig(hidden_dims=(4,)))
         with pytest.raises(ValueError):
             forward_logits(model, np.zeros((2, 5)))
+
+    def test_layers_are_views_of_one_flat_vector(self):
+        model = init_model(5, TrainConfig(hidden_dims=(8, 4), seed=1))
+        blocks = model.weights + model.biases
+        assert model.params.size == sum(b.size for b in blocks) == 5 * 8 + 8 * 4 + 4 + 8 + 4 + 1
+        assert np.array_equal(model.params, np.concatenate([b.ravel() for b in blocks]))
+        model.params[:] = 0.0
+        assert all(not b.any() for b in blocks)
+        model.biases[-1][0] = 3.0
+        assert model.params[-1] == 3.0
+
+    def test_copy_is_independent(self):
+        model = init_model(3, TrainConfig(hidden_dims=(4,), seed=2))
+        clone = model.copy()
+        model.params += 1.0
+        assert not np.array_equal(clone.params, model.params)
+        assert np.array_equal(clone.params, np.concatenate([b.ravel() for b in clone.weights + clone.biases]))
 
     def test_dropout_only_in_train_mode(self):
         model = init_model(4, TrainConfig(hidden_dims=(16,), dropout_rate=0.5, seed=0))
@@ -174,27 +188,42 @@ class TestAdamW:
     def test_first_step_is_signed_lr(self):
         p = np.array([1.0, -2.0])
         g = np.array([0.3, -0.7])
-        state = AdamState.zeros_like([p])
-        adamw_step([p], [g], state, lr=0.01, weight_decay=0.0, step=1)
+        adamw_step(p, g, np.zeros(2), np.zeros(2), lr=0.01, weight_decay=0.0, step=1)
         expected = np.array([1.0, -2.0]) - 0.01 * np.sign(g)
         assert np.allclose(p, expected, atol=1e-6)
 
     def test_zero_gradient_decoupled_decay(self):
         p = np.array([2.0])
-        state = AdamState.zeros_like([p])
-        adamw_step([p], [np.array([0.0])], state, lr=0.1, weight_decay=0.5, step=1)
+        adamw_step(p, np.array([0.0]), np.zeros(1), np.zeros(1), lr=0.1, weight_decay=0.5, step=1)
         assert p[0] == pytest.approx(2.0 * (1.0 - 0.1 * 0.5))
 
     def test_rejects_non_finite_gradient(self):
         p = np.array([1.0])
-        state = AdamState.zeros_like([p])
         with pytest.raises(FloatingPointError):
-            adamw_step([p], [np.array([np.nan])], state, lr=0.1, weight_decay=0.0, step=1)
+            adamw_step(p, np.array([np.nan]), np.zeros(1), np.zeros(1), lr=0.1, weight_decay=0.0, step=1)
+
+    def test_flat_step_matches_per_block_updates(self):
+        rng = np.random.default_rng(5)
+        blocks = [rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=(4, 1))]
+        flat = np.concatenate([b.ravel() for b in blocks])
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
+        ref_m = [np.zeros_like(b) for b in blocks]
+        ref_v = [np.zeros_like(b) for b in blocks]
+        b1, b2, lr, wd = 0.9, 0.999, 1e-2, 1e-3
+        for step in range(1, 6):
+            grads = [rng.normal(size=b.shape) for b in blocks]
+            adamw_step(flat, np.concatenate([g.ravel() for g in grads]), m, v, lr, wd, step)
+            for i, (p, g) in enumerate(zip(blocks, grads)):
+                ref_m[i] = b1 * ref_m[i] + (1 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1 - b2) * g * g
+                p -= lr * (ref_m[i] / (1 - b1 ** step)) / (np.sqrt(ref_v[i] / (1 - b2 ** step)) + 1e-8)
+                p -= lr * wd * p
+        assert np.array_equal(flat, np.concatenate([b.ravel() for b in blocks]))
 
     def test_rejects_bad_step(self):
         p = np.array([1.0])
         with pytest.raises(ValueError):
-            adamw_step([p], [p], AdamState.zeros_like([p]), 0.1, 0.0, step=0)
+            adamw_step(p, p, np.zeros(1), np.zeros(1), 0.1, 0.0, step=0)
 
 
 class TestFit:
@@ -261,15 +290,15 @@ class TestFit:
 class TestPredict:
     def test_label_symmetry(self):
         model = init_model(3, TrainConfig(hidden_dims=(4,), seed=7))
-        x = np.array([0.1, -0.2, 0.4])
-        assert predict_confidence(model, x, 1) + predict_confidence(model, x, 0) == pytest.approx(1.0)
+        X = np.array([[0.1, -0.2, 0.4]] * 2)
+        assert predict_confidences(model, X, np.array([1, 0])).sum() == pytest.approx(1.0)
 
     def test_values_clipped_into_open_interval(self):
         model = MlpModel(
             weights=[np.array([[1000.0]])], biases=[np.array([0.0])],
             dropout_rate=0.0, input_dim=1,
         )
-        conf = predict_confidence(model, np.array([100.0]), 1)
+        conf = predict_confidences(model, np.array([[100.0]]), np.array([1]))[0]
         assert 0.0 < conf < 1.0
 
     def test_rejects_non_binary_labels(self):

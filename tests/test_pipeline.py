@@ -3,12 +3,14 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from leakaudit.config import ExperimentConfig, ShadowParams
-from leakaudit.nnet import TrainConfig
-from leakaudit.pipeline import report_render, rerun_attacks, run_experiment
-from leakaudit.synth import SynthSpec
+from leakaudit.game import save_manifest, train_shadow_ensemble
+from leakaudit.nnet import TrainConfig, save_model
+from leakaudit.pipeline import _aggregate, _load_ensemble, report_render, rerun_attacks, run_experiment
+from leakaudit.synth import SynthSpec, synth_dataset
 
 TINY = ExperimentConfig(
     synth=SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0),
@@ -129,3 +131,77 @@ class TestReportRender:
         with pytest.raises(ValueError):
             report_render(out / "report.json", "pdf")
 
+
+
+class TestManifest:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        rep_dir = tmp_path_factory.mktemp("manifest")
+        dataset = synth_dataset(TINY.synth)
+        pool, candidates = dataset.take(np.arange(120)), dataset.take(np.arange(120, 240))
+        ensemble = train_shadow_ensemble(pool, candidates, k=3, cfg=TINY.train, seed=4, shadow_epochs=1)
+        names = [f"shadow_{j:02d}.npz" for j in range(ensemble.k)]
+        for model, name in zip(ensemble.models, names):
+            save_model(model, rep_dir / name)
+        save_manifest(ensemble, rep_dir / "manifest.json", checkpoint_paths=names)
+        return rep_dir, dataset, ensemble
+
+    def test_save_load_round_trip(self, saved):
+        rep_dir, dataset, ensemble = saved
+        loaded = _load_ensemble(rep_dir, dataset)
+        assert loaded.ids == ensemble.ids
+        assert loaded.z_ids == ensemble.z_ids
+        assert loaded.z == ensemble.z
+        assert loaded.mask.dtype == np.uint8
+        assert np.array_equal(loaded.mask, ensemble.mask)
+        assert (loaded.seed, loaded.shadow_epochs, loaded.shadow_seeds) == (
+            ensemble.seed, ensemble.shadow_epochs, ensemble.shadow_seeds)
+        for a, b in zip(loaded.models, ensemble.models):
+            assert np.array_equal(a.model.params, b.model.params)
+
+    @pytest.mark.parametrize("bad_row", ["01", "0101", "01x", "0 1", [0, 1, 0]])
+    def test_malformed_row_rejected(self, saved, tmp_path, bad_row):
+        rep_dir, dataset, _ = saved
+        manifest = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
+        manifest["mask"][1] = bad_row
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        (bad_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for name in manifest["checkpoints"]:
+            (bad_dir / name).write_bytes((rep_dir / name).read_bytes())
+        with pytest.raises(ValueError, match="manifest.json"):
+            _load_ensemble(bad_dir, dataset)
+
+
+def hand_rep(tpr, baseline=0.01):
+    """A repetition summary with one FPR target (0) and no identified members."""
+    attack = {"tpr": {"0.0": tpr}, "minority_tpr": {"0.0": None}, "identified": {"0.0": []}}
+    return {"baseline_tpr": baseline, "n_members": 100, "member_ids": [],
+            "attacks": {"lira": attack, "rmia": attack}, "population_auroc": 0.5}
+
+
+class TestAggregate:
+    @pytest.fixture(scope="class")
+    def aggregate(self):
+        dataset = synth_dataset(SynthSpec(n=10, dim=2))
+        cfg = replace(TINY, fpr_targets=(0.0,))
+        return lambda tprs: _aggregate(dataset, cfg, [hand_rep(t) for t in tprs], {})
+
+    def test_median_and_significance(self, aggregate):
+        report = aggregate([0.05, 0.06, 0.07, 0.08, 0.09])
+        for name in ("lira", "rmia"):
+            entry = report["attacks"][name]["tpr"]["0.0"]
+            assert entry["median"] == pytest.approx(0.07)
+            assert entry["p_value"] == pytest.approx(1.0 / 32.0)
+            assert entry["stars"] == "*"
+            assert entry["baseline"] == pytest.approx(0.01)
+        assert report["n_repetitions_completed"] == 5
+
+    def test_null_not_significant(self, aggregate):
+        report = aggregate([0.0, 0.0, 0.01, 0.0, 0.0])
+        assert report["attacks"]["lira"]["tpr"]["0.0"]["p_value"] > 0.05
+
+    def test_no_repetitions_leaves_attacks_empty(self, aggregate):
+        report = aggregate([])
+        assert report["n_repetitions_completed"] == 0
+        assert report["attacks"] == {}

@@ -1,6 +1,5 @@
 """Unit and oracle tests for the statistics kernel."""
 
-import math
 from itertools import combinations, product
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from leakaudit.stats import (
     GaussianFit,
     fit_gaussian,
-    gaussian_pdf,
     hypergeom_expected,
     mann_whitney_u,
     wilcoxon_signed_rank,
@@ -89,21 +87,6 @@ def mwu_brute_force(a, b, alternative="two-sided"):
 
 
 class TestGaussian:
-    def test_pdf_matches_closed_form(self):
-        x, mean, var = 1.3, 0.5, 2.0
-        expected = math.exp(-((x - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-        assert gaussian_pdf(x, mean, var) == pytest.approx(expected, rel=1e-12)
-
-    def test_pdf_vectorized(self):
-        xs = np.array([-1.0, 0.0, 2.5])
-        out = gaussian_pdf(xs, 0.0, 1.0)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(1.0 / math.sqrt(2 * math.pi))
-
-    def test_pdf_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            gaussian_pdf(0.0, 0.0, 0.0)
-
     def test_fit_mean_and_unbiased_variance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(3.0, 2.0, size=200)
