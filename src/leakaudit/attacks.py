@@ -23,6 +23,7 @@ import numpy as np
 
 from leakaudit.game import Challenge, ConfidenceMatrix, ShadowEnsemble, TargetArtifacts, collect_confidences
 from leakaudit.nnet import predict_confidences
+from leakaudit.recipe import check
 from leakaudit.stats import fit_gaussian
 
 __all__ = [
@@ -50,10 +51,10 @@ class LiraParams:
     global_variance: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.clip_eps < 0.5:
-            raise ValueError(f"clip_eps must be in (0, 0.5), got {self.clip_eps}")
-        if self.variance_floor <= 0:
-            raise ValueError(f"variance_floor must be positive, got {self.variance_floor}")
+        check(
+            ("clip_eps", 0.0 < self.clip_eps < 0.5, f"must be in (0, 0.5), got {self.clip_eps}"),
+            ("variance_floor", self.variance_floor > 0, f"must be positive, got {self.variance_floor}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,7 @@ class RmiaParams:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        check(("gamma", self.gamma > 0, f"must be positive, got {self.gamma}"))
 
 
 @dataclass

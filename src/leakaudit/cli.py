@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``synth`` (generate a synthetic dataset CSV), ``validate``
-(check a config file), ``run`` (full repeated experiment), ``attack``
-(re-run attacks on stored artifacts), ``report`` (render an existing
-report). Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
+(check a config file against every rule that ``run`` and ``attack``
+apply), ``run`` (full repeated experiment), ``attack`` (re-run attacks
+on stored artifacts), ``report`` (render an existing report as CSV
+tables or an SVG ROC plot). Exit codes: 0 success, 1 usage/config
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render an existing report")
     p.add_argument("--report", required=True, help="path to report.json")
-    p.add_argument("--format", choices=("json", "csv", "svg"), default="csv")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv")
     return parser
 
 
@@ -88,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "validate":
             print(f"config ok: {args.config} (repetitions={cfg.repetitions}, "
-                  f"shadows={cfg.shadow.count}, p_member={cfg.p_member})")
+                  f"shadows={cfg.shadow.count}, p_member={cfg.game.p_member})")
             return EXIT_OK
 
         if args.command == "run":

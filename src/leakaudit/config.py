@@ -3,8 +3,9 @@
 ``_KEYS`` maps every config key to the dataclass field it sets; a key
 left out takes the default of the dataclass that owns the field
 (``GameConfig``, ``ShadowParams``, ``TrainConfig``, ``LiraParams``,
-``RmiaParams``, ``SynthSpec`` or ``ExperimentConfig``). Unknown keys,
-unparsable values and range violations are all reported at once.
+``RmiaParams``, ``SynthSpec`` or ``ExperimentConfig``), which also checks
+the field's rules. Unknown keys, unparsable values and broken rules are
+all reported at once, each under its config key.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 from leakaudit.attacks import LiraParams, RmiaParams
 from leakaudit.game import GameConfig, ShadowParams
 from leakaudit.nnet import TrainConfig
+from leakaudit.recipe import RecipeError, check
 from leakaudit.synth import SynthSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "validate_config"]
@@ -32,19 +34,26 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     dataset_path: str | None = None
     synth: SynthSpec | None = None
-    fractions: tuple[float, float, float] = GameConfig.fractions
+    game: GameConfig = field(default_factory=GameConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    target_fixed_epochs: int | None = None
     shadow: ShadowParams = field(default_factory=ShadowParams)
     lira: LiraParams = field(default_factory=LiraParams)
     rmia: RmiaParams = field(default_factory=RmiaParams)
-    p_member: float = GameConfig.p_member
     repetitions: int = 5
     fpr_targets: tuple[float, ...] = (0.0, 1e-3)
     seed: int = 0
     output_dir: str = "leakaudit_out"
     metadata_key: str | None = None
     write_svg: bool = True
+
+    def __post_init__(self):
+        # the report's identified-set analyses read the FPR 0 entry of every repetition
+        check(
+            ("repetitions", self.repetitions >= 1, f"must be >= 1, got {self.repetitions}"),
+            ("fpr_targets", all(0.0 <= f <= 1.0 for f in self.fpr_targets),
+             f"must lie in [0,1], got {self.fpr_targets}"),
+            ("fpr_targets", 0.0 in self.fpr_targets, f"must include 0, got {self.fpr_targets}"),
+        )
 
 
 # parsers of the stripped value strings that parse_config_text returns
@@ -65,8 +74,8 @@ def _bool(raw: str) -> bool:
 
 
 # config key -> (section, field, parser). Section "" is ExperimentConfig itself,
-# "split" fills its fractions by position, "synth" is the SynthSpec built when a
-# data.synth.* key is set, and the others are the dataclasses in _SECTIONS.
+# "split" fills GameConfig.fractions by position, "synth" is the SynthSpec built
+# when a data.synth.* key is set, and the others are the dataclasses in _SECTIONS.
 _KEYS = {
     "data.path": ("", "dataset_path", str),
     "data.synth.n": ("synth", "n", int),
@@ -84,7 +93,7 @@ _KEYS = {
     "train.batch_size": ("train", "batch_size", int),
     "train.max_epochs": ("train", "max_epochs", int),
     "train.patience": ("train", "patience", int),
-    "train.fixed_epochs": ("", "target_fixed_epochs", _opt_int),
+    "train.fixed_epochs": ("train", "fixed_epochs", _opt_int),
     "shadow.count": ("shadow", "count", int),
     "shadow.inclusion_rate": ("shadow", "inclusion_rate", float),
     "shadow.epochs": ("shadow", "epochs", int),
@@ -94,7 +103,7 @@ _KEYS = {
     "attack.lira.variance_floor": ("lira", "variance_floor", float),
     "attack.lira.global_variance": ("lira", "global_variance", _bool),
     "attack.rmia.gamma": ("rmia", "gamma", float),
-    "game.p_member": ("", "p_member", float),
+    "game.p_member": ("game", "p_member", float),
     "run.repetitions": ("", "repetitions", int),
     "run.fpr_targets": ("", "fpr_targets", _float_tuple),
     "run.seed": ("", "seed", int),
@@ -102,13 +111,16 @@ _KEYS = {
     "run.svg": ("", "write_svg", _bool),
     "report.metadata_key": ("", "metadata_key", str),
 }
-# section -> (key prefix named in errors, dataclass)
 _SECTIONS = {
-    "train": ("train", TrainConfig),
-    "shadow": ("shadow", ShadowParams),
-    "lira": ("attack.lira", LiraParams),
-    "rmia": ("attack.rmia", RmiaParams),
+    "game": GameConfig,
+    "train": TrainConfig,
+    "shadow": ShadowParams,
+    "lira": LiraParams,
+    "rmia": RmiaParams,
 }
+# (section, field) -> the config key that errors about the field name
+_FIELD_KEYS = {(section, name): key for key, (section, name, _) in _KEYS.items()}
+_FIELD_KEYS["game", "fractions"] = "split.*"
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -154,14 +166,18 @@ def validate_config(path: str | Path) -> ExperimentConfig:
             values[section][name] = parse(raw)
         except (TypeError, ValueError):
             errors.append(f"{key}: cannot parse {raw!r}")
+    if values["split"]:
+        values["game"]["fractions"] = tuple(values["split"].get(i, f) for i, f in enumerate(GameConfig.fractions))
 
-    sections = {}
-    for section, (prefix, cls) in _SECTIONS.items():
+    def build(section: str, cls, **fields):
+        """``cls`` from the section's values, or None after recording its broken rules."""
         try:
-            sections[section] = cls(**values[section])
-        except ValueError as exc:
-            errors.append(f"{prefix}: {exc}")
-            sections[section] = cls()
+            return cls(**values[section], **fields)
+        except RecipeError as exc:
+            errors.extend(f"{_FIELD_KEYS[section, name]} {message}" for name, message in exc.problems)
+            return None
+
+    sections = {section: build(section, cls) or cls() for section, cls in _SECTIONS.items()}
 
     has_synth = any(key.startswith("data.synth.") for key in pairs)
     synth = None
@@ -174,33 +190,9 @@ def validate_config(path: str | Path) -> ExperimentConfig:
         if missing:
             errors.append(f"data.synth: missing {' and '.join(missing)}")
         elif {"n", "dim"} <= values["synth"].keys():
-            try:
-                synth = SynthSpec(**values["synth"])
-            except ValueError as exc:
-                errors.append(f"data.synth: {exc}")
+            synth = build("synth", SynthSpec)
 
-    fractions = tuple(values["split"].get(i, f) for i, f in enumerate(ExperimentConfig.fractions))
-    cfg = ExperimentConfig(**values[""], synth=synth, fractions=fractions, **sections)
-
-    if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        errors.append(f"split fractions must be non-negative and sum to 1, got {fractions}")
-    if cfg.target_fixed_epochs is not None and cfg.target_fixed_epochs < 1:
-        errors.append(f"train.fixed_epochs must be >= 1, got {cfg.target_fixed_epochs}")
-    shadow = cfg.shadow
-    if shadow.count < 2:
-        errors.append(f"shadow.count must be >= 2, got {shadow.count}")
-    if not 0.0 < shadow.inclusion_rate < 1.0:
-        errors.append(f"shadow.inclusion_rate must be in (0,1), got {shadow.inclusion_rate}")
-    if shadow.epochs < 1:
-        errors.append(f"shadow.epochs must be >= 1, got {shadow.epochs}")
-    if not 0.0 <= shadow.z_fraction < 1.0:
-        errors.append(f"shadow.z_fraction must be in [0,1), got {shadow.z_fraction}")
-    if not 0.0 < cfg.p_member < 1.0:
-        errors.append(f"game.p_member must be in (0,1), got {cfg.p_member}")
-    if cfg.repetitions < 1:
-        errors.append(f"run.repetitions must be >= 1, got {cfg.repetitions}")
-    if any(not 0.0 <= f <= 1.0 for f in cfg.fpr_targets):
-        errors.append(f"run.fpr_targets must lie in [0,1], got {cfg.fpr_targets}")
+    cfg = build("", ExperimentConfig, synth=synth, **sections)
     if errors:
         raise ConfigError(errors)
     return cfg

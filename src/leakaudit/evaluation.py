@@ -18,7 +18,6 @@ from leakaudit.stats import TestResult, hypergeom_expected, mann_whitney_u, wilc
 
 __all__ = [
     "RocCurve",
-    "IdentifiedSet",
     "OverlapAnalysis",
     "CharacteristicResult",
     "roc_curve",
@@ -46,16 +45,6 @@ class RocCurve:
     tpr: np.ndarray
     n_members: int
     n_nonmembers: int
-
-
-@dataclass(frozen=True)
-class IdentifiedSet:
-    """Members scored above the FPR-constrained threshold."""
-
-    ids: frozenset[str]
-    fpr_target: float
-    attack: str
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -126,12 +115,9 @@ def baseline_tpr(n_members: int) -> float:
     return 2.0 / n_members
 
 
-def identified_members(scores: AttackScores, fpr_target: float) -> IdentifiedSet:
-    """Member ids admitted at the FPR-constrained threshold."""
-    roc = roc_curve(scores)
-    thr = threshold_at_fpr(roc, fpr_target)
-    ids = frozenset(i for i in scores.challenge.member_ids if scores.scores[i] >= thr)
-    return IdentifiedSet(ids=ids, fpr_target=fpr_target, attack=scores.attack, threshold=thr)
+def identified_members(scores: AttackScores, threshold: float) -> frozenset[str]:
+    """Member ids admitted at ``threshold``, e.g. :func:`threshold_at_fpr` of the table's ROC."""
+    return frozenset(i for i in scores.challenge.member_ids if scores.scores[i] >= threshold)
 
 
 def overlap_fraction(set_a: Iterable[str], set_b: Iterable[str]) -> float | None:
@@ -230,12 +216,13 @@ def characteristic_analysis(
 def minority_tpr(
     scores: AttackScores,
     labels: Mapping[str, int],
-    fpr_target: float,
+    threshold: float,
 ) -> float:
-    """TPR over minority-class members at the full-challenge threshold.
+    """TPR over minority-class members at a full-challenge threshold.
 
-    The threshold is fixed by the complete challenge at ``fpr_target``;
-    only the TPR numerator/denominator restrict to the minority class.
+    The threshold is fixed by the complete challenge (see
+    :func:`threshold_at_fpr`); only the TPR numerator/denominator
+    restrict to the minority class.
     """
     members = scores.challenge.member_ids
     member_labels = [labels[i] for i in members]
@@ -246,9 +233,7 @@ def minority_tpr(
     minority_label = 1 if n_pos < n_neg else 0
     minority = [i for i in members if labels[i] == minority_label]
 
-    roc = roc_curve(scores)
-    thr = threshold_at_fpr(roc, fpr_target)
-    hits = sum(1 for i in minority if scores.scores[i] >= thr)
+    hits = sum(1 for i in minority if scores.scores[i] >= threshold)
     return hits / len(minority)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from leakaudit.data import Dataset, SplitAssignment, split_dataset
 from leakaudit.nnet import TrainConfig, TrainedModel, fit, predict_confidences
+from leakaudit.recipe import check
 from leakaudit.seeds import derive_rng, derive_seed
 
 __all__ = [
@@ -63,9 +64,18 @@ class Challenge:
 
 @dataclass(frozen=True)
 class GameConfig:
+    """Challenge recipe: member share of the candidates and train/validation/population split."""
+
     p_member: float = 0.67
     fractions: tuple[float, float, float] = (0.45, 0.10, 0.45)
-    seed: int = 0
+
+    def __post_init__(self):
+        fractions = self.fractions
+        check(
+            ("p_member", 0.0 < self.p_member < 1.0, f"must be in (0,1), got {self.p_member}"),
+            ("fractions", len(fractions) == 3 and min(fractions) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9,
+             f"must be three non-negative numbers that sum to 1, got {fractions}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,15 @@ class ShadowParams:
     epochs: int = 15
     z_fraction: float = 0.25
     z_cap: int | None = None
+
+    def __post_init__(self):
+        check(
+            ("count", self.count >= 2, f"must be >= 2, got {self.count}"),
+            ("inclusion_rate", 0.0 < self.inclusion_rate < 1.0, f"must be in (0,1), got {self.inclusion_rate}"),
+            ("epochs", self.epochs >= 1, f"must be >= 1, got {self.epochs}"),
+            ("z_fraction", 0.0 < self.z_fraction < 1.0, f"must be in (0,1), got {self.z_fraction}"),
+            ("z_cap", self.z_cap is None or self.z_cap >= 1, f"must be none or >= 1, got {self.z_cap}"),
+        )
 
 
 @dataclass
@@ -156,19 +175,15 @@ def assign_membership(candidate_ids: Sequence[str], p_member: float, seed: int) 
     return Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=p_member, seed=seed)
 
 
-def run_game(
-    dataset: Dataset,
-    cfg: TrainConfig,
-    game: GameConfig,
-    fixed_epochs: int | None = None,
-) -> TargetArtifacts:
+def run_game(dataset: Dataset, cfg: TrainConfig, game: GameConfig, seed: int) -> TargetArtifacts:
     """Split, train the target, and record per-candidate true-label confidences.
 
     All training-split samples are member candidates; non-member candidates
     are drawn from the population split so that members make up
-    ``game.p_member`` of the challenge.
+    ``game.p_member`` of the challenge. ``seed`` fixes the split, the
+    non-member draw and the target's training.
     """
-    split = split_dataset(dataset, game.fractions, derive_seed(game.seed, "split"))
+    split = split_dataset(dataset, game.fractions, derive_seed(seed, "split"))
     n_members = len(split.train_ids)
     n_nonmembers = int(round(n_members * (1.0 - game.p_member) / game.p_member))
     if n_nonmembers > len(split.population_ids):
@@ -176,7 +191,7 @@ def run_game(
             f"population split too small: need {n_nonmembers} non-members, "
             f"have {len(split.population_ids)}"
         )
-    rng = derive_rng(game.seed, "nonmembers")
+    rng = derive_rng(seed, "nonmembers")
     nonmembers = tuple(
         str(i) for i in rng.choice(np.array(split.population_ids), size=n_nonmembers, replace=False)
     )
@@ -184,16 +199,11 @@ def run_game(
         member_ids=tuple(split.train_ids),
         nonmember_ids=nonmembers,
         p_member=game.p_member,
-        seed=game.seed,
+        seed=seed,
     )
 
-    train_cfg = replace(cfg, seed=derive_seed(game.seed, "target"))
-    trained = fit(
-        dataset.subset(split.train_ids),
-        dataset.subset(split.validation_ids),
-        train_cfg,
-        fixed_epochs=fixed_epochs,
-    )
+    train_cfg = replace(cfg, seed=derive_seed(seed, "target"))
+    trained = fit(dataset.subset(split.train_ids), dataset.subset(split.validation_ids), train_cfg)
 
     candidates = dataset.subset(challenge.candidate_ids)
     confs = predict_confidences(trained, candidates.features_array(), candidates.labels_array())
@@ -204,39 +214,33 @@ def run_game(
 def train_shadow_ensemble(
     pool: Dataset,
     candidates: Dataset | None,
-    k: int = ShadowParams.count,
-    inclusion_rate: float = ShadowParams.inclusion_rate,
-    z_fraction: float = ShadowParams.z_fraction,
-    cfg: TrainConfig | None = None,
-    seed: int = 0,
-    shadow_epochs: int = ShadowParams.epochs,
-    z_cap: int | None = ShadowParams.z_cap,
+    shadow: ShadowParams,
+    cfg: TrainConfig,
+    seed: int,
 ) -> ShadowEnsemble:
-    """Train K shadows over the pool-plus-candidates sampling universe.
+    """Train ``shadow.count`` shadows over the pool-plus-candidates sampling universe.
 
-    A Z set of ``z_fraction * len(pool)`` pool samples (never candidates,
-    optionally capped at ``z_cap``) is reserved and excluded from every
-    shadow. Every remaining sample enters each shadow independently with
-    probability ``inclusion_rate``. Shadows reuse the target
-    hyperparameters and train for exactly ``shadow_epochs`` epochs.
+    A Z set of ``shadow.z_fraction * len(pool)`` pool samples (never
+    candidates, optionally capped at ``shadow.z_cap``) is reserved,
+    excluded from every shadow and used as each shadow's validation set;
+    a pool that yields no Z point is rejected before any shadow trains.
+    Every remaining sample enters each shadow independently with
+    probability ``shadow.inclusion_rate``. Shadows reuse the target
+    hyperparameters and train for exactly ``shadow.epochs`` epochs.
     """
-    if k < 2:
-        raise ValueError(f"need at least 2 shadow models, got {k}")
-    if not 0.0 < inclusion_rate < 1.0:
-        raise ValueError(f"inclusion_rate must be in (0,1), got {inclusion_rate}")
-    if not 0.0 <= z_fraction < 1.0:
-        raise ValueError(f"z_fraction must be in [0,1), got {z_fraction}")
-    if len(pool) == 0:
-        raise ValueError("empty shadow pool")
-    cfg = cfg or TrainConfig()
-
+    k = shadow.count
     z_eligible = [i for i in pool.ids if candidates is None or i not in candidates]
-    n_z = int(round(z_fraction * len(pool)))
-    if z_cap is not None:
-        n_z = min(n_z, z_cap)
+    n_z = int(round(shadow.z_fraction * len(pool)))
+    if shadow.z_cap is not None:
+        n_z = min(n_z, shadow.z_cap)
     n_z = min(n_z, len(z_eligible))
+    if n_z == 0:
+        raise ValueError(
+            f"shadow pool of {len(pool)} samples ({len(z_eligible)} outside the candidates) "
+            f"yields no Z point at z_fraction {shadow.z_fraction}"
+        )
     rng = derive_rng(seed, "z-reserve")
-    z_ids = tuple(str(i) for i in rng.choice(np.array(z_eligible), size=n_z, replace=False)) if n_z else ()
+    z_ids = tuple(str(i) for i in rng.choice(np.array(z_eligible), size=n_z, replace=False))
     z_set = set(z_ids)
 
     # sampling universe: pool minus Z, then the candidates outside the pool
@@ -250,7 +254,7 @@ def train_shadow_ensemble(
     )
 
     coin_rng = derive_rng(seed, "inclusion")
-    incl = (coin_rng.random((len(universe), k)) < inclusion_rate).astype(np.uint8)
+    incl = (coin_rng.random((len(universe), k)) < shadow.inclusion_rate).astype(np.uint8)
     # a shadow with no samples or one class cannot train; re-flip such columns
     for j in range(k):
         tries = 0
@@ -261,17 +265,16 @@ def train_shadow_ensemble(
             tries += 1
             if tries > 100:
                 raise ValueError(f"could not draw a two-class training set for shadow {j}")
-            incl[:, j] = (coin_rng.random(len(universe)) < inclusion_rate).astype(np.uint8)
+            incl[:, j] = (coin_rng.random(len(universe)) < shadow.inclusion_rate).astype(np.uint8)
 
-    z_dataset = pool.take(pool.rows(z_ids)) if z_ids else None
+    z_dataset = pool.take(pool.rows(z_ids))
     models: list[TrainedModel] = []
     shadow_seeds: list[int] = []
     for j in range(k):
         s_seed = derive_seed(seed, "shadow", j)
         shadow_seeds.append(s_seed)
         d_train = universe.take(np.flatnonzero(incl[:, j]))
-        d_val = z_dataset if z_dataset is not None else d_train
-        models.append(fit(d_train, d_val, replace(cfg, seed=s_seed), fixed_epochs=shadow_epochs))
+        models.append(fit(d_train, z_dataset, replace(cfg, seed=s_seed, fixed_epochs=shadow.epochs)))
 
     if candidates is not None:
         in_count = incl[universe.rows(candidates.ids)].sum(axis=1)
@@ -289,7 +292,7 @@ def train_shadow_ensemble(
         mask=np.vstack([incl, np.zeros((len(z_ids), k), dtype=np.uint8)]),
         z_ids=z_ids,
         z=z_dataset,
-        shadow_epochs=shadow_epochs,
+        shadow_epochs=shadow.epochs,
         seed=seed,
         shadow_seeds=tuple(shadow_seeds),
     )

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from leakaudit.data import Dataset, class_weights
+from leakaudit.recipe import check
 from leakaudit.seeds import derive_rng
 
 __all__ = [
@@ -44,7 +45,7 @@ CONF_CLIP_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training recipe for the MLP."""
+    """Training recipe for the MLP; see :func:`fit` for ``fixed_epochs``."""
 
     hidden_dims: tuple[int, ...] = (256, 128)
     dropout_rate: float = 0.2
@@ -53,23 +54,21 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 100
     patience: int = 10
+    fixed_epochs: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be positive, got {self.max_epochs}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be non-negative, got {self.patience}")
+        check(
+            ("hidden_dims", all(h >= 1 for h in self.hidden_dims), f"must be positive, got {self.hidden_dims}"),
+            ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, f"must be in [0,1), got {self.dropout_rate}"),
+            ("learning_rate", self.learning_rate > 0, f"must be positive, got {self.learning_rate}"),
+            ("weight_decay", self.weight_decay >= 0, f"must be non-negative, got {self.weight_decay}"),
+            ("batch_size", self.batch_size >= 1, f"must be positive, got {self.batch_size}"),
+            ("max_epochs", self.max_epochs >= 1, f"must be positive, got {self.max_epochs}"),
+            ("patience", self.patience >= 0, f"must be non-negative, got {self.patience}"),
+            ("fixed_epochs", self.fixed_epochs is None or self.fixed_epochs >= 1,
+             f"must be none or >= 1, got {self.fixed_epochs}"),
+        )
 
 
 class MlpModel:
@@ -149,16 +148,9 @@ def _forward(
     return z_out[:, 0], cache
 
 
-def forward_logits(
-    model: MlpModel,
-    X: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Batched logits; dropout active only in "train" mode."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    logits, _ = _forward(model, np.asarray(X, dtype=float), mode == "train", rng)
+def forward_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Batched inference logits (no dropout)."""
+    logits, _ = _forward(model, np.asarray(X, dtype=float), False, None)
     return logits
 
 
@@ -257,15 +249,10 @@ def adamw_step(
     params -= lr * weight_decay * params
 
 
-def fit(
-    d_train: Dataset,
-    d_val: Dataset,
-    cfg: TrainConfig,
-    fixed_epochs: int | None = None,
-) -> TrainedModel:
+def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     """Train with shuffled mini-batches and early stopping on validation loss.
 
-    With ``fixed_epochs`` set, early stopping is disabled and exactly that
+    With ``cfg.fixed_epochs`` set, early stopping is disabled and exactly that
     many epochs run; the returned weights are still those of the epoch
     with the lowest validation loss.
     """
@@ -284,7 +271,7 @@ def fit(
     v = np.zeros_like(model.params)
 
     n = len(d_train)
-    n_epochs = fixed_epochs if fixed_epochs is not None else cfg.max_epochs
+    n_epochs = cfg.fixed_epochs if cfg.fixed_epochs is not None else cfg.max_epochs
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_val = np.inf
@@ -315,7 +302,7 @@ def fit(
             since_best = 0
         else:
             since_best += 1
-            if fixed_epochs is None and since_best >= cfg.patience:
+            if cfg.fixed_epochs is None and since_best >= cfg.patience:
                 break
 
     return TrainedModel(

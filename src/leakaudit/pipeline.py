@@ -33,11 +33,11 @@ from leakaudit.evaluation import (
     overlap_analysis,
     roc_curve,
     star_level,
+    threshold_at_fpr,
     tpr_at_fpr,
 )
 from leakaudit.game import (
     Challenge,
-    GameConfig,
     ShadowEnsemble,
     TargetArtifacts,
     collect_confidences,
@@ -59,7 +59,7 @@ ATTACK_NAMES = ("lira", "rmia")
 
 
 def _fpr_key(fpr: float) -> str:
-    return repr(float(fpr))
+    return repr(float(fpr) + 0.0)  # + 0.0 turns -0.0 into the 0.0 key the report reads
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -86,20 +86,15 @@ def _run_single_rep(
     rep_dir: Path,
 ) -> dict:
     rep_seed = derive_seed(cfg.seed, "rep", rep)
-    game_cfg = GameConfig(p_member=cfg.p_member, fractions=cfg.fractions, seed=rep_seed)
-    artifacts = run_game(dataset, cfg.train, game_cfg, fixed_epochs=cfg.target_fixed_epochs)
+    artifacts = run_game(dataset, cfg.train, cfg.game, rep_seed)
     challenge = artifacts.challenge
 
     ensemble = train_shadow_ensemble(
         dataset.subset(artifacts.split.population_ids),
         dataset.subset(challenge.candidate_ids),
-        k=cfg.shadow.count,
-        inclusion_rate=cfg.shadow.inclusion_rate,
-        z_fraction=cfg.shadow.z_fraction,
-        cfg=cfg.train,
-        seed=derive_seed(rep_seed, "ensemble"),
-        shadow_epochs=cfg.shadow.epochs,
-        z_cap=cfg.shadow.z_cap,
+        cfg.shadow,
+        cfg.train,
+        derive_seed(rep_seed, "ensemble"),
     )
 
     rep_dir.mkdir(parents=True, exist_ok=True)
@@ -165,19 +160,18 @@ def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, Att
         entry: dict = {"tpr": {}, "minority_tpr": {}, "identified": {}, "n_flagged": len(table.flags)}
         for fpr in cfg.fpr_targets:
             key = _fpr_key(fpr)
+            threshold = threshold_at_fpr(roc, fpr)
             entry["tpr"][key] = tpr_at_fpr(roc, fpr)
-            ident = identified_members(table, fpr)
-            entry["identified"][key] = sorted(ident.ids)
+            entry["identified"][key] = sorted(identified_members(table, threshold))
             try:
-                entry["minority_tpr"][key] = minority_tpr(table, labels, fpr)
+                entry["minority_tpr"][key] = minority_tpr(table, labels, threshold)
             except ValueError:
                 entry["minority_tpr"][key] = None
         summary["attacks"][name] = entry
     zero = _fpr_key(0.0)
-    if all(zero in summary["attacks"][n]["identified"] for n in ATTACK_NAMES):
-        a = set(summary["attacks"]["lira"]["identified"][zero])
-        b = set(summary["attacks"]["rmia"]["identified"][zero])
-        summary["combined_identified_fpr0"] = sorted(a | b)
+    summary["combined_identified_fpr0"] = sorted(
+        set(summary["attacks"]["lira"]["identified"][zero]) | set(summary["attacks"]["rmia"]["identified"][zero])
+    )
     return summary
 
 
@@ -233,8 +227,8 @@ def _aggregate(
     labels = _labels(dataset)
     report: dict = {
         "config": {
-            "p_member": cfg.p_member,
-            "fractions": list(cfg.fractions),
+            "p_member": cfg.game.p_member,
+            "fractions": list(cfg.game.fractions),
             "shadow_count": cfg.shadow.count,
             "shadow_epochs": cfg.shadow.epochs,
             "inclusion_rate": cfg.shadow.inclusion_rate,
@@ -392,8 +386,7 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
 
     ``csv`` writes three tables: a per-attack summary, a label-fraction
     table and an overlap table; ``svg`` writes a log-FPR ROC
-    plot with one polyline per attack; ``json`` re-emits a normalized
-    pretty-printed copy.
+    plot with one polyline per attack.
     """
     report_path = Path(report_path)
     if not report_path.exists():
@@ -403,12 +396,7 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
     out_dir = report_path.parent
     written: list[Path] = []
 
-    if fmt == "json":
-        path = out_dir / "report_pretty.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        written.append(path)
-    elif fmt == "csv":
+    if fmt == "csv":
         path = out_dir / "summary.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("attack,fpr_target,median_tpr,baseline,p_value,stars\n")
@@ -444,7 +432,7 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
     elif fmt == "svg":
         written.append(_render_roc_svg(report, out_dir))
     else:
-        raise ValueError(f"unknown format {fmt!r} (expected json, csv or svg)")
+        raise ValueError(f"unknown format {fmt!r} (expected csv or svg)")
     return written
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from leakaudit.data import Dataset
+from leakaudit.recipe import check
 
 __all__ = ["SynthSpec", "synth_dataset"]
 
@@ -22,12 +23,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.dim < 1:
-            raise ValueError(f"need n >= 2 and dim >= 1, got n={self.n}, dim={self.dim}")
-        if not 0.0 < self.positive_fraction < 1.0:
-            raise ValueError(f"positive_fraction must be in (0,1), got {self.positive_fraction}")
-        if self.separation < 0:
-            raise ValueError(f"separation must be non-negative, got {self.separation}")
+        check(
+            ("n", self.n >= 2, f"must be >= 2, got {self.n}"),
+            ("dim", self.dim >= 1, f"must be >= 1, got {self.dim}"),
+            ("positive_fraction", 0.0 < self.positive_fraction < 1.0, f"must be in (0,1), got {self.positive_fraction}"),
+            ("separation", self.separation >= 0, f"must be non-negative, got {self.separation}"),
+        )
 
 
 def synth_dataset(spec: SynthSpec) -> Dataset:

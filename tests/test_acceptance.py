@@ -50,8 +50,7 @@ def verdict(capsys, number, name, ok, detail):
 POSITIVE_CONTROL = ExperimentConfig(
     synth=SynthSpec(n=1500, dim=64, positive_fraction=0.2, separation=4.0, seed=1),
     train=TrainConfig(hidden_dims=(32,), dropout_rate=0.0, learning_rate=3e-4,
-                      weight_decay=0.0, batch_size=64, max_epochs=200, patience=10, seed=0),
-    target_fixed_epochs=200,
+                      weight_decay=0.0, batch_size=64, max_epochs=200, patience=10, fixed_epochs=200, seed=0),
     shadow=ShadowParams(count=10, inclusion_rate=0.5, epochs=200, z_fraction=0.5),
     lira=LiraParams(global_variance=True),
     rmia=RmiaParams(gamma=2.0),
@@ -387,7 +386,7 @@ def _null_study_tprs(study, n_reps=5):
                                      separation=3.0, seed=seed))
         split = split_dataset(ds, (0.3, 0.1, 0.6), seed=seed)
         trained = fit(ds.subset(split.train_ids), ds.subset(split.validation_ids),
-                      replace(cfg, seed=seed), fixed_epochs=5)
+                      replace(cfg, seed=seed, fixed_epochs=5))
         pop = ds.subset(split.population_ids)
         challenge = assign_membership(pop.ids[:90], 2.0 / 3.0, seed=seed)
         candidates = ds.subset(challenge.candidate_ids)
@@ -401,7 +400,7 @@ def _null_study_tprs(study, n_reps=5):
             split=None,
         )
         ensemble = train_shadow_ensemble(
-            pop, candidates, k=4, cfg=replace(cfg, seed=seed), seed=seed, shadow_epochs=3
+            pop, candidates, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed
         )
         confs = collect_confidences(ensemble, candidates)
         tables = {

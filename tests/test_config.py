@@ -2,7 +2,7 @@
 
 import pytest
 
-from leakaudit.config import ConfigError, ExperimentConfig, parse_config_text, validate_config
+from leakaudit.config import _KEYS, ConfigError, ExperimentConfig, parse_config_text, validate_config
 from leakaudit.synth import SynthSpec
 
 
@@ -46,16 +46,16 @@ class TestParseText:
 class TestValidate:
     def test_defaults(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, MINIMAL))
-        assert cfg.p_member == 0.67
+        assert cfg.game.p_member == 0.67
         assert cfg.shadow.count == 10
         assert cfg.shadow.inclusion_rate == 0.5
         assert cfg.shadow.epochs == 15
         assert cfg.rmia.gamma == 2.0
         assert cfg.lira.global_variance is False
-        assert cfg.fractions == (0.45, 0.10, 0.45)
+        assert cfg.game.fractions == (0.45, 0.10, 0.45)
         assert cfg.fpr_targets == (0.0, 1e-3)
         assert cfg.repetitions == 5
-        assert cfg.target_fixed_epochs is None
+        assert cfg.train.fixed_epochs is None
         assert cfg.write_svg is True
 
     def test_defaults_come_from_the_dataclasses(self, tmp_path):
@@ -92,7 +92,7 @@ class TestValidate:
         assert cfg.synth.separation == 4.0
         assert cfg.train.hidden_dims == (32,)
         assert cfg.train.weight_decay == 0.0
-        assert cfg.target_fixed_epochs == 200
+        assert cfg.train.fixed_epochs == 200
         assert cfg.shadow.z_fraction == 0.5
         assert cfg.lira.global_variance is True
         assert cfg.fpr_targets == (0.0, 0.001)
@@ -188,3 +188,46 @@ class TestValidate:
     def test_z_cap_none(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "shadow.z_cap = none\n")
         assert validate_config(path).shadow.z_cap is None
+
+    @pytest.mark.parametrize("line,key", [
+        ("run.fpr_targets = 0.001", "run.fpr_targets"),
+        ("shadow.z_cap = -1", "shadow.z_cap"),
+        ("shadow.z_cap = 0", "shadow.z_cap"),
+        ("shadow.z_fraction = 0", "shadow.z_fraction"),
+        ("train.fixed_epochs = 0", "train.fixed_epochs"),
+    ])
+    def test_recipe_rule_reported_under_its_key(self, tmp_path, line, key):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(write_config(tmp_path, MINIMAL + line + "\n"))
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith(key)
+
+    def test_every_broken_rule_of_one_section_reported(self, tmp_path):
+        text = MINIMAL + "shadow.count = 1\nshadow.epochs = 0\n"
+        with pytest.raises(ConfigError) as exc:
+            validate_config(write_config(tmp_path, text))
+        assert len(exc.value.errors) == 2
+        assert exc.value.errors[0].startswith("shadow.count")
+        assert exc.value.errors[1].startswith("shadow.epochs")
+
+    def test_every_key_round_trips(self, tmp_path):
+        """Each key written as its field's value builds exactly that config, so no key points at a moved field.
+
+        ``report.metadata_key`` takes a sample value, since a plain string key cannot spell None;
+        ``data.path`` excludes ``data.synth.*`` and is covered by test_csv_path_config.
+        """
+        expected = ExperimentConfig(synth=SynthSpec(100, 4), metadata_key="size")
+        lines = []
+        for key, (section, name, _) in _KEYS.items():
+            if key == "data.path":
+                continue
+            if section == "split":
+                value = expected.game.fractions[name]
+            else:
+                value = getattr(getattr(expected, section) if section else expected, name)
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, tuple):
+                value = ", ".join(map(str, value))
+            lines.append(f"{key} = {'none' if value is None else value}")
+        assert validate_config(write_config(tmp_path, "\n".join(lines))) == expected

@@ -142,18 +142,17 @@ class TestBaseline:
 class TestIdentified:
     def test_members_above_threshold(self):
         scores = make_scores([5.0, 4.0, 3.0, 2.0], [1, 1, 0, 1])
-        ident = identified_members(scores, 0.0)
-        assert ident.ids == frozenset({"c0", "c1"})
-        assert ident.attack == "lira"
+        ident = identified_members(scores, threshold_at_fpr(roc_curve(scores), 0.0))
+        assert ident == frozenset({"c0", "c1"})
 
     def test_no_false_positives_at_zero(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 2, size=60)
         labels[:2] = [0, 1]
         scores = make_scores(rng.normal(size=60), labels)
-        ident = identified_members(scores, 0.0)
+        ident = identified_members(scores, threshold_at_fpr(roc_curve(scores), 0.0))
         top_non = max(scores.scores[i] for i in scores.challenge.nonmember_ids)
-        assert all(scores.scores[i] > top_non for i in ident.ids)
+        assert all(scores.scores[i] > top_non for i in ident)
 
 
 class TestOverlap:
@@ -225,12 +224,12 @@ class TestMinorityTpr:
         scores = make_scores(values, labels)
         class_of = {"c0": 1, "c1": 0, "c3": 1}
         # minority among members is label 0 (one of three)
-        assert minority_tpr(scores, class_of, 0.0) == 1.0
+        assert minority_tpr(scores, class_of, threshold_at_fpr(roc_curve(scores), 0.0)) == 1.0
 
     def test_single_class_members_rejected(self):
         scores = make_scores([3.0, 2.0, 1.0], [1, 1, 0])
         with pytest.raises(ValueError):
-            minority_tpr(scores, {"c0": 1, "c1": 1}, 0.0)
+            minority_tpr(scores, {"c0": 1, "c1": 1}, threshold_at_fpr(roc_curve(scores), 0.0))
 
 
 class TestAggregate:

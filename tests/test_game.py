@@ -1,14 +1,17 @@
 """Tests for challenge construction, target training and shadow ensembles."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from leakaudit import game
 from leakaudit.game import (
     Challenge,
     GameConfig,
     ShadowEnsemble,
+    ShadowParams,
     assign_membership,
     collect_confidences,
     run_game,
@@ -29,14 +32,14 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def artifacts(dataset):
-    return run_game(dataset, FAST_CFG, GameConfig(seed=5), fixed_epochs=3)
+    return run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
 
 
 @pytest.fixture(scope="module")
 def ensemble(dataset, artifacts):
     pool = dataset.subset(artifacts.split.population_ids)
     candidates = dataset.subset(artifacts.challenge.candidate_ids)
-    return train_shadow_ensemble(pool, candidates, k=4, cfg=FAST_CFG, seed=11, shadow_epochs=2)
+    return train_shadow_ensemble(pool, candidates, ShadowParams(count=4, epochs=2), FAST_CFG, 11)
 
 
 class TestChallenge:
@@ -48,6 +51,38 @@ class TestChallenge:
         ch = Challenge(member_ids=("a", "b"), nonmember_ids=("c",), p_member=0.67, seed=0)
         assert ch.membership_bits() == {"a": 1, "b": 1, "c": 0}
         assert ch.candidate_ids == ("a", "b", "c")
+
+
+class TestRecipes:
+    @pytest.mark.parametrize("kwargs", [
+        {"count": 1},
+        {"inclusion_rate": 0.0},
+        {"inclusion_rate": 1.0},
+        {"epochs": 0},
+        {"z_fraction": 0.0},
+        {"z_fraction": 1.0},
+        {"z_cap": 0},
+        {"z_cap": -1},
+    ])
+    def test_shadow_params_reject_bad_values(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ShadowParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"p_member": 0.0},
+        {"p_member": 1.5},
+        {"fractions": (0.6, 0.1, 0.45)},
+        {"fractions": (1.1, -0.1, 0.0)},
+        {"fractions": (0.5, 0.5)},
+    ])
+    def test_game_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            GameConfig(**kwargs)
+
+    def test_every_broken_rule_reported(self):
+        with pytest.raises(ValueError) as exc:
+            ShadowParams(count=1, epochs=0)
+        assert [name for name, _ in exc.value.problems] == ["count", "epochs"]
 
 
 class TestAssignMembership:
@@ -91,20 +126,20 @@ class TestRunGame:
         assert all(0.0 < c < 1.0 for c in artifacts.confidences.values())
 
     def test_deterministic(self, dataset):
-        a = run_game(dataset, FAST_CFG, GameConfig(seed=5), fixed_epochs=3)
-        b = run_game(dataset, FAST_CFG, GameConfig(seed=5), fixed_epochs=3)
+        a = run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
+        b = run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
         assert a.challenge == b.challenge
         assert a.confidences == b.confidences
 
     def test_population_too_small(self, dataset):
-        game = GameConfig(p_member=0.2, fractions=(0.7, 0.1, 0.2), seed=0)
+        game = GameConfig(p_member=0.2, fractions=(0.7, 0.1, 0.2))
         with pytest.raises(ValueError):
-            run_game(dataset, FAST_CFG, game, fixed_epochs=1)
+            run_game(dataset, replace(FAST_CFG, fixed_epochs=1), game, 0)
 
     def test_overfit_target_separates_members(self, dataset):
         cfg = TrainConfig(hidden_dims=(16,), dropout_rate=0.0, weight_decay=0.0,
-                          learning_rate=1e-2, max_epochs=40, patience=40, seed=0)
-        art = run_game(dataset, cfg, GameConfig(seed=2), fixed_epochs=40)
+                          learning_rate=1e-2, max_epochs=40, patience=40, fixed_epochs=40, seed=0)
+        art = run_game(dataset, cfg, GameConfig(), 2)
         bits = art.challenge.membership_bits()
         mem = [c for i, c in art.confidences.items() if bits[i] == 1]
         non = [c for i, c in art.confidences.items() if bits[i] == 0]
@@ -135,8 +170,7 @@ class TestShadowEnsemble:
 
     def test_z_cap(self, dataset, artifacts):
         pool = dataset.subset(artifacts.split.population_ids)
-        ens = train_shadow_ensemble(pool, None, k=2, cfg=FAST_CFG, seed=0,
-                                    shadow_epochs=1, z_cap=5)
+        ens = train_shadow_ensemble(pool, None, ShadowParams(count=2, epochs=1, z_cap=5), FAST_CFG, 0)
         assert len(ens.z_ids) == 5
 
     def test_every_shadow_saw_two_classes(self, dataset, ensemble):
@@ -148,8 +182,8 @@ class TestShadowEnsemble:
     def test_deterministic(self, dataset, artifacts):
         pool = dataset.subset(artifacts.split.population_ids)
         candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        e1 = train_shadow_ensemble(pool, candidates, k=3, cfg=FAST_CFG, seed=4, shadow_epochs=2)
-        e2 = train_shadow_ensemble(pool, candidates, k=3, cfg=FAST_CFG, seed=4, shadow_epochs=2)
+        e1 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4)
+        e2 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4)
         assert np.array_equal(e1.mask, e2.mask)
         assert e1.z_ids == e2.z_ids
         for m1, m2 in zip(e1.models, e2.models):
@@ -162,7 +196,21 @@ class TestShadowEnsemble:
 
     def test_rejects_tiny_k(self, dataset):
         with pytest.raises(ValueError):
-            train_shadow_ensemble(dataset, None, k=1, cfg=FAST_CFG)
+            train_shadow_ensemble(dataset, None, ShadowParams(count=1), FAST_CFG, 0)
+
+    @pytest.mark.parametrize("pool_rows,candidate_rows", [
+        (2, None),  # round(0.25 * 2) == 0 Z points
+        (40, 40),  # every pool sample is a candidate, so none may join Z
+    ])
+    def test_pool_without_z_point_rejected_before_training(self, dataset, monkeypatch,
+                                                           pool_rows, candidate_rows):
+        fits = []
+        monkeypatch.setattr(game, "fit", lambda *args: fits.append(args))
+        pool = dataset.take(np.arange(pool_rows))
+        candidates = None if candidate_rows is None else dataset.take(np.arange(candidate_rows))
+        with pytest.raises(ValueError, match="no Z point"):
+            train_shadow_ensemble(pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0)
+        assert fits == []
 
     def test_mask_shape_validated(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
-"""Code hygiene: no unused imports, and no public name that only tests call.
+"""Code hygiene: no unused imports, no public name that only tests call, no range rule in the config parser.
 
-Both checks read the syntax trees of ``src/leakaudit`` and ``tests``; they
+The checks read the syntax trees of ``src/leakaudit`` and ``tests``; they
 import nothing from the package.
 """
 
@@ -71,5 +71,23 @@ def test_every_export_is_used_by_src():
         for path, tree in trees.items()
         for name in exported(tree)
         if name not in used and name not in TEST_ONLY_EXPORTS
+    ]
+    assert problems == []
+
+
+def is_number(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_validate_config_compares_nothing_with_a_number():
+    """Range rules live in the recipe dataclasses that own the fields, not in the parser."""
+    tree = parse(ROOT / "src" / "leakaudit" / "config.py")
+    func = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "validate_config")
+    problems = [
+        f"config.py line {node.lineno}"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare) and any(map(is_number, [node.left, *node.comparators]))
     ]
     assert problems == []

@@ -62,6 +62,7 @@ class TestConfig:
         {"batch_size": 0},
         {"max_epochs": 0},
         {"patience": -1},
+        {"fixed_epochs": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -115,17 +116,17 @@ class TestForward:
 
     def test_dropout_only_in_train_mode(self):
         model = init_model(4, TrainConfig(hidden_dims=(16,), dropout_rate=0.5, seed=0))
-        X = np.ones((3, 4))
-        infer = forward_logits(model, X)
-        assert np.array_equal(infer, forward_logits(model, X))
+        X, y = np.ones((3, 4)), np.array([0, 1, 1])
+        infer = loss_and_grads(model, X, y)[0]
+        assert infer == loss_and_grads(model, X, y)[0]
         rng = np.random.default_rng(0)
-        train = forward_logits(model, X, mode="train", rng=rng)
-        assert not np.array_equal(infer, train)
+        train = loss_and_grads(model, X, y, train=True, rng=rng)[0]
+        assert infer != train
 
     def test_train_mode_dropout_requires_rng(self):
         model = init_model(2, TrainConfig(hidden_dims=(4,), dropout_rate=0.5))
         with pytest.raises(ValueError):
-            forward_logits(model, np.zeros((1, 2)), mode="train")
+            loss_and_grads(model, np.zeros((1, 2)), np.array([1]), train=True)
 
 
 class TestLossAndGradients:
@@ -237,8 +238,8 @@ class TestFit:
 
     def test_fixed_epochs_runs_exactly(self):
         ds = toy_dataset()
-        cfg = TrainConfig(hidden_dims=(4,), max_epochs=3, seed=0)
-        trained = fit(ds, ds, cfg, fixed_epochs=15)
+        cfg = TrainConfig(hidden_dims=(4,), max_epochs=3, fixed_epochs=15, seed=0)
+        trained = fit(ds, ds, cfg)
         assert len(trained.train_losses) == 15
         assert len(trained.val_losses) == 15
 
@@ -246,8 +247,8 @@ class TestFit:
         ds = toy_dataset(n=50, separation=2.0)
         val = toy_dataset(n=20, seed=1, separation=2.0)
         cfg = TrainConfig(hidden_dims=(16,), dropout_rate=0.0, weight_decay=0.0,
-                          learning_rate=5e-2, seed=0)
-        trained = fit(ds, val, cfg, fixed_epochs=30)
+                          learning_rate=5e-2, fixed_epochs=30, seed=0)
+        trained = fit(ds, val, cfg)
         assert trained.best_epoch == int(np.argmin(trained.val_losses)) + 1
         w = (1.0, 1.0)
         import leakaudit.data as data_mod

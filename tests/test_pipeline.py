@@ -15,8 +15,7 @@ from leakaudit.synth import SynthSpec, synth_dataset
 TINY = ExperimentConfig(
     synth=SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0),
     train=TrainConfig(hidden_dims=(4,), dropout_rate=0.0, learning_rate=1e-2,
-                      max_epochs=3, patience=3, seed=0),
-    target_fixed_epochs=3,
+                      max_epochs=3, patience=3, fixed_epochs=3, seed=0),
     shadow=ShadowParams(count=4, epochs=2),
     repetitions=2,
     fpr_targets=(0.0, 0.001),
@@ -117,11 +116,6 @@ class TestReportRender:
         text = (out / "roc.svg").read_text(encoding="utf-8")
         assert text.startswith("<svg") and "polyline" in text
 
-    def test_json_output(self, run_dir):
-        out, _, _ = run_dir
-        written = report_render(out / "report.json", "json")
-        assert written == [out / "report_pretty.json"]
-
     def test_missing_report(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             report_render(tmp_path / "report.json", "csv")
@@ -139,7 +133,7 @@ class TestManifest:
         rep_dir = tmp_path_factory.mktemp("manifest")
         dataset = synth_dataset(TINY.synth)
         pool, candidates = dataset.take(np.arange(120)), dataset.take(np.arange(120, 240))
-        ensemble = train_shadow_ensemble(pool, candidates, k=3, cfg=TINY.train, seed=4, shadow_epochs=1)
+        ensemble = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=1), TINY.train, 4)
         names = [f"shadow_{j:02d}.npz" for j in range(ensemble.k)]
         for model, name in zip(ensemble.models, names):
             save_model(model, rep_dir / name)
@@ -205,3 +199,8 @@ class TestAggregate:
         report = aggregate([])
         assert report["n_repetitions_completed"] == 0
         assert report["attacks"] == {}
+
+    def test_negative_zero_fpr_target_reads_the_zero_entry(self):
+        dataset = synth_dataset(SynthSpec(n=10, dim=2))
+        report = _aggregate(dataset, replace(TINY, fpr_targets=(-0.0,)), [hand_rep(0.05)], {})
+        assert report["attacks"]["lira"]["tpr"]["0.0"]["median"] == 0.05
