@@ -2,12 +2,14 @@
 
 Both attacks consume the target model's true-label confidences and the
 shadow ConfidenceMatrix; they are pure functions of their inputs and
-bit-deterministic on recomputation. Both score every candidate at once
-with array operations: LiRA from masked row sums over the candidate x
-shadow logit matrix, RMIA from (Z x K) @ (K x block) products over
-fixed-size candidate blocks. The LiRA score is the natural-log
-likelihood ratio. The scalar :func:`lira_score` and :func:`rmia_score`
-state each attack for a single candidate and serve as test oracles.
+bit-deterministic on recomputation. Every per-candidate array (target
+confidences, matrix rows, scores and member vector) follows one order:
+the challenge's candidates in dataset order. Both attacks score every
+candidate at once: LiRA from masked row sums over the candidate x shadow
+logit matrix, RMIA from (Z x K) @ (K x block) products over fixed-size
+candidate blocks. The LiRA score is the natural-log likelihood ratio.
+The scalar :func:`lira_score` and :func:`rmia_score` state each attack
+for a single candidate and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # most elements of one (Z x block) temporary in run_rmia; bounds its memory whatever Z and N are
-RMIA_BLOCK_ELEMENTS = 1 << 14
+RMIA_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,30 @@ class RmiaParams:
 
 @dataclass
 class AttackScores:
-    """Per-candidate membership scores; higher means more likely a member."""
+    """Per-candidate membership scores; higher means more likely a member.
+
+    ``scores`` and ``is_member`` are aligned with ``ids`` (every challenge
+    candidate once); ``flags`` maps each fallback-scored id to its reason.
+    """
 
     attack: str
-    scores: dict[str, float]
+    ids: tuple[str, ...]
+    scores: np.ndarray
     challenge: Challenge
     flags: dict[str, str] = field(default_factory=dict)
+    is_member: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        missing = set(self.challenge.candidate_ids) - set(self.scores)
-        if missing:
-            raise ValueError(f"missing scores for {len(missing)} candidates")
-        bad = [i for i, s in self.scores.items() if not math.isfinite(s)]
-        if bad:
-            raise ValueError(f"non-finite scores for ids {bad[:5]}")
+        candidates = self.challenge.candidate_ids
+        if len(self.ids) != len(candidates) or set(self.ids) != set(candidates):
+            raise ValueError(f"table ids do not list the {len(candidates)} challenge candidates")
+        if self.scores.shape != (len(self.ids),):
+            raise ValueError(f"{self.scores.shape} scores for {len(self.ids)} candidates")
+        bad = ~np.isfinite(self.scores)
+        if bad.any():
+            raise ValueError(f"non-finite scores for ids {[self.ids[r] for r in np.flatnonzero(bad)[:5]]}")
+        members = set(self.challenge.member_ids)
+        self.is_member = np.array([i in members for i in self.ids], dtype=bool)
 
 
 def rescale_confidence(p: float | np.ndarray, eps: float = LiraParams.clip_eps) -> float | np.ndarray:
@@ -107,8 +119,9 @@ def _log_normal_pdf(x, mean, var):
     return -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
 
 
-def _target_confidences(artifacts: TargetArtifacts, ids: Sequence[str]) -> np.ndarray:
-    return np.array([artifacts.confidences[i] for i in ids])
+def _check_aligned(artifacts: TargetArtifacts, confs: ConfidenceMatrix) -> None:
+    if artifacts.ids != confs.ids:
+        raise ValueError("target confidences are not aligned with the confidence matrix rows")
 
 
 def run_lira(
@@ -124,6 +137,7 @@ def run_lira(
     lacking an in-shadow (or out-shadow) population are scored against a
     Gaussian pooled over all candidates' out-shadow logits and flagged.
     """
+    _check_aligned(artifacts, confs)
     logits = rescale_confidence(confs.values, params.clip_eps)
     inside = confs.mask.astype(bool)
     floor = params.variance_floor
@@ -148,7 +162,7 @@ def run_lira(
             ss = sum(float(sq_dev[count >= 2].sum()) for _, count, _, sq_dev in sides)
             global_var = max(ss / (n_res - 1), floor)
 
-    o_target = rescale_confidence(_target_confidences(artifacts, confs.ids), params.clip_eps)
+    o_target = rescale_confidence(artifacts.confidences, params.clip_eps)
     log_l = []
     flags: dict[str, str] = {}
     for name, count, mean, sq_dev in sides:
@@ -168,8 +182,7 @@ def run_lira(
     log_lr = log_l[0] - log_l[1]
     if flags:
         log.warning("LiRA: %d candidates scored via pooled fallback", len(flags))
-    return AttackScores(attack="lira", scores=dict(zip(confs.ids, log_lr.tolist())),
-                        challenge=artifacts.challenge, flags=flags)
+    return AttackScores(attack="lira", ids=confs.ids, scores=log_lr, challenge=artifacts.challenge, flags=flags)
 
 
 def rmia_score(
@@ -210,19 +223,23 @@ def run_rmia(
     are scored in blocks so that no temporary exceeds
     ``RMIA_BLOCK_ELEMENTS`` elements however large Z and the challenge are.
     """
+    _check_aligned(artifacts, confs)
     if not ensemble.z_ids:
         raise ValueError("ensemble carries an empty Z set")
-    if ensemble.z_confidences is not None:
-        z_shadow = ensemble.z_confidences
-    else:
+    z_shadow = ensemble.z_confidences
+    if z_shadow is None:
         z_shadow = collect_confidences(ensemble, ensemble.z).values
-    z_target = _z_target_confidences(artifacts, ensemble)
+    z_target = ensemble.z_target_confidences
+    if z_target is None:
+        if artifacts.model is None:
+            raise ValueError("target confidences for Z unavailable and no target model to query")
+        z_target = predict_confidences(artifacts.model, ensemble.z.X, ensemble.z.y)
 
     out = ~confs.mask.astype(bool)
     no_out = ~out.any(axis=1)
     out[no_out] = True
     n_out = out.sum(axis=1)
-    ratio_m = _target_confidences(artifacts, confs.ids) / confs.values.mean(axis=1)
+    ratio_m = artifacts.confidences / confs.values.mean(axis=1)
     block = max(1, RMIA_BLOCK_ELEMENTS // len(z_target))
     dominated = np.empty(len(confs.ids), dtype=np.int64)
     for lo in range(0, len(confs.ids), block):
@@ -237,30 +254,17 @@ def run_rmia(
     if flags:
         log.warning("RMIA: %d candidates had no excluding shadow; averaged over all shadows",
                     len(flags))
-    return AttackScores(attack="rmia", scores=dict(zip(confs.ids, scores.tolist())),
-                        challenge=artifacts.challenge, flags=flags)
-
-
-def _z_target_confidences(artifacts: TargetArtifacts, ensemble: ShadowEnsemble) -> np.ndarray:
-    known = artifacts.confidences
-    if all(zid in known for zid in ensemble.z_ids):
-        return _target_confidences(artifacts, ensemble.z_ids)
-    if artifacts.model is None:
-        raise ValueError("target confidences for Z unavailable and no target model to query")
-    return predict_confidences(artifacts.model, ensemble.z.X, ensemble.z.y)
+    return AttackScores(attack="rmia", ids=confs.ids, scores=scores, challenge=artifacts.challenge, flags=flags)
 
 
 def save_scores(scores: AttackScores, path: str | Path) -> None:
-    """Write the score table as CSV ``id,score,is_member,flags``."""
-    bits = scores.challenge.membership_bits()
+    """Write the score table as CSV ``id,score,is_member,flags``, rows in challenge order (members first)."""
+    row = {i: r for r, i in enumerate(scores.ids)}
+    order = [row[i] for i in scores.challenge.candidate_ids]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score", "is_member", "flags"])
-        for sample_id in scores.challenge.candidate_ids:
-            writer.writerow([
-                sample_id,
-                repr(scores.scores[sample_id]),
-                bits[sample_id],
-                scores.flags.get(sample_id, ""),
-            ])
+        for sample_id, score, member in zip(scores.challenge.candidate_ids, scores.scores[order].tolist(),
+                                            scores.is_member[order].tolist()):
+            writer.writerow([sample_id, repr(score), int(member), scores.flags.get(sample_id, "")])
 

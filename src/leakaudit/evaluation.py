@@ -2,13 +2,15 @@
 
 Thresholds sweep the unique score values with equal scores admitted
 atomically, so the reported FPR never exceeds the target. FPR = 0 means
-"strictly above every non-member score".
+"strictly above every non-member score". The per-table functions read an
+:class:`AttackScores` table's arrays through boolean masks, in its order.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -69,10 +71,7 @@ class CharacteristicResult:
 
 def roc_curve(scores: AttackScores) -> RocCurve:
     """Exact ROC over unique score thresholds (rule: score >= threshold)."""
-    member_ids = set(scores.challenge.member_ids)
-    values = scores.scores
-    y = np.array([1 if i in member_ids else 0 for i in scores.challenge.candidate_ids])
-    s = np.array([values[i] for i in scores.challenge.candidate_ids], dtype=float)
+    s, y = scores.scores, scores.is_member
     n_mem = int(y.sum())
     n_non = int(len(y) - n_mem)
     if n_mem == 0 or n_non == 0:
@@ -82,7 +81,7 @@ def roc_curve(scores: AttackScores) -> RocCurve:
     s_sorted = s[order]
     y_sorted = y[order]
     tp = np.cumsum(y_sorted)
-    fp = np.cumsum(1 - y_sorted)
+    fp = np.cumsum(~y_sorted)
     # last index of each tie block = atomic admission of equal scores
     is_block_end = np.append(s_sorted[1:] != s_sorted[:-1], True)
     idx = np.flatnonzero(is_block_end)
@@ -117,7 +116,7 @@ def baseline_tpr(n_members: int) -> float:
 
 def identified_members(scores: AttackScores, threshold: float) -> frozenset[str]:
     """Member ids admitted at ``threshold``, e.g. :func:`threshold_at_fpr` of the table's ROC."""
-    return frozenset(i for i in scores.challenge.member_ids if scores.scores[i] >= threshold)
+    return frozenset(compress(scores.ids, scores.is_member & (scores.scores >= threshold)))
 
 
 def overlap_fraction(set_a: Iterable[str], set_b: Iterable[str]) -> float | None:
@@ -215,26 +214,23 @@ def characteristic_analysis(
 
 def minority_tpr(
     scores: AttackScores,
-    labels: Mapping[str, int],
+    labels: np.ndarray,
     threshold: float,
 ) -> float:
     """TPR over minority-class members at a full-challenge threshold.
 
-    The threshold is fixed by the complete challenge (see
+    ``labels`` holds each candidate's class label, aligned with
+    ``scores.ids``. The threshold is fixed by the complete challenge (see
     :func:`threshold_at_fpr`); only the TPR numerator/denominator
     restrict to the minority class.
     """
-    members = scores.challenge.member_ids
-    member_labels = [labels[i] for i in members]
-    n_pos = sum(member_labels)
-    n_neg = len(members) - n_pos
+    n_pos = int(np.count_nonzero(labels[scores.is_member] == 1))
+    n_neg = int(np.count_nonzero(scores.is_member)) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("no minority class present among members")
-    minority_label = 1 if n_pos < n_neg else 0
-    minority = [i for i in members if labels[i] == minority_label]
-
-    hits = sum(1 for i in minority if scores.scores[i] >= threshold)
-    return hits / len(minority)
+    minority = scores.is_member & (labels == (1 if n_pos < n_neg else 0))
+    hits = int(np.count_nonzero(minority & (scores.scores >= threshold)))
+    return hits / int(np.count_nonzero(minority))
 
 
 def star_level(p: float) -> str:

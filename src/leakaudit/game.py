@@ -56,11 +56,6 @@ class Challenge:
     def candidate_ids(self) -> tuple[str, ...]:
         return self.member_ids + self.nonmember_ids
 
-    def membership_bits(self) -> dict[str, int]:
-        bits = {i: 1 for i in self.member_ids}
-        bits.update({i: 0 for i in self.nonmember_ids})
-        return bits
-
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -100,12 +95,22 @@ class ShadowParams:
 
 @dataclass
 class TargetArtifacts:
-    """Everything the adversary receives about one target model."""
+    """Everything the adversary receives about one target model.
+
+    ``ids`` are the challenge's candidates in dataset order, as
+    ``dataset.subset(challenge.candidate_ids)`` yields them, and
+    ``confidences`` holds the target's true-label confidence of each.
+    """
 
     model: TrainedModel | None
-    confidences: dict[str, float]
+    ids: tuple[str, ...]
+    confidences: np.ndarray
     challenge: Challenge
     split: SplitAssignment | None
+
+    def __post_init__(self):
+        if self.confidences.shape != (len(self.ids),):
+            raise ValueError(f"{self.confidences.shape} target confidences for {len(self.ids)} candidates")
 
 
 @dataclass
@@ -114,8 +119,9 @@ class ShadowEnsemble:
 
     ``ids`` indexes the mask rows and covers every sample the ensemble
     saw or reserved; the reserved Z ids always have all-zero rows. ``z``
-    holds the Z samples themselves, in ``z_ids`` order, when the ensemble
-    needs to query its shadows on them (``z_confidences`` unset).
+    holds the Z samples themselves, in ``z_ids`` order, which the shadows
+    and the target are queried on; ``z_confidences`` (Z x shadow) and
+    ``z_target_confidences`` (per Z id), when set, stand in for those queries.
     """
 
     models: tuple[TrainedModel, ...]
@@ -127,6 +133,7 @@ class ShadowEnsemble:
     z: Dataset | None = None
     shadow_seeds: tuple[int, ...] = ()
     z_confidences: np.ndarray | None = None
+    z_target_confidences: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mask.shape != (len(self.ids), self.k):
@@ -207,8 +214,7 @@ def run_game(dataset: Dataset, cfg: TrainConfig, game: GameConfig, seed: int) ->
 
     candidates = dataset.subset(challenge.candidate_ids)
     confs = predict_confidences(trained, candidates.features_array(), candidates.labels_array())
-    confidences = dict(zip(candidates.ids, map(float, confs)))
-    return TargetArtifacts(model=trained, confidences=confidences, challenge=challenge, split=split)
+    return TargetArtifacts(model=trained, ids=candidates.ids, confidences=confs, challenge=challenge, split=split)
 
 
 def train_shadow_ensemble(

@@ -6,7 +6,8 @@ score and ROC CSVs) into its own directory and finishes with a
 and reproduces byte-identical outputs. A run and a re-attack share one
 scoring path (:func:`_score_rep`), from the target and shadow ensemble to
 the written ``scores_*.csv`` and ``roc_*.csv``; a re-attack only loads the
-stored challenge, target and ensemble first.
+stored challenge, target and ensemble first. Per-candidate arrays on that
+path, labels included, follow the one candidate order of :mod:`leakaudit.attacks`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import logging
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from leakaudit.attacks import AttackScores, run_lira, run_rmia, save_scores
 from leakaudit.config import ExperimentConfig
 from leakaudit.data import Dataset, load_dataset
 from leakaudit.evaluation import (
-    RocCurve,
     baseline_tpr,
     auroc,
     characteristic_analysis,
@@ -70,13 +70,6 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def _rep_dir(out_dir: Path, rep: int) -> Path:
     return out_dir / f"rep_{rep:03d}"
-
-
-def _write_roc_csv(roc: RocCurve, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("threshold,fpr,tpr\n")
-        for t, f, tp in zip(roc.thresholds, roc.fpr, roc.tpr):
-            fh.write(f"{float(t)!r},{float(f)!r},{float(tp)!r}\n")
 
 
 def _run_single_rep(
@@ -132,7 +125,9 @@ def _score_rep(
     }
     for name in ATTACK_NAMES:
         save_scores(scores[name], rep_dir / f"scores_{name}.csv")
-        _write_roc_csv(roc_curve(scores[name]), rep_dir / f"roc_{name}.csv")
+        roc = roc_curve(scores[name])
+        _write_csv(rep_dir / f"roc_{name}.csv", "threshold,fpr,tpr",
+                   zip(roc.thresholds.tolist(), roc.fpr.tolist(), roc.tpr.tolist()))
     return scores
 
 
@@ -148,7 +143,6 @@ def _labels(dataset: Dataset) -> dict[str, int]:
 
 
 def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, AttackScores]) -> dict:
-    labels = _labels(dataset)
     summary: dict = {"attacks": {}}
     any_challenge = next(iter(scores.values())).challenge
     summary["n_members"] = len(any_challenge.member_ids)
@@ -157,6 +151,7 @@ def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, Att
     summary["baseline_tpr"] = baseline_tpr(len(any_challenge.member_ids))
     for name, table in scores.items():
         roc = roc_curve(table)
+        labels = dataset.y[dataset.rows(table.ids)]
         entry: dict = {"tpr": {}, "minority_tpr": {}, "identified": {}, "n_flagged": len(table.flags)}
         for fpr in cfg.fpr_targets:
             key = _fpr_key(fpr)
@@ -344,8 +339,8 @@ def rerun_attacks(cfg: ExperimentConfig) -> None:
         )
         target = load_model(rep_dir / "target.npz")
         candidates = dataset.subset(challenge.candidate_ids)
-        confidences = predict_confidences(target, candidates.X, candidates.y)
-        artifacts = TargetArtifacts(model=target, confidences=dict(zip(candidates.ids, confidences.tolist())),
+        artifacts = TargetArtifacts(model=target, ids=candidates.ids,
+                                    confidences=predict_confidences(target, candidates.X, candidates.y),
                                     challenge=challenge, split=None)
         _score_rep(dataset, cfg, artifacts, _load_ensemble(rep_dir, dataset), rep_dir)
         log.info("re-ran attacks for repetition %d", rep)
@@ -381,6 +376,14 @@ def _csv_value(value) -> str:
     return str(value)
 
 
+def _write_csv(path: Path, header: str, rows: Iterable[Sequence]) -> Path:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_value, row)) + "\n")
+    return path
+
+
 def report_render(report_path: str | Path, fmt: str) -> list[Path]:
     """Emit summary tables or plots next to the report file.
 
@@ -397,38 +400,22 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
     written: list[Path] = []
 
     if fmt == "csv":
-        path = out_dir / "summary.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("attack,fpr_target,median_tpr,baseline,p_value,stars\n")
-            for name, entry in sorted(report.get("attacks", {}).items()):
-                for key, agg in sorted(entry.get("tpr", {}).items()):
-                    fh.write(
-                        f"{name},{key},{_csv_value(agg['median'])},{_csv_value(agg['baseline'])},"
-                        f"{_csv_value(agg['p_value'])},{agg['stars']}\n"
-                    )
-        written.append(path)
-        path = out_dir / "label_fractions.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("attack,identified_positive_fraction,rest_positive_fraction,p_value,stars\n")
-            for name, entry in sorted(report.get("attacks", {}).items()):
-                la = entry.get("label_analysis") or {}
-                if "identified_positive_fraction" in la:
-                    fh.write(
-                        f"{name},{_csv_value(la['identified_positive_fraction'])},"
-                        f"{_csv_value(la['rest_positive_fraction'])},"
-                        f"{_csv_value(la['p_value'])},{la['stars']}\n"
-                    )
-        written.append(path)
-        path = out_dir / "overlap.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("observed_mean,expected_mean,p_value,stars\n")
-            ov = report.get("overlap") or {}
-            if "observed_mean" in ov:
-                fh.write(
-                    f"{_csv_value(ov['observed_mean'])},{_csv_value(ov['expected_mean'])},"
-                    f"{_csv_value(ov['p_value'])},{ov['stars']}\n"
-                )
-        written.append(path)
+        attacks = sorted(report.get("attacks", {}).items())
+        analyses = [(name, entry.get("label_analysis") or {}) for name, entry in attacks]
+        ov = report.get("overlap") or {}
+        written.append(_write_csv(
+            out_dir / "summary.csv", "attack,fpr_target,median_tpr,baseline,p_value,stars",
+            [(name, key, agg["median"], agg["baseline"], agg["p_value"], agg["stars"])
+             for name, entry in attacks for key, agg in sorted(entry.get("tpr", {}).items())]))
+        written.append(_write_csv(
+            out_dir / "label_fractions.csv",
+            "attack,identified_positive_fraction,rest_positive_fraction,p_value,stars",
+            [(name, la["identified_positive_fraction"], la["rest_positive_fraction"], la["p_value"], la["stars"])
+             for name, la in analyses if "identified_positive_fraction" in la]))
+        written.append(_write_csv(
+            out_dir / "overlap.csv", "observed_mean,expected_mean,p_value,stars",
+            [(ov["observed_mean"], ov["expected_mean"], ov["p_value"], ov["stars"])]
+            if "observed_mean" in ov else []))
     elif fmt == "svg":
         written.append(_render_roc_svg(report, out_dir))
     else:

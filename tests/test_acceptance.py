@@ -233,7 +233,7 @@ def make_scores(values, labels):
     members = tuple(i for i, y in zip(ids, labels) if y == 1)
     nonmembers = tuple(i for i, y in zip(ids, labels) if y == 0)
     challenge = Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=0.67, seed=0)
-    return AttackScores(attack="lira", scores=dict(zip(ids, map(float, values))), challenge=challenge)
+    return AttackScores(attack="lira", ids=ids, scores=np.asarray(values, dtype=float), challenge=challenge)
 
 
 def test_criterion_3_roc_oracle(capsys):
@@ -312,7 +312,7 @@ def test_criterion_5_hand_fixture_attacks(capsys):
     # log-likelihood ratios 2, 0 and 4 in closed form
     logits = {"A": (0.0, 0.0, -2.0), "B": (0.0, 1.0, -1.0), "C": (1.0, 2.0, -2.0)}
     ids = ("A", "B", "C")
-    target_confs = {i: sigmoid(logits[i][0]) for i in ids}
+    target_confs = np.array([sigmoid(logits[i][0]) for i in ids])
     mask = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.uint8)
     values = np.empty((3, 2))
     for r, i in enumerate(ids):
@@ -320,32 +320,35 @@ def test_criterion_5_hand_fixture_attacks(capsys):
         values[r, mask[r].argmax()] = sigmoid(in_logit)
         values[r, 1 - mask[r].argmax()] = sigmoid(out_logit)
     challenge = Challenge(member_ids=("A", "B"), nonmember_ids=("C",), p_member=0.67, seed=0)
-    artifacts = TargetArtifacts(model=None, confidences=target_confs, challenge=challenge, split=None)
+    artifacts = TargetArtifacts(model=None, ids=ids, confidences=target_confs, challenge=challenge, split=None)
     confs = ConfidenceMatrix(ids=ids, values=values, mask=mask)
 
     lira = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
+    lira_scores = dict(zip(lira.ids, lira.scores.tolist()))
     expected_lira = {"A": 2.0, "B": 0.0, "C": 4.0}
     lira_ok = all(
-        abs(lira.scores[i] - v) <= 1e-10 for i, v in expected_lira.items()
+        abs(lira_scores[i] - v) <= 1e-10 for i, v in expected_lira.items()
     )
 
     # RMIA counting fixture: candidate A gets target confidence 0.75 and
     # shadow confidences (0.5, 0.25), so its ratio is 0.75/0.375 = 2; with
     # gamma=2 it dominates exactly one of the two reference points (z
     # ratios 1 and 2 from the excluding shadow), scoring 0.5
-    artifacts.confidences.update({"A": 0.75, "z0": 0.5, "z1": 0.8})
+    artifacts.confidences[ids.index("A")] = 0.75
     confs.values[0] = [0.5, 0.25]
     ensemble = ShadowEnsemble(
         models=(), ids=ids, mask=mask, z_ids=("z0", "z1"),
         shadow_epochs=1, seed=0, z_confidences=np.array([[0.9, 0.5], [0.1, 0.4]]),
+        z_target_confidences=np.array([0.5, 0.8]),
     )
     rmia = run_rmia(artifacts, confs, ensemble, RmiaParams(gamma=2.0))
-    rmia_ok = abs(rmia.scores["A"] - 0.5) <= 1e-10
+    rmia_a = float(rmia.scores[rmia.ids.index("A")])
+    rmia_ok = abs(rmia_a - 0.5) <= 1e-10
 
     ok = lira_ok and rmia_ok
     verdict(capsys, 5, "hand-fixture attacks", ok,
-            f"LiRA scores {[round(lira.scores[i], 6) for i in ids]} vs (2, 0, 4) (tol 1e-10); "
-            f"RMIA score {rmia.scores['A']} vs 0.5 (tol 1e-10)")
+            f"LiRA scores {[round(lira_scores[i], 6) for i in ids]} vs (2, 0, 4) (tol 1e-10); "
+            f"RMIA score {rmia_a} vs 0.5 (tol 1e-10)")
 
 
 # --- criterion 6: positive control detects leakage --------------------------
@@ -395,7 +398,8 @@ def _null_study_tprs(study, n_reps=5):
         )
         artifacts = TargetArtifacts(
             model=trained,
-            confidences=dict(zip(candidates.ids, map(float, target_confs))),
+            ids=candidates.ids,
+            confidences=target_confs,
             challenge=challenge,
             split=None,
         )

@@ -28,6 +28,10 @@ def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def by_id(table):
+    return dict(zip(table.ids, table.scores.tolist()))
+
+
 def make_fixture():
     """Three candidates, two shadows, confidences chosen for closed-form ratios.
 
@@ -41,7 +45,7 @@ def make_fixture():
         "C": (1.0, 2.0, -2.0),   # log LR = 4
     }
     ids = ("A", "B", "C")
-    target_confs = {i: sigmoid(logits[i][0]) for i in ids}
+    target_confs = np.array([sigmoid(logits[i][0]) for i in ids])
     # shadow 0 includes A and C; shadow 1 includes B
     mask = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.uint8)
     values = np.empty((3, 2))
@@ -50,10 +54,16 @@ def make_fixture():
         values[r, mask[r].argmax()] = sigmoid(in_logit)
         values[r, 1 - mask[r].argmax()] = sigmoid(out_logit)
     challenge = Challenge(member_ids=("A", "B"), nonmember_ids=("C",), p_member=0.67, seed=0)
-    artifacts = TargetArtifacts(model=None, confidences=target_confs, challenge=challenge, split=None)
+    artifacts = TargetArtifacts(model=None, ids=ids, confidences=target_confs, challenge=challenge, split=None)
     confs = ConfidenceMatrix(ids=ids, values=values, mask=mask)
     expected = {"A": 2.0, "B": 0.0, "C": 4.0}
     return artifacts, confs, expected
+
+
+def reversed_target(artifacts):
+    """The same target confidences, listed in the reverse of the confidence matrix's order."""
+    return TargetArtifacts(model=None, ids=artifacts.ids[::-1], confidences=artifacts.confidences[::-1],
+                           challenge=artifacts.challenge, split=None)
 
 
 class TestRescale:
@@ -104,8 +114,9 @@ class TestRunLira:
     def test_hand_fixture_exact(self):
         artifacts, confs, expected = make_fixture()
         table = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
+        got = by_id(table)
         for i, value in expected.items():
-            assert table.scores[i] == pytest.approx(value, abs=1e-10)
+            assert got[i] == pytest.approx(value, abs=1e-10)
         assert table.flags == {}
 
     def test_no_out_shadow_uses_pooled_fallback(self):
@@ -120,7 +131,7 @@ class TestRunLira:
         mu_in, var_in = -1.0, 2.0
         log_num = -0.5 * math.log(2 * math.pi * var_in) - (o - mu_in) ** 2 / (2 * var_in)
         log_den = -0.5 * math.log(2 * math.pi * pooled_var) - (o - pooled_mean) ** 2 / (2 * pooled_var)
-        assert table.scores["A"] == pytest.approx(log_num - log_den, abs=1e-10)
+        assert by_id(table)["A"] == pytest.approx(log_num - log_den, abs=1e-10)
 
     def test_no_in_shadow_flagged(self):
         artifacts, confs, _ = make_fixture()
@@ -137,12 +148,13 @@ class TestRunLira:
         mask[:, : k // 2] = 1
         challenge = Challenge(member_ids=ids[:6], nonmember_ids=ids[6:], p_member=0.5, seed=0)
         artifacts = TargetArtifacts(
-            model=None,
-            confidences={i: float(rng.uniform(0.2, 0.8)) for i in ids},
+            model=None, ids=ids,
+            confidences=rng.uniform(0.2, 0.8, n),
             challenge=challenge, split=None,
         )
         confs = ConfidenceMatrix(ids=ids, values=values, mask=mask)
         table = run_lira(artifacts, confs, LiraParams(global_variance=True))
+        got = by_id(table)
 
         # shared variance: log LR reduces to a distance difference over one sigma^2
         logits = rescale_confidence(values)
@@ -153,17 +165,22 @@ class TestRunLira:
         ])
         gv = float(residuals @ residuals / (residuals.size - 1))
         for r, i in enumerate(ids):
-            o = rescale_confidence(artifacts.confidences[i])
+            o = rescale_confidence(artifacts.confidences[r])
             mu_in = logits[r, : k // 2].mean()
             mu_out = logits[r, k // 2 :].mean()
             expected = ((o - mu_out) ** 2 - (o - mu_in) ** 2) / (2 * gv)
-            assert table.scores[i] == pytest.approx(expected, abs=1e-10)
+            assert got[i] == pytest.approx(expected, abs=1e-10)
 
     def test_scores_finite_and_complete(self):
         artifacts, confs, _ = make_fixture()
         table = run_lira(artifacts, confs)
-        assert set(table.scores) == {"A", "B", "C"}
-        assert all(math.isfinite(s) for s in table.scores.values())
+        assert set(by_id(table)) == {"A", "B", "C"}
+        assert all(math.isfinite(s) for s in by_id(table).values())
+
+    def test_misaligned_target_rejected(self):
+        artifacts, confs, _ = make_fixture()
+        with pytest.raises(ValueError, match="not aligned"):
+            run_lira(reversed_target(artifacts), confs)
 
 
 class TestRmiaScore:
@@ -221,11 +238,11 @@ class TestRunRmia:
     def make_ensemble_fixture(self):
         artifacts, confs, _ = make_fixture()
         z_ids = ("z0", "z1")
-        artifacts.confidences.update({"z0": 0.5, "z1": 0.8})
         ensemble = ShadowEnsemble(
             models=(), ids=confs.ids, mask=confs.mask, z_ids=z_ids,
             shadow_epochs=1, seed=0,
             z_confidences=np.array([[0.9, 0.5], [0.1, 0.4]]),
+            z_target_confidences=np.array([0.5, 0.8]),
         )
         return artifacts, confs, ensemble
 
@@ -238,8 +255,8 @@ class TestRunRmia:
         p_z = np.array([0.5, 0.4])  # excluding-shadow column means
         ratio_z = np.array([0.5, 0.8]) / p_z
         expected = float(np.mean(ratio_m / ratio_z >= 2.0))
-        assert table.scores["A"] == pytest.approx(expected, abs=1e-12)
-        assert set(table.scores) == {"A", "B", "C"}
+        assert by_id(table)["A"] == pytest.approx(expected, abs=1e-12)
+        assert set(by_id(table)) == {"A", "B", "C"}
 
     def test_no_excluding_shadow_flagged(self):
         artifacts, confs, ensemble = self.make_ensemble_fixture()
@@ -256,17 +273,38 @@ class TestRunRmia:
         with pytest.raises(ValueError):
             run_rmia(artifacts, confs, ensemble)
 
+    def test_misaligned_target_rejected(self):
+        artifacts, confs, ensemble = self.make_ensemble_fixture()
+        with pytest.raises(ValueError, match="not aligned"):
+            run_rmia(reversed_target(artifacts), confs, ensemble)
+
 
 class TestScoreTable:
     def test_missing_candidate_rejected(self):
         challenge = Challenge(member_ids=("a",), nonmember_ids=("b",), p_member=0.5, seed=0)
         with pytest.raises(ValueError):
-            AttackScores(attack="lira", scores={"a": 1.0}, challenge=challenge)
+            AttackScores(attack="lira", ids=("a",), scores=np.array([1.0]), challenge=challenge)
 
     def test_non_finite_score_rejected(self):
         challenge = Challenge(member_ids=("a",), nonmember_ids=(), p_member=0.5, seed=0)
         with pytest.raises(ValueError):
-            AttackScores(attack="lira", scores={"a": float("inf")}, challenge=challenge)
+            AttackScores(attack="lira", ids=("a",), scores=np.array([float("inf")]), challenge=challenge)
+
+    @pytest.mark.parametrize("scores", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, float("nan")]])
+    def test_scores_array_must_match_ids(self, scores):
+        challenge = Challenge(member_ids=("a",), nonmember_ids=("b",), p_member=0.5, seed=0)
+        with pytest.raises(ValueError):
+            AttackScores(attack="lira", ids=("a", "b"), scores=np.array(scores), challenge=challenge)
+
+    def test_save_scores_writes_challenge_order(self, tmp_path):
+        challenge = Challenge(member_ids=("m2", "m1"), nonmember_ids=("n1",), p_member=0.67, seed=0)
+        table = AttackScores(attack="rmia", ids=("n1", "m1", "m2"), scores=np.array([0.25, 0.5, 0.75]),
+                             challenge=challenge, flags={"m1": "no_out_shadow"})
+        save_scores(table, tmp_path / "scores.csv")
+        with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["id", "score", "is_member", "flags"], ["m2", "0.75", "1", ""],
+                        ["m1", "0.5", "1", "no_out_shadow"], ["n1", "0.25", "0", ""]]
 
     def test_save_load_round_trip(self, tmp_path):
         artifacts, confs, _ = make_fixture()
@@ -275,7 +313,7 @@ class TestScoreTable:
         save_scores(table, path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        assert {r["id"]: float(r["score"]) for r in rows} == table.scores
+        assert {r["id"]: float(r["score"]) for r in rows} == by_id(table)
         assert {r["id"] for r in rows if r["is_member"] == "1"} == set(table.challenge.member_ids)
         assert {r["id"]: r["flags"] for r in rows if r["flags"]} == table.flags
 
@@ -301,7 +339,7 @@ def attack_inputs(draw, min_rows=1, max_rows=12):
     values = rng.uniform(1e-4, 1 - 1e-4, size=(n, k))
     ids = tuple(f"c{r}" for r in range(n))
     challenge = Challenge(member_ids=ids[: n // 2], nonmember_ids=ids[n // 2:], p_member=0.5, seed=0)
-    artifacts = TargetArtifacts(model=None, confidences=dict(zip(ids, rng.uniform(1e-4, 1 - 1e-4, n).tolist())),
+    artifacts = TargetArtifacts(model=None, ids=ids, confidences=rng.uniform(1e-4, 1 - 1e-4, n),
                                 challenge=challenge, split=None)
     return artifacts, ConfidenceMatrix(ids=ids, values=values, mask=mask), rng
 
@@ -320,7 +358,7 @@ def lira_oracle(artifacts, confs, params):
             global_var = max(float(pooled_res @ pooled_res) / (pooled_res.size - 1), params.variance_floor)
     scores, flags = {}, {}
     for r, i in enumerate(confs.ids):
-        o = rescale_confidence(artifacts.confidences[i], params.clip_eps)
+        o = rescale_confidence(artifacts.confidences[r], params.clip_eps)
         fits = []
         for name, side in (("no_in_shadow", logits[r][inside[r]]), ("no_out_shadow", logits[r][~inside[r]])):
             if side.size == 0:
@@ -351,9 +389,10 @@ class TestArrayAttacksMatchOracles:
         table = run_lira(artifacts, confs, params)
         scores, flags = lira_oracle(artifacts, confs, params)
         assert table.flags == flags
+        got = by_id(table)
         for i in confs.ids:
             # a log ratio reaches 1e7 at a tiny floor, so the tolerance is relative there
-            assert table.scores[i] == pytest.approx(scores[i], rel=1e-9, abs=1e-9)
+            assert got[i] == pytest.approx(scores[i], rel=1e-9, abs=1e-9)
 
     @given(attack_inputs(min_rows=5, max_rows=40), st.integers(1, 6), st.floats(0.5, 4.0))
     @settings(max_examples=150, deadline=None)
@@ -363,15 +402,15 @@ class TestArrayAttacksMatchOracles:
         z_ids = tuple(f"z{j}" for j in range(n_z))
         z_target = rng.uniform(1e-4, 1 - 1e-4, n_z)
         z_shadow = rng.uniform(1e-4, 1 - 1e-4, (n_z, k))
-        artifacts.confidences.update(zip(z_ids, z_target.tolist()))
         ensemble = ShadowEnsemble(models=(), ids=confs.ids, mask=confs.mask, z_ids=z_ids,
-                                  shadow_epochs=1, seed=0, z_confidences=z_shadow)
+                                  shadow_epochs=1, seed=0, z_confidences=z_shadow, z_target_confidences=z_target)
         # blocks of two candidates, so every fixture spans several blocks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(attacks, "RMIA_BLOCK_ELEMENTS", 2 * n_z)
             table = run_rmia(artifacts, confs, ensemble, RmiaParams(gamma=gamma))
+        got = by_id(table)
         for r, i in enumerate(confs.ids):
-            expected = rmia_score(artifacts.confidences[i], confs.values[r], confs.mask[r] == 0,
+            expected = rmia_score(artifacts.confidences[r], confs.values[r], confs.mask[r] == 0,
                                   z_target, z_shadow, gamma=gamma)
-            assert table.scores[i] == pytest.approx(expected, abs=1e-9)
+            assert got[i] == pytest.approx(expected, abs=1e-9)
         assert table.flags == {i: "no_out_shadow" for r, i in enumerate(confs.ids) if confs.mask[r].all()}

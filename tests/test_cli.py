@@ -102,3 +102,17 @@ class TestReport:
 
     def test_missing_report_is_usage_error(self, tmp_path):
         assert main(["report", "--report", str(tmp_path / "report.json")]) == EXIT_USAGE
+
+
+class TestArgumentErrors:
+    def test_unknown_format_is_usage_error(self, tmp_path, capsys):
+        assert main(["report", "--report", str(tmp_path / "report.json"), "--format", "pdf"]) == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_missing_config_argument_is_usage_error(self, capsys):
+        assert main(["run"]) == EXIT_USAGE
+        assert "required" in capsys.readouterr().err
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage" in capsys.readouterr().out

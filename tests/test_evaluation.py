@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leakaudit.attacks import AttackScores
@@ -27,7 +27,7 @@ def make_scores(values, labels, attack="lira"):
     members = tuple(i for i, y in zip(ids, labels) if y == 1)
     nonmembers = tuple(i for i, y in zip(ids, labels) if y == 0)
     challenge = Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=0.67, seed=0)
-    return AttackScores(attack=attack, scores=dict(zip(ids, map(float, values))), challenge=challenge)
+    return AttackScores(attack=attack, ids=ids, scores=np.asarray(values, dtype=float), challenge=challenge)
 
 
 def roc_brute_force(values, labels):
@@ -79,6 +79,21 @@ class TestRoc:
         with pytest.raises(ValueError):
             roc_curve(make_scores([1.0, 2.0], [1, 1]))
 
+    @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=2, max_size=30), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_candidate_order_does_not_change_curve(self, rows, data):
+        # a coarse score grid makes ties; within a tie block the candidates' order must not matter
+        labels = [int(member) for _, member in rows]
+        assume(0 < sum(labels) < len(labels))
+        table = make_scores([score for score, _ in rows], labels)
+        perm = np.array(data.draw(st.permutations(range(len(rows)))))
+        permuted = AttackScores(attack="lira", ids=tuple(table.ids[p] for p in perm), scores=table.scores[perm],
+                                challenge=table.challenge)
+        assert np.array_equal(permuted.is_member, table.is_member[perm])
+        a, b = roc_curve(table), roc_curve(permuted)
+        for got, want in ((b.thresholds, a.thresholds), (b.fpr, a.fpr), (b.tpr, a.tpr)):
+            assert np.array_equal(got, want)
+
 
 class TestTprAtFpr:
     def test_fpr_zero_is_strictly_above_all_nonmembers(self):
@@ -110,7 +125,8 @@ class TestTprAtFpr:
         scores = make_scores(values, labels)
         roc = roc_curve(scores)
         thr = threshold_at_fpr(roc, 0.0)
-        admitted_fp = sum(1 for i in scores.challenge.nonmember_ids if scores.scores[i] >= thr)
+        score_of = dict(zip(scores.ids, scores.scores))
+        admitted_fp = sum(1 for i in scores.challenge.nonmember_ids if score_of[i] >= thr)
         assert admitted_fp == 0
 
 
@@ -151,8 +167,9 @@ class TestIdentified:
         labels[:2] = [0, 1]
         scores = make_scores(rng.normal(size=60), labels)
         ident = identified_members(scores, threshold_at_fpr(roc_curve(scores), 0.0))
-        top_non = max(scores.scores[i] for i in scores.challenge.nonmember_ids)
-        assert all(scores.scores[i] > top_non for i in ident)
+        score_of = dict(zip(scores.ids, scores.scores))
+        top_non = max(score_of[i] for i in scores.challenge.nonmember_ids)
+        assert all(score_of[i] > top_non for i in ident)
 
 
 class TestOverlap:
@@ -222,14 +239,14 @@ class TestMinorityTpr:
         values = [5.0, 4.0, 3.0, 2.0]
         labels = [1, 1, 0, 1]
         scores = make_scores(values, labels)
-        class_of = {"c0": 1, "c1": 0, "c3": 1}
+        class_of = np.array([1, 0, 0, 1])  # c2, the non-member, is outside the minority count
         # minority among members is label 0 (one of three)
         assert minority_tpr(scores, class_of, threshold_at_fpr(roc_curve(scores), 0.0)) == 1.0
 
     def test_single_class_members_rejected(self):
         scores = make_scores([3.0, 2.0, 1.0], [1, 1, 0])
         with pytest.raises(ValueError):
-            minority_tpr(scores, {"c0": 1, "c1": 1}, threshold_at_fpr(roc_curve(scores), 0.0))
+            minority_tpr(scores, np.array([1, 1, 0]), threshold_at_fpr(roc_curve(scores), 0.0))
 
 
 class TestAggregate:

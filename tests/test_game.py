@@ -12,6 +12,7 @@ from leakaudit.game import (
     GameConfig,
     ShadowEnsemble,
     ShadowParams,
+    TargetArtifacts,
     assign_membership,
     collect_confidences,
     run_game,
@@ -47,10 +48,9 @@ class TestChallenge:
         with pytest.raises(ValueError):
             Challenge(member_ids=("a",), nonmember_ids=("a",), p_member=0.5, seed=0)
 
-    def test_membership_bits(self):
-        ch = Challenge(member_ids=("a", "b"), nonmember_ids=("c",), p_member=0.67, seed=0)
-        assert ch.membership_bits() == {"a": 1, "b": 1, "c": 0}
-        assert ch.candidate_ids == ("a", "b", "c")
+    def test_candidate_ids_list_members_first(self):
+        ch = Challenge(member_ids=("b", "a"), nonmember_ids=("c",), p_member=0.67, seed=0)
+        assert ch.candidate_ids == ("b", "a", "c")
 
 
 class TestRecipes:
@@ -121,15 +121,23 @@ class TestRunGame:
         n_non = len(artifacts.challenge.nonmember_ids)
         assert n_non == round(n_mem * 0.33 / 0.67)
 
-    def test_confidences_cover_all_candidates(self, artifacts):
-        assert set(artifacts.confidences) == set(artifacts.challenge.candidate_ids)
-        assert all(0.0 < c < 1.0 for c in artifacts.confidences.values())
+    def test_confidences_cover_all_candidates(self, dataset, artifacts):
+        # one entry per candidate, in dataset order
+        assert artifacts.ids == dataset.subset(artifacts.challenge.candidate_ids).ids
+        assert artifacts.confidences.shape == (len(artifacts.ids),)
+        assert np.all((artifacts.confidences > 0.0) & (artifacts.confidences < 1.0))
+
+    def test_confidences_must_match_ids(self, artifacts):
+        with pytest.raises(ValueError):
+            TargetArtifacts(model=None, ids=artifacts.ids, confidences=artifacts.confidences[1:],
+                            challenge=artifacts.challenge, split=None)
 
     def test_deterministic(self, dataset):
         a = run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
         b = run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
         assert a.challenge == b.challenge
-        assert a.confidences == b.confidences
+        assert a.ids == b.ids
+        assert np.array_equal(a.confidences, b.confidences)
 
     def test_population_too_small(self, dataset):
         game = GameConfig(p_member=0.2, fractions=(0.7, 0.1, 0.2))
@@ -140,10 +148,8 @@ class TestRunGame:
         cfg = TrainConfig(hidden_dims=(16,), dropout_rate=0.0, weight_decay=0.0,
                           learning_rate=1e-2, max_epochs=40, patience=40, fixed_epochs=40, seed=0)
         art = run_game(dataset, cfg, GameConfig(), 2)
-        bits = art.challenge.membership_bits()
-        mem = [c for i, c in art.confidences.items() if bits[i] == 1]
-        non = [c for i, c in art.confidences.items() if bits[i] == 0]
-        assert np.mean(mem) > np.mean(non)
+        member = np.isin(art.ids, art.challenge.member_ids)
+        assert np.mean(art.confidences[member]) > np.mean(art.confidences[~member])
 
 
 class TestShadowEnsemble:
