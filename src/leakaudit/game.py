@@ -18,6 +18,7 @@ import numpy as np
 
 from leakaudit.data import Dataset, SplitAssignment, split_dataset
 from leakaudit.nnet import TrainConfig, TrainedModel, fit, predict_confidences
+from leakaudit.parallel import FitHelpers
 from leakaudit.recipe import check
 from leakaudit.seeds import derive_rng, derive_seed
 
@@ -223,6 +224,7 @@ def train_shadow_ensemble(
     shadow: ShadowParams,
     cfg: TrainConfig,
     seed: int,
+    helpers: FitHelpers | None = None,
 ) -> ShadowEnsemble:
     """Train ``shadow.count`` shadows over the pool-plus-candidates sampling universe.
 
@@ -232,7 +234,9 @@ def train_shadow_ensemble(
     a pool that yields no Z point is rejected before any shadow trains.
     Every remaining sample enters each shadow independently with
     probability ``shadow.inclusion_rate``. Shadows reuse the target
-    hyperparameters and train for exactly ``shadow.epochs`` epochs.
+    hyperparameters and train for exactly ``shadow.epochs`` epochs. With
+    ``helpers`` (non-empty) the fits run in those processes; each shadow's
+    model is the same wherever it trains.
     """
     k = shadow.count
     z_eligible = [i for i in pool.ids if candidates is None or i not in candidates]
@@ -274,13 +278,11 @@ def train_shadow_ensemble(
             incl[:, j] = (coin_rng.random(len(universe)) < shadow.inclusion_rate).astype(np.uint8)
 
     z_dataset = pool.take(pool.rows(z_ids))
-    models: list[TrainedModel] = []
-    shadow_seeds: list[int] = []
-    for j in range(k):
-        s_seed = derive_seed(seed, "shadow", j)
-        shadow_seeds.append(s_seed)
-        d_train = universe.take(np.flatnonzero(incl[:, j]))
-        models.append(fit(d_train, z_dataset, replace(cfg, seed=s_seed, fixed_epochs=shadow.epochs)))
+    shadow_seeds = [derive_seed(seed, "shadow", j) for j in range(k)]
+    # each training subset is taken only when its fit is run or sent, so the K never sit in memory together
+    jobs = ((universe.take(np.flatnonzero(incl[:, j])), z_dataset,
+             replace(cfg, seed=shadow_seeds[j], fixed_epochs=shadow.epochs)) for j in range(k))
+    models = helpers.fit_all(jobs) if helpers else [fit(*job) for job in jobs]
 
     if candidates is not None:
         in_count = incl[universe.rows(candidates.ids)].sum(axis=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,19 +77,28 @@ class MlpModel:
 
     ``params`` holds every weight matrix, then every bias vector;
     ``weights[l]`` (shape (d_l, d_{l+1})) and ``biases[l]`` are views of
-    it, so writing either writes the other.
+    it, so writing either writes the other. A pickled model ships
+    ``params`` once and rebuilds the views when it is loaded.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
                  dropout_rate: float, input_dim: int):
         blocks = [np.asarray(b, dtype=float) for b in (*weights, *biases)]
-        self.params = np.concatenate([b.ravel() for b in blocks])
-        ends = np.cumsum([b.size for b in blocks])
-        views = [self.params[end - b.size:end].reshape(b.shape) for b, end in zip(blocks, ends)]
-        self.weights = views[:len(weights)]
-        self.biases = views[len(weights):]
-        self.dropout_rate = dropout_rate
-        self.input_dim = input_dim
+        params = np.concatenate([b.ravel() for b in blocks])
+        self.__setstate__((params, [w.shape for w in blocks[:len(weights)]], dropout_rate, input_dim))
+
+    def __reduce__(self):
+        state = (self.params, [w.shape for w in self.weights], self.dropout_rate, self.input_dim)
+        return object.__new__, (MlpModel,), state
+
+    def __setstate__(self, state) -> None:
+        """Take ``(params, weight shapes, dropout_rate, input_dim)``; the layers become views of ``params``."""
+        self.params, weight_shapes, self.dropout_rate, self.input_dim = state
+        shapes = [*weight_shapes, *((d_out,) for _, d_out in weight_shapes)]
+        sizes = [math.prod(s) for s in shapes]
+        views = [self.params[end - size:end].reshape(s) for s, size, end in zip(shapes, sizes, np.cumsum(sizes))]
+        self.weights = views[:len(weight_shapes)]
+        self.biases = views[len(weight_shapes):]
 
     def copy(self) -> "MlpModel":
         return MlpModel(self.weights, self.biases, self.dropout_rate, self.input_dim)
@@ -181,30 +191,15 @@ def weighted_bce_loss(
     return float(np.mean(w * ll))
 
 
-def loss_and_grads(
-    model: MlpModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: tuple[float, float] = (1.0, 1.0),
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Loss plus analytic gradients w.r.t. every weight and bias array."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    logits, cache = _forward(model, X, train, rng)
-    sig = _sigmoid(logits)
-    p = np.clip(sig, LOSS_CLIP_EPS, 1.0 - LOSS_CLIP_EPS)
+def _output_delta(sig: np.ndarray, y: np.ndarray, weights: tuple[float, float]) -> np.ndarray:
+    """d(mean weighted BCE)/d(logit); the gradient vanishes where the probability is clipped."""
     w = np.where(y == 1, weights[1], weights[0])
-    loss = float(np.mean(w * (-y * np.log(p) - (1 - y) * np.log(1.0 - p))))
-
-    # gradient vanishes where the probability is clipped
     unclipped = (sig > LOSS_CLIP_EPS) & (sig < 1.0 - LOSS_CLIP_EPS)
-    dlogit = np.where(unclipped, w * (sig - y) / n, 0.0)
+    return np.where(unclipped, w * (sig - y) / len(y), 0.0)
 
+
+def _backward(model: MlpModel, cache: list, dlogit: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Backprop ``dlogit`` through a train- or inference-mode ``_forward`` cache."""
     n_layers = len(model.weights)
     grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
@@ -219,7 +214,30 @@ def loss_and_grads(
             delta = delta * (z_prev > 0)
             if mask_prev is not None:
                 delta = delta * mask_prev
-    return loss, grad_w, grad_b
+    return grad_w, grad_b
+
+
+def loss_and_grads(
+    model: MlpModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    weights: tuple[float, float] = (1.0, 1.0),
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Loss plus analytic gradients w.r.t. every weight and bias array.
+
+    :func:`fit` takes the same gradients without the loss; this is the
+    reference its training step is checked against.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
+    logits, cache = _forward(model, X, train, rng)
+    sig = _sigmoid(logits)
+    grad_w, grad_b = _backward(model, cache, _output_delta(sig, y, weights))
+    return weighted_bce_loss(logits, y, weights), grad_w, grad_b
 
 
 def adamw_step(
@@ -284,9 +302,8 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(
-                model, X_train[idx], y_train[idx], weights, train=True, rng=dropout_rng
-            )
+            logits, cache = _forward(model, X_train[idx], True, dropout_rng)
+            gw, gb = _backward(model, cache, _output_delta(_sigmoid(logits), y_train[idx], weights))
             step += 1
             grads = np.concatenate([g.ravel() for g in gw + gb])
             adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)

@@ -47,6 +47,7 @@ from leakaudit.game import (
     train_shadow_ensemble,
 )
 from leakaudit.nnet import load_model, predict_confidences, save_model
+from leakaudit.parallel import FitHelpers, helper_count
 from leakaudit.seeds import derive_seed
 from leakaudit.stats import wilcoxon_signed_rank
 from leakaudit.synth import synth_dataset
@@ -72,13 +73,22 @@ def _rep_dir(out_dir: Path, rep: int) -> Path:
     return out_dir / f"rep_{rep:03d}"
 
 
+def _shadow_steps(cfg: ExperimentConfig, n_samples: int) -> int:
+    """Optimizer steps of one repetition's shadows, over the train and population splits they sample from."""
+    universe = n_samples - math.floor(cfg.game.fractions[1] * n_samples)
+    batches = math.ceil(cfg.shadow.inclusion_rate * universe / cfg.train.batch_size)
+    return cfg.shadow.count * cfg.shadow.epochs * batches
+
+
 def _run_single_rep(
     dataset: Dataset,
     cfg: ExperimentConfig,
     rep: int,
     rep_dir: Path,
+    helpers: FitHelpers,
 ) -> dict:
     rep_seed = derive_seed(cfg.seed, "rep", rep)
+    helpers.start()  # they load while the target trains here
     artifacts = run_game(dataset, cfg.train, cfg.game, rep_seed)
     challenge = artifacts.challenge
 
@@ -88,6 +98,7 @@ def _run_single_rep(
         cfg.shadow,
         cfg.train,
         derive_seed(rep_seed, "ensemble"),
+        helpers=helpers,
     )
 
     rep_dir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +193,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run (or resume) all repetitions and write the aggregated report JSON.
 
     A repetition that fails is recorded under ``errors`` and the
-    experiment continues with the remaining ones.
+    experiment continues with the remaining ones. When a repetition's
+    shadow training is large enough to repay their start-up, the shadows
+    train in helper processes (see :mod:`leakaudit.parallel`), which all
+    end before this returns.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,17 +204,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     rep_summaries: list[dict] = []
     errors: dict[str, str] = {}
-    for rep in range(cfg.repetitions):
-        rep_dir = _rep_dir(out_dir, rep)
-        summary = _load_rep(rep_dir)
-        if summary is None:
-            try:
-                summary = _run_single_rep(dataset, cfg, rep, rep_dir)
-            except Exception as exc:  # noqa: BLE001 - record and continue
-                log.exception("repetition %d failed", rep)
-                errors[str(rep)] = f"{type(exc).__name__}: {exc}"
-                continue
-        rep_summaries.append(summary)
+    with FitHelpers(helper_count(_shadow_steps(cfg, len(dataset)))) as helpers:
+        for rep in range(cfg.repetitions):
+            rep_dir = _rep_dir(out_dir, rep)
+            summary = _load_rep(rep_dir)
+            if summary is None:
+                try:
+                    summary = _run_single_rep(dataset, cfg, rep, rep_dir, helpers)
+                except Exception as exc:  # noqa: BLE001 - record and continue
+                    log.exception("repetition %d failed", rep)
+                    errors[str(rep)] = f"{type(exc).__name__}: {exc}"
+                    continue
+            rep_summaries.append(summary)
 
     report = _aggregate(dataset, cfg, rep_summaries, errors)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
@@ -406,7 +421,8 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
         written.append(_write_csv(
             out_dir / "summary.csv", "attack,fpr_target,median_tpr,baseline,p_value,stars",
             [(name, key, agg["median"], agg["baseline"], agg["p_value"], agg["stars"])
-             for name, entry in attacks for key, agg in sorted(entry.get("tpr", {}).items())]))
+             for name, entry in attacks
+             for key, agg in sorted(entry.get("tpr", {}).items(), key=lambda item: float(item[0]))]))
         written.append(_write_csv(
             out_dir / "label_fractions.csv",
             "attack,identified_positive_fraction,rest_positive_fraction,p_value,stars",

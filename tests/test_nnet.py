@@ -1,9 +1,11 @@
 """Tests for the numpy MLP: gradients, optimizer, training loop, persistence."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from leakaudit.data import Dataset
+from leakaudit.data import Dataset, class_weights
 from leakaudit.nnet import (
     MlpModel,
     TrainConfig,
@@ -17,6 +19,7 @@ from leakaudit.nnet import (
     save_model,
     weighted_bce_loss,
 )
+from leakaudit.seeds import derive_rng
 
 
 def toy_dataset(n=40, dim=4, seed=0, separation=3.0):
@@ -106,6 +109,17 @@ class TestForward:
         assert all(not b.any() for b in blocks)
         model.biases[-1][0] = 3.0
         assert model.params[-1] == 3.0
+
+    def test_pickled_model_rebuilds_its_layers_as_views(self):
+        model = init_model(5, TrainConfig(hidden_dims=(8, 4), dropout_rate=0.3, seed=1))
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone.params.tobytes() == model.params.tobytes()
+        assert [w.shape for w in clone.weights] == [w.shape for w in model.weights]
+        assert [b.shape for b in clone.biases] == [b.shape for b in model.biases]
+        assert (clone.dropout_rate, clone.input_dim) == (0.3, 5)
+        clone.weights[0][0, 0] = 9.0
+        clone.biases[-1][0] = -2.0
+        assert clone.params[0] == 9.0 and clone.params[-1] == -2.0
 
     def test_copy_is_independent(self):
         model = init_model(3, TrainConfig(hidden_dims=(4,), seed=2))
@@ -276,6 +290,20 @@ class TestFit:
         for w1, w2 in zip(t1.model.weights, t2.model.weights):
             assert np.array_equal(w1, w2)
         assert t1.train_losses == t2.train_losses
+
+    def test_training_steps_match_the_loss_and_grads_reference(self):
+        ds = toy_dataset(n=50)
+        cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=8, fixed_epochs=1, seed=3)
+        model = init_model(ds.dimension, cfg)
+        shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
+        m, v = np.zeros_like(model.params), np.zeros_like(model.params)
+        perm = shuffle_rng.permutation(len(ds))
+        for step, start in enumerate(range(0, len(ds), cfg.batch_size), start=1):
+            idx = perm[start:start + cfg.batch_size]
+            _, gw, gb = loss_and_grads(model, ds.X[idx], ds.y[idx], class_weights(ds), train=True, rng=dropout_rng)
+            grads = np.concatenate([g.ravel() for g in gw + gb])
+            adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
+        assert fit(ds, ds, cfg).model.params.tobytes() == model.params.tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -109,6 +109,15 @@ class TestReportRender:
         # one row per attack per FPR target
         assert len(summary) == 1 + 2 * 2
 
+    def test_summary_lists_fpr_targets_by_number(self, tmp_path):
+        keys = ["0.0", "1e-05", "0.001", "0.01"]
+        agg = {"median": 0.1, "baseline": 0.01, "p_value": 0.5, "stars": ""}
+        report = {"attacks": {name: {"tpr": {k: agg for k in keys}} for name in ("lira", "rmia")}}
+        (tmp_path / "report.json").write_text(json.dumps(report, sort_keys=True), encoding="utf-8")
+        report_render(tmp_path / "report.json", "csv")
+        rows = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[name, k] for name in ("lira", "rmia") for k in keys]
+
     def test_svg_output(self, run_dir):
         out, _, _ = run_dir
         written = report_render(out / "report.json", "svg")
