@@ -10,6 +10,7 @@ all reported at once, each under its config key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,7 +45,6 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "leakaudit_out"
     metadata_key: str | None = None
-    write_svg: bool = True
 
     def __post_init__(self):
         # the report's identified-set analyses read the FPR 0 entry of every repetition
@@ -56,13 +56,21 @@ class ExperimentConfig:
         )
 
 
-# parsers of the stripped value strings that parse_config_text returns
+# parsers of the stripped value strings that parse_config_text returns; a
+# ValueError from one is reported as "<key>: cannot parse <value>"
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",")) if raw else ()
 
 
 def _float_tuple(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(","))
+    return tuple(_float(v) for v in raw.split(","))
 
 
 def _opt_int(raw: str) -> int | None:
@@ -70,7 +78,10 @@ def _opt_int(raw: str) -> int | None:
 
 
 def _bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes")
+    word = raw.lower()
+    if word not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"{raw!r} is not a boolean")
+    return word in ("true", "yes", "1")
 
 
 # config key -> (section, field, parser). Section "" is ExperimentConfig itself,
@@ -80,35 +91,34 @@ _KEYS = {
     "data.path": ("", "dataset_path", str),
     "data.synth.n": ("synth", "n", int),
     "data.synth.dim": ("synth", "dim", int),
-    "data.synth.positive_fraction": ("synth", "positive_fraction", float),
-    "data.synth.separation": ("synth", "separation", float),
+    "data.synth.positive_fraction": ("synth", "positive_fraction", _float),
+    "data.synth.separation": ("synth", "separation", _float),
     "data.synth.seed": ("synth", "seed", int),
-    "split.train": ("split", 0, float),
-    "split.validation": ("split", 1, float),
-    "split.population": ("split", 2, float),
+    "split.train": ("split", 0, _float),
+    "split.validation": ("split", 1, _float),
+    "split.population": ("split", 2, _float),
     "train.hidden_dims": ("train", "hidden_dims", _int_tuple),
-    "train.dropout": ("train", "dropout_rate", float),
-    "train.learning_rate": ("train", "learning_rate", float),
-    "train.weight_decay": ("train", "weight_decay", float),
+    "train.dropout": ("train", "dropout_rate", _float),
+    "train.learning_rate": ("train", "learning_rate", _float),
+    "train.weight_decay": ("train", "weight_decay", _float),
     "train.batch_size": ("train", "batch_size", int),
     "train.max_epochs": ("train", "max_epochs", int),
     "train.patience": ("train", "patience", int),
     "train.fixed_epochs": ("train", "fixed_epochs", _opt_int),
     "shadow.count": ("shadow", "count", int),
-    "shadow.inclusion_rate": ("shadow", "inclusion_rate", float),
+    "shadow.inclusion_rate": ("shadow", "inclusion_rate", _float),
     "shadow.epochs": ("shadow", "epochs", int),
-    "shadow.z_fraction": ("shadow", "z_fraction", float),
+    "shadow.z_fraction": ("shadow", "z_fraction", _float),
     "shadow.z_cap": ("shadow", "z_cap", _opt_int),
-    "attack.lira.clip_eps": ("lira", "clip_eps", float),
-    "attack.lira.variance_floor": ("lira", "variance_floor", float),
+    "attack.lira.clip_eps": ("lira", "clip_eps", _float),
+    "attack.lira.variance_floor": ("lira", "variance_floor", _float),
     "attack.lira.global_variance": ("lira", "global_variance", _bool),
-    "attack.rmia.gamma": ("rmia", "gamma", float),
-    "game.p_member": ("game", "p_member", float),
+    "attack.rmia.gamma": ("rmia", "gamma", _float),
+    "game.p_member": ("game", "p_member", _float),
     "run.repetitions": ("", "repetitions", int),
     "run.fpr_targets": ("", "fpr_targets", _float_tuple),
     "run.seed": ("", "seed", int),
     "run.output_dir": ("", "output_dir", str),
-    "run.svg": ("", "write_svg", _bool),
     "report.metadata_key": ("", "metadata_key", str),
 }
 _SECTIONS = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +33,8 @@ __all__ = [
     "run_game",
     "train_shadow_ensemble",
     "collect_confidences",
+    "save_challenge",
+    "load_challenge",
     "save_manifest",
     "load_manifest",
 ]
@@ -118,10 +120,11 @@ class TargetArtifacts:
 class ShadowEnsemble:
     """K shadow models with a (sample x shadow) inclusion mask.
 
-    ``ids`` indexes the mask rows and covers every sample the ensemble
-    saw or reserved; the reserved Z ids always have all-zero rows. ``z``
-    holds the Z samples themselves, in ``z_ids`` order, which the shadows
-    and the target are queried on; ``z_confidences`` (Z x shadow) and
+    ``ids`` indexes the mask rows and covers the shadows' sampling
+    universe; the reserved Z ids, which no shadow trains on, are listed
+    only in ``z_ids``, so :meth:`rows` gives them -1. ``z`` holds the Z
+    samples themselves, in ``z_ids`` order, which the shadows and the
+    target are queried on; ``z_confidences`` (Z x shadow) and
     ``z_target_confidences`` (per Z id), when set, stand in for those queries.
     """
 
@@ -141,11 +144,9 @@ class ShadowEnsemble:
             raise ValueError(f"mask shape {self.mask.shape} does not match ids x shadows")
         if self.z is not None and self.z.ids != self.z_ids:
             raise ValueError("Z dataset rows do not match z_ids")
-        row = self.rows(self.z_ids)
-        row = row[row >= 0]
-        trained_on = row[self.mask[row].any(axis=1)]
-        if trained_on.size:
-            raise ValueError(f"reserved Z id {self.ids[trained_on[0]]!r} appears in a shadow training set")
+        listed = np.flatnonzero(self.rows(self.z_ids) >= 0)
+        if listed.size:
+            raise ValueError(f"reserved Z id {self.z_ids[listed[0]]!r} is listed in the sampling universe ids")
 
     @property
     def k(self) -> int:
@@ -296,8 +297,8 @@ def train_shadow_ensemble(
 
     return ShadowEnsemble(
         models=tuple(models),
-        ids=universe.ids + z_ids,
-        mask=np.vstack([incl, np.zeros((len(z_ids), k), dtype=np.uint8)]),
+        ids=universe.ids,
+        mask=incl,
         z_ids=z_ids,
         z=z_dataset,
         shadow_epochs=shadow.epochs,
@@ -316,6 +317,20 @@ def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> Confidenc
     mask = np.zeros((len(samples), ensemble.k), dtype=np.uint8)
     mask[seen] = ensemble.mask[row[seen]]
     return ConfidenceMatrix(ids=samples.ids, values=values, mask=mask)
+
+
+def save_challenge(challenge: Challenge, path: str | Path) -> None:
+    """Write the challenge, the one record of a repetition's membership (see :func:`load_challenge`)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(asdict(challenge), fh, indent=2, sort_keys=True)
+
+
+def load_challenge(path: str | Path) -> Challenge:
+    """Read a :func:`save_challenge` file."""
+    with open(path, encoding="utf-8") as fh:
+        ch = json.load(fh)
+    return Challenge(member_ids=tuple(ch["member_ids"]), nonmember_ids=tuple(ch["nonmember_ids"]),
+                     p_member=ch["p_member"], seed=ch["seed"])
 
 
 def save_manifest(ensemble: ShadowEnsemble, path: str | Path,

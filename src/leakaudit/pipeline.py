@@ -1,9 +1,10 @@
 """End-to-end repeated experiments: split, train, attack, evaluate, aggregate.
 
-Each repetition writes its artifacts (checkpoints, ensemble manifest,
-score and ROC CSVs) into its own directory and finishes with a
-``rep_report.json`` marker; re-running resumes from completed repetitions
-and reproduces byte-identical outputs. A run and a re-attack share one
+Each repetition writes its artifacts (challenge, checkpoints, ensemble
+manifest, score and ROC CSVs) into its own directory, with its membership
+only in ``challenge.json``, and finishes with a ``rep_report.json``
+marker; re-running resumes from completed repetitions and reproduces
+byte-identical outputs. A run and a re-attack share one
 scoring path (:func:`_score_rep`), from the target and shadow ensemble to
 the written ``scores_*.csv`` and ``roc_*.csv``; a re-attack only loads the
 stored challenge, target and ensemble first. Per-candidate arrays on that
@@ -37,12 +38,13 @@ from leakaudit.evaluation import (
     tpr_at_fpr,
 )
 from leakaudit.game import (
-    Challenge,
     ShadowEnsemble,
     TargetArtifacts,
     collect_confidences,
+    load_challenge,
     load_manifest,
     run_game,
+    save_challenge,
     save_manifest,
     train_shadow_ensemble,
 )
@@ -109,8 +111,7 @@ def _run_single_rep(
         save_model(shadow, rep_dir / name)
         checkpoints.append(name)
     save_manifest(ensemble, rep_dir / "manifest.json", checkpoint_paths=checkpoints)
-    with open(rep_dir / "challenge.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(challenge), fh, indent=2, sort_keys=True)
+    save_challenge(challenge, rep_dir / "challenge.json")
 
     scores = _score_rep(dataset, cfg, artifacts, ensemble, rep_dir)
     summary = _evaluate_rep(dataset, cfg, scores)
@@ -149,16 +150,11 @@ def _population_auroc(dataset: Dataset, artifacts: TargetArtifacts) -> float:
     return auroc(conf1, pop.y)
 
 
-def _labels(dataset: Dataset) -> dict[str, int]:
-    return dict(zip(dataset.ids, dataset.y.tolist()))
-
-
 def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, AttackScores]) -> dict:
     summary: dict = {"attacks": {}}
     any_challenge = next(iter(scores.values())).challenge
     summary["n_members"] = len(any_challenge.member_ids)
     summary["n_nonmembers"] = len(any_challenge.nonmember_ids)
-    summary["member_ids"] = list(any_challenge.member_ids)
     summary["baseline_tpr"] = baseline_tpr(len(any_challenge.member_ids))
     for name, table in scores.items():
         roc = roc_curve(table)
@@ -192,6 +188,8 @@ def _load_rep(rep_dir: Path) -> dict | None:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run (or resume) all repetitions and write the aggregated report JSON.
 
+    Each completed repetition, fresh or resumed, contributes its
+    ``rep_report.json`` summary and the members of its ``challenge.json``.
     A repetition that fails is recorded under ``errors`` and the
     experiment continues with the remaining ones. When a repetition's
     shadow training is large enough to repay their start-up, the shadows
@@ -203,6 +201,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     dataset = build_dataset(cfg)
 
     rep_summaries: list[dict] = []
+    member_sets: list[set[str]] = []
     errors: dict[str, str] = {}
     with FitHelpers(helper_count(_shadow_steps(cfg, len(dataset)))) as helpers:
         for rep in range(cfg.repetitions):
@@ -216,15 +215,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     errors[str(rep)] = f"{type(exc).__name__}: {exc}"
                     continue
             rep_summaries.append(summary)
+            member_sets.append(set(load_challenge(rep_dir / "challenge.json").member_ids))
 
-    report = _aggregate(dataset, cfg, rep_summaries, errors)
+    report = _aggregate(dataset, cfg, rep_summaries, member_sets, errors)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    if cfg.write_svg:
-        try:
-            report_render(out_dir / "report.json", "svg")
-        except Exception:  # noqa: BLE001 - rendering is best-effort
-            log.exception("SVG rendering failed")
     return report
 
 
@@ -232,9 +227,10 @@ def _aggregate(
     dataset: Dataset,
     cfg: ExperimentConfig,
     reps: Sequence[dict],
+    member_sets: Sequence[set[str]],
     errors: dict[str, str],
 ) -> dict:
-    labels = _labels(dataset)
+    """The report over the repetition summaries ``reps``; ``member_sets`` holds each one's member ids."""
     report: dict = {
         "config": {
             "p_member": cfg.game.p_member,
@@ -277,61 +273,45 @@ def _aggregate(
         report["attacks"][name] = entry
 
     # identified-set analyses at FPR 0
-    ident = {
-        name: [set(r["attacks"][name]["identified"][zero]) for r in reps]
-        for name in ATTACK_NAMES
-    }
-    member_sets = [set(r.get("member_ids", [])) for r in reps]
+    ident = {name: [set(r["attacks"][name]["identified"][zero]) for r in reps] for name in ATTACK_NAMES}
     report["combined_fpr0_sizes"] = [len(set(r.get("combined_identified_fpr0", []))) for r in reps]
-    report["per_attack_fpr0_sizes"] = {
-        name: [len(s) for s in ident[name]] for name in ATTACK_NAMES
-    }
+    report["per_attack_fpr0_sizes"] = {name: [len(s) for s in ident[name]] for name in ATTACK_NAMES}
 
     omega = [r["n_members"] for r in reps]
     try:
-        ov = overlap_analysis(list(zip(ident["lira"], ident["rmia"])), omega)
-        report["overlap"] = asdict(ov)
+        report["overlap"] = asdict(overlap_analysis(list(zip(ident["lira"], ident["rmia"])), omega))
     except ValueError as exc:
         report["overlap"] = {"not_applicable": str(exc)}
 
-    if all(member_sets):
-        for name in ATTACK_NAMES:
-            try:
-                res = characteristic_analysis(ident[name], member_sets, labels, mode="label")
-                report["attacks"][name]["label_analysis"] = {
-                    "identified_positive_fraction": res.identified_summary,
-                    "rest_positive_fraction": res.rest_summary,
-                    "p_value": res.test.p_value,
-                    "stars": res.stars,
-                    "n_skipped": res.n_skipped,
-                }
-            except ValueError as exc:
-                report["attacks"][name]["label_analysis"] = {"not_applicable": str(exc)}
-            if cfg.metadata_key:
-                if cfg.metadata_key not in dataset.meta:
-                    report["attacks"][name]["metadata_analysis"] = {
-                        "not_applicable": f"metadata key {cfg.metadata_key!r} absent"
-                    }
-                else:
-                    meta = dict(zip(dataset.ids, dataset.meta[cfg.metadata_key].tolist()))
-                    try:
-                        res = characteristic_analysis(ident[name], member_sets, meta, mode="metadata")
-                        report["attacks"][name]["metadata_analysis"] = {
-                            "key": cfg.metadata_key,
-                            "identified_mean": res.identified_summary,
-                            "rest_mean": res.rest_summary,
-                            "p_value": res.test.p_value,
-                            "stars": res.stars,
-                            "n_skipped": res.n_skipped,
-                        }
-                    except ValueError as exc:
-                        report["attacks"][name]["metadata_analysis"] = {"not_applicable": str(exc)}
+    labels = dict(zip(dataset.ids, dataset.y.tolist()))
+    meta_key = cfg.metadata_key
+    meta = dict(zip(dataset.ids, dataset.meta[meta_key].tolist())) if meta_key in dataset.meta else None
+    for name in ATTACK_NAMES:
+        entry = report["attacks"][name]
+        entry["label_analysis"] = _characteristic(
+            ident[name], member_sets, labels, "label", "identified_positive_fraction", "rest_positive_fraction")
+        if meta is not None:
+            entry["metadata_analysis"] = _characteristic(
+                ident[name], member_sets, meta, "metadata", "identified_mean", "rest_mean", key=meta_key)
+        elif meta_key:
+            entry["metadata_analysis"] = {"not_applicable": f"metadata key {meta_key!r} absent"}
 
     report["population_auroc"] = {
         "per_rep": [r["population_auroc"] for r in reps],
         "median": float(np.median([r["population_auroc"] for r in reps])),
     }
     return report
+
+
+def _characteristic(identified: list[set[str]], member_sets: Sequence[set[str]], values: dict,
+                    mode: str, identified_name: str, rest_name: str, **extra) -> dict:
+    """One :func:`characteristic_analysis` report entry, or its reason for not applying."""
+    try:
+        res = characteristic_analysis(identified, member_sets, values, mode=mode)
+    except ValueError as exc:
+        return {"not_applicable": str(exc)}
+    return {**extra, identified_name: res.identified_summary, rest_name: res.rest_summary,
+            "p_value": res.test.p_value, "stars": res.stars, "n_skipped": res.n_skipped}
 
 
 def rerun_attacks(cfg: ExperimentConfig) -> None:
@@ -344,14 +324,7 @@ def rerun_attacks(cfg: ExperimentConfig) -> None:
         if not (rep_dir / "manifest.json").exists():
             continue
         found = True
-        with open(rep_dir / "challenge.json", encoding="utf-8") as fh:
-            ch = json.load(fh)
-        challenge = Challenge(
-            member_ids=tuple(ch["member_ids"]),
-            nonmember_ids=tuple(ch["nonmember_ids"]),
-            p_member=ch["p_member"],
-            seed=ch["seed"],
-        )
+        challenge = load_challenge(rep_dir / "challenge.json")
         target = load_model(rep_dir / "target.npz")
         candidates = dataset.subset(challenge.candidate_ids)
         artifacts = TargetArtifacts(model=target, ids=candidates.ids,

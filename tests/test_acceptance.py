@@ -10,6 +10,7 @@ import math
 import time
 from dataclasses import replace
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from leakaudit.game import (
     TargetArtifacts,
     assign_membership,
     collect_confidences,
+    load_challenge,
     train_shadow_ensemble,
 )
 from leakaudit.nnet import TrainConfig, fit, forward_logits, init_model, loss_and_grads, predict_confidences, weighted_bce_loss
@@ -57,7 +59,6 @@ POSITIVE_CONTROL = ExperimentConfig(
     repetitions=5,
     fpr_targets=(0.0, 0.001),
     seed=2,
-    write_svg=False,
 )
 
 
@@ -488,8 +489,11 @@ def test_criterion_9_minority_enrichment(capsys, minority_control):
 
     enriched = 0
     reps = report["repetitions"]
-    for rep in reps:
-        members = rep["member_ids"]
+    member_sets = [
+        set(load_challenge(Path(cfg.output_dir) / f"rep_{rep['rep']:03d}" / "challenge.json").member_ids)
+        for rep in reps
+    ]
+    for rep, members in zip(reps, member_sets):
         dataset_minority = sum(labels[i] for i in members) / len(members)
         ident = rep.get("combined_identified_fpr0", [])
         if ident:
@@ -504,7 +508,6 @@ def test_criterion_9_minority_enrichment(capsys, minority_control):
     )
     # and the analysis entry point itself, on the per-repetition sets
     ident_sets = [set(r.get("combined_identified_fpr0", [])) for r in reps]
-    member_sets = [set(r["member_ids"]) for r in reps]
     direct = characteristic_analysis(ident_sets, member_sets, labels, mode="label")
     direct_ok = 0.0 <= direct.test.p_value <= 1.0
 

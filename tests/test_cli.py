@@ -1,6 +1,9 @@
 """Tests for the command-line interface and its exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,6 @@ shadow.count = 2
 shadow.epochs = 1
 run.repetitions = 1
 run.seed = 0
-run.svg = false
 """
 
 
@@ -116,3 +118,17 @@ class TestArgumentErrors:
     def test_help_exits_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "usage" in capsys.readouterr().out
+
+
+class TestReadme:
+    def test_quick_start_config_validates(self, tmp_path, monkeypatch, capsys):
+        """The README's quick-start synth command and audit.cfg heredoc, run as written, give a valid config."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        synth = re.search(r"^leakaudit (synth .*)$", readme, re.MULTILINE)
+        heredoc = re.search(r"^cat > audit\.cfg <<'CFG'\n(.*?)^CFG$", readme, re.MULTILINE | re.DOTALL)
+        assert synth and heredoc, "README quick start lost its synth command or audit.cfg heredoc"
+        monkeypatch.chdir(tmp_path)
+        assert main(shlex.split(synth.group(1))) == EXIT_OK
+        assert Path("data.csv").exists()
+        Path("audit.cfg").write_text(heredoc.group(1), encoding="utf-8")
+        assert main(["validate", "audit.cfg"]) == EXIT_OK, capsys.readouterr().err

@@ -56,7 +56,6 @@ class TestValidate:
         assert cfg.fpr_targets == (0.0, 1e-3)
         assert cfg.repetitions == 5
         assert cfg.train.fixed_epochs is None
-        assert cfg.write_svg is True
 
     def test_defaults_come_from_the_dataclasses(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, MINIMAL))
@@ -85,7 +84,6 @@ class TestValidate:
         run.fpr_targets = 0.0, 0.001
         run.seed = 2
         run.output_dir = out
-        run.svg = false
         """
         cfg = validate_config(write_config(tmp_path, text))
         assert cfg.synth.n == 1500
@@ -98,7 +96,6 @@ class TestValidate:
         assert cfg.fpr_targets == (0.0, 0.001)
         assert cfg.seed == 2
         assert cfg.output_dir == "out"
-        assert cfg.write_svg is False
 
     def test_csv_path_config(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, "data.path = data.csv\n"))
@@ -170,10 +167,31 @@ class TestValidate:
 
     @pytest.mark.parametrize("raw,expected", [
         ("true", True), ("1", True), ("yes", True), ("false", False), ("0", False),
+        ("no", False), ("TRUE", True), ("No", False),
     ])
     def test_boolean_parsing(self, tmp_path, raw, expected):
         path = write_config(tmp_path, MINIMAL + f"attack.lira.global_variance = {raw}\n")
         assert validate_config(path).lira.global_variance is expected
+
+    @pytest.mark.parametrize("raw", ["ture", "on", "2", ""])
+    def test_unknown_boolean_word_rejected(self, tmp_path, raw):
+        path = write_config(tmp_path, MINIMAL + f"attack.lira.global_variance = {raw}\n")
+        with pytest.raises(ConfigError) as exc:
+            validate_config(path)
+        assert exc.value.errors == [f"attack.lira.global_variance: cannot parse {raw!r}"]
+
+    @pytest.mark.parametrize("key,raw", [
+        ("attack.lira.variance_floor", "inf"),
+        ("train.learning_rate", "inf"),
+        ("train.learning_rate", "nan"),
+        ("attack.rmia.gamma", "-inf"),
+        ("run.fpr_targets", "0.0, inf"),
+    ])
+    def test_non_finite_float_rejected(self, tmp_path, key, raw):
+        path = write_config(tmp_path, MINIMAL + f"{key} = {raw}\n")
+        with pytest.raises(ConfigError) as exc:
+            validate_config(path)
+        assert exc.value.errors == [f"{key}: cannot parse {raw!r}"]
 
     def test_fpr_targets_range_checked(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "run.fpr_targets = 0.0, 1.5\n")

@@ -15,7 +15,9 @@ from leakaudit.game import (
     TargetArtifacts,
     assign_membership,
     collect_confidences,
+    load_challenge,
     run_game,
+    save_challenge,
     save_manifest,
     train_shadow_ensemble,
 )
@@ -51,6 +53,10 @@ class TestChallenge:
     def test_candidate_ids_list_members_first(self):
         ch = Challenge(member_ids=("b", "a"), nonmember_ids=("c",), p_member=0.67, seed=0)
         assert ch.candidate_ids == ("b", "a", "c")
+
+    def test_save_load_round_trip(self, artifacts, tmp_path):
+        save_challenge(artifacts.challenge, tmp_path / "challenge.json")
+        assert load_challenge(tmp_path / "challenge.json") == artifacts.challenge
 
 
 class TestRecipes:
@@ -158,10 +164,10 @@ class TestShadowEnsemble:
         assert len(ensemble.models) == 4
         assert len(ensemble.shadow_seeds) == 4
 
-    def test_z_ids_have_zero_rows(self, ensemble):
-        row = {i: r for r, i in enumerate(ensemble.ids)}
-        for zid in ensemble.z_ids:
-            assert not ensemble.mask[row[zid]].any()
+    def test_z_ids_are_disjoint_from_the_universe(self, ensemble):
+        assert ensemble.z_ids
+        assert not set(ensemble.z_ids) & set(ensemble.ids)
+        assert (ensemble.rows(ensemble.z_ids) == -1).all()
 
     def test_z_dataset_holds_the_z_rows(self, dataset, ensemble):
         assert ensemble.z.ids == ensemble.z_ids

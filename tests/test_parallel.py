@@ -113,7 +113,7 @@ def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, mon
     cfg = ExperimentConfig(
         synth=SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0),
         train=replace(FAST_CFG, fixed_epochs=2), shadow=SHADOW, repetitions=2,
-        output_dir=str(tmp_path / "out"), write_svg=False,
+        output_dir=str(tmp_path / "out"),
     )
     monkeypatch.setattr(pipeline, "FitHelpers", Recorded)
     monkeypatch.setattr(pipeline, "helper_count", lambda steps: 2)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from leakaudit.config import ExperimentConfig, ShadowParams
-from leakaudit.game import save_manifest, train_shadow_ensemble
+from leakaudit.data import Dataset
+from leakaudit.game import load_challenge, save_manifest, train_shadow_ensemble
 from leakaudit.nnet import TrainConfig, save_model
 from leakaudit.pipeline import _aggregate, _load_ensemble, report_render, rerun_attacks, run_experiment
 from leakaudit.synth import SynthSpec, synth_dataset
@@ -20,7 +21,6 @@ TINY = ExperimentConfig(
     repetitions=2,
     fpr_targets=(0.0, 0.001),
     seed=0,
-    write_svg=False,
 )
 
 
@@ -60,6 +60,24 @@ class TestRunExperiment:
                 assert (rep_dir / name).exists(), name
             shadows = sorted(rep_dir.glob("shadow_*.npz"))
             assert len(shadows) == 4
+
+    def test_membership_is_written_only_to_the_challenge(self, run_dir):
+        out, _, _ = run_dir
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for rep, summary in enumerate(report["repetitions"]):
+            rep_dir = out / f"rep_{rep:03d}"
+            rep_report = json.loads((rep_dir / "rep_report.json").read_text(encoding="utf-8"))
+            assert "member_ids" not in rep_report and "member_ids" not in summary
+            assert rep_report["n_members"] == len(load_challenge(rep_dir / "challenge.json").member_ids)
+        assert "member_ids" not in report
+
+    def test_manifest_lists_each_sample_once(self, run_dir):
+        out, _, _ = run_dir
+        for rep in (0, 1):
+            manifest = json.loads((out / f"rep_{rep:03d}" / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["z_ids"] and len(manifest["mask"]) == len(manifest["ids"])
+            assert len(set(manifest["ids"])) == len(manifest["ids"])
+            assert not set(manifest["ids"]) & set(manifest["z_ids"])
 
     def test_report_json_matches_return_value(self, run_dir):
         out, _, report = run_dir
@@ -162,24 +180,43 @@ class TestManifest:
         for a, b in zip(loaded.models, ensemble.models):
             assert np.array_equal(a.model.params, b.model.params)
 
-    @pytest.mark.parametrize("bad_row", ["01", "0101", "01x", "0 1", [0, 1, 0]])
-    def test_malformed_row_rejected(self, saved, tmp_path, bad_row):
+    @staticmethod
+    def load_edited(saved, tmp_path, edit):
+        """``_load_ensemble`` on a copy of the saved repetition whose manifest ``edit`` changed."""
         rep_dir, dataset, _ = saved
         manifest = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
-        manifest["mask"][1] = bad_row
+        edit(manifest)
         bad_dir = tmp_path / "bad"
         bad_dir.mkdir()
         (bad_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         for name in manifest["checkpoints"]:
             (bad_dir / name).write_bytes((rep_dir / name).read_bytes())
-        with pytest.raises(ValueError, match="manifest.json"):
-            _load_ensemble(bad_dir, dataset)
+        return _load_ensemble(bad_dir, dataset)
 
+    def test_z_id_listed_in_ids_rejected(self, saved, tmp_path):
+        """A manifest that also lists a Z id as a mask row (the older layout) names that id."""
+        z_id, k = saved[2].z_ids[0], saved[2].k
+
+        def list_z_id(manifest):
+            manifest["ids"].append(z_id)
+            manifest["mask"].append("0" * k)
+
+        with pytest.raises(ValueError) as exc:
+            self.load_edited(saved, tmp_path, list_z_id)
+        assert repr(z_id) in str(exc.value)
+
+    @pytest.mark.parametrize("bad_row", ["01", "0101", "01x", "0 1", [0, 1, 0]])
+    def test_malformed_row_rejected(self, saved, tmp_path, bad_row):
+        def break_row(manifest):
+            manifest["mask"][1] = bad_row
+
+        with pytest.raises(ValueError, match="manifest.json"):
+            self.load_edited(saved, tmp_path, break_row)
 
 def hand_rep(tpr, baseline=0.01):
     """A repetition summary with one FPR target (0) and no identified members."""
     attack = {"tpr": {"0.0": tpr}, "minority_tpr": {"0.0": None}, "identified": {"0.0": []}}
-    return {"baseline_tpr": baseline, "n_members": 100, "member_ids": [],
+    return {"baseline_tpr": baseline, "n_members": 100,
             "attacks": {"lira": attack, "rmia": attack}, "population_auroc": 0.5}
 
 
@@ -188,7 +225,7 @@ class TestAggregate:
     def aggregate(self):
         dataset = synth_dataset(SynthSpec(n=10, dim=2))
         cfg = replace(TINY, fpr_targets=(0.0,))
-        return lambda tprs: _aggregate(dataset, cfg, [hand_rep(t) for t in tprs], {})
+        return lambda tprs: _aggregate(dataset, cfg, [hand_rep(t) for t in tprs], [set()] * len(tprs), {})
 
     def test_median_and_significance(self, aggregate):
         report = aggregate([0.05, 0.06, 0.07, 0.08, 0.09])
@@ -211,5 +248,25 @@ class TestAggregate:
 
     def test_negative_zero_fpr_target_reads_the_zero_entry(self):
         dataset = synth_dataset(SynthSpec(n=10, dim=2))
-        report = _aggregate(dataset, replace(TINY, fpr_targets=(-0.0,)), [hand_rep(0.05)], {})
+        report = _aggregate(dataset, replace(TINY, fpr_targets=(-0.0,)), [hand_rep(0.05)], [set()], {})
         assert report["attacks"]["lira"]["tpr"]["0.0"]["median"] == 0.05
+
+    def test_characteristic_analyses_read_the_member_sets(self):
+        ids = [f"s{i}" for i in range(8)]
+        size = np.arange(8, dtype=float)
+        dataset = Dataset(ids, np.zeros((8, 1)), np.array([1, 1, 0, 0, 1, 0, 0, 0]), meta={"size": size})
+        rep = hand_rep(0.05)
+        rep["attacks"]["lira"] = {**rep["attacks"]["lira"], "identified": {"0.0": ["s0", "s1"]}}
+        members = [set(ids[:4])]
+
+        report = _aggregate(dataset, replace(TINY, fpr_targets=(0.0,), metadata_key="size"), [rep], members, {})
+        lira = report["attacks"]["lira"]
+        assert lira["label_analysis"]["identified_positive_fraction"] == 1.0
+        assert lira["label_analysis"]["rest_positive_fraction"] == 0.0
+        assert lira["metadata_analysis"]["key"] == "size"
+        assert (lira["metadata_analysis"]["identified_mean"], lira["metadata_analysis"]["rest_mean"]) == (0.5, 2.5)
+        # rmia identified nobody, so neither analysis applies to it
+        assert set(report["attacks"]["rmia"]["metadata_analysis"]) == {"not_applicable"}
+
+        report = _aggregate(dataset, replace(TINY, fpr_targets=(0.0,), metadata_key="age"), [rep], members, {})
+        assert report["attacks"]["lira"]["metadata_analysis"] == {"not_applicable": "metadata key 'age' absent"}
