@@ -187,8 +187,9 @@ def characteristic_analysis(
     rest_group: list[float] = []
     n_skipped = 0
     for identified, members in zip(identified_sets, member_sets):
-        ident = set(identified)
-        rest = set(members) - ident
+        # in sorted order, so that the float sums do not follow the hash order of the ids
+        ident = sorted(set(identified))
+        rest = sorted(set(members).difference(ident))
         if not ident or not rest:
             n_skipped += 1
             continue

@@ -30,6 +30,8 @@ __all__ = [
     "ShadowEnsemble",
     "ConfidenceMatrix",
     "assign_membership",
+    "draw_challenge",
+    "target_job",
     "run_game",
     "train_shadow_ensemble",
     "collect_confidences",
@@ -184,13 +186,12 @@ def assign_membership(candidate_ids: Sequence[str], p_member: float, seed: int) 
     return Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=p_member, seed=seed)
 
 
-def run_game(dataset: Dataset, cfg: TrainConfig, game: GameConfig, seed: int) -> TargetArtifacts:
-    """Split, train the target, and record per-candidate true-label confidences.
+def draw_challenge(dataset: Dataset, game: GameConfig, seed: int) -> tuple[SplitAssignment, Challenge]:
+    """The split and the challenge of the game under ``seed``.
 
     All training-split samples are member candidates; non-member candidates
     are drawn from the population split so that members make up
-    ``game.p_member`` of the challenge. ``seed`` fixes the split, the
-    non-member draw and the target's training.
+    ``game.p_member`` of the challenge.
     """
     split = split_dataset(dataset, game.fractions, derive_seed(seed, "split"))
     n_members = len(split.train_ids)
@@ -210,10 +211,27 @@ def run_game(dataset: Dataset, cfg: TrainConfig, game: GameConfig, seed: int) ->
         p_member=game.p_member,
         seed=seed,
     )
+    return split, challenge
 
+
+def target_job(dataset: Dataset, split: SplitAssignment, cfg: TrainConfig,
+               seed: int) -> tuple[Dataset, Dataset, TrainConfig]:
+    """The target's :func:`fit` arguments in the game under ``seed``: train and validation split, recipe."""
     train_cfg = replace(cfg, seed=derive_seed(seed, "target"))
-    trained = fit(dataset.subset(split.train_ids), dataset.subset(split.validation_ids), train_cfg)
+    return dataset.subset(split.train_ids), dataset.subset(split.validation_ids), train_cfg
 
+
+def run_game(dataset: Dataset, cfg: TrainConfig, game: GameConfig, seed: int,
+             target: TrainedModel | None = None) -> TargetArtifacts:
+    """Draw the challenge, train the target, and record per-candidate true-label confidences.
+
+    ``seed`` fixes the split, the non-member draw (see
+    :func:`draw_challenge`) and the target's training. A ``target``
+    already trained elsewhere from :func:`target_job`'s arguments, as in
+    a helper process, is used as it is.
+    """
+    split, challenge = draw_challenge(dataset, game, seed)
+    trained = target if target is not None else fit(*target_job(dataset, split, cfg, seed))
     candidates = dataset.subset(challenge.candidate_ids)
     confs = predict_confidences(trained, candidates.features_array(), candidates.labels_array())
     return TargetArtifacts(model=trained, ids=candidates.ids, confidences=confs, challenge=challenge, split=split)

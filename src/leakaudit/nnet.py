@@ -165,12 +165,9 @@ def forward_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, else exp(z): it never overflows
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def weighted_bce_loss(
@@ -191,30 +188,25 @@ def weighted_bce_loss(
     return float(np.mean(w * ll))
 
 
-def _output_delta(sig: np.ndarray, y: np.ndarray, weights: tuple[float, float]) -> np.ndarray:
-    """d(mean weighted BCE)/d(logit); the gradient vanishes where the probability is clipped."""
-    w = np.where(y == 1, weights[1], weights[0])
+def _output_delta(sig: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d(mean weighted BCE)/d(logit), ``w`` the class weight of each row; zero where the probability is clipped."""
     unclipped = (sig > LOSS_CLIP_EPS) & (sig < 1.0 - LOSS_CLIP_EPS)
     return np.where(unclipped, w * (sig - y) / len(y), 0.0)
 
 
-def _backward(model: MlpModel, cache: list, dlogit: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Backprop ``dlogit`` through a train- or inference-mode ``_forward`` cache."""
-    n_layers = len(model.weights)
-    grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
+def _backward(model: MlpModel, cache: list, dlogit: np.ndarray, grads: MlpModel) -> None:
+    """Backprop ``dlogit`` through a train- or inference-mode ``_forward`` cache into the layers of ``grads``."""
     delta = dlogit[:, None]
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(model.weights) - 1, -1, -1):
         h_in, z, mask = cache[l]
-        grad_w[l] = h_in.T @ delta
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(h_in.T, delta, out=grads.weights[l])
+        np.add.reduce(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ model.weights[l].T
             _, z_prev, mask_prev = cache[l - 1]
             delta = delta * (z_prev > 0)
             if mask_prev is not None:
                 delta = delta * mask_prev
-    return grad_w, grad_b
 
 
 def loss_and_grads(
@@ -235,9 +227,9 @@ def loss_and_grads(
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     logits, cache = _forward(model, X, train, rng)
-    sig = _sigmoid(logits)
-    grad_w, grad_b = _backward(model, cache, _output_delta(sig, y, weights))
-    return weighted_bce_loss(logits, y, weights), grad_w, grad_b
+    grads = model.copy()
+    _backward(model, cache, _output_delta(_sigmoid(logits), y, np.where(y == 1, weights[1], weights[0])), grads)
+    return weighted_bce_loss(logits, y, weights), grads.weights, grads.biases
 
 
 def adamw_step(
@@ -261,9 +253,9 @@ def adamw_step(
     m += (1 - b1) * grads
     v *= b2
     v += (1 - b2) * grads * grads
-    m_hat = m / (1 - b1 ** step)
-    v_hat = v / (1 - b2 ** step)
-    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    denom = np.sqrt(v / (1 - b2 ** step))  # the bias-corrected step's denominator, built in place
+    denom += eps
+    params -= lr * (m / (1 - b1 ** step)) / denom
     params -= lr * weight_decay * params
 
 
@@ -281,12 +273,14 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     weights = class_weights(d_train)
     X_train, y_train = d_train.features_array(), d_train.labels_array()
     X_val, y_val = d_val.features_array(), d_val.labels_array()
+    row_weights = np.where(y_train == 1, weights[1], weights[0])
 
     model = init_model(d_train.dimension, cfg)
     shuffle_rng = derive_rng(cfg.seed, "shuffle")
     dropout_rng = derive_rng(cfg.seed, "dropout")
     m = np.zeros_like(model.params)
     v = np.zeros_like(model.params)
+    grads = model.copy()  # one flat gradient buffer whose layer views _backward fills
 
     n = len(d_train)
     n_epochs = cfg.fixed_epochs if cfg.fixed_epochs is not None else cfg.max_epochs
@@ -300,13 +294,13 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
 
     for epoch in range(1, n_epochs + 1):
         perm = shuffle_rng.permutation(n)
+        X_epoch, y_epoch, w_epoch = X_train[perm], y_train[perm], row_weights[perm]
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            logits, cache = _forward(model, X_train[idx], True, dropout_rng)
-            gw, gb = _backward(model, cache, _output_delta(_sigmoid(logits), y_train[idx], weights))
+            batch = slice(start, start + cfg.batch_size)
+            logits, cache = _forward(model, X_epoch[batch], True, dropout_rng)
+            _backward(model, cache, _output_delta(_sigmoid(logits), y_epoch[batch], w_epoch[batch]), grads)
             step += 1
-            grads = np.concatenate([g.ravel() for g in gw + gb])
-            adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
+            adamw_step(model.params, grads.params, m, v, cfg.learning_rate, cfg.weight_decay, step)
 
         train_loss = weighted_bce_loss(forward_logits(model, X_train), y_train, weights)
         val_loss = weighted_bce_loss(forward_logits(model, X_val), y_val, weights)

@@ -1,17 +1,20 @@
-"""Shadow fits in helper processes, one per available core.
+"""Model fits in helper processes, one per available core.
 
-The shadow fits of a repetition are independent and each has its own
-seed, so where a fit runs does not change its result. :class:`FitHelpers`
-starts its helpers with ``subprocess`` from ``sys.executable``, each with
-one-thread BLAS so that the helpers do not oversubscribe the cores. It
-does not use ``multiprocessing``: a pool's handler threads cost the
-parent memory, and its ``spawn`` start re-runs an unguarded ``__main__``.
+The fits of a repetition, the target's and the shadows', are independent
+and each has its own seed, so where a fit runs does not change its
+result. :class:`FitHelpers` starts its helpers with ``subprocess`` from
+``sys.executable``, each with one-thread BLAS so that the helpers do not
+oversubscribe the cores. It does not use ``multiprocessing``: a pool's
+handler threads cost the parent memory, and its ``spawn`` start re-runs
+an unguarded ``__main__``.
 
-The parent dispatches from its own thread. It pickles a
-``(d_train, d_val, cfg)`` job only when a helper is idle, finds the idle
-helper with ``select`` on the helpers' stdout, and stores each result
-under its job index, so the output does not depend on scheduling.
-Helpers use POSIX pipes and ``select``.
+The parent dispatches from its own thread. :meth:`FitHelpers.submit`
+queues a batch of ``(d_train, d_val, cfg)`` jobs and returns; while any
+:class:`Batch` is waited for, the parent pickles the next queued job
+whenever a helper is idle, finds the idle helper with ``select`` on the
+helpers' stdout, and stores each result under its batch and job index,
+so the output does not depend on scheduling. Helpers use POSIX pipes
+and ``select``.
 """
 
 from __future__ import annotations
@@ -23,40 +26,56 @@ import select
 import subprocess
 import sys
 import traceback
+from collections import deque
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from leakaudit.data import Dataset
 from leakaudit.nnet import TrainConfig, TrainedModel, fit
 
-__all__ = ["FitHelpers", "helper_count"]
+__all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
 
-# A helper costs about 0.3 s of CPU to start, mostly the numpy import, and
-# a small-MLP optimizer step about 70 us. Below this many shadow steps per
-# repetition the start-up eats what the other cores save.
-MIN_SHADOW_STEPS = 10_000
+# A helper costs about 0.2 s of CPU to start, mostly the numpy import. Below
+# this many estimated seconds of fits per repetition the start-up eats what
+# the other cores save.
+MIN_FIT_SECONDS = 1.0
+# One optimizer step on one core: a fixed cost for the Python and numpy calls
+# plus a cost per multiply-add of one row through the layers. Fitted to
+# one-thread-BLAS fits of 8-unit to 256x128-unit MLPs on a 2-vCPU host.
+STEP_BASE_S = 100e-6
+MULTIPLY_ADD_S = 0.8e-9
 
-_SERVE = "import sys; sys.path.insert(0, sys.argv[1]); from leakaudit.parallel import serve; serve()"
+# -S skips the site module, a fifth of a helper's start-up; the parent's own
+# import path, passed as arguments, stands in for what site would add
+_SERVE = "import sys; sys.path[:0] = sys.argv[1:]; from leakaudit.parallel import serve; serve()"
 _ONE_THREAD_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
-def helper_count(shadow_steps: int) -> int:
-    """Helpers worth starting for this many shadow optimizer steps: one per available core, or none."""
+def step_seconds(batch_size: int, dims: Sequence[int]) -> float:
+    """Estimated seconds of one optimizer step, its share of the per-epoch evaluation included, on one core."""
+    return STEP_BASE_S + MULTIPLY_ADD_S * batch_size * sum(a * b for a, b in zip(dims, dims[1:]))
+
+
+def helper_count(fit_seconds: float) -> int:
+    """Helpers worth starting for this many estimated seconds of fits: one per available core, or none."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cores if cores > 1 and shadow_steps >= MIN_SHADOW_STEPS else 0
+    return cores if cores > 1 and fit_seconds >= MIN_FIT_SECONDS else 0
 
 
 class FitHelpers:
     """``n`` helper processes that run :func:`leakaudit.nnet.fit` jobs.
 
     A context manager: the helpers start on the first :meth:`start` or
-    :meth:`fit_all` and are all stopped and waited for on exit. With
+    :meth:`submit` and are all stopped and waited for on exit. With
     ``n == 0`` it is empty (false) and starts nothing.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.procs: list[subprocess.Popen] = []
+        self._idle: list[subprocess.Popen] = []
+        self._running: dict[subprocess.Popen, tuple[Batch, int]] = {}
+        self._queue: deque[Batch] = deque()  # batches with jobs not yet sent, oldest first
 
     def __len__(self) -> int:
         return self.n
@@ -75,66 +94,118 @@ class FitHelpers:
         env = {**os.environ, **_ONE_THREAD_BLAS}
         # in a session of their own, a Ctrl-C reaches only the parent, which stops them
         self.procs = [
-            subprocess.Popen([sys.executable, "-c", _SERVE, src], stdin=subprocess.PIPE,
+            subprocess.Popen([sys.executable, "-S", "-c", _SERVE, src, *sys.path], stdin=subprocess.PIPE,
                              stdout=subprocess.PIPE, env=env, start_new_session=True)
             for _ in range(self.n)
         ]
+        self._idle = list(self.procs)
+
+    def submit(self, jobs: Iterable[tuple[Dataset, Dataset, TrainConfig]]) -> Batch:
+        """Queue ``fit(*job)`` for every job behind the batches already queued; returns without waiting.
+
+        Idle helpers get the first jobs at once, the rest as helpers come
+        free while any batch is waited for. A job is taken from ``jobs``
+        and pickled only when it is sent.
+        """
+        if not self.n:
+            raise ValueError("FitHelpers(0) has no helper to run a job")
+        self.start()
+        batch = Batch(self, jobs)
+        self._queue.append(batch)
+        with self._stopped_on_error():
+            self._dispatch()
+        return batch
 
     def fit_all(self, jobs: Iterable[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainedModel]:
-        """``fit(*job)`` for every job, in job order, wherever each one ran.
+        """``fit(*job)`` for every job, in job order, wherever each one ran."""
+        return self.submit(jobs).wait()
 
-        A job is pickled only when a helper is idle for it. An exception
-        that a fit raises in a helper is raised here once the other
-        helpers have finished their jobs, so they stay ready for the
-        next call. A helper that dies or an interrupt stops every helper.
-        """
-        self.start()
-        pending = enumerate(jobs)
-        idle = list(self.procs)
-        running: dict[subprocess.Popen, int] = {}
-        results: dict[int, TrainedModel] = {}
-        failure = None
+    def _dispatch(self) -> None:
+        """Send queued jobs to the idle helpers, the oldest batch first."""
+        while self._idle and self._queue:
+            batch = self._queue[0]
+            job = next(batch.jobs, None)
+            if job is None:
+                self._queue.popleft()
+                batch.exhausted = True
+                continue
+            proc = self._idle.pop()
+            self._running[proc] = batch, job[0]
+            batch.sent += 1
+            # protocol 5 streams the arrays from their own memory, with no copy
+            pickle.dump(job[1], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            proc.stdin.flush()
+
+    def _collect(self) -> None:
+        """Wait for a running helper's reply; file every reply that is ready under its batch and job index."""
+        ready, _, _ = select.select([p.stdout for p in self._running], [], [])
+        for proc in [p for p in self._running if p.stdout in ready]:
+            ok, value = pickle.load(proc.stdout)
+            batch, index = self._running.pop(proc)
+            self._idle.append(proc)
+            if ok:
+                batch.results[index] = value
+            elif batch.failure is None:
+                batch.failure = value
+                if batch in self._queue:  # send none of its other jobs
+                    self._queue.remove(batch)
+
+    @contextlib.contextmanager
+    def _stopped_on_error(self):
+        """Stop every helper if the body raises, since a job may be half sent or half read."""
         try:
-            while True:
-                while idle and failure is None and (job := next(pending, None)) is not None:
-                    proc = idle.pop()
-                    running[proc] = job[0]
-                    # protocol 5 streams the arrays from their own memory, with no copy
-                    pickle.dump(job[1], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-                    proc.stdin.flush()
-                if not running:
-                    break
-                ready, _, _ = select.select([p.stdout for p in running], [], [])
-                for proc in [p for p in running if p.stdout in ready]:
-                    ok, value = pickle.load(proc.stdout)
-                    index = running.pop(proc)
-                    idle.append(proc)
-                    if ok:
-                        results[index] = value
-                    elif failure is None:
-                        failure = value
+            yield
         except (EOFError, BrokenPipeError) as exc:
-            self.close(kill=running)
+            self.close()
             raise RuntimeError("a fit helper exited before returning its result") from exc
         except BaseException:
-            self.close(kill=running)
+            self.close()
             raise
-        if failure is not None:
-            error, helper_traceback = failure
-            raise error from RuntimeError(f"in a fit helper:\n{helper_traceback}")
-        return [results[i] for i in range(len(results))]
 
-    def close(self, kill: Iterable[subprocess.Popen] = ()) -> None:
-        """Stop every helper: ``kill`` those mid-job, end the input of the rest, then wait for all."""
-        for proc in kill:
+    def close(self) -> None:
+        """Stop every helper: kill those mid-job, end the input of the rest, then wait for all."""
+        for proc in self._running:
             proc.kill()
         procs, self.procs = self.procs, []
+        self._idle, self._running, self._queue = [], {}, deque()
         for proc in procs:
             with contextlib.suppress(BrokenPipeError):  # a killed helper left a job unread
                 proc.stdin.close()
         for proc in procs:
             proc.wait()
             proc.stdout.close()
+
+
+class Batch:
+    """The jobs of one :meth:`FitHelpers.submit` call; :meth:`wait` returns their models."""
+
+    def __init__(self, helpers: FitHelpers, jobs: Iterable[tuple[Dataset, Dataset, TrainConfig]]):
+        self.helpers = helpers
+        self.jobs = enumerate(jobs)
+        self.sent = 0
+        self.exhausted = False
+        self.results: dict[int, TrainedModel] = {}
+        self.failure: tuple[BaseException, str] | None = None
+
+    def wait(self) -> list[TrainedModel]:
+        """The models of this batch in job order, once every job sent has returned.
+
+        Meanwhile the helpers keep running the jobs of every queued batch.
+        An exception that a fit raised in a helper is raised here once
+        this batch's other running jobs have returned. A helper that dies
+        or an interrupt stops every helper.
+        """
+        helpers = self.helpers
+        with helpers._stopped_on_error():
+            while self in helpers._queue or any(b is self for b, _ in helpers._running.values()):
+                helpers._collect()
+                helpers._dispatch()
+        if self.failure is not None:
+            error, helper_traceback = self.failure
+            raise error from RuntimeError(f"in a fit helper:\n{helper_traceback}")
+        if not self.exhausted or len(self.results) < self.sent:
+            raise RuntimeError("the fit helpers were stopped before this batch finished")
+        return [self.results[i] for i in range(self.sent)]
 
 
 def serve() -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from leakaudit.attacks import AttackScores, run_lira, run_rmia, save_scores
 from leakaudit.config import ExperimentConfig
-from leakaudit.data import Dataset, load_dataset
+from leakaudit.data import Dataset, SplitAssignment, load_dataset
 from leakaudit.evaluation import (
     baseline_tpr,
     auroc,
@@ -38,18 +38,21 @@ from leakaudit.evaluation import (
     tpr_at_fpr,
 )
 from leakaudit.game import (
+    Challenge,
     ShadowEnsemble,
     TargetArtifacts,
     collect_confidences,
+    draw_challenge,
     load_challenge,
     load_manifest,
     run_game,
     save_challenge,
     save_manifest,
+    target_job,
     train_shadow_ensemble,
 )
 from leakaudit.nnet import load_model, predict_confidences, save_model
-from leakaudit.parallel import FitHelpers, helper_count
+from leakaudit.parallel import FitHelpers, helper_count, step_seconds
 from leakaudit.seeds import derive_seed
 from leakaudit.stats import wilcoxon_signed_rank
 from leakaudit.synth import synth_dataset
@@ -75,11 +78,19 @@ def _rep_dir(out_dir: Path, rep: int) -> Path:
     return out_dir / f"rep_{rep:03d}"
 
 
-def _shadow_steps(cfg: ExperimentConfig, n_samples: int) -> int:
-    """Optimizer steps of one repetition's shadows, over the train and population splits they sample from."""
-    universe = n_samples - math.floor(cfg.game.fractions[1] * n_samples)
-    batches = math.ceil(cfg.shadow.inclusion_rate * universe / cfg.train.batch_size)
-    return cfg.shadow.count * cfg.shadow.epochs * batches
+def _fit_seconds(cfg: ExperimentConfig, dataset: Dataset) -> float:
+    """Estimated one-core seconds of one repetition's fits: the target's at most, and the shadows'.
+
+    The shadows sample from the train and population splits; the target
+    trains on the train split for at most its epoch budget.
+    """
+    batch = cfg.train.batch_size
+    n = len(dataset)
+    universe = n - math.floor(cfg.game.fractions[1] * n)
+    target_epochs = cfg.train.fixed_epochs or cfg.train.max_epochs
+    steps = (target_epochs * math.ceil(math.floor(cfg.game.fractions[0] * n) / batch)
+             + cfg.shadow.count * cfg.shadow.epochs * math.ceil(cfg.shadow.inclusion_rate * universe / batch))
+    return steps * step_seconds(batch, (dataset.dimension, *cfg.train.hidden_dims, 1))
 
 
 def _run_single_rep(
@@ -90,18 +101,20 @@ def _run_single_rep(
     helpers: FitHelpers,
 ) -> dict:
     rep_seed = derive_seed(cfg.seed, "rep", rep)
-    helpers.start()  # they load while the target trains here
-    artifacts = run_game(dataset, cfg.train, cfg.game, rep_seed)
-    challenge = artifacts.challenge
 
-    ensemble = train_shadow_ensemble(
-        dataset.subset(artifacts.split.population_ids),
-        dataset.subset(challenge.candidate_ids),
-        cfg.shadow,
-        cfg.train,
-        derive_seed(rep_seed, "ensemble"),
-        helpers=helpers,
-    )
+    def shadows(split: SplitAssignment, challenge: Challenge) -> ShadowEnsemble:
+        return train_shadow_ensemble(dataset.subset(split.population_ids), dataset.subset(challenge.candidate_ids),
+                                     cfg.shadow, cfg.train, derive_seed(rep_seed, "ensemble"), helpers=helpers)
+
+    if helpers:
+        # every fit is queued before the first wait, the target, the longest, first
+        split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
+        target = helpers.submit([target_job(dataset, split, cfg.train, rep_seed)])
+        ensemble = shadows(split, challenge)
+        artifacts = run_game(dataset, cfg.train, cfg.game, rep_seed, target=target.wait()[0])
+    else:
+        artifacts = run_game(dataset, cfg.train, cfg.game, rep_seed)
+        ensemble = shadows(artifacts.split, artifacts.challenge)
 
     rep_dir.mkdir(parents=True, exist_ok=True)
     save_model(artifacts.model, rep_dir / "target.npz")
@@ -111,7 +124,7 @@ def _run_single_rep(
         save_model(shadow, rep_dir / name)
         checkpoints.append(name)
     save_manifest(ensemble, rep_dir / "manifest.json", checkpoint_paths=checkpoints)
-    save_challenge(challenge, rep_dir / "challenge.json")
+    save_challenge(artifacts.challenge, rep_dir / "challenge.json")
 
     scores = _score_rep(dataset, cfg, artifacts, ensemble, rep_dir)
     summary = _evaluate_rep(dataset, cfg, scores)
@@ -192,9 +205,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     ``rep_report.json`` summary and the members of its ``challenge.json``.
     A repetition that fails is recorded under ``errors`` and the
     experiment continues with the remaining ones. When a repetition's
-    shadow training is large enough to repay their start-up, the shadows
-    train in helper processes (see :mod:`leakaudit.parallel`), which all
-    end before this returns.
+    fits are large enough to repay their start-up, the target and the
+    shadows train side by side in helper processes (see
+    :mod:`leakaudit.parallel`), which all end before this returns.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     rep_summaries: list[dict] = []
     member_sets: list[set[str]] = []
     errors: dict[str, str] = {}
-    with FitHelpers(helper_count(_shadow_steps(cfg, len(dataset)))) as helpers:
+    with FitHelpers(helper_count(_fit_seconds(cfg, dataset))) as helpers:
         for rep in range(cfg.repetitions):
             rep_dir = _rep_dir(out_dir, rep)
             summary = _load_rep(rep_dir)

@@ -1,5 +1,6 @@
 """Tests for shadow fits in helper processes: same models, errors raised, no helper left running."""
 
+import hashlib
 import os
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from leakaudit import pipeline
 from leakaudit.config import ExperimentConfig
 from leakaudit.game import GameConfig, ShadowParams, run_game, train_shadow_ensemble
 from leakaudit.nnet import TrainConfig, fit
-from leakaudit.parallel import MIN_SHADOW_STEPS, FitHelpers, helper_count
+from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, helper_count, step_seconds
 from leakaudit.synth import SynthSpec, synth_dataset
 
 FAST_CFG = TrainConfig(hidden_dims=(4,), dropout_rate=0.1, learning_rate=1e-2,
@@ -85,18 +86,44 @@ def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
 
 def test_start_rule_picks_helpers_by_shadow_steps():
     cores = len(os.sched_getaffinity(0))
-    # the positive-control recipe: 10 shadows x 200 epochs over 1,500 samples
+    helpers = cores if cores > 1 else 0
+    # the positive-control recipe: 10 shadows x 200 epochs of a 32-unit MLP over 1,500 samples
     control = ExperimentConfig(
-        synth=SynthSpec(n=1500, dim=64), train=TrainConfig(hidden_dims=(32,)),
+        synth=SynthSpec(n=1500, dim=64), train=TrainConfig(hidden_dims=(32,), fixed_epochs=200),
         shadow=ShadowParams(count=10, epochs=200, z_fraction=0.5),
     )
-    # a wide challenge: 16 shadows x 2 epochs over 12,000 samples
-    wide = replace(control, synth=SynthSpec(n=12000, dim=16), shadow=ShadowParams(count=16, epochs=2))
-    assert pipeline._shadow_steps(control, 1500) == 22_000
-    assert pipeline._shadow_steps(wide, 12000) == 2_720
-    assert helper_count(22_000) == (cores if cores > 1 else 0)
-    assert helper_count(2_720) == 0
-    assert helper_count(MIN_SHADOW_STEPS - 1) == 0
+    # the default 256x128 recipe on the same data: few steps, each about 12 times dearer
+    default = ExperimentConfig(synth=SynthSpec(n=1500, dim=64))
+    # a wide challenge: 16 shadows x 2 epochs of an 8-unit MLP over 12,000 samples
+    wide = replace(control, synth=SynthSpec(n=12000, dim=16), train=TrainConfig(hidden_dims=(8,), fixed_epochs=2),
+                   shadow=ShadowParams(count=16, epochs=2))
+    seconds = {name: pipeline._fit_seconds(cfg, synth_dataset(cfg.synth))
+               for name, cfg in (("control", control), ("default", default), ("wide", wide))}
+    # 2,200 target and 22,000 shadow steps; 1,100 and 1,650; 170 and 2,720
+    assert seconds["control"] == pytest.approx(24_200 * step_seconds(64, (64, 32, 1)))
+    assert seconds["default"] == pytest.approx(2_750 * step_seconds(64, (64, 256, 128, 1)))
+    assert seconds["wide"] == pytest.approx(2_890 * step_seconds(64, (16, 8, 1)))
+    assert [helper_count(seconds[name]) for name in ("control", "default", "wide")] == [helpers, helpers, 0]
+    assert helper_count(MIN_FIT_SECONDS) == helpers
+    assert helper_count(0.999 * MIN_FIT_SECONDS) == 0
+
+
+def test_a_batch_returns_its_models_in_job_order_when_a_later_batch_finishes_first(shadow_inputs):
+    pool, candidates = shadow_inputs
+    slow = [(pool, candidates, replace(FAST_CFG, fixed_epochs=epochs, seed=seed))
+            for epochs, seed in ((800, 1), (1, 2))]
+    fast = [(pool, candidates, replace(FAST_CFG, fixed_epochs=1, seed=seed)) for seed in (3, 4, 5)]
+    with FitHelpers(2) as helpers:
+        first = helpers.submit(slow)
+        second = helpers.submit(fast)
+        fast_models = second.wait()
+        # the second batch ran on the helper the short job freed while the 800-epoch job ran
+        assert any(b is first for b, _ in helpers._running.values())
+        slow_models = first.wait()
+        procs = list(helpers.procs)
+    assert stopped(procs)
+    for models, jobs in ((slow_models, slow), (fast_models, fast)):
+        assert [m.model.params.tobytes() for m in models] == [fit(*job).model.params.tobytes() for job in jobs]
 
 
 def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, monkeypatch):
@@ -121,3 +148,46 @@ def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, mon
     report = pipeline.run_experiment(cfg)
     assert report["errors"] == {"0": "ArithmeticError: scoring failed", "1": "ArithmeticError: scoring failed"}
     assert len(started) == 2 and stopped(started)  # one pair of helpers served both repetitions
+
+
+def pooled_config(tmp_path, name):
+    return ExperimentConfig(
+        synth=SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0),
+        train=replace(FAST_CFG, fixed_epochs=2), shadow=SHADOW, repetitions=2,
+        output_dir=str(tmp_path / name),
+    )
+
+
+def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_path, monkeypatch):
+    outputs = {}
+    for name, count in (("local", 0), ("pooled", 2)):
+        monkeypatch.setattr(pipeline, "helper_count", lambda seconds, count=count: count)
+        out = tmp_path / name
+        pipeline.run_experiment(pooled_config(tmp_path, name))
+        outputs[name] = {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(outputs["local"]) == 1 + 2 * (8 + SHADOW.count)
+    assert outputs["pooled"] == outputs["local"]
+
+
+def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_running(tmp_path, monkeypatch):
+    started = set()
+    real_target_job = pipeline.target_job
+
+    class Recorded(FitHelpers):
+        def start(self):
+            super().start()
+            started.update(self.procs)
+
+    def mismatched_target_job(dataset, split, cfg, seed):
+        d_train, _, train_cfg = real_target_job(dataset, split, cfg, seed)
+        return d_train, synth_dataset(SynthSpec(n=40, dim=5, seed=1)), train_cfg
+
+    monkeypatch.setattr(pipeline, "FitHelpers", Recorded)
+    monkeypatch.setattr(pipeline, "helper_count", lambda seconds: 2)
+    monkeypatch.setattr(pipeline, "target_job", mismatched_target_job)
+    report = pipeline.run_experiment(pooled_config(tmp_path, "out"))
+    assert set(report["errors"]) == {"0", "1"}
+    assert all(error.startswith("ValueError: train/validation dimensions differ")
+               for error in report["errors"].values())
+    assert len(started) == 2 and stopped(started)

@@ -1,7 +1,11 @@
 """Tests for the repeated-experiment pipeline, resume and report rendering."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +217,28 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest.json"):
             self.load_edited(saved, tmp_path, break_row)
 
+# Pools floats of mixed magnitudes from two repetitions, where the order of the sums shows in the last digits.
+METADATA_MEANS = """
+import json
+import numpy as np
+from leakaudit.config import ExperimentConfig
+from leakaudit.data import Dataset
+from leakaudit.pipeline import _aggregate
+
+rng = np.random.default_rng(0)
+ids = [f"s{i}" for i in range(300)]
+size = rng.standard_normal(300) * 10.0 ** rng.integers(-4, 4, 300)
+dataset = Dataset(ids, np.zeros((300, 1)), rng.integers(0, 2, 300), meta={"size": size})
+attack = {"tpr": {"0.0": 0.1}, "minority_tpr": {"0.0": None}, "identified": {"0.0": ids[:30]}}
+rep = {"baseline_tpr": 0.01, "n_members": 200, "attacks": {"lira": attack, "rmia": attack},
+       "population_auroc": 0.5}
+report = _aggregate(dataset, ExperimentConfig(fpr_targets=(0.0,), metadata_key="size"), [rep, rep],
+                    [set(ids[:200]), set(ids[20:220])], {})
+analysis = report["attacks"]["lira"]["metadata_analysis"]
+print(json.dumps([analysis["identified_mean"], analysis["rest_mean"]]))
+"""
+
+
 def hand_rep(tpr, baseline=0.01):
     """A repetition summary with one FPR target (0) and no identified members."""
     attack = {"tpr": {"0.0": tpr}, "minority_tpr": {"0.0": None}, "identified": {"0.0": []}}
@@ -270,3 +296,11 @@ class TestAggregate:
 
         report = _aggregate(dataset, replace(TINY, fpr_targets=(0.0,), metadata_key="age"), [rep], members, {})
         assert report["attacks"]["lira"]["metadata_analysis"] == {"not_applicable": "metadata key 'age' absent"}
+
+    def test_metadata_means_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = [subprocess.run([sys.executable, "-c", METADATA_MEANS], capture_output=True, text=True, check=True,
+                               env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+                for seed in ("1", "2")]
+        means = [json.loads(run.stdout) for run in runs]
+        assert means[0] == means[1]
