@@ -2,10 +2,11 @@
 
 Subcommands: ``synth`` (generate a synthetic dataset CSV), ``validate``
 (check a config file against every rule that ``run`` and ``attack``
-apply), ``run`` (full repeated experiment), ``attack`` (re-run attacks
-on stored artifacts), ``report`` (render an existing report as CSV
-tables or an SVG ROC plot). Exit codes: 0 success, 1 usage/config
-error, 2 runtime failure.
+apply), ``run`` (full repeated experiment), ``attack`` (re-attack the
+stored models and rewrite the scores and both reports), ``report``
+(render an existing report as CSV tables or an SVG ROC plot). Exit
+codes: 0 success, 1 usage/config error, 2 runtime failure, which
+includes a ``run`` or ``attack`` that finished only some repetitions.
 """
 
 from __future__ import annotations
@@ -96,17 +97,13 @@ def main(argv: list[str] | None = None) -> int:
                   f"shadows={cfg.shadow.count}, p_member={cfg.game.p_member})")
             return EXIT_OK
 
-        if args.command == "run":
-            report = run_experiment(cfg)
+        if args.command in ("run", "attack"):
+            report = run_experiment(cfg) if args.command == "run" else rerun_attacks(cfg)
             n_done = report["n_repetitions_completed"]
-            print(f"completed {n_done}/{cfg.repetitions} repetitions; "
+            verb = "completed" if args.command == "run" else "refreshed"
+            print(f"{verb} {n_done}/{cfg.repetitions} repetitions; "
                   f"report at {cfg.output_dir}/report.json")
             return EXIT_OK if n_done == cfg.repetitions else EXIT_RUNTIME
-
-        if args.command == "attack":
-            rerun_attacks(cfg)
-            print(f"attack scores refreshed under {cfg.output_dir}")
-            return EXIT_OK
 
         if args.command == "report":
             written = report_render(args.report, args.format)

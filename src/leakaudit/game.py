@@ -9,7 +9,6 @@ shadow training.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -40,8 +39,6 @@ __all__ = [
     "save_manifest",
     "load_manifest",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -302,16 +299,6 @@ def train_shadow_ensemble(
     jobs = ((universe.take(np.flatnonzero(incl[:, j])), z_dataset,
              replace(cfg, seed=shadow_seeds[j], fixed_epochs=shadow.epochs)) for j in range(k))
     models = helpers.fit_all(jobs) if helpers else [fit(*job) for job in jobs]
-
-    if candidates is not None:
-        in_count = incl[universe.rows(candidates.ids)].sum(axis=1)
-        n_no_in = int(np.count_nonzero(in_count == 0))
-        n_no_out = int(np.count_nonzero(in_count == k))
-        if n_no_in or n_no_out:
-            log.warning(
-                "shadow ensemble: %d candidates have no in-shadow, %d have no out-shadow",
-                n_no_in, n_no_out,
-            )
 
     return ShadowEnsemble(
         models=tuple(models),

@@ -188,6 +188,12 @@ def weighted_bce_loss(
     return float(np.mean(w * ll))
 
 
+def _mean_bce(logits: np.ndarray, positive: np.ndarray, w: np.ndarray) -> float:
+    """:func:`weighted_bce_loss` given the rows labelled 1 (``positive``) and each row's weight ``w``."""
+    p = np.clip(_sigmoid(logits), LOSS_CLIP_EPS, 1.0 - LOSS_CLIP_EPS)
+    return float(np.mean(w * -np.log(np.where(positive, p, 1.0 - p))))
+
+
 def _output_delta(sig: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """d(mean weighted BCE)/d(logit), ``w`` the class weight of each row; zero where the probability is clipped."""
     unclipped = (sig > LOSS_CLIP_EPS) & (sig < 1.0 - LOSS_CLIP_EPS)
@@ -273,7 +279,9 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     weights = class_weights(d_train)
     X_train, y_train = d_train.features_array(), d_train.labels_array()
     X_val, y_val = d_val.features_array(), d_val.labels_array()
-    row_weights = np.where(y_train == 1, weights[1], weights[0])
+    train_pos, val_pos = y_train == 1, y_val == 1  # the per-epoch losses read these and the weights, built once
+    row_weights = np.where(train_pos, weights[1], weights[0])
+    val_weights = np.where(val_pos, weights[1], weights[0])
 
     model = init_model(d_train.dimension, cfg)
     shuffle_rng = derive_rng(cfg.seed, "shuffle")
@@ -302,8 +310,8 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
             step += 1
             adamw_step(model.params, grads.params, m, v, cfg.learning_rate, cfg.weight_decay, step)
 
-        train_loss = weighted_bce_loss(forward_logits(model, X_train), y_train, weights)
-        val_loss = weighted_bce_loss(forward_logits(model, X_val), y_val, weights)
+        train_loss = _mean_bce(forward_logits(model, X_train), train_pos, row_weights)
+        val_loss = _mean_bce(forward_logits(model, X_val), val_pos, val_weights)
         train_losses.append(train_loss)
         val_losses.append(val_loss)
         if val_loss < best_val:

@@ -4,11 +4,14 @@ Each repetition writes its artifacts (challenge, checkpoints, ensemble
 manifest, score and ROC CSVs) into its own directory, with its membership
 only in ``challenge.json``, and finishes with a ``rep_report.json``
 marker; re-running resumes from completed repetitions and reproduces
-byte-identical outputs. A run and a re-attack share one
-scoring path (:func:`_score_rep`), from the target and shadow ensemble to
-the written ``scores_*.csv`` and ``roc_*.csv``; a re-attack only loads the
-stored challenge, target and ensemble first. Per-candidate arrays on that
-path, labels included, follow the one candidate order of :mod:`leakaudit.attacks`.
+byte-identical outputs. A run and a re-attack finish every repetition
+the same way (:func:`_finish_rep`): from the target's game and the shadow
+ensemble to the score and ROC CSVs and the ``rep_report.json``, and both
+aggregate into ``report.json`` through :func:`_write_report`. A run
+trains the target and the shadows first; a re-attack redraws the game
+with the stored target and loads the stored ensemble. Both reports are
+replaced atomically. Per-candidate arrays on that path, labels included,
+follow the one candidate order of :mod:`leakaudit.attacks`.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -125,24 +129,15 @@ def _run_single_rep(
         checkpoints.append(name)
     save_manifest(ensemble, rep_dir / "manifest.json", checkpoint_paths=checkpoints)
     save_challenge(artifacts.challenge, rep_dir / "challenge.json")
-
-    scores = _score_rep(dataset, cfg, artifacts, ensemble, rep_dir)
-    summary = _evaluate_rep(dataset, cfg, scores)
-    summary["rep"] = rep
-    summary["population_auroc"] = _population_auroc(dataset, artifacts)
-    with open(rep_dir / "rep_report.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    return summary
+    return _finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
 
 
-def _score_rep(
-    dataset: Dataset,
-    cfg: ExperimentConfig,
-    artifacts: TargetArtifacts,
-    ensemble: ShadowEnsemble,
-    rep_dir: Path,
-) -> dict[str, AttackScores]:
-    """Score every candidate with both attacks and write the score and ROC CSVs."""
+def _finish_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, artifacts: TargetArtifacts,
+                ensemble: ShadowEnsemble, rep_dir: Path) -> dict:
+    """Score every candidate with both attacks, write the score and ROC CSVs, then the ``rep_report.json`` marker.
+
+    The population AUROC scores the target's probability of class 1.
+    """
     confs = collect_confidences(ensemble, dataset.subset(artifacts.challenge.candidate_ids))
     scores = {
         "lira": run_lira(artifacts, confs, cfg.lira),
@@ -152,15 +147,11 @@ def _score_rep(
         save_scores(scores[name], rep_dir / f"scores_{name}.csv")
         roc = roc_curve(scores[name])
         _write_csv(rep_dir / f"roc_{name}.csv", "threshold,fpr,tpr",
-                   zip(roc.thresholds.tolist(), roc.fpr.tolist(), roc.tpr.tolist()))
-    return scores
-
-
-def _population_auroc(dataset: Dataset, artifacts: TargetArtifacts) -> float:
+                   np.column_stack([roc.thresholds, roc.fpr, roc.tpr]))
     pop = dataset.subset(artifacts.split.population_ids)
-    # score = predicted probability of class 1
     conf1 = predict_confidences(artifacts.model, pop.X, np.ones(len(pop), dtype=int))
-    return auroc(conf1, pop.y)
+    summary = {**_evaluate_rep(dataset, cfg, scores), "rep": rep, "population_auroc": auroc(conf1, pop.y)}
+    return _write_json(rep_dir / "rep_report.json", summary)
 
 
 def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, AttackScores]) -> dict:
@@ -190,12 +181,13 @@ def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, Att
     return summary
 
 
-def _load_rep(rep_dir: Path) -> dict | None:
-    marker = rep_dir / "rep_report.json"
-    if not marker.exists():
-        return None
-    with open(marker, encoding="utf-8") as fh:
-        return json.load(fh)
+def _write_json(path: Path, obj: dict) -> dict:
+    """Write ``obj`` through a temp file in the same directory, so that a crash leaves the old file or none."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
+    return obj
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -203,11 +195,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     Each completed repetition, fresh or resumed, contributes its
     ``rep_report.json`` summary and the members of its ``challenge.json``.
-    A repetition that fails is recorded under ``errors`` and the
-    experiment continues with the remaining ones. When a repetition's
-    fits are large enough to repay their start-up, the target and the
-    shadows train side by side in helper processes (see
-    :mod:`leakaudit.parallel`), which all end before this returns.
+    A repetition that fails, or whose marker cannot be read, is recorded
+    under ``errors`` and the experiment continues with the remaining
+    ones. When a repetition's fits are large enough to repay their
+    start-up, the target and the shadows train side by side in helper
+    processes (see :mod:`leakaudit.parallel`), which all end before this
+    returns.
     """
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,21 +212,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     with FitHelpers(helper_count(_fit_seconds(cfg, dataset))) as helpers:
         for rep in range(cfg.repetitions):
             rep_dir = _rep_dir(out_dir, rep)
-            summary = _load_rep(rep_dir)
-            if summary is None:
-                try:
-                    summary = _run_single_rep(dataset, cfg, rep, rep_dir, helpers)
-                except Exception as exc:  # noqa: BLE001 - record and continue
-                    log.exception("repetition %d failed", rep)
-                    errors[str(rep)] = f"{type(exc).__name__}: {exc}"
-                    continue
+            try:
+                marker = rep_dir / "rep_report.json"
+                summary = (json.loads(marker.read_text(encoding="utf-8")) if marker.exists()
+                           else _run_single_rep(dataset, cfg, rep, rep_dir, helpers))
+                members = set(load_challenge(rep_dir / "challenge.json").member_ids)
+            except Exception as exc:  # noqa: BLE001 - record and continue
+                log.exception("repetition %d failed", rep)
+                errors[str(rep)] = f"{type(exc).__name__}: {exc}"
+                continue
             rep_summaries.append(summary)
-            member_sets.append(set(load_challenge(rep_dir / "challenge.json").member_ids))
+            member_sets.append(members)
+    return _write_report(dataset, cfg, rep_summaries, member_sets, errors)
 
-    report = _aggregate(dataset, cfg, rep_summaries, member_sets, errors)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    return report
+
+def _write_report(dataset: Dataset, cfg: ExperimentConfig, reps: Sequence[dict],
+                  member_sets: Sequence[set[str]], errors: dict[str, str]) -> dict:
+    """Aggregate the repetition summaries (see :func:`_aggregate`) and write them as ``report.json``."""
+    return _write_json(Path(cfg.output_dir) / "report.json", _aggregate(dataset, cfg, reps, member_sets, errors))
 
 
 def _aggregate(
@@ -327,26 +323,39 @@ def _characteristic(identified: list[set[str]], member_sets: Sequence[set[str]],
             "p_value": res.test.p_value, "stars": res.stars, "n_skipped": res.n_skipped}
 
 
-def rerun_attacks(cfg: ExperimentConfig) -> None:
-    """Recompute attack scores from stored checkpoints and manifests."""
+def rerun_attacks(cfg: ExperimentConfig) -> dict:
+    """Re-attack every stored repetition with ``cfg``'s attacks and rewrite both reports, as a run does.
+
+    Every stored game is drawn again from ``cfg`` before any is rewritten;
+    a changed challenge (the config or the data no longer describes the
+    directory) raises and changes no file. A repetition whose files cannot
+    be read is recorded under ``errors``; with none readable, this raises
+    :class:`FileNotFoundError`.
+    """
     out_dir = Path(cfg.output_dir)
     dataset = build_dataset(cfg)
-    found = False
+    stored: list[tuple[int, Path, TargetArtifacts, ShadowEnsemble]] = []
+    errors: dict[str, str] = {}
     for rep in range(cfg.repetitions):
         rep_dir = _rep_dir(out_dir, rep)
-        if not (rep_dir / "manifest.json").exists():
+        try:
+            challenge = load_challenge(rep_dir / "challenge.json")
+            artifacts = run_game(dataset, cfg.train, cfg.game, derive_seed(cfg.seed, "rep", rep),
+                                 target=load_model(rep_dir / "target.npz"))
+            ensemble = _load_ensemble(rep_dir, dataset)
+        except Exception as exc:  # noqa: BLE001 - record and continue
+            errors[str(rep)] = f"{type(exc).__name__}: {exc}"
+            log.warning("repetition %d cannot be re-attacked: %s", rep, errors[str(rep)])
             continue
-        found = True
-        challenge = load_challenge(rep_dir / "challenge.json")
-        target = load_model(rep_dir / "target.npz")
-        candidates = dataset.subset(challenge.candidate_ids)
-        artifacts = TargetArtifacts(model=target, ids=candidates.ids,
-                                    confidences=predict_confidences(target, candidates.X, candidates.y),
-                                    challenge=challenge, split=None)
-        _score_rep(dataset, cfg, artifacts, _load_ensemble(rep_dir, dataset), rep_dir)
-        log.info("re-ran attacks for repetition %d", rep)
-    if not found:
+        if artifacts.challenge != challenge:
+            raise ValueError(f"{rep_dir}: the config or the data no longer draws the stored challenge")
+        stored.append((rep, rep_dir, artifacts, ensemble))
+    if not stored:
         raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
+    summaries = [_finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
+                 for rep, rep_dir, artifacts, ensemble in stored]
+    members = [set(artifacts.challenge.member_ids) for _, _, artifacts, _ in stored]
+    return _write_report(dataset, cfg, summaries, members, errors)
 
 
 def _load_ensemble(rep_dir: Path, dataset: Dataset) -> ShadowEnsemble:
@@ -377,11 +386,18 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[Sequence]) -> Path:
+def _write_csv(path: Path, header: str, rows: Iterable[Sequence] | np.ndarray) -> Path:
+    """Write ``rows`` under ``header``, each value as :func:`_csv_value` writes it.
+
+    A numeric array takes one format call a row: repr writes ints and floats as :func:`_csv_value` does.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_value, row)) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["{!r}"] * rows.shape[1]) + "\n"
+            fh.writelines(line.format(*row) for row in rows.tolist())
+        else:
+            fh.writelines(",".join(map(_csv_value, row)) + "\n" for row in rows)
     return path
 
 

@@ -88,18 +88,12 @@ def _result(statistic: float, p_greater: float, p_less: float, method: str, alte
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties assigned the mean of their covered ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with ties assigned the mean of their covered ranks; NaN has no rank."""
+    if np.isnan(values).any():
+        raise ValueError("cannot rank NaN values")
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a tie group ending at rank e with c members covers ranks e-c+1..e; their mean is an exact half
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def wilcoxon_signed_rank(

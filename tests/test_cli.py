@@ -3,11 +3,12 @@
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
-from leakaudit.cli import EXIT_OK, EXIT_USAGE, main
+from leakaudit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from leakaudit.data import load_dataset
 
 TINY_RUN = """
@@ -88,6 +89,17 @@ class TestAttack:
         _, cfg_path, _ = run_out
         assert main(["attack", str(cfg_path)]) == EXIT_OK
         assert "refreshed" in capsys.readouterr().out
+
+    def test_missing_repetition_is_runtime_failure(self, run_out, tmp_path, capsys):
+        out, _, _ = run_out
+        shutil.copytree(out / "results" / "rep_000", tmp_path / "results" / "rep_000")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TINY_RUN.replace("run.repetitions = 1", "run.repetitions = 2")
+                       + f"run.output_dir = {tmp_path / 'results'}\n", encoding="utf-8")
+        assert main(["attack", str(cfg)]) == EXIT_RUNTIME
+        assert "refreshed 1/2 repetitions" in capsys.readouterr().out
+        report = json.loads((tmp_path / "results" / "report.json").read_text(encoding="utf-8"))
+        assert list(report["errors"]) == ["1"]
 
     def test_no_artifacts_is_usage_error(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

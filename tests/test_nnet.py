@@ -272,6 +272,18 @@ class TestFit:
         )
         assert val_loss == pytest.approx(min(trained.val_losses), rel=1e-12)
 
+    def test_epoch_losses_match_the_weighted_bce_reference(self):
+        """Each epoch's train and validation loss equals weighted_bce_loss with the train split's class weights."""
+        rng = np.random.default_rng(5)
+        train, val = (Dataset([f"{name}{i}" for i in range(n)], rng.normal(size=(n, 3)),
+                              (np.arange(n) % 4 == 0).astype(int))
+                      for name, n in (("t", 60), ("v", 21)))
+        trained = fit(train, val, TrainConfig(hidden_dims=(5,), dropout_rate=0.2, fixed_epochs=1, seed=1))
+        cw = class_weights(train)
+        assert cw[0] != cw[1]
+        assert trained.train_losses == [weighted_bce_loss(forward_logits(trained.model, train.X), train.y, cw)]
+        assert trained.val_losses == [weighted_bce_loss(forward_logits(trained.model, val.X), val.y, cw)]
+
     def test_early_stopping_stops_after_patience(self):
         ds = toy_dataset(n=30, separation=1.0)
         cfg = TrainConfig(hidden_dims=(4,), dropout_rate=0.0, learning_rate=1e-3,

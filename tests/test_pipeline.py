@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leakaudit.attacks import RmiaParams
 from leakaudit.config import ExperimentConfig, ShadowParams
 from leakaudit.data import Dataset
 from leakaudit.game import load_challenge, save_manifest, train_shadow_ensemble
 from leakaudit.nnet import TrainConfig, save_model
-from leakaudit.pipeline import _aggregate, _load_ensemble, report_render, rerun_attacks, run_experiment
+from leakaudit.pipeline import (_aggregate, _load_ensemble, _write_csv, report_render, rerun_attacks,
+                                run_experiment)
 from leakaudit.synth import SynthSpec, synth_dataset
 
 TINY = ExperimentConfig(
@@ -103,11 +106,18 @@ class TestRunExperiment:
         after = {p: p.read_bytes() for p in tracked}
         assert before == after
 
+    def test_empty_validation_split_fails_the_repetition(self, tmp_path):
+        """No target is trained, or audited, without a validation loss to pick its epoch by."""
+        cfg = replace(TINY, game=replace(TINY.game, fractions=(0.5, 0.0, 0.5)), output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        assert report["n_repetitions_completed"] == 0
+        assert report["errors"]["0"] == "IngestError: dataset must contain at least one sample"
+
     def test_rerun_attacks_reproduces_scores(self, run_dir):
         out, cfg, _ = run_dir
-        tracked = [
-            out / f"rep_{rep:03d}" / f"scores_{name}.csv"
-            for rep in (0, 1) for name in ("lira", "rmia")
+        tracked = [out / "report.json"] + [
+            out / f"rep_{rep:03d}" / name
+            for rep in (0, 1) for name in ("scores_lira.csv", "scores_rmia.csv", "rep_report.json")
         ]
         before = {p: p.read_bytes() for p in tracked}
         rerun_attacks(cfg)
@@ -118,6 +128,110 @@ class TestRunExperiment:
         cfg = replace(TINY, output_dir=str(tmp_path / "empty"))
         with pytest.raises(FileNotFoundError):
             rerun_attacks(cfg)
+
+
+def copy_run(run_dir, dest: Path) -> ExperimentConfig:
+    """A copy of the run's repetitions and report under ``dest``, and the config that points at it."""
+    out, cfg, _ = run_dir
+    for rep_dir in out.glob("rep_*"):
+        shutil.copytree(rep_dir, dest / rep_dir.name)
+    shutil.copy(out / "report.json", dest / "report.json")
+    return replace(cfg, output_dir=str(dest))
+
+
+def files(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestRerunAttacks:
+    def test_another_gamma_rewrites_both_reports_as_a_fresh_run_writes_them(self, run_dir, tmp_path):
+        cfg = replace(copy_run(run_dir, tmp_path / "attacked"), rmia=RmiaParams(gamma=1.5))
+        before = files(tmp_path / "attacked")
+        report = rerun_attacks(cfg)
+        attacked = files(tmp_path / "attacked")
+        assert attacked["rep_000/rep_report.json"] != before["rep_000/rep_report.json"]
+        assert report["config"]["gamma"] == 1.5
+
+        fresh_report = run_experiment(replace(cfg, output_dir=str(tmp_path / "fresh")))
+        assert attacked == files(tmp_path / "fresh")
+        assert report == fresh_report
+
+    def test_changed_seed_raises_naming_the_repetition_and_writes_nothing(self, run_dir, tmp_path):
+        cfg = copy_run(run_dir, tmp_path)
+        before = files(tmp_path)
+        with pytest.raises(ValueError, match="rep_000"):
+            rerun_attacks(replace(cfg, seed=cfg.seed + 1))
+        assert files(tmp_path) == before
+
+    def test_repetition_without_models_is_an_error(self, run_dir, tmp_path):
+        cfg = copy_run(run_dir, tmp_path)
+        shutil.rmtree(tmp_path / "rep_001")
+        report = rerun_attacks(cfg)
+        assert report["n_repetitions_completed"] == 1
+        assert list(report["errors"]) == ["1"] and "rep_001" in report["errors"]["1"]
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == report
+
+
+    def test_changed_challenge_in_a_later_repetition_raises_before_any_rewrite(self, run_dir, tmp_path):
+        cfg = replace(copy_run(run_dir, tmp_path), rmia=RmiaParams(gamma=1.5))
+        shutil.copy(tmp_path / "rep_000" / "challenge.json", tmp_path / "rep_001" / "challenge.json")
+        before = files(tmp_path)
+        with pytest.raises(ValueError, match="rep_001"):
+            rerun_attacks(cfg)
+        assert files(tmp_path) == before
+
+    def test_repetition_without_challenge_is_an_error_and_the_report_matches(self, run_dir, tmp_path):
+        cfg = replace(copy_run(run_dir, tmp_path), rmia=RmiaParams(gamma=1.5))
+        (tmp_path / "rep_001" / "challenge.json").unlink()
+        report = rerun_attacks(cfg)
+        assert list(report["errors"]) == ["1"]
+        assert report["errors"]["1"].startswith("FileNotFoundError") and "rep_001" in report["errors"]["1"]
+        assert report["config"]["gamma"] == 1.5
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == json.loads(json.dumps(report))
+        assert json.loads((tmp_path / "rep_000" / "rep_report.json").read_text(encoding="utf-8")) \
+            == report["repetitions"][0]
+
+
+class Crash(BaseException):
+    """Stands in for the process dying: no ``except Exception`` catches it."""
+
+
+class TestInterruptedRun:
+    def test_crash_inside_the_marker_write_leaves_no_marker(self, run_dir, tmp_path, monkeypatch):
+        cfg = replace(run_dir[1], output_dir=str(tmp_path))
+        real_dump = json.dump
+
+        def dump_half_then_crash(obj, fh, **kwargs):
+            if Path(fh.name).name.startswith("rep_report.json") and obj["rep"] == 1:
+                fh.write(json.dumps(obj, **kwargs)[:40])
+                raise Crash
+            real_dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_half_then_crash)
+        with pytest.raises(Crash):
+            run_experiment(cfg)
+        monkeypatch.undo()
+        assert (tmp_path / "rep_000" / "rep_report.json").exists()
+        assert not (tmp_path / "rep_001" / "rep_report.json").exists()
+
+        assert run_experiment(cfg)["errors"] == {}
+        uninterrupted = {name: data for name, data in files(run_dir[0]).items()
+                         if name == "report.json" or name.startswith("rep_")}
+        assert files(tmp_path) == uninterrupted
+
+    def test_unreadable_marker_is_an_error_and_the_run_goes_on(self, run_dir, tmp_path):
+        cfg = copy_run(run_dir, tmp_path)
+        (tmp_path / "rep_001" / "rep_report.json").write_text('{"rep": 1, "att', encoding="utf-8")
+        report = run_experiment(cfg)
+        assert report["n_repetitions_completed"] == 1
+        assert report["errors"]["1"].startswith("JSONDecodeError")
+
+
+def test_write_csv_writes_an_array_as_its_rows(tmp_path):
+    rows = np.array([[np.inf, 0.0, 0.0], [0.1 + 0.2, 1 / 3, 1e-300], [-2.5, 1.0, 5.0]])
+    _write_csv(tmp_path / "array.csv", "a,b,c", rows)
+    _write_csv(tmp_path / "rows.csv", "a,b,c", [tuple(r) for r in rows.tolist()])
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestReportRender:
@@ -296,6 +410,15 @@ class TestAggregate:
 
         report = _aggregate(dataset, replace(TINY, fpr_targets=(0.0,), metadata_key="age"), [rep], members, {})
         assert report["attacks"]["lira"]["metadata_analysis"] == {"not_applicable": "metadata key 'age' absent"}
+
+    def test_nan_metadata_is_not_ranked(self):
+        ids = [f"s{i}" for i in range(8)]
+        size = np.array([0.0, np.nan, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        dataset = Dataset(ids, np.zeros((8, 1)), np.zeros(8, dtype=int), meta={"size": size})
+        rep = hand_rep(0.05)
+        rep["attacks"]["lira"] = {**rep["attacks"]["lira"], "identified": {"0.0": ["s0", "s1"]}}
+        report = _aggregate(dataset, replace(TINY, fpr_targets=(0.0,), metadata_key="size"), [rep], [set(ids[:4])], {})
+        assert report["attacks"]["lira"]["metadata_analysis"] == {"not_applicable": "cannot rank NaN values"}
 
     def test_metadata_means_do_not_depend_on_the_hash_seed(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -178,6 +178,11 @@ class TestMannWhitney:
         with pytest.raises(ValueError):
             mann_whitney_u([], [1.0])
 
+    def test_nan_raises(self):
+        """NaN has no rank: it is refused, not ranked above every number."""
+        with pytest.raises(ValueError, match="NaN"):
+            mann_whitney_u([1.0, float("nan")], [2.0, 3.0])
+
     @pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
     def test_exact_matches_brute_force(self, alternative):
         rng = np.random.default_rng(11)
