@@ -1,15 +1,15 @@
 """Per-sample membership scores: likelihood-ratio (LiRA) and robust (RMIA) attacks.
 
-Both attacks consume the target model's true-label confidences and the
-shadow ConfidenceMatrix; they are pure functions of their inputs and
-bit-deterministic on recomputation. Every per-candidate array (target
-confidences, matrix rows, scores and member vector) follows one order:
-the challenge's candidates in dataset order. Both attacks score every
-candidate at once: LiRA from masked row sums over the candidate x shadow
-logit matrix, RMIA from (Z x K) @ (K x block) products over fixed-size
-candidate blocks. The LiRA score is the natural-log likelihood ratio.
-The scalar :func:`lira_score` and :func:`rmia_score` state each attack
-for a single candidate and serve as test oracles.
+Both attacks are pure, bit-deterministic functions of confidence arrays;
+:func:`z_confidences`, which gathers RMIA's Z table, is the one function
+here that queries models. Every per-candidate array (target confidences,
+matrix rows, scores and flag rows) follows one order: the challenge's
+candidates in dataset order, as ``TargetArtifacts.ids`` lists them. Both
+attacks score every candidate at once: LiRA from masked row sums over the
+candidate x shadow logit matrix, RMIA from (Z x K) @ (K x block) products
+over fixed-size candidate blocks. The LiRA score is the natural-log
+likelihood ratio. The scalar :func:`lira_score` and :func:`rmia_score`
+state each attack for a single candidate and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from leakaudit.game import Challenge, ConfidenceMatrix, ShadowEnsemble, TargetArtifacts, collect_confidences
-from leakaudit.nnet import predict_confidences
+from leakaudit.game import ShadowEnsemble, TargetArtifacts, collect_confidences
+from leakaudit.nnet import TrainedModel, predict_confidences
 from leakaudit.recipe import check
 from leakaudit.stats import fit_gaussian
 
@@ -36,6 +36,7 @@ __all__ = [
     "lira_score",
     "run_lira",
     "rmia_score",
+    "z_confidences",
     "run_rmia",
     "save_scores",
 ]
@@ -69,30 +70,18 @@ class RmiaParams:
 
 @dataclass
 class AttackScores:
-    """Per-candidate membership scores; higher means more likely a member.
+    """Per-candidate membership scores, one per candidate row; higher means more likely a member.
 
-    ``scores`` and ``is_member`` are aligned with ``ids`` (every challenge
-    candidate once); ``flags`` maps each fallback-scored id to its reason.
+    ``flags`` maps the row of each fallback-scored candidate to its reason.
     """
 
-    attack: str
-    ids: tuple[str, ...]
     scores: np.ndarray
-    challenge: Challenge
-    flags: dict[str, str] = field(default_factory=dict)
-    is_member: np.ndarray = field(init=False)
+    flags: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        candidates = self.challenge.candidate_ids
-        if len(self.ids) != len(candidates) or set(self.ids) != set(candidates):
-            raise ValueError(f"table ids do not list the {len(candidates)} challenge candidates")
-        if self.scores.shape != (len(self.ids),):
-            raise ValueError(f"{self.scores.shape} scores for {len(self.ids)} candidates")
-        bad = ~np.isfinite(self.scores)
-        if bad.any():
-            raise ValueError(f"non-finite scores for ids {[self.ids[r] for r in np.flatnonzero(bad)[:5]]}")
-        members = set(self.challenge.member_ids)
-        self.is_member = np.array([i in members for i in self.ids], dtype=bool)
+        bad = np.flatnonzero(~np.isfinite(self.scores))
+        if bad.size:
+            raise ValueError(f"non-finite scores at candidate rows {bad[:5].tolist()}")
 
 
 def rescale_confidence(p: float | np.ndarray, eps: float = LiraParams.clip_eps) -> float | np.ndarray:
@@ -119,27 +108,31 @@ def _log_normal_pdf(x, mean, var):
     return -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
 
 
-def _check_aligned(artifacts: TargetArtifacts, confs: ConfidenceMatrix) -> None:
-    if artifacts.ids != confs.ids:
-        raise ValueError("target confidences are not aligned with the confidence matrix rows")
+def _check_shapes(target: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
+    if values.ndim != 2 or mask.shape != values.shape or target.shape != values.shape[:1]:
+        raise ValueError(f"target {target.shape}, values {values.shape} and mask {mask.shape} "
+                         "are not aligned as one (candidate x shadow) matrix")
 
 
 def run_lira(
-    artifacts: TargetArtifacts,
-    confs: ConfidenceMatrix,
+    target: np.ndarray,
+    values: np.ndarray,
+    mask: np.ndarray,
     params: LiraParams = LiraParams(),
 ) -> AttackScores:
-    """Per-candidate log-likelihood ratios from the shadow confidence matrix.
+    """Per-candidate log-likelihood ratios from the (candidate x shadow) confidences ``values``.
 
-    Each side's Gaussian is fitted to the candidate's in-shadow (or
-    out-shadow) logits: the mean, and the unbiased variance floored at
-    ``variance_floor`` (exactly the floor for a single logit). Candidates
-    lacking an in-shadow (or out-shadow) population are scored against a
-    Gaussian pooled over all candidates' out-shadow logits and flagged.
+    ``target`` holds the target's confidence of each candidate and ``mask``
+    marks the shadows that trained on it. Each side's Gaussian is fitted
+    to the candidate's in-shadow (or out-shadow) logits: the mean, and the
+    unbiased variance floored at ``variance_floor`` (exactly the floor for
+    a single logit). Candidates lacking an in-shadow (or out-shadow)
+    population are scored against a Gaussian pooled over all candidates'
+    out-shadow logits and flagged.
     """
-    _check_aligned(artifacts, confs)
-    logits = rescale_confidence(confs.values, params.clip_eps)
-    inside = confs.mask.astype(bool)
+    _check_shapes(target, values, mask)
+    logits = rescale_confidence(values, params.clip_eps)
+    inside = mask.astype(bool)
     floor = params.variance_floor
     pooled_out = logits[~inside]
     pooled_fit = fit_gaussian(pooled_out, floor=floor) if pooled_out.size else None
@@ -162,9 +155,9 @@ def run_lira(
             ss = sum(float(sq_dev[count >= 2].sum()) for _, count, _, sq_dev in sides)
             global_var = max(ss / (n_res - 1), floor)
 
-    o_target = rescale_confidence(artifacts.confidences, params.clip_eps)
+    o_target = rescale_confidence(target, params.clip_eps)
     log_l = []
-    flags: dict[str, str] = {}
+    flags: dict[int, str] = {}
     for name, count, mean, sq_dev in sides:
         # unbiased variance; a side with a single logit gets the floor
         var = np.maximum(sq_dev / np.maximum(count - 1, 1), floor)
@@ -173,16 +166,15 @@ def run_lira(
         missing = count == 0
         if missing.any():
             if pooled_fit is None:
-                first = confs.ids[np.argmax(missing)]
-                raise ValueError(f"candidate {first!r}: no {name}-shadows and no pooled fallback")
+                raise ValueError(f"candidate row {np.argmax(missing)}: no {name}-shadows and no pooled fallback")
             mean = np.where(missing, pooled_fit.mean, mean)
             var = np.where(missing, pooled_fit.variance, var)
-            flags.update({confs.ids[r]: f"no_{name}_shadow" for r in np.flatnonzero(missing)})
+            flags.update(dict.fromkeys(np.flatnonzero(missing).tolist(), f"no_{name}_shadow"))
         log_l.append(_log_normal_pdf(o_target, mean, var))
     log_lr = log_l[0] - log_l[1]
     if flags:
         log.warning("LiRA: %d candidates scored via pooled fallback", len(flags))
-    return AttackScores(attack="lira", ids=confs.ids, scores=log_lr, challenge=artifacts.challenge, flags=flags)
+    return AttackScores(scores=log_lr, flags=flags)
 
 
 def rmia_score(
@@ -210,39 +202,41 @@ def rmia_score(
     return float(np.mean(ratio_m / ratio_z >= gamma))
 
 
+def z_confidences(ensemble: ShadowEnsemble, target: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
+    """RMIA's Z table: the (Z x shadow) confidences of ``ensemble`` on its Z samples, and the target's."""
+    z_shadow, _ = collect_confidences(ensemble, ensemble.z)
+    return z_shadow, predict_confidences(target, ensemble.z.X, ensemble.z.y)
+
+
 def run_rmia(
-    artifacts: TargetArtifacts,
-    confs: ConfidenceMatrix,
-    ensemble: ShadowEnsemble,
+    target: np.ndarray,
+    values: np.ndarray,
+    mask: np.ndarray,
+    z_shadow: np.ndarray,
+    z_target: np.ndarray,
     params: RmiaParams = RmiaParams(),
 ) -> AttackScores:
-    """RMIA scores for every candidate against the ensemble's shared Z table.
+    """RMIA scores for every candidate against the shared Z table (see :func:`z_confidences`).
 
-    A candidate's P(z) averages the Z confidences over the shadows that
-    excluded it, or over all shadows when none did (flagged). Candidates
-    are scored in blocks so that no temporary exceeds
+    ``target``, ``values`` and ``mask`` are as in :func:`run_lira`. A
+    candidate's P(z) averages the Z confidences ``z_shadow`` over the
+    shadows that excluded it, or over all shadows when none did (flagged).
+    Candidates are scored in blocks so that no temporary exceeds
     ``RMIA_BLOCK_ELEMENTS`` elements however large Z and the challenge are.
     """
-    _check_aligned(artifacts, confs)
-    if not ensemble.z_ids:
-        raise ValueError("ensemble carries an empty Z set")
-    z_shadow = ensemble.z_confidences
-    if z_shadow is None:
-        z_shadow = collect_confidences(ensemble, ensemble.z).values
-    z_target = ensemble.z_target_confidences
-    if z_target is None:
-        if artifacts.model is None:
-            raise ValueError("target confidences for Z unavailable and no target model to query")
-        z_target = predict_confidences(artifacts.model, ensemble.z.X, ensemble.z.y)
+    _check_shapes(target, values, mask)
+    if not len(z_target) or z_shadow.shape != (len(z_target), values.shape[1]):
+        raise ValueError(f"Z table {z_shadow.shape} needs a row for each of the {len(z_target)} Z targets "
+                         f"(at least one) and a column for each of the {values.shape[1]} shadows")
 
-    out = ~confs.mask.astype(bool)
+    out = ~mask.astype(bool)
     no_out = ~out.any(axis=1)
     out[no_out] = True
     n_out = out.sum(axis=1)
-    ratio_m = artifacts.confidences / confs.values.mean(axis=1)
+    ratio_m = target / values.mean(axis=1)
     block = max(1, RMIA_BLOCK_ELEMENTS // len(z_target))
-    dominated = np.empty(len(confs.ids), dtype=np.int64)
-    for lo in range(0, len(confs.ids), block):
+    dominated = np.empty(len(target), dtype=np.int64)
+    for lo in range(0, len(target), block):
         hi = lo + block
         p_z = z_shadow @ out[lo:hi].T.astype(float)
         p_z /= n_out[lo:hi]
@@ -250,21 +244,22 @@ def run_rmia(
         dominated[lo:hi] = np.count_nonzero(ratio_m[lo:hi] / ratio_z >= params.gamma, axis=0)
     scores = dominated / len(z_target)
 
-    flags = {confs.ids[r]: "no_out_shadow" for r in np.flatnonzero(no_out)}
+    flags = dict.fromkeys(np.flatnonzero(no_out).tolist(), "no_out_shadow")
     if flags:
         log.warning("RMIA: %d candidates had no excluding shadow; averaged over all shadows",
                     len(flags))
-    return AttackScores(attack="rmia", ids=confs.ids, scores=scores, challenge=artifacts.challenge, flags=flags)
+    return AttackScores(scores=scores, flags=flags)
 
 
-def save_scores(scores: AttackScores, path: str | Path) -> None:
-    """Write the score table as CSV ``id,score,is_member,flags``, rows in challenge order (members first)."""
-    row = {i: r for r, i in enumerate(scores.ids)}
-    order = [row[i] for i in scores.challenge.candidate_ids]
+def save_scores(table: AttackScores, path: str | Path, artifacts: TargetArtifacts) -> None:
+    """Write ``table`` as CSV ``id,score,is_member,flags``, rows in ``artifacts``' challenge order (members first)."""
+    if table.scores.shape != artifacts.confidences.shape:
+        raise ValueError(f"{len(table.scores)} scores for {len(artifacts.ids)} candidates")
+    row = {i: r for r, i in enumerate(artifacts.ids)}
+    order = [row[i] for i in artifacts.challenge.candidate_ids]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score", "is_member", "flags"])
-        for sample_id, score, member in zip(scores.challenge.candidate_ids, scores.scores[order].tolist(),
-                                            scores.is_member[order].tolist()):
-            writer.writerow([sample_id, repr(score), int(member), scores.flags.get(sample_id, "")])
-
+        for r, sample_id, score, member in zip(order, artifacts.challenge.candidate_ids,
+                                               table.scores[order].tolist(), artifacts.is_member[order].tolist()):
+            writer.writerow([sample_id, repr(score), int(member), table.flags.get(r, "")])

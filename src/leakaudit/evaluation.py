@@ -2,8 +2,9 @@
 
 Thresholds sweep the unique score values with equal scores admitted
 atomically, so the reported FPR never exceeds the target. FPR = 0 means
-"strictly above every non-member score". The per-table functions read an
-:class:`AttackScores` table's arrays through boolean masks, in its order.
+"strictly above every non-member score". The per-table functions take an
+attack's score array with the candidates' member vector (and ids or
+labels) aligned with it, and read them through boolean masks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from leakaudit.attacks import AttackScores
 from leakaudit.stats import TestResult, hypergeom_expected, mann_whitney_u, wilcoxon_signed_rank
 
 __all__ = [
@@ -45,8 +45,6 @@ class RocCurve:
     thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
-    n_members: int
-    n_nonmembers: int
 
 
 @dataclass(frozen=True)
@@ -69,17 +67,16 @@ class CharacteristicResult:
     n_skipped: int
 
 
-def roc_curve(scores: AttackScores) -> RocCurve:
-    """Exact ROC over unique score thresholds (rule: score >= threshold)."""
-    s, y = scores.scores, scores.is_member
-    n_mem = int(y.sum())
-    n_non = int(len(y) - n_mem)
+def roc_curve(scores: np.ndarray, is_member: np.ndarray) -> RocCurve:
+    """Exact ROC over unique score thresholds (rule: score >= threshold); ``is_member`` is boolean."""
+    n_mem = int(is_member.sum())
+    n_non = int(len(is_member) - n_mem)
     if n_mem == 0 or n_non == 0:
         raise ValueError("ROC requires at least one member and one non-member")
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    y_sorted = is_member[order]
     tp = np.cumsum(y_sorted)
     fp = np.cumsum(~y_sorted)
     # last index of each tie block = atomic admission of equal scores
@@ -89,7 +86,7 @@ def roc_curve(scores: AttackScores) -> RocCurve:
     thresholds = np.concatenate([[np.inf], s_sorted[idx]])
     fpr = np.concatenate([[0.0], fp[idx] / n_non])
     tpr = np.concatenate([[0.0], tp[idx] / n_mem])
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, n_members=n_mem, n_nonmembers=n_non)
+    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
 
 
 def tpr_at_fpr(roc: RocCurve, fpr_target: float) -> float:
@@ -114,9 +111,10 @@ def baseline_tpr(n_members: int) -> float:
     return 2.0 / n_members
 
 
-def identified_members(scores: AttackScores, threshold: float) -> frozenset[str]:
-    """Member ids admitted at ``threshold``, e.g. :func:`threshold_at_fpr` of the table's ROC."""
-    return frozenset(compress(scores.ids, scores.is_member & (scores.scores >= threshold)))
+def identified_members(ids: Sequence[str], scores: np.ndarray, is_member: np.ndarray,
+                       threshold: float) -> frozenset[str]:
+    """Member ids admitted at ``threshold``, e.g. :func:`threshold_at_fpr` of the scores' ROC."""
+    return frozenset(compress(ids, is_member & (scores >= threshold)))
 
 
 def overlap_fraction(set_a: Iterable[str], set_b: Iterable[str]) -> float | None:
@@ -214,23 +212,24 @@ def characteristic_analysis(
 
 
 def minority_tpr(
-    scores: AttackScores,
+    scores: np.ndarray,
+    is_member: np.ndarray,
     labels: np.ndarray,
     threshold: float,
 ) -> float:
     """TPR over minority-class members at a full-challenge threshold.
 
-    ``labels`` holds each candidate's class label, aligned with
-    ``scores.ids``. The threshold is fixed by the complete challenge (see
-    :func:`threshold_at_fpr`); only the TPR numerator/denominator
-    restrict to the minority class.
+    ``is_member`` and ``labels`` hold each candidate's membership bit and
+    class label, aligned with ``scores``. The threshold is fixed by the
+    complete challenge (see :func:`threshold_at_fpr`); only the TPR
+    numerator/denominator restrict to the minority class.
     """
-    n_pos = int(np.count_nonzero(labels[scores.is_member] == 1))
-    n_neg = int(np.count_nonzero(scores.is_member)) - n_pos
+    n_pos = int(np.count_nonzero(labels[is_member] == 1))
+    n_neg = int(np.count_nonzero(is_member)) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("no minority class present among members")
-    minority = scores.is_member & (labels == (1 if n_pos < n_neg else 0))
-    hits = int(np.count_nonzero(minority & (scores.scores >= threshold)))
+    minority = is_member & (labels == (1 if n_pos < n_neg else 0))
+    hits = int(np.count_nonzero(minority & (scores >= threshold)))
     return hits / int(np.count_nonzero(minority))
 
 

@@ -9,7 +9,7 @@ shadow training.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "ShadowParams",
     "TargetArtifacts",
     "ShadowEnsemble",
-    "ConfidenceMatrix",
     "assign_membership",
     "draw_challenge",
     "target_job",
@@ -101,18 +100,24 @@ class TargetArtifacts:
 
     ``ids`` are the challenge's candidates in dataset order, as
     ``dataset.subset(challenge.candidate_ids)`` yields them, and
-    ``confidences`` holds the target's true-label confidence of each.
+    ``confidences`` and ``is_member`` hold the target's true-label confidence and the membership of each.
     """
 
-    model: TrainedModel | None
+    model: TrainedModel
     ids: tuple[str, ...]
     confidences: np.ndarray
     challenge: Challenge
-    split: SplitAssignment | None
+    split: SplitAssignment
+    is_member: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        candidates = self.challenge.candidate_ids
+        if len(self.ids) != len(candidates) or set(self.ids) != set(candidates):
+            raise ValueError(f"ids do not list the {len(candidates)} challenge candidates")
         if self.confidences.shape != (len(self.ids),):
             raise ValueError(f"{self.confidences.shape} target confidences for {len(self.ids)} candidates")
+        members = set(self.challenge.member_ids)
+        self.is_member = np.array([i in members for i in self.ids], dtype=bool)
 
 
 @dataclass
@@ -123,25 +128,22 @@ class ShadowEnsemble:
     universe; the reserved Z ids, which no shadow trains on, are listed
     only in ``z_ids``, so :meth:`rows` gives them -1. ``z`` holds the Z
     samples themselves, in ``z_ids`` order, which the shadows and the
-    target are queried on; ``z_confidences`` (Z x shadow) and
-    ``z_target_confidences`` (per Z id), when set, stand in for those queries.
+    target are queried on.
     """
 
     models: tuple[TrainedModel, ...]
     ids: tuple[str, ...]
     mask: np.ndarray
     z_ids: tuple[str, ...]
+    z: Dataset
     shadow_epochs: int
     seed: int
-    z: Dataset | None = None
-    shadow_seeds: tuple[int, ...] = ()
-    z_confidences: np.ndarray | None = None
-    z_target_confidences: np.ndarray | None = None
+    shadow_seeds: tuple[int, ...]
 
     def __post_init__(self):
         if self.mask.shape != (len(self.ids), self.k):
             raise ValueError(f"mask shape {self.mask.shape} does not match ids x shadows")
-        if self.z is not None and self.z.ids != self.z_ids:
+        if self.z.ids != self.z_ids:
             raise ValueError("Z dataset rows do not match z_ids")
         listed = np.flatnonzero(self.rows(self.z_ids) >= 0)
         if listed.size:
@@ -149,25 +151,12 @@ class ShadowEnsemble:
 
     @property
     def k(self) -> int:
-        return len(self.models) if self.models else self.mask.shape[1]
+        return len(self.models)
 
     def rows(self, sample_ids: Sequence[str]) -> np.ndarray:
         """Mask row of each id, or -1 for an id the ensemble never saw."""
         index = {i: r for r, i in enumerate(self.ids)}
         return np.array([index.get(i, -1) for i in sample_ids], dtype=np.intp)
-
-
-@dataclass
-class ConfidenceMatrix:
-    """(sample x shadow) true-label confidences with the parallel inclusion mask."""
-
-    ids: tuple[str, ...]
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.mask.shape or self.values.shape[0] != len(self.ids):
-            raise ValueError("confidence matrix dimensions disagree with ids/mask")
 
 
 def assign_membership(candidate_ids: Sequence[str], p_member: float, seed: int) -> Challenge:
@@ -312,16 +301,14 @@ def train_shadow_ensemble(
     )
 
 
-def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> ConfidenceMatrix:
-    """True-label confidence of every (sample, shadow) pair, with mask rows aligned."""
-    if not ensemble.models:
-        raise ValueError("ensemble carries no trained models")
+def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(sample x shadow) true-label confidences, and the inclusion mask rows of the samples (zero for unseen ids)."""
     values = np.column_stack([predict_confidences(m, samples.X, samples.y) for m in ensemble.models])
     row = ensemble.rows(samples.ids)
     seen = row >= 0
     mask = np.zeros((len(samples), ensemble.k), dtype=np.uint8)
     mask[seen] = ensemble.mask[row[seen]]
-    return ConfidenceMatrix(ids=samples.ids, values=values, mask=mask)
+    return values, mask
 
 
 def save_challenge(challenge: Challenge, path: str | Path) -> None:

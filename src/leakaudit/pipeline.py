@@ -10,8 +10,9 @@ ensemble to the score and ROC CSVs and the ``rep_report.json``, and both
 aggregate into ``report.json`` through :func:`_write_report`. A run
 trains the target and the shadows first; a re-attack redraws the game
 with the stored target and loads the stored ensemble. Both reports are
-replaced atomically. Per-candidate arrays on that path, labels included,
-follow the one candidate order of :mod:`leakaudit.attacks`.
+replaced atomically. The attacks and the evaluation take plain arrays in
+the one candidate order of :mod:`leakaudit.attacks`; the candidates' ids
+and membership come from the repetition's ``TargetArtifacts``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from leakaudit.attacks import AttackScores, run_lira, run_rmia, save_scores
+from leakaudit.attacks import AttackScores, run_lira, run_rmia, save_scores, z_confidences
 from leakaudit.config import ExperimentConfig
 from leakaudit.data import Dataset, SplitAssignment, load_dataset
 from leakaudit.evaluation import (
@@ -136,41 +137,44 @@ def _finish_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, artifacts: Ta
                 ensemble: ShadowEnsemble, rep_dir: Path) -> dict:
     """Score every candidate with both attacks, write the score and ROC CSVs, then the ``rep_report.json`` marker.
 
-    The population AUROC scores the target's probability of class 1.
+    Both attacks share one query of the shadows on the candidates. The
+    population AUROC scores the target's probability of class 1.
     """
-    confs = collect_confidences(ensemble, dataset.subset(artifacts.challenge.candidate_ids))
+    values, mask = collect_confidences(ensemble, dataset.subset(artifacts.challenge.candidate_ids))
+    z_shadow, z_target = z_confidences(ensemble, artifacts.model)
     scores = {
-        "lira": run_lira(artifacts, confs, cfg.lira),
-        "rmia": run_rmia(artifacts, confs, ensemble, cfg.rmia),
+        "lira": run_lira(artifacts.confidences, values, mask, cfg.lira),
+        "rmia": run_rmia(artifacts.confidences, values, mask, z_shadow, z_target, cfg.rmia),
     }
     for name in ATTACK_NAMES:
-        save_scores(scores[name], rep_dir / f"scores_{name}.csv")
-        roc = roc_curve(scores[name])
+        save_scores(scores[name], rep_dir / f"scores_{name}.csv", artifacts)
+        roc = roc_curve(scores[name].scores, artifacts.is_member)
         _write_csv(rep_dir / f"roc_{name}.csv", "threshold,fpr,tpr",
                    np.column_stack([roc.thresholds, roc.fpr, roc.tpr]))
     pop = dataset.subset(artifacts.split.population_ids)
     conf1 = predict_confidences(artifacts.model, pop.X, np.ones(len(pop), dtype=int))
-    summary = {**_evaluate_rep(dataset, cfg, scores), "rep": rep, "population_auroc": auroc(conf1, pop.y)}
+    summary = {**_evaluate_rep(dataset, cfg, artifacts, scores), "rep": rep, "population_auroc": auroc(conf1, pop.y)}
     return _write_json(rep_dir / "rep_report.json", summary)
 
 
-def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, scores: dict[str, AttackScores]) -> dict:
+def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, artifacts: TargetArtifacts,
+                  scores: dict[str, AttackScores]) -> dict:
+    challenge, is_member = artifacts.challenge, artifacts.is_member
     summary: dict = {"attacks": {}}
-    any_challenge = next(iter(scores.values())).challenge
-    summary["n_members"] = len(any_challenge.member_ids)
-    summary["n_nonmembers"] = len(any_challenge.nonmember_ids)
-    summary["baseline_tpr"] = baseline_tpr(len(any_challenge.member_ids))
+    summary["n_members"] = len(challenge.member_ids)
+    summary["n_nonmembers"] = len(challenge.nonmember_ids)
+    summary["baseline_tpr"] = baseline_tpr(len(challenge.member_ids))
+    labels = dataset.y[dataset.rows(artifacts.ids)]
     for name, table in scores.items():
-        roc = roc_curve(table)
-        labels = dataset.y[dataset.rows(table.ids)]
+        roc = roc_curve(table.scores, is_member)
         entry: dict = {"tpr": {}, "minority_tpr": {}, "identified": {}, "n_flagged": len(table.flags)}
         for fpr in cfg.fpr_targets:
             key = _fpr_key(fpr)
             threshold = threshold_at_fpr(roc, fpr)
             entry["tpr"][key] = tpr_at_fpr(roc, fpr)
-            entry["identified"][key] = sorted(identified_members(table, threshold))
+            entry["identified"][key] = sorted(identified_members(artifacts.ids, table.scores, is_member, threshold))
             try:
-                entry["minority_tpr"][key] = minority_tpr(table, labels, threshold)
+                entry["minority_tpr"][key] = minority_tpr(table.scores, is_member, labels, threshold)
             except ValueError:
                 entry["minority_tpr"][key] = None
         summary["attacks"][name] = entry
@@ -328,9 +332,10 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
 
     Every stored game is drawn again from ``cfg`` before any is rewritten;
     a changed challenge (the config or the data no longer describes the
-    directory) raises and changes no file. A repetition whose files cannot
-    be read is recorded under ``errors``; with none readable, this raises
-    :class:`FileNotFoundError`.
+    directory) or stored shadows of another ``shadow.count`` or
+    ``shadow.epochs`` raise and change no file. A repetition whose files
+    cannot be read is recorded under ``errors``; with none readable, this
+    raises :class:`FileNotFoundError`.
     """
     out_dir = Path(cfg.output_dir)
     dataset = build_dataset(cfg)
@@ -349,6 +354,10 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
             continue
         if artifacts.challenge != challenge:
             raise ValueError(f"{rep_dir}: the config or the data no longer draws the stored challenge")
+        for key, trained, wanted in (("shadow.count", ensemble.k, cfg.shadow.count),
+                                     ("shadow.epochs", ensemble.shadow_epochs, cfg.shadow.epochs)):
+            if trained != wanted:
+                raise ValueError(f"{rep_dir}: {key} is {wanted}, but the stored shadows have {trained}")
         stored.append((rep, rep_dir, artifacts, ensemble))
     if not stored:
         raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
@@ -366,7 +375,7 @@ def _load_ensemble(rep_dir: Path, dataset: Dataset) -> ShadowEnsemble:
         ids=tuple(manifest["ids"]),
         mask=manifest["mask"],
         z_ids=z_ids,
-        z=dataset.take(dataset.rows(z_ids)) if z_ids else None,
+        z=dataset.take(dataset.rows(z_ids)),
         shadow_epochs=manifest["shadow_epochs"],
         seed=manifest["seed"],
         shadow_seeds=tuple(manifest["shadow_seeds"]),

@@ -41,7 +41,6 @@ class GaussianFit:
 
     mean: float
     variance: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class TestResult:
     statistic: float
     p_value: float
     method: str
-    alternative: str
 
 
 def fit_gaussian(samples: Sequence[float], floor: float = 1e-6) -> GaussianFit:
@@ -69,7 +67,7 @@ def fit_gaussian(samples: Sequence[float], floor: float = 1e-6) -> GaussianFit:
         raise ValueError("cannot fit a Gaussian to an empty sample")
     mean = float(arr.mean())
     var = float(arr.var(ddof=1)) if arr.size > 1 else floor
-    return GaussianFit(mean=mean, variance=max(var, floor), count=int(arr.size))
+    return GaussianFit(mean=mean, variance=max(var, floor))
 
 
 def _normal_sf(z: float) -> float:
@@ -84,7 +82,7 @@ def _check_alternative(alternative: str) -> None:
 def _result(statistic: float, p_greater: float, p_less: float, method: str, alternative: str) -> TestResult:
     """The outcome for ``alternative`` from the two one-sided tail probabilities."""
     p = {"greater": p_greater, "less": p_less}.get(alternative, 2.0 * min(p_greater, p_less))
-    return TestResult(statistic=statistic, p_value=float(min(p, 1.0)), method=method, alternative=alternative)
+    return TestResult(statistic=statistic, p_value=float(min(p, 1.0)), method=method)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -114,7 +112,7 @@ def wilcoxon_signed_rank(
     diffs = diffs[diffs != 0.0]
     n = diffs.size
     if n == 0:
-        return TestResult(statistic=0.0, p_value=1.0, method="degenerate", alternative=alternative)
+        return TestResult(statistic=0.0, p_value=1.0, method="degenerate")
 
     ranks = _midranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())

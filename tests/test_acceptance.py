@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leakaudit.attacks import LiraParams, RmiaParams, run_lira, run_rmia
+from leakaudit.attacks import LiraParams, RmiaParams, run_lira, run_rmia, z_confidences
 from leakaudit.config import ExperimentConfig, ShadowParams
 from leakaudit.data import split_dataset
 from leakaudit.evaluation import (
@@ -26,9 +26,6 @@ from leakaudit.evaluation import (
     tpr_at_fpr,
 )
 from leakaudit.game import (
-    Challenge,
-    ConfidenceMatrix,
-    TargetArtifacts,
     assign_membership,
     collect_confidences,
     load_challenge,
@@ -228,13 +225,8 @@ def test_criterion_2_exact_test_oracles(capsys):
 
 
 def make_scores(values, labels):
-    from leakaudit.attacks import AttackScores
-
-    ids = tuple(f"c{i}" for i in range(len(values)))
-    members = tuple(i for i, y in zip(ids, labels) if y == 1)
-    nonmembers = tuple(i for i, y in zip(ids, labels) if y == 0)
-    challenge = Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=0.67, seed=0)
-    return AttackScores(attack="lira", ids=ids, scores=np.asarray(values, dtype=float), challenge=challenge)
+    """A score array and the boolean member vector aligned with it (label 1 = member)."""
+    return np.asarray(values, dtype=float), np.asarray(labels) == 1
 
 
 def test_criterion_3_roc_oracle(capsys):
@@ -258,7 +250,7 @@ def test_criterion_3_roc_oracle(capsys):
                 float((admitted & (labels == 0)).sum() / n0),
                 float((admitted & (labels == 1)).sum() / n1),
             ))
-        roc = roc_curve(make_scores(values, labels))
+        roc = roc_curve(*make_scores(values, labels))
         got = {(float(f), float(t)) for f, t in zip(roc.fpr, roc.tpr)}
         assert got == points, trial
         for target in (0.0, 0.001, 0.05, 0.5):
@@ -304,8 +296,6 @@ def test_criterion_4_baseline_monte_carlo(capsys):
 
 
 def test_criterion_5_hand_fixture_attacks(capsys):
-    from leakaudit.game import ShadowEnsemble
-
     def sigmoid(x):
         return 1.0 / (1.0 + math.exp(-x))
 
@@ -320,12 +310,10 @@ def test_criterion_5_hand_fixture_attacks(capsys):
         _, in_logit, out_logit = logits[i]
         values[r, mask[r].argmax()] = sigmoid(in_logit)
         values[r, 1 - mask[r].argmax()] = sigmoid(out_logit)
-    challenge = Challenge(member_ids=("A", "B"), nonmember_ids=("C",), p_member=0.67, seed=0)
-    artifacts = TargetArtifacts(model=None, ids=ids, confidences=target_confs, challenge=challenge, split=None)
-    confs = ConfidenceMatrix(ids=ids, values=values, mask=mask)
 
-    lira = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
-    lira_scores = dict(zip(lira.ids, lira.scores.tolist()))
+    # rows of every array follow ids
+    lira = run_lira(target_confs, values, mask, LiraParams(variance_floor=1.0))
+    lira_scores = dict(zip(ids, lira.scores.tolist()))
     expected_lira = {"A": 2.0, "B": 0.0, "C": 4.0}
     lira_ok = all(
         abs(lira_scores[i] - v) <= 1e-10 for i, v in expected_lira.items()
@@ -335,15 +323,11 @@ def test_criterion_5_hand_fixture_attacks(capsys):
     # shadow confidences (0.5, 0.25), so its ratio is 0.75/0.375 = 2; with
     # gamma=2 it dominates exactly one of the two reference points (z
     # ratios 1 and 2 from the excluding shadow), scoring 0.5
-    artifacts.confidences[ids.index("A")] = 0.75
-    confs.values[0] = [0.5, 0.25]
-    ensemble = ShadowEnsemble(
-        models=(), ids=ids, mask=mask, z_ids=("z0", "z1"),
-        shadow_epochs=1, seed=0, z_confidences=np.array([[0.9, 0.5], [0.1, 0.4]]),
-        z_target_confidences=np.array([0.5, 0.8]),
-    )
-    rmia = run_rmia(artifacts, confs, ensemble, RmiaParams(gamma=2.0))
-    rmia_a = float(rmia.scores[rmia.ids.index("A")])
+    target_confs[ids.index("A")] = 0.75
+    values[0] = [0.5, 0.25]
+    z_shadow, z_target = np.array([[0.9, 0.5], [0.1, 0.4]]), np.array([0.5, 0.8])
+    rmia = run_rmia(target_confs, values, mask, z_shadow, z_target, RmiaParams(gamma=2.0))
+    rmia_a = float(rmia.scores[ids.index("A")])
     rmia_ok = abs(rmia_a - 0.5) <= 1e-10
 
     ok = lira_ok and rmia_ok
@@ -397,23 +381,17 @@ def _null_study_tprs(study, n_reps=5):
         target_confs = predict_confidences(
             trained, candidates.features_array(), candidates.labels_array()
         )
-        artifacts = TargetArtifacts(
-            model=trained,
-            ids=candidates.ids,
-            confidences=target_confs,
-            challenge=challenge,
-            split=None,
-        )
+        is_member = np.isin(candidates.ids, challenge.member_ids)
         ensemble = train_shadow_ensemble(
             pop, candidates, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed
         )
-        confs = collect_confidences(ensemble, candidates)
+        values, mask = collect_confidences(ensemble, candidates)
         tables = {
-            "lira": run_lira(artifacts, confs, LiraParams(global_variance=True)),
-            "rmia": run_rmia(artifacts, confs, ensemble, RmiaParams(gamma=2.0)),
+            "lira": run_lira(target_confs, values, mask, LiraParams(global_variance=True)),
+            "rmia": run_rmia(target_confs, values, mask, *z_confidences(ensemble, trained), RmiaParams(gamma=2.0)),
         }
         for name, table in tables.items():
-            tprs[name].append(tpr_at_fpr(roc_curve(table), 0.0))
+            tprs[name].append(tpr_at_fpr(roc_curve(table.scores, is_member), 0.0))
         baselines.append(baseline_tpr(len(challenge.member_ids)))
     return tprs, baselines
 

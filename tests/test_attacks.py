@@ -20,23 +20,47 @@ from leakaudit.attacks import (
     run_rmia,
     save_scores,
 )
-from leakaudit.game import Challenge, ConfidenceMatrix, ShadowEnsemble, TargetArtifacts
+from leakaudit.data import SplitAssignment
+from leakaudit.game import Challenge, TargetArtifacts
+from leakaudit.nnet import TrainConfig, TrainedModel, init_model
 from leakaudit.stats import fit_gaussian
+
+IDS = ("A", "B", "C")
+CHALLENGE = Challenge(member_ids=("A", "B"), nonmember_ids=("C",), p_member=0.67, seed=0)
 
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def by_id(table):
-    return dict(zip(table.ids, table.scores.tolist()))
+def by_id(table, ids=IDS):
+    """The table's score of each candidate id; its rows follow ``ids``."""
+    assert len(table.scores) == len(ids)
+    return dict(zip(ids, table.scores.tolist()))
+
+
+def flags_by_id(table, ids=IDS):
+    """The table's flags keyed by candidate id instead of row."""
+    return {ids[r]: reason for r, reason in table.flags.items()}
+
+
+def make_artifacts(challenge, ids, confidences):
+    """A target's artifacts around an untrained model: the scores' CSV reads only the ids, challenge and members."""
+    model = TrainedModel(model=init_model(1, TrainConfig(hidden_dims=(1,))), train_losses=[], val_losses=[],
+                         best_epoch=0)
+    split = SplitAssignment(train_ids=challenge.member_ids, validation_ids=(),
+                            population_ids=challenge.nonmember_ids, seed=0)
+    return TargetArtifacts(model=model, ids=ids, confidences=np.asarray(confidences, dtype=float),
+                           challenge=challenge, split=split)
 
 
 def make_fixture():
-    """Three candidates, two shadows, confidences chosen for closed-form ratios.
+    """Three candidates (rows in ``IDS`` order), two shadows, confidences chosen for closed-form ratios.
 
     With variance_floor = 1, every single-observation Gaussian fit has unit
     variance, so log LR = ((o - mu_out)^2 - (o - mu_in)^2) / 2 exactly.
+    Returns the target confidences, the (candidate x shadow) confidences,
+    the inclusion mask and the expected scores.
     """
     # (target logit, in logit, out logit) per candidate
     logits = {
@@ -44,7 +68,7 @@ def make_fixture():
         "B": (0.0, 1.0, -1.0),   # log LR = 0
         "C": (1.0, 2.0, -2.0),   # log LR = 4
     }
-    ids = ("A", "B", "C")
+    ids = IDS
     target_confs = np.array([sigmoid(logits[i][0]) for i in ids])
     # shadow 0 includes A and C; shadow 1 includes B
     mask = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.uint8)
@@ -53,17 +77,13 @@ def make_fixture():
         _, in_logit, out_logit = logits[i]
         values[r, mask[r].argmax()] = sigmoid(in_logit)
         values[r, 1 - mask[r].argmax()] = sigmoid(out_logit)
-    challenge = Challenge(member_ids=("A", "B"), nonmember_ids=("C",), p_member=0.67, seed=0)
-    artifacts = TargetArtifacts(model=None, ids=ids, confidences=target_confs, challenge=challenge, split=None)
-    confs = ConfidenceMatrix(ids=ids, values=values, mask=mask)
     expected = {"A": 2.0, "B": 0.0, "C": 4.0}
-    return artifacts, confs, expected
+    return target_confs, values, mask, expected
 
 
-def reversed_target(artifacts):
-    """The same target confidences, listed in the reverse of the confidence matrix's order."""
-    return TargetArtifacts(model=None, ids=artifacts.ids[::-1], confidences=artifacts.confidences[::-1],
-                           challenge=artifacts.challenge, split=None)
+def misaligned(target, values, mask):
+    """Each of the three arrays cut short in turn, so that its shape disagrees with the other two."""
+    return [(target[1:], values, mask), (target, values[1:], mask), (target, values, mask[:, :1])]
 
 
 class TestRescale:
@@ -112,18 +132,18 @@ class TestLiraScore:
 
 class TestRunLira:
     def test_hand_fixture_exact(self):
-        artifacts, confs, expected = make_fixture()
-        table = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
+        target, values, mask, expected = make_fixture()
+        table = run_lira(target, values, mask, LiraParams(variance_floor=1.0))
         got = by_id(table)
         for i, value in expected.items():
             assert got[i] == pytest.approx(value, abs=1e-10)
         assert table.flags == {}
 
     def test_no_out_shadow_uses_pooled_fallback(self):
-        artifacts, confs, _ = make_fixture()
-        confs.mask[0] = [1, 1]  # candidate A now has no out-shadow
-        table = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
-        assert table.flags == {"A": "no_out_shadow"}
+        target, values, mask, _ = make_fixture()
+        mask[0] = [1, 1]  # candidate A now has no out-shadow
+        table = run_lira(target, values, mask, LiraParams(variance_floor=1.0))
+        assert flags_by_id(table) == {"A": "no_out_shadow"}
         # fallback fits the pooled out logits of B and C: mean -1.5, floored var 1;
         # A's in-fit now covers both shadows: logits (0, -2), mean -1, variance 2
         o = 0.0
@@ -134,10 +154,10 @@ class TestRunLira:
         assert by_id(table)["A"] == pytest.approx(log_num - log_den, abs=1e-10)
 
     def test_no_in_shadow_flagged(self):
-        artifacts, confs, _ = make_fixture()
-        confs.mask[1] = [0, 0]
-        table = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
-        assert table.flags == {"B": "no_in_shadow"}
+        target, values, mask, _ = make_fixture()
+        mask[1] = [0, 0]
+        table = run_lira(target, values, mask, LiraParams(variance_floor=1.0))
+        assert flags_by_id(table) == {"B": "no_in_shadow"}
 
     def test_global_variance_mode(self):
         rng = np.random.default_rng(0)
@@ -146,15 +166,9 @@ class TestRunLira:
         values = rng.uniform(0.2, 0.8, size=(n, k))
         mask = np.zeros((n, k), dtype=np.uint8)
         mask[:, : k // 2] = 1
-        challenge = Challenge(member_ids=ids[:6], nonmember_ids=ids[6:], p_member=0.5, seed=0)
-        artifacts = TargetArtifacts(
-            model=None, ids=ids,
-            confidences=rng.uniform(0.2, 0.8, n),
-            challenge=challenge, split=None,
-        )
-        confs = ConfidenceMatrix(ids=ids, values=values, mask=mask)
-        table = run_lira(artifacts, confs, LiraParams(global_variance=True))
-        got = by_id(table)
+        target = rng.uniform(0.2, 0.8, n)
+        table = run_lira(target, values, mask, LiraParams(global_variance=True))
+        got = by_id(table, ids)
 
         # shared variance: log LR reduces to a distance difference over one sigma^2
         logits = rescale_confidence(values)
@@ -165,22 +179,22 @@ class TestRunLira:
         ])
         gv = float(residuals @ residuals / (residuals.size - 1))
         for r, i in enumerate(ids):
-            o = rescale_confidence(artifacts.confidences[r])
+            o = rescale_confidence(target[r])
             mu_in = logits[r, : k // 2].mean()
             mu_out = logits[r, k // 2 :].mean()
             expected = ((o - mu_out) ** 2 - (o - mu_in) ** 2) / (2 * gv)
             assert got[i] == pytest.approx(expected, abs=1e-10)
 
     def test_scores_finite_and_complete(self):
-        artifacts, confs, _ = make_fixture()
-        table = run_lira(artifacts, confs)
+        target, values, mask, _ = make_fixture()
+        table = run_lira(target, values, mask)
         assert set(by_id(table)) == {"A", "B", "C"}
         assert all(math.isfinite(s) for s in by_id(table).values())
 
     def test_misaligned_target_rejected(self):
-        artifacts, confs, _ = make_fixture()
-        with pytest.raises(ValueError, match="not aligned"):
-            run_lira(reversed_target(artifacts), confs)
+        for target, values, mask in misaligned(*make_fixture()[:3]):
+            with pytest.raises(ValueError, match="not aligned"):
+                run_lira(target, values, mask)
 
 
 class TestRmiaScore:
@@ -235,22 +249,16 @@ class TestRmiaScore:
 
 
 class TestRunRmia:
-    def make_ensemble_fixture(self):
-        artifacts, confs, _ = make_fixture()
-        z_ids = ("z0", "z1")
-        ensemble = ShadowEnsemble(
-            models=(), ids=confs.ids, mask=confs.mask, z_ids=z_ids,
-            shadow_epochs=1, seed=0,
-            z_confidences=np.array([[0.9, 0.5], [0.1, 0.4]]),
-            z_target_confidences=np.array([0.5, 0.8]),
-        )
-        return artifacts, confs, ensemble
+    def make_z_fixture(self):
+        """The LiRA fixture's arrays, then two Z points: the (Z x shadow) and the target's Z confidences."""
+        target, values, mask, _ = make_fixture()
+        return target, values, mask, np.array([[0.9, 0.5], [0.1, 0.4]]), np.array([0.5, 0.8])
 
     def test_hand_fixture(self):
-        artifacts, confs, ensemble = self.make_ensemble_fixture()
-        table = run_rmia(artifacts, confs, ensemble)
+        target, values, mask, z_shadow, z_target = self.make_z_fixture()
+        table = run_rmia(target, values, mask, z_shadow, z_target)
         # candidate A: conf 0.5, shadows (0.5, sigma(-2)); out shadow is column 1
-        p_m = float(np.mean(confs.values[0]))
+        p_m = float(np.mean(values[0]))
         ratio_m = 0.5 / p_m
         p_z = np.array([0.5, 0.4])  # excluding-shadow column means
         ratio_z = np.array([0.5, 0.8]) / p_z
@@ -259,63 +267,62 @@ class TestRunRmia:
         assert set(by_id(table)) == {"A", "B", "C"}
 
     def test_no_excluding_shadow_flagged(self):
-        artifacts, confs, ensemble = self.make_ensemble_fixture()
-        confs.mask[2] = [1, 1]
-        table = run_rmia(artifacts, confs, ensemble)
-        assert table.flags == {"C": "no_out_shadow"}
+        target, values, mask, z_shadow, z_target = self.make_z_fixture()
+        mask[2] = [1, 1]
+        table = run_rmia(target, values, mask, z_shadow, z_target)
+        assert flags_by_id(table) == {"C": "no_out_shadow"}
 
     def test_empty_z_rejected(self):
-        artifacts, confs, _ = self.make_ensemble_fixture()
-        ensemble = ShadowEnsemble(
-            models=(), ids=confs.ids, mask=confs.mask, z_ids=(),
-            shadow_epochs=1, seed=0,
-        )
+        target, values, mask, _, _ = self.make_z_fixture()
         with pytest.raises(ValueError):
-            run_rmia(artifacts, confs, ensemble)
+            run_rmia(target, values, mask, np.zeros((0, 2)), np.array([]))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_z_table_needs_a_column_per_shadow(self, columns):
+        target, values, mask, z_shadow, z_target = self.make_z_fixture()
+        with pytest.raises(ValueError, match="a column for each of the 2 shadows"):
+            run_rmia(target, values, mask, np.resize(z_shadow, (2, columns)), z_target)
 
     def test_misaligned_target_rejected(self):
-        artifacts, confs, ensemble = self.make_ensemble_fixture()
-        with pytest.raises(ValueError, match="not aligned"):
-            run_rmia(reversed_target(artifacts), confs, ensemble)
+        target, values, mask, z_shadow, z_target = self.make_z_fixture()
+        for args in misaligned(target, values, mask):
+            with pytest.raises(ValueError, match="not aligned"):
+                run_rmia(*args, z_shadow, z_target)
 
 
 class TestScoreTable:
-    def test_missing_candidate_rejected(self):
-        challenge = Challenge(member_ids=("a",), nonmember_ids=("b",), p_member=0.5, seed=0)
-        with pytest.raises(ValueError):
-            AttackScores(attack="lira", ids=("a",), scores=np.array([1.0]), challenge=challenge)
-
     def test_non_finite_score_rejected(self):
-        challenge = Challenge(member_ids=("a",), nonmember_ids=(), p_member=0.5, seed=0)
         with pytest.raises(ValueError):
-            AttackScores(attack="lira", ids=("a",), scores=np.array([float("inf")]), challenge=challenge)
+            AttackScores(scores=np.array([float("inf")]))
 
     @pytest.mark.parametrize("scores", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, float("nan")]])
-    def test_scores_array_must_match_ids(self, scores):
+    def test_scores_array_must_match_ids(self, scores, tmp_path):
         challenge = Challenge(member_ids=("a",), nonmember_ids=("b",), p_member=0.5, seed=0)
+        artifacts = make_artifacts(challenge, ("a", "b"), [0.5, 0.5])
         with pytest.raises(ValueError):
-            AttackScores(attack="lira", ids=("a", "b"), scores=np.array(scores), challenge=challenge)
+            save_scores(AttackScores(scores=np.array(scores)), tmp_path / "scores.csv", artifacts)
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_save_scores_writes_challenge_order(self, tmp_path):
         challenge = Challenge(member_ids=("m2", "m1"), nonmember_ids=("n1",), p_member=0.67, seed=0)
-        table = AttackScores(attack="rmia", ids=("n1", "m1", "m2"), scores=np.array([0.25, 0.5, 0.75]),
-                             challenge=challenge, flags={"m1": "no_out_shadow"})
-        save_scores(table, tmp_path / "scores.csv")
+        artifacts = make_artifacts(challenge, ("n1", "m1", "m2"), [0.5, 0.5, 0.5])
+        table = AttackScores(scores=np.array([0.25, 0.5, 0.75]), flags={1: "no_out_shadow"})
+        save_scores(table, tmp_path / "scores.csv", artifacts)
         with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["id", "score", "is_member", "flags"], ["m2", "0.75", "1", ""],
                         ["m1", "0.5", "1", "no_out_shadow"], ["n1", "0.25", "0", ""]]
 
     def test_save_load_round_trip(self, tmp_path):
-        artifacts, confs, _ = make_fixture()
-        table = run_lira(artifacts, confs, LiraParams(variance_floor=1.0))
+        target, values, mask, _ = make_fixture()
+        table = run_lira(target, values, mask, LiraParams(variance_floor=1.0))
         path = tmp_path / "scores.csv"
-        save_scores(table, path)
+        save_scores(table, path, make_artifacts(CHALLENGE, IDS, target))
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["id"]: float(r["score"]) for r in rows} == by_id(table)
-        assert {r["id"] for r in rows if r["is_member"] == "1"} == set(table.challenge.member_ids)
-        assert {r["id"]: r["flags"] for r in rows if r["flags"]} == table.flags
+        assert {r["id"] for r in rows if r["is_member"] == "1"} == set(CHALLENGE.member_ids)
+        assert {r["id"]: r["flags"] for r in rows if r["flags"]} == flags_by_id(table)
 
 
 # --- the array attacks against the per-candidate oracles --------------------
@@ -338,27 +345,25 @@ def attack_inputs(draw, min_rows=1, max_rows=12):
             mask[r, rng.integers(k)] = kind == "one_in"
     values = rng.uniform(1e-4, 1 - 1e-4, size=(n, k))
     ids = tuple(f"c{r}" for r in range(n))
-    challenge = Challenge(member_ids=ids[: n // 2], nonmember_ids=ids[n // 2:], p_member=0.5, seed=0)
-    artifacts = TargetArtifacts(model=None, ids=ids, confidences=rng.uniform(1e-4, 1 - 1e-4, n),
-                                challenge=challenge, split=None)
-    return artifacts, ConfidenceMatrix(ids=ids, values=values, mask=mask), rng
+    target = rng.uniform(1e-4, 1 - 1e-4, n)
+    return ids, target, values, mask, rng
 
 
-def lira_oracle(artifacts, confs, params):
-    """Candidate by candidate with fit_gaussian, as LiRA is defined; (scores, flags)."""
-    logits = rescale_confidence(confs.values, params.clip_eps)
-    inside = confs.mask.astype(bool)
+def lira_oracle(ids, target, values, mask, params):
+    """Candidate by candidate with fit_gaussian, as LiRA is defined; (scores, flags) keyed by id."""
+    logits = rescale_confidence(values, params.clip_eps)
+    inside = mask.astype(bool)
     pooled = fit_gaussian(logits[~inside], floor=params.variance_floor) if (~inside).any() else None
     global_var = None
     if params.global_variance:
-        res = [side - side.mean() for r in range(len(confs.ids))
+        res = [side - side.mean() for r in range(len(ids))
                for side in (logits[r][inside[r]], logits[r][~inside[r]]) if side.size >= 2]
         if res:
             pooled_res = np.concatenate(res)
             global_var = max(float(pooled_res @ pooled_res) / (pooled_res.size - 1), params.variance_floor)
     scores, flags = {}, {}
-    for r, i in enumerate(confs.ids):
-        o = rescale_confidence(artifacts.confidences[r], params.clip_eps)
+    for r, i in enumerate(ids):
+        o = rescale_confidence(target[r], params.clip_eps)
         fits = []
         for name, side in (("no_in_shadow", logits[r][inside[r]]), ("no_out_shadow", logits[r][~inside[r]])):
             if side.size == 0:
@@ -380,37 +385,34 @@ class TestArrayAttacksMatchOracles:
     @given(attack_inputs(), st.booleans(), st.sampled_from([1e-6, 1e-2, 1.0]))
     @settings(max_examples=150, deadline=None)
     def test_run_lira_matches_lira_score(self, inputs, global_variance, floor):
-        artifacts, confs, _ = inputs
+        ids, target, values, mask, _ = inputs
         params = LiraParams(variance_floor=floor, global_variance=global_variance)
-        if not (confs.mask == 0).any():
+        if not (mask == 0).any():
             with pytest.raises(ValueError, match="no pooled fallback"):
-                run_lira(artifacts, confs, params)
+                run_lira(target, values, mask, params)
             return
-        table = run_lira(artifacts, confs, params)
-        scores, flags = lira_oracle(artifacts, confs, params)
-        assert table.flags == flags
-        got = by_id(table)
-        for i in confs.ids:
+        table = run_lira(target, values, mask, params)
+        scores, flags = lira_oracle(ids, target, values, mask, params)
+        assert flags_by_id(table, ids) == flags
+        got = by_id(table, ids)
+        for i in ids:
             # a log ratio reaches 1e7 at a tiny floor, so the tolerance is relative there
             assert got[i] == pytest.approx(scores[i], rel=1e-9, abs=1e-9)
 
     @given(attack_inputs(min_rows=5, max_rows=40), st.integers(1, 6), st.floats(0.5, 4.0))
     @settings(max_examples=150, deadline=None)
     def test_blocked_run_rmia_matches_rmia_score(self, inputs, n_z, gamma):
-        artifacts, confs, rng = inputs
-        k = confs.values.shape[1]
-        z_ids = tuple(f"z{j}" for j in range(n_z))
+        ids, target, values, mask, rng = inputs
+        k = values.shape[1]
         z_target = rng.uniform(1e-4, 1 - 1e-4, n_z)
         z_shadow = rng.uniform(1e-4, 1 - 1e-4, (n_z, k))
-        ensemble = ShadowEnsemble(models=(), ids=confs.ids, mask=confs.mask, z_ids=z_ids,
-                                  shadow_epochs=1, seed=0, z_confidences=z_shadow, z_target_confidences=z_target)
         # blocks of two candidates, so every fixture spans several blocks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(attacks, "RMIA_BLOCK_ELEMENTS", 2 * n_z)
-            table = run_rmia(artifacts, confs, ensemble, RmiaParams(gamma=gamma))
-        got = by_id(table)
-        for r, i in enumerate(confs.ids):
-            expected = rmia_score(artifacts.confidences[r], confs.values[r], confs.mask[r] == 0,
+            table = run_rmia(target, values, mask, z_shadow, z_target, RmiaParams(gamma=gamma))
+        got = by_id(table, ids)
+        for r, i in enumerate(ids):
+            expected = rmia_score(target[r], values[r], mask[r] == 0,
                                   z_target, z_shadow, gamma=gamma)
             assert got[i] == pytest.approx(expected, abs=1e-9)
-        assert table.flags == {i: "no_out_shadow" for r, i in enumerate(confs.ids) if confs.mask[r].all()}
+        assert flags_by_id(table, ids) == {i: "no_out_shadow" for r, i in enumerate(ids) if mask[r].all()}

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leakaudit.attacks import AttackScores
 from leakaudit.evaluation import (
     auroc,
     baseline_tpr,
@@ -19,15 +18,16 @@ from leakaudit.evaluation import (
     threshold_at_fpr,
     tpr_at_fpr,
 )
-from leakaudit.game import Challenge
 
 
-def make_scores(values, labels, attack="lira"):
-    ids = tuple(f"c{i}" for i in range(len(values)))
-    members = tuple(i for i, y in zip(ids, labels) if y == 1)
-    nonmembers = tuple(i for i, y in zip(ids, labels) if y == 0)
-    challenge = Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=0.67, seed=0)
-    return AttackScores(attack=attack, ids=ids, scores=np.asarray(values, dtype=float), challenge=challenge)
+def make_scores(values, labels):
+    """A score array and the boolean member vector aligned with it (label 1 = member)."""
+    return np.asarray(values, dtype=float), np.asarray(labels) == 1
+
+
+def ids_of(scores):
+    """Candidate ids ``c0, c1, ...``, one per score."""
+    return tuple(f"c{i}" for i in range(len(scores)))
 
 
 def roc_brute_force(values, labels):
@@ -56,13 +56,13 @@ class TestRoc:
                 labels[0], labels[1] = 0, 1
             # coarse grid provokes ties
             values = rng.integers(0, 6, size=n).astype(float)
-            roc = roc_curve(make_scores(values, labels))
+            roc = roc_curve(*make_scores(values, labels))
             got = {(float(f), float(t)) for f, t in zip(roc.fpr, roc.tpr)}
             assert got == roc_brute_force(values, labels)
 
     def test_monotone_and_ends_at_one(self):
         rng = np.random.default_rng(1)
-        roc = roc_curve(make_scores(rng.normal(size=50), rng.integers(0, 2, size=50)))
+        roc = roc_curve(*make_scores(rng.normal(size=50), rng.integers(0, 2, size=50)))
         assert np.all(np.diff(roc.fpr) >= 0)
         assert np.all(np.diff(roc.tpr) >= 0)
         assert roc.fpr[-1] == 1.0 and roc.tpr[-1] == 1.0
@@ -71,13 +71,12 @@ class TestRoc:
     def test_ties_admitted_atomically(self):
         # one member and one non-member share the top score: admitting the
         # block yields FPR 0.5 immediately, so TPR at FPR=0 must be 0
-        scores = make_scores([2.0, 2.0, 1.0], [1, 0, 0])
-        roc = roc_curve(scores)
+        roc = roc_curve(*make_scores([2.0, 2.0, 1.0], [1, 0, 0]))
         assert tpr_at_fpr(roc, 0.0) == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            roc_curve(make_scores([1.0, 2.0], [1, 1]))
+            roc_curve(*make_scores([1.0, 2.0], [1, 1]))
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=2, max_size=30), st.data())
     @settings(max_examples=100, deadline=None)
@@ -85,20 +84,16 @@ class TestRoc:
         # a coarse score grid makes ties; within a tie block the candidates' order must not matter
         labels = [int(member) for _, member in rows]
         assume(0 < sum(labels) < len(labels))
-        table = make_scores([score for score, _ in rows], labels)
+        scores, is_member = make_scores([score for score, _ in rows], labels)
         perm = np.array(data.draw(st.permutations(range(len(rows)))))
-        permuted = AttackScores(attack="lira", ids=tuple(table.ids[p] for p in perm), scores=table.scores[perm],
-                                challenge=table.challenge)
-        assert np.array_equal(permuted.is_member, table.is_member[perm])
-        a, b = roc_curve(table), roc_curve(permuted)
+        a, b = roc_curve(scores, is_member), roc_curve(scores[perm], is_member[perm])
         for got, want in ((b.thresholds, a.thresholds), (b.fpr, a.fpr), (b.tpr, a.tpr)):
             assert np.array_equal(got, want)
 
 
 class TestTprAtFpr:
     def test_fpr_zero_is_strictly_above_all_nonmembers(self):
-        scores = make_scores([5.0, 4.0, 3.0, 2.0], [1, 1, 0, 1])
-        roc = roc_curve(scores)
+        roc = roc_curve(*make_scores([5.0, 4.0, 3.0, 2.0], [1, 1, 0, 1]))
         # two members above the best non-member score of 3
         assert tpr_at_fpr(roc, 0.0) == pytest.approx(2.0 / 3.0)
 
@@ -106,14 +101,14 @@ class TestTprAtFpr:
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 2, size=80)
         labels[:2] = [0, 1]
-        roc = roc_curve(make_scores(rng.normal(size=80), labels))
+        roc = roc_curve(*make_scores(rng.normal(size=80), labels))
         for target in (0.0, 0.01, 0.1, 0.5):
             tpr = tpr_at_fpr(roc, target)
             ok = roc.fpr <= target + 1e-15
             assert tpr == float(roc.tpr[ok].max())
 
     def test_rejects_out_of_range(self):
-        roc = roc_curve(make_scores([1.0, 0.0], [1, 0]))
+        roc = roc_curve(*make_scores([1.0, 0.0], [1, 0]))
         with pytest.raises(ValueError):
             tpr_at_fpr(roc, 1.5)
 
@@ -122,11 +117,12 @@ class TestTprAtFpr:
         labels = rng.integers(0, 2, size=40)
         labels[:2] = [0, 1]
         values = rng.normal(size=40)
-        scores = make_scores(values, labels)
-        roc = roc_curve(scores)
+        scores, is_member = make_scores(values, labels)
+        roc = roc_curve(scores, is_member)
         thr = threshold_at_fpr(roc, 0.0)
-        score_of = dict(zip(scores.ids, scores.scores))
-        admitted_fp = sum(1 for i in scores.challenge.nonmember_ids if score_of[i] >= thr)
+        ids = ids_of(scores)
+        score_of = dict(zip(ids, scores))
+        admitted_fp = sum(1 for r, i in enumerate(ids) if not is_member[r] and score_of[i] >= thr)
         assert admitted_fp == 0
 
 
@@ -157,18 +153,20 @@ class TestBaseline:
 
 class TestIdentified:
     def test_members_above_threshold(self):
-        scores = make_scores([5.0, 4.0, 3.0, 2.0], [1, 1, 0, 1])
-        ident = identified_members(scores, threshold_at_fpr(roc_curve(scores), 0.0))
+        scores, is_member = make_scores([5.0, 4.0, 3.0, 2.0], [1, 1, 0, 1])
+        ident = identified_members(ids_of(scores), scores, is_member,
+                                   threshold_at_fpr(roc_curve(scores, is_member), 0.0))
         assert ident == frozenset({"c0", "c1"})
 
     def test_no_false_positives_at_zero(self):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 2, size=60)
         labels[:2] = [0, 1]
-        scores = make_scores(rng.normal(size=60), labels)
-        ident = identified_members(scores, threshold_at_fpr(roc_curve(scores), 0.0))
-        score_of = dict(zip(scores.ids, scores.scores))
-        top_non = max(score_of[i] for i in scores.challenge.nonmember_ids)
+        scores, is_member = make_scores(rng.normal(size=60), labels)
+        ids = ids_of(scores)
+        ident = identified_members(ids, scores, is_member, threshold_at_fpr(roc_curve(scores, is_member), 0.0))
+        score_of = dict(zip(ids, scores))
+        top_non = max(score_of[i] for r, i in enumerate(ids) if not is_member[r])
         assert all(score_of[i] > top_non for i in ident)
 
 
@@ -238,15 +236,15 @@ class TestMinorityTpr:
         # scores: members c0 (pos, top), c1 (neg), c3 (pos); non-member c2
         values = [5.0, 4.0, 3.0, 2.0]
         labels = [1, 1, 0, 1]
-        scores = make_scores(values, labels)
+        scores, is_member = make_scores(values, labels)
         class_of = np.array([1, 0, 0, 1])  # c2, the non-member, is outside the minority count
         # minority among members is label 0 (one of three)
-        assert minority_tpr(scores, class_of, threshold_at_fpr(roc_curve(scores), 0.0)) == 1.0
+        assert minority_tpr(scores, is_member, class_of, threshold_at_fpr(roc_curve(scores, is_member), 0.0)) == 1.0
 
     def test_single_class_members_rejected(self):
-        scores = make_scores([3.0, 2.0, 1.0], [1, 1, 0])
+        scores, is_member = make_scores([3.0, 2.0, 1.0], [1, 1, 0])
         with pytest.raises(ValueError):
-            minority_tpr(scores, np.array([1, 1, 0]), threshold_at_fpr(roc_curve(scores), 0.0))
+            minority_tpr(scores, is_member, np.array([1, 1, 0]), threshold_at_fpr(roc_curve(scores, is_member), 0.0))
 
 
 class TestAggregate:

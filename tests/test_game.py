@@ -135,8 +135,20 @@ class TestRunGame:
 
     def test_confidences_must_match_ids(self, artifacts):
         with pytest.raises(ValueError):
-            TargetArtifacts(model=None, ids=artifacts.ids, confidences=artifacts.confidences[1:],
-                            challenge=artifacts.challenge, split=None)
+            TargetArtifacts(model=artifacts.model, ids=artifacts.ids, confidences=artifacts.confidences[1:],
+                            challenge=artifacts.challenge, split=artifacts.split)
+
+    @pytest.mark.parametrize("edit", ["drop", "foreign", "repeat"])
+    def test_ids_must_be_the_challenge_candidates(self, artifacts, edit):
+        ids = {"drop": artifacts.ids[1:], "foreign": ("x",) + artifacts.ids[1:],
+               "repeat": artifacts.ids[:1] + artifacts.ids[:-1]}[edit]
+        with pytest.raises(ValueError, match="challenge candidates"):
+            TargetArtifacts(model=artifacts.model, ids=ids, confidences=artifacts.confidences[:len(ids)],
+                            challenge=artifacts.challenge, split=artifacts.split)
+
+    def test_is_member_marks_the_members(self, artifacts):
+        assert artifacts.is_member.dtype == bool
+        assert {i for i, m in zip(artifacts.ids, artifacts.is_member) if m} == set(artifacts.challenge.member_ids)
 
     def test_deterministic(self, dataset):
         a = run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
@@ -224,35 +236,34 @@ class TestShadowEnsemble:
             train_shadow_ensemble(pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0)
         assert fits == []
 
-    def test_mask_shape_validated(self):
-        with pytest.raises(ValueError):
+    def test_mask_shape_validated(self, ensemble):
+        with pytest.raises(ValueError, match="mask shape"):
             ShadowEnsemble(
-                models=(), ids=("a", "b"), mask=np.zeros((3, 2), dtype=np.uint8),
-                z_ids=(), shadow_epochs=1, seed=0,
+                models=ensemble.models[:2], ids=("a", "b"), mask=np.zeros((3, 2), dtype=np.uint8),
+                z_ids=ensemble.z_ids, z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
             )
 
-    def test_z_in_training_set_rejected(self):
-        with pytest.raises(ValueError):
+    def test_z_in_training_set_rejected(self, ensemble):
+        with pytest.raises(ValueError, match="reserved Z id"):
             ShadowEnsemble(
-                models=(), ids=("a",), mask=np.ones((1, 2), dtype=np.uint8),
-                z_ids=("a",), shadow_epochs=1, seed=0,
+                models=ensemble.models[:2], ids=ensemble.z_ids[:1], mask=np.ones((1, 2), dtype=np.uint8),
+                z_ids=ensemble.z_ids, z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
             )
 
 
 class TestConfidences:
     def test_matrix_aligned_with_mask(self, dataset, artifacts, ensemble):
         candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        confs = collect_confidences(ensemble, candidates)
-        assert confs.values.shape == (len(candidates), ensemble.k)
-        assert confs.ids == candidates.ids
+        values, mask = collect_confidences(ensemble, candidates)
+        assert values.shape == (len(candidates), ensemble.k)
         row = {i: r for r, i in enumerate(ensemble.ids)}
-        for r, sample_id in enumerate(confs.ids):
-            assert np.array_equal(confs.mask[r], ensemble.mask[row[sample_id]])
+        for r, sample_id in enumerate(candidates.ids):
+            assert np.array_equal(mask[r], ensemble.mask[row[sample_id]])
 
     def test_values_in_open_interval(self, dataset, artifacts, ensemble):
         candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        confs = collect_confidences(ensemble, candidates)
-        assert np.all((confs.values > 0.0) & (confs.values < 1.0))
+        values, _ = collect_confidences(ensemble, candidates)
+        assert np.all((values > 0.0) & (values < 1.0))
 
 
 class TestManifest:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -161,6 +162,15 @@ class TestRerunAttacks:
         before = files(tmp_path)
         with pytest.raises(ValueError, match="rep_000"):
             rerun_attacks(replace(cfg, seed=cfg.seed + 1))
+        assert files(tmp_path) == before
+
+    @pytest.mark.parametrize("key,shadow", [("shadow.count", {"count": 6}), ("shadow.epochs", {"epochs": 5}),
+                                            ("shadow.count", {"count": 6, "epochs": 5})])
+    def test_stale_shadow_recipe_raises_naming_the_key_and_writes_nothing(self, run_dir, tmp_path, key, shadow):
+        cfg = copy_run(run_dir, tmp_path)
+        before = files(tmp_path)
+        with pytest.raises(ValueError, match=rf"rep_000: {re.escape(key)} is"):
+            rerun_attacks(replace(cfg, shadow=replace(cfg.shadow, **shadow)))
         assert files(tmp_path) == before
 
     def test_repetition_without_models_is_an_error(self, run_dir, tmp_path):

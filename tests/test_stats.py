@@ -93,11 +93,10 @@ class TestGaussian:
         fit = fit_gaussian(x)
         assert fit.mean == pytest.approx(float(x.mean()))
         assert fit.variance == pytest.approx(float(x.var(ddof=1)))
-        assert fit.count == 200
 
     def test_fit_floors_variance(self):
         fit = fit_gaussian([1.0, 1.0, 1.0], floor=1e-6)
-        assert fit == GaussianFit(mean=1.0, variance=1e-6, count=3)
+        assert fit == GaussianFit(mean=1.0, variance=1e-6)
 
     def test_fit_single_sample_uses_floor(self):
         assert fit_gaussian([4.2], floor=0.5).variance == 0.5
