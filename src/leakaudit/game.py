@@ -9,9 +9,9 @@ shadow training.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -240,8 +240,9 @@ def train_shadow_ensemble(
     Every remaining sample enters each shadow independently with
     probability ``shadow.inclusion_rate``. Shadows reuse the target
     hyperparameters and train for exactly ``shadow.epochs`` epochs. With
-    ``helpers`` (non-empty) the fits run in those processes; each shadow's
-    model is the same wherever it trains.
+    ``helpers`` (non-empty) the fits run in those processes, in lockstep
+    stacks; each shadow's model is the same wherever, and beside
+    whichever shadows, it trains.
     """
     k = shadow.count
     z_eligible = [i for i in pool.ids if candidates is None or i not in candidates]
@@ -284,9 +285,8 @@ def train_shadow_ensemble(
 
     z_dataset = pool.take(pool.rows(z_ids))
     shadow_seeds = [derive_seed(seed, "shadow", j) for j in range(k)]
-    # each training subset is taken only when its fit is run or sent, so the K never sit in memory together
-    jobs = ((universe.take(np.flatnonzero(incl[:, j])), z_dataset,
-             replace(cfg, seed=shadow_seeds[j], fixed_epochs=shadow.epochs)) for j in range(k))
+    jobs = _ShadowJobs(universe, incl, z_dataset, [replace(cfg, seed=s, fixed_epochs=shadow.epochs)
+                                                   for s in shadow_seeds])
     models = helpers.fit_all(jobs) if helpers else [fit(*job) for job in jobs]
 
     return ShadowEnsemble(
@@ -299,6 +299,23 @@ def train_shadow_ensemble(
         seed=seed,
         shadow_seeds=tuple(shadow_seeds),
     )
+
+
+class _ShadowJobs(Sequence):
+    """The shadows' :func:`fit` arguments, in shadow order.
+
+    Each training subset is taken only when its job is read, so the K
+    never sit in memory together.
+    """
+
+    def __init__(self, universe: Dataset, incl: np.ndarray, z: Dataset, cfgs: list[TrainConfig]):
+        self.universe, self.incl, self.z, self.cfgs = universe, incl, z, cfgs
+
+    def __len__(self) -> int:
+        return len(self.cfgs)
+
+    def __getitem__(self, j: int) -> tuple[Dataset, Dataset, TrainConfig]:
+        return self.universe.take(np.flatnonzero(self.incl[:, j])), self.z, self.cfgs[j]
 
 
 def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,23 @@
 """Model fits in helper processes, one per available core.
 
 The fits of a repetition, the target's and the shadows', are independent
-and each has its own seed, so where a fit runs does not change its
-result. :class:`FitHelpers` starts its helpers with ``subprocess`` from
-``sys.executable``, each with one-thread BLAS so that the helpers do not
-oversubscribe the cores. It does not use ``multiprocessing``: a pool's
-handler threads cost the parent memory, and its ``spawn`` start re-runs
-an unguarded ``__main__``.
+and each has its own seed, so where a fit runs, and beside which other
+fits, does not change its result. :class:`FitHelpers` starts its helpers
+with ``subprocess`` from ``sys.executable``, each with one-thread BLAS so
+that the helpers do not oversubscribe the cores. It does not use
+``multiprocessing``: a pool's handler threads cost the parent memory,
+and its ``spawn`` start re-runs an unguarded ``__main__``.
 
 The parent dispatches from its own thread. :meth:`FitHelpers.submit`
 queues a batch of ``(d_train, d_val, cfg)`` jobs and returns; while any
-:class:`Batch` is waited for, the parent pickles the next queued job
-whenever a helper is idle, finds the idle helper with ``select`` on the
-helpers' stdout, and stores each result under its batch and job index,
+:class:`Batch` is waited for, the parent sends each idle helper a stack
+of queued jobs, which the helper trains in lockstep with
+:func:`leakaudit.nnet.fit_stack`. A stack takes an even share of the
+jobs not yet finished, counting those still running, so that the
+helpers finish together, and at most :func:`leakaudit.nnet.stack_capacity`
+jobs, which keeps large models in stacks of one; it never mixes two
+batches. The parent finds the idle helper with ``select`` on the
+helpers' stdout and stores each result under its batch and job index,
 so the output does not depend on scheduling. Helpers use POSIX pipes
 and ``select``.
 """
@@ -20,6 +25,7 @@ and ``select``.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 import select
@@ -27,11 +33,11 @@ import subprocess
 import sys
 import traceback
 from collections import deque
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from leakaudit.data import Dataset
-from leakaudit.nnet import TrainConfig, TrainedModel, fit
+from leakaudit.nnet import TrainConfig, TrainedModel, fit_stack, stack_capacity
 
 __all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
 
@@ -62,8 +68,11 @@ def helper_count(fit_seconds: float) -> int:
     return cores if cores > 1 and fit_seconds >= MIN_FIT_SECONDS else 0
 
 
+Job = tuple[Dataset, Dataset, TrainConfig]
+
+
 class FitHelpers:
-    """``n`` helper processes that run :func:`leakaudit.nnet.fit` jobs.
+    """``n`` helper processes that run :func:`leakaudit.nnet.fit` jobs, a stack at a time.
 
     A context manager: the helpers start on the first :meth:`start` or
     :meth:`submit` and are all stopped and waited for on exit. With
@@ -74,7 +83,7 @@ class FitHelpers:
         self.n = n
         self.procs: list[subprocess.Popen] = []
         self._idle: list[subprocess.Popen] = []
-        self._running: dict[subprocess.Popen, tuple[Batch, int]] = {}
+        self._running: dict[subprocess.Popen, tuple[Batch, range]] = {}  # each helper's batch and job indices
         self._queue: deque[Batch] = deque()  # batches with jobs not yet sent, oldest first
 
     def __len__(self) -> int:
@@ -100,12 +109,14 @@ class FitHelpers:
         ]
         self._idle = list(self.procs)
 
-    def submit(self, jobs: Iterable[tuple[Dataset, Dataset, TrainConfig]]) -> Batch:
+    def submit(self, jobs: Sequence[Job]) -> Batch:
         """Queue ``fit(*job)`` for every job behind the batches already queued; returns without waiting.
 
         Idle helpers get the first jobs at once, the rest as helpers come
-        free while any batch is waited for. A job is taken from ``jobs``
-        and pickled only when it is sent.
+        free while any batch is waited for. A job is read from ``jobs``,
+        and pickled, only when it is sent. The jobs of a batch train in
+        stacks, so they must share what :func:`leakaudit.nnet.fit_stack`
+        requires: the architecture and the validation set.
         """
         if not self.n:
             raise ValueError("FitHelpers(0) has no helper to run a job")
@@ -116,35 +127,44 @@ class FitHelpers:
             self._dispatch()
         return batch
 
-    def fit_all(self, jobs: Iterable[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainedModel]:
+    def fit_all(self, jobs: Sequence[Job]) -> list[TrainedModel]:
         """``fit(*job)`` for every job, in job order, wherever each one ran."""
         return self.submit(jobs).wait()
 
     def _dispatch(self) -> None:
-        """Send queued jobs to the idle helpers, the oldest batch first."""
+        """Send each idle helper the next stack of queued jobs, the oldest batch first."""
         while self._idle and self._queue:
             batch = self._queue[0]
-            job = next(batch.jobs, None)
-            if job is None:
+            if batch.sent == len(batch.jobs):
                 self._queue.popleft()
-                batch.exhausted = True
                 continue
+            unfinished = (sum(len(indices) for _, indices in self._running.values())
+                          + sum(len(b.jobs) - b.sent for b in self._queue))
+            job = batch.jobs[batch.sent]
+            size = min(math.ceil(unfinished / self.n), len(batch.jobs) - batch.sent,
+                       stack_capacity(job[0].dimension, job[2].hidden_dims))
+            indices = range(batch.sent, batch.sent + size)
             proc = self._idle.pop()
-            self._running[proc] = batch, job[0]
-            batch.sent += 1
-            # protocol 5 streams the arrays from their own memory, with no copy
-            pickle.dump(job[1], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            self._running[proc] = batch, indices
+            batch.sent += size
+            # the job count, then the jobs one at a time, so that the parent holds one training set at a
+            # time; protocol 5 streams the arrays from their own memory, with no copy
+            pickle.dump(size, proc.stdin)
+            pickle.dump(job, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            del job
+            for i in indices[1:]:
+                pickle.dump(batch.jobs[i], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             proc.stdin.flush()
 
     def _collect(self) -> None:
-        """Wait for a running helper's reply; file every reply that is ready under its batch and job index."""
+        """Wait for a running helper's reply; file every reply that is ready under its batch and job indices."""
         ready, _, _ = select.select([p.stdout for p in self._running], [], [])
         for proc in [p for p in self._running if p.stdout in ready]:
             ok, value = pickle.load(proc.stdout)
-            batch, index = self._running.pop(proc)
+            batch, indices = self._running.pop(proc)
             self._idle.append(proc)
             if ok:
-                batch.results[index] = value
+                batch.results.update(zip(indices, value))
             elif batch.failure is None:
                 batch.failure = value
                 if batch in self._queue:  # send none of its other jobs
@@ -179,11 +199,10 @@ class FitHelpers:
 class Batch:
     """The jobs of one :meth:`FitHelpers.submit` call; :meth:`wait` returns their models."""
 
-    def __init__(self, helpers: FitHelpers, jobs: Iterable[tuple[Dataset, Dataset, TrainConfig]]):
+    def __init__(self, helpers: FitHelpers, jobs: Sequence[Job]):
         self.helpers = helpers
-        self.jobs = enumerate(jobs)
+        self.jobs = jobs
         self.sent = 0
-        self.exhausted = False
         self.results: dict[int, TrainedModel] = {}
         self.failure: tuple[BaseException, str] | None = None
 
@@ -192,8 +211,8 @@ class Batch:
 
         Meanwhile the helpers keep running the jobs of every queued batch.
         An exception that a fit raised in a helper is raised here once
-        this batch's other running jobs have returned. A helper that dies
-        or an interrupt stops every helper.
+        this batch's other running stacks have returned. A helper that
+        dies or an interrupt stops every helper.
         """
         helpers = self.helpers
         with helpers._stopped_on_error():
@@ -203,22 +222,23 @@ class Batch:
         if self.failure is not None:
             error, helper_traceback = self.failure
             raise error from RuntimeError(f"in a fit helper:\n{helper_traceback}")
-        if not self.exhausted or len(self.results) < self.sent:
+        if len(self.results) < len(self.jobs):
             raise RuntimeError("the fit helpers were stopped before this batch finished")
-        return [self.results[i] for i in range(self.sent)]
+        return [self.results[i] for i in range(len(self.jobs))]
 
 
 def serve() -> None:
-    """A helper's loop: fit each pickled job from stdin, write ``(ok, result)`` to stdout."""
+    """A helper's loop: fit each pickled stack of jobs from stdin, write ``(ok, models or error)`` to stdout."""
     jobs, replies = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # a stray print must not corrupt the replies
     while True:
         try:
-            job = pickle.load(jobs)
+            size = pickle.load(jobs)
         except EOFError:
             return
+        stack = [pickle.load(jobs) for _ in range(size)]
         try:
-            reply = pickle.dumps((True, fit(*job)))
+            reply = pickle.dumps((True, fit_stack(stack)))
         except Exception as exc:  # noqa: BLE001 - the parent raises it
             failure = (exc, traceback.format_exc())
             try:

@@ -140,7 +140,10 @@ def _finish_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, artifacts: Ta
     Both attacks share one query of the shadows on the candidates. The
     population AUROC scores the target's probability of class 1.
     """
-    values, mask = collect_confidences(ensemble, dataset.subset(artifacts.challenge.candidate_ids))
+    candidates = dataset.subset(artifacts.challenge.candidate_ids)  # in the order of artifacts.ids
+    values, mask = collect_confidences(ensemble, candidates)
+    labels = candidates.y
+    del candidates  # the evaluation reads only the labels, so the features are not held through the attacks
     z_shadow, z_target = z_confidences(ensemble, artifacts.model)
     scores = {
         "lira": run_lira(artifacts.confidences, values, mask, cfg.lira),
@@ -153,18 +156,19 @@ def _finish_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, artifacts: Ta
                    np.column_stack([roc.thresholds, roc.fpr, roc.tpr]))
     pop = dataset.subset(artifacts.split.population_ids)
     conf1 = predict_confidences(artifacts.model, pop.X, np.ones(len(pop), dtype=int))
-    summary = {**_evaluate_rep(dataset, cfg, artifacts, scores), "rep": rep, "population_auroc": auroc(conf1, pop.y)}
+    summary = {**_evaluate_rep(cfg, artifacts, labels, scores), "rep": rep,
+               "population_auroc": auroc(conf1, pop.y)}
     return _write_json(rep_dir / "rep_report.json", summary)
 
 
-def _evaluate_rep(dataset: Dataset, cfg: ExperimentConfig, artifacts: TargetArtifacts,
+def _evaluate_rep(cfg: ExperimentConfig, artifacts: TargetArtifacts, labels: np.ndarray,
                   scores: dict[str, AttackScores]) -> dict:
+    """The attacks' TPRs and identified sets; ``labels`` are the candidates' class labels, in ``artifacts.ids`` order."""
     challenge, is_member = artifacts.challenge, artifacts.is_member
     summary: dict = {"attacks": {}}
     summary["n_members"] = len(challenge.member_ids)
     summary["n_nonmembers"] = len(challenge.nonmember_ids)
     summary["baseline_tpr"] = baseline_tpr(len(challenge.member_ids))
-    labels = dataset.y[dataset.rows(artifacts.ids)]
     for name, table in scores.items():
         roc = roc_curve(table.scores, is_member)
         entry: dict = {"tpr": {}, "minority_tpr": {}, "identified": {}, "n_flagged": len(table.flags)}

@@ -11,12 +11,14 @@ from leakaudit.nnet import (
     TrainConfig,
     adamw_step,
     fit,
+    fit_stack,
     forward_logits,
     init_model,
     load_model,
     loss_and_grads,
     predict_confidences,
     save_model,
+    stack_capacity,
     weighted_bce_loss,
 )
 from leakaudit.seeds import derive_rng
@@ -240,6 +242,21 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step(p, p, np.zeros(1), np.zeros(1), 0.1, 0.0, step=0)
 
+    def test_stacked_rows_step_as_they_would_alone(self):
+        """A (K, P) step with one step index per row gives each row the bytes of its own flat step."""
+        rng = np.random.default_rng(8)
+        params, m, v = rng.normal(size=(3, 7)), np.zeros((3, 7)), np.zeros((3, 7))
+        rows = [(p.copy(), mi.copy(), vi.copy()) for p, mi, vi in zip(params, m, v)]
+        for shift in range(4):
+            grads = rng.normal(size=(3, 7))
+            steps = [1 + shift, 9 + shift, 1000 + shift]
+            adamw_step(params, grads, m, v, 1e-2, 1e-3, steps)
+            for (p, mi, vi), g, step in zip(rows, grads, steps):
+                adamw_step(p, g, mi, vi, 1e-2, 1e-3, step)
+        assert params.tobytes() == np.stack([p for p, _, _ in rows]).tobytes()
+        with pytest.raises(ValueError):
+            adamw_step(params, grads, m, v, 1e-2, 1e-3, [1, 0, 2])
+
 
 class TestFit:
     def test_separable_data_reaches_full_train_accuracy(self):
@@ -294,6 +311,17 @@ class TestFit:
             # stopping epoch is best + patience
             assert n_epochs == trained.best_epoch + 3
 
+    def test_patience_zero_stops_at_the_first_epoch_that_does_not_improve(self):
+        """As patience 1 does: 0 epochs without improvement is never waited for past the first."""
+        train = toy_dataset(n=30, seed=2, separation=1.0)
+        val = toy_dataset(n=20, seed=102, separation=1.0)
+        cfg = TrainConfig(hidden_dims=(4,), dropout_rate=0.0, learning_rate=5e-2, batch_size=8, max_epochs=50,
+                          patience=0, seed=2)
+        zero, one = fit(train, val, cfg), fit(train, val, TrainConfig(**{**vars(cfg), "patience": 1}))
+        assert (len(zero.val_losses), zero.best_epoch) == (4, 3)
+        assert zero.val_losses[0] > zero.val_losses[1] > zero.val_losses[2] <= zero.val_losses[3]
+        assert zero.model.params.tobytes() == one.model.params.tobytes()
+
     def test_deterministic_under_seed(self):
         ds = toy_dataset()
         cfg = TrainConfig(hidden_dims=(6,), dropout_rate=0.3, seed=42, max_epochs=5)
@@ -326,6 +354,76 @@ class TestFit:
         ds = Dataset([f"p{i}" for i in range(5)], rng.normal(size=(5, 2)), [1] * 5)
         with pytest.raises(ValueError):
             fit(ds, ds, TrainConfig(max_epochs=1))
+
+
+def stack_jobs():
+    """Jobs for one stack of two-hidden-layer models with dropout, batch 8.
+
+    Their training sets differ: 40 rows end on a full batch, 45 and 37 on
+    a partial one, 48 take an extra full batch. Three train 30 fixed
+    epochs; the 45-row job early-stops on a patience of 0. They share
+    one validation set, as the shadows do.
+    """
+    pool = toy_dataset(n=120, dim=5, seed=4, separation=2.0)
+    val = toy_dataset(n=30, dim=5, seed=2, separation=2.0)
+    cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=8, learning_rate=1e-2, fixed_epochs=30)
+    jobs = []
+    for j, n in enumerate((40, 45, 48, 37)):
+        job_cfg = TrainConfig(**{**vars(cfg), "seed": 10 + j})
+        if n == 45:
+            job_cfg = TrainConfig(**{**vars(job_cfg), "fixed_epochs": None, "max_epochs": 40, "patience": 0})
+        jobs.append((pool.take(np.arange(2 * j, 2 * j + n)), val, job_cfg))
+    return jobs
+
+
+def same_model(a, b):
+    return (a.model.params.tobytes() == b.model.params.tobytes() and a.train_losses == b.train_losses
+            and a.val_losses == b.val_losses and a.best_epoch == b.best_epoch)
+
+
+class TestStack:
+    def test_a_stacked_model_gets_the_bytes_it_gets_alone(self):
+        jobs = stack_jobs()
+        alone = [fit(*job) for job in jobs]
+        epochs = [len(t.val_losses) for t in alone]
+        assert epochs[1] < 30 and epochs[0] == epochs[2] == epochs[3] == 30  # one leaves the stack early
+        # the same jobs in every order and in every split into two stacks
+        orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]]
+        for order in orders:
+            for cut in range(1, 5):
+                parts = [order[:cut], order[cut:]] if cut < len(order) else [order]
+                stacked = [model for part in parts for model in fit_stack([jobs[i] for i in part])]
+                for i, model in zip(order, stacked, strict=True):
+                    assert same_model(model, alone[i]), (order, cut, i)
+
+    def test_stacked_training_steps_match_the_loss_and_grads_reference(self):
+        """Each stacked model's first epoch is the per-batch loss_and_grads and adamw_step loop on that model alone."""
+        jobs = [(d_train, d_val, TrainConfig(**{**vars(cfg), "fixed_epochs": 1})) for d_train, d_val, cfg in stack_jobs()]
+        for (d_train, _, cfg), stacked in zip(jobs, fit_stack(jobs), strict=True):
+            model = init_model(d_train.dimension, cfg)
+            shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
+            m, v = np.zeros_like(model.params), np.zeros_like(model.params)
+            perm = shuffle_rng.permutation(len(d_train))
+            for step, start in enumerate(range(0, len(d_train), cfg.batch_size), start=1):
+                idx = perm[start:start + cfg.batch_size]
+                _, gw, gb = loss_and_grads(model, d_train.X[idx], d_train.y[idx], class_weights(d_train),
+                                           train=True, rng=dropout_rng)
+                grads = np.concatenate([g.ravel() for g in gw + gb])
+                adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
+            assert stacked.model.params.tobytes() == model.params.tobytes()
+
+    @pytest.mark.parametrize("other", ["architecture", "validation"])
+    def test_a_stack_refuses_jobs_of_another_architecture_or_validation_set(self, other):
+        jobs = stack_jobs()
+        d_train, d_val, cfg = jobs[1]
+        jobs[1] = {"architecture": (d_train, d_val, TrainConfig(**{**vars(cfg), "hidden_dims": (6, 4)})),
+                   "validation": (d_train, toy_dataset(n=30, dim=5, seed=3), cfg)}[other]
+        with pytest.raises(ValueError, match=f"must share the {other}"):
+            fit_stack(jobs)
+
+    def test_capacity_follows_the_parameter_count(self):
+        # positive control: 2,113 parameters; the default recipe: 49,665; a wide 8-unit model: 145
+        assert [stack_capacity(64, (32,)), stack_capacity(64, (256, 128)), stack_capacity(16, (8,))] == [7, 1, 112]
 
 
 class TestPredict:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -66,22 +67,6 @@ def test_a_fit_error_in_a_helper_raises_its_type_and_leaves_the_helpers_ready(sh
         procs = list(helpers.procs)
     assert stopped(procs)
     assert [m.model.params.tobytes() for m in again] == [fit(*job).model.params.tobytes() for job in jobs]
-
-
-def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
-    pool, candidates = shadow_inputs
-    helpers = FitHelpers(2)
-    procs = []
-
-    def jobs():
-        procs.extend(helpers.procs)
-        yield pool, candidates, FAST_CFG
-        raise KeyError("job source failed")  # while the first job runs in a helper
-
-    with pytest.raises(KeyError), helpers:
-        helpers.fit_all(jobs())
-    assert len(procs) == 2 and stopped(procs)
-    assert helpers.procs == []
 
 
 def test_start_rule_picks_helpers_by_shadow_steps():
@@ -159,15 +144,69 @@ def pooled_config(tmp_path, name):
 
 
 def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_path, monkeypatch):
+    # with 1, 2 or 3 helpers the shadows train in stacks of other sizes and groupings
     outputs = {}
-    for name, count in (("local", 0), ("pooled", 2)):
+    for count in (0, 1, 2, 3):
         monkeypatch.setattr(pipeline, "helper_count", lambda seconds, count=count: count)
-        out = tmp_path / name
-        pipeline.run_experiment(pooled_config(tmp_path, name))
-        outputs[name] = {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
-                         for p in sorted(out.rglob("*")) if p.is_file()}
-    assert len(outputs["local"]) == 1 + 2 * (8 + SHADOW.count)
-    assert outputs["pooled"] == outputs["local"]
+        out = tmp_path / f"helpers_{count}"
+        pipeline.run_experiment(pooled_config(tmp_path, out.name))
+        outputs[count] = {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
+                          for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(outputs[0]) == 1 + 2 * (8 + SHADOW.count)
+    assert outputs[1] == outputs[2] == outputs[3] == outputs[0]
+
+
+def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs):
+    pool, candidates = shadow_inputs
+    good = (pool, candidates, replace(FAST_CFG, fixed_epochs=1))
+    bad = (pool.take(np.flatnonzero(pool.y == 1)), candidates, replace(FAST_CFG, fixed_epochs=1))  # one class
+    with FitHelpers(1) as helpers:
+        batch = helpers.submit([good, bad, good])
+        assert [list(indices) for _, indices in helpers._running.values()] == [[0, 1, 2]]  # one stack
+        with pytest.raises(ValueError, match="both classes must be present"):
+            batch.wait()
+        jobs = [(pool, candidates, replace(FAST_CFG, fixed_epochs=2, seed=seed)) for seed in (1, 2)]
+        again = helpers.fit_all(jobs)
+        procs = list(helpers.procs)
+    assert stopped(procs)
+    assert [m.model.params.tobytes() for m in again] == [fit(*job).model.params.tobytes() for job in jobs]
+
+
+def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_inputs):
+    """The first stack takes an even share of all jobs not yet finished; a large model goes one at a time."""
+    pool, candidates = shadow_inputs
+    small = [(pool, candidates, replace(FAST_CFG, fixed_epochs=1, seed=seed)) for seed in range(11)]
+    with FitHelpers(2) as helpers:
+        target = helpers.submit(small[:1])
+        shadows = helpers.submit(small[1:])
+        # the target alone, then 6 of the 10 shadows: half of the 11 jobs not yet finished
+        assert sorted(len(indices) for _, indices in helpers._running.values()) == [1, 6]
+        target.wait()
+        shadows.wait()
+        large = replace(FAST_CFG, hidden_dims=(128, 128), fixed_epochs=1)  # over 16k parameters
+        helpers.submit([(pool, candidates, replace(large, seed=seed)) for seed in range(3)])
+        assert [len(indices) for _, indices in helpers._running.values()] == [1, 1]
+
+
+def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
+    pool, candidates = shadow_inputs
+
+    class Jobs(Sequence):
+        def __len__(self):
+            return 2
+
+        def __getitem__(self, i):
+            if i == 1:  # read once the first job runs in a helper
+                raise KeyError("job source failed")
+            return pool, candidates, replace(FAST_CFG, fixed_epochs=400)
+
+    helpers = FitHelpers(2)
+    with pytest.raises(KeyError), helpers:
+        helpers.start()
+        procs = list(helpers.procs)
+        helpers.fit_all(Jobs())
+    assert len(procs) == 2 and stopped(procs)
+    assert helpers.procs == []
 
 
 def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_running(tmp_path, monkeypatch):
