@@ -39,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--positive-fraction", type=float, required=True)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--separation", type=float, default=SynthSpec.separation)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("validate", help="validate a config file")

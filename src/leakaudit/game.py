@@ -1,15 +1,17 @@
 """Membership-inference game orchestration.
 
-Builds the challenge (candidate samples with hidden membership bits),
-trains the target model, and constructs shadow-model ensembles with
-per-sample inclusion tracking and a reserved Z set excluded from all
-shadow training.
+Draws the challenge (candidate samples with hidden membership bits),
+queries the trained target on it, and constructs shadow-model ensembles
+with per-sample inclusion tracking and a reserved Z set excluded from
+all shadow training. :func:`start_fits` is the one place that decides
+where fits run: the target's, and the shadows' in
+:func:`train_shadow_ensemble`.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -30,6 +32,7 @@ __all__ = [
     "assign_membership",
     "draw_challenge",
     "target_job",
+    "start_fits",
     "run_game",
     "train_shadow_ensemble",
     "collect_confidences",
@@ -60,7 +63,12 @@ class Challenge:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Challenge recipe: member share of the candidates and train/validation/population split."""
+    """Challenge recipe: member share of the candidates and train/validation/population split.
+
+    Every split is needed: the target trains on the train split and picks
+    its epoch on the validation split, and the non-members come from the
+    population split.
+    """
 
     p_member: float = 0.67
     fractions: tuple[float, float, float] = (0.45, 0.10, 0.45)
@@ -69,8 +77,8 @@ class GameConfig:
         fractions = self.fractions
         check(
             ("p_member", 0.0 < self.p_member < 1.0, f"must be in (0,1), got {self.p_member}"),
-            ("fractions", len(fractions) == 3 and min(fractions) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9,
-             f"must be three non-negative numbers that sum to 1, got {fractions}"),
+            ("fractions", len(fractions) == 3 and min(fractions) > 0 and abs(sum(fractions) - 1.0) <= 1e-9,
+             f"must be three positive numbers that sum to 1, got {fractions}"),
         )
 
 
@@ -125,16 +133,14 @@ class ShadowEnsemble:
     """K shadow models with a (sample x shadow) inclusion mask.
 
     ``ids`` indexes the mask rows and covers the shadows' sampling
-    universe; the reserved Z ids, which no shadow trains on, are listed
-    only in ``z_ids``, so :meth:`rows` gives them -1. ``z`` holds the Z
-    samples themselves, in ``z_ids`` order, which the shadows and the
-    target are queried on.
+    universe; ``z`` holds the reserved Z samples, which no shadow trains
+    on and which the shadows and the target are queried on. Its ids are
+    not in ``ids``, so :meth:`rows` gives them -1.
     """
 
     models: tuple[TrainedModel, ...]
     ids: tuple[str, ...]
     mask: np.ndarray
-    z_ids: tuple[str, ...]
     z: Dataset
     shadow_epochs: int
     seed: int
@@ -143,11 +149,9 @@ class ShadowEnsemble:
     def __post_init__(self):
         if self.mask.shape != (len(self.ids), self.k):
             raise ValueError(f"mask shape {self.mask.shape} does not match ids x shadows")
-        if self.z.ids != self.z_ids:
-            raise ValueError("Z dataset rows do not match z_ids")
-        listed = np.flatnonzero(self.rows(self.z_ids) >= 0)
+        listed = np.flatnonzero(self.rows(self.z.ids) >= 0)
         if listed.size:
-            raise ValueError(f"reserved Z id {self.z_ids[listed[0]]!r} is listed in the sampling universe ids")
+            raise ValueError(f"reserved Z id {self.z.ids[listed[0]]!r} is listed in the sampling universe ids")
 
     @property
     def k(self) -> int:
@@ -207,29 +211,35 @@ def target_job(dataset: Dataset, split: SplitAssignment, cfg: TrainConfig,
     return dataset.subset(split.train_ids), dataset.subset(split.validation_ids), train_cfg
 
 
-def run_game(dataset: Dataset, cfg: TrainConfig, game: GameConfig, seed: int,
-             target: TrainedModel | None = None) -> TargetArtifacts:
-    """Draw the challenge, train the target, and record per-candidate true-label confidences.
+def start_fits(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]],
+               helpers: FitHelpers) -> Callable[[], list[TrainedModel]]:
+    """Start ``fit(*job)`` for every job; returns the wait for their models, in job order.
 
-    ``seed`` fixes the split, the non-member draw (see
-    :func:`draw_challenge`) and the target's training. A ``target``
-    already trained elsewhere from :func:`target_job`'s arguments, as in
-    a helper process, is used as it is.
+    With helpers the jobs are queued there as one batch (see
+    :meth:`FitHelpers.submit`) and this returns at once; with none they
+    are fitted here, one at a time, before this returns.
     """
-    split, challenge = draw_challenge(dataset, game, seed)
-    trained = target if target is not None else fit(*target_job(dataset, split, cfg, seed))
+    if helpers:
+        return helpers.submit(jobs).wait
+    models = [fit(*job) for job in jobs]
+    return lambda: models
+
+
+def run_game(dataset: Dataset, split: SplitAssignment, challenge: Challenge,
+             target: TrainedModel) -> TargetArtifacts:
+    """Record the trained ``target``'s true-label confidence on every candidate of the drawn ``challenge``."""
     candidates = dataset.subset(challenge.candidate_ids)
-    confs = predict_confidences(trained, candidates.features_array(), candidates.labels_array())
-    return TargetArtifacts(model=trained, ids=candidates.ids, confidences=confs, challenge=challenge, split=split)
+    confs = predict_confidences(target, candidates.features_array(), candidates.labels_array())
+    return TargetArtifacts(model=target, ids=candidates.ids, confidences=confs, challenge=challenge, split=split)
 
 
 def train_shadow_ensemble(
     pool: Dataset,
-    candidates: Dataset | None,
+    candidates: Dataset,
     shadow: ShadowParams,
     cfg: TrainConfig,
     seed: int,
-    helpers: FitHelpers | None = None,
+    helpers: FitHelpers,
 ) -> ShadowEnsemble:
     """Train ``shadow.count`` shadows over the pool-plus-candidates sampling universe.
 
@@ -239,13 +249,12 @@ def train_shadow_ensemble(
     a pool that yields no Z point is rejected before any shadow trains.
     Every remaining sample enters each shadow independently with
     probability ``shadow.inclusion_rate``. Shadows reuse the target
-    hyperparameters and train for exactly ``shadow.epochs`` epochs. With
-    ``helpers`` (non-empty) the fits run in those processes, in lockstep
-    stacks; each shadow's model is the same wherever, and beside
-    whichever shadows, it trains.
+    hyperparameters and train for exactly ``shadow.epochs`` epochs, where
+    :func:`start_fits` runs them; each shadow's model is the same
+    wherever, and beside whichever shadows, it trains.
     """
     k = shadow.count
-    z_eligible = [i for i in pool.ids if candidates is None or i not in candidates]
+    z_eligible = [i for i in pool.ids if i not in candidates]
     n_z = int(round(shadow.z_fraction * len(pool)))
     if shadow.z_cap is not None:
         n_z = min(n_z, shadow.z_cap)
@@ -260,9 +269,8 @@ def train_shadow_ensemble(
     z_set = set(z_ids)
 
     # sampling universe: pool minus Z, then the candidates outside the pool
-    parts = [(pool, [r for r, i in enumerate(pool.ids) if i not in z_set])]
-    if candidates is not None:
-        parts.append((candidates, [r for r, i in enumerate(candidates.ids) if i not in pool]))
+    parts = [(pool, [r for r, i in enumerate(pool.ids) if i not in z_set]),
+             (candidates, [r for r, i in enumerate(candidates.ids) if i not in pool])]
     universe = Dataset(
         [d.ids[r] for d, rows in parts for r in rows],
         np.concatenate([d.X[rows] for d, rows in parts]),
@@ -287,13 +295,12 @@ def train_shadow_ensemble(
     shadow_seeds = [derive_seed(seed, "shadow", j) for j in range(k)]
     jobs = _ShadowJobs(universe, incl, z_dataset, [replace(cfg, seed=s, fixed_epochs=shadow.epochs)
                                                    for s in shadow_seeds])
-    models = helpers.fit_all(jobs) if helpers else [fit(*job) for job in jobs]
+    models = start_fits(jobs, helpers)()
 
     return ShadowEnsemble(
         models=tuple(models),
         ids=universe.ids,
         mask=incl,
-        z_ids=z_ids,
         z=z_dataset,
         shadow_epochs=shadow.epochs,
         seed=seed,
@@ -351,7 +358,7 @@ def save_manifest(ensemble: ShadowEnsemble, path: str | Path,
         "seed": ensemble.seed,
         "shadow_epochs": ensemble.shadow_epochs,
         "shadow_seeds": list(ensemble.shadow_seeds),
-        "z_ids": list(ensemble.z_ids),
+        "z_ids": list(ensemble.z.ids),
         "ids": list(ensemble.ids),
         "mask": [bits[r * k:(r + 1) * k] for r in range(n)],
         "checkpoints": list(checkpoint_paths) if checkpoint_paths else [],

@@ -15,9 +15,11 @@ stacked mini-batches and one AdamW pass over the (K, P) moments. A
 step of a small model costs numpy dispatch more than arithmetic, so a
 stack of K costs far less than K steps; :func:`stack_capacity` sizes a
 stack to at most :data:`STACK_ELEMENTS` parameters in all, which keeps
-large models in stacks of one. Each model keeps its own rows, seed,
-epoch budget and patience, and gets the bytes that :func:`fit`, the
-stack of one, gives it alone.
+large models in stacks of one. The models of a stack share the recipe
+but the seed, and train a fixed number of epochs, as the shadows of a
+repetition do; only :func:`fit`, the stack of one, stops early. Each
+model keeps its own rows and seed, and gets the bytes that :func:`fit`
+gives it alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -347,8 +349,6 @@ class _Lane:
         self.init = init_model(d_train.dimension, cfg)
         self.shuffle_rng = derive_rng(cfg.seed, "shuffle")
         self.dropout_rng = derive_rng(cfg.seed, "dropout")
-        self.epochs = cfg.fixed_epochs if cfg.fixed_epochs is not None else cfg.max_epochs
-        self.patience = cfg.patience if cfg.fixed_epochs is None else None
         self.full = len(self.y) // cfg.batch_size  # full mini-batches per epoch; a shorter last one runs alone
         self.batches = math.ceil(len(self.y) / cfg.batch_size)
         self.train_losses: list[float] = []
@@ -356,17 +356,13 @@ class _Lane:
         self.best_val = np.inf
         self.best_epoch = 0
         self.best = self.init  # the stack trains a copy of its params
-        self.since_best = 0
 
-    def end_epoch(self, epoch: int, model: MlpModel, val_loss: float) -> bool:
-        """Record ``model``'s losses after ``epoch``, given its validation loss; true once this job is done."""
+    def end_epoch(self, epoch: int, model: MlpModel, val_loss: float) -> None:
+        """Record ``model``'s losses after ``epoch``, given its validation loss, and keep it if it is the best yet."""
         self.train_losses.append(float(_mean_bce(forward_logits(model, self.X), self.pos, self.w)))
         self.val_losses.append(val_loss)
         if val_loss < self.best_val:
-            self.best_val, self.best_epoch, self.best, self.since_best = val_loss, epoch, model.copy(), 0
-            return epoch == self.epochs
-        self.since_best += 1  # patience counts only epochs that did not improve, so 0 stops as 1 does
-        return epoch == self.epochs or (self.patience is not None and self.since_best >= self.patience)
+            self.best_val, self.best_epoch, self.best = val_loss, epoch, model.copy()
 
 
 def _view(params: np.ndarray, like: MlpModel) -> MlpModel:
@@ -379,29 +375,27 @@ def _view(params: np.ndarray, like: MlpModel) -> MlpModel:
 def fit_stack(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainedModel]:
     """``fit(*job)`` for every job, in job order, trained in lockstep as one stack.
 
-    The jobs must share the input dimension, layers, dropout, learning
-    rate, weight decay, batch size and validation set, as the shadows of
-    a repetition do; each may have its own training set, seed, epoch
-    budget and patience. Every model is byte for byte the one
-    :func:`fit` returns.
+    A stack of more than one job takes jobs whose recipes differ only in
+    the seed and set ``fixed_epochs``, and that share the validation set,
+    as the shadows of a repetition do; it raises :class:`ValueError` for
+    any other. Each job may have its own training set. Every model is
+    byte for byte the one :func:`fit` returns, and all end on the same
+    epoch; only a stack of one stops early.
 
-    Each epoch every live model draws its own permutation. The models
-    with a full mini-batch left take that step together, so the models
-    are ordered by their count of full batches and each step's stack is a
-    prefix of them; a shorter last batch runs on its own, unpadded. A
-    model that is done leaves the stack.
+    Each epoch every model draws its own permutation. The models with a
+    full mini-batch left take that step together, so the models are
+    ordered by their count of full batches and each step's stack is a
+    prefix of them; a shorter last batch runs on its own, unpadded.
     """
-    def recipe(job: tuple[Dataset, Dataset, TrainConfig]) -> tuple:
-        d_train, _, c = job
-        return d_train.dimension, c.hidden_dims, c.dropout_rate, c.learning_rate, c.weight_decay, c.batch_size
-
     in_job_order = [_Lane(*job) for job in jobs]
     first, cfg = in_job_order[0], jobs[0][2]
-    for job, lane in zip(jobs[1:], in_job_order[1:]):
-        if recipe(job) != recipe(jobs[0]):
-            raise ValueError("the jobs of a stack must share the architecture and the optimizer settings")
+    for (_, _, job_cfg), lane in zip(jobs[1:], in_job_order[1:]):
+        if replace(job_cfg, seed=cfg.seed) != cfg:
+            raise ValueError("the jobs of a stack must share the architecture and every other setting but the seed")
         if not (np.array_equal(lane.X_val, first.X_val) and np.array_equal(lane.val_pos, first.val_pos)):
             raise ValueError("the jobs of a stack must share the validation set")
+    if len(jobs) > 1 and cfg.fixed_epochs is None:
+        raise ValueError("the jobs of a stack must train fixed_epochs; only a stack of one stops early")
     lanes = sorted(in_job_order, key=lambda lane: -lane.full)
     batch, like = cfg.batch_size, lanes[0].init
     params = np.stack([lane.init.params for lane in lanes])
@@ -409,7 +403,7 @@ def fit_stack(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]]) -> list[Trai
     X_epoch = np.empty((len(lanes), lanes[0].full * batch, like.input_dim))
     y_epoch = np.empty(X_epoch.shape[:2], dtype=lanes[0].y.dtype)
     w_epoch = np.empty(X_epoch.shape[:2])
-    views: dict[tuple[int, int], tuple] = {}  # per block of stack rows, rebuilt when a model leaves
+    views: dict[tuple[int, int], tuple] = {}  # per block of stack rows
 
     def block(k: int, n: int) -> tuple:
         """Views of the n stack rows from row k; one row is a plain model, so a stack of one runs in 2-D."""
@@ -426,7 +420,7 @@ def fit_stack(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]]) -> list[Trai
         _backward(model, cache, _output_delta(_sigmoid(logits), y, w), grad)
         adamw_step(model.params, grad.params, m_rows, v_rows, cfg.learning_rate, cfg.weight_decay, count)
 
-    for epoch in range(1, max(lane.epochs for lane in lanes) + 1):
+    for epoch in range(1, (cfg.fixed_epochs or cfg.max_epochs) + 1):
         last = []
         for k, lane in enumerate(lanes):
             perm = lane.shuffle_rng.permutation(len(lane.y))
@@ -450,14 +444,11 @@ def fit_stack(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]]) -> list[Trai
         # the shared validation set, scored by the whole stack in one pass with each model's class weights
         val_logits = forward_logits(block(0, len(lanes))[0], lanes[0].X_val).reshape(len(lanes), -1)
         val_losses = _mean_bce(val_logits, lanes[0].val_pos, np.stack([lane.val_w for lane in lanes])).tolist()
-        live = [k for k, lane in enumerate(lanes) if not lane.end_epoch(epoch, block(k, 1)[0], val_losses[k])]
-        if not live:
+        for k, lane in enumerate(lanes):
+            lane.end_epoch(epoch, block(k, 1)[0], val_losses[k])
+        # patience counts only epochs that did not improve, so 0 stops as 1 does
+        if cfg.fixed_epochs is None and epoch - first.best_epoch >= max(cfg.patience, 1):
             break
-        if len(live) < len(lanes):
-            lanes = [lanes[k] for k in live]
-            params, m, v = params[live], m[live], v[live]
-            grads = np.empty_like(params)
-            views.clear()
     return [TrainedModel(model=lane.best, train_losses=lane.train_losses, val_losses=lane.val_losses,
                          best_epoch=lane.best_epoch) for lane in in_job_order]
 

@@ -12,7 +12,8 @@ The parent dispatches from its own thread. :meth:`FitHelpers.submit`
 queues a batch of ``(d_train, d_val, cfg)`` jobs and returns; while any
 :class:`Batch` is waited for, the parent sends each idle helper a stack
 of queued jobs, which the helper trains in lockstep with
-:func:`leakaudit.nnet.fit_stack`. A stack takes an even share of the
+:func:`leakaudit.nnet.fit_stack`. A repetition submits two batches: the
+target alone, then its shadows. A stack takes an even share of the
 jobs not yet finished, counting those still running, so that the
 helpers finish together, and at most :func:`leakaudit.nnet.stack_capacity`
 jobs, which keeps large models in stacks of one; it never mixes two
@@ -115,8 +116,9 @@ class FitHelpers:
         Idle helpers get the first jobs at once, the rest as helpers come
         free while any batch is waited for. A job is read from ``jobs``,
         and pickled, only when it is sent. The jobs of a batch train in
-        stacks, so they must share what :func:`leakaudit.nnet.fit_stack`
-        requires: the architecture and the validation set.
+        stacks, so a batch of more than one job must be what
+        :func:`leakaudit.nnet.fit_stack` stacks: recipes that differ only
+        in the seed and set ``fixed_epochs``, and one validation set.
         """
         if not self.n:
             raise ValueError("FitHelpers(0) has no helper to run a job")
@@ -126,10 +128,6 @@ class FitHelpers:
         with self._stopped_on_error():
             self._dispatch()
         return batch
-
-    def fit_all(self, jobs: Sequence[Job]) -> list[TrainedModel]:
-        """``fit(*job)`` for every job, in job order, wherever each one ran."""
-        return self.submit(jobs).wait()
 
     def _dispatch(self) -> None:
         """Send each idle helper the next stack of queued jobs, the oldest batch first."""

@@ -8,8 +8,11 @@ byte-identical outputs. A run and a re-attack finish every repetition
 the same way (:func:`_finish_rep`): from the target's game and the shadow
 ensemble to the score and ROC CSVs and the ``rep_report.json``, and both
 aggregate into ``report.json`` through :func:`_write_report`. A run
-trains the target and the shadows first; a re-attack redraws the game
-with the stored target and loads the stored ensemble. Both reports are
+draws the split and the challenge, starts the target's fit, trains the
+shadows and then queries the target, in that one order whether the fits
+run in-process or in helpers; a re-attack redraws the challenge, checks
+it against the stored one and queries the stored target, and loads the
+stored ensemble. Both reports are
 replaced atomically. The attacks and the evaluation take plain arrays in
 the one candidate order of :mod:`leakaudit.attacks`; the candidates' ids
 and membership come from the repetition's ``TargetArtifacts``.
@@ -29,7 +32,7 @@ import numpy as np
 
 from leakaudit.attacks import AttackScores, run_lira, run_rmia, save_scores, z_confidences
 from leakaudit.config import ExperimentConfig
-from leakaudit.data import Dataset, SplitAssignment, load_dataset
+from leakaudit.data import Dataset, load_dataset
 from leakaudit.evaluation import (
     baseline_tpr,
     auroc,
@@ -43,7 +46,6 @@ from leakaudit.evaluation import (
     tpr_at_fpr,
 )
 from leakaudit.game import (
-    Challenge,
     ShadowEnsemble,
     TargetArtifacts,
     collect_confidences,
@@ -53,6 +55,7 @@ from leakaudit.game import (
     run_game,
     save_challenge,
     save_manifest,
+    start_fits,
     target_job,
     train_shadow_ensemble,
 )
@@ -106,20 +109,12 @@ def _run_single_rep(
     helpers: FitHelpers,
 ) -> dict:
     rep_seed = derive_seed(cfg.seed, "rep", rep)
-
-    def shadows(split: SplitAssignment, challenge: Challenge) -> ShadowEnsemble:
-        return train_shadow_ensemble(dataset.subset(split.population_ids), dataset.subset(challenge.candidate_ids),
-                                     cfg.shadow, cfg.train, derive_seed(rep_seed, "ensemble"), helpers=helpers)
-
-    if helpers:
-        # every fit is queued before the first wait, the target, the longest, first
-        split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
-        target = helpers.submit([target_job(dataset, split, cfg.train, rep_seed)])
-        ensemble = shadows(split, challenge)
-        artifacts = run_game(dataset, cfg.train, cfg.game, rep_seed, target=target.wait()[0])
-    else:
-        artifacts = run_game(dataset, cfg.train, cfg.game, rep_seed)
-        ensemble = shadows(artifacts.split, artifacts.challenge)
+    split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
+    # with helpers every fit is queued before the first wait, the target, the longest, first
+    target = start_fits([target_job(dataset, split, cfg.train, rep_seed)], helpers)
+    ensemble = train_shadow_ensemble(dataset.subset(split.population_ids), dataset.subset(challenge.candidate_ids),
+                                     cfg.shadow, cfg.train, derive_seed(rep_seed, "ensemble"), helpers)
+    artifacts = run_game(dataset, split, challenge, target()[0])
 
     rep_dir.mkdir(parents=True, exist_ok=True)
     save_model(artifacts.model, rep_dir / "target.npz")
@@ -348,15 +343,15 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
     for rep in range(cfg.repetitions):
         rep_dir = _rep_dir(out_dir, rep)
         try:
-            challenge = load_challenge(rep_dir / "challenge.json")
-            artifacts = run_game(dataset, cfg.train, cfg.game, derive_seed(cfg.seed, "rep", rep),
-                                 target=load_model(rep_dir / "target.npz"))
+            stored_challenge = load_challenge(rep_dir / "challenge.json")
+            split, challenge = draw_challenge(dataset, cfg.game, derive_seed(cfg.seed, "rep", rep))
+            artifacts = run_game(dataset, split, challenge, load_model(rep_dir / "target.npz"))
             ensemble = _load_ensemble(rep_dir, dataset)
         except Exception as exc:  # noqa: BLE001 - record and continue
             errors[str(rep)] = f"{type(exc).__name__}: {exc}"
             log.warning("repetition %d cannot be re-attacked: %s", rep, errors[str(rep)])
             continue
-        if artifacts.challenge != challenge:
+        if challenge != stored_challenge:
             raise ValueError(f"{rep_dir}: the config or the data no longer draws the stored challenge")
         for key, trained, wanted in (("shadow.count", ensemble.k, cfg.shadow.count),
                                      ("shadow.epochs", ensemble.shadow_epochs, cfg.shadow.epochs)):
@@ -373,13 +368,11 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
 
 def _load_ensemble(rep_dir: Path, dataset: Dataset) -> ShadowEnsemble:
     manifest = load_manifest(rep_dir / "manifest.json")
-    z_ids = tuple(manifest["z_ids"])
     return ShadowEnsemble(
         models=tuple(load_model(rep_dir / name) for name in manifest["checkpoints"]),
         ids=tuple(manifest["ids"]),
         mask=manifest["mask"],
-        z_ids=z_ids,
-        z=dataset.take(dataset.rows(z_ids)),
+        z=dataset.take(dataset.rows(manifest["z_ids"])),
         shadow_epochs=manifest["shadow_epochs"],
         seed=manifest["seed"],
         shadow_seeds=tuple(manifest["shadow_seeds"]),

@@ -57,7 +57,7 @@ class TestResult:
     method: str
 
 
-def fit_gaussian(samples: Sequence[float], floor: float = 1e-6) -> GaussianFit:
+def fit_gaussian(samples: Sequence[float], floor: float) -> GaussianFit:
     """Fit mean and unbiased variance, flooring the variance at ``floor``.
 
     A single observation yields variance exactly ``floor``.

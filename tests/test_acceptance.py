@@ -32,6 +32,7 @@ from leakaudit.game import (
     train_shadow_ensemble,
 )
 from leakaudit.nnet import TrainConfig, fit, forward_logits, init_model, loss_and_grads, predict_confidences, weighted_bce_loss
+from leakaudit.parallel import FitHelpers
 from leakaudit.pipeline import run_experiment
 from leakaudit.stats import hypergeom_expected, mann_whitney_u, wilcoxon_signed_rank
 from leakaudit.synth import SynthSpec, synth_dataset
@@ -383,7 +384,8 @@ def _null_study_tprs(study, n_reps=5):
         )
         is_member = np.isin(candidates.ids, challenge.member_ids)
         ensemble = train_shadow_ensemble(
-            pop, candidates, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed
+            pop, candidates, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed,
+            helpers=FitHelpers(0),
         )
         values, mask = collect_confidences(ensemble, candidates)
         tables = {

@@ -213,6 +213,9 @@ class TestValidate:
         ("shadow.z_cap = 0", "shadow.z_cap"),
         ("shadow.z_fraction = 0", "shadow.z_fraction"),
         ("train.fixed_epochs = 0", "train.fixed_epochs"),
+        ("split.train = 0\nsplit.population = 0.9", "split.*"),
+        ("split.validation = 0\nsplit.train = 0.55", "split.*"),
+        ("split.population = 0\nsplit.train = 0.9", "split.*"),
     ])
     def test_recipe_rule_reported_under_its_key(self, tmp_path, line, key):
         with pytest.raises(ConfigError) as exc:

@@ -1,4 +1,4 @@
-"""Tests for challenge construction, target training and shadow ensembles."""
+"""Tests for challenge construction, the target's game and shadow ensembles."""
 
 import json
 from dataclasses import replace
@@ -15,17 +15,27 @@ from leakaudit.game import (
     TargetArtifacts,
     assign_membership,
     collect_confidences,
+    draw_challenge,
     load_challenge,
     run_game,
     save_challenge,
     save_manifest,
+    target_job,
     train_shadow_ensemble,
 )
-from leakaudit.nnet import TrainConfig
+from leakaudit.nnet import TrainConfig, fit
+from leakaudit.parallel import FitHelpers
 from leakaudit.synth import SynthSpec, synth_dataset
 
 FAST_CFG = TrainConfig(hidden_dims=(4,), dropout_rate=0.0, learning_rate=1e-2,
                        max_epochs=3, patience=3, seed=0)
+NO_HELPERS = FitHelpers(0)
+
+
+def play(dataset, cfg, game_cfg, seed):
+    """A repetition's game in-process: draw the challenge, fit the target, query it on the candidates."""
+    split, challenge = draw_challenge(dataset, game_cfg, seed)
+    return run_game(dataset, split, challenge, fit(*target_job(dataset, split, cfg, seed)))
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +45,14 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def artifacts(dataset):
-    return run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
+    return play(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
 
 
 @pytest.fixture(scope="module")
 def ensemble(dataset, artifacts):
     pool = dataset.subset(artifacts.split.population_ids)
     candidates = dataset.subset(artifacts.challenge.candidate_ids)
-    return train_shadow_ensemble(pool, candidates, ShadowParams(count=4, epochs=2), FAST_CFG, 11)
+    return train_shadow_ensemble(pool, candidates, ShadowParams(count=4, epochs=2), FAST_CFG, 11, NO_HELPERS)
 
 
 class TestChallenge:
@@ -151,8 +161,8 @@ class TestRunGame:
         assert {i for i, m in zip(artifacts.ids, artifacts.is_member) if m} == set(artifacts.challenge.member_ids)
 
     def test_deterministic(self, dataset):
-        a = run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
-        b = run_game(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
+        a = play(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
+        b = play(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
         assert a.challenge == b.challenge
         assert a.ids == b.ids
         assert np.array_equal(a.confidences, b.confidences)
@@ -160,12 +170,12 @@ class TestRunGame:
     def test_population_too_small(self, dataset):
         game = GameConfig(p_member=0.2, fractions=(0.7, 0.1, 0.2))
         with pytest.raises(ValueError):
-            run_game(dataset, replace(FAST_CFG, fixed_epochs=1), game, 0)
+            draw_challenge(dataset, game, 0)
 
     def test_overfit_target_separates_members(self, dataset):
         cfg = TrainConfig(hidden_dims=(16,), dropout_rate=0.0, weight_decay=0.0,
                           learning_rate=1e-2, max_epochs=40, patience=40, fixed_epochs=40, seed=0)
-        art = run_game(dataset, cfg, GameConfig(), 2)
+        art = play(dataset, cfg, GameConfig(), 2)
         member = np.isin(art.ids, art.challenge.member_ids)
         assert np.mean(art.confidences[member]) > np.mean(art.confidences[~member])
 
@@ -177,25 +187,27 @@ class TestShadowEnsemble:
         assert len(ensemble.shadow_seeds) == 4
 
     def test_z_ids_are_disjoint_from_the_universe(self, ensemble):
-        assert ensemble.z_ids
-        assert not set(ensemble.z_ids) & set(ensemble.ids)
-        assert (ensemble.rows(ensemble.z_ids) == -1).all()
+        assert ensemble.z.ids
+        assert not set(ensemble.z.ids) & set(ensemble.ids)
+        assert (ensemble.rows(ensemble.z.ids) == -1).all()
 
     def test_z_dataset_holds_the_z_rows(self, dataset, ensemble):
-        assert ensemble.z.ids == ensemble.z_ids
-        assert np.array_equal(ensemble.z.X, dataset.X[dataset.rows(ensemble.z_ids)])
+        assert np.array_equal(ensemble.z.X, dataset.X[dataset.rows(ensemble.z.ids)])
+        assert np.array_equal(ensemble.z.y, dataset.y[dataset.rows(ensemble.z.ids)])
 
     def test_z_excludes_candidates(self, ensemble, artifacts):
-        assert not set(ensemble.z_ids) & set(artifacts.challenge.candidate_ids)
+        assert not set(ensemble.z.ids) & set(artifacts.challenge.candidate_ids)
 
     def test_z_size(self, dataset, artifacts, ensemble):
         pool = dataset.subset(artifacts.split.population_ids)
-        assert len(ensemble.z_ids) == round(0.25 * len(pool))
+        assert len(ensemble.z.ids) == round(0.25 * len(pool))
 
     def test_z_cap(self, dataset, artifacts):
         pool = dataset.subset(artifacts.split.population_ids)
-        ens = train_shadow_ensemble(pool, None, ShadowParams(count=2, epochs=1, z_cap=5), FAST_CFG, 0)
-        assert len(ens.z_ids) == 5
+        candidates = dataset.subset(artifacts.challenge.candidate_ids)
+        ens = train_shadow_ensemble(pool, candidates, ShadowParams(count=2, epochs=1, z_cap=5), FAST_CFG, 0,
+                                    NO_HELPERS)
+        assert len(ens.z.ids) == 5
 
     def test_every_shadow_saw_two_classes(self, dataset, ensemble):
         label = dict(zip(dataset.ids, dataset.y.tolist()))
@@ -206,10 +218,10 @@ class TestShadowEnsemble:
     def test_deterministic(self, dataset, artifacts):
         pool = dataset.subset(artifacts.split.population_ids)
         candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        e1 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4)
-        e2 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4)
+        e1 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4, NO_HELPERS)
+        e2 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4, NO_HELPERS)
         assert np.array_equal(e1.mask, e2.mask)
-        assert e1.z_ids == e2.z_ids
+        assert e1.z.ids == e2.z.ids
         for m1, m2 in zip(e1.models, e2.models):
             for w1, w2 in zip(m1.model.weights, m2.model.weights):
                 assert np.array_equal(w1, w2)
@@ -220,10 +232,10 @@ class TestShadowEnsemble:
 
     def test_rejects_tiny_k(self, dataset):
         with pytest.raises(ValueError):
-            train_shadow_ensemble(dataset, None, ShadowParams(count=1), FAST_CFG, 0)
+            train_shadow_ensemble(dataset, dataset, ShadowParams(count=1), FAST_CFG, 0, NO_HELPERS)
 
     @pytest.mark.parametrize("pool_rows,candidate_rows", [
-        (2, None),  # round(0.25 * 2) == 0 Z points
+        (2, None),  # round(0.25 * 2) == 0 Z points; None: every candidate lies outside the pool
         (40, 40),  # every pool sample is a candidate, so none may join Z
     ])
     def test_pool_without_z_point_rejected_before_training(self, dataset, monkeypatch,
@@ -231,23 +243,23 @@ class TestShadowEnsemble:
         fits = []
         monkeypatch.setattr(game, "fit", lambda *args: fits.append(args))
         pool = dataset.take(np.arange(pool_rows))
-        candidates = None if candidate_rows is None else dataset.take(np.arange(candidate_rows))
+        candidates = dataset.take(np.arange(200, 240) if candidate_rows is None else np.arange(candidate_rows))
         with pytest.raises(ValueError, match="no Z point"):
-            train_shadow_ensemble(pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0)
+            train_shadow_ensemble(pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0, NO_HELPERS)
         assert fits == []
 
     def test_mask_shape_validated(self, ensemble):
         with pytest.raises(ValueError, match="mask shape"):
             ShadowEnsemble(
                 models=ensemble.models[:2], ids=("a", "b"), mask=np.zeros((3, 2), dtype=np.uint8),
-                z_ids=ensemble.z_ids, z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
+                z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
             )
 
     def test_z_in_training_set_rejected(self, ensemble):
         with pytest.raises(ValueError, match="reserved Z id"):
             ShadowEnsemble(
-                models=ensemble.models[:2], ids=ensemble.z_ids[:1], mask=np.ones((1, 2), dtype=np.uint8),
-                z_ids=ensemble.z_ids, z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
+                models=ensemble.models[:2], ids=ensemble.z.ids[:1], mask=np.ones((1, 2), dtype=np.uint8),
+                z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
             )
 
 
@@ -272,7 +284,7 @@ class TestManifest:
         save_manifest(ensemble, path, checkpoint_paths=["s0.npz"])
         manifest = json.loads(path.read_text(encoding="utf-8"))
         assert manifest["seed"] == ensemble.seed
-        assert tuple(manifest["z_ids"]) == ensemble.z_ids
+        assert tuple(manifest["z_ids"]) == ensemble.z.ids
         assert all(isinstance(row, str) and len(row) == ensemble.k for row in manifest["mask"])
         decoded = np.array([[int(c) for c in row] for row in manifest["mask"]], dtype=np.uint8)
         assert np.array_equal(decoded, ensemble.mask)

@@ -1,6 +1,7 @@
 """Tests for the numpy MLP: gradients, optimizer, training loop, persistence."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,20 +361,15 @@ def stack_jobs():
     """Jobs for one stack of two-hidden-layer models with dropout, batch 8.
 
     Their training sets differ: 40 rows end on a full batch, 45 and 37 on
-    a partial one, 48 take an extra full batch. Three train 30 fixed
-    epochs; the 45-row job early-stops on a patience of 0. They share
-    one validation set, as the shadows do.
+    a partial one, 48 take an extra full batch. They train 30 fixed
+    epochs, each with its own seed, and share one validation set, as the
+    shadows do.
     """
     pool = toy_dataset(n=120, dim=5, seed=4, separation=2.0)
     val = toy_dataset(n=30, dim=5, seed=2, separation=2.0)
     cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=8, learning_rate=1e-2, fixed_epochs=30)
-    jobs = []
-    for j, n in enumerate((40, 45, 48, 37)):
-        job_cfg = TrainConfig(**{**vars(cfg), "seed": 10 + j})
-        if n == 45:
-            job_cfg = TrainConfig(**{**vars(job_cfg), "fixed_epochs": None, "max_epochs": 40, "patience": 0})
-        jobs.append((pool.take(np.arange(2 * j, 2 * j + n)), val, job_cfg))
-    return jobs
+    return [(pool.take(np.arange(2 * j, 2 * j + n)), val, replace(cfg, seed=10 + j))
+            for j, n in enumerate((40, 45, 48, 37))]
 
 
 def same_model(a, b):
@@ -385,8 +381,7 @@ class TestStack:
     def test_a_stacked_model_gets_the_bytes_it_gets_alone(self):
         jobs = stack_jobs()
         alone = [fit(*job) for job in jobs]
-        epochs = [len(t.val_losses) for t in alone]
-        assert epochs[1] < 30 and epochs[0] == epochs[2] == epochs[3] == 30  # one leaves the stack early
+        assert [len(t.val_losses) for t in alone] == [30] * 4
         # the same jobs in every order and in every split into two stacks
         orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]]
         for order in orders:
@@ -398,7 +393,7 @@ class TestStack:
 
     def test_stacked_training_steps_match_the_loss_and_grads_reference(self):
         """Each stacked model's first epoch is the per-batch loss_and_grads and adamw_step loop on that model alone."""
-        jobs = [(d_train, d_val, TrainConfig(**{**vars(cfg), "fixed_epochs": 1})) for d_train, d_val, cfg in stack_jobs()]
+        jobs = [(d_train, d_val, replace(cfg, fixed_epochs=1)) for d_train, d_val, cfg in stack_jobs()]
         for (d_train, _, cfg), stacked in zip(jobs, fit_stack(jobs), strict=True):
             model = init_model(d_train.dimension, cfg)
             shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
@@ -416,9 +411,23 @@ class TestStack:
     def test_a_stack_refuses_jobs_of_another_architecture_or_validation_set(self, other):
         jobs = stack_jobs()
         d_train, d_val, cfg = jobs[1]
-        jobs[1] = {"architecture": (d_train, d_val, TrainConfig(**{**vars(cfg), "hidden_dims": (6, 4)})),
+        jobs[1] = {"architecture": (d_train, d_val, replace(cfg, hidden_dims=(6, 4))),
                    "validation": (d_train, toy_dataset(n=30, dim=5, seed=3), cfg)}[other]
         with pytest.raises(ValueError, match=f"must share the {other}"):
+            fit_stack(jobs)
+
+    @pytest.mark.parametrize("change", [{"learning_rate": 2e-2}, {"fixed_epochs": 29}, {"patience": 4},
+                                        {"max_epochs": 31}])
+    def test_a_stack_refuses_jobs_whose_recipes_differ_in_more_than_the_seed(self, change):
+        jobs = stack_jobs()
+        d_train, d_val, cfg = jobs[2]
+        jobs[2] = d_train, d_val, replace(cfg, **change)
+        with pytest.raises(ValueError, match="every other setting but the seed"):
+            fit_stack(jobs)
+
+    def test_a_stack_of_more_than_one_refuses_early_stopping(self):
+        jobs = [(d_train, d_val, replace(cfg, fixed_epochs=None)) for d_train, d_val, cfg in stack_jobs()]
+        with pytest.raises(ValueError, match="only a stack of one stops early"):
             fit_stack(jobs)
 
     def test_capacity_follows_the_parameter_count(self):

@@ -10,8 +10,8 @@ import pytest
 
 from leakaudit import pipeline
 from leakaudit.config import ExperimentConfig
-from leakaudit.game import GameConfig, ShadowParams, run_game, train_shadow_ensemble
-from leakaudit.nnet import TrainConfig, fit
+from leakaudit.game import GameConfig, ShadowParams, draw_challenge, train_shadow_ensemble
+from leakaudit.nnet import TrainConfig, fit, load_model
 from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, helper_count, step_seconds
 from leakaudit.synth import SynthSpec, synth_dataset
 
@@ -23,8 +23,8 @@ SHADOW = ShadowParams(count=5, epochs=2)
 @pytest.fixture(scope="module")
 def shadow_inputs():
     dataset = synth_dataset(SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0))
-    artifacts = run_game(dataset, replace(FAST_CFG, fixed_epochs=2), GameConfig(), 5)
-    return dataset.subset(artifacts.split.population_ids), dataset.subset(artifacts.challenge.candidate_ids)
+    split, challenge = draw_challenge(dataset, GameConfig(), 5)
+    return dataset.subset(split.population_ids), dataset.subset(challenge.candidate_ids)
 
 
 def stopped(procs):
@@ -33,14 +33,14 @@ def stopped(procs):
 
 def test_helper_fits_are_bit_identical_to_in_process(shadow_inputs):
     pool, candidates = shadow_inputs
-    local = train_shadow_ensemble(pool, candidates, SHADOW, FAST_CFG, 11)
+    local = train_shadow_ensemble(pool, candidates, SHADOW, FAST_CFG, 11, FitHelpers(0))
     with FitHelpers(2) as helpers:
-        remote = train_shadow_ensemble(pool, candidates, SHADOW, FAST_CFG, 11, helpers=helpers)
+        remote = train_shadow_ensemble(pool, candidates, SHADOW, FAST_CFG, 11, helpers)
         procs = list(helpers.procs)
     assert len(procs) == 2 and stopped(procs)
     assert remote.shadow_seeds == local.shadow_seeds
     assert np.array_equal(remote.mask, local.mask)
-    assert remote.ids == local.ids and remote.z_ids == local.z_ids
+    assert remote.ids == local.ids and remote.z == local.z
     for a, b in zip(remote.models, local.models, strict=True):
         assert a.model.params.tobytes() == b.model.params.tobytes()
         assert a.train_losses == b.train_losses and a.val_losses == b.val_losses
@@ -57,13 +57,12 @@ def test_a_fit_error_in_a_helper_raises_its_type_and_leaves_the_helpers_ready(sh
     bad = (pool, wide, FAST_CFG)  # train and validation dimensions differ
     with FitHelpers(2) as helpers:
         with pytest.raises(ValueError, match="dimensions differ") as info:
-            helpers.fit_all([good, bad, good, good])
+            helpers.submit([good, bad, good, good]).wait()
         assert "in a fit helper" in str(info.value.__cause__)
-        # the other helper finished its job, so both take the next call; the
-        # long first job finishes last, and its result still comes first
-        jobs = [(pool, candidates, replace(FAST_CFG, fixed_epochs=epochs, seed=seed))
-                for epochs, seed in ((40, 1), (1, 2), (1, 3))]
-        again = helpers.fit_all(jobs)
+        # the other helper finished its stack, so both take the next batch; the
+        # first stack, of two jobs, finishes last, and its results still come first
+        jobs = [(pool, candidates, replace(FAST_CFG, fixed_epochs=20, seed=seed)) for seed in (1, 2, 3)]
+        again = helpers.submit(jobs).wait()
         procs = list(helpers.procs)
     assert stopped(procs)
     assert [m.model.params.tobytes() for m in again] == [fit(*job).model.params.tobytes() for job in jobs]
@@ -144,16 +143,22 @@ def pooled_config(tmp_path, name):
 
 
 def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_path, monkeypatch):
-    # with 1, 2 or 3 helpers the shadows train in stacks of other sizes and groupings
-    outputs = {}
-    for count in (0, 1, 2, 3):
-        monkeypatch.setattr(pipeline, "helper_count", lambda seconds, count=count: count)
-        out = tmp_path / f"helpers_{count}"
-        pipeline.run_experiment(pooled_config(tmp_path, out.name))
-        outputs[count] = {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
-                          for p in sorted(out.rglob("*")) if p.is_file()}
-    assert len(outputs[0]) == 1 + 2 * (8 + SHADOW.count)
-    assert outputs[1] == outputs[2] == outputs[3] == outputs[0]
+    # with 1, 2 or 3 helpers the shadows train in stacks of other sizes and groupings; the second
+    # recipe's target early-stops, the one job whose stack ends on patience
+    early = replace(FAST_CFG, max_epochs=200, patience=1)
+    for recipe, train in (("fixed", replace(FAST_CFG, fixed_epochs=2)), ("early", early)):
+        outputs = {}
+        for count in (0, 1, 2, 3):
+            monkeypatch.setattr(pipeline, "helper_count", lambda seconds, count=count: count)
+            out = tmp_path / f"{recipe}_{count}"
+            pipeline.run_experiment(replace(pooled_config(tmp_path, out.name), train=train))
+            outputs[count] = {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
+                              for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(outputs[0]) == 1 + 2 * (8 + SHADOW.count)
+        assert outputs[1] == outputs[2] == outputs[3] == outputs[0], recipe
+    for rep in (0, 1):
+        target = load_model(tmp_path / "early_0" / f"rep_{rep:03d}" / "target.npz")
+        assert target.best_epoch < len(target.val_losses) < early.max_epochs
 
 
 def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs):
@@ -166,7 +171,7 @@ def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_re
         with pytest.raises(ValueError, match="both classes must be present"):
             batch.wait()
         jobs = [(pool, candidates, replace(FAST_CFG, fixed_epochs=2, seed=seed)) for seed in (1, 2)]
-        again = helpers.fit_all(jobs)
+        again = helpers.submit(jobs).wait()
         procs = list(helpers.procs)
     assert stopped(procs)
     assert [m.model.params.tobytes() for m in again] == [fit(*job).model.params.tobytes() for job in jobs]
@@ -204,7 +209,7 @@ def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
     with pytest.raises(KeyError), helpers:
         helpers.start()
         procs = list(helpers.procs)
-        helpers.fit_all(Jobs())
+        helpers.submit(Jobs()).wait()
     assert len(procs) == 2 and stopped(procs)
     assert helpers.procs == []
 

@@ -17,8 +17,10 @@ from leakaudit.config import ExperimentConfig, ShadowParams
 from leakaudit.data import Dataset
 from leakaudit.game import load_challenge, save_manifest, train_shadow_ensemble
 from leakaudit.nnet import TrainConfig, save_model
+from leakaudit.parallel import FitHelpers
 from leakaudit.pipeline import (_aggregate, _load_ensemble, _write_csv, report_render, rerun_attacks,
                                 run_experiment)
+from leakaudit.recipe import RecipeError
 from leakaudit.synth import SynthSpec, synth_dataset
 
 TINY = ExperimentConfig(
@@ -107,12 +109,10 @@ class TestRunExperiment:
         after = {p: p.read_bytes() for p in tracked}
         assert before == after
 
-    def test_empty_validation_split_fails_the_repetition(self, tmp_path):
+    def test_empty_validation_split_is_refused_with_the_config(self):
         """No target is trained, or audited, without a validation loss to pick its epoch by."""
-        cfg = replace(TINY, game=replace(TINY.game, fractions=(0.5, 0.0, 0.5)), output_dir=str(tmp_path))
-        report = run_experiment(cfg)
-        assert report["n_repetitions_completed"] == 0
-        assert report["errors"]["0"] == "IngestError: dataset must contain at least one sample"
+        with pytest.raises(RecipeError, match="fractions must be three positive numbers"):
+            replace(TINY, game=replace(TINY.game, fractions=(0.5, 0.0, 0.5)))
 
     def test_rerun_attacks_reproduces_scores(self, run_dir):
         out, cfg, _ = run_dir
@@ -288,7 +288,8 @@ class TestManifest:
         rep_dir = tmp_path_factory.mktemp("manifest")
         dataset = synth_dataset(TINY.synth)
         pool, candidates = dataset.take(np.arange(120)), dataset.take(np.arange(120, 240))
-        ensemble = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=1), TINY.train, 4)
+        ensemble = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=1), TINY.train, 4,
+                                         FitHelpers(0))
         names = [f"shadow_{j:02d}.npz" for j in range(ensemble.k)]
         for model, name in zip(ensemble.models, names):
             save_model(model, rep_dir / name)
@@ -299,7 +300,6 @@ class TestManifest:
         rep_dir, dataset, ensemble = saved
         loaded = _load_ensemble(rep_dir, dataset)
         assert loaded.ids == ensemble.ids
-        assert loaded.z_ids == ensemble.z_ids
         assert loaded.z == ensemble.z
         assert loaded.mask.dtype == np.uint8
         assert np.array_equal(loaded.mask, ensemble.mask)
@@ -323,7 +323,7 @@ class TestManifest:
 
     def test_z_id_listed_in_ids_rejected(self, saved, tmp_path):
         """A manifest that also lists a Z id as a mask row (the older layout) names that id."""
-        z_id, k = saved[2].z_ids[0], saved[2].k
+        z_id, k = saved[2].z.ids[0], saved[2].k
 
         def list_z_id(manifest):
             manifest["ids"].append(z_id)

@@ -90,7 +90,7 @@ class TestGaussian:
     def test_fit_mean_and_unbiased_variance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(3.0, 2.0, size=200)
-        fit = fit_gaussian(x)
+        fit = fit_gaussian(x, floor=1e-6)
         assert fit.mean == pytest.approx(float(x.mean()))
         assert fit.variance == pytest.approx(float(x.var(ddof=1)))
 
@@ -103,7 +103,7 @@ class TestGaussian:
 
     def test_fit_empty_raises(self):
         with pytest.raises(ValueError):
-            fit_gaussian([])
+            fit_gaussian([], floor=1e-6)
 
 
 class TestWilcoxon:
