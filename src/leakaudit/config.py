@@ -5,7 +5,8 @@ left out takes the default of the dataclass that owns the field
 (``GameConfig``, ``ShadowParams``, ``TrainConfig``, ``LiraParams``,
 ``RmiaParams``, ``SynthSpec`` or ``ExperimentConfig``), which also checks
 the field's rules. Unknown keys, unparsable values and broken rules are
-all reported at once, each under its config key.
+all reported at once, each under its config key, and so are the
+challenge's size rules when ``data.synth.*`` fixes the dataset's size.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from leakaudit.attacks import LiraParams, RmiaParams
-from leakaudit.game import GameConfig, ShadowParams
+from leakaudit.game import GameConfig, ShadowParams, nonmember_count
 from leakaudit.nnet import TrainConfig
 from leakaudit.recipe import RecipeError, check
 from leakaudit.synth import SynthSpec
@@ -180,14 +181,14 @@ def validate_config(path: str | Path) -> ExperimentConfig:
         values["game"]["fractions"] = tuple(values["split"].get(i, f) for i, f in enumerate(GameConfig.fractions))
 
     def build(section: str, cls, **fields):
-        """``cls`` from the section's values, or None after recording its broken rules."""
+        """``cls`` (or any callable) of the section's values, or None after recording its broken rules."""
         try:
             return cls(**values[section], **fields)
         except RecipeError as exc:
             errors.extend(f"{_FIELD_KEYS[section, name]} {message}" for name, message in exc.problems)
             return None
 
-    sections = {section: build(section, cls) or cls() for section, cls in _SECTIONS.items()}
+    built = {section: build(section, cls) for section, cls in _SECTIONS.items()}
 
     has_synth = any(key.startswith("data.synth.") for key in pairs)
     synth = None
@@ -201,8 +202,11 @@ def validate_config(path: str | Path) -> ExperimentConfig:
             errors.append(f"data.synth: missing {' and '.join(missing)}")
         elif {"n", "dim"} <= values["synth"].keys():
             synth = build("synth", SynthSpec)
+    if synth is not None and built["game"] is not None:  # the dataset's size is known: can the challenge be drawn?
+        build("game", lambda **fields: nonmember_count(synth.n, GameConfig(**fields)))
 
-    cfg = build("", ExperimentConfig, synth=synth, **sections)
+    cfg = build("", ExperimentConfig, synth=synth,
+                **{section: built[section] or cls() for section, cls in _SECTIONS.items()})
     if errors:
         raise ConfigError(errors)
     return cfg

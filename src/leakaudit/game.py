@@ -3,14 +3,16 @@
 Draws the challenge (candidate samples with hidden membership bits),
 queries the trained target on it, and constructs shadow-model ensembles
 with per-sample inclusion tracking and a reserved Z set excluded from
-all shadow training. :func:`start_fits` is the one place that decides
-where fits run: the target's, and the shadows' in
-:func:`train_shadow_ensemble`.
+all shadow training. :func:`draw_shadows` alone draws the shadows: a run
+trains its draw, a re-attack checks it against ``manifest.json``.
+:func:`start_fits` is the one place that decides where fits run: the
+target's, and the shadows' in :func:`train_shadow_ensemble`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -28,18 +30,20 @@ __all__ = [
     "GameConfig",
     "ShadowParams",
     "TargetArtifacts",
+    "ShadowPlan",
     "ShadowEnsemble",
     "assign_membership",
+    "nonmember_count",
     "draw_challenge",
     "target_job",
     "start_fits",
     "run_game",
+    "draw_shadows",
     "train_shadow_ensemble",
     "collect_confidences",
     "save_challenge",
     "load_challenge",
     "save_manifest",
-    "load_manifest",
 ]
 
 
@@ -129,16 +133,16 @@ class TargetArtifacts:
 
 
 @dataclass
-class ShadowEnsemble:
-    """K shadow models with a (sample x shadow) inclusion mask.
+class ShadowPlan:
+    """The shadows' draw (see :func:`draw_shadows`): who trains each shadow, and with which seed.
 
-    ``ids`` indexes the mask rows and covers the shadows' sampling
-    universe; ``z`` holds the reserved Z samples, which no shadow trains
-    on and which the shadows and the target are queried on. Its ids are
-    not in ``ids``, so :meth:`rows` gives them -1.
+    ``universe`` holds the dataset rows of the sampling universe, ``ids``
+    their ids, and ``mask`` one row per universe sample and one column per
+    shadow. ``z`` holds the reserved Z samples, on which no shadow trains
+    and the shadows and the target are queried; :meth:`rows` gives them -1.
     """
 
-    models: tuple[TrainedModel, ...]
+    universe: np.ndarray
     ids: tuple[str, ...]
     mask: np.ndarray
     z: Dataset
@@ -146,21 +150,40 @@ class ShadowEnsemble:
     seed: int
     shadow_seeds: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.mask.shape != (len(self.ids), self.k):
-            raise ValueError(f"mask shape {self.mask.shape} does not match ids x shadows")
-        listed = np.flatnonzero(self.rows(self.z.ids) >= 0)
-        if listed.size:
-            raise ValueError(f"reserved Z id {self.z.ids[listed[0]]!r} is listed in the sampling universe ids")
-
     @property
     def k(self) -> int:
-        return len(self.models)
+        return len(self.shadow_seeds)
+
+    @property
+    def checkpoints(self) -> list[str]:
+        """Each shadow's checkpoint file name, in shadow order."""
+        return [f"shadow_{j:02d}.npz" for j in range(self.k)]
 
     def rows(self, sample_ids: Sequence[str]) -> np.ndarray:
-        """Mask row of each id, or -1 for an id the ensemble never saw."""
+        """Mask row of each id, or -1 for an id outside the universe."""
         index = {i: r for r, i in enumerate(self.ids)}
         return np.array([index.get(i, -1) for i in sample_ids], dtype=np.intp)
+
+    def manifest(self) -> dict:
+        """The plan as :func:`save_manifest` writes it: each mask row a string of one '0'/'1' per checkpoint."""
+        n, k = self.mask.shape
+        bits = (self.mask + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        return {
+            "checkpoints": self.checkpoints,
+            "shadow_epochs": self.shadow_epochs,
+            "seed": self.seed,
+            "shadow_seeds": list(self.shadow_seeds),
+            "z_ids": list(self.z.ids),
+            "ids": list(self.ids),
+            "mask": [bits[r * k:(r + 1) * k] for r in range(n)],
+        }
+
+
+@dataclass
+class ShadowEnsemble(ShadowPlan):
+    """A :class:`ShadowPlan` with its K trained shadow models, in shadow order."""
+
+    models: tuple[TrainedModel, ...]
 
 
 def assign_membership(candidate_ids: Sequence[str], p_member: float, seed: int) -> Challenge:
@@ -176,21 +199,33 @@ def assign_membership(candidate_ids: Sequence[str], p_member: float, seed: int) 
     return Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=p_member, seed=seed)
 
 
+def nonmember_count(n: int, game: GameConfig) -> int:
+    """How many non-members :func:`draw_challenge` draws from ``n`` samples.
+
+    A :class:`RecipeError` names ``fractions`` for an empty split or too
+    small a population, and ``p_member`` for a challenge without non-members.
+    """
+    n_train, n_val = (math.floor(f * n) for f in game.fractions[:2])
+    n_pop = n - n_train - n_val
+    check(("fractions", min(n_train, n_val, n_pop) > 0,
+           f"leave an empty split of {n} samples: {n_train} train, {n_val} validation, {n_pop} population"))
+    n_nonmembers = int(round(n_train * (1.0 - game.p_member) / game.p_member))
+    check(("fractions", n_nonmembers <= n_pop,
+           f"leave a population split of {n_pop}, too small for {n_nonmembers} non-members"),
+          ("p_member", n_nonmembers > 0,
+           f"{game.p_member} leaves no non-member beside {n_train} members"))
+    return n_nonmembers
+
+
 def draw_challenge(dataset: Dataset, game: GameConfig, seed: int) -> tuple[SplitAssignment, Challenge]:
     """The split and the challenge of the game under ``seed``.
 
     All training-split samples are member candidates; non-member candidates
     are drawn from the population split so that members make up
-    ``game.p_member`` of the challenge.
+    ``game.p_member`` of the challenge, in the sizes of :func:`nonmember_count`.
     """
+    n_nonmembers = nonmember_count(len(dataset), game)
     split = split_dataset(dataset, game.fractions, derive_seed(seed, "split"))
-    n_members = len(split.train_ids)
-    n_nonmembers = int(round(n_members * (1.0 - game.p_member) / game.p_member))
-    if n_nonmembers > len(split.population_ids):
-        raise ValueError(
-            f"population split too small: need {n_nonmembers} non-members, "
-            f"have {len(split.population_ids)}"
-        )
     rng = derive_rng(seed, "nonmembers")
     nonmembers = tuple(
         str(i) for i in rng.choice(np.array(split.population_ids), size=n_nonmembers, replace=False)
@@ -233,79 +268,66 @@ def run_game(dataset: Dataset, split: SplitAssignment, challenge: Challenge,
     return TargetArtifacts(model=target, ids=candidates.ids, confidences=confs, challenge=challenge, split=split)
 
 
-def train_shadow_ensemble(
-    pool: Dataset,
-    candidates: Dataset,
-    shadow: ShadowParams,
-    cfg: TrainConfig,
-    seed: int,
-    helpers: FitHelpers,
-) -> ShadowEnsemble:
-    """Train ``shadow.count`` shadows over the pool-plus-candidates sampling universe.
+def draw_shadows(dataset: Dataset, pool_ids: Sequence[str], candidate_ids: Sequence[str],
+                 shadow: ShadowParams, seed: int) -> ShadowPlan:
+    """Draw the shadows' sampling universe, inclusion mask, Z set and seeds; trains nothing.
 
     A Z set of ``shadow.z_fraction * len(pool)`` pool samples (never
-    candidates, optionally capped at ``shadow.z_cap``) is reserved,
-    excluded from every shadow and used as each shadow's validation set;
-    a pool that yields no Z point is rejected before any shadow trains.
-    Every remaining sample enters each shadow independently with
-    probability ``shadow.inclusion_rate``. Shadows reuse the target
-    hyperparameters and train for exactly ``shadow.epochs`` epochs, where
-    :func:`start_fits` runs them; each shadow's model is the same
-    wherever, and beside whichever shadows, it trains.
+    candidates, optionally capped at ``shadow.z_cap``) is reserved and
+    excluded from every shadow; a pool that yields no Z point is
+    rejected. The universe is the pool minus Z, then the candidates
+    outside the pool, each in dataset order. Every universe sample enters
+    each shadow independently with probability ``shadow.inclusion_rate``,
+    and a shadow left with one class is drawn again.
     """
     k = shadow.count
-    z_eligible = [i for i in pool.ids if i not in candidates]
-    n_z = int(round(shadow.z_fraction * len(pool)))
-    if shadow.z_cap is not None:
-        n_z = min(n_z, shadow.z_cap)
-    n_z = min(n_z, len(z_eligible))
+    pool = np.unique(dataset.rows(pool_ids))
+    candidates = np.unique(dataset.rows(candidate_ids))
+    z_eligible = pool[~np.isin(pool, candidates)]
+    n_z = min(int(round(shadow.z_fraction * len(pool))), shadow.z_cap or len(pool), len(z_eligible))
     if n_z == 0:
         raise ValueError(
             f"shadow pool of {len(pool)} samples ({len(z_eligible)} outside the candidates) "
             f"yields no Z point at z_fraction {shadow.z_fraction}"
         )
-    rng = derive_rng(seed, "z-reserve")
-    z_ids = tuple(str(i) for i in rng.choice(np.array(z_eligible), size=n_z, replace=False))
-    z_set = set(z_ids)
+    z_rows = derive_rng(seed, "z-reserve").choice(z_eligible, size=n_z, replace=False)
+    universe = np.concatenate([pool[~np.isin(pool, z_rows)], candidates[~np.isin(candidates, pool)]])
 
-    # sampling universe: pool minus Z, then the candidates outside the pool
-    parts = [(pool, [r for r, i in enumerate(pool.ids) if i not in z_set]),
-             (candidates, [r for r, i in enumerate(candidates.ids) if i not in pool])]
-    universe = Dataset(
-        [d.ids[r] for d, rows in parts for r in rows],
-        np.concatenate([d.X[rows] for d, rows in parts]),
-        np.concatenate([d.y[rows] for d, rows in parts]),
-    )
-
+    y = dataset.y[universe]
     coin_rng = derive_rng(seed, "inclusion")
     incl = (coin_rng.random((len(universe), k)) < shadow.inclusion_rate).astype(np.uint8)
     # a shadow with no samples or one class cannot train; re-flip such columns
     for j in range(k):
-        tries = 0
-        while True:
+        for _ in range(101):
             col = incl[:, j].astype(bool)
-            if col.any() and len(set(universe.y[col])) == 2:
+            if 0 < np.count_nonzero(y[col]) < np.count_nonzero(col):
                 break
-            tries += 1
-            if tries > 100:
-                raise ValueError(f"could not draw a two-class training set for shadow {j}")
-            incl[:, j] = (coin_rng.random(len(universe)) < shadow.inclusion_rate).astype(np.uint8)
+            incl[:, j] = coin_rng.random(len(universe)) < shadow.inclusion_rate
+        else:
+            raise ValueError(f"could not draw a two-class training set for shadow {j}")
 
-    z_dataset = pool.take(pool.rows(z_ids))
-    shadow_seeds = [derive_seed(seed, "shadow", j) for j in range(k)]
-    jobs = _ShadowJobs(universe, incl, z_dataset, [replace(cfg, seed=s, fixed_epochs=shadow.epochs)
-                                                   for s in shadow_seeds])
-    models = start_fits(jobs, helpers)()
-
-    return ShadowEnsemble(
-        models=tuple(models),
-        ids=universe.ids,
+    return ShadowPlan(
+        universe=universe,
+        ids=tuple(dataset.ids[r] for r in universe),
         mask=incl,
-        z=z_dataset,
+        z=dataset.take(z_rows),
         shadow_epochs=shadow.epochs,
         seed=seed,
-        shadow_seeds=tuple(shadow_seeds),
+        shadow_seeds=tuple(derive_seed(seed, "shadow", j) for j in range(k)),
     )
+
+
+def train_shadow_ensemble(dataset: Dataset, pool_ids: Sequence[str], candidate_ids: Sequence[str],
+                          shadow: ShadowParams, cfg: TrainConfig, seed: int, helpers: FitHelpers) -> ShadowEnsemble:
+    """Train the shadows that :func:`draw_shadows` draws, each on its mask column, validated on Z.
+
+    Shadows reuse the target hyperparameters and train for exactly
+    ``shadow.epochs`` epochs, where :func:`start_fits` runs them; each
+    shadow's model is the same wherever, and beside whichever shadows, it trains.
+    """
+    plan = draw_shadows(dataset, pool_ids, candidate_ids, shadow, seed)
+    models = start_fits(_ShadowJobs(dataset, plan, cfg), helpers)()
+    return ShadowEnsemble(**vars(plan), models=tuple(models))
 
 
 class _ShadowJobs(Sequence):
@@ -315,14 +337,16 @@ class _ShadowJobs(Sequence):
     never sit in memory together.
     """
 
-    def __init__(self, universe: Dataset, incl: np.ndarray, z: Dataset, cfgs: list[TrainConfig]):
-        self.universe, self.incl, self.z, self.cfgs = universe, incl, z, cfgs
+    def __init__(self, dataset: Dataset, plan: ShadowPlan, cfg: TrainConfig):
+        self.dataset, self.plan = dataset, plan
+        self.cfgs = [replace(cfg, seed=s, fixed_epochs=plan.shadow_epochs) for s in plan.shadow_seeds]
 
     def __len__(self) -> int:
         return len(self.cfgs)
 
     def __getitem__(self, j: int) -> tuple[Dataset, Dataset, TrainConfig]:
-        return self.universe.take(np.flatnonzero(self.incl[:, j])), self.z, self.cfgs[j]
+        plan = self.plan
+        return self.dataset.take(plan.universe[np.flatnonzero(plan.mask[:, j])]), plan.z, self.cfgs[j]
 
 
 def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -349,33 +373,7 @@ def load_challenge(path: str | Path) -> Challenge:
                      p_member=ch["p_member"], seed=ch["seed"])
 
 
-def save_manifest(ensemble: ShadowEnsemble, path: str | Path,
-                  checkpoint_paths: Sequence[str] | None = None) -> None:
-    """Write a JSON manifest sufficient to re-verify the inclusion mask offline (see :func:`load_manifest`)."""
-    n, k = ensemble.mask.shape
-    bits = (ensemble.mask + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    manifest = {
-        "seed": ensemble.seed,
-        "shadow_epochs": ensemble.shadow_epochs,
-        "shadow_seeds": list(ensemble.shadow_seeds),
-        "z_ids": list(ensemble.z.ids),
-        "ids": list(ensemble.ids),
-        "mask": [bits[r * k:(r + 1) * k] for r in range(n)],
-        "checkpoints": list(checkpoint_paths) if checkpoint_paths else [],
-    }
+def save_manifest(plan: ShadowPlan, path: str | Path) -> None:
+    """Write the shadows' draw as JSON (:meth:`ShadowPlan.manifest`), the record that a re-attack checks."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_manifest(path: str | Path) -> dict:
-    """Read a :func:`save_manifest` file; its mask rows, one '0'/'1' per checkpoint, become a uint8 array."""
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    rows, k = manifest["mask"], len(manifest["checkpoints"])
-    if not all(isinstance(row, str) and len(row) == k for row in rows):
-        raise ValueError(f"{path}: every mask row must be a string of {k} characters")
-    bits = np.frombuffer("".join(rows).encode("utf-8"), dtype=np.uint8) - ord("0")
-    if (bits > 1).any():
-        raise ValueError(f"{path}: mask rows may hold only '0' and '1'")
-    manifest["mask"] = bits.reshape(len(rows), k)
-    return manifest
+        json.dump(plan.manifest(), fh, indent=2, sort_keys=True)

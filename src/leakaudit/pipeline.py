@@ -10,12 +10,13 @@ ensemble to the score and ROC CSVs and the ``rep_report.json``, and both
 aggregate into ``report.json`` through :func:`_write_report`. A run
 draws the split and the challenge, starts the target's fit, trains the
 shadows and then queries the target, in that one order whether the fits
-run in-process or in helpers; a re-attack redraws the challenge, checks
-it against the stored one and queries the stored target, and loads the
-stored ensemble. Both reports are
-replaced atomically. The attacks and the evaluation take plain arrays in
-the one candidate order of :mod:`leakaudit.attacks`; the candidates' ids
-and membership come from the repetition's ``TargetArtifacts``.
+run in-process or in helpers; a re-attack draws the challenge and the
+shadows again as a run does, checks them against the stored
+``challenge.json`` and ``manifest.json``, and only then loads the
+stored target and shadows. Both reports are replaced atomically. The
+attacks and the evaluation take plain arrays in the one candidate order
+of :mod:`leakaudit.attacks`; the candidates' ids and membership come
+from the repetition's ``TargetArtifacts``.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ from leakaudit.evaluation import (
     tpr_at_fpr,
 )
 from leakaudit.game import (
+    Challenge,
     ShadowEnsemble,
+    ShadowPlan,
     TargetArtifacts,
     collect_confidences,
     draw_challenge,
+    draw_shadows,
     load_challenge,
-    load_manifest,
     run_game,
     save_challenge,
     save_manifest,
@@ -112,18 +115,15 @@ def _run_single_rep(
     split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
     # with helpers every fit is queued before the first wait, the target, the longest, first
     target = start_fits([target_job(dataset, split, cfg.train, rep_seed)], helpers)
-    ensemble = train_shadow_ensemble(dataset.subset(split.population_ids), dataset.subset(challenge.candidate_ids),
-                                     cfg.shadow, cfg.train, derive_seed(rep_seed, "ensemble"), helpers)
+    ensemble = train_shadow_ensemble(dataset, split.population_ids, challenge.candidate_ids, cfg.shadow,
+                                     cfg.train, derive_seed(rep_seed, "ensemble"), helpers)
     artifacts = run_game(dataset, split, challenge, target()[0])
 
     rep_dir.mkdir(parents=True, exist_ok=True)
     save_model(artifacts.model, rep_dir / "target.npz")
-    checkpoints = []
-    for j, shadow in enumerate(ensemble.models):
-        name = f"shadow_{j:02d}.npz"
+    for name, shadow in zip(ensemble.checkpoints, ensemble.models):
         save_model(shadow, rep_dir / name)
-        checkpoints.append(name)
-    save_manifest(ensemble, rep_dir / "manifest.json", checkpoint_paths=checkpoints)
+    save_manifest(ensemble, rep_dir / "manifest.json")
     save_challenge(artifacts.challenge, rep_dir / "challenge.json")
     return _finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
 
@@ -329,12 +329,11 @@ def _characteristic(identified: list[set[str]], member_sets: Sequence[set[str]],
 def rerun_attacks(cfg: ExperimentConfig) -> dict:
     """Re-attack every stored repetition with ``cfg``'s attacks and rewrite both reports, as a run does.
 
-    Every stored game is drawn again from ``cfg`` before any is rewritten;
-    a changed challenge (the config or the data no longer describes the
-    directory) or stored shadows of another ``shadow.count`` or
-    ``shadow.epochs`` raise and change no file. A repetition whose files
-    cannot be read is recorded under ``errors``; with none readable, this
-    raises :class:`FileNotFoundError`.
+    Every stored challenge and shadow draw is drawn again from ``cfg``
+    before any model is loaded; one that differs from its
+    ``challenge.json`` or ``manifest.json`` (see :func:`_stale`) raises and
+    changes no file. A repetition whose files cannot be read is recorded
+    under ``errors``; with none readable, this raises :class:`FileNotFoundError`.
     """
     out_dir = Path(cfg.output_dir)
     dataset = build_dataset(cfg)
@@ -342,21 +341,22 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
     errors: dict[str, str] = {}
     for rep in range(cfg.repetitions):
         rep_dir = _rep_dir(out_dir, rep)
+        rep_seed = derive_seed(cfg.seed, "rep", rep)
         try:
-            stored_challenge = load_challenge(rep_dir / "challenge.json")
-            split, challenge = draw_challenge(dataset, cfg.game, derive_seed(cfg.seed, "rep", rep))
-            artifacts = run_game(dataset, split, challenge, load_model(rep_dir / "target.npz"))
-            ensemble = _load_ensemble(rep_dir, dataset)
+            split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
+            shadows = draw_shadows(dataset, split.population_ids, challenge.candidate_ids, cfg.shadow,
+                                   derive_seed(rep_seed, "ensemble"))
+            stale = _stale(rep_dir, challenge, shadows)
+            if not stale:
+                artifacts = run_game(dataset, split, challenge, load_model(rep_dir / "target.npz"))
+                ensemble = ShadowEnsemble(**vars(shadows), models=tuple(
+                    load_model(rep_dir / name) for name in shadows.checkpoints))
         except Exception as exc:  # noqa: BLE001 - record and continue
             errors[str(rep)] = f"{type(exc).__name__}: {exc}"
             log.warning("repetition %d cannot be re-attacked: %s", rep, errors[str(rep)])
             continue
-        if challenge != stored_challenge:
-            raise ValueError(f"{rep_dir}: the config or the data no longer draws the stored challenge")
-        for key, trained, wanted in (("shadow.count", ensemble.k, cfg.shadow.count),
-                                     ("shadow.epochs", ensemble.shadow_epochs, cfg.shadow.epochs)):
-            if trained != wanted:
-                raise ValueError(f"{rep_dir}: {key} is {wanted}, but the stored shadows have {trained}")
+        if stale:
+            raise ValueError(f"{rep_dir}: the config or the data no longer draws the stored {stale}")
         stored.append((rep, rep_dir, artifacts, ensemble))
     if not stored:
         raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
@@ -366,17 +366,14 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
     return _write_report(dataset, cfg, summaries, members, errors)
 
 
-def _load_ensemble(rep_dir: Path, dataset: Dataset) -> ShadowEnsemble:
-    manifest = load_manifest(rep_dir / "manifest.json")
-    return ShadowEnsemble(
-        models=tuple(load_model(rep_dir / name) for name in manifest["checkpoints"]),
-        ids=tuple(manifest["ids"]),
-        mask=manifest["mask"],
-        z=dataset.take(dataset.rows(manifest["z_ids"])),
-        shadow_epochs=manifest["shadow_epochs"],
-        seed=manifest["seed"],
-        shadow_seeds=tuple(manifest["shadow_seeds"]),
-    )
+def _stale(rep_dir: Path, challenge: Challenge, shadows: ShadowPlan) -> str | None:
+    """The stored challenge, or the first stored ``manifest.json`` field, that differs from this draw, or None."""
+    if load_challenge(rep_dir / "challenge.json") != challenge:
+        return "challenge"
+    stored = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
+    drawn = shadows.manifest()
+    differs = next((key for key in [*drawn, *stored] if drawn.get(key) != stored.get(key)), None)
+    return differs and f"shadows: manifest.json field {differs!r} differs"
 
 
 # --- report rendering -------------------------------------------------------

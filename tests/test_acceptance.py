@@ -384,7 +384,7 @@ def _null_study_tprs(study, n_reps=5):
         )
         is_member = np.isin(candidates.ids, challenge.member_ids)
         ensemble = train_shadow_ensemble(
-            pop, candidates, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed,
+            ds, pop.ids, candidates.ids, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed,
             helpers=FitHelpers(0),
         )
         values, mask = collect_confidences(ensemble, candidates)

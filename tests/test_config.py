@@ -223,6 +223,19 @@ class TestValidate:
         assert len(exc.value.errors) == 1
         assert exc.value.errors[0].startswith(key)
 
+    @pytest.mark.parametrize("lines,key,words", [
+        ("split.validation = 0.001\nsplit.train = 0.549", "split.*", "empty split"),
+        ("game.p_member = 0.999", "game.p_member", "no non-member"),
+        ("game.p_member = 0.2", "split.*", "too small for 432 non-members"),
+    ])
+    def test_synth_size_rule_reported_under_its_key(self, tmp_path, lines, key, words):
+        """A synthetic dataset's size is known, so a challenge that cannot be drawn from it fails validation."""
+        text = "data.synth.n = 240\ndata.synth.dim = 4\n" + lines + "\n"
+        with pytest.raises(ConfigError) as exc:
+            validate_config(write_config(tmp_path, text))
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith(key) and words in exc.value.errors[0]
+
     def test_every_broken_rule_of_one_section_reported(self, tmp_path):
         text = MINIMAL + "shadow.count = 1\nshadow.epochs = 0\n"
         with pytest.raises(ConfigError) as exc:

@@ -10,12 +10,12 @@ from leakaudit import game
 from leakaudit.game import (
     Challenge,
     GameConfig,
-    ShadowEnsemble,
     ShadowParams,
     TargetArtifacts,
     assign_membership,
     collect_confidences,
     draw_challenge,
+    draw_shadows,
     load_challenge,
     run_game,
     save_challenge,
@@ -50,9 +50,9 @@ def artifacts(dataset):
 
 @pytest.fixture(scope="module")
 def ensemble(dataset, artifacts):
-    pool = dataset.subset(artifacts.split.population_ids)
-    candidates = dataset.subset(artifacts.challenge.candidate_ids)
-    return train_shadow_ensemble(pool, candidates, ShadowParams(count=4, epochs=2), FAST_CFG, 11, NO_HELPERS)
+    pool, candidates = artifacts.split.population_ids, artifacts.challenge.candidate_ids
+    return train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=4, epochs=2), FAST_CFG, 11,
+                                 NO_HELPERS)
 
 
 class TestChallenge:
@@ -172,6 +172,11 @@ class TestRunGame:
         with pytest.raises(ValueError):
             draw_challenge(dataset, game, 0)
 
+    def test_challenge_without_a_non_member_is_refused(self, dataset):
+        """round(108 * 0.001 / 0.999) == 0: a challenge of members only has no ROC."""
+        with pytest.raises(ValueError, match="p_member 0.999 leaves no non-member"):
+            draw_challenge(dataset, GameConfig(p_member=0.999), 0)
+
     def test_overfit_target_separates_members(self, dataset):
         cfg = TrainConfig(hidden_dims=(16,), dropout_rate=0.0, weight_decay=0.0,
                           learning_rate=1e-2, max_epochs=40, patience=40, fixed_epochs=40, seed=0)
@@ -203,10 +208,9 @@ class TestShadowEnsemble:
         assert len(ensemble.z.ids) == round(0.25 * len(pool))
 
     def test_z_cap(self, dataset, artifacts):
-        pool = dataset.subset(artifacts.split.population_ids)
-        candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        ens = train_shadow_ensemble(pool, candidates, ShadowParams(count=2, epochs=1, z_cap=5), FAST_CFG, 0,
-                                    NO_HELPERS)
+        pool, candidates = artifacts.split.population_ids, artifacts.challenge.candidate_ids
+        ens = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=2, epochs=1, z_cap=5), FAST_CFG,
+                                    0, NO_HELPERS)
         assert len(ens.z.ids) == 5
 
     def test_every_shadow_saw_two_classes(self, dataset, ensemble):
@@ -216,10 +220,11 @@ class TestShadowEnsemble:
             assert {label[i] for i in included} == {0, 1}
 
     def test_deterministic(self, dataset, artifacts):
-        pool = dataset.subset(artifacts.split.population_ids)
-        candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        e1 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4, NO_HELPERS)
-        e2 = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4, NO_HELPERS)
+        pool, candidates = artifacts.split.population_ids, artifacts.challenge.candidate_ids
+        e1 = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4,
+                                   NO_HELPERS)
+        e2 = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4,
+                                   NO_HELPERS)
         assert np.array_equal(e1.mask, e2.mask)
         assert e1.z.ids == e2.z.ids
         for m1, m2 in zip(e1.models, e2.models):
@@ -232,7 +237,7 @@ class TestShadowEnsemble:
 
     def test_rejects_tiny_k(self, dataset):
         with pytest.raises(ValueError):
-            train_shadow_ensemble(dataset, dataset, ShadowParams(count=1), FAST_CFG, 0, NO_HELPERS)
+            train_shadow_ensemble(dataset, dataset.ids, dataset.ids, ShadowParams(count=1), FAST_CFG, 0, NO_HELPERS)
 
     @pytest.mark.parametrize("pool_rows,candidate_rows", [
         (2, None),  # round(0.25 * 2) == 0 Z points; None: every candidate lies outside the pool
@@ -242,25 +247,28 @@ class TestShadowEnsemble:
                                                            pool_rows, candidate_rows):
         fits = []
         monkeypatch.setattr(game, "fit", lambda *args: fits.append(args))
-        pool = dataset.take(np.arange(pool_rows))
-        candidates = dataset.take(np.arange(200, 240) if candidate_rows is None else np.arange(candidate_rows))
+        pool = dataset.ids[:pool_rows]
+        candidates = dataset.ids[200:240] if candidate_rows is None else dataset.ids[:candidate_rows]
         with pytest.raises(ValueError, match="no Z point"):
-            train_shadow_ensemble(pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0, NO_HELPERS)
+            train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0,
+                                  NO_HELPERS)
         assert fits == []
 
-    def test_mask_shape_validated(self, ensemble):
-        with pytest.raises(ValueError, match="mask shape"):
-            ShadowEnsemble(
-                models=ensemble.models[:2], ids=("a", "b"), mask=np.zeros((3, 2), dtype=np.uint8),
-                z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
-            )
-
-    def test_z_in_training_set_rejected(self, ensemble):
-        with pytest.raises(ValueError, match="reserved Z id"):
-            ShadowEnsemble(
-                models=ensemble.models[:2], ids=ensemble.z.ids[:1], mask=np.ones((1, 2), dtype=np.uint8),
-                z=ensemble.z, shadow_epochs=1, seed=0, shadow_seeds=(0, 1),
-            )
+    def test_the_draw_is_what_the_shadows_train_on(self, dataset, artifacts, ensemble, monkeypatch):
+        """``draw_shadows`` alone draws what ``train_shadow_ensemble`` trains: universe, mask, Z and seeds."""
+        jobs = []
+        monkeypatch.setattr(game, "fit", lambda *job: jobs.append(job))
+        plan = draw_shadows(dataset, artifacts.split.population_ids, artifacts.challenge.candidate_ids,
+                            ShadowParams(count=4, epochs=2), 11)
+        assert plan.manifest() == ensemble.manifest()
+        assert (plan.ids, plan.z) == (ensemble.ids, ensemble.z)
+        train_shadow_ensemble(dataset, artifacts.split.population_ids, artifacts.challenge.candidate_ids,
+                              ShadowParams(count=4, epochs=2), FAST_CFG, 11, NO_HELPERS)
+        assert len(jobs) == 4
+        for j, (train, validation, cfg) in enumerate(jobs):
+            assert train.ids == tuple(i for i, bit in zip(plan.ids, plan.mask[:, j]) if bit)
+            assert validation == plan.z
+            assert (cfg.seed, cfg.fixed_epochs) == (plan.shadow_seeds[j], 2)
 
 
 class TestConfidences:
@@ -281,11 +289,12 @@ class TestConfidences:
 class TestManifest:
     def test_manifest_round_trip(self, ensemble, tmp_path):
         path = tmp_path / "manifest.json"
-        save_manifest(ensemble, path, checkpoint_paths=["s0.npz"])
+        save_manifest(ensemble, path)
         manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest == ensemble.manifest()
         assert manifest["seed"] == ensemble.seed
         assert tuple(manifest["z_ids"]) == ensemble.z.ids
         assert all(isinstance(row, str) and len(row) == ensemble.k for row in manifest["mask"])
         decoded = np.array([[int(c) for c in row] for row in manifest["mask"]], dtype=np.uint8)
         assert np.array_equal(decoded, ensemble.mask)
-        assert manifest["checkpoints"] == ["s0.npz"]
+        assert manifest["checkpoints"] == ["shadow_00.npz", "shadow_01.npz", "shadow_02.npz", "shadow_03.npz"]

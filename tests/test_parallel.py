@@ -21,21 +21,27 @@ SHADOW = ShadowParams(count=5, epochs=2)
 
 
 @pytest.fixture(scope="module")
-def shadow_inputs():
+def shadow_draw():
+    """The dataset, the pool ids and the candidate ids of one repetition's shadows."""
     dataset = synth_dataset(SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0))
     split, challenge = draw_challenge(dataset, GameConfig(), 5)
-    return dataset.subset(split.population_ids), dataset.subset(challenge.candidate_ids)
+    return dataset, split.population_ids, challenge.candidate_ids
+
+
+@pytest.fixture(scope="module")
+def shadow_inputs(shadow_draw):
+    dataset, pool_ids, candidate_ids = shadow_draw
+    return dataset.subset(pool_ids), dataset.subset(candidate_ids)
 
 
 def stopped(procs):
     return all(proc.poll() is not None for proc in procs)
 
 
-def test_helper_fits_are_bit_identical_to_in_process(shadow_inputs):
-    pool, candidates = shadow_inputs
-    local = train_shadow_ensemble(pool, candidates, SHADOW, FAST_CFG, 11, FitHelpers(0))
+def test_helper_fits_are_bit_identical_to_in_process(shadow_draw):
+    local = train_shadow_ensemble(*shadow_draw, SHADOW, FAST_CFG, 11, FitHelpers(0))
     with FitHelpers(2) as helpers:
-        remote = train_shadow_ensemble(pool, candidates, SHADOW, FAST_CFG, 11, helpers)
+        remote = train_shadow_ensemble(*shadow_draw, SHADOW, FAST_CFG, 11, helpers)
         procs = list(helpers.procs)
     assert len(procs) == 2 and stopped(procs)
     assert remote.shadow_seeds == local.shadow_seeds

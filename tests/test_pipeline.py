@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -12,15 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leakaudit import game, pipeline
 from leakaudit.attacks import RmiaParams
 from leakaudit.config import ExperimentConfig, ShadowParams
 from leakaudit.data import Dataset
-from leakaudit.game import load_challenge, save_manifest, train_shadow_ensemble
-from leakaudit.nnet import TrainConfig, save_model
-from leakaudit.parallel import FitHelpers
-from leakaudit.pipeline import (_aggregate, _load_ensemble, _write_csv, report_render, rerun_attacks,
-                                run_experiment)
+from leakaudit.game import GameConfig, draw_challenge, draw_shadows, load_challenge
+from leakaudit.nnet import TrainConfig, load_model
+from leakaudit.pipeline import _aggregate, _write_csv, report_render, rerun_attacks, run_experiment
 from leakaudit.recipe import RecipeError
+from leakaudit.seeds import derive_seed
 from leakaudit.synth import SynthSpec, synth_dataset
 
 TINY = ExperimentConfig(
@@ -114,6 +113,17 @@ class TestRunExperiment:
         with pytest.raises(RecipeError, match="fractions must be three positive numbers"):
             replace(TINY, game=replace(TINY.game, fractions=(0.5, 0.0, 0.5)))
 
+    def test_challenge_without_a_non_member_fails_before_any_fit(self, tmp_path, monkeypatch):
+        """round(108 * 0.001 / 0.999) == 0 non-members: each repetition fails at its draw, with nothing trained."""
+        fits = []
+        monkeypatch.setattr(game, "fit", lambda *job: fits.append(job))
+        cfg = replace(TINY, game=GameConfig(p_member=0.999), output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        assert fits == []
+        assert sorted(report["errors"]) == ["0", "1"]
+        assert all("no non-member" in error for error in report["errors"].values())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
     def test_rerun_attacks_reproduces_scores(self, run_dir):
         out, cfg, _ = run_dir
         tracked = [out / "report.json"] + [
@@ -164,12 +174,21 @@ class TestRerunAttacks:
             rerun_attacks(replace(cfg, seed=cfg.seed + 1))
         assert files(tmp_path) == before
 
-    @pytest.mark.parametrize("key,shadow", [("shadow.count", {"count": 6}), ("shadow.epochs", {"epochs": 5}),
-                                            ("shadow.count", {"count": 6, "epochs": 5})])
-    def test_stale_shadow_recipe_raises_naming_the_key_and_writes_nothing(self, run_dir, tmp_path, key, shadow):
+    @pytest.mark.parametrize("shadow,field", [
+        ({"count": 6}, "checkpoints"),
+        ({"epochs": 5}, "shadow_epochs"),
+        ({"count": 6, "epochs": 5}, "checkpoints"),
+        ({"z_fraction": 0.3}, "z_ids"),
+        ({"inclusion_rate": 0.6}, "mask"),
+        ({"z_cap": 5}, "z_ids"),
+    ])
+    def test_stale_shadow_recipe_raises_naming_the_key_and_writes_nothing(self, run_dir, tmp_path, shadow, field,
+                                                                          monkeypatch):
+        """A changed ``shadow.*`` key draws other shadows than manifest.json records; no checkpoint is loaded."""
         cfg = copy_run(run_dir, tmp_path)
         before = files(tmp_path)
-        with pytest.raises(ValueError, match=rf"rep_000: {re.escape(key)} is"):
+        monkeypatch.setattr(pipeline, "load_model", lambda path: pytest.fail(f"{path} loaded before the check"))
+        with pytest.raises(ValueError, match=rf"rep_000: .*shadows: manifest.json field '{field}' differs"):
             rerun_attacks(replace(cfg, shadow=replace(cfg.shadow, **shadow)))
         assert files(tmp_path) == before
 
@@ -283,63 +302,52 @@ class TestReportRender:
 
 
 class TestManifest:
-    @pytest.fixture(scope="class")
-    def saved(self, tmp_path_factory):
-        rep_dir = tmp_path_factory.mktemp("manifest")
-        dataset = synth_dataset(TINY.synth)
-        pool, candidates = dataset.take(np.arange(120)), dataset.take(np.arange(120, 240))
-        ensemble = train_shadow_ensemble(pool, candidates, ShadowParams(count=3, epochs=1), TINY.train, 4,
-                                         FitHelpers(0))
-        names = [f"shadow_{j:02d}.npz" for j in range(ensemble.k)]
-        for model, name in zip(ensemble.models, names):
-            save_model(model, rep_dir / name)
-        save_manifest(ensemble, rep_dir / "manifest.json", checkpoint_paths=names)
-        return rep_dir, dataset, ensemble
+    """``manifest.json`` is what ``draw_shadows`` draws, and ``attack`` checks it without parsing it."""
 
-    def test_save_load_round_trip(self, saved):
-        rep_dir, dataset, ensemble = saved
-        loaded = _load_ensemble(rep_dir, dataset)
-        assert loaded.ids == ensemble.ids
-        assert loaded.z == ensemble.z
-        assert loaded.mask.dtype == np.uint8
-        assert np.array_equal(loaded.mask, ensemble.mask)
-        assert (loaded.seed, loaded.shadow_epochs, loaded.shadow_seeds) == (
-            ensemble.seed, ensemble.shadow_epochs, ensemble.shadow_seeds)
-        for a, b in zip(loaded.models, ensemble.models):
-            assert np.array_equal(a.model.params, b.model.params)
+    def test_save_load_round_trip(self, run_dir):
+        out, cfg, _ = run_dir
+        dataset = synth_dataset(cfg.synth)
+        rep_seed = derive_seed(cfg.seed, "rep", 0)
+        split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
+        plan = draw_shadows(dataset, split.population_ids, challenge.candidate_ids, cfg.shadow,
+                            derive_seed(rep_seed, "ensemble"))
+        stored = json.loads((out / "rep_000" / "manifest.json").read_text(encoding="utf-8"))
+        assert stored == plan.manifest()
+        assert stored["checkpoints"] == [f"shadow_{j:02d}.npz" for j in range(cfg.shadow.count)]
+        assert all((out / "rep_000" / name).exists() for name in stored["checkpoints"])
+        assert load_model(out / "rep_000" / stored["checkpoints"][0]).train_losses
 
     @staticmethod
-    def load_edited(saved, tmp_path, edit):
-        """``_load_ensemble`` on a copy of the saved repetition whose manifest ``edit`` changed."""
-        rep_dir, dataset, _ = saved
-        manifest = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
+    def attack_edited(run_dir, tmp_path, edit, field):
+        """``rerun_attacks`` on a copy of the run whose rep_000 manifest ``edit`` changed: it must refuse."""
+        cfg = copy_run(run_dir, tmp_path)
+        path = tmp_path / "rep_000" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
         edit(manifest)
-        bad_dir = tmp_path / "bad"
-        bad_dir.mkdir()
-        (bad_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        for name in manifest["checkpoints"]:
-            (bad_dir / name).write_bytes((rep_dir / name).read_bytes())
-        return _load_ensemble(bad_dir, dataset)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        before = files(tmp_path)
+        with pytest.raises(ValueError, match=rf"rep_000: .*manifest.json field '{field}' differs"):
+            rerun_attacks(cfg)
+        assert files(tmp_path) == before
 
-    def test_z_id_listed_in_ids_rejected(self, saved, tmp_path):
-        """A manifest that also lists a Z id as a mask row (the older layout) names that id."""
-        z_id, k = saved[2].z.ids[0], saved[2].k
+    def test_z_id_listed_in_ids_rejected(self, run_dir, tmp_path):
+        """A manifest that also lists a Z id in ``ids`` (the older layout) no longer matches the draw."""
+        self.attack_edited(run_dir, tmp_path, lambda manifest: manifest["ids"].append(manifest["z_ids"][0]), "ids")
 
-        def list_z_id(manifest):
-            manifest["ids"].append(z_id)
-            manifest["mask"].append("0" * k)
+    def test_flipped_mask_bit_rejected(self, run_dir, tmp_path):
+        def flip(manifest):
+            row = manifest["mask"][1]
+            manifest["mask"][1] = ("1" if row[0] == "0" else "0") + row[1:]
 
-        with pytest.raises(ValueError) as exc:
-            self.load_edited(saved, tmp_path, list_z_id)
-        assert repr(z_id) in str(exc.value)
+        self.attack_edited(run_dir, tmp_path, flip, "mask")
 
     @pytest.mark.parametrize("bad_row", ["01", "0101", "01x", "0 1", [0, 1, 0]])
-    def test_malformed_row_rejected(self, saved, tmp_path, bad_row):
+    def test_malformed_row_rejected(self, run_dir, tmp_path, bad_row):
         def break_row(manifest):
             manifest["mask"][1] = bad_row
 
-        with pytest.raises(ValueError, match="manifest.json"):
-            self.load_edited(saved, tmp_path, break_row)
+        self.attack_edited(run_dir, tmp_path, break_row, "mask")
+
 
 # Pools floats of mixed magnitudes from two repetitions, where the order of the sums shows in the last digits.
 METADATA_MEANS = """
