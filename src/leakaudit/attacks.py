@@ -4,7 +4,7 @@ Both attacks are pure, bit-deterministic functions of confidence arrays;
 :func:`z_confidences`, which gathers RMIA's Z table, is the one function
 here that queries models. Every per-candidate array (target confidences,
 matrix rows, scores and flag rows) follows one order: the challenge's
-candidates in dataset order, as ``TargetArtifacts.ids`` lists them. Both
+candidates in dataset order, as ``TargetArtifacts.rows`` lists them. Both
 attacks score every candidate at once: LiRA from masked row sums over the
 candidate x shadow logit matrix, RMIA from (Z x K) @ (K x block) products
 over fixed-size candidate blocks. The LiRA score is the natural-log
@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from leakaudit.data import Dataset
 from leakaudit.game import ShadowEnsemble, TargetArtifacts, collect_confidences
 from leakaudit.nnet import TrainedModel, predict_confidences
 from leakaudit.recipe import check
@@ -202,10 +203,10 @@ def rmia_score(
     return float(np.mean(ratio_m / ratio_z >= gamma))
 
 
-def z_confidences(ensemble: ShadowEnsemble, target: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
-    """RMIA's Z table: the (Z x shadow) confidences of ``ensemble`` on its Z samples, and the target's."""
-    z_shadow, _ = collect_confidences(ensemble, ensemble.z)
-    return z_shadow, predict_confidences(target, ensemble.z.X, ensemble.z.y)
+def z_confidences(dataset: Dataset, ensemble: ShadowEnsemble, target: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
+    """RMIA's Z table: the (Z x shadow) confidences of ``ensemble`` on its Z rows of ``dataset``, and the target's."""
+    X, y = dataset.X[ensemble.z], dataset.y[ensemble.z]
+    return collect_confidences(ensemble, X, y), predict_confidences(target, X, y)
 
 
 def run_rmia(
@@ -251,15 +252,15 @@ def run_rmia(
     return AttackScores(scores=scores, flags=flags)
 
 
-def save_scores(table: AttackScores, path: str | Path, artifacts: TargetArtifacts) -> None:
-    """Write ``table`` as CSV ``id,score,is_member,flags``, rows in ``artifacts``' challenge order (members first)."""
+def save_scores(table: AttackScores, path: str | Path, artifacts: TargetArtifacts, ids: Sequence[str]) -> None:
+    """Write ``table`` as CSV ``id,score,is_member,flags`` in challenge order (members first), rows named by ``ids``."""
     if table.scores.shape != artifacts.confidences.shape:
-        raise ValueError(f"{len(table.scores)} scores for {len(artifacts.ids)} candidates")
-    row = {i: r for r, i in enumerate(artifacts.ids)}
-    order = [row[i] for i in artifacts.challenge.candidate_ids]
+        raise ValueError(f"{len(table.scores)} scores for {len(artifacts.rows)} candidates")
+    rows = artifacts.challenge.candidates
+    order = np.searchsorted(artifacts.rows, rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score", "is_member", "flags"])
-        for r, sample_id, score, member in zip(order, artifacts.challenge.candidate_ids,
-                                               table.scores[order].tolist(), artifacts.is_member[order].tolist()):
-            writer.writerow([sample_id, repr(score), int(member), table.flags.get(r, "")])
+        for row, i, score, member in zip(rows.tolist(), order.tolist(), table.scores[order].tolist(),
+                                         artifacts.is_member[order].tolist()):
+            writer.writerow([ids[row], repr(score), int(member), table.flags.get(i, "")])

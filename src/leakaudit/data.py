@@ -3,13 +3,16 @@
 The on-disk format is a header-bearing UTF-8 CSV with columns
 ``id,label[,meta_*...],f_0..f_{d-1}``; the column names are fixed
 (:data:`ID_COLUMN`, :data:`LABEL_COLUMN`, :data:`META_PREFIX`), while
-feature columns may carry any name. Labels are binary. Exact duplicate
-feature vectors with the same label collapse to one record; identical
+feature columns may carry any name. Labels are binary; feature and
+metadata values finite. Exact duplicate feature vectors (``-0.0`` equal
+to ``0.0``) with the same label collapse to one record; identical
 feature vectors with conflicting labels are all removed.
 
 In memory a :class:`Dataset` is columnar: a tuple of ids, a read-only
 feature matrix, a label vector and one array per metadata column, all
-indexed by row. Sub-datasets are taken by row position.
+indexed by row. A row position is the one handle of a sample: a split
+holds rows, and sub-datasets are taken by row (:meth:`Dataset.take`);
+:meth:`Dataset.rows` and :meth:`Dataset.subset` serve callers holding ids.
 """
 
 from __future__ import annotations
@@ -142,19 +145,18 @@ class Dataset:
         return self.y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitAssignment:
-    """Disjoint train/validation/population id partition, seeded."""
+    """Disjoint train/validation/population partition of dataset rows, seeded."""
 
-    train_ids: tuple[str, ...]
-    validation_ids: tuple[str, ...]
-    population_ids: tuple[str, ...]
+    train: np.ndarray
+    validation: np.ndarray
+    population: np.ndarray
     seed: int
 
     def __post_init__(self):
-        groups = (set(self.train_ids), set(self.validation_ids), set(self.population_ids))
-        total = sum(len(g) for g in groups)
-        if len(groups[0] | groups[1] | groups[2]) != total:
+        rows = np.concatenate([self.train, self.validation, self.population])
+        if np.unique(rows).size != rows.size:
             raise ValueError("split groups must be pairwise disjoint")
 
 
@@ -218,9 +220,10 @@ def ingest_dataset(path: str | Path) -> tuple[Dataset, IngestReport]:
         raise IngestError(f"{path}: no samples remain after cleaning")
     table = np.frombuffer(values, dtype=float).reshape(len(row_of), n_cols - 2)
     X = table[:, len(meta_cols):]
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise IngestError(f"{path}: row {list(row_of.values())[bad[0]]}: non-finite feature value")
+    for what, cols in (("feature", X), ("meta", table[:, :len(meta_cols)])):
+        bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
+        if bad.size:
+            raise IngestError(f"{path}: row {list(row_of.values())[bad[0]]}: non-finite {what} value")
     meta = {col[len(META_PREFIX):]: table[:, j] for j, col in enumerate(meta_cols)}
     dataset = Dataset(list(row_of), X, labels, meta)
     keep, n_dup, n_conflict = _deduplicate(dataset)
@@ -239,7 +242,7 @@ def ingest_dataset(path: str | Path) -> tuple[Dataset, IngestReport]:
 def _deduplicate(dataset: Dataset) -> tuple[np.ndarray, int, int]:
     """Rows to keep: the first of each group of identical feature vectors, unless labels conflict."""
     groups: dict[bytes, list[int]] = {}
-    for r, x in enumerate(dataset.X):
+    for r, x in enumerate(dataset.X + 0.0):  # + 0.0 turns -0.0 into 0.0
         groups.setdefault(x.tobytes(), []).append(r)
     labels = dataset.y.tolist()
     keep: list[int] = []
@@ -281,7 +284,7 @@ def split_dataset(
     fractions: tuple[float, float, float],
     seed: int,
 ) -> SplitAssignment:
-    """Uniformly random train/validation/population partition.
+    """Uniformly random train/validation/population partition of the rows, each a slice of one permutation.
 
     Train and validation sizes are floored; the remainder goes to the
     population split. Deterministic under ``seed``.
@@ -300,16 +303,9 @@ def split_dataset(
         if frac > 0 and count == 0:
             raise ValueError(f"{name} split is empty for fraction {frac} with {n} samples")
 
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    ids = dataset.ids
-    order = [ids[i] for i in perm]
-    return SplitAssignment(
-        train_ids=tuple(order[:n_train]),
-        validation_ids=tuple(order[n_train:n_train + n_val]),
-        population_ids=tuple(order[n_train + n_val:]),
-        seed=seed,
-    )
+    perm = np.random.default_rng(seed).permutation(n)
+    return SplitAssignment(train=perm[:n_train], validation=perm[n_train:n_train + n_val],
+                           population=perm[n_train + n_val:], seed=seed)
 
 
 def class_weights(labels: Dataset | Iterable[int]) -> tuple[float, float]:

@@ -6,7 +6,11 @@ with per-sample inclusion tracking and a reserved Z set excluded from
 all shadow training. :func:`draw_shadows` alone draws the shadows: a run
 trains its draw, a re-attack checks it against ``manifest.json``.
 :func:`start_fits` is the one place that decides where fits run: the
-target's, and the shadows' in :func:`train_shadow_ensemble`.
+target's, and the shadows' in :func:`train_shadow_ensemble`. A sample
+is its dataset row throughout: the split, the challenge, the shadows'
+universe and Z set are row arrays, and ids are read only to write
+``challenge.json`` (:meth:`Challenge.record`) and ``manifest.json``
+(:meth:`ShadowPlan.manifest`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,22 +51,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Challenge:
-    """Candidate ids with their hidden membership bits (1 = member)."""
+    """Candidate dataset rows with their hidden membership bits: ``members`` and ``nonmembers``, each in draw order."""
 
-    member_ids: tuple[str, ...]
-    nonmember_ids: tuple[str, ...]
+    members: np.ndarray
+    nonmembers: np.ndarray
     p_member: float
     seed: int
 
     def __post_init__(self):
-        if set(self.member_ids) & set(self.nonmember_ids):
-            raise ValueError("member and non-member id sets must be disjoint")
+        if np.intersect1d(self.members, self.nonmembers).size:
+            raise ValueError("member and non-member rows must be disjoint")
 
     @property
-    def candidate_ids(self) -> tuple[str, ...]:
-        return self.member_ids + self.nonmember_ids
+    def candidates(self) -> np.ndarray:
+        """Every candidate's row, members first: the order of ``challenge.json`` and of the score CSVs."""
+        return np.concatenate([self.members, self.nonmembers])
+
+    def record(self, ids: Sequence[str]) -> dict:
+        """The challenge as ``challenge.json`` holds it, each row named by its id in ``ids``."""
+        return {"member_ids": [ids[r] for r in self.members.tolist()],
+                "nonmember_ids": [ids[r] for r in self.nonmembers.tolist()],
+                "p_member": self.p_member, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -110,42 +121,39 @@ class ShadowParams:
 class TargetArtifacts:
     """Everything the adversary receives about one target model.
 
-    ``ids`` are the challenge's candidates in dataset order, as
-    ``dataset.subset(challenge.candidate_ids)`` yields them, and
-    ``confidences`` and ``is_member`` hold the target's true-label confidence and the membership of each.
+    ``rows`` are the challenge's candidates in dataset order, the one order
+    of every per-candidate array; ``confidences`` and ``is_member`` hold the
+    target's true-label confidence and the membership of each.
     """
 
     model: TrainedModel
-    ids: tuple[str, ...]
     confidences: np.ndarray
     challenge: Challenge
     split: SplitAssignment
+    rows: np.ndarray = field(init=False)
     is_member: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        candidates = self.challenge.candidate_ids
-        if len(self.ids) != len(candidates) or set(self.ids) != set(candidates):
-            raise ValueError(f"ids do not list the {len(candidates)} challenge candidates")
-        if self.confidences.shape != (len(self.ids),):
-            raise ValueError(f"{self.confidences.shape} target confidences for {len(self.ids)} candidates")
-        members = set(self.challenge.member_ids)
-        self.is_member = np.array([i in members for i in self.ids], dtype=bool)
+        self.rows = np.sort(self.challenge.candidates)
+        self.is_member = np.isin(self.rows, self.challenge.members)
+        if self.confidences.shape != self.rows.shape:
+            raise ValueError(f"{self.confidences.shape} target confidences for {len(self.rows)} candidates")
 
 
 @dataclass
 class ShadowPlan:
     """The shadows' draw (see :func:`draw_shadows`): who trains each shadow, and with which seed.
 
-    ``universe`` holds the dataset rows of the sampling universe, ``ids``
-    their ids, and ``mask`` one row per universe sample and one column per
-    shadow. ``z`` holds the reserved Z samples, on which no shadow trains
-    and the shadows and the target are queried; :meth:`rows` gives them -1.
+    ``universe`` holds the dataset rows of the sampling universe and
+    ``mask`` one row per universe sample and one column per shadow. ``z``
+    holds the dataset rows of the reserved Z samples, on which no shadow
+    trains and the shadows and the target are queried; :meth:`inclusion`
+    gives them zero rows.
     """
 
     universe: np.ndarray
-    ids: tuple[str, ...]
     mask: np.ndarray
-    z: Dataset
+    z: np.ndarray
     shadow_epochs: int
     seed: int
     shadow_seeds: tuple[int, ...]
@@ -159,13 +167,14 @@ class ShadowPlan:
         """Each shadow's checkpoint file name, in shadow order."""
         return [f"shadow_{j:02d}.npz" for j in range(self.k)]
 
-    def rows(self, sample_ids: Sequence[str]) -> np.ndarray:
-        """Mask row of each id, or -1 for an id outside the universe."""
-        index = {i: r for r, i in enumerate(self.ids)}
-        return np.array([index.get(i, -1) for i in sample_ids], dtype=np.intp)
+    def inclusion(self, rows: np.ndarray) -> np.ndarray:
+        """The mask row of each dataset row in ``rows``, or a zero row for a row outside the universe."""
+        order = np.argsort(self.universe)
+        at = order[np.minimum(np.searchsorted(self.universe, rows, sorter=order), len(order) - 1)]
+        return np.where((self.universe[at] == rows)[:, None], self.mask[at], 0)
 
-    def manifest(self) -> dict:
-        """The plan as :func:`save_manifest` writes it: each mask row a string of one '0'/'1' per checkpoint."""
+    def manifest(self, ids: Sequence[str]) -> dict:
+        """The plan as :func:`save_manifest` writes it, rows named by ``ids``, mask rows as '0'/'1' strings."""
         n, k = self.mask.shape
         bits = (self.mask + ord("0")).astype(np.uint8).tobytes().decode("ascii")
         return {
@@ -173,8 +182,8 @@ class ShadowPlan:
             "shadow_epochs": self.shadow_epochs,
             "seed": self.seed,
             "shadow_seeds": list(self.shadow_seeds),
-            "z_ids": list(self.z.ids),
-            "ids": list(self.ids),
+            "z_ids": [ids[r] for r in self.z.tolist()],
+            "ids": [ids[r] for r in self.universe.tolist()],
             "mask": [bits[r * k:(r + 1) * k] for r in range(n)],
         }
 
@@ -186,17 +195,15 @@ class ShadowEnsemble(ShadowPlan):
     models: tuple[TrainedModel, ...]
 
 
-def assign_membership(candidate_ids: Sequence[str], p_member: float, seed: int) -> Challenge:
-    """Independent biased coin flip per candidate; deterministic under seed."""
-    if not candidate_ids:
+def assign_membership(candidates: np.ndarray, p_member: float, seed: int) -> Challenge:
+    """Independent biased coin flip per candidate row; deterministic under seed."""
+    candidates = np.asarray(candidates, dtype=np.intp)
+    if not candidates.size:
         raise ValueError("candidate set must be non-empty")
     if not 0.0 <= p_member <= 1.0:
         raise ValueError(f"p_member must be in [0,1], got {p_member}")
-    rng = derive_rng(seed, "membership")
-    bits = rng.random(len(candidate_ids)) < p_member
-    members = tuple(i for i, b in zip(candidate_ids, bits) if b)
-    nonmembers = tuple(i for i, b in zip(candidate_ids, bits) if not b)
-    return Challenge(member_ids=members, nonmember_ids=nonmembers, p_member=p_member, seed=seed)
+    bits = derive_rng(seed, "membership").random(len(candidates)) < p_member
+    return Challenge(members=candidates[bits], nonmembers=candidates[~bits], p_member=p_member, seed=seed)
 
 
 def nonmember_count(n: int, game: GameConfig) -> int:
@@ -226,24 +233,15 @@ def draw_challenge(dataset: Dataset, game: GameConfig, seed: int) -> tuple[Split
     """
     n_nonmembers = nonmember_count(len(dataset), game)
     split = split_dataset(dataset, game.fractions, derive_seed(seed, "split"))
-    rng = derive_rng(seed, "nonmembers")
-    nonmembers = tuple(
-        str(i) for i in rng.choice(np.array(split.population_ids), size=n_nonmembers, replace=False)
-    )
-    challenge = Challenge(
-        member_ids=tuple(split.train_ids),
-        nonmember_ids=nonmembers,
-        p_member=game.p_member,
-        seed=seed,
-    )
-    return split, challenge
+    nonmembers = derive_rng(seed, "nonmembers").choice(split.population, size=n_nonmembers, replace=False)
+    return split, Challenge(members=split.train, nonmembers=nonmembers, p_member=game.p_member, seed=seed)
 
 
 def target_job(dataset: Dataset, split: SplitAssignment, cfg: TrainConfig,
                seed: int) -> tuple[Dataset, Dataset, TrainConfig]:
     """The target's :func:`fit` arguments in the game under ``seed``: train and validation split, recipe."""
     train_cfg = replace(cfg, seed=derive_seed(seed, "target"))
-    return dataset.subset(split.train_ids), dataset.subset(split.validation_ids), train_cfg
+    return dataset.take(np.sort(split.train)), dataset.take(np.sort(split.validation)), train_cfg
 
 
 def start_fits(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]],
@@ -263,14 +261,14 @@ def start_fits(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]],
 def run_game(dataset: Dataset, split: SplitAssignment, challenge: Challenge,
              target: TrainedModel) -> TargetArtifacts:
     """Record the trained ``target``'s true-label confidence on every candidate of the drawn ``challenge``."""
-    candidates = dataset.subset(challenge.candidate_ids)
-    confs = predict_confidences(target, candidates.features_array(), candidates.labels_array())
-    return TargetArtifacts(model=target, ids=candidates.ids, confidences=confs, challenge=challenge, split=split)
+    rows = np.sort(challenge.candidates)
+    confs = predict_confidences(target, dataset.X[rows], dataset.y[rows])
+    return TargetArtifacts(model=target, confidences=confs, challenge=challenge, split=split)
 
 
-def draw_shadows(dataset: Dataset, pool_ids: Sequence[str], candidate_ids: Sequence[str],
+def draw_shadows(dataset: Dataset, pool: np.ndarray, candidates: np.ndarray,
                  shadow: ShadowParams, seed: int) -> ShadowPlan:
-    """Draw the shadows' sampling universe, inclusion mask, Z set and seeds; trains nothing.
+    """Draw the shadows' sampling universe, inclusion mask, Z set and seeds from dataset rows; trains nothing.
 
     A Z set of ``shadow.z_fraction * len(pool)`` pool samples (never
     candidates, optionally capped at ``shadow.z_cap``) is reserved and
@@ -281,8 +279,8 @@ def draw_shadows(dataset: Dataset, pool_ids: Sequence[str], candidate_ids: Seque
     and a shadow left with one class is drawn again.
     """
     k = shadow.count
-    pool = np.unique(dataset.rows(pool_ids))
-    candidates = np.unique(dataset.rows(candidate_ids))
+    pool = np.unique(pool)
+    candidates = np.unique(candidates)
     z_eligible = pool[~np.isin(pool, candidates)]
     n_z = min(int(round(shadow.z_fraction * len(pool))), shadow.z_cap or len(pool), len(z_eligible))
     if n_z == 0:
@@ -308,16 +306,15 @@ def draw_shadows(dataset: Dataset, pool_ids: Sequence[str], candidate_ids: Seque
 
     return ShadowPlan(
         universe=universe,
-        ids=tuple(dataset.ids[r] for r in universe),
         mask=incl,
-        z=dataset.take(z_rows),
+        z=z_rows,
         shadow_epochs=shadow.epochs,
         seed=seed,
         shadow_seeds=tuple(derive_seed(seed, "shadow", j) for j in range(k)),
     )
 
 
-def train_shadow_ensemble(dataset: Dataset, pool_ids: Sequence[str], candidate_ids: Sequence[str],
+def train_shadow_ensemble(dataset: Dataset, pool: np.ndarray, candidates: np.ndarray,
                           shadow: ShadowParams, cfg: TrainConfig, seed: int, helpers: FitHelpers) -> ShadowEnsemble:
     """Train the shadows that :func:`draw_shadows` draws, each on its mask column, validated on Z.
 
@@ -325,7 +322,7 @@ def train_shadow_ensemble(dataset: Dataset, pool_ids: Sequence[str], candidate_i
     ``shadow.epochs`` epochs, where :func:`start_fits` runs them; each
     shadow's model is the same wherever, and beside whichever shadows, it trains.
     """
-    plan = draw_shadows(dataset, pool_ids, candidate_ids, shadow, seed)
+    plan = draw_shadows(dataset, pool, candidates, shadow, seed)
     models = start_fits(_ShadowJobs(dataset, plan, cfg), helpers)()
     return ShadowEnsemble(**vars(plan), models=tuple(models))
 
@@ -338,7 +335,7 @@ class _ShadowJobs(Sequence):
     """
 
     def __init__(self, dataset: Dataset, plan: ShadowPlan, cfg: TrainConfig):
-        self.dataset, self.plan = dataset, plan
+        self.dataset, self.plan, self.z = dataset, plan, dataset.take(plan.z)
         self.cfgs = [replace(cfg, seed=s, fixed_epochs=plan.shadow_epochs) for s in plan.shadow_seeds]
 
     def __len__(self) -> int:
@@ -346,34 +343,27 @@ class _ShadowJobs(Sequence):
 
     def __getitem__(self, j: int) -> tuple[Dataset, Dataset, TrainConfig]:
         plan = self.plan
-        return self.dataset.take(plan.universe[np.flatnonzero(plan.mask[:, j])]), plan.z, self.cfgs[j]
+        return self.dataset.take(plan.universe[np.flatnonzero(plan.mask[:, j])]), self.z, self.cfgs[j]
 
 
-def collect_confidences(ensemble: ShadowEnsemble, samples: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """(sample x shadow) true-label confidences, and the inclusion mask rows of the samples (zero for unseen ids)."""
-    values = np.column_stack([predict_confidences(m, samples.X, samples.y) for m in ensemble.models])
-    row = ensemble.rows(samples.ids)
-    seen = row >= 0
-    mask = np.zeros((len(samples), ensemble.k), dtype=np.uint8)
-    mask[seen] = ensemble.mask[row[seen]]
-    return values, mask
+def collect_confidences(ensemble: ShadowEnsemble, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (sample x shadow) true-label confidences of the samples ``X`` with labels ``y``."""
+    return np.column_stack([predict_confidences(m, X, y) for m in ensemble.models])
 
 
-def save_challenge(challenge: Challenge, path: str | Path) -> None:
-    """Write the challenge, the one record of a repetition's membership (see :func:`load_challenge`)."""
+def save_challenge(challenge: Challenge, path: str | Path, ids: Sequence[str]) -> None:
+    """Write the challenge's :meth:`~Challenge.record`, the one record of a repetition's membership."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(challenge), fh, indent=2, sort_keys=True)
+        json.dump(challenge.record(ids), fh, indent=2, sort_keys=True)
 
 
-def load_challenge(path: str | Path) -> Challenge:
-    """Read a :func:`save_challenge` file."""
+def load_challenge(path: str | Path) -> dict:
+    """Read a :func:`save_challenge` file: the challenge's record, ids and all."""
     with open(path, encoding="utf-8") as fh:
-        ch = json.load(fh)
-    return Challenge(member_ids=tuple(ch["member_ids"]), nonmember_ids=tuple(ch["nonmember_ids"]),
-                     p_member=ch["p_member"], seed=ch["seed"])
+        return json.load(fh)
 
 
-def save_manifest(plan: ShadowPlan, path: str | Path) -> None:
+def save_manifest(plan: ShadowPlan, path: str | Path, ids: Sequence[str]) -> None:
     """Write the shadows' draw as JSON (:meth:`ShadowPlan.manifest`), the record that a re-attack checks."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan.manifest(), fh, indent=2, sort_keys=True)
+        json.dump(plan.manifest(ids), fh, indent=2, sort_keys=True)

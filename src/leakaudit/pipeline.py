@@ -15,8 +15,9 @@ shadows again as a run does, checks them against the stored
 ``challenge.json`` and ``manifest.json``, and only then loads the
 stored target and shadows. Both reports are replaced atomically. The
 attacks and the evaluation take plain arrays in the one candidate order
-of :mod:`leakaudit.attacks`; the candidates' ids and membership come
-from the repetition's ``TargetArtifacts``.
+of :mod:`leakaudit.attacks`, the rows of the repetition's ``TargetArtifacts``.
+A sample's id is read only where a file names it: ``challenge.json``,
+``manifest.json``, the score CSVs and ``rep_report.json``'s identified sets.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _run_single_rep(
     split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
     # with helpers every fit is queued before the first wait, the target, the longest, first
     target = start_fits([target_job(dataset, split, cfg.train, rep_seed)], helpers)
-    ensemble = train_shadow_ensemble(dataset, split.population_ids, challenge.candidate_ids, cfg.shadow,
+    ensemble = train_shadow_ensemble(dataset, split.population, challenge.candidates, cfg.shadow,
                                      cfg.train, derive_seed(rep_seed, "ensemble"), helpers)
     artifacts = run_game(dataset, split, challenge, target()[0])
 
@@ -123,8 +124,8 @@ def _run_single_rep(
     save_model(artifacts.model, rep_dir / "target.npz")
     for name, shadow in zip(ensemble.checkpoints, ensemble.models):
         save_model(shadow, rep_dir / name)
-    save_manifest(ensemble, rep_dir / "manifest.json")
-    save_challenge(artifacts.challenge, rep_dir / "challenge.json")
+    save_manifest(ensemble, rep_dir / "manifest.json", dataset.ids)
+    save_challenge(artifacts.challenge, rep_dir / "challenge.json", dataset.ids)
     return _finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
 
 
@@ -135,35 +136,36 @@ def _finish_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, artifacts: Ta
     Both attacks share one query of the shadows on the candidates. The
     population AUROC scores the target's probability of class 1.
     """
-    candidates = dataset.subset(artifacts.challenge.candidate_ids)  # in the order of artifacts.ids
-    values, mask = collect_confidences(ensemble, candidates)
-    labels = candidates.y
-    del candidates  # the evaluation reads only the labels, so the features are not held through the attacks
-    z_shadow, z_target = z_confidences(ensemble, artifacts.model)
+    rows = artifacts.rows
+    values = collect_confidences(ensemble, dataset.X[rows], dataset.y[rows])
+    mask = ensemble.inclusion(rows)
+    z_shadow, z_target = z_confidences(dataset, ensemble, artifacts.model)
     scores = {
         "lira": run_lira(artifacts.confidences, values, mask, cfg.lira),
         "rmia": run_rmia(artifacts.confidences, values, mask, z_shadow, z_target, cfg.rmia),
     }
     for name in ATTACK_NAMES:
-        save_scores(scores[name], rep_dir / f"scores_{name}.csv", artifacts)
+        save_scores(scores[name], rep_dir / f"scores_{name}.csv", artifacts, dataset.ids)
         roc = roc_curve(scores[name].scores, artifacts.is_member)
         _write_csv(rep_dir / f"roc_{name}.csv", "threshold,fpr,tpr",
                    np.column_stack([roc.thresholds, roc.fpr, roc.tpr]))
-    pop = dataset.subset(artifacts.split.population_ids)
-    conf1 = predict_confidences(artifacts.model, pop.X, np.ones(len(pop), dtype=int))
-    summary = {**_evaluate_rep(cfg, artifacts, labels, scores), "rep": rep,
-               "population_auroc": auroc(conf1, pop.y)}
+    pop = np.sort(artifacts.split.population)
+    conf1 = predict_confidences(artifacts.model, dataset.X[pop], np.ones(len(pop), dtype=int))
+    summary = {**_evaluate_rep(cfg, dataset, artifacts, scores), "rep": rep,
+               "population_auroc": auroc(conf1, dataset.y[pop])}
     return _write_json(rep_dir / "rep_report.json", summary)
 
 
-def _evaluate_rep(cfg: ExperimentConfig, artifacts: TargetArtifacts, labels: np.ndarray,
+def _evaluate_rep(cfg: ExperimentConfig, dataset: Dataset, artifacts: TargetArtifacts,
                   scores: dict[str, AttackScores]) -> dict:
-    """The attacks' TPRs and identified sets; ``labels`` are the candidates' class labels, in ``artifacts.ids`` order."""
+    """The attacks' TPRs, minority TPRs and identified sets, the last named by id."""
     challenge, is_member = artifacts.challenge, artifacts.is_member
+    ids = [dataset.ids[r] for r in artifacts.rows.tolist()]
+    labels = dataset.y[artifacts.rows]
     summary: dict = {"attacks": {}}
-    summary["n_members"] = len(challenge.member_ids)
-    summary["n_nonmembers"] = len(challenge.nonmember_ids)
-    summary["baseline_tpr"] = baseline_tpr(len(challenge.member_ids))
+    summary["n_members"] = len(challenge.members)
+    summary["n_nonmembers"] = len(challenge.nonmembers)
+    summary["baseline_tpr"] = baseline_tpr(len(challenge.members))
     for name, table in scores.items():
         roc = roc_curve(table.scores, is_member)
         entry: dict = {"tpr": {}, "minority_tpr": {}, "identified": {}, "n_flagged": len(table.flags)}
@@ -171,7 +173,7 @@ def _evaluate_rep(cfg: ExperimentConfig, artifacts: TargetArtifacts, labels: np.
             key = _fpr_key(fpr)
             threshold = threshold_at_fpr(roc, fpr)
             entry["tpr"][key] = tpr_at_fpr(roc, fpr)
-            entry["identified"][key] = sorted(identified_members(artifacts.ids, table.scores, is_member, threshold))
+            entry["identified"][key] = sorted(identified_members(ids, table.scores, is_member, threshold))
             try:
                 entry["minority_tpr"][key] = minority_tpr(table.scores, is_member, labels, threshold)
             except ValueError:
@@ -219,7 +221,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 marker = rep_dir / "rep_report.json"
                 summary = (json.loads(marker.read_text(encoding="utf-8")) if marker.exists()
                            else _run_single_rep(dataset, cfg, rep, rep_dir, helpers))
-                members = set(load_challenge(rep_dir / "challenge.json").member_ids)
+                members = set(load_challenge(rep_dir / "challenge.json")["member_ids"])
             except Exception as exc:  # noqa: BLE001 - record and continue
                 log.exception("repetition %d failed", rep)
                 errors[str(rep)] = f"{type(exc).__name__}: {exc}"
@@ -344,9 +346,9 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
         rep_seed = derive_seed(cfg.seed, "rep", rep)
         try:
             split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
-            shadows = draw_shadows(dataset, split.population_ids, challenge.candidate_ids, cfg.shadow,
+            shadows = draw_shadows(dataset, split.population, challenge.candidates, cfg.shadow,
                                    derive_seed(rep_seed, "ensemble"))
-            stale = _stale(rep_dir, challenge, shadows)
+            stale = _stale(rep_dir, dataset.ids, challenge, shadows)
             if not stale:
                 artifacts = run_game(dataset, split, challenge, load_model(rep_dir / "target.npz"))
                 ensemble = ShadowEnsemble(**vars(shadows), models=tuple(
@@ -362,16 +364,16 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
         raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
     summaries = [_finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
                  for rep, rep_dir, artifacts, ensemble in stored]
-    members = [set(artifacts.challenge.member_ids) for _, _, artifacts, _ in stored]
+    members = [{dataset.ids[r] for r in artifacts.challenge.members.tolist()} for _, _, artifacts, _ in stored]
     return _write_report(dataset, cfg, summaries, members, errors)
 
 
-def _stale(rep_dir: Path, challenge: Challenge, shadows: ShadowPlan) -> str | None:
+def _stale(rep_dir: Path, ids: Sequence[str], challenge: Challenge, shadows: ShadowPlan) -> str | None:
     """The stored challenge, or the first stored ``manifest.json`` field, that differs from this draw, or None."""
-    if load_challenge(rep_dir / "challenge.json") != challenge:
+    if load_challenge(rep_dir / "challenge.json") != challenge.record(ids):
         return "challenge"
     stored = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
-    drawn = shadows.manifest()
+    drawn = shadows.manifest(ids)
     differs = next((key for key in [*drawn, *stored] if drawn.get(key) != stored.get(key)), None)
     return differs and f"shadows: manifest.json field {differs!r} differs"
 

@@ -374,27 +374,26 @@ def _null_study_tprs(study, n_reps=5):
         ds = synth_dataset(SynthSpec(n=400, dim=8, positive_fraction=0.4,
                                      separation=3.0, seed=seed))
         split = split_dataset(ds, (0.3, 0.1, 0.6), seed=seed)
-        trained = fit(ds.subset(split.train_ids), ds.subset(split.validation_ids),
+        trained = fit(ds.take(np.sort(split.train)), ds.take(np.sort(split.validation)),
                       replace(cfg, seed=seed, fixed_epochs=5))
-        pop = ds.subset(split.population_ids)
-        challenge = assign_membership(pop.ids[:90], 2.0 / 3.0, seed=seed)
-        candidates = ds.subset(challenge.candidate_ids)
-        target_confs = predict_confidences(
-            trained, candidates.features_array(), candidates.labels_array()
-        )
-        is_member = np.isin(candidates.ids, challenge.member_ids)
+        pop = np.sort(split.population)
+        challenge = assign_membership(pop[:90], 2.0 / 3.0, seed=seed)
+        candidates = np.sort(challenge.candidates)
+        target_confs = predict_confidences(trained, ds.X[candidates], ds.y[candidates])
+        is_member = np.isin(candidates, challenge.members)
         ensemble = train_shadow_ensemble(
-            ds, pop.ids, candidates.ids, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed,
+            ds, pop, candidates, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed,
             helpers=FitHelpers(0),
         )
-        values, mask = collect_confidences(ensemble, candidates)
+        values = collect_confidences(ensemble, ds.X[candidates], ds.y[candidates])
+        mask = ensemble.inclusion(candidates)
         tables = {
             "lira": run_lira(target_confs, values, mask, LiraParams(global_variance=True)),
-            "rmia": run_rmia(target_confs, values, mask, *z_confidences(ensemble, trained), RmiaParams(gamma=2.0)),
+            "rmia": run_rmia(target_confs, values, mask, *z_confidences(ds, ensemble, trained), RmiaParams(gamma=2.0)),
         }
         for name, table in tables.items():
             tprs[name].append(tpr_at_fpr(roc_curve(table.scores, is_member), 0.0))
-        baselines.append(baseline_tpr(len(challenge.member_ids)))
+        baselines.append(baseline_tpr(len(challenge.members)))
     return tprs, baselines
 
 
@@ -470,7 +469,7 @@ def test_criterion_9_minority_enrichment(capsys, minority_control):
     enriched = 0
     reps = report["repetitions"]
     member_sets = [
-        set(load_challenge(Path(cfg.output_dir) / f"rep_{rep['rep']:03d}" / "challenge.json").member_ids)
+        set(load_challenge(Path(cfg.output_dir) / f"rep_{rep['rep']:03d}" / "challenge.json")["member_ids"])
         for rep in reps
     ]
     for rep, members in zip(reps, member_sets):

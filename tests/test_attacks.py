@@ -26,7 +26,7 @@ from leakaudit.nnet import TrainConfig, TrainedModel, init_model
 from leakaudit.stats import fit_gaussian
 
 IDS = ("A", "B", "C")
-CHALLENGE = Challenge(member_ids=("A", "B"), nonmember_ids=("C",), p_member=0.67, seed=0)
+CHALLENGE = Challenge(members=np.array([0, 1]), nonmembers=np.array([2]), p_member=0.67, seed=0)  # rows of IDS
 
 
 def sigmoid(x):
@@ -44,13 +44,13 @@ def flags_by_id(table, ids=IDS):
     return {ids[r]: reason for r, reason in table.flags.items()}
 
 
-def make_artifacts(challenge, ids, confidences):
-    """A target's artifacts around an untrained model: the scores' CSV reads only the ids, challenge and members."""
+def make_artifacts(challenge, confidences):
+    """A target's artifacts around an untrained model: the scores' CSV reads only the rows, challenge and members."""
     model = TrainedModel(model=init_model(1, TrainConfig(hidden_dims=(1,))), train_losses=[], val_losses=[],
                          best_epoch=0)
-    split = SplitAssignment(train_ids=challenge.member_ids, validation_ids=(),
-                            population_ids=challenge.nonmember_ids, seed=0)
-    return TargetArtifacts(model=model, ids=ids, confidences=np.asarray(confidences, dtype=float),
+    split = SplitAssignment(train=challenge.members, validation=np.array([], dtype=int),
+                            population=challenge.nonmembers, seed=0)
+    return TargetArtifacts(model=model, confidences=np.asarray(confidences, dtype=float),
                            challenge=challenge, split=split)
 
 
@@ -297,17 +297,17 @@ class TestScoreTable:
 
     @pytest.mark.parametrize("scores", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, float("nan")]])
     def test_scores_array_must_match_ids(self, scores, tmp_path):
-        challenge = Challenge(member_ids=("a",), nonmember_ids=("b",), p_member=0.5, seed=0)
-        artifacts = make_artifacts(challenge, ("a", "b"), [0.5, 0.5])
+        challenge = Challenge(members=np.array([0]), nonmembers=np.array([1]), p_member=0.5, seed=0)
+        artifacts = make_artifacts(challenge, [0.5, 0.5])
         with pytest.raises(ValueError):
-            save_scores(AttackScores(scores=np.array(scores)), tmp_path / "scores.csv", artifacts)
+            save_scores(AttackScores(scores=np.array(scores)), tmp_path / "scores.csv", artifacts, ("a", "b"))
         assert not (tmp_path / "scores.csv").exists()
 
     def test_save_scores_writes_challenge_order(self, tmp_path):
-        challenge = Challenge(member_ids=("m2", "m1"), nonmember_ids=("n1",), p_member=0.67, seed=0)
-        artifacts = make_artifacts(challenge, ("n1", "m1", "m2"), [0.5, 0.5, 0.5])
+        challenge = Challenge(members=np.array([2, 1]), nonmembers=np.array([0]), p_member=0.67, seed=0)
+        artifacts = make_artifacts(challenge, [0.5, 0.5, 0.5])
         table = AttackScores(scores=np.array([0.25, 0.5, 0.75]), flags={1: "no_out_shadow"})
-        save_scores(table, tmp_path / "scores.csv", artifacts)
+        save_scores(table, tmp_path / "scores.csv", artifacts, ("n1", "m1", "m2"))
         with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["id", "score", "is_member", "flags"], ["m2", "0.75", "1", ""],
@@ -317,11 +317,11 @@ class TestScoreTable:
         target, values, mask, _ = make_fixture()
         table = run_lira(target, values, mask, LiraParams(variance_floor=1.0))
         path = tmp_path / "scores.csv"
-        save_scores(table, path, make_artifacts(CHALLENGE, IDS, target))
+        save_scores(table, path, make_artifacts(CHALLENGE, target), IDS)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["id"]: float(r["score"]) for r in rows} == by_id(table)
-        assert {r["id"] for r in rows if r["is_member"] == "1"} == set(CHALLENGE.member_ids)
+        assert {r["id"] for r in rows if r["is_member"] == "1"} == {IDS[r] for r in CHALLENGE.members}
         assert {r["id"]: r["flags"] for r in rows if r["flags"]} == flags_by_id(table)
 
 

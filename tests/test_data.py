@@ -148,6 +148,17 @@ class TestIngest:
         assert ds.ids == ("c",)
         assert report.n_conflicting_removed == 2
 
+    @pytest.mark.parametrize("label_b,kept,n_dup,n_conflict", [
+        (1, ("a", "c"), 1, 0),  # same label: the first row stays
+        (0, ("c",), 0, 2),  # conflicting labels: both go
+    ])
+    def test_negative_zero_is_a_duplicate_of_zero(self, tmp_path, label_b, kept, n_dup, n_conflict):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["a,1,0.0,0.0,1.0", f"b,{label_b},0.0,-0.0,1.0", "c,0,0.0,3.0,4.0"])
+        ds, report = ingest_dataset(path)
+        assert ds.ids == kept
+        assert (report.n_exact_duplicates_removed, report.n_conflicting_removed) == (n_dup, n_conflict)
+
     def test_metadata_parsed(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["a,1,7.5,1.0,2.0"])
@@ -167,6 +178,8 @@ class TestIngest:
         (["a,x,0.0,1.0,2.0"], "id,label,meta_size,f_0,f_1"),
         (["a,1,0.0,oops,2.0"], "id,label,meta_size,f_0,f_1"),
         (["a,1,0.0,inf,2.0"], "id,label,meta_size,f_0,f_1"),
+        (["a,1,inf,1.0,2.0"], "id,label,meta_size,f_0,f_1"),
+        (["a,1,nan,1.0,2.0"], "id,label,meta_size,f_0,f_1"),
         (["a,1,0.0,1.0"], "id,label,meta_size,f_0,f_1"),
         (["a,1,0.0,1.0,2.0", "a,1,0.0,9.0,9.0"], "id,label,meta_size,f_0,f_1"),
     ])
@@ -174,6 +187,12 @@ class TestIngest:
         path = tmp_path / "d.csv"
         write_csv(path, rows, header=header)
         with pytest.raises(IngestError):
+            ingest_dataset(path)
+
+    def test_non_finite_metadata_names_its_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["a,1,1.0,1.0,2.0", "b,0,nan,3.0,4.0"])
+        with pytest.raises(IngestError, match="row 3: non-finite meta value"):
             ingest_dataset(path)
 
     def test_missing_file(self, tmp_path):
@@ -191,22 +210,26 @@ class TestSplit:
     def test_sizes_and_disjointness(self):
         ds = make_dataset(n=100)
         split = split_dataset(ds, (0.45, 0.10, 0.45), seed=3)
-        assert len(split.train_ids) == 45
-        assert len(split.validation_ids) == 10
-        assert len(split.population_ids) == 45
-        all_ids = set(split.train_ids) | set(split.validation_ids) | set(split.population_ids)
-        assert all_ids == set(ds.ids)
+        assert len(split.train) == 45
+        assert len(split.validation) == 10
+        assert len(split.population) == 45
+        all_rows = set(split.train.tolist()) | set(split.validation.tolist()) | set(split.population.tolist())
+        assert all_rows == set(range(len(ds)))
 
     def test_remainder_goes_to_population(self):
         ds = make_dataset(n=23)
         split = split_dataset(ds, (0.45, 0.10, 0.45), seed=0)
         # floor(10.35)=10, floor(2.3)=2, remainder 11
-        assert (len(split.train_ids), len(split.validation_ids), len(split.population_ids)) == (10, 2, 11)
+        assert (len(split.train), len(split.validation), len(split.population)) == (10, 2, 11)
 
     def test_deterministic_under_seed(self):
         ds = make_dataset(n=40)
-        assert split_dataset(ds, (0.5, 0.2, 0.3), 9) == split_dataset(ds, (0.5, 0.2, 0.3), 9)
-        assert split_dataset(ds, (0.5, 0.2, 0.3), 9) != split_dataset(ds, (0.5, 0.2, 0.3), 10)
+        def rows(seed):
+            split = split_dataset(ds, (0.5, 0.2, 0.3), seed)
+            return np.concatenate([split.train, split.validation, split.population])
+
+        assert np.array_equal(rows(9), rows(9))
+        assert not np.array_equal(rows(9), rows(10))
 
     def test_rejects_bad_fractions(self):
         ds = make_dataset()

@@ -50,23 +50,28 @@ def artifacts(dataset):
 
 @pytest.fixture(scope="module")
 def ensemble(dataset, artifacts):
-    pool, candidates = artifacts.split.population_ids, artifacts.challenge.candidate_ids
+    pool, candidates = artifacts.split.population, artifacts.challenge.candidates
     return train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=4, epochs=2), FAST_CFG, 11,
                                  NO_HELPERS)
+
+
+def same_challenge(a, b):
+    return np.array_equal(a.members, b.members) and np.array_equal(a.nonmembers, b.nonmembers)
 
 
 class TestChallenge:
     def test_rejects_overlapping_sets(self):
         with pytest.raises(ValueError):
-            Challenge(member_ids=("a",), nonmember_ids=("a",), p_member=0.5, seed=0)
+            Challenge(members=np.array([0]), nonmembers=np.array([0]), p_member=0.5, seed=0)
 
     def test_candidate_ids_list_members_first(self):
-        ch = Challenge(member_ids=("b", "a"), nonmember_ids=("c",), p_member=0.67, seed=0)
-        assert ch.candidate_ids == ("b", "a", "c")
+        ch = Challenge(members=np.array([1, 0]), nonmembers=np.array([2]), p_member=0.67, seed=0)
+        assert ch.candidates.tolist() == [1, 0, 2]
+        assert ch.record(("a", "b", "c"))["member_ids"] == ["b", "a"]
 
-    def test_save_load_round_trip(self, artifacts, tmp_path):
-        save_challenge(artifacts.challenge, tmp_path / "challenge.json")
-        assert load_challenge(tmp_path / "challenge.json") == artifacts.challenge
+    def test_save_load_round_trip(self, dataset, artifacts, tmp_path):
+        save_challenge(artifacts.challenge, tmp_path / "challenge.json", dataset.ids)
+        assert load_challenge(tmp_path / "challenge.json") == artifacts.challenge.record(dataset.ids)
 
 
 class TestRecipes:
@@ -103,18 +108,16 @@ class TestRecipes:
 
 class TestAssignMembership:
     def test_deterministic(self):
-        ids = [f"s{i}" for i in range(50)]
-        assert assign_membership(ids, 0.67, 3) == assign_membership(ids, 0.67, 3)
+        rows = np.arange(50)
+        assert same_challenge(assign_membership(rows, 0.67, 3), assign_membership(rows, 0.67, 3))
 
     def test_ratio_approximate(self):
-        ids = [f"s{i}" for i in range(5000)]
-        ch = assign_membership(ids, 0.67, 0)
-        assert len(ch.member_ids) / 5000 == pytest.approx(0.67, abs=0.03)
+        ch = assign_membership(np.arange(5000), 0.67, 0)
+        assert len(ch.members) / 5000 == pytest.approx(0.67, abs=0.03)
 
     def test_partition_complete(self):
-        ids = [f"s{i}" for i in range(30)]
-        ch = assign_membership(ids, 0.5, 1)
-        assert sorted(ch.candidate_ids) == sorted(ids)
+        ch = assign_membership(np.arange(30), 0.5, 1)
+        assert sorted(ch.candidates.tolist()) == list(range(30))
 
     def test_empty_candidates_raise(self):
         with pytest.raises(ValueError):
@@ -122,49 +125,42 @@ class TestAssignMembership:
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):
-            assign_membership(["a"], 1.5, 0)
+            assign_membership([0], 1.5, 0)
 
 
 class TestRunGame:
     def test_members_are_training_split(self, artifacts):
-        assert set(artifacts.challenge.member_ids) == set(artifacts.split.train_ids)
+        assert set(artifacts.challenge.members.tolist()) == set(artifacts.split.train.tolist())
 
     def test_nonmembers_come_from_population(self, artifacts):
-        assert set(artifacts.challenge.nonmember_ids) <= set(artifacts.split.population_ids)
+        assert set(artifacts.challenge.nonmembers.tolist()) <= set(artifacts.split.population.tolist())
 
     def test_p_member_ratio(self, artifacts):
-        n_mem = len(artifacts.challenge.member_ids)
-        n_non = len(artifacts.challenge.nonmember_ids)
+        n_mem = len(artifacts.challenge.members)
+        n_non = len(artifacts.challenge.nonmembers)
         assert n_non == round(n_mem * 0.33 / 0.67)
 
     def test_confidences_cover_all_candidates(self, dataset, artifacts):
         # one entry per candidate, in dataset order
-        assert artifacts.ids == dataset.subset(artifacts.challenge.candidate_ids).ids
-        assert artifacts.confidences.shape == (len(artifacts.ids),)
+        assert np.array_equal(artifacts.rows, np.sort(artifacts.challenge.candidates))
+        assert artifacts.confidences.shape == (len(artifacts.rows),)
         assert np.all((artifacts.confidences > 0.0) & (artifacts.confidences < 1.0))
 
     def test_confidences_must_match_ids(self, artifacts):
         with pytest.raises(ValueError):
-            TargetArtifacts(model=artifacts.model, ids=artifacts.ids, confidences=artifacts.confidences[1:],
-                            challenge=artifacts.challenge, split=artifacts.split)
-
-    @pytest.mark.parametrize("edit", ["drop", "foreign", "repeat"])
-    def test_ids_must_be_the_challenge_candidates(self, artifacts, edit):
-        ids = {"drop": artifacts.ids[1:], "foreign": ("x",) + artifacts.ids[1:],
-               "repeat": artifacts.ids[:1] + artifacts.ids[:-1]}[edit]
-        with pytest.raises(ValueError, match="challenge candidates"):
-            TargetArtifacts(model=artifacts.model, ids=ids, confidences=artifacts.confidences[:len(ids)],
+            TargetArtifacts(model=artifacts.model, confidences=artifacts.confidences[1:],
                             challenge=artifacts.challenge, split=artifacts.split)
 
     def test_is_member_marks_the_members(self, artifacts):
         assert artifacts.is_member.dtype == bool
-        assert {i for i, m in zip(artifacts.ids, artifacts.is_member) if m} == set(artifacts.challenge.member_ids)
+        assert {r for r, m in zip(artifacts.rows.tolist(), artifacts.is_member) if m} \
+            == set(artifacts.challenge.members.tolist())
 
     def test_deterministic(self, dataset):
         a = play(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
         b = play(dataset, replace(FAST_CFG, fixed_epochs=3), GameConfig(), 5)
-        assert a.challenge == b.challenge
-        assert a.ids == b.ids
+        assert a.challenge.record(dataset.ids) == b.challenge.record(dataset.ids)
+        assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.confidences, b.confidences)
 
     def test_population_too_small(self, dataset):
@@ -181,52 +177,52 @@ class TestRunGame:
         cfg = TrainConfig(hidden_dims=(16,), dropout_rate=0.0, weight_decay=0.0,
                           learning_rate=1e-2, max_epochs=40, patience=40, fixed_epochs=40, seed=0)
         art = play(dataset, cfg, GameConfig(), 2)
-        member = np.isin(art.ids, art.challenge.member_ids)
+        member = np.isin(art.rows, art.challenge.members)
         assert np.mean(art.confidences[member]) > np.mean(art.confidences[~member])
 
 
 class TestShadowEnsemble:
     def test_mask_dimensions(self, ensemble):
-        assert ensemble.mask.shape == (len(ensemble.ids), 4)
+        assert ensemble.mask.shape == (len(ensemble.universe), 4)
         assert len(ensemble.models) == 4
         assert len(ensemble.shadow_seeds) == 4
 
     def test_z_ids_are_disjoint_from_the_universe(self, ensemble):
-        assert ensemble.z.ids
-        assert not set(ensemble.z.ids) & set(ensemble.ids)
-        assert (ensemble.rows(ensemble.z.ids) == -1).all()
+        assert ensemble.z.size
+        assert not set(ensemble.z.tolist()) & set(ensemble.universe.tolist())
+        assert (ensemble.inclusion(ensemble.z) == 0).all()
 
     def test_z_dataset_holds_the_z_rows(self, dataset, ensemble):
-        assert np.array_equal(ensemble.z.X, dataset.X[dataset.rows(ensemble.z.ids)])
-        assert np.array_equal(ensemble.z.y, dataset.y[dataset.rows(ensemble.z.ids)])
+        z = game._ShadowJobs(dataset, ensemble, FAST_CFG)[0][1]
+        assert np.array_equal(z.X, dataset.X[ensemble.z])
+        assert np.array_equal(z.y, dataset.y[ensemble.z])
 
     def test_z_excludes_candidates(self, ensemble, artifacts):
-        assert not set(ensemble.z.ids) & set(artifacts.challenge.candidate_ids)
+        assert not set(ensemble.z.tolist()) & set(artifacts.challenge.candidates.tolist())
 
     def test_z_size(self, dataset, artifacts, ensemble):
-        pool = dataset.subset(artifacts.split.population_ids)
-        assert len(ensemble.z.ids) == round(0.25 * len(pool))
+        assert len(ensemble.z) == round(0.25 * len(artifacts.split.population))
 
     def test_z_cap(self, dataset, artifacts):
-        pool, candidates = artifacts.split.population_ids, artifacts.challenge.candidate_ids
+        pool, candidates = artifacts.split.population, artifacts.challenge.candidates
         ens = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=2, epochs=1, z_cap=5), FAST_CFG,
                                     0, NO_HELPERS)
-        assert len(ens.z.ids) == 5
+        assert len(ens.z) == 5
 
     def test_every_shadow_saw_two_classes(self, dataset, ensemble):
-        label = dict(zip(dataset.ids, dataset.y.tolist()))
+        label = dataset.y.tolist()
         for j in range(ensemble.k):
-            included = [i for i, row in zip(ensemble.ids, ensemble.mask) if row[j]]
-            assert {label[i] for i in included} == {0, 1}
+            included = [r for r, row in zip(ensemble.universe.tolist(), ensemble.mask) if row[j]]
+            assert {label[r] for r in included} == {0, 1}
 
     def test_deterministic(self, dataset, artifacts):
-        pool, candidates = artifacts.split.population_ids, artifacts.challenge.candidate_ids
+        pool, candidates = artifacts.split.population, artifacts.challenge.candidates
         e1 = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4,
                                    NO_HELPERS)
         e2 = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4,
                                    NO_HELPERS)
         assert np.array_equal(e1.mask, e2.mask)
-        assert e1.z.ids == e2.z.ids
+        assert np.array_equal(e1.z, e2.z)
         for m1, m2 in zip(e1.models, e2.models):
             for w1, w2 in zip(m1.model.weights, m2.model.weights):
                 assert np.array_equal(w1, w2)
@@ -236,8 +232,9 @@ class TestShadowEnsemble:
             assert len(m.train_losses) == 2
 
     def test_rejects_tiny_k(self, dataset):
+        rows = np.arange(len(dataset))
         with pytest.raises(ValueError):
-            train_shadow_ensemble(dataset, dataset.ids, dataset.ids, ShadowParams(count=1), FAST_CFG, 0, NO_HELPERS)
+            train_shadow_ensemble(dataset, rows, rows, ShadowParams(count=1), FAST_CFG, 0, NO_HELPERS)
 
     @pytest.mark.parametrize("pool_rows,candidate_rows", [
         (2, None),  # round(0.25 * 2) == 0 Z points; None: every candidate lies outside the pool
@@ -247,8 +244,8 @@ class TestShadowEnsemble:
                                                            pool_rows, candidate_rows):
         fits = []
         monkeypatch.setattr(game, "fit", lambda *args: fits.append(args))
-        pool = dataset.ids[:pool_rows]
-        candidates = dataset.ids[200:240] if candidate_rows is None else dataset.ids[:candidate_rows]
+        pool = np.arange(pool_rows)
+        candidates = np.arange(200, 240) if candidate_rows is None else np.arange(candidate_rows)
         with pytest.raises(ValueError, match="no Z point"):
             train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0,
                                   NO_HELPERS)
@@ -258,42 +255,44 @@ class TestShadowEnsemble:
         """``draw_shadows`` alone draws what ``train_shadow_ensemble`` trains: universe, mask, Z and seeds."""
         jobs = []
         monkeypatch.setattr(game, "fit", lambda *job: jobs.append(job))
-        plan = draw_shadows(dataset, artifacts.split.population_ids, artifacts.challenge.candidate_ids,
+        plan = draw_shadows(dataset, artifacts.split.population, artifacts.challenge.candidates,
                             ShadowParams(count=4, epochs=2), 11)
-        assert plan.manifest() == ensemble.manifest()
-        assert (plan.ids, plan.z) == (ensemble.ids, ensemble.z)
-        train_shadow_ensemble(dataset, artifacts.split.population_ids, artifacts.challenge.candidate_ids,
+        assert plan.manifest(dataset.ids) == ensemble.manifest(dataset.ids)
+        assert np.array_equal(plan.universe, ensemble.universe) and np.array_equal(plan.z, ensemble.z)
+        train_shadow_ensemble(dataset, artifacts.split.population, artifacts.challenge.candidates,
                               ShadowParams(count=4, epochs=2), FAST_CFG, 11, NO_HELPERS)
         assert len(jobs) == 4
         for j, (train, validation, cfg) in enumerate(jobs):
-            assert train.ids == tuple(i for i, bit in zip(plan.ids, plan.mask[:, j]) if bit)
-            assert validation == plan.z
+            assert train.ids == tuple(dataset.ids[r] for r, bit in zip(plan.universe, plan.mask[:, j]) if bit)
+            assert validation == dataset.take(plan.z)
             assert (cfg.seed, cfg.fixed_epochs) == (plan.shadow_seeds[j], 2)
 
 
 class TestConfidences:
     def test_matrix_aligned_with_mask(self, dataset, artifacts, ensemble):
-        candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        values, mask = collect_confidences(ensemble, candidates)
-        assert values.shape == (len(candidates), ensemble.k)
-        row = {i: r for r, i in enumerate(ensemble.ids)}
-        for r, sample_id in enumerate(candidates.ids):
-            assert np.array_equal(mask[r], ensemble.mask[row[sample_id]])
+        rows = artifacts.rows
+        values = collect_confidences(ensemble, dataset.X[rows], dataset.y[rows])
+        mask = ensemble.inclusion(rows)
+        assert values.shape == mask.shape == (len(rows), ensemble.k)
+        assert mask.dtype == np.uint8
+        row = {r: m for m, r in enumerate(ensemble.universe.tolist())}
+        for i, r in enumerate(rows.tolist()):
+            assert np.array_equal(mask[i], ensemble.mask[row[r]])
 
     def test_values_in_open_interval(self, dataset, artifacts, ensemble):
-        candidates = dataset.subset(artifacts.challenge.candidate_ids)
-        values, _ = collect_confidences(ensemble, candidates)
+        rows = artifacts.rows
+        values = collect_confidences(ensemble, dataset.X[rows], dataset.y[rows])
         assert np.all((values > 0.0) & (values < 1.0))
 
 
 class TestManifest:
-    def test_manifest_round_trip(self, ensemble, tmp_path):
+    def test_manifest_round_trip(self, dataset, ensemble, tmp_path):
         path = tmp_path / "manifest.json"
-        save_manifest(ensemble, path)
+        save_manifest(ensemble, path, dataset.ids)
         manifest = json.loads(path.read_text(encoding="utf-8"))
-        assert manifest == ensemble.manifest()
+        assert manifest == ensemble.manifest(dataset.ids)
         assert manifest["seed"] == ensemble.seed
-        assert tuple(manifest["z_ids"]) == ensemble.z.ids
+        assert manifest["z_ids"] == [dataset.ids[r] for r in ensemble.z]
         assert all(isinstance(row, str) and len(row) == ensemble.k for row in manifest["mask"])
         decoded = np.array([[int(c) for c in row] for row in manifest["mask"]], dtype=np.uint8)
         assert np.array_equal(decoded, ensemble.mask)

@@ -22,16 +22,16 @@ SHADOW = ShadowParams(count=5, epochs=2)
 
 @pytest.fixture(scope="module")
 def shadow_draw():
-    """The dataset, the pool ids and the candidate ids of one repetition's shadows."""
+    """The dataset, the pool rows and the candidate rows of one repetition's shadows."""
     dataset = synth_dataset(SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0))
     split, challenge = draw_challenge(dataset, GameConfig(), 5)
-    return dataset, split.population_ids, challenge.candidate_ids
+    return dataset, split.population, challenge.candidates
 
 
 @pytest.fixture(scope="module")
 def shadow_inputs(shadow_draw):
-    dataset, pool_ids, candidate_ids = shadow_draw
-    return dataset.subset(pool_ids), dataset.subset(candidate_ids)
+    dataset, pool, candidates = shadow_draw
+    return dataset.take(np.sort(pool)), dataset.take(np.sort(candidates))
 
 
 def stopped(procs):
@@ -46,7 +46,7 @@ def test_helper_fits_are_bit_identical_to_in_process(shadow_draw):
     assert len(procs) == 2 and stopped(procs)
     assert remote.shadow_seeds == local.shadow_seeds
     assert np.array_equal(remote.mask, local.mask)
-    assert remote.ids == local.ids and remote.z == local.z
+    assert np.array_equal(remote.universe, local.universe) and np.array_equal(remote.z, local.z)
     for a, b in zip(remote.models, local.models, strict=True):
         assert a.model.params.tobytes() == b.model.params.tobytes()
         assert a.train_losses == b.train_losses and a.val_losses == b.val_losses

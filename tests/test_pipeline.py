@@ -1,5 +1,6 @@
 """Tests for the repeated-experiment pipeline, resume and report rendering."""
 
+import csv
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ import pytest
 from leakaudit import game, pipeline
 from leakaudit.attacks import RmiaParams
 from leakaudit.config import ExperimentConfig, ShadowParams
-from leakaudit.data import Dataset
+from leakaudit.data import Dataset, load_dataset, save_dataset, split_dataset
 from leakaudit.game import GameConfig, draw_challenge, draw_shadows, load_challenge
 from leakaudit.nnet import TrainConfig, load_model
 from leakaudit.pipeline import _aggregate, _write_csv, report_render, rerun_attacks, run_experiment
@@ -77,7 +78,7 @@ class TestRunExperiment:
             rep_dir = out / f"rep_{rep:03d}"
             rep_report = json.loads((rep_dir / "rep_report.json").read_text(encoding="utf-8"))
             assert "member_ids" not in rep_report and "member_ids" not in summary
-            assert rep_report["n_members"] == len(load_challenge(rep_dir / "challenge.json").member_ids)
+            assert rep_report["n_members"] == len(load_challenge(rep_dir / "challenge.json")["member_ids"])
         assert "member_ids" not in report
 
     def test_manifest_lists_each_sample_once(self, run_dir):
@@ -309,10 +310,10 @@ class TestManifest:
         dataset = synth_dataset(cfg.synth)
         rep_seed = derive_seed(cfg.seed, "rep", 0)
         split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
-        plan = draw_shadows(dataset, split.population_ids, challenge.candidate_ids, cfg.shadow,
+        plan = draw_shadows(dataset, split.population, challenge.candidates, cfg.shadow,
                             derive_seed(rep_seed, "ensemble"))
         stored = json.loads((out / "rep_000" / "manifest.json").read_text(encoding="utf-8"))
-        assert stored == plan.manifest()
+        assert stored == plan.manifest(dataset.ids)
         assert stored["checkpoints"] == [f"shadow_{j:02d}.npz" for j in range(cfg.shadow.count)]
         assert all((out / "rep_000" / name).exists() for name in stored["checkpoints"])
         assert load_model(out / "rep_000" / stored["checkpoints"][0]).train_losses
@@ -347,6 +348,40 @@ class TestManifest:
             manifest["mask"][1] = bad_row
 
         self.attack_edited(run_dir, tmp_path, break_row, "mask")
+
+
+def test_every_file_names_a_sample_by_the_id_of_its_row(tmp_path):
+    """With ids that sort against their rows and a row dropped at ingest, a sort of ids in place of rows shows."""
+    synth = synth_dataset(TINY.synth)
+    rows = [*range(10), 3, *range(10, len(synth))]  # row 10 repeats row 3, so ingest drops it
+    ids = [f"id{999 - r:04d}" for r in range(len(rows))]
+    save_dataset(Dataset(ids, synth.X[rows], synth.y[rows]), tmp_path / "data.csv")
+    dataset = load_dataset(tmp_path / "data.csv")
+    assert len(dataset) == len(synth) and list(dataset.ids) == sorted(dataset.ids, reverse=True)
+    cfg = replace(TINY, synth=None, dataset_path=str(tmp_path / "data.csv"), repetitions=1,
+                  output_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    rep_dir = tmp_path / "out" / "rep_000"
+    before = files(tmp_path / "out")
+    rerun_attacks(cfg)
+    assert files(tmp_path / "out") == before
+
+    challenge = load_challenge(rep_dir / "challenge.json")
+    split = split_dataset(dataset, cfg.game.fractions, derive_seed(derive_seed(cfg.seed, "rep", 0), "split"))
+    assert challenge["member_ids"] == [dataset.ids[r] for r in split.train]
+    for name in ("lira", "rmia"):
+        with open(rep_dir / f"scores_{name}.csv", newline="", encoding="utf-8") as fh:
+            scores = list(csv.DictReader(fh))
+        assert [r["id"] for r in scores] == challenge["member_ids"] + challenge["nonmember_ids"]
+        assert [r["is_member"] for r in scores] == ["1"] * len(challenge["member_ids"]) \
+            + ["0"] * len(challenge["nonmember_ids"])
+
+    manifest = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
+    row = {sample_id: r for r, sample_id in enumerate(dataset.ids)}
+    universe = [row[i] for i in manifest["ids"]]
+    n_pool = len(split.population) - len(manifest["z_ids"])  # the pool minus Z, then the members
+    assert universe[:n_pool] == sorted(set(split.population.tolist()) - {row[i] for i in manifest["z_ids"]})
+    assert universe[n_pool:] == sorted(split.train.tolist())
 
 
 # Pools floats of mixed magnitudes from two repetitions, where the order of the sums shows in the last digits.
