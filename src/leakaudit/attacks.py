@@ -6,10 +6,10 @@ here that queries models. Every per-candidate array (target confidences,
 matrix rows, scores and flag rows) follows one order: the challenge's
 candidates in dataset order, as ``TargetArtifacts.rows`` lists them. Both
 attacks score every candidate at once: LiRA from masked row sums over the
-candidate x shadow logit matrix, RMIA from (Z x K) @ (K x block) products
-over fixed-size candidate blocks. The LiRA score is the natural-log
-likelihood ratio. The scalar :func:`lira_score` and :func:`rmia_score`
-state each attack for a single candidate and serve as test oracles.
+candidate x shadow logit matrix, RMIA by one sort of the Z ratios and one
+binary search per candidate. The LiRA score is the natural-log likelihood
+ratio. The scalar :func:`lira_score` states LiRA for a single candidate and
+serves as a test oracle.
 """
 
 from __future__ import annotations
@@ -36,17 +36,12 @@ __all__ = [
     "rescale_confidence",
     "lira_score",
     "run_lira",
-    "rmia_score",
     "z_confidences",
     "run_rmia",
     "save_scores",
 ]
 
 log = logging.getLogger(__name__)
-
-# most elements of one (Z x block) temporary in run_rmia; bounds its memory whatever Z and N are
-RMIA_BLOCK_ELEMENTS = 1 << 16
-
 
 @dataclass(frozen=True)
 class LiraParams:
@@ -73,7 +68,7 @@ class RmiaParams:
 class AttackScores:
     """Per-candidate membership scores, one per candidate row; higher means more likely a member.
 
-    ``flags`` maps the row of each fallback-scored candidate to its reason.
+    ``flags`` maps the row of each fallback-scored candidate to its reason; only LiRA falls back.
     """
 
     scores: np.ndarray
@@ -178,31 +173,6 @@ def run_lira(
     return AttackScores(scores=log_lr, flags=flags)
 
 
-def rmia_score(
-    target_conf: float,
-    shadow_confs: np.ndarray,
-    out_mask: np.ndarray,
-    z_target_confs: np.ndarray,
-    z_shadow_confs: np.ndarray,
-    gamma: float = RmiaParams.gamma,
-) -> float:
-    """Fraction of reference points z dominated by factor gamma.
-
-    ``out_mask`` marks the shadows that excluded the candidate; the z
-    probabilities average over exactly those shadows.
-    """
-    if z_target_confs.size == 0:
-        raise ValueError("Z reference set must be non-empty")
-    p_m = float(np.mean(shadow_confs))
-    ratio_m = target_conf / p_m
-    out = out_mask.astype(bool)
-    if not out.any():
-        out = np.ones_like(out, dtype=bool)
-    p_z = z_shadow_confs[:, out].mean(axis=1)
-    ratio_z = z_target_confs / p_z
-    return float(np.mean(ratio_m / ratio_z >= gamma))
-
-
 def z_confidences(dataset: Dataset, ensemble: ShadowEnsemble, target: TrainedModel) -> tuple[np.ndarray, np.ndarray]:
     """RMIA's Z table: the (Z x shadow) confidences of ``ensemble`` on its Z rows of ``dataset``, and the target's."""
     X, y = dataset.X[ensemble.z], dataset.y[ensemble.z]
@@ -219,37 +189,22 @@ def run_rmia(
 ) -> AttackScores:
     """RMIA scores for every candidate against the shared Z table (see :func:`z_confidences`).
 
-    ``target``, ``values`` and ``mask`` are as in :func:`run_lira`. A
-    candidate's P(z) averages the Z confidences ``z_shadow`` over the
-    shadows that excluded it, or over all shadows when none did (flagged).
-    Candidates are scored in blocks so that no temporary exceeds
-    ``RMIA_BLOCK_ELEMENTS`` elements however large Z and the challenge are.
+    ``target`` and ``values`` are as in :func:`run_lira`; ``mask`` is checked
+    for shape only. As in Zarifzadeh, Liu and Shokri (ICML 2024), Pr(x) and
+    Pr(z) both average every shadow: no Z row is in any shadow's or the
+    target's training set. A candidate's score is the fraction of Z points
+    with ``ratio_z <= ratio_m / gamma``. That is a monotone function of its
+    own ratio, so gamma changes the ROC only through the ties it creates.
+    The Z ratios are sorted once and each candidate costs one binary search,
+    so no temporary grows with Z x candidates. No candidate is flagged.
     """
     _check_shapes(target, values, mask)
     if not len(z_target) or z_shadow.shape != (len(z_target), values.shape[1]):
         raise ValueError(f"Z table {z_shadow.shape} needs a row for each of the {len(z_target)} Z targets "
                          f"(at least one) and a column for each of the {values.shape[1]} shadows")
-
-    out = ~mask.astype(bool)
-    no_out = ~out.any(axis=1)
-    out[no_out] = True
-    n_out = out.sum(axis=1)
     ratio_m = target / values.mean(axis=1)
-    block = max(1, RMIA_BLOCK_ELEMENTS // len(z_target))
-    dominated = np.empty(len(target), dtype=np.int64)
-    for lo in range(0, len(target), block):
-        hi = lo + block
-        p_z = z_shadow @ out[lo:hi].T.astype(float)
-        p_z /= n_out[lo:hi]
-        ratio_z = z_target[:, None] / p_z
-        dominated[lo:hi] = np.count_nonzero(ratio_m[lo:hi] / ratio_z >= params.gamma, axis=0)
-    scores = dominated / len(z_target)
-
-    flags = dict.fromkeys(np.flatnonzero(no_out).tolist(), "no_out_shadow")
-    if flags:
-        log.warning("RMIA: %d candidates had no excluding shadow; averaged over all shadows",
-                    len(flags))
-    return AttackScores(scores=scores, flags=flags)
+    ratio_z = np.sort(z_target / z_shadow.mean(axis=1))
+    return AttackScores(scores=np.searchsorted(ratio_z, ratio_m / params.gamma, side="right") / len(ratio_z))
 
 
 def save_scores(table: AttackScores, path: str | Path, artifacts: TargetArtifacts, ids: Sequence[str]) -> None:

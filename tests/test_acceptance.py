@@ -323,7 +323,7 @@ def test_criterion_5_hand_fixture_attacks(capsys):
     # RMIA counting fixture: candidate A gets target confidence 0.75 and
     # shadow confidences (0.5, 0.25), so its ratio is 0.75/0.375 = 2; with
     # gamma=2 it dominates exactly one of the two reference points (z
-    # ratios 1 and 2 from the excluding shadow), scoring 0.5
+    # ratios 0.714 and 3.2, Pr(z) averaged over both shadows), scoring 0.5
     target_confs[ids.index("A")] = 0.75
     values[0] = [0.5, 0.25]
     z_shadow, z_target = np.array([[0.9, 0.5], [0.1, 0.4]]), np.array([0.5, 0.8])

@@ -2,20 +2,20 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from leakaudit import attacks
 from leakaudit.attacks import (
     AttackScores,
     LiraParams,
     RmiaParams,
     lira_score,
     rescale_confidence,
-    rmia_score,
     run_lira,
     run_rmia,
     save_scores,
@@ -24,6 +24,7 @@ from leakaudit.data import SplitAssignment
 from leakaudit.game import Challenge, TargetArtifacts
 from leakaudit.nnet import TrainConfig, TrainedModel, init_model
 from leakaudit.stats import fit_gaussian
+from oracles import rmia_score
 
 IDS = ("A", "B", "C")
 CHALLENGE = Challenge(members=np.array([0, 1]), nonmembers=np.array([2]), p_member=0.67, seed=0)  # rows of IDS
@@ -199,35 +200,20 @@ class TestRunLira:
 
 class TestRmiaScore:
     def test_counting_fixture_scores_half(self):
-        # ratio_m = 0.75 / mean(0.5, 0.25) = 2; z ratios 1.0 and 2.0; gamma=2
-        # dominates z1 (2/1 >= 2) but not z2 (2/2 < 2): score 1/2
+        # ratio_m = 0.75 / mean(0.5, 0.25) = 2, so ratio_m / gamma = 1 at gamma=2;
+        # z ratios 0.5/0.7 = 0.714 and 0.8/0.25 = 3.2: only the first is <= 1, score 1/2
         score = rmia_score(
             target_conf=0.75,
             shadow_confs=np.array([0.5, 0.25]),
-            out_mask=np.array([False, True]),
             z_target_confs=np.array([0.5, 0.8]),
             z_shadow_confs=np.array([[0.9, 0.5], [0.1, 0.4]]),
             gamma=2.0,
         )
         assert score == pytest.approx(0.5, abs=1e-12)
 
-    def test_p_m_averages_all_shadows(self):
-        # out_mask only affects P(z); P(m) uses every shadow
-        s1 = rmia_score(0.6, np.array([0.2, 0.4]), np.array([True, False]),
-                        np.array([0.5]), np.array([[0.5, 0.5]]))
-        s2 = rmia_score(0.6, np.array([0.2, 0.4]), np.array([False, True]),
-                        np.array([0.5]), np.array([[0.5, 0.5]]))
-        assert s1 == s2
-
-    def test_no_excluding_shadow_falls_back_to_all(self):
-        score = rmia_score(0.9, np.array([0.3, 0.3]), np.array([False, False]),
-                           np.array([0.3]), np.array([[0.3, 0.3]]))
-        assert score == 1.0
-
     def test_empty_z_rejected(self):
         with pytest.raises(ValueError):
-            rmia_score(0.5, np.array([0.5]), np.array([True]),
-                       np.array([]), np.zeros((0, 1)))
+            rmia_score(0.5, np.array([0.5]), np.array([]), np.zeros((0, 1)))
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -241,7 +227,6 @@ class TestRmiaScore:
         args = dict(
             target_conf=0.7,
             shadow_confs=rng.uniform(0.1, 0.9, size=4),
-            out_mask=np.array([True, False, True, False]),
             z_target_confs=rng.uniform(0.1, 0.9, size=8),
             z_shadow_confs=rng.uniform(0.1, 0.9, size=(8, 4)),
         )
@@ -257,20 +242,18 @@ class TestRunRmia:
     def test_hand_fixture(self):
         target, values, mask, z_shadow, z_target = self.make_z_fixture()
         table = run_rmia(target, values, mask, z_shadow, z_target)
-        # candidate A: conf 0.5, shadows (0.5, sigma(-2)); out shadow is column 1
-        p_m = float(np.mean(values[0]))
-        ratio_m = 0.5 / p_m
-        p_z = np.array([0.5, 0.4])  # excluding-shadow column means
-        ratio_z = np.array([0.5, 0.8]) / p_z
-        expected = float(np.mean(ratio_m / ratio_z >= 2.0))
-        assert by_id(table)["A"] == pytest.approx(expected, abs=1e-12)
+        # candidate A: conf 0.5, shadows (0.5, sigma(-2)), so ratio_m / 2 = 0.807;
+        # Pr(z) averages both shadows: z ratios 0.5/0.7 = 0.714 and 0.8/0.25 = 3.2
+        assert by_id(table)["A"] == 0.5
         assert set(by_id(table)) == {"A", "B", "C"}
 
-    def test_no_excluding_shadow_flagged(self):
+    def test_candidate_every_shadow_trained_on_is_not_flagged(self):
         target, values, mask, z_shadow, z_target = self.make_z_fixture()
-        mask[2] = [1, 1]
         table = run_rmia(target, values, mask, z_shadow, z_target)
-        assert flags_by_id(table) == {"C": "no_out_shadow"}
+        mask[2] = [1, 1]
+        every_in = run_rmia(target, values, mask, z_shadow, z_target)
+        assert every_in.flags == {}
+        np.testing.assert_array_equal(every_in.scores, table.scores)
 
     def test_empty_z_rejected(self):
         target, values, mask, _, _ = self.make_z_fixture()
@@ -288,6 +271,21 @@ class TestRunRmia:
         for args in misaligned(target, values, mask):
             with pytest.raises(ValueError, match="not aligned"):
                 run_rmia(*args, z_shadow, z_target)
+
+    def test_memory_stays_linear_in_candidates_and_z(self):
+        """No temporary grows with candidates x Z: here one such float64 array would take 80 GB."""
+        n, n_z, k = 200_000, 50_000, 4
+        rng = np.random.default_rng(0)
+        args = (rng.uniform(0.01, 1, n), rng.uniform(0.01, 1, (n, k)), (rng.random((n, k)) < 0.5).astype(np.uint8),
+                rng.uniform(0.01, 1, (n_z, k)), rng.uniform(0.01, 1, n_z))
+        input_bytes = sum(a.nbytes for a in args)
+        tracemalloc.start()
+        try:
+            run_rmia(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * input_bytes
 
 
 class TestScoreTable:
@@ -329,9 +327,9 @@ class TestScoreTable:
 
 
 @st.composite
-def attack_inputs(draw, min_rows=1, max_rows=12):
+def attack_inputs(draw):
     """Random confidences with a mask that includes all-in and all-out rows."""
-    n = draw(st.integers(min_rows, max_rows))
+    n = draw(st.integers(1, 12))
     k = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     row_kind = draw(st.lists(st.sampled_from(["random", "all_in", "all_out", "one_in", "one_out"]),
@@ -346,7 +344,7 @@ def attack_inputs(draw, min_rows=1, max_rows=12):
     values = rng.uniform(1e-4, 1 - 1e-4, size=(n, k))
     ids = tuple(f"c{r}" for r in range(n))
     target = rng.uniform(1e-4, 1 - 1e-4, n)
-    return ids, target, values, mask, rng
+    return ids, target, values, mask
 
 
 def lira_oracle(ids, target, values, mask, params):
@@ -385,7 +383,7 @@ class TestArrayAttacksMatchOracles:
     @given(attack_inputs(), st.booleans(), st.sampled_from([1e-6, 1e-2, 1.0]))
     @settings(max_examples=150, deadline=None)
     def test_run_lira_matches_lira_score(self, inputs, global_variance, floor):
-        ids, target, values, mask, _ = inputs
+        ids, target, values, mask = inputs
         params = LiraParams(variance_floor=floor, global_variance=global_variance)
         if not (mask == 0).any():
             with pytest.raises(ValueError, match="no pooled fallback"):
@@ -399,20 +397,19 @@ class TestArrayAttacksMatchOracles:
             # a log ratio reaches 1e7 at a tiny floor, so the tolerance is relative there
             assert got[i] == pytest.approx(scores[i], rel=1e-9, abs=1e-9)
 
-    @given(attack_inputs(min_rows=5, max_rows=40), st.integers(1, 6), st.floats(0.5, 4.0))
-    @settings(max_examples=150, deadline=None)
-    def test_blocked_run_rmia_matches_rmia_score(self, inputs, n_z, gamma):
-        ids, target, values, mask, rng = inputs
-        k = values.shape[1]
-        z_target = rng.uniform(1e-4, 1 - 1e-4, n_z)
-        z_shadow = rng.uniform(1e-4, 1 - 1e-4, (n_z, k))
-        # blocks of two candidates, so every fixture spans several blocks
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(attacks, "RMIA_BLOCK_ELEMENTS", 2 * n_z)
-            table = run_rmia(target, values, mask, z_shadow, z_target, RmiaParams(gamma=gamma))
-        got = by_id(table, ids)
-        for r, i in enumerate(ids):
-            expected = rmia_score(target[r], values[r], mask[r] == 0,
-                                  z_target, z_shadow, gamma=gamma)
-            assert got[i] == pytest.approx(expected, abs=1e-9)
-        assert flags_by_id(table, ids) == {i: "no_out_shadow" for r, i in enumerate(ids) if mask[r].all()}
+    @given(st.data(), st.integers(1, 40), st.integers(1, 8), st.integers(1, 12), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_run_rmia_matches_rmia_score_with_ties(self, data, n, k, n_z, gamma):
+        """Confidences on a grid of eighths make ratio_z == ratio_m / gamma happen; both sides must count them."""
+        def confidences(*shape):
+            return data.draw(arrays(np.float64, shape, elements=st.integers(1, 8).map(lambda i: i / 8)))
+
+        target, values, z_target, z_shadow = confidences(n), confidences(n, k), confidences(n_z), confidences(n_z, k)
+        mask = data.draw(arrays(np.uint8, (n, k), elements=st.integers(0, 1)))
+        table = run_rmia(target, values, mask, z_shadow, z_target, RmiaParams(gamma=gamma))
+        expected = [rmia_score(target[r], values[r], z_target, z_shadow, gamma=gamma) for r in range(n)]
+        assert table.scores.tolist() == expected
+        assert table.flags == {}
+        permuted = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(mask.ravel()).reshape(n, k)
+        rerun = run_rmia(target, values, permuted, z_shadow, z_target, RmiaParams(gamma=gamma))
+        assert rerun.scores.tolist() == expected

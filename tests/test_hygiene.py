@@ -13,9 +13,8 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # Public names that stay although no src code calls them.
 TEST_ONLY_EXPORTS = {
-    # scalar reference implementations the array attacks are tested against
+    # the scalar reference implementation run_lira is tested against
     "lira_score",
-    "rmia_score",
     # acceptance criterion 7 draws its null challenges with it
     "assign_membership",
     # the gradient oracle criterion 1 checks; fit takes the same gradients without the loss

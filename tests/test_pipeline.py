@@ -161,7 +161,7 @@ class TestRerunAttacks:
         before = files(tmp_path / "attacked")
         report = rerun_attacks(cfg)
         attacked = files(tmp_path / "attacked")
-        assert attacked["rep_000/rep_report.json"] != before["rep_000/rep_report.json"]
+        assert attacked["rep_000/scores_rmia.csv"] != before["rep_000/scores_rmia.csv"]
         assert report["config"]["gamma"] == 1.5
 
         fresh_report = run_experiment(replace(cfg, output_dir=str(tmp_path / "fresh")))
