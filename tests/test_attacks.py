@@ -255,6 +255,26 @@ class TestRunRmia:
         assert every_in.flags == {}
         np.testing.assert_array_equal(every_in.scores, table.scores)
 
+    def test_z_ratio_equal_to_the_candidates_counts(self):
+        # ratio_m = 0.5 / mean(0.25, 0.25) = 2, so ratio_m / gamma = 1 at gamma=2;
+        # z ratios 0.5/0.5 = 1 and 0.5/0.25 = 2, all exact in binary: the tie at 1 counts, score 1/2
+        table = run_rmia(np.array([0.5]), np.array([[0.25, 0.25]]), np.array([[1, 0]], dtype=np.uint8),
+                         np.array([[0.5, 0.5], [0.25, 0.25]]), np.array([0.5, 0.5]), RmiaParams(gamma=2.0))
+        assert table.scores.tolist() == [0.5]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    @settings(max_examples=50, deadline=None)
+    def test_scores_follow_the_candidates_own_ratio(self, seed, gamma):
+        """A candidate with a higher ratio_m never scores lower, whatever gamma."""
+        rng = np.random.default_rng(seed)
+        n, n_z, k = 30, 20, 4
+        target, values = rng.uniform(1e-4, 1, n), rng.uniform(1e-4, 1, (n, k))
+        mask = (rng.random((n, k)) < 0.5).astype(np.uint8)
+        table = run_rmia(target, values, mask, rng.uniform(1e-4, 1, (n_z, k)), rng.uniform(1e-4, 1, n_z),
+                         RmiaParams(gamma=gamma))
+        order = np.argsort(target / values.mean(axis=1))
+        assert (np.diff(table.scores[order]) >= 0).all()
+
     def test_empty_z_rejected(self):
         target, values, mask, _, _ = self.make_z_fixture()
         with pytest.raises(ValueError):
