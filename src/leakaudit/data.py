@@ -308,12 +308,12 @@ def split_dataset(
                            population=perm[n_train + n_val:], seed=seed)
 
 
-def class_weights(labels: Dataset | Iterable[int]) -> tuple[float, float]:
+def class_weights(labels: Dataset | Sequence[int] | np.ndarray) -> tuple[float, float]:
     """Inverse-frequency class weights w_c = n / (2 * n_c).
 
     The weighted class masses balance exactly: w_0*n_0 == w_1*n_1.
     """
-    y = labels.y if isinstance(labels, Dataset) else np.array(list(labels))
+    y = np.asarray(labels.y if isinstance(labels, Dataset) else labels)
     n1 = int(np.count_nonzero(y == 1))
     n0 = len(y) - n1
     if n0 == 0 or n1 == 0:

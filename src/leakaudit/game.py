@@ -5,8 +5,9 @@ queries the trained target on it, and constructs shadow-model ensembles
 with per-sample inclusion tracking and a reserved Z set excluded from
 all shadow training. :func:`draw_shadows` alone draws the shadows: a run
 trains its draw, a re-attack checks it against ``manifest.json``.
-:func:`start_fits` is the one place that decides where fits run: the
-target's, and the shadows' in :func:`train_shadow_ensemble`. A sample
+:func:`start_fits` is the one place that decides where and how fits
+run: the target's alone, and the shadows' in :func:`train_shadow_ensemble`
+in lockstep stacks, in helper processes or here. A sample
 is its dataset row throughout: the split, the challenge, the shadows'
 universe and Z set are row arrays, and ids are read only to write
 ``challenge.json`` (:meth:`Challenge.record`) and ``manifest.json``
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from leakaudit.data import Dataset, SplitAssignment, split_dataset
-from leakaudit.nnet import TrainConfig, TrainedModel, fit, predict_confidences
+from leakaudit.nnet import FitJobs, TrainConfig, TrainedModel, fit, fit_stack, predict_confidences, stack_capacity
 from leakaudit.parallel import FitHelpers
 from leakaudit.recipe import check
 from leakaudit.seeds import derive_rng, derive_seed
@@ -237,24 +238,31 @@ def draw_challenge(dataset: Dataset, game: GameConfig, seed: int) -> tuple[Split
     return split, Challenge(members=split.train, nonmembers=nonmembers, p_member=game.p_member, seed=seed)
 
 
-def target_job(dataset: Dataset, split: SplitAssignment, cfg: TrainConfig,
-               seed: int) -> tuple[Dataset, Dataset, TrainConfig]:
-    """The target's :func:`fit` arguments in the game under ``seed``: train and validation split, recipe."""
-    train_cfg = replace(cfg, seed=derive_seed(seed, "target"))
-    return dataset.take(np.sort(split.train)), dataset.take(np.sort(split.validation)), train_cfg
+def target_job(split: SplitAssignment, cfg: TrainConfig, seed: int) -> tuple[np.ndarray, list]:
+    """The target's fit in the game under ``seed`` as :func:`start_fits` takes it: validation rows, one job."""
+    return np.sort(split.validation), [(np.sort(split.train), replace(cfg, seed=derive_seed(seed, "target")))]
 
 
-def start_fits(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]],
+def start_fits(dataset: Dataset, val: np.ndarray, jobs: Sequence[tuple[np.ndarray, TrainConfig]],
                helpers: FitHelpers) -> Callable[[], list[TrainedModel]]:
-    """Start ``fit(*job)`` for every job; returns the wait for their models, in job order.
+    """Start a fit for every job, validated on the rows ``val``; returns the wait for their models, in job order.
 
-    With helpers the jobs are queued there as one batch (see
-    :meth:`FitHelpers.submit`) and this returns at once; with none they
-    are fitted here, one at a time, before this returns.
+    A job is its training rows of ``dataset`` and its recipe. With helpers
+    the jobs are queued there as one batch (see :meth:`FitHelpers.submit`)
+    and this returns at once. With none they are fitted here: one job,
+    the target, by :func:`fit`, and more, the shadows, as a helper would,
+    by :func:`fit_stack` in stacks of at most :func:`stack_capacity`.
     """
+    if len(jobs) == 1 and not helpers:
+        (rows, cfg), = jobs
+        model = fit(dataset.take(rows), dataset.take(val), cfg)
+        return lambda: [model]
+    rows, cfgs = zip(*jobs)
+    batch = FitJobs(dataset.X, dataset.y, dataset.X[val], dataset.y[val], rows, cfgs)
     if helpers:
-        return helpers.submit(jobs).wait
-    models = [fit(*job) for job in jobs]
+        return helpers.submit(batch).wait
+    size = stack_capacity(dataset.dimension, cfgs[0].hidden_dims)
+    models = [model for start in range(0, len(batch), size) for model in fit_stack(batch[start:start + size])]
     return lambda: models
 
 
@@ -323,27 +331,10 @@ def train_shadow_ensemble(dataset: Dataset, pool: np.ndarray, candidates: np.nda
     shadow's model is the same wherever, and beside whichever shadows, it trains.
     """
     plan = draw_shadows(dataset, pool, candidates, shadow, seed)
-    models = start_fits(_ShadowJobs(dataset, plan, cfg), helpers)()
+    jobs = [(plan.universe[np.flatnonzero(plan.mask[:, j])], replace(cfg, seed=s, fixed_epochs=plan.shadow_epochs))
+            for j, s in enumerate(plan.shadow_seeds)]
+    models = start_fits(dataset, plan.z, jobs, helpers)()
     return ShadowEnsemble(**vars(plan), models=tuple(models))
-
-
-class _ShadowJobs(Sequence):
-    """The shadows' :func:`fit` arguments, in shadow order.
-
-    Each training subset is taken only when its job is read, so the K
-    never sit in memory together.
-    """
-
-    def __init__(self, dataset: Dataset, plan: ShadowPlan, cfg: TrainConfig):
-        self.dataset, self.plan, self.z = dataset, plan, dataset.take(plan.z)
-        self.cfgs = [replace(cfg, seed=s, fixed_epochs=plan.shadow_epochs) for s in plan.shadow_seeds]
-
-    def __len__(self) -> int:
-        return len(self.cfgs)
-
-    def __getitem__(self, j: int) -> tuple[Dataset, Dataset, TrainConfig]:
-        plan = self.plan
-        return self.dataset.take(plan.universe[np.flatnonzero(plan.mask[:, j])]), self.z, self.cfgs[j]
 
 
 def collect_confidences(ensemble: ShadowEnsemble, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,18 +8,21 @@ bit-deterministic under the config seed.
 A model keeps all its weights and biases in one flat ``params`` vector,
 so one optimizer step is a single pass over one array.
 
-:func:`fit_stack` trains several models of one architecture and one
-validation set in lockstep, as one stack: a (K, P) parameter array
-whose rows are the models, one 3-D ``matmul`` per layer over their
-stacked mini-batches and one AdamW pass over the (K, P) moments. A
-step of a small model costs numpy dispatch more than arithmetic, so a
-stack of K costs far less than K steps; :func:`stack_capacity` sizes a
-stack to at most :data:`STACK_ELEMENTS` parameters in all, which keeps
-large models in stacks of one. The models of a stack share the recipe
-but the seed, and train a fixed number of epochs, as the shadows of a
-repetition do; only :func:`fit`, the stack of one, stops early. Each
-model keeps its own rows and seed, and gets the bytes that :func:`fit`
-gives it alone.
+:func:`fit_stack` trains several models of one architecture in
+lockstep, as one stack: a (K, P) parameter array whose rows are the
+models, one 3-D ``matmul`` per layer over their stacked mini-batches
+and one AdamW pass over the (K, P) moments. A step of a small model
+costs numpy dispatch more than arithmetic, so a stack of K costs far
+less than K steps; :func:`stack_capacity` sizes a stack to at most
+:data:`STACK_ELEMENTS` parameters in all, which keeps large models in
+stacks of one. Its input, :class:`FitJobs`, holds one feature matrix,
+label vector and validation set, and for each job only its training
+rows and its recipe: each step gathers the stack's mini-batches from
+the shared matrix by row, so no job's training set is copied. The
+models of a stack share the recipe but the seed, and train a fixed
+number of epochs, as the shadows of a repetition do; only :func:`fit`,
+the stack of one, stops early. Each model keeps its own rows and seed,
+and gets the bytes that :func:`fit` gives it alone.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "loss_and_grads",
     "adamw_step",
     "fit",
+    "FitJobs",
     "fit_stack",
     "stack_capacity",
     "predict_confidences",
@@ -63,6 +67,10 @@ CONF_CLIP_EPS = 1e-12
 # 6 at 2k parameters, and stacking stops paying from about 8k parameters
 # (the default 256x128 recipe on 64 features has 49,665).
 STACK_ELEMENTS = 2 ** 14
+# Hidden activations that one validation pass of a stack holds at most (512 KiB): a larger stack
+# scores its validation set a block of models at a time, so that its peak memory stays near a
+# lone model's.
+VALIDATION_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -158,21 +166,23 @@ def _forward(
     X: np.ndarray,
     train: bool,
     rng: np.random.Generator | Sequence[np.random.Generator] | None,
-) -> tuple[np.ndarray, list]:
-    """Batched forward pass; returns (logits, cache for backprop).
+    cache: list | None = None,
+) -> np.ndarray:
+    """Batched forward pass; returns the logits, and fills ``cache``, when given, for backprop.
 
     For a stack, ``X`` and the logits carry the stack axis first, and
-    ``rng`` is one generator per model.
+    ``rng`` is one generator per model. Without a cache each layer's
+    pre-activations are freed as soon as they are rectified.
     """
     if X.ndim < 2 or X.shape[-1] != model.input_dim:
         raise ValueError(f"expected features of dimension {model.input_dim}, got shape {X.shape}")
-    cache = []
     h = X
     p = model.dropout_rate
     biases = model.biases if model.params.ndim == 1 else [b[:, None, :] for b in model.biases]
     for w, b in zip(model.weights[:-1], biases[:-1]):
-        z = h @ w + b
-        a = np.maximum(z, 0.0)
+        z = h @ w
+        z += b
+        a = np.maximum(z, 0.0, out=None if cache is not None else z)
         if train and p > 0.0:
             if rng is None:
                 raise ValueError("train-mode dropout requires an rng")
@@ -180,11 +190,13 @@ def _forward(
             a = a * mask
         else:
             mask = None
-        cache.append((h, z, mask))
+        if cache is not None:
+            cache.append((h, z, mask))
         h = a
     z_out = h @ model.weights[-1] + biases[-1]
-    cache.append((h, z_out, None))
-    return z_out[..., 0], cache
+    if cache is not None:
+        cache.append((h, z_out, None))
+    return z_out[..., 0]
 
 
 def _uniforms(rng: np.random.Generator | Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
@@ -199,8 +211,7 @@ def _uniforms(rng: np.random.Generator | Sequence[np.random.Generator], shape: t
 
 def forward_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Batched inference logits (no dropout)."""
-    logits, _ = _forward(model, np.asarray(X, dtype=float), False, None)
-    return logits
+    return _forward(model, np.asarray(X, dtype=float), False, None)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -274,7 +285,8 @@ def loss_and_grads(
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    logits, cache = _forward(model, X, train, rng)
+    cache: list = []
+    logits = _forward(model, X, train, rng, cache)
     grads = model.copy()
     _backward(model, cache, _output_delta(_sigmoid(logits), y, np.where(y == 1, weights[1], weights[0])), grads)
     return weighted_bce_loss(logits, y, weights), grads.weights, grads.biases
@@ -322,6 +334,27 @@ def stack_capacity(dim: int, hidden_dims: Sequence[int]) -> int:
     return max(1, STACK_ELEMENTS // sum((d_in + 1) * d_out for d_in, d_out in zip(dims, dims[1:])))
 
 
+@dataclass(frozen=True, eq=False)
+class FitJobs:
+    """:func:`fit_stack`'s input: job ``j`` trains on rows ``rows[j]`` of ``X`` and ``y`` with recipe ``cfgs[j]``.
+
+    Every job is validated on ``X_val`` and ``y_val``; a slice holds its jobs on the same arrays.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    X_val: np.ndarray
+    y_val: np.ndarray
+    rows: Sequence[np.ndarray]
+    cfgs: Sequence[TrainConfig]
+
+    def __len__(self) -> int:
+        return len(self.cfgs)
+
+    def __getitem__(self, jobs: slice) -> "FitJobs":
+        return replace(self, rows=self.rows[jobs], cfgs=self.cfgs[jobs])
+
+
 def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     """Train with shuffled mini-batches and early stopping on validation loss.
 
@@ -329,37 +362,33 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     many epochs run; the returned weights are still those of the epoch
     with the lowest validation loss. This is :func:`fit_stack`'s stack of one.
     """
-    return fit_stack([(d_train, d_val, cfg)])[0]
+    jobs = FitJobs(d_train.features_array(), d_train.labels_array(), d_val.features_array(),
+                   d_val.labels_array(), [np.arange(len(d_train))], [cfg])
+    return fit_stack(jobs)[0]
 
 
 class _Lane:
-    """One job of a stack: its data, generators, batch counts, losses and best epoch so far."""
+    """One job of a stack: its training rows, class weights, generators, batch counts, losses and best epoch so far."""
 
-    def __init__(self, d_train: Dataset, d_val: Dataset, cfg: TrainConfig):
-        if d_train.dimension != d_val.dimension:
-            raise ValueError(
-                f"train/validation dimensions differ: {d_train.dimension} vs {d_val.dimension}"
-            )
-        weights = class_weights(d_train)
-        self.X, self.y = d_train.features_array(), d_train.labels_array()
-        self.X_val, y_val = d_val.features_array(), d_val.labels_array()
-        self.pos, self.val_pos = self.y == 1, y_val == 1  # the per-epoch losses read these and the weights
-        self.w = np.where(self.pos, weights[1], weights[0])
-        self.val_w = np.where(self.val_pos, weights[1], weights[0])
-        self.init = init_model(d_train.dimension, cfg)
+    def __init__(self, y: np.ndarray, rows: np.ndarray, cfg: TrainConfig, dim: int):
+        self.rows = rows
+        self.weights = class_weights(y[rows])
+        self.pos = y[rows] == 1  # the per-epoch train loss reads these and the weights
+        self.w = np.where(self.pos, self.weights[1], self.weights[0])
+        self.init = init_model(dim, cfg)
         self.shuffle_rng = derive_rng(cfg.seed, "shuffle")
         self.dropout_rng = derive_rng(cfg.seed, "dropout")
-        self.full = len(self.y) // cfg.batch_size  # full mini-batches per epoch; a shorter last one runs alone
-        self.batches = math.ceil(len(self.y) / cfg.batch_size)
+        self.full = len(rows) // cfg.batch_size  # full mini-batches per epoch; a shorter last one runs alone
+        self.batches = math.ceil(len(rows) / cfg.batch_size)
         self.train_losses: list[float] = []
         self.val_losses: list[float] = []
         self.best_val = np.inf
         self.best_epoch = 0
         self.best = self.init  # the stack trains a copy of its params
 
-    def end_epoch(self, epoch: int, model: MlpModel, val_loss: float) -> None:
-        """Record ``model``'s losses after ``epoch``, given its validation loss, and keep it if it is the best yet."""
-        self.train_losses.append(float(_mean_bce(forward_logits(model, self.X), self.pos, self.w)))
+    def end_epoch(self, epoch: int, model: MlpModel, X: np.ndarray, val_loss: float) -> None:
+        """Record ``model``'s losses after ``epoch`` from its training features and validation loss; keep the best."""
+        self.train_losses.append(float(_mean_bce(forward_logits(model, X), self.pos, self.w)))
         self.val_losses.append(val_loss)
         if val_loss < self.best_val:
             self.best_val, self.best_epoch, self.best = val_loss, epoch, model.copy()
@@ -372,37 +401,38 @@ def _view(params: np.ndarray, like: MlpModel) -> MlpModel:
     return model
 
 
-def fit_stack(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainedModel]:
-    """``fit(*job)`` for every job, in job order, trained in lockstep as one stack.
+def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
+    """The :func:`fit` of every job, in job order, trained in lockstep as one stack.
 
     A stack of more than one job takes jobs whose recipes differ only in
-    the seed and set ``fixed_epochs``, and that share the validation set,
-    as the shadows of a repetition do; it raises :class:`ValueError` for
-    any other. Each job may have its own training set. Every model is
-    byte for byte the one :func:`fit` returns, and all end on the same
-    epoch; only a stack of one stops early.
+    the seed and set ``fixed_epochs``, as the shadows of a repetition do;
+    it raises :class:`ValueError` for any other. Every model is byte for
+    byte the one :func:`fit` returns on its training rows alone, and all
+    end on the same epoch; only a stack of one stops early.
 
-    Each epoch every model draws its own permutation. The models with a
-    full mini-batch left take that step together, so the models are
+    Each epoch every model draws its own permutation of its rows. The
+    models with a full mini-batch left take that step together, their
+    batches gathered from ``jobs.X`` by one ``np.take``, so the models are
     ordered by their count of full batches and each step's stack is a
     prefix of them; a shorter last batch runs on its own, unpadded.
     """
-    in_job_order = [_Lane(*job) for job in jobs]
-    first, cfg = in_job_order[0], jobs[0][2]
-    for (_, _, job_cfg), lane in zip(jobs[1:], in_job_order[1:]):
-        if replace(job_cfg, seed=cfg.seed) != cfg:
-            raise ValueError("the jobs of a stack must share the architecture and every other setting but the seed")
-        if not (np.array_equal(lane.X_val, first.X_val) and np.array_equal(lane.val_pos, first.val_pos)):
-            raise ValueError("the jobs of a stack must share the validation set")
+    cfg, dim = jobs.cfgs[0], jobs.X.shape[1]
+    if jobs.X_val.shape[1] != dim:
+        raise ValueError(f"train/validation dimensions differ: {dim} vs {jobs.X_val.shape[1]}")
+    if any(replace(job_cfg, seed=cfg.seed) != cfg for job_cfg in jobs.cfgs[1:]):
+        raise ValueError("the jobs of a stack must share the architecture and every other setting but the seed")
     if len(jobs) > 1 and cfg.fixed_epochs is None:
         raise ValueError("the jobs of a stack must train fixed_epochs; only a stack of one stops early")
+    in_job_order = [_Lane(jobs.y, rows, job_cfg, dim) for rows, job_cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
     lanes = sorted(in_job_order, key=lambda lane: -lane.full)
     batch, like = cfg.batch_size, lanes[0].init
     params = np.stack([lane.init.params for lane in lanes])
     m, v, grads = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
-    X_epoch = np.empty((len(lanes), lanes[0].full * batch, like.input_dim))
-    y_epoch = np.empty(X_epoch.shape[:2], dtype=lanes[0].y.dtype)
-    w_epoch = np.empty(X_epoch.shape[:2])
+    epoch_rows = np.empty((len(lanes), lanes[0].full * batch), dtype=np.intp)  # the full batches, step after step
+    w_epoch = np.empty(epoch_rows.shape)
+    val_pos = jobs.y_val == 1
+    val_block = max(1, VALIDATION_ELEMENTS // (len(val_pos) * max(cfg.hidden_dims)))  # models per validation pass
+    val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes])
     views: dict[tuple[int, int], tuple] = {}  # per block of stack rows
 
     def block(k: int, n: int) -> tuple:
@@ -414,40 +444,41 @@ def fit_stack(jobs: Sequence[tuple[Dataset, Dataset, TrainConfig]]) -> list[Trai
                            rngs[0] if n == 1 else rngs)
         return views[k, n]
 
-    def step(k: int, n: int, X: np.ndarray, y: np.ndarray, w: np.ndarray, count: int | list[int]) -> None:
+    def step(k: int, n: int, rows: np.ndarray, w: np.ndarray, count: int | list[int]) -> None:
         model, grad, m_rows, v_rows, rng = block(k, n)
-        logits, cache = _forward(model, X, True, rng)
-        _backward(model, cache, _output_delta(_sigmoid(logits), y, w), grad)
+        cache: list = []
+        logits = _forward(model, np.take(jobs.X, rows, axis=0), True, rng, cache)
+        _backward(model, cache, _output_delta(_sigmoid(logits), np.take(jobs.y, rows), w), grad)
         adamw_step(model.params, grad.params, m_rows, v_rows, cfg.learning_rate, cfg.weight_decay, count)
 
     for epoch in range(1, (cfg.fixed_epochs or cfg.max_epochs) + 1):
         last = []
         for k, lane in enumerate(lanes):
-            perm = lane.shuffle_rng.permutation(len(lane.y))
+            perm = lane.shuffle_rng.permutation(len(lane.rows))
             cut = lane.full * batch
-            np.take(lane.X, perm[:cut], axis=0, out=X_epoch[k, :cut], mode="clip")
-            np.take(lane.y, perm[:cut], out=y_epoch[k, :cut], mode="clip")
-            np.take(lane.w, perm[:cut], out=w_epoch[k, :cut], mode="clip")
+            epoch_rows[k, :cut] = lane.rows[perm[:cut]]
+            w_epoch[k, :cut] = lane.w[perm[:cut]]
             if cut < len(perm):
                 rest = perm[cut:]
-                last.append((k, lane.X[rest], lane.y[rest], lane.w[rest]))
+                last.append((k, lane.rows[rest], lane.w[rest]))
         blocks = [sum(lane.full > s for lane in lanes) for s in range(lanes[0].full)]  # models with a full batch left
         starts = [(epoch - 1) * lane.batches for lane in lanes]  # each model's optimizer steps so far
         alike = starts.count(starts[0]) == len(starts)  # then one step index serves every model of a block
         for s, n in enumerate(blocks):
             rows, cols = 0 if n == 1 else slice(0, n), slice(s * batch, (s + 1) * batch)
             count = starts[0] + s + 1 if alike or n == 1 else [start + s + 1 for start in starts[:n]]
-            step(0, n, X_epoch[rows, cols], y_epoch[rows, cols], w_epoch[rows, cols], count)
-        for k, X, y, w in last:
-            step(k, 1, X, y, w, starts[k] + lanes[k].full + 1)
+            step(0, n, epoch_rows[rows, cols], w_epoch[rows, cols], count)
+        for k, rows, w in last:
+            step(k, 1, rows, w, starts[k] + lanes[k].full + 1)
 
-        # the shared validation set, scored by the whole stack in one pass with each model's class weights
-        val_logits = forward_logits(block(0, len(lanes))[0], lanes[0].X_val).reshape(len(lanes), -1)
-        val_losses = _mean_bce(val_logits, lanes[0].val_pos, np.stack([lane.val_w for lane in lanes])).tolist()
+        # the shared validation set, scored a block of the stack at a time with each model's class weights
+        val_logits = np.concatenate([forward_logits(block(k, min(val_block, len(lanes) - k))[0], jobs.X_val)
+                                     .reshape(-1, len(val_pos)) for k in range(0, len(lanes), val_block)])
+        val_losses = _mean_bce(val_logits, val_pos, val_w).tolist()
         for k, lane in enumerate(lanes):
-            lane.end_epoch(epoch, block(k, 1)[0], val_losses[k])
+            lane.end_epoch(epoch, block(k, 1)[0], jobs.X[lane.rows], val_losses[k])
         # patience counts only epochs that did not improve, so 0 stops as 1 does
-        if cfg.fixed_epochs is None and epoch - first.best_epoch >= max(cfg.patience, 1):
+        if cfg.fixed_epochs is None and epoch - lanes[0].best_epoch >= max(cfg.patience, 1):
             break
     return [TrainedModel(model=lane.best, train_losses=lane.train_losses, val_losses=lane.val_losses,
                          best_epoch=lane.best_epoch) for lane in in_job_order]

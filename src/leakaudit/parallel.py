@@ -9,11 +9,14 @@ that the helpers do not oversubscribe the cores. It does not use
 and its ``spawn`` start re-runs an unguarded ``__main__``.
 
 The parent dispatches from its own thread. :meth:`FitHelpers.submit`
-queues a batch of ``(d_train, d_val, cfg)`` jobs and returns; while any
-:class:`Batch` is waited for, the parent sends each idle helper a stack
-of queued jobs, which the helper trains in lockstep with
-:func:`leakaudit.nnet.fit_stack`. A repetition submits two batches: the
-target alone, then its shadows. A stack takes an even share of the
+queues a batch of jobs, a :class:`leakaudit.nnet.FitJobs`, and returns;
+while any :class:`Batch` is waited for, the parent sends each idle
+helper a stack of queued jobs, a slice of the batch: the shared arrays
+once, then each job's training rows and recipe. The helper trains it in
+lockstep with :func:`leakaudit.nnet.fit_stack`, as
+:func:`leakaudit.game.start_fits` trains a batch when there are no
+helpers. A repetition submits two batches: the target alone, then its
+shadows. A stack takes an even share of the
 jobs not yet finished, counting those still running, so that the
 helpers finish together, and at most :func:`leakaudit.nnet.stack_capacity`
 jobs, which keeps large models in stacks of one; it never mixes two
@@ -37,8 +40,7 @@ from collections import deque
 from collections.abc import Sequence
 from pathlib import Path
 
-from leakaudit.data import Dataset
-from leakaudit.nnet import TrainConfig, TrainedModel, fit_stack, stack_capacity
+from leakaudit.nnet import FitJobs, TrainedModel, fit_stack, stack_capacity
 
 __all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
 
@@ -59,7 +61,10 @@ _ONE_THREAD_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def step_seconds(batch_size: int, dims: Sequence[int]) -> float:
-    """Estimated seconds of one optimizer step, its share of the per-epoch evaluation included, on one core."""
+    """Estimated seconds of one optimizer step, its share of the per-epoch evaluation included, on one core.
+
+    It prices one model's step, as if fits ran one at a time: a step in a stack costs less.
+    """
     return STEP_BASE_S + MULTIPLY_ADD_S * batch_size * sum(a * b for a, b in zip(dims, dims[1:]))
 
 
@@ -69,11 +74,8 @@ def helper_count(fit_seconds: float) -> int:
     return cores if cores > 1 and fit_seconds >= MIN_FIT_SECONDS else 0
 
 
-Job = tuple[Dataset, Dataset, TrainConfig]
-
-
 class FitHelpers:
-    """``n`` helper processes that run :func:`leakaudit.nnet.fit` jobs, a stack at a time.
+    """``n`` helper processes that run fit jobs, a stack at a time.
 
     A context manager: the helpers start on the first :meth:`start` or
     :meth:`submit` and are all stopped and waited for on exit. With
@@ -110,15 +112,14 @@ class FitHelpers:
         ]
         self._idle = list(self.procs)
 
-    def submit(self, jobs: Sequence[Job]) -> Batch:
-        """Queue ``fit(*job)`` for every job behind the batches already queued; returns without waiting.
+    def submit(self, jobs: FitJobs) -> Batch:
+        """Queue a fit of every job behind the batches already queued; returns without waiting.
 
         Idle helpers get the first jobs at once, the rest as helpers come
-        free while any batch is waited for. A job is read from ``jobs``,
-        and pickled, only when it is sent. The jobs of a batch train in
+        free while any batch is waited for. The jobs of a batch train in
         stacks, so a batch of more than one job must be what
         :func:`leakaudit.nnet.fit_stack` stacks: recipes that differ only
-        in the seed and set ``fixed_epochs``, and one validation set.
+        in the seed and set ``fixed_epochs``.
         """
         if not self.n:
             raise ValueError("FitHelpers(0) has no helper to run a job")
@@ -138,20 +139,17 @@ class FitHelpers:
                 continue
             unfinished = (sum(len(indices) for _, indices in self._running.values())
                           + sum(len(b.jobs) - b.sent for b in self._queue))
-            job = batch.jobs[batch.sent]
-            size = min(math.ceil(unfinished / self.n), len(batch.jobs) - batch.sent,
-                       stack_capacity(job[0].dimension, job[2].hidden_dims))
+            jobs = batch.jobs
+            size = min(math.ceil(unfinished / self.n), len(jobs) - batch.sent,
+                       stack_capacity(jobs.X.shape[1], jobs.cfgs[batch.sent].hidden_dims))
             indices = range(batch.sent, batch.sent + size)
+            stack = jobs[indices.start:indices.stop]
             proc = self._idle.pop()
             self._running[proc] = batch, indices
             batch.sent += size
-            # the job count, then the jobs one at a time, so that the parent holds one training set at a
-            # time; protocol 5 streams the arrays from their own memory, with no copy
-            pickle.dump(size, proc.stdin)
-            pickle.dump(job, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            del job
-            for i in indices[1:]:
-                pickle.dump(batch.jobs[i], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            # the shared arrays once, then each job's rows and recipe; protocol 5 streams the arrays
+            # from their own memory, with no copy
+            pickle.dump(stack, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             proc.stdin.flush()
 
     def _collect(self) -> None:
@@ -197,7 +195,7 @@ class FitHelpers:
 class Batch:
     """The jobs of one :meth:`FitHelpers.submit` call; :meth:`wait` returns their models."""
 
-    def __init__(self, helpers: FitHelpers, jobs: Sequence[Job]):
+    def __init__(self, helpers: FitHelpers, jobs: FitJobs):
         self.helpers = helpers
         self.jobs = jobs
         self.sent = 0
@@ -231,10 +229,9 @@ def serve() -> None:
     sys.stdout = sys.stderr  # a stray print must not corrupt the replies
     while True:
         try:
-            size = pickle.load(jobs)
+            stack = pickle.load(jobs)
         except EOFError:
             return
-        stack = [pickle.load(jobs) for _ in range(size)]
         try:
             reply = pickle.dumps((True, fit_stack(stack)))
         except Exception as exc:  # noqa: BLE001 - the parent raises it

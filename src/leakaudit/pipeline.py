@@ -115,7 +115,7 @@ def _run_single_rep(
     rep_seed = derive_seed(cfg.seed, "rep", rep)
     split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
     # with helpers every fit is queued before the first wait, the target, the longest, first
-    target = start_fits([target_job(dataset, split, cfg.train, rep_seed)], helpers)
+    target = start_fits(dataset, *target_job(split, cfg.train, rep_seed), helpers)
     ensemble = train_shadow_ensemble(dataset, split.population, challenge.candidates, cfg.shadow,
                                      cfg.train, derive_seed(rep_seed, "ensemble"), helpers)
     artifacts = run_game(dataset, split, challenge, target()[0])

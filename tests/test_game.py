@@ -1,12 +1,13 @@
 """Tests for challenge construction, the target's game and shadow ensembles."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from leakaudit import game
+from leakaudit import game, nnet
 from leakaudit.game import (
     Challenge,
     GameConfig,
@@ -20,10 +21,11 @@ from leakaudit.game import (
     run_game,
     save_challenge,
     save_manifest,
+    start_fits,
     target_job,
     train_shadow_ensemble,
 )
-from leakaudit.nnet import TrainConfig, fit
+from leakaudit.nnet import TrainConfig, fit, stack_capacity
 from leakaudit.parallel import FitHelpers
 from leakaudit.synth import SynthSpec, synth_dataset
 
@@ -35,7 +37,7 @@ NO_HELPERS = FitHelpers(0)
 def play(dataset, cfg, game_cfg, seed):
     """A repetition's game in-process: draw the challenge, fit the target, query it on the candidates."""
     split, challenge = draw_challenge(dataset, game_cfg, seed)
-    return run_game(dataset, split, challenge, fit(*target_job(dataset, split, cfg, seed)))
+    return run_game(dataset, split, challenge, start_fits(dataset, *target_job(split, cfg, seed), NO_HELPERS)()[0])
 
 
 @pytest.fixture(scope="module")
@@ -192,11 +194,6 @@ class TestShadowEnsemble:
         assert not set(ensemble.z.tolist()) & set(ensemble.universe.tolist())
         assert (ensemble.inclusion(ensemble.z) == 0).all()
 
-    def test_z_dataset_holds_the_z_rows(self, dataset, ensemble):
-        z = game._ShadowJobs(dataset, ensemble, FAST_CFG)[0][1]
-        assert np.array_equal(z.X, dataset.X[ensemble.z])
-        assert np.array_equal(z.y, dataset.y[ensemble.z])
-
     def test_z_excludes_candidates(self, ensemble, artifacts):
         assert not set(ensemble.z.tolist()) & set(artifacts.challenge.candidates.tolist())
 
@@ -243,7 +240,7 @@ class TestShadowEnsemble:
     def test_pool_without_z_point_rejected_before_training(self, dataset, monkeypatch,
                                                            pool_rows, candidate_rows):
         fits = []
-        monkeypatch.setattr(game, "fit", lambda *args: fits.append(args))
+        monkeypatch.setattr(game, "start_fits", lambda *args: fits.append(args))
         pool = np.arange(pool_rows)
         candidates = np.arange(200, 240) if candidate_rows is None else np.arange(candidate_rows)
         with pytest.raises(ValueError, match="no Z point"):
@@ -253,19 +250,62 @@ class TestShadowEnsemble:
 
     def test_the_draw_is_what_the_shadows_train_on(self, dataset, artifacts, ensemble, monkeypatch):
         """``draw_shadows`` alone draws what ``train_shadow_ensemble`` trains: universe, mask, Z and seeds."""
-        jobs = []
-        monkeypatch.setattr(game, "fit", lambda *job: jobs.append(job))
+        stacks = []
+        monkeypatch.setattr(game, "fit_stack", lambda jobs: stacks.append(jobs) or [None] * len(jobs))
         plan = draw_shadows(dataset, artifacts.split.population, artifacts.challenge.candidates,
                             ShadowParams(count=4, epochs=2), 11)
         assert plan.manifest(dataset.ids) == ensemble.manifest(dataset.ids)
         assert np.array_equal(plan.universe, ensemble.universe) and np.array_equal(plan.z, ensemble.z)
         train_shadow_ensemble(dataset, artifacts.split.population, artifacts.challenge.candidates,
                               ShadowParams(count=4, epochs=2), FAST_CFG, 11, NO_HELPERS)
+        [jobs] = stacks
+        assert jobs.X is dataset.X and jobs.y is dataset.y
+        assert np.array_equal(jobs.X_val, dataset.X[plan.z]) and np.array_equal(jobs.y_val, dataset.y[plan.z])
         assert len(jobs) == 4
-        for j, (train, validation, cfg) in enumerate(jobs):
-            assert train.ids == tuple(dataset.ids[r] for r, bit in zip(plan.universe, plan.mask[:, j]) if bit)
-            assert validation == dataset.take(plan.z)
+        for j, (rows, cfg) in enumerate(zip(jobs.rows, jobs.cfgs, strict=True)):
+            assert rows.tolist() == [r for r, bit in zip(plan.universe.tolist(), plan.mask[:, j]) if bit]
             assert (cfg.seed, cfg.fixed_epochs) == (plan.shadow_seeds[j], 2)
+
+    def test_in_process_stacks_give_each_shadow_the_model_it_gets_alone(self, dataset, artifacts, monkeypatch):
+        """Five shadows of a three-per-stack model train as a stack of three, then of two; blocks shrink mid-epoch.
+
+        The validation set is scored two models at a time, so the first stack's pass runs in two blocks.
+        """
+        cfg = replace(FAST_CFG, hidden_dims=(64, 64), dropout_rate=0.2, batch_size=8)
+        stacks = []
+        real_fit_stack = game.fit_stack
+        monkeypatch.setattr(game, "fit_stack", lambda jobs: stacks.append(len(jobs)) or real_fit_stack(jobs))
+        pool, candidates = artifacts.split.population, artifacts.challenge.candidates
+        z_rows = len(draw_shadows(dataset, pool, candidates, ShadowParams(count=5), 2).z)
+        monkeypatch.setattr(nnet, "VALIDATION_ELEMENTS", 2 * z_rows * 64)
+        ensemble = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=5, epochs=3), cfg, 2, NO_HELPERS)
+        assert stack_capacity(dataset.dimension, cfg.hidden_dims) == 3 and stacks == [3, 2]
+        full = (ensemble.mask.sum(axis=0) // cfg.batch_size).tolist()
+        assert len(set(full[:3])) > 1 and len(set(full[3:])) > 1, full
+        z = dataset.take(ensemble.z)
+        for j, stacked in enumerate(ensemble.models):
+            rows = ensemble.universe[ensemble.mask[:, j] == 1]
+            model = fit(dataset.take(rows), z, replace(cfg, seed=ensemble.shadow_seeds[j], fixed_epochs=3))
+            assert stacked.model.params.tobytes() == model.model.params.tobytes(), j
+            assert stacked.train_losses == model.train_losses and stacked.val_losses == model.val_losses, j
+            assert stacked.best_epoch == model.best_epoch, j
+
+    def test_in_process_shadows_allocate_less_than_copies_of_their_training_sets(self):
+        """At a wide-challenge shape, 16 stacked shadows of an 8-unit model allocate less than their training sets.
+
+        Jobs of datasets, stacked, held K copies of the training features at once.
+        """
+        dataset = synth_dataset(SynthSpec(n=12_000, dim=16, positive_fraction=0.3, separation=2.0, seed=1))
+        split, challenge = draw_challenge(dataset, GameConfig(), 1)
+        cfg = TrainConfig(hidden_dims=(8,), fixed_epochs=1)
+        tracemalloc.start()
+        try:
+            ensemble = train_shadow_ensemble(dataset, split.population, challenge.candidates,
+                                             ShadowParams(count=16, epochs=1, z_fraction=0.5), cfg, 1, NO_HELPERS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < int(ensemble.mask.sum()) * dataset.dimension * 8
 
 
 class TestConfidences:

@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from leakaudit import pipeline
 from leakaudit.config import ExperimentConfig
 from leakaudit.game import GameConfig, ShadowParams, draw_challenge, train_shadow_ensemble
-from leakaudit.nnet import TrainConfig, fit, load_model
+from leakaudit.nnet import FitJobs, TrainConfig, fit, load_model
 from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, helper_count, step_seconds
 from leakaudit.synth import SynthSpec, synth_dataset
 
@@ -30,8 +29,18 @@ def shadow_draw():
 
 @pytest.fixture(scope="module")
 def shadow_inputs(shadow_draw):
+    """The pool and the candidates as datasets, and ``jobs(cfgs, rows)``, validated on the candidates.
+
+    Each job trains on its ``rows`` of the pool, or on the whole pool.
+    """
     dataset, pool, candidates = shadow_draw
-    return dataset.take(np.sort(pool)), dataset.take(np.sort(candidates))
+    pool, candidates = dataset.take(np.sort(pool)), dataset.take(np.sort(candidates))
+
+    def jobs(cfgs, rows=None):
+        rows = rows or [np.arange(len(pool))] * len(cfgs)
+        return FitJobs(pool.X, pool.y, candidates.X, candidates.y, rows, list(cfgs))
+
+    return pool, candidates, jobs
 
 
 def stopped(procs):
@@ -57,21 +66,22 @@ def test_helper_fits_are_bit_identical_to_in_process(shadow_draw):
 
 
 def test_a_fit_error_in_a_helper_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs):
-    pool, candidates = shadow_inputs
-    good = (pool, candidates, replace(FAST_CFG, fixed_epochs=1))
-    wide = synth_dataset(SynthSpec(n=40, dim=5, seed=1))
-    bad = (pool, wide, FAST_CFG)  # train and validation dimensions differ
+    pool, candidates, jobs = shadow_inputs
+    everything, one_class = np.arange(len(pool)), np.flatnonzero(pool.y == 1)
     with FitHelpers(2) as helpers:
-        with pytest.raises(ValueError, match="dimensions differ") as info:
-            helpers.submit([good, bad, good, good]).wait()
+        with pytest.raises(ValueError, match="both classes must be present") as info:
+            # the first stack, of the first two jobs, holds the one-class training set
+            helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 4,
+                                [everything, one_class, everything, everything])).wait()
         assert "in a fit helper" in str(info.value.__cause__)
         # the other helper finished its stack, so both take the next batch; the
         # first stack, of two jobs, finishes last, and its results still come first
-        jobs = [(pool, candidates, replace(FAST_CFG, fixed_epochs=20, seed=seed)) for seed in (1, 2, 3)]
-        again = helpers.submit(jobs).wait()
+        cfgs = [replace(FAST_CFG, fixed_epochs=20, seed=seed) for seed in (1, 2, 3)]
+        again = helpers.submit(jobs(cfgs)).wait()
         procs = list(helpers.procs)
     assert stopped(procs)
-    assert [m.model.params.tobytes() for m in again] == [fit(*job).model.params.tobytes() for job in jobs]
+    assert [m.model.params.tobytes() for m in again] == [fit(pool, candidates, cfg).model.params.tobytes()
+                                                          for cfg in cfgs]
 
 
 def test_start_rule_picks_helpers_by_shadow_steps():
@@ -99,21 +109,21 @@ def test_start_rule_picks_helpers_by_shadow_steps():
 
 
 def test_a_batch_returns_its_models_in_job_order_when_a_later_batch_finishes_first(shadow_inputs):
-    pool, candidates = shadow_inputs
-    slow = [(pool, candidates, replace(FAST_CFG, fixed_epochs=epochs, seed=seed))
-            for epochs, seed in ((800, 1), (1, 2))]
-    fast = [(pool, candidates, replace(FAST_CFG, fixed_epochs=1, seed=seed)) for seed in (3, 4, 5)]
+    pool, candidates, jobs = shadow_inputs
+    slow = [replace(FAST_CFG, fixed_epochs=epochs, seed=seed) for epochs, seed in ((800, 1), (1, 2))]
+    fast = [replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in (3, 4, 5)]
     with FitHelpers(2) as helpers:
-        first = helpers.submit(slow)
-        second = helpers.submit(fast)
+        first = helpers.submit(jobs(slow))
+        second = helpers.submit(jobs(fast))
         fast_models = second.wait()
         # the second batch ran on the helper the short job freed while the 800-epoch job ran
         assert any(b is first for b, _ in helpers._running.values())
         slow_models = first.wait()
         procs = list(helpers.procs)
     assert stopped(procs)
-    for models, jobs in ((slow_models, slow), (fast_models, fast)):
-        assert [m.model.params.tobytes() for m in models] == [fit(*job).model.params.tobytes() for job in jobs]
+    for models, cfgs in ((slow_models, slow), (fast_models, fast)):
+        assert [m.model.params.tobytes() for m in models] == [fit(pool, candidates, cfg).model.params.tobytes()
+                                                              for cfg in cfgs]
 
 
 def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, monkeypatch):
@@ -168,25 +178,25 @@ def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_pat
 
 
 def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs):
-    pool, candidates = shadow_inputs
-    good = (pool, candidates, replace(FAST_CFG, fixed_epochs=1))
-    bad = (pool.take(np.flatnonzero(pool.y == 1)), candidates, replace(FAST_CFG, fixed_epochs=1))  # one class
+    pool, candidates, jobs = shadow_inputs
+    everything, one_class = np.arange(len(pool)), np.flatnonzero(pool.y == 1)
     with FitHelpers(1) as helpers:
-        batch = helpers.submit([good, bad, good])
+        batch = helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 3, [everything, one_class, everything]))
         assert [list(indices) for _, indices in helpers._running.values()] == [[0, 1, 2]]  # one stack
         with pytest.raises(ValueError, match="both classes must be present"):
             batch.wait()
-        jobs = [(pool, candidates, replace(FAST_CFG, fixed_epochs=2, seed=seed)) for seed in (1, 2)]
-        again = helpers.submit(jobs).wait()
+        cfgs = [replace(FAST_CFG, fixed_epochs=2, seed=seed) for seed in (1, 2)]
+        again = helpers.submit(jobs(cfgs)).wait()
         procs = list(helpers.procs)
     assert stopped(procs)
-    assert [m.model.params.tobytes() for m in again] == [fit(*job).model.params.tobytes() for job in jobs]
+    assert [m.model.params.tobytes() for m in again] == [fit(pool, candidates, cfg).model.params.tobytes()
+                                                          for cfg in cfgs]
 
 
 def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_inputs):
     """The first stack takes an even share of all jobs not yet finished; a large model goes one at a time."""
-    pool, candidates = shadow_inputs
-    small = [(pool, candidates, replace(FAST_CFG, fixed_epochs=1, seed=seed)) for seed in range(11)]
+    _, _, jobs = shadow_inputs
+    small = jobs([replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in range(11)])
     with FitHelpers(2) as helpers:
         target = helpers.submit(small[:1])
         shadows = helpers.submit(small[1:])
@@ -195,27 +205,24 @@ def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_in
         target.wait()
         shadows.wait()
         large = replace(FAST_CFG, hidden_dims=(128, 128), fixed_epochs=1)  # over 16k parameters
-        helpers.submit([(pool, candidates, replace(large, seed=seed)) for seed in range(3)])
+        helpers.submit(jobs([replace(large, seed=seed) for seed in range(3)]))
         assert [len(indices) for _, indices in helpers._running.values()] == [1, 1]
 
 
 def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
-    pool, candidates = shadow_inputs
+    _, _, jobs = shadow_inputs
 
-    class Jobs(Sequence):
-        def __len__(self):
-            return 2
-
-        def __getitem__(self, i):
-            if i == 1:  # read once the first job runs in a helper
+    class Jobs(FitJobs):
+        def __getitem__(self, part):
+            if part.start == 1:  # read once the first job runs in a helper
                 raise KeyError("job source failed")
-            return pool, candidates, replace(FAST_CFG, fixed_epochs=400)
+            return FitJobs(**{**vars(self), "rows": self.rows[part], "cfgs": self.cfgs[part]})
 
     helpers = FitHelpers(2)
     with pytest.raises(KeyError), helpers:
         helpers.start()
         procs = list(helpers.procs)
-        helpers.submit(Jobs()).wait()
+        helpers.submit(Jobs(**vars(jobs([replace(FAST_CFG, fixed_epochs=400)] * 2)))).wait()
     assert len(procs) == 2 and stopped(procs)
     assert helpers.procs == []
 
@@ -229,15 +236,16 @@ def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_ru
             super().start()
             started.update(self.procs)
 
-    def mismatched_target_job(dataset, split, cfg, seed):
-        d_train, _, train_cfg = real_target_job(dataset, split, cfg, seed)
-        return d_train, synth_dataset(SynthSpec(n=40, dim=5, seed=1)), train_cfg
+    def one_class_target_job(split, cfg, seed):
+        val, [(train, train_cfg)] = real_target_job(split, cfg, seed)
+        return val, [(train[labels[train] == 1], train_cfg)]
 
+    labels = synth_dataset(pooled_config(tmp_path, "out").synth).y
     monkeypatch.setattr(pipeline, "FitHelpers", Recorded)
     monkeypatch.setattr(pipeline, "helper_count", lambda seconds: 2)
-    monkeypatch.setattr(pipeline, "target_job", mismatched_target_job)
+    monkeypatch.setattr(pipeline, "target_job", one_class_target_job)
     report = pipeline.run_experiment(pooled_config(tmp_path, "out"))
     assert set(report["errors"]) == {"0", "1"}
-    assert all(error.startswith("ValueError: train/validation dimensions differ")
+    assert all(error.startswith("ValueError: class weights undefined: both classes must be present")
                for error in report["errors"].values())
     assert len(started) == 2 and stopped(started)
