@@ -8,21 +8,20 @@ bit-deterministic under the config seed.
 A model keeps all its weights and biases in one flat ``params`` vector,
 so one optimizer step is a single pass over one array.
 
-:func:`fit_stack` trains several models of one architecture in
-lockstep, as one stack: a (K, P) parameter array whose rows are the
-models, one 3-D ``matmul`` per layer over their stacked mini-batches
-and one AdamW pass over the (K, P) moments. A step of a small model
-costs numpy dispatch more than arithmetic, so a stack of K costs far
-less than K steps; :func:`stack_capacity` sizes a stack to at most
+:func:`fit_stack` trains several models of one architecture in lockstep,
+as one stack: a (K, P) parameter array whose rows are the models, one
+3-D ``matmul`` per layer over their stacked mini-batches and one AdamW
+pass over the (K, P) moments. A step of a small model costs numpy
+dispatch more than arithmetic, so a stack of K costs far less than K
+steps; :func:`stack_capacity` sizes a stack to at most
 :data:`STACK_ELEMENTS` parameters in all, which keeps large models in
 stacks of one. Its input, :class:`FitJobs`, holds one feature matrix,
-label vector and validation set, and for each job only its training
-rows and its recipe: each step gathers the stack's mini-batches from
-the shared matrix by row, so no job's training set is copied. The
-models of a stack share the recipe but the seed, and train a fixed
-number of epochs, as the shadows of a repetition do; only :func:`fit`,
-the stack of one, stops early. Each model keeps its own rows and seed,
-and gets the bytes that :func:`fit` gives it alone.
+label vector and validation set, and per job only its training rows and
+recipe: each step gathers the stack's mini-batches from the shared
+matrix by row, so no job's training set is copied. The models of a
+stack share the recipe but the seed, and train a fixed number of
+epochs, as the shadows of a repetition do; only :func:`fit`, the stack
+of one, stops early. Each model gets the bytes :func:`fit` gives it alone.
 """
 
 from __future__ import annotations
@@ -67,9 +66,8 @@ CONF_CLIP_EPS = 1e-12
 # 6 at 2k parameters, and stacking stops paying from about 8k parameters
 # (the default 256x128 recipe on 64 features has 49,665).
 STACK_ELEMENTS = 2 ** 14
-# Hidden activations that one validation pass of a stack holds at most (512 KiB): a larger stack
-# scores its validation set a block of models at a time, so that its peak memory stays near a
-# lone model's.
+# Hidden activations that one validation pass of a stack holds at most (512 KiB): a larger stack scores
+# its validation set a block of models at a time, so that its peak memory stays near a lone model's.
 VALIDATION_ELEMENTS = 2 ** 16
 
 
@@ -354,6 +352,11 @@ class FitJobs:
     def __getitem__(self, jobs: slice) -> "FitJobs":
         return replace(self, rows=self.rows[jobs], cfgs=self.cfgs[jobs])
 
+    def packed(self) -> "FitJobs":
+        """The same jobs on only the rows of ``X`` and ``y`` that they train on, each row once."""
+        union = np.unique(np.concatenate(self.rows))
+        return replace(self, X=self.X[union], y=self.y[union], rows=[np.searchsorted(union, r) for r in self.rows])
+
 
 def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     """Train with shuffled mini-batches and early stopping on validation loss.
@@ -362,9 +365,8 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     many epochs run; the returned weights are still those of the epoch
     with the lowest validation loss. This is :func:`fit_stack`'s stack of one.
     """
-    jobs = FitJobs(d_train.features_array(), d_train.labels_array(), d_val.features_array(),
-                   d_val.labels_array(), [np.arange(len(d_train))], [cfg])
-    return fit_stack(jobs)[0]
+    return fit_stack(FitJobs(d_train.features_array(), d_train.labels_array(), d_val.features_array(),
+                             d_val.labels_array(), [np.arange(len(d_train))], [cfg]))[0]
 
 
 class _Lane:
@@ -431,7 +433,7 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
     epoch_rows = np.empty((len(lanes), lanes[0].full * batch), dtype=np.intp)  # the full batches, step after step
     w_epoch = np.empty(epoch_rows.shape)
     val_pos = jobs.y_val == 1
-    val_block = max(1, VALIDATION_ELEMENTS // (len(val_pos) * max(cfg.hidden_dims)))  # models per validation pass
+    val_block = max(1, VALIDATION_ELEMENTS // (len(val_pos) * max(cfg.hidden_dims, default=1)))  # models per validation pass
     val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes])
     views: dict[tuple[int, int], tuple] = {}  # per block of stack rows
 

@@ -11,19 +11,18 @@ and its ``spawn`` start re-runs an unguarded ``__main__``.
 The parent dispatches from its own thread. :meth:`FitHelpers.submit`
 queues a batch of jobs, a :class:`leakaudit.nnet.FitJobs`, and returns;
 while any :class:`Batch` is waited for, the parent sends each idle
-helper a stack of queued jobs, a slice of the batch: the shared arrays
-once, then each job's training rows and recipe. The helper trains it in
-lockstep with :func:`leakaudit.nnet.fit_stack`, as
+helper a stack of queued jobs, a slice of the batch packed to the rows
+it trains on (:meth:`leakaudit.nnet.FitJobs.packed`). The helper trains
+it in lockstep with :func:`leakaudit.nnet.fit_stack`, as
 :func:`leakaudit.game.start_fits` trains a batch when there are no
 helpers. A repetition submits two batches: the target alone, then its
-shadows. A stack takes an even share of the
-jobs not yet finished, counting those still running, so that the
-helpers finish together, and at most :func:`leakaudit.nnet.stack_capacity`
-jobs, which keeps large models in stacks of one; it never mixes two
-batches. The parent finds the idle helper with ``select`` on the
-helpers' stdout and stores each result under its batch and job index,
-so the output does not depend on scheduling. Helpers use POSIX pipes
-and ``select``.
+shadows. A stack takes an even share of the jobs not yet finished,
+counting those still running, so that the helpers finish together, and
+at most :func:`leakaudit.nnet.stack_capacity` jobs, which keeps large
+models in stacks of one; it never mixes two batches. The parent finds
+the idle helper with ``select`` on the helpers' stdout and stores each
+result under its batch and job index, so the output does not depend on
+scheduling. Helpers use POSIX pipes and ``select``.
 """
 
 from __future__ import annotations
@@ -143,12 +142,12 @@ class FitHelpers:
             size = min(math.ceil(unfinished / self.n), len(jobs) - batch.sent,
                        stack_capacity(jobs.X.shape[1], jobs.cfgs[batch.sent].hidden_dims))
             indices = range(batch.sent, batch.sent + size)
-            stack = jobs[indices.start:indices.stop]
+            stack = jobs[indices.start:indices.stop].packed()
             proc = self._idle.pop()
             self._running[proc] = batch, indices
             batch.sent += size
-            # the shared arrays once, then each job's rows and recipe; protocol 5 streams the arrays
-            # from their own memory, with no copy
+            # the rows the stack trains on once, then each job's rows and recipe; protocol 5 streams the
+            # arrays from their own memory, with no copy
             pickle.dump(stack, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
             proc.stdin.flush()
 

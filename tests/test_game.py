@@ -57,6 +57,17 @@ def ensemble(dataset, artifacts):
                                  NO_HELPERS)
 
 
+def assert_each_shadow_fits_as_alone(dataset, ensemble, cfg, epochs):
+    """Each shadow's model, losses and best epoch are those :func:`fit` gives it on its training rows alone."""
+    z = dataset.take(ensemble.z)
+    for j, stacked in enumerate(ensemble.models):
+        rows = ensemble.universe[ensemble.mask[:, j] == 1]
+        model = fit(dataset.take(rows), z, replace(cfg, seed=ensemble.shadow_seeds[j], fixed_epochs=epochs))
+        assert stacked.model.params.tobytes() == model.model.params.tobytes(), j
+        assert stacked.train_losses == model.train_losses and stacked.val_losses == model.val_losses, j
+        assert stacked.best_epoch == model.best_epoch, j
+
+
 def same_challenge(a, b):
     return np.array_equal(a.members, b.members) and np.array_equal(a.nonmembers, b.nonmembers)
 
@@ -282,13 +293,16 @@ class TestShadowEnsemble:
         assert stack_capacity(dataset.dimension, cfg.hidden_dims) == 3 and stacks == [3, 2]
         full = (ensemble.mask.sum(axis=0) // cfg.batch_size).tolist()
         assert len(set(full[:3])) > 1 and len(set(full[3:])) > 1, full
-        z = dataset.take(ensemble.z)
-        for j, stacked in enumerate(ensemble.models):
-            rows = ensemble.universe[ensemble.mask[:, j] == 1]
-            model = fit(dataset.take(rows), z, replace(cfg, seed=ensemble.shadow_seeds[j], fixed_epochs=3))
-            assert stacked.model.params.tobytes() == model.model.params.tobytes(), j
-            assert stacked.train_losses == model.train_losses and stacked.val_losses == model.val_losses, j
-            assert stacked.best_epoch == model.best_epoch, j
+        assert_each_shadow_fits_as_alone(dataset, ensemble, cfg, 3)
+
+    def test_a_model_without_hidden_layers_trains_in_process(self, dataset, artifacts):
+        """``hidden_dims = ()``, a logistic model: the target fits, and each stacked shadow gets what it gets alone."""
+        cfg = replace(FAST_CFG, hidden_dims=())
+        target = play(dataset, replace(cfg, fixed_epochs=3), GameConfig(), 5)
+        assert len(target.model.model.weights) == 1 and len(target.model.val_losses) == 3
+        ensemble = train_shadow_ensemble(dataset, artifacts.split.population, artifacts.challenge.candidates,
+                                         ShadowParams(count=3, epochs=2), cfg, 4, NO_HELPERS)
+        assert_each_shadow_fits_as_alone(dataset, ensemble, cfg, 2)
 
     def test_in_process_shadows_allocate_less_than_copies_of_their_training_sets(self):
         """At a wide-challenge shape, 16 stacked shadows of an 8-unit model allocate less than their training sets.

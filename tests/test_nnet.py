@@ -435,6 +435,19 @@ class TestStack:
         with pytest.raises(ValueError, match="only a stack of one stops early"):
             fit_stack(replace(jobs, cfgs=[replace(cfg, fixed_epochs=None) for cfg in jobs.cfgs]))
 
+    def test_a_packed_stack_holds_each_row_it_trains_on_once_and_trains_the_same(self):
+        jobs = stack_jobs()
+        jobs = replace(jobs, rows=[jobs.rows[0][::-1], *jobs.rows[1:3], jobs.rows[3] + 70])  # rows 0-51, 76-112
+        packed = jobs.packed()
+        union = np.unique(np.concatenate(jobs.rows))
+        assert len(union) == 52 + 37 and np.array_equal(packed.X, jobs.X[union])
+        for rows, packed_rows in zip(jobs.rows, packed.rows, strict=True):
+            assert np.array_equal(packed.X[packed_rows], jobs.X[rows])
+            assert np.array_equal(packed.y[packed_rows], jobs.y[rows])
+        assert packed.X_val is jobs.X_val and packed.cfgs == jobs.cfgs
+        for model, packed_model in zip(fit_stack(jobs), fit_stack(packed), strict=True):
+            assert same_model(model, packed_model)
+
     def test_capacity_follows_the_parameter_count(self):
         # positive control: 2,113 parameters; the default recipe: 49,665; a wide 8-unit model: 145
         assert [stack_capacity(64, (32,)), stack_capacity(64, (256, 128)), stack_capacity(16, (8,))] == [7, 1, 112]
