@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +208,24 @@ def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_in
         large = replace(FAST_CFG, hidden_dims=(128, 128), fixed_epochs=1)  # over 16k parameters
         helpers.submit(jobs([replace(large, seed=seed) for seed in range(3)]))
         assert [len(indices) for _, indices in helpers._running.values()] == [1, 1]
+
+
+def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monkeypatch):
+    pool, candidates, jobs = shadow_inputs
+    sent, dump = [], pickle.dump
+    monkeypatch.setattr(pickle, "dump", lambda obj, *args, **kwargs: sent.append(obj) or dump(obj, *args, **kwargs))
+    cfgs = [replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in (1, 2)]
+    rows = [np.arange(40, 0, -2), np.arange(30, 60)]
+    with FitHelpers(2) as helpers:
+        models = helpers.submit(jobs(cfgs, rows)).wait()
+    # two helpers, so a stack of one job each
+    assert [len(stack) for stack in sent] == [1, 1]
+    for stack, job_rows in zip(sent, rows, strict=True):
+        assert np.array_equal(stack.X, pool.X[np.sort(job_rows)]) and np.array_equal(stack.y, pool.y[np.sort(job_rows)])
+        assert np.array_equal(stack.X_val, candidates.X)
+    for model, job_rows, cfg in zip(models, rows, cfgs, strict=True):
+        alone = fit(pool.take(job_rows), candidates, cfg)
+        assert model.model.params.tobytes() == alone.model.params.tobytes()
 
 
 def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
