@@ -13,8 +13,8 @@ import importlib
 _EXPORTS = {
     "leakaudit.data": ("Dataset", "SplitAssignment", "class_weights", "load_dataset", "split_dataset"),
     "leakaudit.nnet": ("MlpModel", "TrainConfig", "TrainedModel", "fit", "init_model", "predict_confidences"),
-    "leakaudit.game": ("Challenge", "ShadowEnsemble", "TargetArtifacts", "assign_membership", "collect_confidences",
-                       "run_game", "train_shadow_ensemble"),
+    "leakaudit.game": ("Challenge", "ShadowEnsemble", "TargetArtifacts", "collect_confidences", "run_game",
+                       "train_shadow_ensemble"),
     "leakaudit.attacks": ("AttackScores", "LiraParams", "RmiaParams", "run_lira", "run_rmia"),
     "leakaudit.evaluation": ("RocCurve", "baseline_tpr", "identified_members", "overlap_fraction", "roc_curve",
                              "tpr_at_fpr"),

@@ -8,8 +8,7 @@ candidates in dataset order, as ``TargetArtifacts.rows`` lists them. Both
 attacks score every candidate at once: LiRA from masked row sums over the
 candidate x shadow logit matrix, RMIA by one sort of the Z ratios and one
 binary search per candidate. The LiRA score is the natural-log likelihood
-ratio. The scalar :func:`lira_score` states LiRA for a single candidate and
-serves as a test oracle.
+ratio.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "RmiaParams",
     "AttackScores",
     "rescale_confidence",
-    "lira_score",
     "run_lira",
     "z_confidences",
     "run_rmia",
@@ -87,26 +85,13 @@ def rescale_confidence(p: float | np.ndarray, eps: float = LiraParams.clip_eps) 
     return float(out) if np.ndim(p) == 0 else out
 
 
-def lira_score(
-    o_target: float,
-    o_in: Sequence[float],
-    o_out: Sequence[float],
-    params: LiraParams = LiraParams(),
-) -> float:
-    """Gaussian log-likelihood ratio log N(o|in-fit) - log N(o|out-fit)."""
-    fit_in = fit_gaussian(o_in, floor=params.variance_floor)
-    fit_out = fit_gaussian(o_out, floor=params.variance_floor)
-    return float(_log_normal_pdf(o_target, fit_in.mean, fit_in.variance)
-                 - _log_normal_pdf(o_target, fit_out.mean, fit_out.variance))
-
-
 def _log_normal_pdf(x, mean, var):
     return -0.5 * np.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
 
 
-def _check_shapes(target: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
-    if values.ndim != 2 or mask.shape != values.shape or target.shape != values.shape[:1]:
-        raise ValueError(f"target {target.shape}, values {values.shape} and mask {mask.shape} "
+def _check_shapes(target: np.ndarray, values: np.ndarray) -> None:
+    if values.ndim != 2 or target.shape != values.shape[:1]:
+        raise ValueError(f"target {target.shape} and values {values.shape} "
                          "are not aligned as one (candidate x shadow) matrix")
 
 
@@ -126,7 +111,9 @@ def run_lira(
     population are scored against a Gaussian pooled over all candidates'
     out-shadow logits and flagged.
     """
-    _check_shapes(target, values, mask)
+    _check_shapes(target, values)
+    if mask.shape != values.shape:
+        raise ValueError(f"mask {mask.shape} and values {values.shape} are not aligned")
     logits = rescale_confidence(values, params.clip_eps)
     inside = mask.astype(bool)
     floor = params.variance_floor
@@ -182,23 +169,22 @@ def z_confidences(dataset: Dataset, ensemble: ShadowEnsemble, target: TrainedMod
 def run_rmia(
     target: np.ndarray,
     values: np.ndarray,
-    mask: np.ndarray,
     z_shadow: np.ndarray,
     z_target: np.ndarray,
     params: RmiaParams = RmiaParams(),
 ) -> AttackScores:
     """RMIA scores for every candidate against the shared Z table (see :func:`z_confidences`).
 
-    ``target`` and ``values`` are as in :func:`run_lira`; ``mask`` is checked
-    for shape only. As in Zarifzadeh, Liu and Shokri (ICML 2024), Pr(x) and
-    Pr(z) both average every shadow: no Z row is in any shadow's or the
+    ``target`` and ``values`` are as in :func:`run_lira`. As in Zarifzadeh,
+    Liu and Shokri (ICML 2024), Pr(x) and Pr(z) both average every shadow,
+    so RMIA needs no inclusion mask: no Z row is in any shadow's or the
     target's training set. A candidate's score is the fraction of Z points
     with ``ratio_z <= ratio_m / gamma``. That is a monotone function of its
     own ratio, so gamma changes the ROC only through the ties it creates.
     The Z ratios are sorted once and each candidate costs one binary search,
     so no temporary grows with Z x candidates. No candidate is flagged.
     """
-    _check_shapes(target, values, mask)
+    _check_shapes(target, values)
     if not len(z_target) or z_shadow.shape != (len(z_target), values.shape[1]):
         raise ValueError(f"Z table {z_shadow.shape} needs a row for each of the {len(z_target)} Z targets "
                          f"(at least one) and a column for each of the {values.shape[1]} shadows")

@@ -4,9 +4,11 @@ The on-disk format is a header-bearing UTF-8 CSV with columns
 ``id,label[,meta_*...],f_0..f_{d-1}``; the column names are fixed
 (:data:`ID_COLUMN`, :data:`LABEL_COLUMN`, :data:`META_PREFIX`), while
 feature columns may carry any name. Labels are binary; feature and
-metadata values finite. Exact duplicate feature vectors (``-0.0`` equal
-to ``0.0``) with the same label collapse to one record; identical
-feature vectors with conflicting labels are all removed.
+metadata values finite. :func:`load_dataset` reads and checks such a
+file and removes duplicates before it builds the one :class:`Dataset`:
+exact duplicate feature vectors (``-0.0`` equal to ``0.0``) with the
+same label collapse to one record, identical feature vectors with
+conflicting labels are all removed, and one log line counts both.
 
 In memory a :class:`Dataset` is columnar: a tuple of ids, a read-only
 feature matrix, a label vector and one array per metadata column, all
@@ -31,8 +33,6 @@ __all__ = [
     "IngestError",
     "Dataset",
     "SplitAssignment",
-    "IngestReport",
-    "ingest_dataset",
     "load_dataset",
     "save_dataset",
     "split_dataset",
@@ -48,15 +48,6 @@ META_PREFIX = "meta_"
 
 class IngestError(ValueError):
     """Raised for malformed input files or invalid records."""
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    """Counts of records removed during cleaning."""
-
-    n_read: int = 0
-    n_exact_duplicates_removed: int = 0
-    n_conflicting_removed: int = 0
 
 
 class Dataset:
@@ -174,11 +165,12 @@ def _parse_header(header: Sequence[str]) -> tuple[list[str], list[str]]:
     return meta_cols, feature_cols
 
 
-def ingest_dataset(path: str | Path) -> tuple[Dataset, IngestReport]:
+def load_dataset(path: str | Path) -> Dataset:
     """Read, validate and deduplicate a CSV dataset.
 
-    Returns the cleaned dataset together with removal counts. Raises
-    :class:`IngestError` naming the offending row for malformed input.
+    Raises :class:`IngestError` naming the offending row for malformed
+    input. Removed records are counted in one log line; the dataset is
+    built once, from the rows that remain.
     """
     path = Path(path)
     if not path.exists():
@@ -224,27 +216,25 @@ def ingest_dataset(path: str | Path) -> tuple[Dataset, IngestReport]:
         bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
         if bad.size:
             raise IngestError(f"{path}: row {list(row_of.values())[bad[0]]}: non-finite {what} value")
-    meta = {col[len(META_PREFIX):]: table[:, j] for j, col in enumerate(meta_cols)}
-    dataset = Dataset(list(row_of), X, labels, meta)
-    keep, n_dup, n_conflict = _deduplicate(dataset)
+    ids = list(row_of)
+    keep, n_dup, n_conflict = _deduplicate(X, labels)
     if keep.size == 0:
         raise IngestError(f"{path}: no samples remain after cleaning")
-    report = IngestReport(n_read=len(dataset), n_exact_duplicates_removed=n_dup, n_conflicting_removed=n_conflict)
     if n_dup or n_conflict:
         log.info(
             "cleaned %s: removed %d exact duplicates, %d conflicting-label records",
             path, n_dup, n_conflict,
         )
-        dataset = dataset.take(keep)
-    return dataset, report
+        ids, table, labels = [ids[r] for r in keep], table[keep], [labels[r] for r in keep]
+    meta = {col[len(META_PREFIX):]: table[:, j] for j, col in enumerate(meta_cols)}
+    return Dataset(ids, table[:, len(meta_cols):], labels, meta)
 
 
-def _deduplicate(dataset: Dataset) -> tuple[np.ndarray, int, int]:
+def _deduplicate(X: np.ndarray, labels: list[int]) -> tuple[np.ndarray, int, int]:
     """Rows to keep: the first of each group of identical feature vectors, unless labels conflict."""
     groups: dict[bytes, list[int]] = {}
-    for r, x in enumerate(dataset.X + 0.0):  # + 0.0 turns -0.0 into 0.0
+    for r, x in enumerate(X + 0.0):  # + 0.0 turns -0.0 into 0.0
         groups.setdefault(x.tobytes(), []).append(r)
-    labels = dataset.y.tolist()
     keep: list[int] = []
     n_dup = 0
     n_conflict = 0
@@ -255,12 +245,6 @@ def _deduplicate(dataset: Dataset) -> tuple[np.ndarray, int, int]:
             keep.append(group[0])
             n_dup += len(group) - 1
     return np.sort(np.array(keep, dtype=np.intp)), n_dup, n_conflict
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """Load and clean a CSV dataset (see :func:`ingest_dataset`)."""
-    dataset, _ = ingest_dataset(path)
-    return dataset
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

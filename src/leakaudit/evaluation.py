@@ -150,7 +150,7 @@ def overlap_analysis(
     if not observed:
         raise ValueError("no repetition has two non-empty identified sets")
     diffs = np.array(observed) - np.array(expected)
-    test = wilcoxon_signed_rank(diffs, mu0=0.0, alternative="greater")
+    test = wilcoxon_signed_rank(diffs, alternative="greater")
     return OverlapAnalysis(
         observed=tuple(observed),
         expected=tuple(expected),

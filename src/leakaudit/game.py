@@ -37,7 +37,6 @@ __all__ = [
     "TargetArtifacts",
     "ShadowPlan",
     "ShadowEnsemble",
-    "assign_membership",
     "nonmember_count",
     "draw_challenge",
     "target_job",
@@ -194,17 +193,6 @@ class ShadowEnsemble(ShadowPlan):
     """A :class:`ShadowPlan` with its K trained shadow models, in shadow order."""
 
     models: tuple[TrainedModel, ...]
-
-
-def assign_membership(candidates: np.ndarray, p_member: float, seed: int) -> Challenge:
-    """Independent biased coin flip per candidate row; deterministic under seed."""
-    candidates = np.asarray(candidates, dtype=np.intp)
-    if not candidates.size:
-        raise ValueError("candidate set must be non-empty")
-    if not 0.0 <= p_member <= 1.0:
-        raise ValueError(f"p_member must be in [0,1], got {p_member}")
-    bits = derive_rng(seed, "membership").random(len(candidates)) < p_member
-    return Challenge(members=candidates[bits], nonmembers=candidates[~bits], p_member=p_member, seed=seed)
 
 
 def nonmember_count(n: int, game: GameConfig) -> int:

@@ -45,8 +45,6 @@ __all__ = [
     "TrainedModel",
     "init_model",
     "forward_logits",
-    "weighted_bce_loss",
-    "loss_and_grads",
     "adamw_step",
     "fit",
     "FitJobs",
@@ -217,29 +215,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def weighted_bce_loss(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    weights: tuple[float, float] = (1.0, 1.0),
-) -> float:
-    """Mean class-weighted binary cross-entropy with probability clipping."""
-    logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels)
-    if logits.shape != labels.shape:
-        raise ValueError(f"logits and labels shapes differ: {logits.shape} vs {labels.shape}")
-    if logits.size == 0:
-        raise ValueError("empty batch")
-    p = np.clip(_sigmoid(logits), LOSS_CLIP_EPS, 1.0 - LOSS_CLIP_EPS)
-    w = np.where(labels == 1, weights[1], weights[0])
-    ll = -labels * np.log(p) - (1 - labels) * np.log(1.0 - p)
-    return float(np.mean(w * ll))
-
-
 def _mean_bce(logits: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`weighted_bce_loss` over the last axis, given the rows labelled 1 (``positive``) and each row's weight.
+    """Mean class-weighted binary cross-entropy over the last axis, with probability clipping.
 
-    The clip and the mean are spelled out as the ufuncs behind ``np.clip``
-    and ``np.mean``, which give the same bytes for less call overhead.
+    ``positive`` marks the rows labelled 1 and ``w`` holds each row's class
+    weight. The clip and the mean are spelled out as the ufuncs behind
+    ``np.clip`` and ``np.mean``, which give the same bytes for less call
+    overhead than ``weighted_bce_loss``, the scalar reference in
+    ``tests/oracles.py``.
     """
     p = np.minimum(np.maximum(_sigmoid(logits), LOSS_CLIP_EPS), 1.0 - LOSS_CLIP_EPS)
     return np.add.reduce(w * -np.log(np.where(positive, p, 1.0 - p)), axis=-1) / logits.shape[-1]
@@ -264,30 +247,6 @@ def _backward(model: MlpModel, cache: list, dlogit: np.ndarray, grads: MlpModel)
             delta = delta * (z_prev > 0)
             if mask_prev is not None:
                 delta = delta * mask_prev
-
-
-def loss_and_grads(
-    model: MlpModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: tuple[float, float] = (1.0, 1.0),
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Loss plus analytic gradients w.r.t. every weight and bias array.
-
-    :func:`fit` takes the same gradients without the loss; this is the
-    reference its training step is checked against.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    cache: list = []
-    logits = _forward(model, X, train, rng, cache)
-    grads = model.copy()
-    _backward(model, cache, _output_delta(_sigmoid(logits), y, np.where(y == 1, weights[1], weights[0])), grads)
-    return weighted_bce_loss(logits, y, weights), grads.weights, grads.biases
 
 
 def adamw_step(

@@ -138,11 +138,10 @@ def _finish_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, artifacts: Ta
     """
     rows = artifacts.rows
     values = collect_confidences(ensemble, dataset.X[rows], dataset.y[rows])
-    mask = ensemble.inclusion(rows)
     z_shadow, z_target = z_confidences(dataset, ensemble, artifacts.model)
     scores = {
-        "lira": run_lira(artifacts.confidences, values, mask, cfg.lira),
-        "rmia": run_rmia(artifacts.confidences, values, mask, z_shadow, z_target, cfg.rmia),
+        "lira": run_lira(artifacts.confidences, values, ensemble.inclusion(rows), cfg.lira),
+        "rmia": run_rmia(artifacts.confidences, values, z_shadow, z_target, cfg.rmia),
     }
     for name in ATTACK_NAMES:
         save_scores(scores[name], rep_dir / f"scores_{name}.csv", artifacts, dataset.ids)
@@ -273,7 +272,7 @@ def _aggregate(
         for fpr in cfg.fpr_targets:
             key = _fpr_key(fpr)
             tprs = np.array([r["attacks"][name]["tpr"][key] for r in reps])
-            test = wilcoxon_signed_rank(tprs - baselines, mu0=0.0, alternative="greater")
+            test = wilcoxon_signed_rank(tprs - baselines, alternative="greater")
             entry["tpr"][key] = {
                 "per_rep": [float(t) for t in tprs],
                 "median": float(np.median(tprs)),
@@ -440,13 +439,13 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
             [(ov["observed_mean"], ov["expected_mean"], ov["p_value"], ov["stars"])]
             if "observed_mean" in ov else []))
     elif fmt == "svg":
-        written.append(_render_roc_svg(report, out_dir))
+        written.append(_render_roc_svg(out_dir))
     else:
         raise ValueError(f"unknown format {fmt!r} (expected csv or svg)")
     return written
 
 
-def _render_roc_svg(report: dict, out_dir: Path) -> Path:
+def _render_roc_svg(out_dir: Path) -> Path:
     """Log-FPR ROC plot from the first completed repetition's ROC CSVs."""
     width, height, margin = 640, 480, 60
     colors = {"lira": "#1f77b4", "rmia": "#d62728"}

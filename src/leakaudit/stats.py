@@ -5,10 +5,10 @@ normal-approximation nonparametric tests (Wilcoxon signed-rank,
 Mann-Whitney U) for the repetition-level significance analysis, and the
 hypergeometric overlap expectation.
 
-The rank tests compute exact p-values by enumeration in the small-sample
-regime (signed-rank: n <= 20; Mann-Whitney: n_a + n_b <= 12 and no ties)
-and fall back to a tie-corrected normal approximation with continuity
-correction otherwise.
+The sample size alone picks each rank test's p-value: exact enumeration
+in the small-sample regime (signed-rank: n <= 20; Mann-Whitney:
+n_a + n_b <= 12 and no ties), otherwise a tie-corrected normal
+approximation with continuity correction.
 """
 
 from __future__ import annotations
@@ -94,21 +94,15 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
-def wilcoxon_signed_rank(
-    samples: Sequence[float],
-    mu0: float = 0.0,
-    alternative: str = "two-sided",
-    method: str = "auto",
-) -> TestResult:
-    """Wilcoxon signed-rank test of the sample location against ``mu0``.
+def wilcoxon_signed_rank(samples: Sequence[float], alternative: str = "two-sided") -> TestResult:
+    """Wilcoxon signed-rank test of the sample location against zero.
 
-    The statistic is W+, the sum of midranks of positive differences.
-    Zero differences are dropped; if every difference is zero the result
-    is degenerate with p = 1. ``method`` may force "exact" or "normal";
-    "auto" enumerates for n <= 20.
+    The statistic is W+, the sum of midranks of positive values. Zeros
+    are dropped; if every value is zero the result is degenerate with
+    p = 1. The p-value is exact for n <= 20 nonzero values.
     """
     _check_alternative(alternative)
-    diffs = np.asarray(samples, dtype=float) - mu0
+    diffs = np.asarray(samples, dtype=float)
     diffs = diffs[diffs != 0.0]
     n = diffs.size
     if n == 0:
@@ -120,8 +114,7 @@ def wilcoxon_signed_rank(
     ranks2 = np.rint(2.0 * ranks).astype(np.int64)
     w2 = int(round(2.0 * w_plus))
 
-    use_exact = method == "exact" or (method == "auto" and n <= WILCOXON_EXACT_MAX_N)
-    if use_exact:
+    if n <= WILCOXON_EXACT_MAX_N:
         total = int(ranks2.sum())
         counts = np.zeros(total + 1, dtype=float)
         counts[0] = 1.0
@@ -153,12 +146,7 @@ def _mwu_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return r_a - a.size * (a.size + 1) / 2.0
 
 
-def mann_whitney_u(
-    sample_a: Sequence[float],
-    sample_b: Sequence[float],
-    alternative: str = "two-sided",
-    method: str = "auto",
-) -> TestResult:
+def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], alternative: str = "two-sided") -> TestResult:
     """Mann-Whitney U test comparing two independent samples.
 
     The statistic is U_A (pairs where a beats b, ties counting 1/2).
@@ -177,12 +165,7 @@ def mann_whitney_u(
     pooled = np.concatenate([a, b])
     has_ties = np.unique(pooled).size < n
 
-    use_exact = method == "exact" or (
-        method == "auto" and n <= MWU_EXACT_MAX_TOTAL and not has_ties
-    )
-    if use_exact:
-        if has_ties:
-            raise ValueError("exact Mann-Whitney enumeration requires tie-free samples")
+    if n <= MWU_EXACT_MAX_TOTAL and not has_ties:
         # every n_a-subset of ranks {1..n} is equally likely under H0
         n_ge = 0
         n_le = 0

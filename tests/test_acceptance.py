@@ -25,17 +25,13 @@ from leakaudit.evaluation import (
     roc_curve,
     tpr_at_fpr,
 )
-from leakaudit.game import (
-    assign_membership,
-    collect_confidences,
-    load_challenge,
-    train_shadow_ensemble,
-)
-from leakaudit.nnet import TrainConfig, fit, forward_logits, init_model, loss_and_grads, predict_confidences, weighted_bce_loss
+from leakaudit.game import collect_confidences, load_challenge, train_shadow_ensemble
+from leakaudit.nnet import TrainConfig, fit, forward_logits, init_model, predict_confidences
 from leakaudit.parallel import FitHelpers
 from leakaudit.pipeline import run_experiment
 from leakaudit.stats import hypergeom_expected, mann_whitney_u, wilcoxon_signed_rank
 from leakaudit.synth import SynthSpec, synth_dataset
+from oracles import assign_membership, loss_and_grads, weighted_bce_loss
 
 
 def verdict(capsys, number, name, ok, detail):
@@ -327,7 +323,7 @@ def test_criterion_5_hand_fixture_attacks(capsys):
     target_confs[ids.index("A")] = 0.75
     values[0] = [0.5, 0.25]
     z_shadow, z_target = np.array([[0.9, 0.5], [0.1, 0.4]]), np.array([0.5, 0.8])
-    rmia = run_rmia(target_confs, values, mask, z_shadow, z_target, RmiaParams(gamma=2.0))
+    rmia = run_rmia(target_confs, values, z_shadow, z_target, RmiaParams(gamma=2.0))
     rmia_a = float(rmia.scores[ids.index("A")])
     rmia_ok = abs(rmia_a - 0.5) <= 1e-10
 
@@ -386,10 +382,9 @@ def _null_study_tprs(study, n_reps=5):
             helpers=FitHelpers(0),
         )
         values = collect_confidences(ensemble, ds.X[candidates], ds.y[candidates])
-        mask = ensemble.inclusion(candidates)
         tables = {
-            "lira": run_lira(target_confs, values, mask, LiraParams(global_variance=True)),
-            "rmia": run_rmia(target_confs, values, mask, *z_confidences(ds, ensemble, trained), RmiaParams(gamma=2.0)),
+            "lira": run_lira(target_confs, values, ensemble.inclusion(candidates), LiraParams(global_variance=True)),
+            "rmia": run_rmia(target_confs, values, *z_confidences(ds, ensemble, trained), RmiaParams(gamma=2.0)),
         }
         for name, table in tables.items():
             tprs[name].append(tpr_at_fpr(roc_curve(table.scores, is_member), 0.0))

@@ -14,7 +14,6 @@ from leakaudit.attacks import (
     AttackScores,
     LiraParams,
     RmiaParams,
-    lira_score,
     rescale_confidence,
     run_lira,
     run_rmia,
@@ -24,7 +23,7 @@ from leakaudit.data import SplitAssignment
 from leakaudit.game import Challenge, TargetArtifacts
 from leakaudit.nnet import TrainConfig, TrainedModel, init_model
 from leakaudit.stats import fit_gaussian
-from oracles import rmia_score
+from oracles import lira_score, rmia_score
 
 IDS = ("A", "B", "C")
 CHALLENGE = Challenge(members=np.array([0, 1]), nonmembers=np.array([2]), p_member=0.67, seed=0)  # rows of IDS
@@ -82,9 +81,10 @@ def make_fixture():
     return target_confs, values, mask, expected
 
 
-def misaligned(target, values, mask):
-    """Each of the three arrays cut short in turn, so that its shape disagrees with the other two."""
-    return [(target[1:], values, mask), (target, values[1:], mask), (target, values, mask[:, :1])]
+def misaligned(target, values, *mask):
+    """Each array cut short in turn, so that its shape disagrees with the others; the mask only if given."""
+    cases = [(target[1:], values, *mask), (target, values[1:], *mask)]
+    return cases + [(target, values, m[:, :1]) for m in mask]
 
 
 class TestRescale:
@@ -235,31 +235,23 @@ class TestRmiaScore:
 
 class TestRunRmia:
     def make_z_fixture(self):
-        """The LiRA fixture's arrays, then two Z points: the (Z x shadow) and the target's Z confidences."""
-        target, values, mask, _ = make_fixture()
-        return target, values, mask, np.array([[0.9, 0.5], [0.1, 0.4]]), np.array([0.5, 0.8])
+        """The LiRA fixture's confidences, then two Z points: the (Z x shadow) and the target's Z confidences."""
+        target, values, _, _ = make_fixture()
+        return target, values, np.array([[0.9, 0.5], [0.1, 0.4]]), np.array([0.5, 0.8])
 
     def test_hand_fixture(self):
-        target, values, mask, z_shadow, z_target = self.make_z_fixture()
-        table = run_rmia(target, values, mask, z_shadow, z_target)
+        target, values, z_shadow, z_target = self.make_z_fixture()
+        table = run_rmia(target, values, z_shadow, z_target)
         # candidate A: conf 0.5, shadows (0.5, sigma(-2)), so ratio_m / 2 = 0.807;
         # Pr(z) averages both shadows: z ratios 0.5/0.7 = 0.714 and 0.8/0.25 = 3.2
         assert by_id(table)["A"] == 0.5
         assert set(by_id(table)) == {"A", "B", "C"}
 
-    def test_candidate_every_shadow_trained_on_is_not_flagged(self):
-        target, values, mask, z_shadow, z_target = self.make_z_fixture()
-        table = run_rmia(target, values, mask, z_shadow, z_target)
-        mask[2] = [1, 1]
-        every_in = run_rmia(target, values, mask, z_shadow, z_target)
-        assert every_in.flags == {}
-        np.testing.assert_array_equal(every_in.scores, table.scores)
-
     def test_z_ratio_equal_to_the_candidates_counts(self):
         # ratio_m = 0.5 / mean(0.25, 0.25) = 2, so ratio_m / gamma = 1 at gamma=2;
         # z ratios 0.5/0.5 = 1 and 0.5/0.25 = 2, all exact in binary: the tie at 1 counts, score 1/2
-        table = run_rmia(np.array([0.5]), np.array([[0.25, 0.25]]), np.array([[1, 0]], dtype=np.uint8),
-                         np.array([[0.5, 0.5], [0.25, 0.25]]), np.array([0.5, 0.5]), RmiaParams(gamma=2.0))
+        table = run_rmia(np.array([0.5]), np.array([[0.25, 0.25]]), np.array([[0.5, 0.5], [0.25, 0.25]]),
+                         np.array([0.5, 0.5]), RmiaParams(gamma=2.0))
         assert table.scores.tolist() == [0.5]
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
@@ -269,26 +261,25 @@ class TestRunRmia:
         rng = np.random.default_rng(seed)
         n, n_z, k = 30, 20, 4
         target, values = rng.uniform(1e-4, 1, n), rng.uniform(1e-4, 1, (n, k))
-        mask = (rng.random((n, k)) < 0.5).astype(np.uint8)
-        table = run_rmia(target, values, mask, rng.uniform(1e-4, 1, (n_z, k)), rng.uniform(1e-4, 1, n_z),
+        table = run_rmia(target, values, rng.uniform(1e-4, 1, (n_z, k)), rng.uniform(1e-4, 1, n_z),
                          RmiaParams(gamma=gamma))
         order = np.argsort(target / values.mean(axis=1))
         assert (np.diff(table.scores[order]) >= 0).all()
 
     def test_empty_z_rejected(self):
-        target, values, mask, _, _ = self.make_z_fixture()
+        target, values, _, _ = self.make_z_fixture()
         with pytest.raises(ValueError):
-            run_rmia(target, values, mask, np.zeros((0, 2)), np.array([]))
+            run_rmia(target, values, np.zeros((0, 2)), np.array([]))
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_z_table_needs_a_column_per_shadow(self, columns):
-        target, values, mask, z_shadow, z_target = self.make_z_fixture()
+        target, values, z_shadow, z_target = self.make_z_fixture()
         with pytest.raises(ValueError, match="a column for each of the 2 shadows"):
-            run_rmia(target, values, mask, np.resize(z_shadow, (2, columns)), z_target)
+            run_rmia(target, values, np.resize(z_shadow, (2, columns)), z_target)
 
     def test_misaligned_target_rejected(self):
-        target, values, mask, z_shadow, z_target = self.make_z_fixture()
-        for args in misaligned(target, values, mask):
+        target, values, z_shadow, z_target = self.make_z_fixture()
+        for args in misaligned(target, values):
             with pytest.raises(ValueError, match="not aligned"):
                 run_rmia(*args, z_shadow, z_target)
 
@@ -296,8 +287,8 @@ class TestRunRmia:
         """No temporary grows with candidates x Z: here one such float64 array would take 80 GB."""
         n, n_z, k = 200_000, 50_000, 4
         rng = np.random.default_rng(0)
-        args = (rng.uniform(0.01, 1, n), rng.uniform(0.01, 1, (n, k)), (rng.random((n, k)) < 0.5).astype(np.uint8),
-                rng.uniform(0.01, 1, (n_z, k)), rng.uniform(0.01, 1, n_z))
+        args = (rng.uniform(0.01, 1, n), rng.uniform(0.01, 1, (n, k)), rng.uniform(0.01, 1, (n_z, k)),
+                rng.uniform(0.01, 1, n_z))
         input_bytes = sum(a.nbytes for a in args)
         tracemalloc.start()
         try:
@@ -425,11 +416,7 @@ class TestArrayAttacksMatchOracles:
             return data.draw(arrays(np.float64, shape, elements=st.integers(1, 8).map(lambda i: i / 8)))
 
         target, values, z_target, z_shadow = confidences(n), confidences(n, k), confidences(n_z), confidences(n_z, k)
-        mask = data.draw(arrays(np.uint8, (n, k), elements=st.integers(0, 1)))
-        table = run_rmia(target, values, mask, z_shadow, z_target, RmiaParams(gamma=gamma))
+        table = run_rmia(target, values, z_shadow, z_target, RmiaParams(gamma=gamma))
         expected = [rmia_score(target[r], values[r], z_target, z_shadow, gamma=gamma) for r in range(n)]
         assert table.scores.tolist() == expected
         assert table.flags == {}
-        permuted = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(mask.ravel()).reshape(n, k)
-        rerun = run_rmia(target, values, permuted, z_shadow, z_target, RmiaParams(gamma=gamma))
-        assert rerun.scores.tolist() == expected

@@ -1,6 +1,8 @@
 """Tests for CSV ingestion, cleaning, splitting and class weights."""
 
 import hashlib
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +13,19 @@ from leakaudit.data import (
     Dataset,
     IngestError,
     class_weights,
-    ingest_dataset,
     load_dataset,
     save_dataset,
     split_dataset,
 )
 from leakaudit.synth import SynthSpec, synth_dataset
+
+
+def load_logged(path, caplog):
+    """The dataset at ``path`` and the (exact duplicates, conflicting-label records) of each cleaning log line."""
+    with caplog.at_level(logging.INFO, logger="leakaudit.data"):
+        ds = load_dataset(path)
+    pattern = re.compile(r"removed (\d+) exact duplicates, (\d+) conflicting-label records")
+    return ds, [tuple(map(int, m.groups())) for r in caplog.records if (m := pattern.search(r.getMessage()))]
 
 
 def make_dataset(n=10, dim=3, seed=0):
@@ -124,46 +133,46 @@ class TestIngest:
         save_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_exact_duplicates_collapse_keeping_first(self, tmp_path):
+    def test_exact_duplicates_collapse_keeping_first(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         write_csv(path, [
             "a,1,0.0,1.0,2.0",
             "b,1,5.0,1.0,2.0",  # same features, same label: dropped
             "c,0,0.0,3.0,4.0",
         ])
-        ds, report = ingest_dataset(path)
+        ds, removed = load_logged(path, caplog)
         assert ds.ids == ("a", "c")
-        assert report.n_read == 3
-        assert report.n_exact_duplicates_removed == 1
-        assert report.n_conflicting_removed == 0
+        assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.y.tolist() == [1, 0]
+        assert removed == [(1, 0)]
 
-    def test_conflicting_labels_all_removed(self, tmp_path):
+    def test_conflicting_labels_all_removed(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         write_csv(path, [
             "a,1,0.0,1.0,2.0",
             "b,0,0.0,1.0,2.0",  # same features, other label: both dropped
             "c,0,0.0,3.0,4.0",
         ])
-        ds, report = ingest_dataset(path)
+        ds, removed = load_logged(path, caplog)
         assert ds.ids == ("c",)
-        assert report.n_conflicting_removed == 2
+        assert removed == [(0, 2)]
 
     @pytest.mark.parametrize("label_b,kept,n_dup,n_conflict", [
         (1, ("a", "c"), 1, 0),  # same label: the first row stays
         (0, ("c",), 0, 2),  # conflicting labels: both go
     ])
-    def test_negative_zero_is_a_duplicate_of_zero(self, tmp_path, label_b, kept, n_dup, n_conflict):
+    def test_negative_zero_is_a_duplicate_of_zero(self, tmp_path, caplog, label_b, kept, n_dup, n_conflict):
         path = tmp_path / "d.csv"
         write_csv(path, ["a,1,0.0,0.0,1.0", f"b,{label_b},0.0,-0.0,1.0", "c,0,0.0,3.0,4.0"])
-        ds, report = ingest_dataset(path)
+        ds, removed = load_logged(path, caplog)
         assert ds.ids == kept
-        assert (report.n_exact_duplicates_removed, report.n_conflicting_removed) == (n_dup, n_conflict)
+        assert removed == [(n_dup, n_conflict)]
 
-    def test_metadata_parsed(self, tmp_path):
+    def test_metadata_parsed(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         write_csv(path, ["a,1,7.5,1.0,2.0"])
-        ds = load_dataset(path)
+        ds, removed = load_logged(path, caplog)
         assert list(ds.meta) == ["size"] and ds.meta["size"].tolist() == [7.5]
+        assert removed == []  # nothing removed, nothing logged
 
     def test_synthetic_csv_bytes_pinned(self, tmp_path):
         # the benchmark generates its inputs with these two functions
@@ -187,23 +196,23 @@ class TestIngest:
         path = tmp_path / "d.csv"
         write_csv(path, rows, header=header)
         with pytest.raises(IngestError):
-            ingest_dataset(path)
+            load_dataset(path)
 
     def test_non_finite_metadata_names_its_row(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["a,1,1.0,1.0,2.0", "b,0,nan,3.0,4.0"])
         with pytest.raises(IngestError, match="row 3: non-finite meta value"):
-            ingest_dataset(path)
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
-            ingest_dataset(tmp_path / "absent.csv")
+            load_dataset(tmp_path / "absent.csv")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(IngestError):
-            ingest_dataset(path)
+            load_dataset(path)
 
 
 class TestSplit:

@@ -13,7 +13,6 @@ from leakaudit.game import (
     GameConfig,
     ShadowParams,
     TargetArtifacts,
-    assign_membership,
     collect_confidences,
     draw_challenge,
     draw_shadows,
@@ -28,6 +27,7 @@ from leakaudit.game import (
 from leakaudit.nnet import TrainConfig, fit, stack_capacity
 from leakaudit.parallel import FitHelpers
 from leakaudit.synth import SynthSpec, synth_dataset
+from oracles import assign_membership
 
 FAST_CFG = TrainConfig(hidden_dims=(4,), dropout_rate=0.0, learning_rate=1e-2,
                        max_epochs=3, patience=3, seed=0)

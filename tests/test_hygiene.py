@@ -1,4 +1,5 @@
-"""Code hygiene: no unused imports, no public name that only tests call, no range rule in the config parser.
+"""Code hygiene: no unused imports, no public name that only tests call, no unread parameter, no range rule
+in the config parser.
 
 The checks read the syntax trees of ``src/leakaudit`` and ``tests``; they
 import nothing from the package.
@@ -10,17 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "leakaudit").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-
-# Public names that stay although no src code calls them.
-TEST_ONLY_EXPORTS = {
-    # the scalar reference implementation run_lira is tested against
-    "lira_score",
-    # acceptance criterion 7 draws its null challenges with it
-    "assign_membership",
-    # the gradient oracle criterion 1 checks; fit takes the same gradients without the loss
-    "loss_and_grads",
-}
-
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -71,8 +61,34 @@ def test_every_export_is_used_by_src():
         f"{path.relative_to(ROOT)}: {name}"
         for path, tree in trees.items()
         for name in exported(tree)
-        if name not in used and name not in TEST_ONLY_EXPORTS
+        if name not in used
     ]
+    assert problems == []
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """``function(parameter)`` for each parameter that its function's body never reads.
+
+    ``self`` and ``cls`` aside, and dunder methods, whose signatures Python's protocols fix.
+    """
+    problems = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(func, "name", "lambda")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = func.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+        body = func.body if isinstance(func.body, list) else [func.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        problems += [f"{name}({p})" for p in params if p not in read and p not in ("self", "cls")]
+    return problems
+
+
+def test_every_parameter_is_read():
+    problems = [f"{path.relative_to(ROOT)}: {p}" for path in SRC for p in unread_parameters(parse(path))]
     assert problems == []
 
 

@@ -17,13 +17,12 @@ from leakaudit.nnet import (
     forward_logits,
     init_model,
     load_model,
-    loss_and_grads,
     predict_confidences,
     save_model,
     stack_capacity,
-    weighted_bce_loss,
 )
 from leakaudit.seeds import derive_rng
+from oracles import loss_and_grads, weighted_bce_loss
 
 
 def toy_dataset(n=40, dim=4, seed=0, separation=3.0):

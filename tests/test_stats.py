@@ -31,9 +31,9 @@ def midranks(values):
     return ranks
 
 
-def wilcoxon_brute_force(samples, mu0=0.0, alternative="two-sided"):
+def wilcoxon_brute_force(samples, alternative="two-sided"):
     """Enumerate all 2^n sign assignments of the observed midranks."""
-    diffs = np.asarray(samples, dtype=float) - mu0
+    diffs = np.asarray(samples, dtype=float)
     diffs = diffs[diffs != 0.0]
     n = diffs.size
     if n == 0:
@@ -115,7 +115,7 @@ class TestWilcoxon:
         assert res.method == "exact"
 
     def test_all_zero_diffs_degenerate(self):
-        res = wilcoxon_signed_rank([2.0, 2.0], mu0=2.0)
+        res = wilcoxon_signed_rank([0.0, -0.0])
         assert res.p_value == 1.0
         assert res.method == "degenerate"
 
@@ -138,13 +138,17 @@ class TestWilcoxon:
                 assert res.statistic == w_ref
                 assert res.p_value == pytest.approx(p_ref, abs=0.0)
 
-    def test_normal_approximation_close_to_exact(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(0.3, 1.0, size=18)
-        exact = wilcoxon_signed_rank(x, method="exact")
-        approx = wilcoxon_signed_rank(x, method="normal")
-        assert approx.method == "normal"
-        assert approx.p_value == pytest.approx(exact.p_value, abs=0.02)
+    @pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+    def test_normal_path_matches_scipy(self, alternative):
+        """Past 20 nonzero values, with zeros and ties: scipy's tie-corrected approximation, continuity-corrected."""
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            x = rng.integers(-6, 7, size=int(rng.integers(30, 80))).astype(float)
+            res = wilcoxon_signed_rank(x, alternative=alternative)
+            assert res.method == "normal"
+            ref = stats.wilcoxon(x, zero_method="wilcox", correction=True, method="approx", alternative=alternative)
+            assert res.p_value == pytest.approx(ref.pvalue, rel=0.0, abs=1e-12)
 
     def test_large_n_uses_normal(self):
         x = np.arange(1, 30, dtype=float)
@@ -200,10 +204,6 @@ class TestMannWhitney:
         res = mann_whitney_u([1.0, 2.0, 2.0], [2.0, 3.0])
         assert res.method == "normal"
 
-    def test_exact_method_refuses_ties(self):
-        with pytest.raises(ValueError):
-            mann_whitney_u([1.0, 2.0], [2.0], method="exact")
-
     def test_statistic_antisymmetry(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=9)
@@ -212,13 +212,24 @@ class TestMannWhitney:
         u_b = mann_whitney_u(b, a).statistic
         assert u_a + u_b == pytest.approx(len(a) * len(b))
 
-    def test_normal_approximation_close_to_exact(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(0.5, 1.0, size=6)
-        b = rng.normal(size=6)
-        exact = mann_whitney_u(a, b, method="exact")
-        approx = mann_whitney_u(a, b, method="normal")
-        assert approx.p_value == pytest.approx(exact.p_value, abs=0.03)
+    @pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+    def test_normal_path_matches_scipy(self, alternative):
+        """With ties, or past 12 values in all: scipy's asymptotic test with continuity correction, and its U."""
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(17)
+        for i in range(100):
+            n_a, n_b = rng.integers(1, 30, size=2)
+            if i % 2:  # integer values tie
+                a, b = rng.integers(0, 8, n_a).astype(float), rng.integers(0, 8, n_b).astype(float)
+            else:
+                n_a, n_b = n_a + 7, n_b + 6
+                a, b = rng.normal(size=n_a), rng.normal(size=n_b)
+            res = mann_whitney_u(a, b, alternative=alternative)
+            if res.method == "exact":  # few values that happen not to tie
+                continue
+            ref = stats.mannwhitneyu(a, b, use_continuity=True, method="asymptotic", alternative=alternative)
+            assert res.statistic == ref.statistic
+            assert res.p_value == pytest.approx(ref.pvalue, rel=0.0, abs=1e-12)
 
 
 class TestHypergeometric:
