@@ -11,7 +11,7 @@ process (see :mod:`leakaudit.parallel`) imports only what a fit needs.
 import importlib
 
 _EXPORTS = {
-    "leakaudit.data": ("Dataset", "SplitAssignment", "class_weights", "load_dataset", "split_dataset"),
+    "leakaudit.data": ("Dataset", "class_weights", "load_dataset"),
     "leakaudit.nnet": ("MlpModel", "TrainConfig", "TrainedModel", "fit", "init_model", "predict_confidences"),
     "leakaudit.game": ("Challenge", "ShadowEnsemble", "TargetArtifacts", "collect_confidences", "run_game",
                        "train_shadow_ensemble"),

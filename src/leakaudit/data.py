@@ -1,4 +1,4 @@
-"""Tabular dataset ingestion, validation, deduplication and splitting.
+"""Tabular dataset ingestion, validation and deduplication.
 
 The on-disk format is a header-bearing UTF-8 CSV with columns
 ``id,label[,meta_*...],f_0..f_{d-1}``; the column names are fixed
@@ -12,8 +12,9 @@ conflicting labels are all removed, and one log line counts both.
 
 In memory a :class:`Dataset` is columnar: a tuple of ids, a read-only
 feature matrix, a label vector and one array per metadata column, all
-indexed by row. A row position is the one handle of a sample: a split
-holds rows, and sub-datasets are taken by row (:meth:`Dataset.take`);
+indexed by row. A row position is the one handle of a sample: a game's
+split and challenge hold rows (see :func:`leakaudit.game.draw_challenge`),
+and sub-datasets are taken by row (:meth:`Dataset.take`);
 :meth:`Dataset.rows` and :meth:`Dataset.subset` serve callers holding ids.
 """
 
@@ -21,9 +22,7 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -32,10 +31,8 @@ import numpy as np
 __all__ = [
     "IngestError",
     "Dataset",
-    "SplitAssignment",
     "load_dataset",
     "save_dataset",
-    "split_dataset",
     "class_weights",
 ]
 
@@ -98,20 +95,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, sample_id: str) -> bool:
-        return sample_id in self._index
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.ids == other.ids
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.X, other.X)
-            and self.meta.keys() == other.meta.keys()
-            and all(np.array_equal(col, other.meta[k]) for k, col in self.meta.items())
-        )
-
     def rows(self, ids: Iterable[str]) -> np.ndarray:
         """Row positions of ``ids``, in the order given."""
         try:
@@ -134,21 +117,6 @@ class Dataset:
 
     def labels_array(self) -> np.ndarray:
         return self.y
-
-
-@dataclass(frozen=True, eq=False)
-class SplitAssignment:
-    """Disjoint train/validation/population partition of dataset rows, seeded."""
-
-    train: np.ndarray
-    validation: np.ndarray
-    population: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        rows = np.concatenate([self.train, self.validation, self.population])
-        if np.unique(rows).size != rows.size:
-            raise ValueError("split groups must be pairwise disjoint")
 
 
 def _parse_header(header: Sequence[str]) -> tuple[list[str], list[str]]:
@@ -263,41 +231,12 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def split_dataset(
-    dataset: Dataset,
-    fractions: tuple[float, float, float],
-    seed: int,
-) -> SplitAssignment:
-    """Uniformly random train/validation/population partition of the rows, each a slice of one permutation.
-
-    Train and validation sizes are floored; the remainder goes to the
-    population split. Deterministic under ``seed``.
-    """
-    f_train, f_val, f_pop = fractions
-    if min(fractions) < 0:
-        raise ValueError(f"fractions must be non-negative, got {fractions}")
-    if abs(f_train + f_val + f_pop - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
-
-    n = len(dataset)
-    n_train = math.floor(f_train * n)
-    n_val = math.floor(f_val * n)
-    for name, count, frac in (("train", n_train, f_train), ("validation", n_val, f_val),
-                              ("population", n - n_train - n_val, f_pop)):
-        if frac > 0 and count == 0:
-            raise ValueError(f"{name} split is empty for fraction {frac} with {n} samples")
-
-    perm = np.random.default_rng(seed).permutation(n)
-    return SplitAssignment(train=perm[:n_train], validation=perm[n_train:n_train + n_val],
-                           population=perm[n_train + n_val:], seed=seed)
-
-
-def class_weights(labels: Dataset | Sequence[int] | np.ndarray) -> tuple[float, float]:
+def class_weights(labels: Sequence[int] | np.ndarray) -> tuple[float, float]:
     """Inverse-frequency class weights w_c = n / (2 * n_c).
 
     The weighted class masses balance exactly: w_0*n_0 == w_1*n_1.
     """
-    y = np.asarray(labels.y if isinstance(labels, Dataset) else labels)
+    y = np.asarray(labels)
     n1 = int(np.count_nonzero(y == 1))
     n0 = len(y) - n1
     if n0 == 0 or n1 == 0:

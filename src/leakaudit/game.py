@@ -1,16 +1,17 @@
 """Membership-inference game orchestration.
 
-Draws the challenge (candidate samples with hidden membership bits),
-queries the trained target on it, and constructs shadow-model ensembles
-with per-sample inclusion tracking and a reserved Z set excluded from
-all shadow training. :func:`draw_shadows` alone draws the shadows: a run
-trains its draw, a re-attack checks it against ``manifest.json``.
-:func:`start_fits` is the one place that decides where and how fits
-run: the target's alone, and the shadows' in :func:`train_shadow_ensemble`
-in lockstep stacks, in helper processes or here. A sample
-is its dataset row throughout: the split, the challenge, the shadows'
-universe and Z set are row arrays, and ids are read only to write
-``challenge.json`` (:meth:`Challenge.record`) and ``manifest.json``
+:func:`draw_challenge` draws a repetition's split and challenge as one
+:class:`Challenge`: the target's train split (the members), its
+validation split, the population and the non-members drawn from it.
+:func:`draw_shadows` alone draws the shadows' sampling universe, per-sample
+inclusion mask and a reserved Z set excluded from all shadow training;
+a run trains its draw, a re-attack and a resumed run check it against
+``manifest.json``. :func:`start_fits` is the one place that decides where
+and how fits run: the target's alone, and the shadows' in
+:func:`train_shadow_ensemble` in lockstep stacks, in helper processes or
+here. A sample is its dataset row throughout: the challenge, the
+shadows' universe and Z set are row arrays, and ids are read only to
+write ``challenge.json`` (:meth:`Challenge.record`) and ``manifest.json``
 (:meth:`ShadowPlan.manifest`).
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from leakaudit.data import Dataset, SplitAssignment, split_dataset
+from leakaudit.data import Dataset
 from leakaudit.nnet import FitJobs, TrainConfig, TrainedModel, fit, fit_stack, predict_confidences, stack_capacity
 from leakaudit.parallel import FitHelpers
 from leakaudit.recipe import check
@@ -46,23 +47,31 @@ __all__ = [
     "train_shadow_ensemble",
     "collect_confidences",
     "save_challenge",
-    "load_challenge",
     "save_manifest",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Challenge:
-    """Candidate dataset rows with their hidden membership bits: ``members`` and ``nonmembers``, each in draw order."""
+    """One repetition's split of the dataset rows and its candidates' hidden membership bits.
+
+    ``members`` is the train split, on which the target trains and picks
+    its epoch by ``validation``; ``population`` is the rest, and
+    ``nonmembers`` are drawn from it. Each array is in draw order.
+    """
 
     members: np.ndarray
+    validation: np.ndarray
+    population: np.ndarray
     nonmembers: np.ndarray
     p_member: float
     seed: int
 
     def __post_init__(self):
-        if np.intersect1d(self.members, self.nonmembers).size:
-            raise ValueError("member and non-member rows must be disjoint")
+        rows = np.concatenate([self.members, self.validation, self.population])
+        if np.unique(rows).size != rows.size or not np.isin(self.nonmembers, self.population).all():
+            raise ValueError("train, validation and population rows must be disjoint, "
+                             "and every non-member a population row")
 
     @property
     def candidates(self) -> np.ndarray:
@@ -99,7 +108,7 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class ShadowParams:
-    """Shadow ensemble recipe; see :func:`train_shadow_ensemble`."""
+    """Shadow ensemble recipe; see :func:`draw_shadows`."""
 
     count: int = 10
     inclusion_rate: float = 0.5
@@ -129,7 +138,6 @@ class TargetArtifacts:
     model: TrainedModel
     confidences: np.ndarray
     challenge: Challenge
-    split: SplitAssignment
     rows: np.ndarray = field(init=False)
     is_member: np.ndarray = field(init=False)
 
@@ -213,22 +221,29 @@ def nonmember_count(n: int, game: GameConfig) -> int:
     return n_nonmembers
 
 
-def draw_challenge(dataset: Dataset, game: GameConfig, seed: int) -> tuple[SplitAssignment, Challenge]:
+def draw_challenge(dataset: Dataset, game: GameConfig, seed: int) -> Challenge:
     """The split and the challenge of the game under ``seed``.
 
-    All training-split samples are member candidates; non-member candidates
-    are drawn from the population split so that members make up
-    ``game.p_member`` of the challenge, in the sizes of :func:`nonmember_count`.
+    The train and validation splits, of floored sizes, and the population,
+    the remainder, are slices of one permutation of the rows. All
+    training-split samples are member candidates; non-member candidates are
+    drawn from the population so that members make up ``game.p_member`` of
+    the challenge, in the sizes of :func:`nonmember_count`.
     """
-    n_nonmembers = nonmember_count(len(dataset), game)
-    split = split_dataset(dataset, game.fractions, derive_seed(seed, "split"))
-    nonmembers = derive_rng(seed, "nonmembers").choice(split.population, size=n_nonmembers, replace=False)
-    return split, Challenge(members=split.train, nonmembers=nonmembers, p_member=game.p_member, seed=seed)
+    n = len(dataset)
+    n_nonmembers = nonmember_count(n, game)
+    n_train, n_val = (math.floor(f * n) for f in game.fractions[:2])
+    perm = derive_rng(seed, "split").permutation(n)
+    population = perm[n_train + n_val:]
+    nonmembers = derive_rng(seed, "nonmembers").choice(population, size=n_nonmembers, replace=False)
+    return Challenge(members=perm[:n_train], validation=perm[n_train:n_train + n_val], population=population,
+                     nonmembers=nonmembers, p_member=game.p_member, seed=seed)
 
 
-def target_job(split: SplitAssignment, cfg: TrainConfig, seed: int) -> tuple[np.ndarray, list]:
-    """The target's fit in the game under ``seed`` as :func:`start_fits` takes it: validation rows, one job."""
-    return np.sort(split.validation), [(np.sort(split.train), replace(cfg, seed=derive_seed(seed, "target")))]
+def target_job(challenge: Challenge, cfg: TrainConfig) -> tuple[np.ndarray, list]:
+    """The target's fit in ``challenge``'s game as :func:`start_fits` takes it: validation rows, one job."""
+    seed = derive_seed(challenge.seed, "target")
+    return np.sort(challenge.validation), [(np.sort(challenge.members), replace(cfg, seed=seed))]
 
 
 def start_fits(dataset: Dataset, val: np.ndarray, jobs: Sequence[tuple[np.ndarray, TrainConfig]],
@@ -254,12 +269,11 @@ def start_fits(dataset: Dataset, val: np.ndarray, jobs: Sequence[tuple[np.ndarra
     return lambda: models
 
 
-def run_game(dataset: Dataset, split: SplitAssignment, challenge: Challenge,
-             target: TrainedModel) -> TargetArtifacts:
+def run_game(dataset: Dataset, challenge: Challenge, target: TrainedModel) -> TargetArtifacts:
     """Record the trained ``target``'s true-label confidence on every candidate of the drawn ``challenge``."""
     rows = np.sort(challenge.candidates)
     confs = predict_confidences(target, dataset.X[rows], dataset.y[rows])
-    return TargetArtifacts(model=target, confidences=confs, challenge=challenge, split=split)
+    return TargetArtifacts(model=target, confidences=confs, challenge=challenge)
 
 
 def draw_shadows(dataset: Dataset, pool: np.ndarray, candidates: np.ndarray,
@@ -310,15 +324,14 @@ def draw_shadows(dataset: Dataset, pool: np.ndarray, candidates: np.ndarray,
     )
 
 
-def train_shadow_ensemble(dataset: Dataset, pool: np.ndarray, candidates: np.ndarray,
-                          shadow: ShadowParams, cfg: TrainConfig, seed: int, helpers: FitHelpers) -> ShadowEnsemble:
-    """Train the shadows that :func:`draw_shadows` draws, each on its mask column, validated on Z.
+def train_shadow_ensemble(dataset: Dataset, plan: ShadowPlan, cfg: TrainConfig,
+                          helpers: FitHelpers) -> ShadowEnsemble:
+    """Train the shadows of ``plan``, each on its mask column, validated on Z.
 
     Shadows reuse the target hyperparameters and train for exactly
-    ``shadow.epochs`` epochs, where :func:`start_fits` runs them; each
+    ``plan.shadow_epochs`` epochs, where :func:`start_fits` runs them; each
     shadow's model is the same wherever, and beside whichever shadows, it trains.
     """
-    plan = draw_shadows(dataset, pool, candidates, shadow, seed)
     jobs = [(plan.universe[np.flatnonzero(plan.mask[:, j])], replace(cfg, seed=s, fixed_epochs=plan.shadow_epochs))
             for j, s in enumerate(plan.shadow_seeds)]
     models = start_fits(dataset, plan.z, jobs, helpers)()
@@ -334,12 +347,6 @@ def save_challenge(challenge: Challenge, path: str | Path, ids: Sequence[str]) -
     """Write the challenge's :meth:`~Challenge.record`, the one record of a repetition's membership."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(challenge.record(ids), fh, indent=2, sort_keys=True)
-
-
-def load_challenge(path: str | Path) -> dict:
-    """Read a :func:`save_challenge` file: the challenge's record, ids and all."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def save_manifest(plan: ShadowPlan, path: str | Path, ids: Sequence[str]) -> None:

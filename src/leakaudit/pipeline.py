@@ -1,23 +1,25 @@
-"""End-to-end repeated experiments: split, train, attack, evaluate, aggregate.
+"""End-to-end repeated experiments: draw, train, attack, evaluate, aggregate.
 
 Each repetition writes its artifacts (challenge, checkpoints, ensemble
 manifest, score and ROC CSVs) into its own directory, with its membership
 only in ``challenge.json``, and finishes with a ``rep_report.json``
-marker; re-running resumes from completed repetitions and reproduces
-byte-identical outputs. A run and a re-attack finish every repetition
-the same way (:func:`_finish_rep`): from the target's game and the shadow
-ensemble to the score and ROC CSVs and the ``rep_report.json``, and both
-aggregate into ``report.json`` through :func:`_write_report`. A run
-draws the split and the challenge, starts the target's fit, trains the
-shadows and then queries the target, in that one order whether the fits
-run in-process or in helpers; a re-attack draws the challenge and the
-shadows again as a run does, checks them against the stored
-``challenge.json`` and ``manifest.json``, and only then loads the
-stored target and shadows. Both reports are replaced atomically. The
-attacks and the evaluation take plain arrays in the one candidate order
-of :mod:`leakaudit.attacks`, the rows of the repetition's ``TargetArtifacts``.
-A sample's id is read only where a file names it: ``challenge.json``,
-``manifest.json``, the score CSVs and ``rep_report.json``'s identified sets.
+marker. :func:`_draw_rep` alone draws a repetition: its challenge, split
+included, and its shadows. A run draws every repetition first, then
+starts the target's fit, trains the shadows and queries the target, in
+that one order whether the fits run in-process or in helpers. A run and
+a re-attack finish every repetition the same way (:func:`_finish_rep`),
+from the target's game and the shadow ensemble to the score and ROC CSVs
+and the ``rep_report.json``, and both aggregate into ``report.json``
+through :func:`_write_report`. Before anything is trained, loaded or
+written, a stored repetition (one with a marker, when a run resumes;
+every one, when a re-attack runs) is checked: its draw must match its
+``challenge.json`` and ``manifest.json`` (:func:`_stale`), or the whole
+command refuses. So a resumed run reproduces byte-identical outputs.
+Both reports are replaced atomically. The attacks and the evaluation
+take plain arrays in the one candidate order of :mod:`leakaudit.attacks`,
+the rows of the repetition's ``TargetArtifacts``. A sample's id is read
+only where a file names it: ``challenge.json``, ``manifest.json``, the
+score CSVs and ``rep_report.json``'s identified sets.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from leakaudit.game import (
     collect_confidences,
     draw_challenge,
     draw_shadows,
-    load_challenge,
     run_game,
     save_challenge,
     save_manifest,
@@ -105,27 +106,28 @@ def _fit_seconds(cfg: ExperimentConfig, dataset: Dataset) -> float:
     return steps * step_seconds(batch, (dataset.dimension, *cfg.train.hidden_dims, 1))
 
 
-def _run_single_rep(
-    dataset: Dataset,
-    cfg: ExperimentConfig,
-    rep: int,
-    rep_dir: Path,
-    helpers: FitHelpers,
-) -> dict:
+def _draw_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int) -> tuple[Challenge, ShadowPlan]:
+    """Repetition ``rep``'s challenge and shadows: what a run trains, and what a resume and a re-attack check."""
     rep_seed = derive_seed(cfg.seed, "rep", rep)
-    split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
+    challenge = draw_challenge(dataset, cfg.game, rep_seed)
+    shadows = draw_shadows(dataset, challenge.population, challenge.candidates, cfg.shadow,
+                           derive_seed(rep_seed, "ensemble"))
+    return challenge, shadows
+
+
+def _run_single_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, challenge: Challenge, shadows: ShadowPlan,
+                    rep_dir: Path, helpers: FitHelpers) -> dict:
     # with helpers every fit is queued before the first wait, the target, the longest, first
-    target = start_fits(dataset, *target_job(split, cfg.train, rep_seed), helpers)
-    ensemble = train_shadow_ensemble(dataset, split.population, challenge.candidates, cfg.shadow,
-                                     cfg.train, derive_seed(rep_seed, "ensemble"), helpers)
-    artifacts = run_game(dataset, split, challenge, target()[0])
+    target = start_fits(dataset, *target_job(challenge, cfg.train), helpers)
+    ensemble = train_shadow_ensemble(dataset, shadows, cfg.train, helpers)
+    artifacts = run_game(dataset, challenge, target()[0])
 
     rep_dir.mkdir(parents=True, exist_ok=True)
     save_model(artifacts.model, rep_dir / "target.npz")
     for name, shadow in zip(ensemble.checkpoints, ensemble.models):
         save_model(shadow, rep_dir / name)
     save_manifest(ensemble, rep_dir / "manifest.json", dataset.ids)
-    save_challenge(artifacts.challenge, rep_dir / "challenge.json", dataset.ids)
+    save_challenge(challenge, rep_dir / "challenge.json", dataset.ids)
     return _finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
 
 
@@ -148,7 +150,7 @@ def _finish_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, artifacts: Ta
         roc = roc_curve(scores[name].scores, artifacts.is_member)
         _write_csv(rep_dir / f"roc_{name}.csv", "threshold,fpr,tpr",
                    np.column_stack([roc.thresholds, roc.fpr, roc.tpr]))
-    pop = np.sort(artifacts.split.population)
+    pop = np.sort(artifacts.challenge.population)
     conf1 = predict_confidences(artifacts.model, dataset.X[pop], np.ones(len(pop), dtype=int))
     summary = {**_evaluate_rep(cfg, dataset, artifacts, scores), "rep": rep,
                "population_auroc": auroc(conf1, dataset.y[pop])}
@@ -197,12 +199,15 @@ def _write_json(path: Path, obj: dict) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run (or resume) all repetitions and write the aggregated report JSON.
 
-    Each completed repetition, fresh or resumed, contributes its
-    ``rep_report.json`` summary and the members of its ``challenge.json``.
-    A repetition that fails, or whose marker cannot be read, is recorded
-    under ``errors`` and the experiment continues with the remaining
-    ones. When a repetition's fits are large enough to repay their
-    start-up, the target and the shadows train side by side in helper
+    Each repetition is drawn first (see :func:`_draw_rep`). A completed
+    one, whose ``rep_report.json`` marker exists, is resumed only if its
+    draw matches its stored files (see :func:`_stale`); one that differs
+    raises before anything is trained or written. Each completed
+    repetition, fresh or resumed, contributes its summary and its drawn
+    members. A repetition that fails, or whose stored files cannot be
+    read, is recorded under ``errors`` and the experiment continues with
+    the remaining ones. When a repetition's fits are large enough to repay
+    their start-up, the target and the shadows train side by side in helper
     processes (see :mod:`leakaudit.parallel`), which all end before this
     returns.
     """
@@ -210,23 +215,36 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)
 
+    drawn: list[tuple[int, Path, Challenge, ShadowPlan, dict | None]] = []
+    errors: dict[str, str] = {}
+    for rep in range(cfg.repetitions):
+        rep_dir = _rep_dir(out_dir, rep)
+        marker = rep_dir / "rep_report.json"
+        try:
+            challenge, shadows = _draw_rep(dataset, cfg, rep)
+            summary = json.loads(marker.read_text(encoding="utf-8")) if marker.exists() else None
+            stale = summary is not None and _stale(rep_dir, dataset.ids, challenge, shadows)
+        except Exception as exc:  # noqa: BLE001 - record and continue
+            log.exception("repetition %d failed", rep)
+            errors[str(rep)] = f"{type(exc).__name__}: {exc}"
+            continue
+        if stale:
+            raise ValueError(stale)
+        drawn.append((rep, rep_dir, challenge, shadows, summary))
+
     rep_summaries: list[dict] = []
     member_sets: list[set[str]] = []
-    errors: dict[str, str] = {}
     with FitHelpers(helper_count(_fit_seconds(cfg, dataset))) as helpers:
-        for rep in range(cfg.repetitions):
-            rep_dir = _rep_dir(out_dir, rep)
+        for rep, rep_dir, challenge, shadows, summary in drawn:
             try:
-                marker = rep_dir / "rep_report.json"
-                summary = (json.loads(marker.read_text(encoding="utf-8")) if marker.exists()
-                           else _run_single_rep(dataset, cfg, rep, rep_dir, helpers))
-                members = set(load_challenge(rep_dir / "challenge.json")["member_ids"])
+                if summary is None:
+                    summary = _run_single_rep(dataset, cfg, rep, challenge, shadows, rep_dir, helpers)
             except Exception as exc:  # noqa: BLE001 - record and continue
                 log.exception("repetition %d failed", rep)
                 errors[str(rep)] = f"{type(exc).__name__}: {exc}"
                 continue
             rep_summaries.append(summary)
-            member_sets.append(members)
+            member_sets.append({dataset.ids[r] for r in challenge.members.tolist()})
     return _write_report(dataset, cfg, rep_summaries, member_sets, errors)
 
 
@@ -342,14 +360,11 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
     errors: dict[str, str] = {}
     for rep in range(cfg.repetitions):
         rep_dir = _rep_dir(out_dir, rep)
-        rep_seed = derive_seed(cfg.seed, "rep", rep)
         try:
-            split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
-            shadows = draw_shadows(dataset, split.population, challenge.candidates, cfg.shadow,
-                                   derive_seed(rep_seed, "ensemble"))
+            challenge, shadows = _draw_rep(dataset, cfg, rep)
             stale = _stale(rep_dir, dataset.ids, challenge, shadows)
             if not stale:
-                artifacts = run_game(dataset, split, challenge, load_model(rep_dir / "target.npz"))
+                artifacts = run_game(dataset, challenge, load_model(rep_dir / "target.npz"))
                 ensemble = ShadowEnsemble(**vars(shadows), models=tuple(
                     load_model(rep_dir / name) for name in shadows.checkpoints))
         except Exception as exc:  # noqa: BLE001 - record and continue
@@ -357,7 +372,7 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
             log.warning("repetition %d cannot be re-attacked: %s", rep, errors[str(rep)])
             continue
         if stale:
-            raise ValueError(f"{rep_dir}: the config or the data no longer draws the stored {stale}")
+            raise ValueError(stale)
         stored.append((rep, rep_dir, artifacts, ensemble))
     if not stored:
         raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
@@ -368,13 +383,15 @@ def rerun_attacks(cfg: ExperimentConfig) -> dict:
 
 
 def _stale(rep_dir: Path, ids: Sequence[str], challenge: Challenge, shadows: ShadowPlan) -> str | None:
-    """The stored challenge, or the first stored ``manifest.json`` field, that differs from this draw, or None."""
-    if load_challenge(rep_dir / "challenge.json") != challenge.record(ids):
-        return "challenge"
-    stored = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
-    drawn = shadows.manifest(ids)
-    differs = next((key for key in [*drawn, *stored] if drawn.get(key) != stored.get(key)), None)
-    return differs and f"shadows: manifest.json field {differs!r} differs"
+    """Why ``rep_dir``'s stored challenge, or its first differing ``manifest.json`` field, is not this draw, or None."""
+    if json.loads((rep_dir / "challenge.json").read_text(encoding="utf-8")) != challenge.record(ids):
+        what = "challenge"
+    else:
+        stored = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
+        drawn = shadows.manifest(ids)
+        differs = next((key for key in [*drawn, *stored] if drawn.get(key) != stored.get(key)), None)
+        what = differs and f"shadows: manifest.json field {differs!r} differs"
+    return what and f"{rep_dir}: the config or the data no longer draws the stored {what}"
 
 
 # --- report rendering -------------------------------------------------------

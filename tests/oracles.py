@@ -2,7 +2,7 @@
 
 Each states one quantity the simple way: a scalar or per-batch form that
 the package computes faster, fused or stacked. None of them runs in an
-audit.
+audit. :func:`same_dataset` is the tests' dataset comparison.
 """
 
 import math
@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from leakaudit.attacks import LiraParams, RmiaParams
+from leakaudit.data import Dataset
 from leakaudit.game import Challenge
 from leakaudit.nnet import LOSS_CLIP_EPS, MlpModel, _backward, _forward, _output_delta, _sigmoid
 from leakaudit.seeds import derive_rng
@@ -103,4 +104,11 @@ def assign_membership(candidates: np.ndarray, p_member: float, seed: int) -> Cha
     if not 0.0 <= p_member <= 1.0:
         raise ValueError(f"p_member must be in [0,1], got {p_member}")
     bits = derive_rng(seed, "membership").random(len(candidates)) < p_member
-    return Challenge(members=candidates[bits], nonmembers=candidates[~bits], p_member=p_member, seed=seed)
+    return Challenge(members=candidates[bits], validation=candidates[:0], population=candidates[~bits],
+                     nonmembers=candidates[~bits], p_member=p_member, seed=seed)
+
+
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    """Whether ``a`` and ``b`` hold the same ids, features, labels and metadata columns, row by row."""
+    return (a.ids == b.ids and np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+            and a.meta.keys() == b.meta.keys() and all(np.array_equal(a.meta[k], b.meta[k]) for k in a.meta))

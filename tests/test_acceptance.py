@@ -6,6 +6,7 @@ auditable checklist. The two slow criteria (positive control and its
 byte-identical re-run) share one frozen experiment configuration.
 """
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -17,7 +18,6 @@ import pytest
 
 from leakaudit.attacks import LiraParams, RmiaParams, run_lira, run_rmia, z_confidences
 from leakaudit.config import ExperimentConfig, ShadowParams
-from leakaudit.data import split_dataset
 from leakaudit.evaluation import (
     baseline_tpr,
     characteristic_analysis,
@@ -25,7 +25,7 @@ from leakaudit.evaluation import (
     roc_curve,
     tpr_at_fpr,
 )
-from leakaudit.game import collect_confidences, load_challenge, train_shadow_ensemble
+from leakaudit.game import collect_confidences, draw_shadows, train_shadow_ensemble
 from leakaudit.nnet import TrainConfig, fit, forward_logits, init_model, predict_confidences
 from leakaudit.parallel import FitHelpers
 from leakaudit.pipeline import run_experiment
@@ -369,18 +369,16 @@ def _null_study_tprs(study, n_reps=5):
         seed = 1000 * study + rep
         ds = synth_dataset(SynthSpec(n=400, dim=8, positive_fraction=0.4,
                                      separation=3.0, seed=seed))
-        split = split_dataset(ds, (0.3, 0.1, 0.6), seed=seed)
-        trained = fit(ds.take(np.sort(split.train)), ds.take(np.sort(split.validation)),
+        perm = np.random.default_rng(seed).permutation(400)  # train, validation and population: 30/10/60%
+        trained = fit(ds.take(np.sort(perm[:120])), ds.take(np.sort(perm[120:160])),
                       replace(cfg, seed=seed, fixed_epochs=5))
-        pop = np.sort(split.population)
+        pop = np.sort(perm[160:])
         challenge = assign_membership(pop[:90], 2.0 / 3.0, seed=seed)
         candidates = np.sort(challenge.candidates)
         target_confs = predict_confidences(trained, ds.X[candidates], ds.y[candidates])
         is_member = np.isin(candidates, challenge.members)
-        ensemble = train_shadow_ensemble(
-            ds, pop, candidates, ShadowParams(count=4, epochs=3), cfg=replace(cfg, seed=seed), seed=seed,
-            helpers=FitHelpers(0),
-        )
+        plan = draw_shadows(ds, pop, candidates, ShadowParams(count=4, epochs=3), seed)
+        ensemble = train_shadow_ensemble(ds, plan, replace(cfg, seed=seed), FitHelpers(0))
         values = collect_confidences(ensemble, ds.X[candidates], ds.y[candidates])
         tables = {
             "lira": run_lira(target_confs, values, ensemble.inclusion(candidates), LiraParams(global_variance=True)),
@@ -463,10 +461,8 @@ def test_criterion_9_minority_enrichment(capsys, minority_control):
 
     enriched = 0
     reps = report["repetitions"]
-    member_sets = [
-        set(load_challenge(Path(cfg.output_dir) / f"rep_{rep['rep']:03d}" / "challenge.json")["member_ids"])
-        for rep in reps
-    ]
+    challenges = [Path(cfg.output_dir) / f"rep_{rep['rep']:03d}" / "challenge.json" for rep in reps]
+    member_sets = [set(json.loads(path.read_text(encoding="utf-8"))["member_ids"]) for path in challenges]
     for rep, members in zip(reps, member_sets):
         dataset_minority = sum(labels[i] for i in members) / len(members)
         ident = rep.get("combined_identified_fpr0", [])

@@ -19,14 +19,22 @@ from leakaudit.attacks import (
     run_rmia,
     save_scores,
 )
-from leakaudit.data import SplitAssignment
 from leakaudit.game import Challenge, TargetArtifacts
 from leakaudit.nnet import TrainConfig, TrainedModel, init_model
 from leakaudit.stats import fit_gaussian
 from oracles import lira_score, rmia_score
 
 IDS = ("A", "B", "C")
-CHALLENGE = Challenge(members=np.array([0, 1]), nonmembers=np.array([2]), p_member=0.67, seed=0)  # rows of IDS
+
+
+def challenge_of(members, nonmembers, p_member):
+    """A challenge of the given member and non-member rows, with the non-members as its population."""
+    members, nonmembers = np.array(members), np.array(nonmembers)
+    return Challenge(members=members, validation=members[:0], population=nonmembers, nonmembers=nonmembers,
+                     p_member=p_member, seed=0)
+
+
+CHALLENGE = challenge_of([0, 1], [2], 0.67)  # rows of IDS
 
 
 def sigmoid(x):
@@ -48,10 +56,7 @@ def make_artifacts(challenge, confidences):
     """A target's artifacts around an untrained model: the scores' CSV reads only the rows, challenge and members."""
     model = TrainedModel(model=init_model(1, TrainConfig(hidden_dims=(1,))), train_losses=[], val_losses=[],
                          best_epoch=0)
-    split = SplitAssignment(train=challenge.members, validation=np.array([], dtype=int),
-                            population=challenge.nonmembers, seed=0)
-    return TargetArtifacts(model=model, confidences=np.asarray(confidences, dtype=float),
-                           challenge=challenge, split=split)
+    return TargetArtifacts(model=model, confidences=np.asarray(confidences, dtype=float), challenge=challenge)
 
 
 def make_fixture():
@@ -306,14 +311,14 @@ class TestScoreTable:
 
     @pytest.mark.parametrize("scores", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, float("nan")]])
     def test_scores_array_must_match_ids(self, scores, tmp_path):
-        challenge = Challenge(members=np.array([0]), nonmembers=np.array([1]), p_member=0.5, seed=0)
+        challenge = challenge_of([0], [1], 0.5)
         artifacts = make_artifacts(challenge, [0.5, 0.5])
         with pytest.raises(ValueError):
             save_scores(AttackScores(scores=np.array(scores)), tmp_path / "scores.csv", artifacts, ("a", "b"))
         assert not (tmp_path / "scores.csv").exists()
 
     def test_save_scores_writes_challenge_order(self, tmp_path):
-        challenge = Challenge(members=np.array([2, 1]), nonmembers=np.array([0]), p_member=0.67, seed=0)
+        challenge = challenge_of([2, 1], [0], 0.67)
         artifacts = make_artifacts(challenge, [0.5, 0.5, 0.5])
         table = AttackScores(scores=np.array([0.25, 0.5, 0.75]), flags={1: "no_out_shadow"})
         save_scores(table, tmp_path / "scores.csv", artifacts, ("n1", "m1", "m2"))

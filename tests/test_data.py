@@ -1,4 +1,4 @@
-"""Tests for CSV ingestion, cleaning, splitting and class weights."""
+"""Tests for CSV ingestion, cleaning and class weights."""
 
 import hashlib
 import logging
@@ -15,9 +15,9 @@ from leakaudit.data import (
     class_weights,
     load_dataset,
     save_dataset,
-    split_dataset,
 )
 from leakaudit.synth import SynthSpec, synth_dataset
+from oracles import same_dataset
 
 
 def load_logged(path, caplog):
@@ -49,7 +49,7 @@ class TestDataset:
         assert ds.dimension == 3
         assert np.bincount(ds.y).tolist() == [4, 3]
         assert ds.ids == tuple(f"s{i}" for i in range(7))
-        assert "s3" in ds and "zzz" not in ds
+        assert "s3" in ds.ids and "zzz" not in ds.ids
         assert ds.y[ds.rows(["s3"])[0]] == 1
 
     def test_features_read_only(self):
@@ -115,8 +115,8 @@ class TestDataset:
         assert list(y) == [0, 1, 0, 1, 0]
 
     def test_equality(self):
-        assert make_dataset(seed=1) == make_dataset(seed=1)
-        assert make_dataset(seed=1) != make_dataset(seed=2)
+        assert same_dataset(make_dataset(seed=1), make_dataset(seed=1))
+        assert not same_dataset(make_dataset(seed=1), make_dataset(seed=2))
 
 
 class TestIngest:
@@ -124,7 +124,7 @@ class TestIngest:
         ds = make_dataset(n=8)
         path = tmp_path / "d.csv"
         save_dataset(ds, path)
-        assert load_dataset(path) == ds
+        assert same_dataset(load_dataset(path), ds)
 
     def test_save_is_byte_stable(self, tmp_path):
         ds = make_dataset(n=8)
@@ -215,53 +215,11 @@ class TestIngest:
             load_dataset(path)
 
 
-class TestSplit:
-    def test_sizes_and_disjointness(self):
-        ds = make_dataset(n=100)
-        split = split_dataset(ds, (0.45, 0.10, 0.45), seed=3)
-        assert len(split.train) == 45
-        assert len(split.validation) == 10
-        assert len(split.population) == 45
-        all_rows = set(split.train.tolist()) | set(split.validation.tolist()) | set(split.population.tolist())
-        assert all_rows == set(range(len(ds)))
-
-    def test_remainder_goes_to_population(self):
-        ds = make_dataset(n=23)
-        split = split_dataset(ds, (0.45, 0.10, 0.45), seed=0)
-        # floor(10.35)=10, floor(2.3)=2, remainder 11
-        assert (len(split.train), len(split.validation), len(split.population)) == (10, 2, 11)
-
-    def test_deterministic_under_seed(self):
-        ds = make_dataset(n=40)
-        def rows(seed):
-            split = split_dataset(ds, (0.5, 0.2, 0.3), seed)
-            return np.concatenate([split.train, split.validation, split.population])
-
-        assert np.array_equal(rows(9), rows(9))
-        assert not np.array_equal(rows(9), rows(10))
-
-    def test_rejects_bad_fractions(self):
-        ds = make_dataset()
-        with pytest.raises(ValueError):
-            split_dataset(ds, (0.5, 0.5, 0.5), 0)
-        with pytest.raises(ValueError):
-            split_dataset(ds, (-0.1, 0.6, 0.5), 0)
-
-    def test_rejects_empty_split_with_positive_fraction(self):
-        ds = make_dataset(n=5)
-        with pytest.raises(ValueError):
-            split_dataset(ds, (0.9, 0.05, 0.05), 0)
-
-
 class TestClassWeights:
     def test_known_values(self):
         # 3 negatives, 1 positive: w = (4/6, 4/2)
         w0, w1 = class_weights([0, 0, 0, 1])
         assert (w0, w1) == pytest.approx((2.0 / 3.0, 2.0))
-
-    def test_accepts_dataset(self):
-        ds = make_dataset(n=6)
-        assert class_weights(ds) == class_weights(ds.labels_array())
 
     def test_single_class_raises(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from leakaudit.game import (
     collect_confidences,
     draw_challenge,
     draw_shadows,
-    load_challenge,
     run_game,
     save_challenge,
     save_manifest,
@@ -26,6 +25,7 @@ from leakaudit.game import (
 )
 from leakaudit.nnet import TrainConfig, fit, stack_capacity
 from leakaudit.parallel import FitHelpers
+from leakaudit.seeds import derive_rng, derive_seed
 from leakaudit.synth import SynthSpec, synth_dataset
 from oracles import assign_membership
 
@@ -36,8 +36,14 @@ NO_HELPERS = FitHelpers(0)
 
 def play(dataset, cfg, game_cfg, seed):
     """A repetition's game in-process: draw the challenge, fit the target, query it on the candidates."""
-    split, challenge = draw_challenge(dataset, game_cfg, seed)
-    return run_game(dataset, split, challenge, start_fits(dataset, *target_job(split, cfg, seed), NO_HELPERS)()[0])
+    challenge = draw_challenge(dataset, game_cfg, seed)
+    return run_game(dataset, challenge, start_fits(dataset, *target_job(challenge, cfg), NO_HELPERS)()[0])
+
+
+def train_shadows(dataset, challenge, shadow, cfg, seed):
+    """The shadows that ``draw_shadows`` draws for ``challenge`` under ``seed``, trained in-process."""
+    plan = draw_shadows(dataset, challenge.population, challenge.candidates, shadow, seed)
+    return train_shadow_ensemble(dataset, plan, cfg, NO_HELPERS)
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +58,7 @@ def artifacts(dataset):
 
 @pytest.fixture(scope="module")
 def ensemble(dataset, artifacts):
-    pool, candidates = artifacts.split.population, artifacts.challenge.candidates
-    return train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=4, epochs=2), FAST_CFG, 11,
-                                 NO_HELPERS)
+    return train_shadows(dataset, artifacts.challenge, ShadowParams(count=4, epochs=2), FAST_CFG, 11)
 
 
 def assert_each_shadow_fits_as_alone(dataset, ensemble, cfg, epochs):
@@ -72,19 +76,61 @@ def same_challenge(a, b):
     return np.array_equal(a.members, b.members) and np.array_equal(a.nonmembers, b.nonmembers)
 
 
+def challenge_of(members, validation, population, nonmembers):
+    return Challenge(members=np.array(members, dtype=int), validation=np.array(validation, dtype=int),
+                     population=np.array(population, dtype=int), nonmembers=np.array(nonmembers, dtype=int),
+                     p_member=0.5, seed=0)
+
+
 class TestChallenge:
-    def test_rejects_overlapping_sets(self):
-        with pytest.raises(ValueError):
-            Challenge(members=np.array([0]), nonmembers=np.array([0]), p_member=0.5, seed=0)
+    @pytest.mark.parametrize("groups", [
+        ([0], [], [0], [0]),  # a member is also a population row
+        ([0], [1], [2], [1]),  # a non-member outside the population
+        ([0], [1, 1], [2], [2]),  # a validation row twice
+    ])
+    def test_rejects_overlapping_groups(self, groups):
+        with pytest.raises(ValueError, match="disjoint"):
+            challenge_of(*groups)
 
     def test_candidate_ids_list_members_first(self):
-        ch = Challenge(members=np.array([1, 0]), nonmembers=np.array([2]), p_member=0.67, seed=0)
+        ch = challenge_of([1, 0], [3], [2, 4], [2])
         assert ch.candidates.tolist() == [1, 0, 2]
         assert ch.record(("a", "b", "c"))["member_ids"] == ["b", "a"]
 
-    def test_save_load_round_trip(self, dataset, artifacts, tmp_path):
+    def test_save_round_trip(self, dataset, artifacts, tmp_path):
         save_challenge(artifacts.challenge, tmp_path / "challenge.json", dataset.ids)
-        assert load_challenge(tmp_path / "challenge.json") == artifacts.challenge.record(dataset.ids)
+        stored = json.loads((tmp_path / "challenge.json").read_text(encoding="utf-8"))
+        assert stored == artifacts.challenge.record(dataset.ids)
+
+
+class TestDrawChallenge:
+    def test_sizes_and_disjointness(self, dataset):
+        ch = draw_challenge(dataset, GameConfig(fractions=(0.45, 0.10, 0.45)), 3)
+        assert (len(ch.members), len(ch.validation), len(ch.population)) == (108, 24, 108)
+        rows = np.concatenate([ch.members, ch.validation, ch.population])
+        assert sorted(rows.tolist()) == list(range(len(dataset)))
+
+    def test_remainder_goes_to_population(self):
+        ds = synth_dataset(SynthSpec(n=23, dim=2, seed=0))
+        ch = draw_challenge(ds, GameConfig(p_member=0.5, fractions=(0.45, 0.10, 0.45)), 0)
+        # floor(10.35)=10, floor(2.3)=2, remainder 11
+        assert (len(ch.members), len(ch.validation), len(ch.population)) == (10, 2, 11)
+
+    def test_deterministic_under_seed(self, dataset):
+        def rows(seed):
+            ch = draw_challenge(dataset, GameConfig(fractions=(0.5, 0.2, 0.3)), seed)
+            return np.concatenate([ch.members, ch.validation, ch.population, ch.nonmembers])
+
+        assert np.array_equal(rows(9), rows(9))
+        assert not np.array_equal(rows(9), rows(10))
+
+    def test_groups_are_slices_of_the_split_permutation(self, dataset):
+        """Train, validation and population are consecutive slices of ``derive_rng(seed, "split").permutation(n)``."""
+        ch = draw_challenge(dataset, GameConfig(fractions=(0.3, 0.1, 0.6)), 7)
+        perm = derive_rng(7, "split").permutation(len(dataset))
+        assert np.array_equal(ch.members, perm[:72])
+        assert np.array_equal(ch.validation, perm[72:96])
+        assert np.array_equal(ch.population, perm[96:])
 
 
 class TestRecipes:
@@ -143,10 +189,13 @@ class TestAssignMembership:
 
 class TestRunGame:
     def test_members_are_training_split(self, artifacts):
-        assert set(artifacts.challenge.members.tolist()) == set(artifacts.split.train.tolist())
+        val, [(train, cfg)] = target_job(artifacts.challenge, FAST_CFG)
+        assert np.array_equal(train, np.sort(artifacts.challenge.members))
+        assert np.array_equal(val, np.sort(artifacts.challenge.validation))
+        assert cfg.seed == derive_seed(artifacts.challenge.seed, "target")
 
     def test_nonmembers_come_from_population(self, artifacts):
-        assert set(artifacts.challenge.nonmembers.tolist()) <= set(artifacts.split.population.tolist())
+        assert set(artifacts.challenge.nonmembers.tolist()) <= set(artifacts.challenge.population.tolist())
 
     def test_p_member_ratio(self, artifacts):
         n_mem = len(artifacts.challenge.members)
@@ -162,7 +211,7 @@ class TestRunGame:
     def test_confidences_must_match_ids(self, artifacts):
         with pytest.raises(ValueError):
             TargetArtifacts(model=artifacts.model, confidences=artifacts.confidences[1:],
-                            challenge=artifacts.challenge, split=artifacts.split)
+                            challenge=artifacts.challenge)
 
     def test_is_member_marks_the_members(self, artifacts):
         assert artifacts.is_member.dtype == bool
@@ -209,13 +258,12 @@ class TestShadowEnsemble:
         assert not set(ensemble.z.tolist()) & set(artifacts.challenge.candidates.tolist())
 
     def test_z_size(self, dataset, artifacts, ensemble):
-        assert len(ensemble.z) == round(0.25 * len(artifacts.split.population))
+        assert len(ensemble.z) == round(0.25 * len(artifacts.challenge.population))
 
     def test_z_cap(self, dataset, artifacts):
-        pool, candidates = artifacts.split.population, artifacts.challenge.candidates
-        ens = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=2, epochs=1, z_cap=5), FAST_CFG,
-                                    0, NO_HELPERS)
-        assert len(ens.z) == 5
+        plan = draw_shadows(dataset, artifacts.challenge.population, artifacts.challenge.candidates,
+                            ShadowParams(count=2, epochs=1, z_cap=5), 0)
+        assert len(plan.z) == 5
 
     def test_every_shadow_saw_two_classes(self, dataset, ensemble):
         label = dataset.y.tolist()
@@ -224,11 +272,8 @@ class TestShadowEnsemble:
             assert {label[r] for r in included} == {0, 1}
 
     def test_deterministic(self, dataset, artifacts):
-        pool, candidates = artifacts.split.population, artifacts.challenge.candidates
-        e1 = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4,
-                                   NO_HELPERS)
-        e2 = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=3, epochs=2), FAST_CFG, 4,
-                                   NO_HELPERS)
+        e1 = train_shadows(dataset, artifacts.challenge, ShadowParams(count=3, epochs=2), FAST_CFG, 4)
+        e2 = train_shadows(dataset, artifacts.challenge, ShadowParams(count=3, epochs=2), FAST_CFG, 4)
         assert np.array_equal(e1.mask, e2.mask)
         assert np.array_equal(e1.z, e2.z)
         for m1, m2 in zip(e1.models, e2.models):
@@ -242,33 +287,27 @@ class TestShadowEnsemble:
     def test_rejects_tiny_k(self, dataset):
         rows = np.arange(len(dataset))
         with pytest.raises(ValueError):
-            train_shadow_ensemble(dataset, rows, rows, ShadowParams(count=1), FAST_CFG, 0, NO_HELPERS)
+            draw_shadows(dataset, rows, rows, ShadowParams(count=1), 0)
 
     @pytest.mark.parametrize("pool_rows,candidate_rows", [
         (2, None),  # round(0.25 * 2) == 0 Z points; None: every candidate lies outside the pool
         (40, 40),  # every pool sample is a candidate, so none may join Z
     ])
-    def test_pool_without_z_point_rejected_before_training(self, dataset, monkeypatch,
-                                                           pool_rows, candidate_rows):
-        fits = []
-        monkeypatch.setattr(game, "start_fits", lambda *args: fits.append(args))
+    def test_pool_without_z_point_rejected_at_the_draw(self, dataset, pool_rows, candidate_rows):
         pool = np.arange(pool_rows)
         candidates = np.arange(200, 240) if candidate_rows is None else np.arange(candidate_rows)
         with pytest.raises(ValueError, match="no Z point"):
-            train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=2, epochs=1), FAST_CFG, 0,
-                                  NO_HELPERS)
-        assert fits == []
+            draw_shadows(dataset, pool, candidates, ShadowParams(count=2, epochs=1), 0)
 
     def test_the_draw_is_what_the_shadows_train_on(self, dataset, artifacts, ensemble, monkeypatch):
-        """``draw_shadows`` alone draws what ``train_shadow_ensemble`` trains: universe, mask, Z and seeds."""
+        """``train_shadow_ensemble`` trains its plan as drawn: universe, mask, Z and seeds."""
         stacks = []
         monkeypatch.setattr(game, "fit_stack", lambda jobs: stacks.append(jobs) or [None] * len(jobs))
-        plan = draw_shadows(dataset, artifacts.split.population, artifacts.challenge.candidates,
+        plan = draw_shadows(dataset, artifacts.challenge.population, artifacts.challenge.candidates,
                             ShadowParams(count=4, epochs=2), 11)
         assert plan.manifest(dataset.ids) == ensemble.manifest(dataset.ids)
         assert np.array_equal(plan.universe, ensemble.universe) and np.array_equal(plan.z, ensemble.z)
-        train_shadow_ensemble(dataset, artifacts.split.population, artifacts.challenge.candidates,
-                              ShadowParams(count=4, epochs=2), FAST_CFG, 11, NO_HELPERS)
+        train_shadow_ensemble(dataset, plan, FAST_CFG, NO_HELPERS)
         [jobs] = stacks
         assert jobs.X is dataset.X and jobs.y is dataset.y
         assert np.array_equal(jobs.X_val, dataset.X[plan.z]) and np.array_equal(jobs.y_val, dataset.y[plan.z])
@@ -286,10 +325,10 @@ class TestShadowEnsemble:
         stacks = []
         real_fit_stack = game.fit_stack
         monkeypatch.setattr(game, "fit_stack", lambda jobs: stacks.append(len(jobs)) or real_fit_stack(jobs))
-        pool, candidates = artifacts.split.population, artifacts.challenge.candidates
-        z_rows = len(draw_shadows(dataset, pool, candidates, ShadowParams(count=5), 2).z)
-        monkeypatch.setattr(nnet, "VALIDATION_ELEMENTS", 2 * z_rows * 64)
-        ensemble = train_shadow_ensemble(dataset, pool, candidates, ShadowParams(count=5, epochs=3), cfg, 2, NO_HELPERS)
+        plan = draw_shadows(dataset, artifacts.challenge.population, artifacts.challenge.candidates,
+                            ShadowParams(count=5, epochs=3), 2)
+        monkeypatch.setattr(nnet, "VALIDATION_ELEMENTS", 2 * len(plan.z) * 64)
+        ensemble = train_shadow_ensemble(dataset, plan, cfg, NO_HELPERS)
         assert stack_capacity(dataset.dimension, cfg.hidden_dims) == 3 and stacks == [3, 2]
         full = (ensemble.mask.sum(axis=0) // cfg.batch_size).tolist()
         assert len(set(full[:3])) > 1 and len(set(full[3:])) > 1, full
@@ -300,8 +339,7 @@ class TestShadowEnsemble:
         cfg = replace(FAST_CFG, hidden_dims=())
         target = play(dataset, replace(cfg, fixed_epochs=3), GameConfig(), 5)
         assert len(target.model.model.weights) == 1 and len(target.model.val_losses) == 3
-        ensemble = train_shadow_ensemble(dataset, artifacts.split.population, artifacts.challenge.candidates,
-                                         ShadowParams(count=3, epochs=2), cfg, 4, NO_HELPERS)
+        ensemble = train_shadows(dataset, artifacts.challenge, ShadowParams(count=3, epochs=2), cfg, 4)
         assert_each_shadow_fits_as_alone(dataset, ensemble, cfg, 2)
 
     def test_in_process_shadows_allocate_less_than_copies_of_their_training_sets(self):
@@ -310,12 +348,11 @@ class TestShadowEnsemble:
         Jobs of datasets, stacked, held K copies of the training features at once.
         """
         dataset = synth_dataset(SynthSpec(n=12_000, dim=16, positive_fraction=0.3, separation=2.0, seed=1))
-        split, challenge = draw_challenge(dataset, GameConfig(), 1)
+        challenge = draw_challenge(dataset, GameConfig(), 1)
         cfg = TrainConfig(hidden_dims=(8,), fixed_epochs=1)
         tracemalloc.start()
         try:
-            ensemble = train_shadow_ensemble(dataset, split.population, challenge.candidates,
-                                             ShadowParams(count=16, epochs=1, z_fraction=0.5), cfg, 1, NO_HELPERS)
+            ensemble = train_shadows(dataset, challenge, ShadowParams(count=16, epochs=1, z_fraction=0.5), cfg, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -284,7 +284,7 @@ class TestFit:
         assert trained.best_epoch == int(np.argmin(trained.val_losses)) + 1
         w = (1.0, 1.0)
         import leakaudit.data as data_mod
-        cw = data_mod.class_weights(ds)
+        cw = data_mod.class_weights(ds.y)
         val_loss = weighted_bce_loss(
             forward_logits(trained.model, val.features_array()), val.labels_array(), cw
         )
@@ -297,7 +297,7 @@ class TestFit:
                               (np.arange(n) % 4 == 0).astype(int))
                       for name, n in (("t", 60), ("v", 21)))
         trained = fit(train, val, TrainConfig(hidden_dims=(5,), dropout_rate=0.2, fixed_epochs=1, seed=1))
-        cw = class_weights(train)
+        cw = class_weights(train.y)
         assert cw[0] != cw[1]
         assert trained.train_losses == [weighted_bce_loss(forward_logits(trained.model, train.X), train.y, cw)]
         assert trained.val_losses == [weighted_bce_loss(forward_logits(trained.model, val.X), val.y, cw)]
@@ -341,7 +341,7 @@ class TestFit:
         perm = shuffle_rng.permutation(len(ds))
         for step, start in enumerate(range(0, len(ds), cfg.batch_size), start=1):
             idx = perm[start:start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(model, ds.X[idx], ds.y[idx], class_weights(ds), train=True, rng=dropout_rng)
+            _, gw, gb = loss_and_grads(model, ds.X[idx], ds.y[idx], class_weights(ds.y), train=True, rng=dropout_rng)
             grads = np.concatenate([g.ravel() for g in gw + gb])
             adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
         assert fit(ds, ds, cfg).model.params.tobytes() == model.params.tobytes()
@@ -414,7 +414,7 @@ class TestStack:
             perm = shuffle_rng.permutation(len(d_train))
             for step, start in enumerate(range(0, len(d_train), cfg.batch_size), start=1):
                 idx = perm[start:start + cfg.batch_size]
-                _, gw, gb = loss_and_grads(model, d_train.X[idx], d_train.y[idx], class_weights(d_train),
+                _, gw, gb = loss_and_grads(model, d_train.X[idx], d_train.y[idx], class_weights(d_train.y),
                                            train=True, rng=dropout_rng)
                 grads = np.concatenate([g.ravel() for g in gw + gb])
                 adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)

@@ -10,7 +10,7 @@ import pytest
 
 from leakaudit import pipeline
 from leakaudit.config import ExperimentConfig
-from leakaudit.game import GameConfig, ShadowParams, draw_challenge, train_shadow_ensemble
+from leakaudit.game import GameConfig, ShadowParams, draw_challenge, draw_shadows, train_shadow_ensemble
 from leakaudit.nnet import FitJobs, TrainConfig, fit, load_model
 from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, helper_count, step_seconds
 from leakaudit.synth import SynthSpec, synth_dataset
@@ -24,8 +24,8 @@ SHADOW = ShadowParams(count=5, epochs=2)
 def shadow_draw():
     """The dataset, the pool rows and the candidate rows of one repetition's shadows."""
     dataset = synth_dataset(SynthSpec(n=240, dim=4, positive_fraction=0.4, separation=3.0, seed=0))
-    split, challenge = draw_challenge(dataset, GameConfig(), 5)
-    return dataset, split.population, challenge.candidates
+    challenge = draw_challenge(dataset, GameConfig(), 5)
+    return dataset, challenge.population, challenge.candidates
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +49,11 @@ def stopped(procs):
 
 
 def test_helper_fits_are_bit_identical_to_in_process(shadow_draw):
-    local = train_shadow_ensemble(*shadow_draw, SHADOW, FAST_CFG, 11, FitHelpers(0))
+    dataset = shadow_draw[0]
+    plan = draw_shadows(*shadow_draw, SHADOW, 11)
+    local = train_shadow_ensemble(dataset, plan, FAST_CFG, FitHelpers(0))
     with FitHelpers(2) as helpers:
-        remote = train_shadow_ensemble(*shadow_draw, SHADOW, FAST_CFG, 11, helpers)
+        remote = train_shadow_ensemble(dataset, plan, FAST_CFG, helpers)
         procs = list(helpers.procs)
     assert len(procs) == 2 and stopped(procs)
     assert remote.shadow_seeds == local.shadow_seeds
@@ -255,8 +257,8 @@ def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_ru
             super().start()
             started.update(self.procs)
 
-    def one_class_target_job(split, cfg, seed):
-        val, [(train, train_cfg)] = real_target_job(split, cfg, seed)
+    def one_class_target_job(challenge, cfg):
+        val, [(train, train_cfg)] = real_target_job(challenge, cfg)
         return val, [(train[labels[train] == 1], train_cfg)]
 
     labels = synth_dataset(pooled_config(tmp_path, "out").synth).y

@@ -15,8 +15,8 @@ import pytest
 from leakaudit import game, pipeline
 from leakaudit.attacks import RmiaParams
 from leakaudit.config import ExperimentConfig, ShadowParams
-from leakaudit.data import Dataset, load_dataset, save_dataset, split_dataset
-from leakaudit.game import GameConfig, draw_challenge, draw_shadows, load_challenge
+from leakaudit.data import Dataset, load_dataset, save_dataset
+from leakaudit.game import GameConfig, draw_challenge, draw_shadows
 from leakaudit.nnet import TrainConfig, load_model
 from leakaudit.pipeline import _aggregate, _write_csv, report_render, rerun_attacks, run_experiment
 from leakaudit.recipe import RecipeError
@@ -78,7 +78,8 @@ class TestRunExperiment:
             rep_dir = out / f"rep_{rep:03d}"
             rep_report = json.loads((rep_dir / "rep_report.json").read_text(encoding="utf-8"))
             assert "member_ids" not in rep_report and "member_ids" not in summary
-            assert rep_report["n_members"] == len(load_challenge(rep_dir / "challenge.json")["member_ids"])
+            challenge = json.loads((rep_dir / "challenge.json").read_text(encoding="utf-8"))
+            assert rep_report["n_members"] == len(challenge["member_ids"])
         assert "member_ids" not in report
 
     def test_manifest_lists_each_sample_once(self, run_dir):
@@ -222,6 +223,22 @@ class TestRerunAttacks:
             == report["repetitions"][0]
 
 
+class TestResume:
+    @pytest.mark.parametrize("change,stale", [
+        ({"shadow": replace(TINY.shadow, count=5)}, "shadows: manifest.json field 'checkpoints' differs"),
+        ({"seed": TINY.seed + 1}, "challenge"),
+    ])
+    def test_stale_repetition_refuses_before_any_fit_or_write(self, run_dir, tmp_path, monkeypatch, change, stale):
+        """Repetition 0 has no marker and would run again, but repetition 1's stored draw is stale: nothing runs."""
+        cfg = copy_run(run_dir, tmp_path)
+        (tmp_path / "rep_000" / "rep_report.json").unlink()
+        before = files(tmp_path)
+        monkeypatch.setattr(pipeline, "start_fits", lambda *args: pytest.fail("a fit started before the check"))
+        with pytest.raises(ValueError, match=rf"rep_001: the config or the data no longer draws the stored {stale}"):
+            run_experiment(replace(cfg, **change))
+        assert files(tmp_path) == before
+
+
 class Crash(BaseException):
     """Stands in for the process dying: no ``except Exception`` catches it."""
 
@@ -309,8 +326,8 @@ class TestManifest:
         out, cfg, _ = run_dir
         dataset = synth_dataset(cfg.synth)
         rep_seed = derive_seed(cfg.seed, "rep", 0)
-        split, challenge = draw_challenge(dataset, cfg.game, rep_seed)
-        plan = draw_shadows(dataset, split.population, challenge.candidates, cfg.shadow,
+        challenge = draw_challenge(dataset, cfg.game, rep_seed)
+        plan = draw_shadows(dataset, challenge.population, challenge.candidates, cfg.shadow,
                             derive_seed(rep_seed, "ensemble"))
         stored = json.loads((out / "rep_000" / "manifest.json").read_text(encoding="utf-8"))
         assert stored == plan.manifest(dataset.ids)
@@ -366,9 +383,9 @@ def test_every_file_names_a_sample_by_the_id_of_its_row(tmp_path):
     rerun_attacks(cfg)
     assert files(tmp_path / "out") == before
 
-    challenge = load_challenge(rep_dir / "challenge.json")
-    split = split_dataset(dataset, cfg.game.fractions, derive_seed(derive_seed(cfg.seed, "rep", 0), "split"))
-    assert challenge["member_ids"] == [dataset.ids[r] for r in split.train]
+    challenge = json.loads((rep_dir / "challenge.json").read_text(encoding="utf-8"))
+    drawn = draw_challenge(dataset, cfg.game, derive_seed(cfg.seed, "rep", 0))
+    assert challenge["member_ids"] == [dataset.ids[r] for r in drawn.members]
     for name in ("lira", "rmia"):
         with open(rep_dir / f"scores_{name}.csv", newline="", encoding="utf-8") as fh:
             scores = list(csv.DictReader(fh))
@@ -379,9 +396,9 @@ def test_every_file_names_a_sample_by_the_id_of_its_row(tmp_path):
     manifest = json.loads((rep_dir / "manifest.json").read_text(encoding="utf-8"))
     row = {sample_id: r for r, sample_id in enumerate(dataset.ids)}
     universe = [row[i] for i in manifest["ids"]]
-    n_pool = len(split.population) - len(manifest["z_ids"])  # the pool minus Z, then the members
-    assert universe[:n_pool] == sorted(set(split.population.tolist()) - {row[i] for i in manifest["z_ids"]})
-    assert universe[n_pool:] == sorted(split.train.tolist())
+    n_pool = len(drawn.population) - len(manifest["z_ids"])  # the pool minus Z, then the members
+    assert universe[:n_pool] == sorted(set(drawn.population.tolist()) - {row[i] for i in manifest["z_ids"]})
+    assert universe[n_pool:] == sorted(drawn.members.tolist())
 
 
 # Pools floats of mixed magnitudes from two repetitions, where the order of the sums shows in the last digits.
