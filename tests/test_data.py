@@ -204,6 +204,50 @@ class TestIngest:
         with pytest.raises(IngestError, match="row 3: non-finite meta value"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("text,ids,X,y,size", [
+        pytest.param("#a,1,0.0,1.0,2.0\nb,0,1.0,3.0,4.0\n", ("#a", "b"), [[1.0, 2.0], [3.0, 4.0]], [1, 0],
+                     [0.0, 1.0], id="id-starting-with-hash"),
+        pytest.param('"a,b",1,0.0,1.0,2.0\n"c""d",0,1.0,3.0,4.0\n"e\nf",1,2.0,5.0,6.0\n"g\r\nh",0,3.0,7.0,8.0\n',
+                     ("a,b", 'c"d', "e\nf", "g\r\nh"), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+                     [1, 0, 1, 0], [0.0, 1.0, 2.0, 3.0], id="quoted-ids"),
+        pytest.param('a"x,1,0.0,1.0,2.0\n"p"q,0,1.0,3.0,4.0\n', ('a"x', "pq"), [[1.0, 2.0], [3.0, 4.0]], [1, 0],
+                     [0.0, 1.0], id="stray-quotes"),
+        pytest.param("a,1,0.0,1.0,2.0\r\n\r\nb,0,1.0,3.0,4.0\r\n", ("a", "b"), [[1.0, 2.0], [3.0, 4.0]], [1, 0],
+                     [0.0, 1.0], id="crlf"),
+        pytest.param("a,1,0.0,1.0,2.0\rb,0,1.0,3.0,4.0\r", ("a", "b"), [[1.0, 2.0], [3.0, 4.0]], [1, 0],
+                     [0.0, 1.0], id="lone-cr"),
+        pytest.param("a, 1,0.0,1.0,2.0\n", ("a",), [[1.0, 2.0]], [1], [0.0], id="label-with-space"),
+        pytest.param("a,1,0.0,1_0,2.0\n", ("a",), [[10.0, 2.0]], [1], [0.0], id="underscore-in-feature"),
+    ])
+    def test_accepted_edge_cases(self, tmp_path, text, ids, X, y, size):
+        path = tmp_path / "d.csv"
+        line_end = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
+        path.write_bytes(("id,label,meta_size,f_0,f_1" + line_end + text).encode("utf-8"))
+        ds = load_dataset(path)
+        assert ds.ids == ids
+        assert ds.X.tolist() == X and ds.y.tolist() == y
+        assert list(ds.meta) == ["size"] and ds.meta["size"].tolist() == size
+
+    @pytest.mark.parametrize("text,message", [
+        ("id,label,meta_size,f_0,f_1\na,1,0.0,1.0,2.0\nb,0,1.0,3.0,4.0,5.0\n",
+         "{path}: row 3: expected 5 columns, got 6"),
+        ("id,label,meta_size,f_0,f_1\na,1,0.0,1.0,2.0\n\n\nb,0,1.0,3.0,4.0\nc,0,1.0,nan,4.0\n",
+         "{path}: row 6: non-finite feature value"),
+        ("id,label,meta_size,f_0,f_1\na,1.0,0.0,1.0,2.0\n", "{path}: row 2: non-integer label '1.0'"),
+        ("id,label,meta_size,f_0,f_1\na,1,0.0,\x1c1.0,2.0\n", "{path}: row 2: non-numeric value"),
+        ("﻿id,label,meta_size,f_0,f_1\na,1,0.0,1.0,2.0\n",
+         "header must start with 'id','label', got ['\\ufeffid', 'label']"),
+        ("id,label,meta_size,f_0,f_1\n", "{path}: no samples remain after cleaning"),
+        ("id,label,meta_size,f_0,f_1\n\n\n", "{path}: no samples remain after cleaning"),
+    ], ids=["extra-column", "blank-lines-then-nan", "float-label", "control-char-in-feature", "bom",
+            "header-only", "header-and-blank-lines"])
+    def test_refused_edge_cases(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(IngestError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == message.format(path=path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_dataset(tmp_path / "absent.csv")
