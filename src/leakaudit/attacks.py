@@ -202,6 +202,6 @@ def save_scores(table: AttackScores, path: str | Path, artifacts: TargetArtifact
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "score", "is_member", "flags"])
-        for row, i, score, member in zip(rows.tolist(), order.tolist(), table.scores[order].tolist(),
-                                         artifacts.is_member[order].tolist()):
-            writer.writerow([ids[row], repr(score), int(member), table.flags.get(i, "")])
+        writer.writerows(zip([ids[row] for row in rows.tolist()], map(repr, table.scores[order].tolist()),
+                             artifacts.is_member[order].astype(int).tolist(),
+                             [table.flags.get(i, "") for i in order.tolist()]))

@@ -9,6 +9,9 @@ file and removes duplicates before it builds the one :class:`Dataset`:
 exact duplicate feature vectors (``-0.0`` equal to ``0.0``) with the
 same label collapse to one record, identical feature vectors with
 conflicting labels are all removed, and one log line counts both.
+The rows are parsed in one C pass (``np.loadtxt``). A file that pass
+refuses, or may read otherwise than :mod:`csv` and ``float()``, is read
+again value by value; only that scan refuses a row, and it names the row.
 
 In memory a :class:`Dataset` is columnar: a tuple of ids, a read-only
 feature matrix, a label vector and one array per metadata column, all
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import warnings
 from array import array
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -41,6 +45,8 @@ log = logging.getLogger(__name__)
 ID_COLUMN = "id"
 LABEL_COLUMN = "label"
 META_PREFIX = "meta_"
+# the characters that the C parse strips around a number as white space but float() refuses
+_C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class IngestError(ValueError):
@@ -143,18 +149,69 @@ def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise IngestError(f"{path}: empty file") from None
+        meta_cols, _ = _parse_header(header)
+        rows = _parse_rows(path, fh, len(header))
+    ids, labels, table = rows or _scan_rows(path, len(header), len(meta_cols))
+    keep, n_dup, n_conflict = _deduplicate(table[:, len(meta_cols):], labels)
+    if keep.size == 0:
+        raise IngestError(f"{path}: no samples remain after cleaning")
+    if n_dup or n_conflict:
+        log.info(
+            "cleaned %s: removed %d exact duplicates, %d conflicting-label records",
+            path, n_dup, n_conflict,
+        )
+        ids, table, labels = [ids[r] for r in keep], table[keep], [labels[r] for r in keep]
+    meta = {col[len(META_PREFIX):]: table[:, j] for j, col in enumerate(meta_cols)}
+    return Dataset(ids, table[:, len(meta_cols):], labels, meta)
 
+
+def _parse_rows(path: Path, fh: TextIO, n_cols: int) -> tuple[list[str], list[int], np.ndarray] | None:
+    """The ids, labels and meta-and-feature table of the rows left in ``fh``, parsed in C.
+
+    ``fh`` is the open file after its header. Returns None when the rows
+    hold anything :func:`_scan_rows` refuses, or anything the C parse may
+    read otherwise than ``float()``; the scan then reads the file again,
+    and names the bad row. Unlike :mod:`csv`, the C parse has no field
+    size limit (``csv.field_size_limit()``, 128 KiB by default).
+    """
+    with open(path, "rb") as raw:
+        while chunk := raw.read(1 << 20):
+            if any(c in chunk for c in _C_ONLY_SPACE):
+                return None
+    dtype = [("id", object), ("label", object), ("v", float, (n_cols - 2,))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns, and returns nothing, on no rows
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        label_of = {text: int(text) for text in set(rows["label"].tolist())}
+    except (ValueError, UserWarning):
+        return None
+    ids = rows["id"].tolist()
+    table = rows["v"]
+    if not set(label_of.values()) <= {0, 1} or len(set(ids)) < len(ids) or not np.isfinite(table).all():
+        return None
+    return ids, [label_of[text] for text in rows["label"].tolist()], table
+
+
+def _scan_rows(path: Path, n_cols: int, n_meta: int) -> tuple[list[str], list[int], np.ndarray]:
+    """The rows after the header, read value by value: the error path of :func:`load_dataset`.
+
+    Raises :class:`IngestError` naming the first bad row, counting the
+    header as row 1 and blank lines too. Returns the rows only for the
+    literals that ``float()`` reads and the C parse does not, such as
+    ``1_0``.
+    """
     row_of: dict[str, int] = {}  # sample id -> CSV row number, in file order
     labels: list[int] = []
     values = array("d")  # meta and feature values, row after row, without a Python object per value
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        meta_cols, _ = _parse_header(header)
-        n_cols = len(header)
+        next(reader)  # the header, checked by the caller
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -179,23 +236,11 @@ def load_dataset(path: str | Path) -> Dataset:
     if not row_of:
         raise IngestError(f"{path}: no samples remain after cleaning")
     table = np.frombuffer(values, dtype=float).reshape(len(row_of), n_cols - 2)
-    X = table[:, len(meta_cols):]
-    for what, cols in (("feature", X), ("meta", table[:, :len(meta_cols)])):
+    for what, cols in (("feature", table[:, n_meta:]), ("meta", table[:, :n_meta])):
         bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
         if bad.size:
             raise IngestError(f"{path}: row {list(row_of.values())[bad[0]]}: non-finite {what} value")
-    ids = list(row_of)
-    keep, n_dup, n_conflict = _deduplicate(X, labels)
-    if keep.size == 0:
-        raise IngestError(f"{path}: no samples remain after cleaning")
-    if n_dup or n_conflict:
-        log.info(
-            "cleaned %s: removed %d exact duplicates, %d conflicting-label records",
-            path, n_dup, n_conflict,
-        )
-        ids, table, labels = [ids[r] for r in keep], table[keep], [labels[r] for r in keep]
-    meta = {col[len(META_PREFIX):]: table[:, j] for j, col in enumerate(meta_cols)}
-    return Dataset(ids, table[:, len(meta_cols):], labels, meta)
+    return list(row_of), labels, table
 
 
 def _deduplicate(X: np.ndarray, labels: list[int]) -> tuple[np.ndarray, int, int]:

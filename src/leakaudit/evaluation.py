@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from leakaudit.stats import TestResult, hypergeom_expected, mann_whitney_u, wilcoxon_signed_rank
+from leakaudit.stats import TestResult, _mwu_statistic, hypergeom_expected, mann_whitney_u, wilcoxon_signed_rank
 
 __all__ = [
     "RocCurve",
@@ -252,5 +252,4 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n0 = int((y == 0).sum())
     if n0 == 0 or n1 == 0:
         raise ValueError("AUROC requires both classes")
-    u = mann_whitney_u(s[y == 1], s[y == 0], alternative="two-sided").statistic
-    return float(u / (n0 * n1))
+    return float(_mwu_statistic(s[y == 1], s[y == 0]) / (n0 * n1))

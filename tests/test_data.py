@@ -3,6 +3,9 @@
 import hashlib
 import logging
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,6 +260,58 @@ class TestIngest:
         path.write_text("", encoding="utf-8")
         with pytest.raises(IngestError):
             load_dataset(path)
+
+
+# cells of a CSV row: mostly well-formed, with the odd quoting, spacing and literals the two parsers must agree on
+_ID_TEXT = st.text(alphabet='ab#", \r\n\x00\x1c', max_size=2)
+_VALUE = st.sampled_from(["0.0", "1.0", "-0.0", "2.5", "0", "1"])
+_ODD = st.sampled_from(["", " ", " 1", "1 ", "1.0", "2", "+1", "1_0", "1e400", "inf", "-nan", "x", "0x1", '"3"',
+                        '"1,5"', '"2"x', "\x1c1", "1\x1f", "\xa01", "1\x85", "\u0661", "1\r", '"1\n"'])
+
+
+def load_outcome(path):
+    """What load_dataset makes of ``path``: the dataset's columns, or the error it raises."""
+    try:
+        ds = load_dataset(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.ids, ds.X.tobytes(), ds.X.shape, ds.y.tolist(), {key: col.tobytes() for key, col in ds.meta.items()}
+
+
+class TestParsers:
+    """The C parse must accept and refuse what the Python scan does, with the same values."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_c_parse_matches_the_scan(self, data):
+        eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        rows = []
+        for i in range(data.draw(st.integers(0, 4))):
+            text = data.draw(_ID_TEXT) + str(i)  # the row index keeps the ids apart
+            sample_id = '"' + text.replace('"', '""') + '"' if data.draw(st.booleans()) else text
+            rows.append([sample_id, data.draw(st.sampled_from(["0", "1"])),
+                         *data.draw(st.lists(_VALUE, min_size=3, max_size=3))])
+        # now and then an odd cell, a cell too many or too few, a blank line or a repeated row
+        for _ in range(data.draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+            row = data.draw(st.sampled_from([row for row in rows if row]))
+            action = data.draw(st.sampled_from(["replace", "append", "pop", "blank", "repeat"]))
+            if action == "replace":
+                row[data.draw(st.integers(1, len(row) - 1))] = data.draw(_ODD)
+            elif action == "append":
+                row.append(data.draw(_VALUE))
+            elif action == "pop":
+                row.pop()
+            elif action == "blank":
+                rows.insert(rows.index(row), [])
+            else:
+                rows.append(list(row))
+        text = eol.join(["id,label,meta_size,f_0,f_1", *(",".join(row) for row in rows)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes((text + data.draw(st.sampled_from(["", eol]))).encode("utf-8"))
+            parsed = load_outcome(path)
+            with mock.patch("leakaudit.data._parse_rows", return_value=None):
+                assert load_outcome(path) == parsed
 
 
 class TestClassWeights:
