@@ -202,9 +202,10 @@ def _scan_rows(path: Path, n_cols: int, n_meta: int) -> tuple[list[str], list[in
     """The rows after the header, read value by value: the error path of :func:`load_dataset`.
 
     Raises :class:`IngestError` naming the first bad row, counting the
-    header as row 1 and blank lines too. Returns the rows only for the
-    literals that ``float()`` reads and the C parse does not, such as
-    ``1_0``.
+    header as row 1 and blank lines too; so does a row that :mod:`csv`
+    refuses, such as one with a field over ``csv.field_size_limit()``.
+    Returns the rows only for the literals that ``float()`` reads and the
+    C parse does not, such as ``1_0``.
     """
     row_of: dict[str, int] = {}  # sample id -> CSV row number, in file order
     labels: list[int] = []
@@ -212,26 +213,30 @@ def _scan_rows(path: Path, n_cols: int, n_meta: int) -> tuple[list[str], list[in
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, checked by the caller
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_cols:
-                raise IngestError(f"{path}: row {row_no}: expected {n_cols} columns, got {len(row)}")
-            sample_id = row[0]
-            if sample_id in row_of:
-                raise IngestError(f"{path}: row {row_no}: duplicate id {sample_id!r}")
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise IngestError(f"{path}: row {row_no}: non-integer label {row[1]!r}") from None
-            if label not in (0, 1):
-                raise IngestError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
-            try:
-                values.extend([float(v) for v in row[2:]])
-            except ValueError:
-                raise IngestError(f"{path}: row {row_no}: non-numeric value") from None
-            row_of[sample_id] = row_no
-            labels.append(label)
+        row_no = 1
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n_cols:
+                    raise IngestError(f"{path}: row {row_no}: expected {n_cols} columns, got {len(row)}")
+                sample_id = row[0]
+                if sample_id in row_of:
+                    raise IngestError(f"{path}: row {row_no}: duplicate id {sample_id!r}")
+                try:
+                    label = int(row[1])
+                except ValueError:
+                    raise IngestError(f"{path}: row {row_no}: non-integer label {row[1]!r}") from None
+                if label not in (0, 1):
+                    raise IngestError(f"{path}: row {row_no}: label must be 0 or 1, got {label}")
+                try:
+                    values.extend([float(v) for v in row[2:]])
+                except ValueError:
+                    raise IngestError(f"{path}: row {row_no}: non-numeric value") from None
+                row_of[sample_id] = row_no
+                labels.append(label)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit(), in the row after the last read
+            raise IngestError(f"{path}: row {row_no + 1}: {exc}") from None
 
     if not row_of:
         raise IngestError(f"{path}: no samples remain after cleaning")

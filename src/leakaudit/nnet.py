@@ -5,6 +5,15 @@ class-weighted binary cross-entropy, AdamW with decoupled weight decay,
 and early stopping on validation loss. Everything is plain numpy and
 bit-deterministic under the config seed.
 
+Models train in float32 and are scored in float64. A fit's parameters,
+moments, gradients, mini-batches and dropout masks are float32, and so
+are its per-epoch validation and train-loss forward passes; each loss
+is then taken in float64 from those logits, so that the best epoch and
+early stopping compare float64 losses. :func:`forward_logits`, and with
+it :func:`predict_confidences`, casts a model up to float64 before it
+scores, which is exact, so a trained model and its checkpoint, loaded
+as float64, score the same bytes.
+
 A model keeps all its weights and biases in one flat ``params`` vector,
 so one optimizer step is a single pass over one array.
 
@@ -17,11 +26,15 @@ steps; :func:`stack_capacity` sizes a stack to at most
 :data:`STACK_ELEMENTS` parameters in all, which keeps large models in
 stacks of one. Its input, :class:`FitJobs`, holds one feature matrix,
 label vector and validation set, and per job only its training rows and
-recipe: each step gathers the stack's mini-batches from the shared
-matrix by row, so no job's training set is copied. The models of a
+recipe. A stack casts the rows its jobs train on to float32 once, each
+row once however many jobs train on it (:meth:`FitJobs.packed`), and
+each step gathers the stack's mini-batches from them by row, so no
+job's training set is copied. The models of a
 stack share the recipe but the seed, and train a fixed number of
 epochs, as the shadows of a repetition do; only :func:`fit`, the stack
-of one, stops early. Each model gets the bytes :func:`fit` gives it alone.
+of one, stops early. Each model gets the bytes :func:`fit` gives it alone:
+its bias corrections are in the parameters' dtype, whatever the step
+counts of the stack's other models.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ CONF_CLIP_EPS = 1e-12
 # 6 at 2k parameters, and stacking stops paying from about 8k parameters
 # (the default 256x128 recipe on 64 features has 49,665).
 STACK_ELEMENTS = 2 ** 14
-# Hidden activations that one validation pass of a stack holds at most (512 KiB): a larger stack scores
+# Hidden activations that one validation pass of a stack holds at most (256 KiB): a larger stack scores
 # its validation set a block of models at a time, so that its peak memory stays near a lone model's.
 VALIDATION_ELEMENTS = 2 ** 16
 
@@ -132,6 +145,10 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return _view(self.params.copy(), self)
 
+    def astype(self, dtype) -> "MlpModel":
+        """This model with its params in ``dtype``: itself if they already are, else a copy."""
+        return self if self.params.dtype == dtype else _view(self.params.astype(dtype), self)
+
 
 @dataclass
 class TrainedModel:
@@ -182,7 +199,7 @@ def _forward(
         if train and p > 0.0:
             if rng is None:
                 raise ValueError("train-mode dropout requires an rng")
-            mask = (_uniforms(rng, a.shape) >= p) / (1.0 - p)
+            mask = np.divide(_uniforms(rng, a.shape) >= p, 1.0 - p, dtype=a.dtype)
             a = a * mask
         else:
             mask = None
@@ -206,8 +223,13 @@ def _uniforms(rng: np.random.Generator | Sequence[np.random.Generator], shape: t
 
 
 def forward_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """Batched inference logits (no dropout)."""
-    return _forward(model, np.asarray(X, dtype=float), False, None)
+    """Batched inference logits (no dropout), in float64 whatever the model's dtype."""
+    return _forward(model.astype(np.float64), np.asarray(X, dtype=float), False, None)
+
+
+def _loss_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Inference logits of a model in training, in its own dtype, cast up to float64 for the loss."""
+    return _forward(model, X, False, None).astype(float)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -263,8 +285,9 @@ def adamw_step(
     """In-place AdamW on flat ``params`` and moments ``m``, ``v``: adaptive step, then p -= lr*wd*p.
 
     For a stack the rows of the (K, P) arrays are the models and ``step``
-    holds each one's step index. Each bias correction is the Python float
-    ``1 - beta ** step``, whatever the stack.
+    holds each one's step index. Each bias correction is ``1 - beta ** step``
+    in the parameters' dtype, whatever the stack, so that a float32 step
+    meets no float64 value and a row steps as it would alone.
     """
     if (step if isinstance(step, int) else min(step)) < 1:
         raise ValueError(f"step index must be >= 1, got {step}")
@@ -272,9 +295,9 @@ def adamw_step(
         raise FloatingPointError("non-finite gradient")
     b1, b2 = betas
     if isinstance(step, int):
-        c1, c2 = 1 - b1 ** step, 1 - b2 ** step
+        c1, c2 = (params.dtype.type(1 - b ** step) for b in betas)
     else:
-        c1, c2 = (np.array([[1 - b ** s] for s in step]) for b in betas)
+        c1, c2 = (np.array([[1 - b ** s] for s in step], dtype=params.dtype) for b in betas)
     m *= b1
     m += (1 - b1) * grads
     v *= b2
@@ -312,9 +335,14 @@ class FitJobs:
         return replace(self, rows=self.rows[jobs], cfgs=self.cfgs[jobs])
 
     def packed(self) -> "FitJobs":
-        """The same jobs on only the rows of ``X`` and ``y`` that they train on, each row once."""
+        """The same jobs on only the rows of ``X`` and ``y`` that they train on, each row once, all in float32.
+
+        The features, labels and validation set are cast to float32, the
+        training dtype, once here, which also halves what a helper is sent.
+        """
         union = np.unique(np.concatenate(self.rows))
-        return replace(self, X=self.X[union], y=self.y[union], rows=[np.searchsorted(union, r) for r in self.rows])
+        X, y, X_val = (a.astype(np.float32, copy=False) for a in (self.X[union], self.y[union], self.X_val))
+        return replace(self, X=X, y=y, X_val=X_val, rows=[np.searchsorted(union, r) for r in self.rows])
 
 
 def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
@@ -334,9 +362,10 @@ class _Lane:
     def __init__(self, y: np.ndarray, rows: np.ndarray, cfg: TrainConfig, dim: int):
         self.rows = rows
         self.weights = class_weights(y[rows])
-        self.pos = y[rows] == 1  # the per-epoch train loss reads these and the weights
-        self.w = np.where(self.pos, self.weights[1], self.weights[0])
-        self.init = init_model(dim, cfg)
+        self.pos = y[rows] == 1  # the per-epoch train loss reads these and the float64 weights
+        self.loss_w = np.where(self.pos, self.weights[1], self.weights[0])
+        self.w = self.loss_w.astype(np.float32)  # each row's class weight in its steps
+        self.init = init_model(dim, cfg).astype(np.float32)
         self.shuffle_rng = derive_rng(cfg.seed, "shuffle")
         self.dropout_rng = derive_rng(cfg.seed, "dropout")
         self.full = len(rows) // cfg.batch_size  # full mini-batches per epoch; a shorter last one runs alone
@@ -349,7 +378,7 @@ class _Lane:
 
     def end_epoch(self, epoch: int, model: MlpModel, X: np.ndarray, val_loss: float) -> None:
         """Record ``model``'s losses after ``epoch`` from its training features and validation loss; keep the best."""
-        self.train_losses.append(float(_mean_bce(forward_logits(model, X), self.pos, self.w)))
+        self.train_losses.append(float(_mean_bce(_loss_logits(model, X), self.pos, self.loss_w)))
         self.val_losses.append(val_loss)
         if val_loss < self.best_val:
             self.best_val, self.best_epoch, self.best = val_loss, epoch, model.copy()
@@ -373,9 +402,10 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
 
     Each epoch every model draws its own permutation of its rows. The
     models with a full mini-batch left take that step together, their
-    batches gathered from ``jobs.X`` by one ``np.take``, so the models are
-    ordered by their count of full batches and each step's stack is a
-    prefix of them; a shorter last batch runs on its own, unpadded.
+    batches gathered from the float32 rows of ``jobs.packed()`` by one
+    ``np.take``, so the models are ordered by their count of full batches
+    and each step's stack is a prefix of them; a shorter last batch runs
+    on its own, unpadded.
     """
     cfg, dim = jobs.cfgs[0], jobs.X.shape[1]
     if jobs.X_val.shape[1] != dim:
@@ -384,13 +414,14 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
         raise ValueError("the jobs of a stack must share the architecture and every other setting but the seed")
     if len(jobs) > 1 and cfg.fixed_epochs is None:
         raise ValueError("the jobs of a stack must train fixed_epochs; only a stack of one stops early")
+    jobs = jobs.packed()
     in_job_order = [_Lane(jobs.y, rows, job_cfg, dim) for rows, job_cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
     lanes = sorted(in_job_order, key=lambda lane: -lane.full)
     batch, like = cfg.batch_size, lanes[0].init
     params = np.stack([lane.init.params for lane in lanes])
     m, v, grads = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
     epoch_rows = np.empty((len(lanes), lanes[0].full * batch), dtype=np.intp)  # the full batches, step after step
-    w_epoch = np.empty(epoch_rows.shape)
+    w_epoch = np.empty(epoch_rows.shape, dtype=np.float32)
     val_pos = jobs.y_val == 1
     val_block = max(1, VALIDATION_ELEMENTS // (len(val_pos) * max(cfg.hidden_dims, default=1)))  # models per validation pass
     val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes])
@@ -433,7 +464,7 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
             step(k, 1, rows, w, starts[k] + lanes[k].full + 1)
 
         # the shared validation set, scored a block of the stack at a time with each model's class weights
-        val_logits = np.concatenate([forward_logits(block(k, min(val_block, len(lanes) - k))[0], jobs.X_val)
+        val_logits = np.concatenate([_loss_logits(block(k, min(val_block, len(lanes) - k))[0], jobs.X_val)
                                      .reshape(-1, len(val_pos)) for k in range(0, len(lanes), val_block)])
         val_losses = _mean_bce(val_logits, val_pos, val_w).tolist()
         for k, lane in enumerate(lanes):
@@ -446,7 +477,7 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
 
 
 def predict_confidences(model: MlpModel | TrainedModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized true-label confidences, clipped into (0, 1)."""
+    """Vectorized true-label confidences in float64, whatever the model's dtype, clipped into (0, 1)."""
     if isinstance(model, TrainedModel):
         model = model.model
     y = np.asarray(y)
@@ -458,7 +489,11 @@ def predict_confidences(model: MlpModel | TrainedModel, X: np.ndarray, y: np.nda
 
 
 def save_model(trained: TrainedModel, path: str | Path) -> None:
-    """Checkpoint to an .npz container; round-trip exact."""
+    """Checkpoint to an .npz container in the params' dtype, float32 for a trained model; round-trip exact.
+
+    :func:`load_model` reads the layers back as float64, which is exact,
+    so the loaded model scores the bytes the trained one does.
+    """
     model = trained.model
     arrays = {}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):

@@ -48,10 +48,12 @@ __all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
 # the other cores save.
 MIN_FIT_SECONDS = 1.0
 # One optimizer step on one core: a fixed cost for the Python and numpy calls
-# plus a cost per multiply-add of one row through the layers. Fitted to
-# one-thread-BLAS fits of 8-unit to 256x128-unit MLPs on a 2-vCPU host.
-STEP_BASE_S = 100e-6
-MULTIPLY_ADD_S = 0.8e-9
+# plus a cost per multiply-add of one row through the layers. Fitted to lone
+# float32 fits, one-thread BLAS, batch 64, on a 2-vCPU host: 8 units on 16
+# features, 32 and 128 units on 64, and 256x128 units on 64, 256 and 2,048
+# features. They took 113 us to 8.3 ms a step, each within 0.7x to 1.2x of this.
+STEP_BASE_S = 110e-6
+MULTIPLY_ADD_S = 0.25e-9
 
 # -S skips the site module, a fifth of a helper's start-up; the parent's own
 # import path, passed as arguments, stands in for what site would add

@@ -84,15 +84,18 @@ def loss_and_grads(
 
     ``nnet.fit`` and ``nnet.fit_stack`` take the same gradients without the
     loss; this is the reference their training step is checked against.
+    The batch, its labels and its class weights are cast to the model's
+    dtype, float32 for a model as it trains; the loss is taken in float64.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=model.params.dtype)
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     cache: list = []
     logits = _forward(model, X, train, rng, cache)
     grads = model.copy()
-    _backward(model, cache, _output_delta(_sigmoid(logits), y, np.where(y == 1, weights[1], weights[0])), grads)
+    w = np.where(y == 1, weights[1], weights[0]).astype(X.dtype)
+    _backward(model, cache, _output_delta(_sigmoid(logits), y.astype(X.dtype), w), grads)
     return weighted_bce_loss(logits, y, weights), grads.weights, grads.biases
 
 

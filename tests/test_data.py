@@ -242,8 +242,11 @@ class TestIngest:
          "header must start with 'id','label', got ['\\ufeffid', 'label']"),
         ("id,label,meta_size,f_0,f_1\n", "{path}: no samples remain after cleaning"),
         ("id,label,meta_size,f_0,f_1\n\n\n", "{path}: no samples remain after cleaning"),
+        # the control character of row 5 sends the file to the scan, where csv refuses row 4's 140,000-character id
+        ("id,label,meta_size,f_0,f_1\na,1,0.0,1.0,2.0\n\n" + "x" * 140_000 + ",0,1.0,3.0,4.0\nb,0,0.0,\x1c5.0,6.0\n",
+         "{path}: row 4: field larger than field limit (131072)"),
     ], ids=["extra-column", "blank-lines-then-nan", "float-label", "control-char-in-feature", "bom",
-            "header-only", "header-and-blank-lines"])
+            "header-only", "header-and-blank-lines", "field-over-csv-limit"])
     def test_refused_edge_cases(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))

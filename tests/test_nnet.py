@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import leakaudit.nnet as nnet
 from leakaudit.data import Dataset, class_weights
 from leakaudit.nnet import (
     FitJobs,
     MlpModel,
     TrainConfig,
+    _forward,
     adamw_step,
     fit,
     fit_stack,
@@ -31,6 +33,11 @@ def toy_dataset(n=40, dim=4, seed=0, separation=3.0):
     X = rng.normal(size=(n, dim))
     X[labels == 1] += separation / np.sqrt(dim)
     return Dataset([f"t{i}" for i in range(n)], X, labels)
+
+
+def training_logits(model, X):
+    """The float32 inference logits that a fit takes its per-epoch losses from."""
+    return _forward(model, np.asarray(X, dtype=np.float32), False, None)
 
 
 def numeric_gradients(model, X, y, weights, eps=1e-6):
@@ -258,6 +265,22 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step(params, grads, m, v, 1e-2, 1e-3, [1, 0, 2])
 
+    def test_float32_rows_step_in_float32_as_they_would_alone(self):
+        """A per-row step list, as a stack whose models have taken different step counts gets, keeps float32 bytes."""
+        rng = np.random.default_rng(9)
+        params = rng.normal(size=(3, 7)).astype(np.float32)
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        rows = [(p.copy(), mi.copy(), vi.copy()) for p, mi, vi in zip(params, m, v)]
+        for shift in range(4):
+            grads = rng.normal(size=(3, 7)).astype(np.float32)
+            steps = [1 + shift, 9 + shift, 1000 + shift]
+            adamw_step(params, grads, m, v, 1e-2, 1e-3, steps)
+            for (p, mi, vi), g, step in zip(rows, grads, steps):
+                adamw_step(p, g, mi, vi, 1e-2, 1e-3, step)
+        assert {a.dtype for a in (params, m, v, *(a for row in rows for a in row))} == {np.dtype(np.float32)}
+        for k, stacked in enumerate((params, m, v)):
+            assert stacked.tobytes() == np.stack([row[k] for row in rows]).tobytes()
+
 
 class TestFit:
     def test_separable_data_reaches_full_train_accuracy(self):
@@ -286,7 +309,7 @@ class TestFit:
         import leakaudit.data as data_mod
         cw = data_mod.class_weights(ds.y)
         val_loss = weighted_bce_loss(
-            forward_logits(trained.model, val.features_array()), val.labels_array(), cw
+            training_logits(trained.model, val.features_array()), val.labels_array(), cw
         )
         assert val_loss == pytest.approx(min(trained.val_losses), rel=1e-12)
 
@@ -299,8 +322,8 @@ class TestFit:
         trained = fit(train, val, TrainConfig(hidden_dims=(5,), dropout_rate=0.2, fixed_epochs=1, seed=1))
         cw = class_weights(train.y)
         assert cw[0] != cw[1]
-        assert trained.train_losses == [weighted_bce_loss(forward_logits(trained.model, train.X), train.y, cw)]
-        assert trained.val_losses == [weighted_bce_loss(forward_logits(trained.model, val.X), val.y, cw)]
+        assert trained.train_losses == [weighted_bce_loss(training_logits(trained.model, train.X), train.y, cw)]
+        assert trained.val_losses == [weighted_bce_loss(training_logits(trained.model, val.X), val.y, cw)]
 
     def test_early_stopping_stops_after_patience(self):
         ds = toy_dataset(n=30, separation=1.0)
@@ -335,16 +358,45 @@ class TestFit:
     def test_training_steps_match_the_loss_and_grads_reference(self):
         ds = toy_dataset(n=50)
         cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=8, fixed_epochs=1, seed=3)
-        model = init_model(ds.dimension, cfg)
+        model = init_model(ds.dimension, cfg).astype(np.float32)
         shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
         m, v = np.zeros_like(model.params), np.zeros_like(model.params)
         perm = shuffle_rng.permutation(len(ds))
+        X = ds.X.astype(np.float32)
         for step, start in enumerate(range(0, len(ds), cfg.batch_size), start=1):
             idx = perm[start:start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(model, ds.X[idx], ds.y[idx], class_weights(ds.y), train=True, rng=dropout_rng)
+            _, gw, gb = loss_and_grads(model, X[idx], ds.y[idx], class_weights(ds.y), train=True, rng=dropout_rng)
             grads = np.concatenate([g.ravel() for g in gw + gb])
             adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
         assert fit(ds, ds, cfg).model.params.tobytes() == model.params.tobytes()
+
+    def test_float32_training_stays_near_the_float64_reference(self):
+        """25 epochs of fit against the loss_and_grads and adamw_step loop run in float64 on the same draws."""
+        train = toy_dataset(n=60, dim=6, seed=7, separation=2.0)
+        val = toy_dataset(n=30, dim=6, seed=8, separation=2.0)
+        cfg = TrainConfig(hidden_dims=(16, 8), dropout_rate=0.2, batch_size=16, learning_rate=1e-2,
+                          fixed_epochs=25, seed=5)
+        trained = fit(train, val, cfg)
+        model = init_model(train.dimension, cfg)
+        shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
+        m, v = np.zeros_like(model.params), np.zeros_like(model.params)
+        cw = class_weights(train.y)
+        step, params, val_losses = 0, [], []
+        for _ in range(cfg.fixed_epochs):
+            perm = shuffle_rng.permutation(len(train))
+            for start in range(0, len(train), cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                _, gw, gb = loss_and_grads(model, train.X[idx], train.y[idx], cw, train=True, rng=dropout_rng)
+                step += 1
+                adamw_step(model.params, np.concatenate([g.ravel() for g in gw + gb]), m, v,
+                           cfg.learning_rate, cfg.weight_decay, step)
+            params.append(model.params.copy())
+            val_losses.append(weighted_bce_loss(forward_logits(model, val.X), val.y, cw))
+        assert (trained.model.params.dtype, model.params.dtype) == (np.float32, np.float64)
+        assert trained.best_epoch == int(np.argmin(val_losses)) + 1
+        reference = params[trained.best_epoch - 1]
+        assert np.max(np.abs(trained.model.params - reference)) <= 1e-4 * np.max(np.abs(reference))
+        assert np.allclose(trained.val_losses, val_losses, rtol=1e-5, atol=0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -408,17 +460,39 @@ class TestStack:
         jobs = replace(jobs, cfgs=[replace(cfg, fixed_epochs=1) for cfg in jobs.cfgs])
         for j, stacked in enumerate(fit_stack(jobs)):
             d_train, _, cfg = alone(jobs, j)
-            model = init_model(d_train.dimension, cfg)
+            model = init_model(d_train.dimension, cfg).astype(np.float32)
             shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
             m, v = np.zeros_like(model.params), np.zeros_like(model.params)
             perm = shuffle_rng.permutation(len(d_train))
+            X = d_train.X.astype(np.float32)
             for step, start in enumerate(range(0, len(d_train), cfg.batch_size), start=1):
                 idx = perm[start:start + cfg.batch_size]
-                _, gw, gb = loss_and_grads(model, d_train.X[idx], d_train.y[idx], class_weights(d_train.y),
+                _, gw, gb = loss_and_grads(model, X[idx], d_train.y[idx], class_weights(d_train.y),
                                            train=True, rng=dropout_rng)
                 grads = np.concatenate([g.ravel() for g in gw + gb])
                 adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
             assert stacked.model.params.tobytes() == model.params.tobytes()
+
+    def test_a_stack_trains_in_float32_and_keeps_its_losses_in_float64(self, monkeypatch):
+        """Every batch, logit, output delta, parameter, moment and gradient of a stacked fit is float32."""
+        seen = set()
+
+        def recorded(name):
+            real = getattr(nnet, name)
+
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.update((name, a.dtype) for a in (*args, out) if isinstance(a, np.ndarray))
+                return out
+            monkeypatch.setattr(nnet, name, call)
+
+        for name in ("_forward", "_output_delta", "adamw_step"):
+            recorded(name)
+        jobs = stack_jobs()
+        models = fit_stack(replace(jobs, cfgs=[replace(cfg, fixed_epochs=2) for cfg in jobs.cfgs]))
+        assert seen == {(name, np.dtype(np.float32)) for name in ("_forward", "_output_delta", "adamw_step")}
+        assert {t.model.params.dtype for t in models} == {np.dtype(np.float32)}
+        assert {type(loss) for t in models for loss in t.train_losses + t.val_losses} == {float}
 
     @pytest.mark.parametrize("change", [{"learning_rate": 2e-2}, {"fixed_epochs": 29}, {"patience": 4},
                                         {"max_epochs": 31}, {"hidden_dims": (6, 4)}])
@@ -435,15 +509,17 @@ class TestStack:
             fit_stack(replace(jobs, cfgs=[replace(cfg, fixed_epochs=None) for cfg in jobs.cfgs]))
 
     def test_a_packed_stack_holds_each_row_it_trains_on_once_and_trains_the_same(self):
+        """In float32, the training dtype: the features, labels and validation set, each cast once."""
         jobs = stack_jobs()
         jobs = replace(jobs, rows=[jobs.rows[0][::-1], *jobs.rows[1:3], jobs.rows[3] + 70])  # rows 0-51, 76-112
         packed = jobs.packed()
         union = np.unique(np.concatenate(jobs.rows))
-        assert len(union) == 52 + 37 and np.array_equal(packed.X, jobs.X[union])
+        assert {packed.X.dtype, packed.y.dtype, packed.X_val.dtype} == {np.dtype(np.float32)}
+        assert len(union) == 52 + 37 and np.array_equal(packed.X, jobs.X[union].astype(np.float32))
         for rows, packed_rows in zip(jobs.rows, packed.rows, strict=True):
-            assert np.array_equal(packed.X[packed_rows], jobs.X[rows])
+            assert np.array_equal(packed.X[packed_rows], jobs.X[rows].astype(np.float32))
             assert np.array_equal(packed.y[packed_rows], jobs.y[rows])
-        assert packed.X_val is jobs.X_val and packed.cfgs == jobs.cfgs
+        assert np.array_equal(packed.X_val, jobs.X_val.astype(np.float32)) and packed.cfgs == jobs.cfgs
         for model, packed_model in zip(fit_stack(jobs), fit_stack(packed), strict=True):
             assert same_model(model, packed_model)
 
@@ -465,6 +541,13 @@ class TestPredict:
         )
         conf = predict_confidences(model, np.array([[100.0]]), np.array([1]))[0]
         assert 0.0 < conf < 1.0
+
+    def test_a_float32_model_scores_in_float64(self):
+        """A logit of 20 saturates a float32 sigmoid; scored in float64 it keeps its distance from 1."""
+        model = MlpModel(weights=[np.array([[20.0]])], biases=[np.array([0.0])], dropout_rate=0.0,
+                         input_dim=1).astype(np.float32)
+        conf = predict_confidences(model, np.array([[1.0]]), np.array([0]))
+        assert conf.dtype == np.float64 and conf[0] == pytest.approx(np.exp(-20.0), rel=1e-6)
 
     def test_rejects_non_binary_labels(self):
         model = init_model(2, TrainConfig(hidden_dims=(2,)))
@@ -491,3 +574,15 @@ class TestPersistence:
         assert np.array_equal(
             forward_logits(trained.model, X), forward_logits(loaded.model, X)
         )
+
+    def test_a_checkpoint_holds_float32_and_its_model_scores_the_same_bytes(self, tmp_path):
+        ds = toy_dataset()
+        trained = fit(ds, ds, TrainConfig(hidden_dims=(5, 3), seed=3, max_epochs=4))
+        save_model(trained, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as npz:
+            assert {npz[f"{kind}_{i}"].dtype for kind in "wb" for i in range(3)} == {np.dtype(np.float32)}
+        loaded = load_model(tmp_path / "model.npz")
+        assert (trained.model.params.dtype, loaded.model.params.dtype) == (np.float32, np.float64)
+        in_memory, from_disk = (predict_confidences(t, ds.X, ds.y) for t in (trained, loaded))
+        assert in_memory.dtype == from_disk.dtype == np.float64
+        assert in_memory.tobytes() == from_disk.tobytes()

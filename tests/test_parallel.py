@@ -222,9 +222,12 @@ def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monke
         models = helpers.submit(jobs(cfgs, rows)).wait()
     # two helpers, so a stack of one job each
     assert [len(stack) for stack in sent] == [1, 1]
+    # in float32, the training dtype, which halves the features sent
     for stack, job_rows in zip(sent, rows, strict=True):
-        assert np.array_equal(stack.X, pool.X[np.sort(job_rows)]) and np.array_equal(stack.y, pool.y[np.sort(job_rows)])
-        assert np.array_equal(stack.X_val, candidates.X)
+        assert stack.X.dtype == stack.X_val.dtype == np.float32
+        assert np.array_equal(stack.X, pool.X[np.sort(job_rows)].astype(np.float32))
+        assert np.array_equal(stack.y, pool.y[np.sort(job_rows)])
+        assert np.array_equal(stack.X_val, candidates.X.astype(np.float32))
     for model, job_rows, cfg in zip(models, rows, cfgs, strict=True):
         alone = fit(pool.take(job_rows), candidates, cfg)
         assert model.model.params.tobytes() == alone.model.params.tobytes()
