@@ -3,23 +3,24 @@
 Each repetition writes its artifacts (challenge, checkpoints, ensemble
 manifest, score and ROC CSVs) into its own directory, with its membership
 only in ``challenge.json``, and finishes with a ``rep_report.json``
-marker. :func:`_draw_rep` alone draws a repetition: its challenge, split
-included, and its shadows. A run draws every repetition first, then
+marker, whose presence alone says that the repetition is stored.
+:func:`_draw_rep` alone draws a repetition: its challenge, split
+included, and its shadows. A run and a re-attack share one loop
+(:func:`_run_reps`): it draws every repetition and checks each stored one
+against its ``challenge.json`` and ``manifest.json`` (:func:`_stale`)
+before anything is trained, loaded or written. Then a stored repetition
+is loaded from its checkpoints, and a run trains any other one: it
 starts the target's fit, trains the shadows and queries the target, in
-that one order whether the fits run in-process or in helpers. A run and
-a re-attack finish every repetition the same way (:func:`_finish_rep`),
-from the target's game and the shadow ensemble to the score and ROC CSVs
-and the ``rep_report.json``, and both aggregate into ``report.json``
-through :func:`_write_report`. Before anything is trained, loaded or
-written, a stored repetition (one with a marker, when a run resumes;
-every one, when a re-attack runs) is checked: its draw must match its
-``challenge.json`` and ``manifest.json`` (:func:`_stale`), or the whole
-command refuses. So a resumed run reproduces byte-identical outputs.
-Both reports are replaced atomically. The attacks and the evaluation
-take plain arrays in the one candidate order of :mod:`leakaudit.attacks`,
-the rows of the repetition's ``TargetArtifacts``. A sample's id is read
-only where a file names it: ``challenge.json``, ``manifest.json``, the
-score CSVs and ``rep_report.json``'s identified sets.
+that one order whether the fits run in-process or in helpers. Each ends
+in :func:`_finish_rep`, from the target's game and the shadow ensemble to
+the score and ROC CSVs and the ``rep_report.json``, and all aggregate
+into ``report.json``. So a resumed run writes what a fresh run with its
+config writes. Both reports are replaced atomically. The attacks and the
+evaluation take plain arrays in the one candidate order of
+:mod:`leakaudit.attacks`, the rows of the repetition's
+``TargetArtifacts``. A sample's id is read only where a file names it:
+``challenge.json``, ``manifest.json``, the score CSVs and
+``rep_report.json``'s identified sets.
 """
 
 from __future__ import annotations
@@ -116,18 +117,27 @@ def _draw_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int) -> tuple[Challe
 
 
 def _run_single_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, challenge: Challenge, shadows: ShadowPlan,
-                    rep_dir: Path, helpers: FitHelpers) -> dict:
-    # with helpers every fit is queued before the first wait, the target, the longest, first
-    target = start_fits(dataset, *target_job(challenge, cfg.train), helpers)
-    ensemble = train_shadow_ensemble(dataset, shadows, cfg.train, helpers)
-    artifacts = run_game(dataset, challenge, target()[0])
+                    rep_dir: Path, helpers: FitHelpers, stored: bool) -> dict:
+    """Load a stored repetition from its checkpoints, or train and save any other, then finish it.
 
-    rep_dir.mkdir(parents=True, exist_ok=True)
-    save_model(artifacts.model, rep_dir / "target.npz")
-    for name, shadow in zip(ensemble.checkpoints, ensemble.models):
-        save_model(shadow, rep_dir / name)
-    save_manifest(ensemble, rep_dir / "manifest.json", dataset.ids)
-    save_challenge(challenge, rep_dir / "challenge.json", dataset.ids)
+    Its models go when this returns, so a run or a re-attack holds one repetition's at a time.
+    """
+    if stored:
+        artifacts = run_game(dataset, challenge, load_model(rep_dir / "target.npz"))
+        ensemble = ShadowEnsemble(**vars(shadows), models=tuple(
+            load_model(rep_dir / name) for name in shadows.checkpoints))
+    else:
+        # with helpers every fit is queued before the first wait, the target, the longest, first
+        target = start_fits(dataset, *target_job(challenge, cfg.train), helpers)
+        ensemble = train_shadow_ensemble(dataset, shadows, cfg.train, helpers)
+        artifacts = run_game(dataset, challenge, target()[0])
+
+        rep_dir.mkdir(parents=True, exist_ok=True)
+        save_model(artifacts.model, rep_dir / "target.npz")
+        for name, shadow in zip(ensemble.checkpoints, ensemble.models):
+            save_model(shadow, rep_dir / name)
+        save_manifest(ensemble, rep_dir / "manifest.json", dataset.ids)
+        save_challenge(challenge, rep_dir / "challenge.json", dataset.ids)
     return _finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
 
 
@@ -199,59 +209,70 @@ def _write_json(path: Path, obj: dict) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run (or resume) all repetitions and write the aggregated report JSON.
 
-    Each repetition is drawn first (see :func:`_draw_rep`). A completed
-    one, whose ``rep_report.json`` marker exists, is resumed only if its
-    draw matches its stored files (see :func:`_stale`); one that differs
-    raises before anything is trained or written. Each completed
-    repetition, fresh or resumed, contributes its summary and its drawn
-    members. A repetition that fails, or whose stored files cannot be
-    read, is recorded under ``errors`` and the experiment continues with
-    the remaining ones. When a repetition's fits are large enough to repay
-    their start-up, the target and the shadows train side by side in helper
-    processes (see :mod:`leakaudit.parallel`), which all end before this
-    returns.
+    A resume scores each stored repetition again from its checkpoints with
+    ``cfg``'s attacks and FPR targets, and trains the others (see
+    :func:`_run_reps`). Large enough fits train side by side in helper
+    processes (see :mod:`leakaudit.parallel`), which end before this returns.
+    """
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    return _run_reps(cfg, train=True)
+
+
+def rerun_attacks(cfg: ExperimentConfig) -> dict:
+    """Re-attack every stored repetition with ``cfg``'s attacks and rewrite both reports, as a run does.
+
+    It is a resumed run that trains nothing (see :func:`_run_reps`). With
+    no repetition stored, it raises :class:`FileNotFoundError` and writes nothing.
+    """
+    return _run_reps(cfg, train=False)
+
+
+def _run_reps(cfg: ExperimentConfig, train: bool) -> dict:
+    """Draw and check every repetition, finish each in turn, and write ``report.json``.
+
+    A stored repetition, one with a ``rep_report.json`` marker, whose draw
+    differs from its stored files (see :func:`_stale`) raises before
+    anything is trained, loaded or written. Then, one at a time, a stored
+    repetition is loaded from its checkpoints, any other is trained and
+    saved if ``train`` is set, and each ends in :func:`_finish_rep`. A
+    repetition that fails, or has no marker with ``train`` unset, is
+    recorded under ``errors`` and the others go on.
     """
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)
-
-    drawn: list[tuple[int, Path, Challenge, ShadowPlan, dict | None]] = []
+    drawn: list[tuple[int, Path, Challenge, ShadowPlan, bool]] = []
     errors: dict[str, str] = {}
     for rep in range(cfg.repetitions):
         rep_dir = _rep_dir(out_dir, rep)
-        marker = rep_dir / "rep_report.json"
         try:
             challenge, shadows = _draw_rep(dataset, cfg, rep)
-            summary = json.loads(marker.read_text(encoding="utf-8")) if marker.exists() else None
-            stale = summary is not None and _stale(rep_dir, dataset.ids, challenge, shadows)
+            stored = (rep_dir / "rep_report.json").exists()
+            if not (stored or train):
+                raise FileNotFoundError(f"{rep_dir}: no rep_report.json, the repetition is incomplete")
+            stale = stored and _stale(rep_dir, dataset.ids, challenge, shadows)
         except Exception as exc:  # noqa: BLE001 - record and continue
             log.exception("repetition %d failed", rep)
             errors[str(rep)] = f"{type(exc).__name__}: {exc}"
             continue
         if stale:
             raise ValueError(stale)
-        drawn.append((rep, rep_dir, challenge, shadows, summary))
+        drawn.append((rep, rep_dir, challenge, shadows, stored))
+    if not (drawn or train):
+        raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
 
-    rep_summaries: list[dict] = []
+    summaries: list[dict] = []
     member_sets: list[set[str]] = []
+    # the helpers start at the first fit queued, so a re-attack starts none
     with FitHelpers(helper_count(_fit_seconds(cfg, dataset))) as helpers:
-        for rep, rep_dir, challenge, shadows, summary in drawn:
+        for rep, rep_dir, challenge, shadows, stored in drawn:
             try:
-                if summary is None:
-                    summary = _run_single_rep(dataset, cfg, rep, challenge, shadows, rep_dir, helpers)
+                summaries.append(_run_single_rep(dataset, cfg, rep, challenge, shadows, rep_dir, helpers, stored))
             except Exception as exc:  # noqa: BLE001 - record and continue
                 log.exception("repetition %d failed", rep)
                 errors[str(rep)] = f"{type(exc).__name__}: {exc}"
                 continue
-            rep_summaries.append(summary)
             member_sets.append({dataset.ids[r] for r in challenge.members.tolist()})
-    return _write_report(dataset, cfg, rep_summaries, member_sets, errors)
-
-
-def _write_report(dataset: Dataset, cfg: ExperimentConfig, reps: Sequence[dict],
-                  member_sets: Sequence[set[str]], errors: dict[str, str]) -> dict:
-    """Aggregate the repetition summaries (see :func:`_aggregate`) and write them as ``report.json``."""
-    return _write_json(Path(cfg.output_dir) / "report.json", _aggregate(dataset, cfg, reps, member_sets, errors))
+    return _write_json(out_dir / "report.json", _aggregate(dataset, cfg, summaries, member_sets, errors))
 
 
 def _aggregate(
@@ -343,43 +364,6 @@ def _characteristic(identified: list[set[str]], member_sets: Sequence[set[str]],
         return {"not_applicable": str(exc)}
     return {**extra, identified_name: res.identified_summary, rest_name: res.rest_summary,
             "p_value": res.test.p_value, "stars": res.stars, "n_skipped": res.n_skipped}
-
-
-def rerun_attacks(cfg: ExperimentConfig) -> dict:
-    """Re-attack every stored repetition with ``cfg``'s attacks and rewrite both reports, as a run does.
-
-    Every stored challenge and shadow draw is drawn again from ``cfg``
-    before any model is loaded; one that differs from its
-    ``challenge.json`` or ``manifest.json`` (see :func:`_stale`) raises and
-    changes no file. A repetition whose files cannot be read is recorded
-    under ``errors``; with none readable, this raises :class:`FileNotFoundError`.
-    """
-    out_dir = Path(cfg.output_dir)
-    dataset = build_dataset(cfg)
-    stored: list[tuple[int, Path, TargetArtifacts, ShadowEnsemble]] = []
-    errors: dict[str, str] = {}
-    for rep in range(cfg.repetitions):
-        rep_dir = _rep_dir(out_dir, rep)
-        try:
-            challenge, shadows = _draw_rep(dataset, cfg, rep)
-            stale = _stale(rep_dir, dataset.ids, challenge, shadows)
-            if not stale:
-                artifacts = run_game(dataset, challenge, load_model(rep_dir / "target.npz"))
-                ensemble = ShadowEnsemble(**vars(shadows), models=tuple(
-                    load_model(rep_dir / name) for name in shadows.checkpoints))
-        except Exception as exc:  # noqa: BLE001 - record and continue
-            errors[str(rep)] = f"{type(exc).__name__}: {exc}"
-            log.warning("repetition %d cannot be re-attacked: %s", rep, errors[str(rep)])
-            continue
-        if stale:
-            raise ValueError(stale)
-        stored.append((rep, rep_dir, artifacts, ensemble))
-    if not stored:
-        raise FileNotFoundError(f"no stored repetition artifacts under {out_dir}")
-    summaries = [_finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
-                 for rep, rep_dir, artifacts, ensemble in stored]
-    members = [{dataset.ids[r] for r in artifacts.challenge.members.tolist()} for _, _, artifacts, _ in stored]
-    return _write_report(dataset, cfg, summaries, members, errors)
 
 
 def _stale(rep_dir: Path, ids: Sequence[str], challenge: Challenge, shadows: ShadowPlan) -> str | None:

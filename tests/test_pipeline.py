@@ -156,6 +156,11 @@ def files(out: Path) -> dict[str, bytes]:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def run_files(out: Path) -> dict[str, bytes]:
+    """The files ``run`` writes under ``out``, without the tables ``report`` rendered there."""
+    return {name: data for name, data in files(out).items() if name == "report.json" or name.startswith("rep_")}
+
+
 class TestRerunAttacks:
     def test_another_gamma_rewrites_both_reports_as_a_fresh_run_writes_them(self, run_dir, tmp_path):
         cfg = replace(copy_run(run_dir, tmp_path / "attacked"), rmia=RmiaParams(gamma=1.5))
@@ -193,6 +198,18 @@ class TestRerunAttacks:
         with pytest.raises(ValueError, match=rf"rep_000: .*shadows: manifest.json field '{field}' differs"):
             rerun_attacks(replace(cfg, shadow=replace(cfg.shadow, **shadow)))
         assert files(tmp_path) == before
+
+    def test_each_repetition_is_finished_before_the_next_is_loaded(self, run_dir, tmp_path, monkeypatch):
+        cfg = copy_run(run_dir, tmp_path)
+        events = []
+        real_load, real_finish = pipeline.load_model, pipeline._finish_rep
+        monkeypatch.setattr(pipeline, "load_model", lambda path: events.append(Path(path).parent.name)
+                            or real_load(path))
+        monkeypatch.setattr(pipeline, "_finish_rep", lambda *args: events.append(f"finish {args[2]}")
+                            or real_finish(*args))
+        rerun_attacks(cfg)
+        models = 1 + TINY.shadow.count
+        assert events == ["rep_000"] * models + ["finish 0"] + ["rep_001"] * models + ["finish 1"]
 
     def test_repetition_without_models_is_an_error(self, run_dir, tmp_path):
         cfg = copy_run(run_dir, tmp_path)
@@ -238,6 +255,38 @@ class TestResume:
             run_experiment(replace(cfg, **change))
         assert files(tmp_path) == before
 
+    @pytest.mark.parametrize("change", [
+        {"rmia": RmiaParams(gamma=1.5)},
+        {"fpr_targets": (*TINY.fpr_targets, 0.01)},
+    ], ids=["gamma", "fpr_target"])
+    def test_changed_attack_settings_rewrite_every_file_as_a_fresh_run_writes_them(self, run_dir, tmp_path, change):
+        """Both stored repetitions are scored again from their checkpoints with the config given."""
+        cfg = replace(copy_run(run_dir, tmp_path / "resumed"), **change)
+        report = run_experiment(cfg)
+        assert report["errors"] == {}
+
+        fresh_report = run_experiment(replace(cfg, output_dir=str(tmp_path / "fresh")))
+        assert files(tmp_path / "resumed") == files(tmp_path / "fresh")
+        assert report == fresh_report
+
+    @pytest.mark.parametrize("checkpoint", ["target.npz", "shadow_01.npz"])
+    def test_marked_repetition_without_a_checkpoint_is_an_error_and_the_run_goes_on(self, run_dir, tmp_path,
+                                                                                    checkpoint):
+        cfg = copy_run(run_dir, tmp_path)
+        (tmp_path / "rep_001" / checkpoint).unlink()
+        report = run_experiment(cfg)
+        assert report["n_repetitions_completed"] == 1
+        assert list(report["errors"]) == ["1"]
+        error = report["errors"]["1"]
+        assert error.startswith("FileNotFoundError") and f"rep_001/{checkpoint}" in error
+        assert report["repetitions"] == run_dir[2]["repetitions"][:1]
+
+    def test_a_marker_is_not_read_and_a_garbled_one_is_rewritten(self, run_dir, tmp_path):
+        cfg = copy_run(run_dir, tmp_path)
+        (tmp_path / "rep_001" / "rep_report.json").write_text('{"rep": 1, "att', encoding="utf-8")
+        assert run_experiment(cfg)["errors"] == {}
+        assert files(tmp_path) == run_files(run_dir[0])
+
 
 class Crash(BaseException):
     """Stands in for the process dying: no ``except Exception`` catches it."""
@@ -262,16 +311,31 @@ class TestInterruptedRun:
         assert not (tmp_path / "rep_001" / "rep_report.json").exists()
 
         assert run_experiment(cfg)["errors"] == {}
-        uninterrupted = {name: data for name, data in files(run_dir[0]).items()
-                         if name == "report.json" or name.startswith("rep_")}
-        assert files(tmp_path) == uninterrupted
+        assert files(tmp_path) == run_files(run_dir[0])
 
-    def test_unreadable_marker_is_an_error_and_the_run_goes_on(self, run_dir, tmp_path):
-        cfg = copy_run(run_dir, tmp_path)
-        (tmp_path / "rep_001" / "rep_report.json").write_text('{"rep": 1, "att', encoding="utf-8")
-        report = run_experiment(cfg)
+    def test_attack_records_a_repetition_without_a_marker_and_scores_the_others(self, run_dir, tmp_path):
+        """A run cut before repetition 1's marker: its checkpoints stay, but attack does not finish it."""
+        cfg = replace(copy_run(run_dir, tmp_path), rmia=RmiaParams(gamma=1.5))
+        (tmp_path / "rep_001" / "rep_report.json").unlink()
+        before = files(tmp_path)
+        report = rerun_attacks(cfg)
+        after = files(tmp_path)
+        assert list(report["errors"]) == ["1"]
+        assert report["errors"]["1"].startswith("FileNotFoundError") and "rep_001" in report["errors"]["1"]
         assert report["n_repetitions_completed"] == 1
-        assert report["errors"]["1"].startswith("JSONDecodeError")
+        assert after["rep_000/scores_rmia.csv"] != before["rep_000/scores_rmia.csv"]
+        assert json.loads(after["rep_000/rep_report.json"]) == report["repetitions"][0]
+        assert {k: v for k, v in after.items() if k.startswith("rep_001/")} \
+            == {k: v for k, v in before.items() if k.startswith("rep_001/")}
+
+    def test_attack_without_a_marker_raises_and_writes_nothing(self, run_dir, tmp_path):
+        cfg = copy_run(run_dir, tmp_path)
+        for rep_dir in tmp_path.glob("rep_*"):
+            (rep_dir / "rep_report.json").unlink()
+        before = files(tmp_path)
+        with pytest.raises(FileNotFoundError, match="no stored repetition"):
+            rerun_attacks(cfg)
+        assert files(tmp_path) == before
 
 
 def test_write_csv_writes_an_array_as_its_rows(tmp_path):
