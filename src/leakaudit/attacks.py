@@ -8,22 +8,20 @@ candidates in dataset order, as ``TargetArtifacts.rows`` lists them. Both
 attacks score every candidate at once: LiRA from masked row sums over the
 candidate x shadow logit matrix, RMIA by one sort of the Z ratios and one
 binary search per candidate. The LiRA score is the natural-log likelihood
-ratio.
+ratio. This module scores and writes no file: :mod:`leakaudit.pipeline`
+writes the score CSVs.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from leakaudit.data import Dataset
-from leakaudit.game import ShadowEnsemble, TargetArtifacts, collect_confidences
+from leakaudit.game import ShadowEnsemble, collect_confidences
 from leakaudit.nnet import TrainedModel, predict_confidences
 from leakaudit.recipe import check
 from leakaudit.stats import fit_gaussian
@@ -36,7 +34,6 @@ __all__ = [
     "run_lira",
     "z_confidences",
     "run_rmia",
-    "save_scores",
 ]
 
 log = logging.getLogger(__name__)
@@ -192,16 +189,3 @@ def run_rmia(
     ratio_z = np.sort(z_target / z_shadow.mean(axis=1))
     return AttackScores(scores=np.searchsorted(ratio_z, ratio_m / params.gamma, side="right") / len(ratio_z))
 
-
-def save_scores(table: AttackScores, path: str | Path, artifacts: TargetArtifacts, ids: Sequence[str]) -> None:
-    """Write ``table`` as CSV ``id,score,is_member,flags`` in challenge order (members first), rows named by ``ids``."""
-    if table.scores.shape != artifacts.confidences.shape:
-        raise ValueError(f"{len(table.scores)} scores for {len(artifacts.rows)} candidates")
-    rows = artifacts.challenge.candidates
-    order = np.searchsorted(artifacts.rows, rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "score", "is_member", "flags"])
-        writer.writerows(zip([ids[row] for row in rows.tolist()], map(repr, table.scores[order].tolist()),
-                             artifacts.is_member[order].astype(int).tolist(),
-                             [table.flags.get(i, "") for i in order.tolist()]))

@@ -1,7 +1,8 @@
 """Experiment configuration: flat ``key = value`` files with dotted namespaces.
 
-``_KEYS`` maps every config key to the dataclass field it sets; a key
-left out takes the default of the dataclass that owns the field
+``_KEYS`` maps every config key to the dataclass field it sets, and
+:func:`config_record` reads the fields back by key. A key left out takes
+the default of the dataclass that owns the field
 (``GameConfig``, ``ShadowParams``, ``TrainConfig``, ``LiraParams``,
 ``RmiaParams``, ``SynthSpec`` or ``ExperimentConfig``), which also checks
 the field's rules. Unknown keys, unparsable values and broken rules are
@@ -21,7 +22,7 @@ from leakaudit.nnet import TrainConfig
 from leakaudit.recipe import RecipeError, check
 from leakaudit.synth import SynthSpec
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "validate_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "config_record", "parse_config_text", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -132,6 +133,19 @@ _SECTIONS = {
 # (section, field) -> the config key that errors about the field name
 _FIELD_KEYS = {(section, name): key for key, (section, name, _) in _KEYS.items()}
 _FIELD_KEYS["game", "fractions"] = "split.*"
+
+
+def config_record(cfg: ExperimentConfig) -> dict:
+    """Each key's value in ``cfg`` by its ``_KEYS`` entry, tuples as lists; ``data.*`` keys only when set."""
+    record = {}
+    for key, (section, name, _) in _KEYS.items():
+        owner = cfg.game.fractions if section == "split" else getattr(cfg, section) if section else cfg
+        if owner is None:  # no synth spec
+            continue
+        value = owner[name] if section == "split" else getattr(owner, name)
+        if value is not None or key != "data.path":
+            record[key] = list(value) if isinstance(value, tuple) else value
+    return record
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -11,17 +11,16 @@ and how fits run: the target's alone, and the shadows' in
 :func:`train_shadow_ensemble` in lockstep stacks, in helper processes or
 here. A sample is its dataset row throughout: the challenge, the
 shadows' universe and Z set are row arrays, and ids are read only to
-write ``challenge.json`` (:meth:`Challenge.record`) and ``manifest.json``
-(:meth:`ShadowPlan.manifest`).
+build the records of ``challenge.json`` (:meth:`Challenge.record`) and
+``manifest.json`` (:meth:`ShadowPlan.manifest`). This module draws and
+trains and writes no file: :mod:`leakaudit.pipeline` writes both records.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +45,6 @@ __all__ = [
     "draw_shadows",
     "train_shadow_ensemble",
     "collect_confidences",
-    "save_challenge",
-    "save_manifest",
 ]
 
 
@@ -182,7 +179,7 @@ class ShadowPlan:
         return np.where((self.universe[at] == rows)[:, None], self.mask[at], 0)
 
     def manifest(self, ids: Sequence[str]) -> dict:
-        """The plan as :func:`save_manifest` writes it, rows named by ``ids``, mask rows as '0'/'1' strings."""
+        """The plan as ``manifest.json`` holds it, rows named by ``ids``, mask rows as '0'/'1' strings."""
         n, k = self.mask.shape
         bits = (self.mask + ord("0")).astype(np.uint8).tobytes().decode("ascii")
         return {
@@ -342,14 +339,3 @@ def collect_confidences(ensemble: ShadowEnsemble, X: np.ndarray, y: np.ndarray) 
     """The (sample x shadow) true-label confidences of the samples ``X`` with labels ``y``."""
     return np.column_stack([predict_confidences(m, X, y) for m in ensemble.models])
 
-
-def save_challenge(challenge: Challenge, path: str | Path, ids: Sequence[str]) -> None:
-    """Write the challenge's :meth:`~Challenge.record`, the one record of a repetition's membership."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(challenge.record(ids), fh, indent=2, sort_keys=True)
-
-
-def save_manifest(plan: ShadowPlan, path: str | Path, ids: Sequence[str]) -> None:
-    """Write the shadows' draw as JSON (:meth:`ShadowPlan.manifest`), the record that a re-attack checks."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan.manifest(ids), fh, indent=2, sort_keys=True)

@@ -15,7 +15,9 @@ that one order whether the fits run in-process or in helpers. Each ends
 in :func:`_finish_rep`, from the target's game and the shadow ensemble to
 the score and ROC CSVs and the ``rep_report.json``, and all aggregate
 into ``report.json``. So a resumed run writes what a fresh run with its
-config writes. Both reports are replaced atomically. The attacks and the
+config writes. Every run file is written here: each of the four JSON
+records by :func:`_write_json`, through a temp file that then replaces it,
+and every CSV by :func:`_write_csv`, lines ended by ``\n``. The attacks and the
 evaluation take plain arrays in the one candidate order of
 :mod:`leakaudit.attacks`, the rows of the repetition's
 ``TargetArtifacts``. A sample's id is read only where a file names it:
@@ -25,6 +27,7 @@ evaluation take plain arrays in the one candidate order of
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -35,8 +38,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from leakaudit.attacks import AttackScores, run_lira, run_rmia, save_scores, z_confidences
-from leakaudit.config import ExperimentConfig
+from leakaudit.attacks import AttackScores, run_lira, run_rmia, z_confidences
+from leakaudit.config import ExperimentConfig, config_record
 from leakaudit.data import Dataset, load_dataset
 from leakaudit.evaluation import (
     baseline_tpr,
@@ -59,8 +62,6 @@ from leakaudit.game import (
     draw_challenge,
     draw_shadows,
     run_game,
-    save_challenge,
-    save_manifest,
     start_fits,
     target_job,
     train_shadow_ensemble,
@@ -137,7 +138,7 @@ def _run_single_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, challenge
         for name, shadow in zip(ensemble.checkpoints, ensemble.models):
             save_model(shadow, rep_dir / name)
         save_manifest(ensemble, rep_dir / "manifest.json", dataset.ids)
-        save_challenge(challenge, rep_dir / "challenge.json", dataset.ids)
+        _write_json(rep_dir / "challenge.json", challenge.record(dataset.ids))
     return _finish_rep(dataset, cfg, rep, artifacts, ensemble, rep_dir)
 
 
@@ -204,6 +205,38 @@ def _write_json(path: Path, obj: dict) -> dict:
         json.dump(obj, fh, indent=2, sort_keys=True)
     os.replace(tmp, path)
     return obj
+
+
+def _write_csv(path: Path, header: str, rows: Iterable[Sequence] | np.ndarray) -> Path:
+    """Write the ``header`` line, then ``rows``, every line ended by ``\\n``.
+
+    A numeric array takes one format call a row; other rows go through one :func:`csv.writer`,
+    which writes a float by repr, None as an empty field and quotes a field that needs it.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["{!r}"] * rows.shape[1]) + "\n"
+            fh.writelines(line.format(*row) for row in rows.tolist())
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def save_manifest(plan: ShadowPlan, path: Path, ids: Sequence[str]) -> None:
+    """Write the shadows' draw (:meth:`ShadowPlan.manifest`), the record that a resume and a re-attack check."""
+    _write_json(path, plan.manifest(ids))
+
+
+def save_scores(table: AttackScores, path: Path, artifacts: TargetArtifacts, ids: Sequence[str]) -> None:
+    """Write ``table`` as CSV ``id,score,is_member,flags`` in challenge order (members first), rows named by ``ids``."""
+    if table.scores.shape != artifacts.confidences.shape:
+        raise ValueError(f"{len(table.scores)} scores for {len(artifacts.rows)} candidates")
+    rows = artifacts.challenge.candidates
+    order = np.searchsorted(artifacts.rows, rows)
+    _write_csv(path, "id,score,is_member,flags",
+               zip([ids[row] for row in rows.tolist()], map(repr, table.scores[order].tolist()),
+                   artifacts.is_member[order].astype(int).tolist(), [table.flags.get(i, "") for i in order.tolist()]))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -284,18 +317,7 @@ def _aggregate(
 ) -> dict:
     """The report over the repetition summaries ``reps``; ``member_sets`` holds each one's member ids."""
     report: dict = {
-        "config": {
-            "p_member": cfg.game.p_member,
-            "fractions": list(cfg.game.fractions),
-            "shadow_count": cfg.shadow.count,
-            "shadow_epochs": cfg.shadow.epochs,
-            "inclusion_rate": cfg.shadow.inclusion_rate,
-            "z_fraction": cfg.shadow.z_fraction,
-            "gamma": cfg.rmia.gamma,
-            "fpr_targets": [float(f) for f in cfg.fpr_targets],
-            "repetitions_requested": cfg.repetitions,
-            "seed": cfg.seed,
-        },
+        "config": {key: value for key, value in config_record(cfg).items() if key != "run.output_dir"},
         "n_repetitions_completed": len(reps),
         "errors": errors,
         "repetitions": list(reps),
@@ -381,31 +403,6 @@ def _stale(rep_dir: Path, ids: Sequence[str], challenge: Challenge, shadows: Sha
 # --- report rendering -------------------------------------------------------
 
 
-def _csv_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path: Path, header: str, rows: Iterable[Sequence] | np.ndarray) -> Path:
-    """Write ``rows`` under ``header``, each value as :func:`_csv_value` writes it.
-
-    A numeric array takes one format call a row: repr writes ints and floats as :func:`_csv_value` does.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        if isinstance(rows, np.ndarray):
-            line = ",".join(["{!r}"] * rows.shape[1]) + "\n"
-            fh.writelines(line.format(*row) for row in rows.tolist())
-        else:
-            fh.writelines(",".join(map(_csv_value, row)) + "\n" for row in rows)
-    return path
-
-
 def report_render(report_path: str | Path, fmt: str) -> list[Path]:
     """Emit summary tables or plots next to the report file.
 
@@ -440,32 +437,24 @@ def report_render(report_path: str | Path, fmt: str) -> list[Path]:
             [(ov["observed_mean"], ov["expected_mean"], ov["p_value"], ov["stars"])]
             if "observed_mean" in ov else []))
     elif fmt == "svg":
-        written.append(_render_roc_svg(out_dir))
+        written.append(_render_roc_svg(out_dir, report))
     else:
         raise ValueError(f"unknown format {fmt!r} (expected csv or svg)")
     return written
 
 
-def _render_roc_svg(out_dir: Path) -> Path:
-    """Log-FPR ROC plot from the first completed repetition's ROC CSVs."""
+def _render_roc_svg(out_dir: Path, report: dict) -> Path:
+    """Log-FPR ROC plot from the ROC CSVs of the report's first completed repetition."""
     width, height, margin = 640, 480, 60
     colors = {"lira": "#1f77b4", "rmia": "#d62728"}
+    if not report.get("repetitions"):
+        raise FileNotFoundError(f"the report under {out_dir} holds no completed repetition to plot")
+    rep_dir = _rep_dir(out_dir, report["repetitions"][0]["rep"])
     curves: dict[str, list[tuple[float, float]]] = {}
-    for rep_dir in sorted(out_dir.glob("rep_*")):
-        for name in ATTACK_NAMES:
-            csv_path = rep_dir / f"roc_{name}.csv"
-            if csv_path.exists() and name not in curves:
-                pts = []
-                with open(csv_path, encoding="utf-8") as fh:
-                    next(fh)
-                    for line in fh:
-                        _, f, t = line.strip().split(",")
-                        pts.append((float(f), float(t)))
-                curves[name] = pts
-        if len(curves) == len(ATTACK_NAMES):
-            break
-    if not curves:
-        raise FileNotFoundError("no per-repetition ROC CSVs found")
+    for name in ATTACK_NAMES:
+        with open(rep_dir / f"roc_{name}.csv", encoding="utf-8") as fh:
+            next(fh)
+            curves[name] = [(float(f), float(t)) for _, f, t in (line.split(",") for line in fh)]
 
     fpr_floor = 10 ** math.floor(
         math.log10(min(min((f for f, _ in pts if f > 0), default=1e-3) for pts in curves.values()))

@@ -17,10 +17,10 @@ from leakaudit.attacks import (
     rescale_confidence,
     run_lira,
     run_rmia,
-    save_scores,
 )
 from leakaudit.game import Challenge, TargetArtifacts
 from leakaudit.nnet import TrainConfig, TrainedModel, init_model
+from leakaudit.pipeline import save_scores
 from leakaudit.stats import fit_gaussian
 from oracles import lira_score, rmia_score
 
@@ -317,15 +317,18 @@ class TestScoreTable:
             save_scores(AttackScores(scores=np.array(scores)), tmp_path / "scores.csv", artifacts, ("a", "b"))
         assert not (tmp_path / "scores.csv").exists()
 
-    def test_save_scores_writes_challenge_order(self, tmp_path):
+    @pytest.mark.parametrize("ids", [("n1", "m1", "m2"), ("n,1", 'm "1"', "m\n2")], ids=["plain", "quoted"])
+    def test_save_scores_writes_challenge_order(self, tmp_path, ids):
+        """Ids with a comma, a quote or a line break read back; every line ends with a lone \\n."""
         challenge = challenge_of([2, 1], [0], 0.67)
         artifacts = make_artifacts(challenge, [0.5, 0.5, 0.5])
         table = AttackScores(scores=np.array([0.25, 0.5, 0.75]), flags={1: "no_out_shadow"})
-        save_scores(table, tmp_path / "scores.csv", artifacts, ("n1", "m1", "m2"))
+        save_scores(table, tmp_path / "scores.csv", artifacts, ids)
+        assert b"\r" not in (tmp_path / "scores.csv").read_bytes()
         with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        assert rows == [["id", "score", "is_member", "flags"], ["m2", "0.75", "1", ""],
-                        ["m1", "0.5", "1", "no_out_shadow"], ["n1", "0.25", "0", ""]]
+        assert rows == [["id", "score", "is_member", "flags"], [ids[2], "0.75", "1", ""],
+                        [ids[1], "0.5", "1", "no_out_shadow"], [ids[0], "0.25", "0", ""]]
 
     def test_save_load_round_trip(self, tmp_path):
         target, values, mask, _ = make_fixture()

@@ -17,14 +17,13 @@ from leakaudit.game import (
     draw_challenge,
     draw_shadows,
     run_game,
-    save_challenge,
-    save_manifest,
     start_fits,
     target_job,
     train_shadow_ensemble,
 )
 from leakaudit.nnet import TrainConfig, fit, stack_capacity
 from leakaudit.parallel import FitHelpers
+from leakaudit.pipeline import save_manifest
 from leakaudit.seeds import derive_rng, derive_seed
 from leakaudit.synth import SynthSpec, synth_dataset
 from oracles import assign_membership
@@ -96,11 +95,6 @@ class TestChallenge:
         ch = challenge_of([1, 0], [3], [2, 4], [2])
         assert ch.candidates.tolist() == [1, 0, 2]
         assert ch.record(("a", "b", "c"))["member_ids"] == ["b", "a"]
-
-    def test_save_round_trip(self, dataset, artifacts, tmp_path):
-        save_challenge(artifacts.challenge, tmp_path / "challenge.json", dataset.ids)
-        stored = json.loads((tmp_path / "challenge.json").read_text(encoding="utf-8"))
-        assert stored == artifacts.challenge.record(dataset.ids)
 
 
 class TestDrawChallenge:

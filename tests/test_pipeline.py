@@ -14,7 +14,7 @@ import pytest
 
 from leakaudit import game, pipeline
 from leakaudit.attacks import RmiaParams
-from leakaudit.config import ExperimentConfig, ShadowParams
+from leakaudit.config import ExperimentConfig, ShadowParams, validate_config
 from leakaudit.data import Dataset, load_dataset, save_dataset
 from leakaudit.game import GameConfig, draw_challenge, draw_shadows
 from leakaudit.nnet import TrainConfig, load_model
@@ -81,6 +81,14 @@ class TestRunExperiment:
             challenge = json.loads((rep_dir / "challenge.json").read_text(encoding="utf-8"))
             assert rep_report["n_members"] == len(challenge["member_ids"])
         assert "member_ids" not in report
+
+    def test_challenge_json_is_the_drawn_record(self, run_dir):
+        out, cfg, _ = run_dir
+        dataset = synth_dataset(cfg.synth)
+        for rep in (0, 1):
+            drawn = draw_challenge(dataset, cfg.game, derive_seed(cfg.seed, "rep", rep))
+            stored = json.loads((out / f"rep_{rep:03d}" / "challenge.json").read_text(encoding="utf-8"))
+            assert stored == drawn.record(dataset.ids)
 
     def test_manifest_lists_each_sample_once(self, run_dir):
         out, _, _ = run_dir
@@ -168,7 +176,7 @@ class TestRerunAttacks:
         report = rerun_attacks(cfg)
         attacked = files(tmp_path / "attacked")
         assert attacked["rep_000/scores_rmia.csv"] != before["rep_000/scores_rmia.csv"]
-        assert report["config"]["gamma"] == 1.5
+        assert report["config"]["attack.rmia.gamma"] == 1.5
 
         fresh_report = run_experiment(replace(cfg, output_dir=str(tmp_path / "fresh")))
         assert attacked == files(tmp_path / "fresh")
@@ -234,7 +242,7 @@ class TestRerunAttacks:
         report = rerun_attacks(cfg)
         assert list(report["errors"]) == ["1"]
         assert report["errors"]["1"].startswith("FileNotFoundError") and "rep_001" in report["errors"]["1"]
-        assert report["config"]["gamma"] == 1.5
+        assert report["config"]["attack.rmia.gamma"] == 1.5
         assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == json.loads(json.dumps(report))
         assert json.loads((tmp_path / "rep_000" / "rep_report.json").read_text(encoding="utf-8")) \
             == report["repetitions"][0]
@@ -293,12 +301,13 @@ class Crash(BaseException):
 
 
 class TestInterruptedRun:
-    def test_crash_inside_the_marker_write_leaves_no_marker(self, run_dir, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", ["rep_report.json", "challenge.json", "manifest.json"])
+    def test_crash_inside_a_record_write_leaves_no_record(self, run_dir, tmp_path, monkeypatch, name):
         cfg = replace(run_dir[1], output_dir=str(tmp_path))
         real_dump = json.dump
 
         def dump_half_then_crash(obj, fh, **kwargs):
-            if Path(fh.name).name.startswith("rep_report.json") and obj["rep"] == 1:
+            if Path(fh.name).name.startswith(name) and Path(fh.name).parent.name == "rep_001":
                 fh.write(json.dumps(obj, **kwargs)[:40])
                 raise Crash
             real_dump(obj, fh, **kwargs)
@@ -307,8 +316,8 @@ class TestInterruptedRun:
         with pytest.raises(Crash):
             run_experiment(cfg)
         monkeypatch.undo()
-        assert (tmp_path / "rep_000" / "rep_report.json").exists()
-        assert not (tmp_path / "rep_001" / "rep_report.json").exists()
+        assert (tmp_path / "rep_000" / name).exists()
+        assert not (tmp_path / "rep_001" / name).exists()
 
         assert run_experiment(cfg)["errors"] == {}
         assert files(tmp_path) == run_files(run_dir[0])
@@ -371,6 +380,27 @@ class TestReportRender:
         assert written == [out / "roc.svg"]
         text = (out / "roc.svg").read_text(encoding="utf-8")
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_svg_plots_the_first_repetition_the_report_holds(self, run_dir, tmp_path):
+        """Repetition 0 lost its marker, so the re-attacked report holds repetition 1 alone: the plot shows it."""
+        cfg = copy_run(run_dir, tmp_path / "attacked")
+        (tmp_path / "attacked" / "rep_000" / "rep_report.json").unlink()
+        assert [r["rep"] for r in rerun_attacks(cfg)["repetitions"]] == [1]
+        assert files(tmp_path / "attacked" / "rep_000") != files(tmp_path / "attacked" / "rep_001")
+        report_render(tmp_path / "attacked" / "report.json", "svg")
+
+        shutil.copytree(tmp_path / "attacked" / "rep_001", tmp_path / "alone" / "rep_001")
+        shutil.copy(tmp_path / "attacked" / "report.json", tmp_path / "alone" / "report.json")
+        report_render(tmp_path / "alone" / "report.json", "svg")
+        assert (tmp_path / "attacked" / "roc.svg").read_bytes() == (tmp_path / "alone" / "roc.svg").read_bytes()
+
+    def test_svg_of_a_report_without_a_repetition_raises(self, run_dir, tmp_path):
+        copy_run(run_dir, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        (tmp_path / "report.json").write_text(json.dumps({**report, "repetitions": []}), encoding="utf-8")
+        with pytest.raises(FileNotFoundError, match="no completed repetition"):
+            report_render(tmp_path / "report.json", "svg")
+        assert not (tmp_path / "roc.svg").exists()
 
     def test_missing_report(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -492,6 +522,45 @@ def hand_rep(tpr, baseline=0.01):
     attack = {"tpr": {"0.0": tpr}, "minority_tpr": {"0.0": None}, "identified": {"0.0": []}}
     return {"baseline_tpr": baseline, "n_members": 100,
             "attacks": {"lira": attack, "rmia": attack}, "population_auroc": 0.5}
+
+
+RECIPE = """
+train.hidden_dims = 8, 4
+train.dropout = 0.1
+train.learning_rate = 0.005
+train.weight_decay = 0
+train.batch_size = 32
+train.max_epochs = 7
+train.patience = 2
+train.fixed_epochs = 5
+attack.lira.clip_eps = 0.0001
+attack.lira.variance_floor = 0.01
+attack.lira.global_variance = true
+split.train = 0.5
+split.validation = 0.2
+split.population = 0.3
+shadow.z_cap = 9
+run.fpr_targets = 0.0, 0.01
+"""
+
+
+@pytest.mark.parametrize("data", [
+    "data.synth.n = 240\ndata.synth.dim = 4\ndata.synth.separation = 2.5\ndata.synth.seed = 3",
+    "data.path = data.csv\nreport.metadata_key = size",
+], ids=["synth", "path"])
+def test_report_config_written_back_is_the_config(tmp_path, data):
+    """The report's config block names every key it holds, so it reads back as the config that wrote it."""
+    (tmp_path / "run.cfg").write_text(f"{data}\n{RECIPE}run.output_dir = out\n", encoding="utf-8")
+    cfg = validate_config(tmp_path / "run.cfg")
+    block = json.loads(json.dumps(_aggregate(synth_dataset(SynthSpec(n=10, dim=2)), cfg, [], [], {})["config"]))
+    assert "run.output_dir" not in block and block["train.hidden_dims"] == [8, 4]
+
+    def line(key, value):
+        return f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}"
+
+    lines = [line(key, value) for key, value in block.items() if value is not None]  # None is every such default
+    (tmp_path / "back.cfg").write_text("\n".join([*lines, "run.output_dir = out"]), encoding="utf-8")
+    assert validate_config(tmp_path / "back.cfg") == cfg
 
 
 class TestAggregate:
