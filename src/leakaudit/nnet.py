@@ -32,9 +32,12 @@ each step gathers the stack's mini-batches from them by row, so no
 job's training set is copied. The models of a
 stack share the recipe but the seed, and train a fixed number of
 epochs, as the shadows of a repetition do; only :func:`fit`, the stack
-of one, stops early. Each model gets the bytes :func:`fit` gives it alone:
-its bias corrections are in the parameters' dtype, whatever the step
-counts of the stack's other models.
+of one, stops early. Every mini-batch is ``batch_size`` rows: a model's
+last batch is padded with rows of weight 0, which draw no dropout and
+count in no mean, so every step of an epoch and every train-loss pass is
+stacked. Each model gets the bytes :func:`fit` gives it alone: every
+shape its arithmetic runs in is set by its own row count, and its bias
+corrections are of its own step count, in the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -72,14 +75,17 @@ log = logging.getLogger(__name__)
 
 LOSS_CLIP_EPS = 1e-7
 CONF_CLIP_EPS = 1e-12
-# Parameters of all the models of one stack together. Timed with one-thread
-# BLAS on a 2-vCPU host, a model-step costs about 0.6x as much in a stack of
-# 6 at 2k parameters, and stacking stops paying from about 8k parameters
-# (the default 256x128 recipe on 64 features has 49,665).
+# Parameters of all the models of one stack together. Timed with one-thread BLAS on a 2-vCPU host, with
+# every step and train-loss pass of an epoch stacked, a model-step costs about 0.5x as much in a stack of 6
+# at 2k parameters (the positive-control recipe) and 0.85x at 8k (128 units on 64 features), where
+# stacking stops paying much (the default 256x128 recipe on 64 features has 49,665).
 STACK_ELEMENTS = 2 ** 14
 # Hidden activations that one validation pass of a stack holds at most (256 KiB): a larger stack scores
 # its validation set a block of models at a time, so that its peak memory stays near a lone model's.
 VALIDATION_ELEMENTS = 2 ** 16
+# Float64 feature values that FitJobs.packed gathers at a time before casting them to float32 (128 KiB).
+PACK_ELEMENTS = 2 ** 14
+ADAM_BETAS = (0.9, 0.999)
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,16 @@ def _forward(
     train: bool,
     rng: np.random.Generator | Sequence[np.random.Generator] | None,
     cache: list | None = None,
+    real: int | Sequence[int] | None = None,
 ) -> np.ndarray:
     """Batched forward pass; returns the logits, and fills ``cache``, when given, for backprop.
 
     For a stack, ``X`` and the logits carry the stack axis first, and
-    ``rng`` is one generator per model. Without a cache each layer's
-    pre-activations are freed as soon as they are rectified.
+    ``rng`` is one generator per model. ``real`` counts a model's own rows
+    of a batch padded to full length, one count per model for a stack
+    (for one model None means every row); dropout draws for those rows
+    only. Without a cache each layer's pre-activations are freed as soon
+    as they are rectified.
     """
     if X.ndim < 2 or X.shape[-1] != model.input_dim:
         raise ValueError(f"expected features of dimension {model.input_dim}, got shape {X.shape}")
@@ -199,7 +209,7 @@ def _forward(
         if train and p > 0.0:
             if rng is None:
                 raise ValueError("train-mode dropout requires an rng")
-            mask = np.divide(_uniforms(rng, a.shape) >= p, 1.0 - p, dtype=a.dtype)
+            mask = np.divide(_uniforms(rng, a.shape, real) >= p, 1.0 - p, dtype=a.dtype)
             a = a * mask
         else:
             mask = None
@@ -212,13 +222,19 @@ def _forward(
     return z_out[..., 0]
 
 
-def _uniforms(rng: np.random.Generator | Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
-    """``rng.random(shape)``; for a stack, each model's generator fills that model's rows, as it would alone."""
-    if isinstance(rng, np.random.Generator):
-        return rng.random(shape)
-    draws = np.empty(shape)
-    for rows, generator in zip(draws, rng, strict=True):
-        generator.random(out=rows)
+def _uniforms(rng: np.random.Generator | Sequence[np.random.Generator], shape: tuple[int, ...],
+              real: int | Sequence[int] | None) -> np.ndarray:
+    """``rng.random`` for the first ``real`` rows of ``shape``, as one model draws alone; padding rows get 0.
+
+    For a stack each model's generator fills that model's rows, and
+    ``real`` holds one count per model. A 0 is below any dropout rate, so
+    dropout drops every padding row.
+    """
+    one = isinstance(rng, np.random.Generator)
+    draws = np.zeros(shape)
+    for rows, generator, n in zip(draws[None] if one else draws, [rng] if one else rng, [real] if one else real,
+                                  strict=True):
+        generator.random(out=rows[:n])
     return draws
 
 
@@ -237,38 +253,45 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _mean_bce(logits: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Mean class-weighted binary cross-entropy over the last axis, with probability clipping.
+def _bce(logits: np.ndarray, positive: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Class-weighted binary cross-entropy of each row, with probability clipping.
 
     ``positive`` marks the rows labelled 1 and ``w`` holds each row's class
-    weight. The clip and the mean are spelled out as the ufuncs behind
-    ``np.clip`` and ``np.mean``, which give the same bytes for less call
-    overhead than ``weighted_bce_loss``, the scalar reference in
-    ``tests/oracles.py``.
+    weight. The clip is spelled out as the ufuncs behind ``np.clip``, so a
+    loss, the ``np.add.reduce`` of a model's own rows over their count, has
+    the bytes of ``weighted_bce_loss``, the scalar reference in
+    ``tests/oracles.py``, for less call overhead.
     """
     p = np.minimum(np.maximum(_sigmoid(logits), LOSS_CLIP_EPS), 1.0 - LOSS_CLIP_EPS)
-    return np.add.reduce(w * -np.log(np.where(positive, p, 1.0 - p)), axis=-1) / logits.shape[-1]
+    return w * -np.log(np.where(positive, p, 1.0 - p))
 
 
-def _output_delta(sig: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d(mean weighted BCE)/d(logit) over the last axis, ``w`` the class weight of each row; zero where clipped."""
+def _output_delta(sig: np.ndarray, y: np.ndarray, w: np.ndarray, count: int | np.ndarray) -> np.ndarray:
+    """d(mean weighted BCE)/d(logit) over the last axis, ``w`` each row's class weight; zero where clipped.
+
+    The mean is over ``count`` rows, a model's own rows of its batch, one
+    (K, 1) column for a stack; a padding row has weight 0.
+    """
     unclipped = (sig > LOSS_CLIP_EPS) & (sig < 1.0 - LOSS_CLIP_EPS)
-    return np.where(unclipped, w * (sig - y) / y.shape[-1], 0.0)
+    return np.where(unclipped, w * (sig - y) / count, 0.0)
 
 
 def _backward(model: MlpModel, cache: list, dlogit: np.ndarray, grads: MlpModel) -> None:
     """Backprop ``dlogit`` through a train- or inference-mode ``_forward`` cache into the layers of ``grads``."""
     delta = dlogit[..., None]
-    for l in range(len(model.weights) - 1, -1, -1):
+    last = len(model.weights) - 1
+    for l in range(last, -1, -1):
         h_in, z, mask = cache[l]
         np.matmul(h_in.swapaxes(-1, -2), delta, out=grads.weights[l])
         np.add.reduce(delta, axis=-2, out=grads.biases[l])
         if l > 0:
-            delta = delta @ model.weights[l].swapaxes(-1, -2)
+            w_t = model.weights[l].swapaxes(-1, -2)
+            # through the one-unit output layer a product of inner dimension 1: the same bytes broadcast
+            delta = delta * w_t if l == last else delta @ w_t
             _, z_prev, mask_prev = cache[l - 1]
-            delta = delta * (z_prev > 0)
+            delta *= z_prev > 0
             if mask_prev is not None:
-                delta = delta * mask_prev
+                delta *= mask_prev
 
 
 def adamw_step(
@@ -278,34 +301,48 @@ def adamw_step(
     v: np.ndarray,
     lr: float,
     weight_decay: float,
-    step: int | Sequence[int],
-    betas: tuple[float, float] = (0.9, 0.999),
+    step: int | None,
     eps: float = 1e-8,
+    *,
+    corrections: tuple | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """In-place AdamW on flat ``params`` and moments ``m``, ``v``: adaptive step, then p -= lr*wd*p.
 
-    For a stack the rows of the (K, P) arrays are the models and ``step``
-    holds each one's step index. Each bias correction is ``1 - beta ** step``
-    in the parameters' dtype, whatever the stack, so that a float32 step
-    meets no float64 value and a row steps as it would alone.
+    Each bias correction is ``1 - beta ** step`` in the parameters' dtype,
+    so that a float32 step meets no float64 value. For a stack the rows of
+    the (K, P) arrays are the models, each at its own step count: the
+    stack passes ``corrections`` in place of ``step``, a (K, 1) column of
+    :func:`_bias_corrections`' table per beta, so a row steps as it would
+    alone, and two arrays of the params' shape as ``scratch``. At weight
+    decay 0 there is no decay pass.
     """
-    if (step if isinstance(step, int) else min(step)) < 1:
-        raise ValueError(f"step index must be >= 1, got {step}")
+    if corrections is None:
+        if step < 1:
+            raise ValueError(f"step index must be >= 1, got {step}")
+        corrections = tuple(params.dtype.type(1 - b ** step) for b in ADAM_BETAS)
     if not np.isfinite(grads).all():
         raise FloatingPointError("non-finite gradient")
-    b1, b2 = betas
-    if isinstance(step, int):
-        c1, c2 = (params.dtype.type(1 - b ** step) for b in betas)
-    else:
-        c1, c2 = (np.array([[1 - b ** s] for s in step], dtype=params.dtype) for b in betas)
+    (b1, b2), (c1, c2) = ADAM_BETAS, corrections
+    s, t = scratch if scratch is not None else (np.empty_like(params), np.empty_like(params))
+    # each line keeps the rounding of p -= lr * (m / c1) / (sqrt(v / c2) + eps), without a temporary
     m *= b1
-    m += (1 - b1) * grads
+    m += np.multiply(grads, 1 - b1, out=s)
     v *= b2
-    v += (1 - b2) * grads * grads
-    denom = np.sqrt(v / c2)  # the bias-corrected step's denominator, built in place
-    denom += eps
-    params -= lr * (m / c1) / denom
-    params -= lr * weight_decay * params
+    np.multiply(grads, 1 - b2, out=s)
+    v += np.multiply(s, grads, out=s)
+    np.sqrt(np.divide(v, c2, out=s), out=s)
+    s += eps
+    np.divide(m, c1, out=t)
+    t *= lr
+    params -= np.divide(t, s, out=t)
+    if weight_decay:
+        params -= np.multiply(params, lr * weight_decay, out=s)
+
+
+def _bias_corrections(steps: int, dtype) -> np.ndarray:
+    """A (2, steps) table: ``1 - beta ** step`` per beta for steps 1 to ``steps``, as :func:`adamw_step` takes it."""
+    return np.array([[1 - b ** step for step in range(1, steps + 1)] for b in ADAM_BETAS], dtype=dtype)
 
 
 def stack_capacity(dim: int, hidden_dims: Sequence[int]) -> int:
@@ -339,10 +376,21 @@ class FitJobs:
 
         The features, labels and validation set are cast to float32, the
         training dtype, once here, which also halves what a helper is sent.
+        The features are gathered :data:`PACK_ELEMENTS` at a time, so no
+        float64 copy of the rows is ever held whole.
         """
-        union = np.unique(np.concatenate(self.rows))
-        X, y, X_val = (a.astype(np.float32, copy=False) for a in (self.X[union], self.y[union], self.X_val))
-        return replace(self, X=X, y=y, X_val=X_val, rows=[np.searchsorted(union, r) for r in self.rows])
+        used = np.zeros(len(self.y), dtype=bool)
+        for rows in self.rows:
+            used[rows] = True
+        union = np.flatnonzero(used)
+        position = np.cumsum(used) - 1  # a used row's index in the union
+        X = np.empty((len(union), self.X.shape[1]), dtype=np.float32)
+        block = max(1, PACK_ELEMENTS // max(1, X.shape[1]))
+        for start in range(0, len(union), block):
+            X[start:start + block] = self.X[union[start:start + block]]
+        return replace(self, X=X, y=self.y[union].astype(np.float32, copy=False),
+                       X_val=self.X_val.astype(np.float32, copy=False),
+                       rows=[position[rows] for rows in self.rows])
 
 
 def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
@@ -357,31 +405,29 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
 
 
 class _Lane:
-    """One job of a stack: its training rows, class weights, generators, batch counts, losses and best epoch so far."""
+    """One job of a stack: its training rows, class weights, generators, batch count, losses and best epoch so far."""
 
     def __init__(self, y: np.ndarray, rows: np.ndarray, cfg: TrainConfig, dim: int):
         self.rows = rows
+        self.count = len(rows)
         self.weights = class_weights(y[rows])
-        self.pos = y[rows] == 1  # the per-epoch train loss reads these and the float64 weights
-        self.loss_w = np.where(self.pos, self.weights[1], self.weights[0])
-        self.w = self.loss_w.astype(np.float32)  # each row's class weight in its steps
         self.init = init_model(dim, cfg).astype(np.float32)
         self.shuffle_rng = derive_rng(cfg.seed, "shuffle")
         self.dropout_rng = derive_rng(cfg.seed, "dropout")
-        self.full = len(rows) // cfg.batch_size  # full mini-batches per epoch; a shorter last one runs alone
-        self.batches = math.ceil(len(rows) / cfg.batch_size)
+        self.batches = math.ceil(self.count / cfg.batch_size)
         self.train_losses: list[float] = []
         self.val_losses: list[float] = []
         self.best_val = np.inf
         self.best_epoch = 0
-        self.best = self.init  # the stack trains a copy of its params
 
-    def end_epoch(self, epoch: int, model: MlpModel, X: np.ndarray, val_loss: float) -> None:
-        """Record ``model``'s losses after ``epoch`` from its training features and validation loss; keep the best."""
-        self.train_losses.append(float(_mean_bce(_loss_logits(model, X), self.pos, self.loss_w)))
+    def end_epoch(self, epoch: int, train_loss: float, val_loss: float) -> bool:
+        """Record the losses after ``epoch``; whether they are the best so far."""
+        self.train_losses.append(train_loss)
         self.val_losses.append(val_loss)
         if val_loss < self.best_val:
-            self.best_val, self.best_epoch, self.best = val_loss, epoch, model.copy()
+            self.best_val, self.best_epoch = val_loss, epoch
+            return True
+        return False
 
 
 def _view(params: np.ndarray, like: MlpModel) -> MlpModel:
@@ -389,6 +435,11 @@ def _view(params: np.ndarray, like: MlpModel) -> MlpModel:
     model = object.__new__(MlpModel)
     model.__setstate__((params, [w.shape[-2:] for w in like.weights], like.dropout_rate, like.input_dim))
     return model
+
+
+def _blocks(start: int, stop: int, size: int) -> list[tuple[int, int]]:
+    """``(first, count)`` of each block of at most ``size`` stack rows from ``start`` to ``stop``."""
+    return [(k, min(size, stop - k)) for k in range(start, stop, size)]
 
 
 def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
@@ -400,12 +451,17 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
     byte the one :func:`fit` returns on its training rows alone, and all
     end on the same epoch; only a stack of one stops early.
 
-    Each epoch every model draws its own permutation of its rows. The
-    models with a full mini-batch left take that step together, their
-    batches gathered from the float32 rows of ``jobs.packed()`` by one
-    ``np.take``, so the models are ordered by their count of full batches
-    and each step's stack is a prefix of them; a shorter last batch runs
-    on its own, unpadded.
+    Every mini-batch is ``batch_size`` rows: a model's last batch is
+    padded with copies of its first row of weight 0, and its output delta
+    is taken over its own rows. The models are ordered by their count of
+    batches, and each epoch runs one step per batch index over the prefix
+    of models with that batch, gathered from the float32 rows of
+    ``jobs.packed()`` by one ``np.take``. Each model draws its own
+    permutation of its rows and its dropout for its own rows only, as it
+    would alone, and steps with its own bias corrections. The per-epoch
+    train losses are scored stacked over models of one batch count, on
+    their rows padded to whole batches, a block of models at a time. Every
+    shape that a model's bytes depend on is thus set by its own row count.
     """
     cfg, dim = jobs.cfgs[0], jobs.X.shape[1]
     if jobs.X_val.shape[1] != dim:
@@ -416,64 +472,87 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
         raise ValueError("the jobs of a stack must train fixed_epochs; only a stack of one stops early")
     jobs = jobs.packed()
     in_job_order = [_Lane(jobs.y, rows, job_cfg, dim) for rows, job_cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
-    lanes = sorted(in_job_order, key=lambda lane: -lane.full)
-    batch, like = cfg.batch_size, lanes[0].init
+    lanes = sorted(in_job_order, key=lambda lane: -lane.batches)
+    batch, like, epochs = cfg.batch_size, lanes[0].init, cfg.fixed_epochs or cfg.max_epochs
+    counts, batches = (np.array([getattr(lane, name) for lane in lanes]) for name in ("count", "batches"))
+    # each model's rows in its own order, padded to whole batches with its first row, which there weighs 0
+    rows = np.empty((len(lanes), batches[0] * batch), dtype=np.intp)
+    for lane_rows, lane in zip(rows, lanes):
+        lane_rows[:] = lane.rows[0]
+        lane_rows[:lane.count] = lane.rows
+    positive = np.take(jobs.y, rows) == 1
+    class_w = np.array([lane.weights for lane in lanes])
+    w0, w1 = class_w.astype(np.float32).T[:, :, None]  # each model's class weights in its steps' dtype
+    step_w = np.where(positive, w1, w0)
+    step_w[np.arange(rows.shape[1]) >= counts[:, None]] = 0.0
+    epoch_rows, epoch_w = rows.copy(), step_w.copy()  # each epoch permutes each model's own rows, not its padding
     params = np.stack([lane.init.params for lane in lanes])
-    m, v, grads = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
-    epoch_rows = np.empty((len(lanes), lanes[0].full * batch), dtype=np.intp)  # the full batches, step after step
-    w_epoch = np.empty(epoch_rows.shape, dtype=np.float32)
-    val_pos = jobs.y_val == 1
-    val_block = max(1, VALIDATION_ELEMENTS // (len(val_pos) * max(cfg.hidden_dims, default=1)))  # models per validation pass
-    val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes])
+    best = params.copy()  # each model's parameters at its best epoch so far
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    grads, scratch, scratch_2 = (np.empty_like(params) for _ in range(3))
+    corrections = _bias_corrections(epochs * int(batches[0]), params.dtype)
+    epoch_corrections = np.empty((2, len(lanes), batches[0]), dtype=params.dtype)
     views: dict[tuple[int, int], tuple] = {}  # per block of stack rows
 
     def block(k: int, n: int) -> tuple:
         """Views of the n stack rows from row k; one row is a plain model, so a stack of one runs in 2-D."""
         if (k, n) not in views:
-            rows = k if n == 1 else slice(k, k + n)
+            index = k if n == 1 else slice(k, k + n)
             rngs = [lane.dropout_rng for lane in lanes[k:k + n]]
-            views[k, n] = (_view(params[rows], like), _view(grads[rows], like), m[rows], v[rows],
-                           rngs[0] if n == 1 else rngs)
+            views[k, n] = (_view(params[index], like), _view(grads[index], like), m[index], v[index],
+                           (scratch[index], scratch_2[index]), rngs[0] if n == 1 else rngs)
         return views[k, n]
 
-    def step(k: int, n: int, rows: np.ndarray, w: np.ndarray, count: int | list[int]) -> None:
-        model, grad, m_rows, v_rows, rng = block(k, n)
-        cache: list = []
-        logits = _forward(model, np.take(jobs.X, rows, axis=0), True, rng, cache)
-        _backward(model, cache, _output_delta(_sigmoid(logits), np.take(jobs.y, rows), w), grad)
-        adamw_step(model.params, grad.params, m_rows, v_rows, cfg.learning_rate, cfg.weight_decay, count)
+    # one step per batch index: the models that have that batch, a prefix of the stack, and views of their state
+    steps = []
+    for s in range(batches[0]):
+        n = int(np.count_nonzero(batches > s))
+        lead, cols = 0 if n == 1 else slice(0, n), slice(s * batch, (s + 1) * batch)
+        real = np.minimum(counts - s * batch, batch)[lead, None]  # each model's own rows of this batch
+        steps.append((*block(0, n), epoch_rows[lead, cols], epoch_w[lead, cols],
+                      (epoch_corrections[0, lead, s, None], epoch_corrections[1, lead, s, None]),
+                      int(real[0]) if n == 1 else real.ravel().tolist(), real.astype(params.dtype)))
+    widest = max(cfg.hidden_dims, default=1)
+    val_pos = jobs.y_val == 1
+    val_blocks = _blocks(0, len(lanes), max(1, VALIDATION_ELEMENTS // (len(val_pos) * widest)))
+    val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes])
+    # the train losses: the models of one batch count score their padded rows together, a block at a time
+    starts = [k for k in range(len(lanes)) if k == 0 or batches[k] != batches[k - 1]]
+    loss_blocks = [part for start, stop in zip(starts, [*starts[1:], len(lanes)])
+                   for part in _blocks(start, stop, max(1, VALIDATION_ELEMENTS // (batches[start] * batch * widest)))]
 
-    for epoch in range(1, (cfg.fixed_epochs or cfg.max_epochs) + 1):
-        last = []
-        for k, lane in enumerate(lanes):
-            perm = lane.shuffle_rng.permutation(len(lane.rows))
-            cut = lane.full * batch
-            epoch_rows[k, :cut] = lane.rows[perm[:cut]]
-            w_epoch[k, :cut] = lane.w[perm[:cut]]
-            if cut < len(perm):
-                rest = perm[cut:]
-                last.append((k, lane.rows[rest], lane.w[rest]))
-        blocks = [sum(lane.full > s for lane in lanes) for s in range(lanes[0].full)]  # models with a full batch left
-        starts = [(epoch - 1) * lane.batches for lane in lanes]  # each model's optimizer steps so far
-        alike = starts.count(starts[0]) == len(starts)  # then one step index serves every model of a block
-        for s, n in enumerate(blocks):
-            rows, cols = 0 if n == 1 else slice(0, n), slice(s * batch, (s + 1) * batch)
-            count = starts[0] + s + 1 if alike or n == 1 else [start + s + 1 for start in starts[:n]]
-            step(0, n, epoch_rows[rows, cols], w_epoch[rows, cols], count)
-        for k, rows, w in last:
-            step(k, 1, rows, w, starts[k] + lanes[k].full + 1)
+    for epoch in range(1, epochs + 1):
+        for lane_rows, lane_w, k in zip(epoch_rows, epoch_w, range(len(lanes))):
+            perm = lanes[k].shuffle_rng.permutation(counts[k])
+            lane_rows[:counts[k]] = rows[k, perm]
+            lane_w[:counts[k]] = step_w[k, perm]
+        # each model's bias corrections at each batch index of this epoch, from its own step count
+        np.take(corrections, (epoch - 1) * batches[:, None] + np.arange(batches[0]), axis=1, out=epoch_corrections)
+        for model, grad, m_rows, v_rows, scratch_rows, rng, batch_rows, w, c, real, count in steps:
+            cache: list = []
+            logits = _forward(model, np.take(jobs.X, batch_rows, axis=0), True, rng, cache, real)
+            _backward(model, cache, _output_delta(_sigmoid(logits), np.take(jobs.y, batch_rows), w, count), grad)
+            adamw_step(model.params, grad.params, m_rows, v_rows, cfg.learning_rate, cfg.weight_decay, None,
+                       corrections=c, scratch=scratch_rows)
 
+        train_losses = []
+        for k, n in loss_blocks:
+            width = batches[k] * batch
+            pos, block_rows = positive[k:k + n, :width], rows[k if n == 1 else slice(k, k + n), :width]
+            logits = _loss_logits(block(k, n)[0], np.take(jobs.X, block_rows, axis=0)).reshape(n, width)
+            terms = _bce(logits, pos, np.where(pos, class_w[k:k + n, 1:], class_w[k:k + n, :1]))
+            train_losses += [float(np.add.reduce(t[:c]) / c) for t, c in zip(terms, counts[k:k + n].tolist())]
         # the shared validation set, scored a block of the stack at a time with each model's class weights
-        val_logits = np.concatenate([_loss_logits(block(k, min(val_block, len(lanes) - k))[0], jobs.X_val)
-                                     .reshape(-1, len(val_pos)) for k in range(0, len(lanes), val_block)])
-        val_losses = _mean_bce(val_logits, val_pos, val_w).tolist()
+        val_logits = np.concatenate([_loss_logits(block(k, n)[0], jobs.X_val).reshape(n, -1) for k, n in val_blocks])
+        val_losses = (np.add.reduce(_bce(val_logits, val_pos, val_w), axis=-1) / len(val_pos)).tolist()
         for k, lane in enumerate(lanes):
-            lane.end_epoch(epoch, block(k, 1)[0], jobs.X[lane.rows], val_losses[k])
+            if lane.end_epoch(epoch, train_losses[k], val_losses[k]):
+                best[k] = params[k]
         # patience counts only epochs that did not improve, so 0 stops as 1 does
         if cfg.fixed_epochs is None and epoch - lanes[0].best_epoch >= max(cfg.patience, 1):
             break
-    return [TrainedModel(model=lane.best, train_losses=lane.train_losses, val_losses=lane.val_losses,
-                         best_epoch=lane.best_epoch) for lane in in_job_order]
+    return [TrainedModel(model=_view(best[lanes.index(lane)].copy(), like), train_losses=lane.train_losses,
+                         val_losses=lane.val_losses, best_epoch=lane.best_epoch) for lane in in_job_order]
 
 
 def predict_confidences(model: MlpModel | TrainedModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -225,14 +225,20 @@ class Batch:
 
 
 def serve() -> None:
-    """A helper's loop: fit each pickled stack of jobs from stdin, write ``(ok, models or error)`` to stdout."""
+    """A helper's loop: fit each pickled stack of jobs from stdin, write ``(ok, models or error)`` to stdout.
+
+    When its input ends the helper flushes stderr and exits at once with
+    ``os._exit(0)``: every reply is written and flushed, and the
+    interpreter's teardown would only keep the parent waiting.
+    """
     jobs, replies = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # a stray print must not corrupt the replies
     while True:
         try:
             stack = pickle.load(jobs)
         except EOFError:
-            return
+            sys.stderr.flush()
+            os._exit(0)
         try:
             reply = pickle.dumps((True, fit_stack(stack)))
         except Exception as exc:  # noqa: BLE001 - the parent raises it

@@ -79,6 +79,7 @@ def loss_and_grads(
     weights: tuple[float, float] = (1.0, 1.0),
     train: bool = False,
     rng: np.random.Generator | None = None,
+    real: int | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Loss plus analytic gradients w.r.t. every weight and bias array of one model on one batch.
 
@@ -86,17 +87,22 @@ def loss_and_grads(
     loss; this is the reference their training step is checked against.
     The batch, its labels and its class weights are cast to the model's
     dtype, float32 for a model as it trains; the loss is taken in float64.
+    With ``real``, only the batch's first ``real`` rows are its own and the
+    rest is padding, as a fit pads a model's last batch: padding rows weigh
+    0, draw no dropout and count in no mean.
     """
     X = np.asarray(X, dtype=model.params.dtype)
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
+    real = len(y) if real is None else real
     cache: list = []
-    logits = _forward(model, X, train, rng, cache)
+    logits = _forward(model, X, train, rng, cache, real)
     grads = model.copy()
     w = np.where(y == 1, weights[1], weights[0]).astype(X.dtype)
-    _backward(model, cache, _output_delta(_sigmoid(logits), y.astype(X.dtype), w), grads)
-    return weighted_bce_loss(logits, y, weights), grads.weights, grads.biases
+    w[real:] = 0.0
+    _backward(model, cache, _output_delta(_sigmoid(logits), y.astype(X.dtype), w, real), grads)
+    return weighted_bce_loss(logits[:real], y[:real], weights), grads.weights, grads.biases
 
 
 def assign_membership(candidates: np.ndarray, p_member: float, seed: int) -> Challenge:

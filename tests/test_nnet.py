@@ -1,6 +1,7 @@
 """Tests for the numpy MLP: gradients, optimizer, training loop, persistence."""
 
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from leakaudit.nnet import (
     FitJobs,
     MlpModel,
     TrainConfig,
+    _bias_corrections,
     _forward,
     adamw_step,
     fit,
@@ -38,6 +40,28 @@ def toy_dataset(n=40, dim=4, seed=0, separation=3.0):
 def training_logits(model, X):
     """The float32 inference logits that a fit takes its per-epoch losses from."""
     return _forward(model, np.asarray(X, dtype=np.float32), False, None)
+
+
+def reference_epoch(X, y, cfg):
+    """One epoch of the per-batch loss_and_grads and adamw_step loop on a lone float32 model; returns its params.
+
+    The last batch is padded to ``batch_size`` rows with the first training
+    row at weight 0, as a fit pads it: the bytes of a one-column product's
+    rows depend on the row count.
+    """
+    model = init_model(X.shape[1], cfg).astype(np.float32)
+    shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
+    m, v = np.zeros_like(model.params), np.zeros_like(model.params)
+    perm = shuffle_rng.permutation(len(y))
+    X = X.astype(np.float32)
+    for step, start in enumerate(range(0, len(y), cfg.batch_size), start=1):
+        idx = perm[start:start + cfg.batch_size]
+        padded = np.concatenate([idx, np.zeros(cfg.batch_size - len(idx), dtype=int)])
+        _, gw, gb = loss_and_grads(model, X[padded], y[padded], class_weights(y), train=True, rng=dropout_rng,
+                                   real=len(idx))
+        adamw_step(model.params, np.concatenate([g.ravel() for g in gw + gb]), m, v, cfg.learning_rate,
+                   cfg.weight_decay, step)
+    return model.params
 
 
 def numeric_gradients(model, X, y, weights, eps=1e-6):
@@ -250,34 +274,24 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step(p, p, np.zeros(1), np.zeros(1), 0.1, 0.0, step=0)
 
-    def test_stacked_rows_step_as_they_would_alone(self):
-        """A (K, P) step with one step index per row gives each row the bytes of its own flat step."""
-        rng = np.random.default_rng(8)
-        params, m, v = rng.normal(size=(3, 7)), np.zeros((3, 7)), np.zeros((3, 7))
-        rows = [(p.copy(), mi.copy(), vi.copy()) for p, mi, vi in zip(params, m, v)]
-        for shift in range(4):
-            grads = rng.normal(size=(3, 7))
-            steps = [1 + shift, 9 + shift, 1000 + shift]
-            adamw_step(params, grads, m, v, 1e-2, 1e-3, steps)
-            for (p, mi, vi), g, step in zip(rows, grads, steps):
-                adamw_step(p, g, mi, vi, 1e-2, 1e-3, step)
-        assert params.tobytes() == np.stack([p for p, _, _ in rows]).tobytes()
-        with pytest.raises(ValueError):
-            adamw_step(params, grads, m, v, 1e-2, 1e-3, [1, 0, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stacked_rows_step_as_they_would_alone(self, dtype):
+        """A (K, P) step with each row's bias corrections from a fit's table gives each row its own flat step's bytes.
 
-    def test_float32_rows_step_in_float32_as_they_would_alone(self):
-        """A per-row step list, as a stack whose models have taken different step counts gets, keeps float32 bytes."""
-        rng = np.random.default_rng(9)
-        params = rng.normal(size=(3, 7)).astype(np.float32)
+        The rows have taken different step counts, as a stack's models may; a float32 stack stays in float32.
+        """
+        rng = np.random.default_rng(8)
+        params = rng.normal(size=(3, 7)).astype(dtype)
         m, v = np.zeros_like(params), np.zeros_like(params)
         rows = [(p.copy(), mi.copy(), vi.copy()) for p, mi, vi in zip(params, m, v)]
+        table = _bias_corrections(1003, dtype)
         for shift in range(4):
-            grads = rng.normal(size=(3, 7)).astype(np.float32)
+            grads = rng.normal(size=(3, 7)).astype(dtype)
             steps = [1 + shift, 9 + shift, 1000 + shift]
-            adamw_step(params, grads, m, v, 1e-2, 1e-3, steps)
+            adamw_step(params, grads, m, v, 1e-2, 1e-3, None, corrections=tuple(table[:, [s - 1 for s in steps], None]))
             for (p, mi, vi), g, step in zip(rows, grads, steps):
                 adamw_step(p, g, mi, vi, 1e-2, 1e-3, step)
-        assert {a.dtype for a in (params, m, v, *(a for row in rows for a in row))} == {np.dtype(np.float32)}
+        assert {a.dtype for a in (params, m, v, *(a for row in rows for a in row))} == {np.dtype(dtype)}
         for k, stacked in enumerate((params, m, v)):
             assert stacked.tobytes() == np.stack([row[k] for row in rows]).tobytes()
 
@@ -358,17 +372,7 @@ class TestFit:
     def test_training_steps_match_the_loss_and_grads_reference(self):
         ds = toy_dataset(n=50)
         cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=8, fixed_epochs=1, seed=3)
-        model = init_model(ds.dimension, cfg).astype(np.float32)
-        shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
-        m, v = np.zeros_like(model.params), np.zeros_like(model.params)
-        perm = shuffle_rng.permutation(len(ds))
-        X = ds.X.astype(np.float32)
-        for step, start in enumerate(range(0, len(ds), cfg.batch_size), start=1):
-            idx = perm[start:start + cfg.batch_size]
-            _, gw, gb = loss_and_grads(model, X[idx], ds.y[idx], class_weights(ds.y), train=True, rng=dropout_rng)
-            grads = np.concatenate([g.ravel() for g in gw + gb])
-            adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
-        assert fit(ds, ds, cfg).model.params.tobytes() == model.params.tobytes()
+        assert fit(ds, ds, cfg).model.params.tobytes() == reference_epoch(ds.X, ds.y, cfg).tobytes()
 
     def test_float32_training_stays_near_the_float64_reference(self):
         """25 epochs of fit against the loss_and_grads and adamw_step loop run in float64 on the same draws."""
@@ -410,17 +414,18 @@ class TestFit:
 
 
 def stack_jobs():
-    """Jobs for one stack of two-hidden-layer models with dropout, batch 8.
+    """Jobs for one stack of two-hidden-layer models with dropout, batch 64.
 
-    Their training rows of one pool differ: 40 rows end on a full batch,
-    45 and 37 on a partial one, 48 take an extra full batch. They train
-    30 fixed epochs, each with its own seed, and share one validation
-    set, as the shadows do.
+    Their training rows of one pool differ, and so do their last batches:
+    129 rows end on a batch of 1, 128 on a full batch, 191 on a batch of
+    63, and 63 rows are one batch of 63. They train 30 fixed epochs, each
+    with its own seed, and share one validation set, as the shadows do.
     """
-    pool = toy_dataset(n=120, dim=5, seed=4, separation=2.0)
+    pool = toy_dataset(n=300, dim=5, seed=4, separation=2.0)
     val = toy_dataset(n=30, dim=5, seed=2, separation=2.0)
-    cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=8, learning_rate=1e-2, fixed_epochs=30)
-    return FitJobs(pool.X, pool.y, val.X, val.y, [np.arange(2 * j, 2 * j + n) for j, n in enumerate((40, 45, 48, 37))],
+    cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=64, learning_rate=1e-2, fixed_epochs=30)
+    return FitJobs(pool.X, pool.y, val.X, val.y,
+                   [np.arange(2 * j, 2 * j + n) for j, n in enumerate((129, 128, 191, 63))],
                    [replace(cfg, seed=10 + j) for j in range(4)])
 
 
@@ -460,18 +465,23 @@ class TestStack:
         jobs = replace(jobs, cfgs=[replace(cfg, fixed_epochs=1) for cfg in jobs.cfgs])
         for j, stacked in enumerate(fit_stack(jobs)):
             d_train, _, cfg = alone(jobs, j)
-            model = init_model(d_train.dimension, cfg).astype(np.float32)
-            shuffle_rng, dropout_rng = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
-            m, v = np.zeros_like(model.params), np.zeros_like(model.params)
-            perm = shuffle_rng.permutation(len(d_train))
-            X = d_train.X.astype(np.float32)
-            for step, start in enumerate(range(0, len(d_train), cfg.batch_size), start=1):
-                idx = perm[start:start + cfg.batch_size]
-                _, gw, gb = loss_and_grads(model, X[idx], d_train.y[idx], class_weights(d_train.y),
-                                           train=True, rng=dropout_rng)
-                grads = np.concatenate([g.ravel() for g in gw + gb])
-                adamw_step(model.params, grads, m, v, cfg.learning_rate, cfg.weight_decay, step)
-            assert stacked.model.params.tobytes() == model.params.tobytes()
+            assert stacked.model.params.tobytes() == reference_epoch(d_train.X, d_train.y, cfg).tobytes(), j
+
+    def test_after_an_epoch_each_model_has_drawn_what_an_unpadded_loop_draws(self, monkeypatch):
+        """A padded batch draws dropout for its model's own rows only: the shuffle and dropout generators end alike."""
+        made, derive = {}, nnet.derive_rng
+        monkeypatch.setattr(nnet, "derive_rng", lambda seed, name: made.setdefault((seed, name), derive(seed, name)))
+        jobs = stack_jobs()
+        jobs = replace(jobs, cfgs=[replace(cfg, fixed_epochs=1) for cfg in jobs.cfgs])
+        fit_stack(jobs)
+        for rows, cfg in zip(jobs.rows, jobs.cfgs, strict=True):
+            shuffle, dropout = derive_rng(cfg.seed, "shuffle"), derive_rng(cfg.seed, "dropout")
+            shuffle.permutation(len(rows))
+            for start in range(0, len(rows), cfg.batch_size):
+                for width in cfg.hidden_dims:
+                    dropout.random((len(rows[start:start + cfg.batch_size]), width))
+            assert made[cfg.seed, "shuffle"].bit_generator.state == shuffle.bit_generator.state
+            assert made[cfg.seed, "dropout"].bit_generator.state == dropout.bit_generator.state
 
     def test_a_stack_trains_in_float32_and_keeps_its_losses_in_float64(self, monkeypatch):
         """Every batch, logit, output delta, parameter, moment and gradient of a stacked fit is float32."""
@@ -511,17 +521,32 @@ class TestStack:
     def test_a_packed_stack_holds_each_row_it_trains_on_once_and_trains_the_same(self):
         """In float32, the training dtype: the features, labels and validation set, each cast once."""
         jobs = stack_jobs()
-        jobs = replace(jobs, rows=[jobs.rows[0][::-1], *jobs.rows[1:3], jobs.rows[3] + 70])  # rows 0-51, 76-112
+        jobs = replace(jobs, rows=[jobs.rows[0][::-1], *jobs.rows[1:3], jobs.rows[3] + 220])  # rows 0-194, 226-288
         packed = jobs.packed()
         union = np.unique(np.concatenate(jobs.rows))
         assert {packed.X.dtype, packed.y.dtype, packed.X_val.dtype} == {np.dtype(np.float32)}
-        assert len(union) == 52 + 37 and np.array_equal(packed.X, jobs.X[union].astype(np.float32))
+        assert len(union) == 195 + 63 and np.array_equal(packed.X, jobs.X[union].astype(np.float32))
         for rows, packed_rows in zip(jobs.rows, packed.rows, strict=True):
             assert np.array_equal(packed.X[packed_rows], jobs.X[rows].astype(np.float32))
             assert np.array_equal(packed.y[packed_rows], jobs.y[rows])
         assert np.array_equal(packed.X_val, jobs.X_val.astype(np.float32)) and packed.cfgs == jobs.cfgs
         for model, packed_model in zip(fit_stack(jobs), fit_stack(packed), strict=True):
             assert same_model(model, packed_model)
+
+    def test_packing_a_wide_stack_never_holds_a_float64_copy_of_its_rows(self):
+        """16 jobs on about half of 12,000 rows of 16 features, as in a wide-challenge stack: it casts in blocks."""
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(12_000, 16)), (rng.random(12_000) < 0.3).astype(float)
+        jobs = FitJobs(X, y, X[:2_700], y[:2_700], [np.flatnonzero(rng.random(12_000) < 0.5) for _ in range(16)],
+                       [TrainConfig(hidden_dims=(8,), fixed_epochs=2, seed=j) for j in range(16)])
+        tracemalloc.start()
+        try:
+            packed = jobs.packed()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert packed.X.dtype == np.float32 and len(packed.X) > 11_900
+        assert peak - held < packed.X.size * 8 / 2  # what packing holds beyond its result: not the float64 rows
 
     def test_capacity_follows_the_parameter_count(self):
         # positive control: 2,113 parameters; the default recipe: 49,665; a wide 8-unit model: 145

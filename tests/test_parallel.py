@@ -3,15 +3,18 @@
 import hashlib
 import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leakaudit import pipeline
+from leakaudit import parallel, pipeline
 from leakaudit.config import ExperimentConfig
 from leakaudit.game import GameConfig, ShadowParams, draw_challenge, draw_shadows, train_shadow_ensemble
-from leakaudit.nnet import FitJobs, TrainConfig, fit, load_model
+from leakaudit.nnet import FitJobs, TrainConfig, fit, fit_stack, load_model
 from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, helper_count, step_seconds
 from leakaudit.synth import SynthSpec, synth_dataset
 
@@ -231,6 +234,30 @@ def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monke
     for model, job_rows, cfg in zip(models, rows, cfgs, strict=True):
         alone = fit(pool.take(job_rows), candidates, cfg)
         assert model.model.params.tobytes() == alone.model.params.tobytes()
+
+
+def test_a_helper_whose_input_ends_exits_with_0_after_its_last_reply_and_its_stray_output(shadow_inputs):
+    """A helper started as FitHelpers starts one, whose fit prints without a newline to what it sees as stdout."""
+    _, _, jobs = shadow_inputs
+    src = str(Path(parallel.__file__).resolve().parent.parent)
+    noisy = ("import sys; sys.path[:0] = sys.argv[1:]; from leakaudit import parallel; real = parallel.fit_stack; "
+             "parallel.fit_stack = lambda jobs: print('stray', end='') or real(jobs); parallel.serve()")
+    stack = jobs([replace(FAST_CFG, fixed_epochs=2, seed=seed) for seed in (1, 2)])
+    proc = subprocess.Popen([sys.executable, "-S", "-c", noisy, src, *sys.path], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        pickle.dump(stack, proc.stdin)
+        proc.stdin.flush()
+        ok, models = pickle.load(proc.stdout)
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stdout.read() == b"" and proc.stderr.read() == b"stray"
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert ok and [m.model.params.tobytes() for m in models] == [m.model.params.tobytes() for m in fit_stack(stack)]
 
 
 def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
