@@ -3,8 +3,9 @@
 The fits of a repetition, the target's and the shadows', are independent
 and each has its own seed, so where a fit runs, and beside which other
 fits, does not change its result. :class:`FitHelpers` starts its helpers
-with ``subprocess`` from ``sys.executable``, each with one-thread BLAS so
-that the helpers do not oversubscribe the cores. It does not use
+with ``subprocess`` from ``sys.executable``, each with one-thread BLAS, as
+every leakaudit process has it (see :mod:`leakaudit`), so that the helpers
+do not oversubscribe the cores. It does not use
 ``multiprocessing``: a pool's handler threads cost the parent memory,
 and its ``spawn`` start re-runs an unguarded ``__main__``.
 
@@ -39,6 +40,7 @@ from collections import deque
 from collections.abc import Sequence
 from pathlib import Path
 
+from leakaudit import BLAS_THREAD_VARS
 from leakaudit.nnet import FitJobs, TrainedModel, fit_stack, stack_capacity
 
 __all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
@@ -58,7 +60,8 @@ MULTIPLY_ADD_S = 0.25e-9
 # -S skips the site module, a fifth of a helper's start-up; the parent's own
 # import path, passed as arguments, stands in for what site would add
 _SERVE = "import sys; sys.path[:0] = sys.argv[1:]; from leakaudit.parallel import serve; serve()"
-_ONE_THREAD_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+# the helpers run BLAS on one thread even where the user set another count for the parent
+_ONE_THREAD_BLAS = dict.fromkeys(BLAS_THREAD_VARS, "1")
 
 
 def step_seconds(batch_size: int, dims: Sequence[int]) -> float:

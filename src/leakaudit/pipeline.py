@@ -17,7 +17,8 @@ the score and ROC CSVs and the ``rep_report.json``, and all aggregate
 into ``report.json``. So a resumed run writes what a fresh run with its
 config writes. Every run file is written here: each of the four JSON
 records by :func:`_write_json`, through a temp file that then replaces it,
-and every CSV by :func:`_write_csv`, lines ended by ``\n``. The attacks and the
+and every CSV by :func:`_write_csv`, lines ended by ``\n``, or, where no
+field needs quotes, joined by :func:`_write_fields`. The attacks and the
 evaluation take plain arrays in the one candidate order of
 :mod:`leakaudit.attacks`, the rows of the repetition's
 ``TargetArtifacts``. A sample's id is read only where a file names it:
@@ -32,6 +33,7 @@ import json
 import logging
 import math
 import os
+import re
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -77,6 +79,8 @@ __all__ = ["run_experiment", "rerun_attacks", "report_render"]
 log = logging.getLogger(__name__)
 
 ATTACK_NAMES = ("lira", "rmia")
+# what a field may not hold unquoted: the delimiter, the quote and the line ends
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _fpr_key(fpr: float) -> str:
@@ -210,16 +214,25 @@ def _write_json(path: Path, obj: dict) -> dict:
 def _write_csv(path: Path, header: str, rows: Iterable[Sequence] | np.ndarray) -> Path:
     """Write the ``header`` line, then ``rows``, every line ended by ``\\n``.
 
-    A numeric array takes one format call a row; other rows go through one :func:`csv.writer`,
-    which writes a float by repr, None as an empty field and quotes a field that needs it.
+    A numeric array is formatted a column at a time, each value by repr (:func:`_write_fields`); other
+    rows go through one :func:`csv.writer`, which writes a float by repr, None as an empty field and
+    quotes a field that needs it.
     """
+    if isinstance(rows, np.ndarray):
+        return _write_fields(path, header, [map(repr, column) for column in rows.T.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        if isinstance(rows, np.ndarray):
-            line = ",".join(["{!r}"] * rows.shape[1]) + "\n"
-            fh.writelines(line.format(*row) for row in rows.tolist())
-        else:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def _write_fields(path: Path, header: str, columns: Sequence[Iterable[str]]) -> Path:
+    """Write the ``header`` line, then a line for each row of the ``columns`` of text fields, joined by ``,``.
+
+    No field is quoted, so none may hold ``,``, ``"``, ``\\r`` or ``\\n``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
     return path
 
 
@@ -229,14 +242,21 @@ def save_manifest(plan: ShadowPlan, path: Path, ids: Sequence[str]) -> None:
 
 
 def save_scores(table: AttackScores, path: Path, artifacts: TargetArtifacts, ids: Sequence[str]) -> None:
-    """Write ``table`` as CSV ``id,score,is_member,flags`` in challenge order (members first), rows named by ``ids``."""
+    """Write ``table`` as CSV ``id,score,is_member,flags`` in challenge order (members first), rows named by ``ids``.
+
+    The rows are joined directly unless an id needs quotes; a flag never does.
+    """
     if table.scores.shape != artifacts.confidences.shape:
         raise ValueError(f"{len(table.scores)} scores for {len(artifacts.rows)} candidates")
     rows = artifacts.challenge.candidates
     order = np.searchsorted(artifacts.rows, rows)
-    _write_csv(path, "id,score,is_member,flags",
-               zip([ids[row] for row in rows.tolist()], map(repr, table.scores[order].tolist()),
-                   artifacts.is_member[order].astype(int).tolist(), [table.flags.get(i, "") for i in order.tolist()]))
+    columns = [[ids[row] for row in rows.tolist()], map(repr, table.scores[order].tolist()),
+               map(str, artifacts.is_member[order].astype(int).tolist()),
+               [table.flags.get(i, "") for i in order.tolist()]]
+    if _NEEDS_QUOTES.search("".join(columns[0])):
+        _write_csv(path, "id,score,is_member,flags", zip(*columns))
+    else:
+        _write_fields(path, "id,score,is_member,flags", columns)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -117,6 +117,20 @@ def assign_membership(candidates: np.ndarray, p_member: float, seed: int) -> Cha
                      nonmembers=candidates[~bits], p_member=p_member, seed=seed)
 
 
+def deduplicate(X: np.ndarray, labels: Sequence[int]) -> tuple[list[int], int, int]:
+    """The rows ``load_dataset`` keeps, with its counts of exact duplicates and conflicting-label rows.
+
+    Rows are grouped by their tuple of values, in which ``-0.0`` equals ``0.0``. A group keeps its first
+    row if its labels agree, and loses every row if they conflict.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for r, row in enumerate(X.tolist()):
+        groups.setdefault(tuple(row), []).append(r)
+    keep = sorted(group[0] for group in groups.values() if len({labels[r] for r in group}) == 1)
+    n_conflict = sum(len(group) for group in groups.values() if len({labels[r] for r in group}) > 1)
+    return keep, len(X) - n_conflict - len(keep), n_conflict
+
+
 def same_dataset(a: Dataset, b: Dataset) -> bool:
     """Whether ``a`` and ``b`` hold the same ids, features, labels and metadata columns, row by row."""
     return (a.ids == b.ids and np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from leakaudit.data import (
     Dataset,
     IngestError,
+    _deduplicate,
     class_weights,
     load_dataset,
     save_dataset,
 )
 from leakaudit.synth import SynthSpec, synth_dataset
-from oracles import same_dataset
+from oracles import deduplicate, same_dataset
 
 
 def load_logged(path, caplog):
@@ -315,6 +316,28 @@ class TestParsers:
             parsed = load_outcome(path)
             with mock.patch("leakaudit.data._parse_rows", return_value=None):
                 assert load_outcome(path) == parsed
+
+
+class TestDeduplicate:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_grouping_the_rows_by_value(self, data):
+        """Planted duplicates, some with a conflicting label or a zero of the other sign, or none at all."""
+        dim = data.draw(st.integers(1, 3))
+        value = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e308]) | st.floats(allow_nan=False)
+        rows = data.draw(st.lists(st.tuples(*[value] * dim), min_size=1, max_size=10))
+        for _ in range(data.draw(st.integers(0, 4))):
+            row = data.draw(st.sampled_from(rows))
+            if data.draw(st.booleans()):
+                row = tuple(-v if v == 0.0 else v for v in row)
+            rows.insert(data.draw(st.integers(0, len(rows))), row)
+        X = np.array(rows, dtype=float)
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        block = data.draw(st.sampled_from([1, 8, 24, 1 << 18]))  # a row or more a block, or one block
+        with mock.patch("leakaudit.data._HASH_BLOCK_BYTES", block):
+            keep, n_dup, n_conflict = _deduplicate(X, labels)
+        assert keep.dtype == np.intp
+        assert (keep.tolist(), n_dup, n_conflict) == deduplicate(X, labels)
 
 
 class TestClassWeights:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leakaudit import parallel, pipeline
+from leakaudit import BLAS_THREAD_VARS, parallel, pipeline
 from leakaudit.config import ExperimentConfig
 from leakaudit.game import GameConfig, ShadowParams, draw_challenge, draw_shadows, train_shadow_ensemble
 from leakaudit.nnet import FitJobs, TrainConfig, fit, fit_stack, load_model
@@ -300,3 +300,33 @@ def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_ru
     assert all(error.startswith("ValueError: class weights undefined: both classes must be present")
                for error in report["errors"].values())
     assert len(started) == 2 and stopped(started)
+
+
+def os_threads(code: str, env: dict[str, str]) -> list[str]:
+    """What ``code`` prints, then the OS threads of the Python process that ran it, with ``env`` added."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(parallel.__file__).resolve().parent.parent)
+    code += "; print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')))"
+    return subprocess.run([sys.executable, "-c", code], env={**base, **env, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="counts threads in /proc/self/status (Linux)")
+def test_a_process_that_imports_leakaudit_runs_blas_on_one_thread_unless_the_user_set_a_count():
+    cores = len(os.sched_getaffinity(0))
+    show = "import leakaudit, numpy, os; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    assert os_threads(show, {}) == ["1", "1", "1"]
+    assert os_threads(show, {"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1", str(min(2, cores))]
+    # numpy imported first keeps its own default, one thread a core
+    numpy_first = "import numpy, leakaudit, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert os_threads(numpy_first, {})[1] == str(cores)
+
+
+@pytest.mark.skipif(not Path("/proc/self/environ").exists(), reason="reads a helper's /proc/PID/environ (Linux)")
+def test_helpers_run_blas_on_one_thread_whatever_the_parent_runs(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    with FitHelpers(1) as helpers:
+        helpers.start()
+        environ = Path(f"/proc/{helpers.procs[0].pid}/environ").read_bytes().split(b"\0")
+    assert {f"{var}=1".encode() for var in BLAS_THREAD_VARS} <= set(environ)

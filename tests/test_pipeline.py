@@ -6,19 +6,23 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leakaudit import game, pipeline
-from leakaudit.attacks import RmiaParams
+from leakaudit.attacks import AttackScores, RmiaParams
 from leakaudit.config import ExperimentConfig, ShadowParams, validate_config
 from leakaudit.data import Dataset, load_dataset, save_dataset
-from leakaudit.game import GameConfig, draw_challenge, draw_shadows
+from leakaudit.game import Challenge, GameConfig, TargetArtifacts, draw_challenge, draw_shadows
 from leakaudit.nnet import TrainConfig, load_model
-from leakaudit.pipeline import _aggregate, _write_csv, report_render, rerun_attacks, run_experiment
+from leakaudit.pipeline import _aggregate, _write_csv, report_render, rerun_attacks, run_experiment, save_scores
 from leakaudit.recipe import RecipeError
 from leakaudit.seeds import derive_seed
 from leakaudit.synth import SynthSpec, synth_dataset
@@ -352,6 +356,50 @@ def test_write_csv_writes_an_array_as_its_rows(tmp_path):
     _write_csv(tmp_path / "array.csv", "a,b,c", rows)
     _write_csv(tmp_path / "rows.csv", "a,b,c", [tuple(r) for r in rows.tolist()])
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [
+    np.empty((0, 3)),
+    np.array([[-0.0, np.inf, 5e-324]]),
+    np.array([[1e308, -np.inf, 0.1 + 0.2], [-0.0, 0.0, -5e-324], [1 / 3, 2.0, -1e308]]),
+    np.array([[7.0]]),
+])
+def test_write_csv_writes_an_array_as_one_repr_a_value_row_by_row(tmp_path, rows):
+    _write_csv(tmp_path / "array.csv", "a,b,c", rows)
+    line = ",".join(["{!r}"] * rows.shape[1]) + "\n"
+    expected = "a,b,c\n" + "".join(line.format(*row) for row in rows.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == expected.encode()
+
+
+QUOTED = ',"\r\n'
+# ids with and without the characters a CSV field must quote, a leading # or space, and non-ASCII text
+sample_ids = st.text(st.sampled_from([*QUOTED, "#", " ", "a", "7", "é", "漢", "\t"])
+                     | st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.lists(sample_ids, min_size=1, max_size=8, unique=True), data=st.data())
+def test_save_scores_writes_the_bytes_of_csv_writer(ids, data):
+    n = len(ids)
+    rows = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    m = data.draw(st.integers(0, n))
+    challenge = Challenge(members=rows[:m], validation=np.array([], dtype=np.intp), population=rows[m:],
+                          nonmembers=rows[m:], p_member=0.5, seed=0)
+    scores = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+    flagged = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    table = AttackScores(scores=scores, flags={i: "no_in_shadow" for i in flagged})
+    artifacts = TargetArtifacts(model=None, confidences=np.zeros(n), challenge=challenge)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        save_scores(table, path, artifacts, ids)
+        written = path.read_bytes()
+    expected = StringIO()
+    expected.write("id,score,is_member,flags\n")
+    order = np.searchsorted(artifacts.rows, challenge.candidates)
+    csv.writer(expected, lineterminator="\n").writerows(
+        [ids[r], repr(float(scores[i])), int(artifacts.is_member[i]), table.flags.get(i, "")]
+        for r, i in zip(challenge.candidates.tolist(), order.tolist()))
+    assert written == expected.getvalue().encode()
 
 
 class TestReportRender:
