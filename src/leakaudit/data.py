@@ -157,6 +157,8 @@ def load_dataset(path: str | Path) -> Dataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
+        except csv.Error as exc:  # such as a column name over csv.field_size_limit()
+            raise IngestError(f"{path}: row 1: {exc}") from None
         meta_cols, _ = _parse_header(header)
         rows = _parse_rows(path, fh, len(header))
     ids, labels, table = rows or _scan_rows(path, len(header), len(meta_cols))

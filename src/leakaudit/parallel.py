@@ -2,10 +2,26 @@
 
 The fits of a repetition, the target's and the shadows', are independent
 and each has its own seed, so where a fit runs, and beside which other
-fits, does not change its result. :class:`FitHelpers` starts its helpers
-with ``subprocess`` from ``sys.executable``, each with one-thread BLAS, as
-every leakaudit process has it (see :mod:`leakaudit`), so that the helpers
-do not oversubscribe the cores. It does not use
+fits, does not change its result. Every helper runs BLAS on one thread,
+as every leakaudit process does (see :mod:`leakaudit`), so that the
+helpers do not oversubscribe the cores. :class:`FitHelpers` starts them
+in one of two ways, chosen by what the parent is:
+
+- A parent that runs on one OS thread (``/proc/self/task`` holds one
+  entry) forks them. Such a parent runs one-thread BLAS, since OpenBLAS
+  starts its thread pool when numpy loads, and no other thread can hold
+  a lock across the fork. A forked helper already holds numpy,
+  leakaudit and the data: a fork of a 45 MB parent takes about 1 ms on
+  a 2-vCPU host, where a fresh interpreter takes 0.14-0.20 s of CPU to
+  import them.
+- Any other parent starts them with ``subprocess`` from
+  ``sys.executable``, with the BLAS thread count set to one in their
+  environment. That covers a user-set thread count, numpy imported
+  before leakaudit, threads of the application, and a platform without
+  ``/proc``.
+
+Nothing but :meth:`FitHelpers.start` depends on the start path: both
+helpers serve from two pipes with :func:`serve`. It does not use
 ``multiprocessing``: a pool's handler threads cost the parent memory,
 and its ``spawn`` start re-runs an unguarded ``__main__``.
 
@@ -33,21 +49,25 @@ import math
 import os
 import pickle
 import select
+import signal
 import subprocess
 import sys
 import traceback
 from collections import deque
 from collections.abc import Sequence
 from pathlib import Path
+from typing import BinaryIO, NoReturn
 
 from leakaudit import BLAS_THREAD_VARS
 from leakaudit.nnet import FitJobs, TrainedModel, fit_stack, stack_capacity
 
 __all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
 
-# A helper costs about 0.2 s of CPU to start, mostly the numpy import. Below
-# this many estimated seconds of fits per repetition the start-up eats what
-# the other cores save.
+# Below this many estimated seconds of fits per repetition the fits run in-process. A forked helper
+# starts in about 1 ms (a 45 MB parent on a 2-vCPU host), but a spawned one imports numpy and
+# leakaudit afresh, 0.14-0.20 s of CPU each; on either path every stack is packed, pickled and sent
+# through a pipe, and the shadows train in smaller stacks than the one stack of an in-process run.
+# The value dates from spawned helpers only and is not re-tuned for forked ones.
 MIN_FIT_SECONDS = 1.0
 # One optimizer step on one core: a fixed cost for the Python and numpy calls
 # plus a cost per multiply-add of one row through the layers. Fitted to lone
@@ -59,7 +79,8 @@ MULTIPLY_ADD_S = 0.25e-9
 
 # -S skips the site module, a fifth of a helper's start-up; the parent's own
 # import path, passed as arguments, stands in for what site would add
-_SERVE = "import sys; sys.path[:0] = sys.argv[1:]; from leakaudit.parallel import serve; serve()"
+_SERVE = ("import sys; sys.path[:0] = sys.argv[1:]; from leakaudit.parallel import serve; "
+          "serve(sys.stdin.buffer, sys.stdout.buffer)")
 # the helpers run BLAS on one thread even where the user set another count for the parent
 _ONE_THREAD_BLAS = dict.fromkeys(BLAS_THREAD_VARS, "1")
 
@@ -88,9 +109,10 @@ class FitHelpers:
 
     def __init__(self, n: int):
         self.n = n
-        self.procs: list[subprocess.Popen] = []
-        self._idle: list[subprocess.Popen] = []
-        self._running: dict[subprocess.Popen, tuple[Batch, range]] = {}  # each helper's batch and job indices
+        self.procs: list[subprocess.Popen | _Forked] = []
+        self._idle: list[subprocess.Popen | _Forked] = []
+        # each running helper's batch and job indices
+        self._running: dict[subprocess.Popen | _Forked, tuple[Batch, range]] = {}
         self._queue: deque[Batch] = deque()  # batches with jobs not yet sent, oldest first
 
     def __len__(self) -> int:
@@ -103,17 +125,23 @@ class FitHelpers:
         self.close()
 
     def start(self) -> None:
-        """Start the helpers unless they run; returns without waiting for them to load."""
+        """Start the helpers unless they run; returns without waiting for them to load.
+
+        A parent on one OS thread forks them; any other spawns them (see the module's docstring).
+        """
         if self.procs:
             return
-        src = str(Path(__file__).resolve().parent.parent)
-        env = {**os.environ, **_ONE_THREAD_BLAS}
-        # in a session of their own, a Ctrl-C reaches only the parent, which stops them
-        self.procs = [
-            subprocess.Popen([sys.executable, "-S", "-c", _SERVE, src, *sys.path], stdin=subprocess.PIPE,
-                             stdout=subprocess.PIPE, env=env, start_new_session=True)
-            for _ in range(self.n)
-        ]
+        if _one_thread():
+            self.procs = [_Forked() for _ in range(self.n)]
+        else:
+            src = str(Path(__file__).resolve().parent.parent)
+            env = {**os.environ, **_ONE_THREAD_BLAS}
+            # in a session of their own, a Ctrl-C reaches only the parent, which stops them
+            self.procs = [
+                subprocess.Popen([sys.executable, "-S", "-c", _SERVE, src, *sys.path], stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, env=env, start_new_session=True)
+                for _ in range(self.n)
+            ]
         self._idle = list(self.procs)
 
     def submit(self, jobs: FitJobs) -> Batch:
@@ -227,14 +255,84 @@ class Batch:
         return [self.results[i] for i in range(len(self.jobs))]
 
 
-def serve() -> None:
-    """A helper's loop: fit each pickled stack of jobs from stdin, write ``(ok, models or error)`` to stdout.
+def _one_thread() -> bool:
+    """Whether this process runs on one OS thread, as ``/proc/self/task`` shows; False where it cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+class _Forked:
+    """A helper forked from this process, serving from two pipes: what :class:`FitHelpers` uses of a ``Popen``."""
+
+    def __init__(self):
+        jobs, self_jobs = os.pipe()
+        self_replies, replies = os.pipe()
+        # a buffered line would otherwise be written again by the helper
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (jobs, self_jobs, self_replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve_forked(jobs, replies)
+        os.close(jobs)
+        os.close(replies)
+        self.stdin = open(self_jobs, "wb")
+        self.stdout = open(self_replies, "rb")
+        self.returncode: int | None = None
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self) -> int:
+        if self.returncode is None:
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.returncode is None:  # a reaped pid may belong to another process by now
+            os.kill(self.pid, signal.SIGKILL)
+
+
+def _serve_forked(jobs: int, replies: int) -> NoReturn:
+    """A forked helper's whole life: keep only its pipes and fds 0-2, then :func:`serve`; never returns."""
+    try:
+        # in a session of its own, a Ctrl-C reaches only the parent, which stops it
+        os.setsid()
+        # the parent's other pipe ends, those of earlier helpers included: a helper whose input the parent
+        # closes must see its end
+        for fd in map(int, os.listdir("/proc/self/fd")):  # readable, as /proc/self/task was
+            if fd > 2 and fd not in (jobs, replies):
+                with contextlib.suppress(OSError):  # the listing's own fd, closed by now
+                    os.close(fd)
+        # a stray write to stdout goes to stderr, never to the parent's stdout; sys.stderr may have
+        # written to an fd closed above (a captured stream), so it writes to fd 2 again
+        os.dup2(2, 1)
+        sys.stderr = open(2, "w", errors="backslashreplace", buffering=1, closefd=False)
+        serve(open(jobs, "rb"), open(replies, "wb"))
+    except BaseException:  # noqa: BLE001 - it must not return into the parent's code
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(1)
+
+
+def serve(jobs: BinaryIO, replies: BinaryIO) -> NoReturn:
+    """A helper's loop: fit each pickled stack of jobs from ``jobs``, write ``(ok, models or error)`` to ``replies``.
 
     When its input ends the helper flushes stderr and exits at once with
     ``os._exit(0)``: every reply is written and flushed, and the
     interpreter's teardown would only keep the parent waiting.
     """
-    jobs, replies = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # a stray print must not corrupt the replies
     while True:
         try:

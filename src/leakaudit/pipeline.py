@@ -17,8 +17,8 @@ the score and ROC CSVs and the ``rep_report.json``, and all aggregate
 into ``report.json``. So a resumed run writes what a fresh run with its
 config writes. Every run file is written here: each of the four JSON
 records by :func:`_write_json`, through a temp file that then replaces it,
-and every CSV by :func:`_write_csv`, lines ended by ``\n``, or, where no
-field needs quotes, joined by :func:`_write_fields`. The attacks and the
+and every CSV by :func:`_write_csv` or, as text fields quoted where they
+need it, by :func:`_write_fields`, lines ended by ``\n``. The attacks and the
 evaluation take plain arrays in the one candidate order of
 :mod:`leakaudit.attacks`, the rows of the repetition's
 ``TargetArtifacts``. A sample's id is read only where a file names it:
@@ -229,7 +229,8 @@ def _write_csv(path: Path, header: str, rows: Iterable[Sequence] | np.ndarray) -
 def _write_fields(path: Path, header: str, columns: Sequence[Iterable[str]]) -> Path:
     """Write the ``header`` line, then a line for each row of the ``columns`` of text fields, joined by ``,``.
 
-    No field is quoted, so none may hold ``,``, ``"``, ``\\r`` or ``\\n``.
+    Each field is written as it is given, so a field that holds ``,``, ``"``, ``\\r`` or ``\\n`` must come
+    quoted (:func:`_quoted`).
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
@@ -241,22 +242,27 @@ def save_manifest(plan: ShadowPlan, path: Path, ids: Sequence[str]) -> None:
     _write_json(path, plan.manifest(ids))
 
 
+def _quoted(field: str) -> str:
+    """``field`` as CSV writes it: in quotes, each quote doubled, if it holds ``,``, ``"``, ``\\r`` or ``\\n``."""
+    return '"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES.search(field) else field
+
+
 def save_scores(table: AttackScores, path: Path, artifacts: TargetArtifacts, ids: Sequence[str]) -> None:
     """Write ``table`` as CSV ``id,score,is_member,flags`` in challenge order (members first), rows named by ``ids``.
 
-    The rows are joined directly unless an id needs quotes; a flag never does.
+    An id is quoted if it needs quotes; a flag never does.
     """
     if table.scores.shape != artifacts.confidences.shape:
         raise ValueError(f"{len(table.scores)} scores for {len(artifacts.rows)} candidates")
     rows = artifacts.challenge.candidates
     order = np.searchsorted(artifacts.rows, rows)
-    columns = [[ids[row] for row in rows.tolist()], map(repr, table.scores[order].tolist()),
-               map(str, artifacts.is_member[order].astype(int).tolist()),
-               [table.flags.get(i, "") for i in order.tolist()]]
-    if _NEEDS_QUOTES.search("".join(columns[0])):
-        _write_csv(path, "id,score,is_member,flags", zip(*columns))
-    else:
-        _write_fields(path, "id,score,is_member,flags", columns)
+    names = [ids[row] for row in rows.tolist()]
+    if _NEEDS_QUOTES.search("".join(names)):
+        names = [_quoted(name) for name in names]
+    _write_fields(path, "id,score,is_member,flags",
+                  [names, map(repr, table.scores[order].tolist()),
+                   map(str, artifacts.is_member[order].astype(int).tolist()),
+                   [table.flags.get(i, "") for i in order.tolist()]])
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -246,8 +246,10 @@ class TestIngest:
         # the control character of row 5 sends the file to the scan, where csv refuses row 4's 140,000-character id
         ("id,label,meta_size,f_0,f_1\na,1,0.0,1.0,2.0\n\n" + "x" * 140_000 + ",0,1.0,3.0,4.0\nb,0,0.0,\x1c5.0,6.0\n",
          "{path}: row 4: field larger than field limit (131072)"),
+        ("id,label,meta_size,f_0," + "f" * 200_000 + "\na,1,0.0,1.0,2.0\n",
+         "{path}: row 1: field larger than field limit (131072)"),
     ], ids=["extra-column", "blank-lines-then-nan", "float-label", "control-char-in-feature", "bom",
-            "header-only", "header-and-blank-lines", "field-over-csv-limit"])
+            "header-only", "header-and-blank-lines", "field-over-csv-limit", "column-name-over-csv-limit"])
     def test_refused_edge_cases(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))

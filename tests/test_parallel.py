@@ -1,10 +1,19 @@
-"""Tests for shadow fits in helper processes: same models, errors raised, no helper left running."""
+"""Tests for shadow fits in helper processes: same models, errors raised, no helper left running.
+
+The tests of helpers run on both start paths: forked from this process,
+which runs on one OS thread (tests/conftest.py), and spawned while a
+second thread runs.
+"""
 
 import hashlib
+import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +23,7 @@ import pytest
 from leakaudit import BLAS_THREAD_VARS, parallel, pipeline
 from leakaudit.config import ExperimentConfig
 from leakaudit.game import GameConfig, ShadowParams, draw_challenge, draw_shadows, train_shadow_ensemble
-from leakaudit.nnet import FitJobs, TrainConfig, fit, fit_stack, load_model
+from leakaudit.nnet import FitJobs, TrainConfig, fit, load_model
 from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, helper_count, step_seconds
 from leakaudit.synth import SynthSpec, synth_dataset
 
@@ -51,11 +60,64 @@ def stopped(procs):
     return all(proc.poll() is not None for proc in procs)
 
 
-def test_helper_fits_are_bit_identical_to_in_process(shadow_draw):
+def start_of(proc) -> str:
+    """How a running helper started: ``fork`` if its command line is this process's, else ``spawn``."""
+    deadline = time.monotonic() + 10
+    # a spawned helper's command line can read empty for a moment after Popen returns
+    while not (cmdline := Path(f"/proc/{proc.pid}/cmdline").read_bytes()) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    if cmdline == Path("/proc/self/cmdline").read_bytes():
+        return "fork"
+    assert cmdline.startswith(f"{sys.executable}\0-S\0-c\0".encode())
+    return "spawn"
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def start_path(request):
+    """The start path the test's helpers must take: ``fork`` as this process runs, ``spawn`` beside a second thread."""
+    if request.param == "fork":
+        assert len(os.listdir("/proc/self/task")) == 1, "tests/conftest.py must import leakaudit before numpy"
+        yield "fork"
+        return
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield "spawn"
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    deadline = time.monotonic() + 10
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:  # it can outlive join() a moment
+        time.sleep(0.001)
+
+
+@pytest.fixture
+def fit_helpers(start_path, monkeypatch):
+    """FitHelpers, pipeline's included, that assert every helper they start took ``start_path``.
+
+    Its ``started`` lists every helper started in the test.
+    """
+    class Helpers(FitHelpers):
+        started = []
+
+        def start(self):
+            fresh = not self.procs
+            super().start()
+            if fresh:
+                assert [start_of(proc) for proc in self.procs] == [start_path] * self.n
+                self.started.extend(self.procs)
+
+    monkeypatch.setattr(pipeline, "FitHelpers", Helpers)
+    return Helpers
+
+
+def test_helper_fits_are_bit_identical_to_in_process(shadow_draw, fit_helpers):
     dataset = shadow_draw[0]
     plan = draw_shadows(*shadow_draw, SHADOW, 11)
     local = train_shadow_ensemble(dataset, plan, FAST_CFG, FitHelpers(0))
-    with FitHelpers(2) as helpers:
+    with fit_helpers(2) as helpers:
         remote = train_shadow_ensemble(dataset, plan, FAST_CFG, helpers)
         procs = list(helpers.procs)
     assert len(procs) == 2 and stopped(procs)
@@ -71,10 +133,10 @@ def test_helper_fits_are_bit_identical_to_in_process(shadow_draw):
         assert a.model.params[0] == 7.0
 
 
-def test_a_fit_error_in_a_helper_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs):
+def test_a_fit_error_in_a_helper_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs, fit_helpers):
     pool, candidates, jobs = shadow_inputs
     everything, one_class = np.arange(len(pool)), np.flatnonzero(pool.y == 1)
-    with FitHelpers(2) as helpers:
+    with fit_helpers(2) as helpers:
         with pytest.raises(ValueError, match="both classes must be present") as info:
             # the first stack, of the first two jobs, holds the one-class training set
             helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 4,
@@ -114,11 +176,11 @@ def test_start_rule_picks_helpers_by_shadow_steps():
     assert helper_count(0.999 * MIN_FIT_SECONDS) == 0
 
 
-def test_a_batch_returns_its_models_in_job_order_when_a_later_batch_finishes_first(shadow_inputs):
+def test_a_batch_returns_its_models_in_job_order_when_a_later_batch_finishes_first(shadow_inputs, fit_helpers):
     pool, candidates, jobs = shadow_inputs
     slow = [replace(FAST_CFG, fixed_epochs=epochs, seed=seed) for epochs, seed in ((800, 1), (1, 2))]
     fast = [replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in (3, 4, 5)]
-    with FitHelpers(2) as helpers:
+    with fit_helpers(2) as helpers:
         first = helpers.submit(jobs(slow))
         second = helpers.submit(jobs(fast))
         fast_models = second.wait()
@@ -132,14 +194,7 @@ def test_a_batch_returns_its_models_in_job_order_when_a_later_batch_finishes_fir
                                                               for cfg in cfgs]
 
 
-def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, monkeypatch):
-    started = set()
-
-    class Recorded(FitHelpers):
-        def start(self):
-            super().start()
-            started.update(self.procs)
-
+def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, monkeypatch, fit_helpers):
     def failing_lira(*args, **kwargs):
         raise ArithmeticError("scoring failed")
 
@@ -148,11 +203,11 @@ def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, mon
         train=replace(FAST_CFG, fixed_epochs=2), shadow=SHADOW, repetitions=2,
         output_dir=str(tmp_path / "out"),
     )
-    monkeypatch.setattr(pipeline, "FitHelpers", Recorded)
     monkeypatch.setattr(pipeline, "helper_count", lambda steps: 2)
     monkeypatch.setattr(pipeline, "run_lira", failing_lira)
     report = pipeline.run_experiment(cfg)
     assert report["errors"] == {"0": "ArithmeticError: scoring failed", "1": "ArithmeticError: scoring failed"}
+    started = fit_helpers.started
     assert len(started) == 2 and stopped(started)  # one pair of helpers served both repetitions
 
 
@@ -164,7 +219,7 @@ def pooled_config(tmp_path, name):
     )
 
 
-def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_path, monkeypatch):
+def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_path, monkeypatch, fit_helpers):
     # with 1, 2 or 3 helpers the shadows train in stacks of other sizes and groupings; the second
     # recipe's target early-stops, the one job whose stack ends on patience
     early = replace(FAST_CFG, max_epochs=200, patience=1)
@@ -178,15 +233,16 @@ def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_pat
                               for p in sorted(out.rglob("*")) if p.is_file()}
         assert len(outputs[0]) == 1 + 2 * (8 + SHADOW.count)
         assert outputs[1] == outputs[2] == outputs[3] == outputs[0], recipe
+    assert len(fit_helpers.started) == 2 * (1 + 2 + 3) and stopped(fit_helpers.started)
     for rep in (0, 1):
         target = load_model(tmp_path / "early_0" / f"rep_{rep:03d}" / "target.npz")
         assert target.best_epoch < len(target.val_losses) < early.max_epochs
 
 
-def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs):
+def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs, fit_helpers):
     pool, candidates, jobs = shadow_inputs
     everything, one_class = np.arange(len(pool)), np.flatnonzero(pool.y == 1)
-    with FitHelpers(1) as helpers:
+    with fit_helpers(1) as helpers:
         batch = helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 3, [everything, one_class, everything]))
         assert [list(indices) for _, indices in helpers._running.values()] == [[0, 1, 2]]  # one stack
         with pytest.raises(ValueError, match="both classes must be present"):
@@ -199,11 +255,11 @@ def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_re
                                                           for cfg in cfgs]
 
 
-def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_inputs):
+def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_inputs, fit_helpers):
     """The first stack takes an even share of all jobs not yet finished; a large model goes one at a time."""
     _, _, jobs = shadow_inputs
     small = jobs([replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in range(11)])
-    with FitHelpers(2) as helpers:
+    with fit_helpers(2) as helpers:
         target = helpers.submit(small[:1])
         shadows = helpers.submit(small[1:])
         # the target alone, then 6 of the 10 shadows: half of the 11 jobs not yet finished
@@ -213,15 +269,16 @@ def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_in
         large = replace(FAST_CFG, hidden_dims=(128, 128), fixed_epochs=1)  # over 16k parameters
         helpers.submit(jobs([replace(large, seed=seed) for seed in range(3)]))
         assert [len(indices) for _, indices in helpers._running.values()] == [1, 1]
+    assert stopped(fit_helpers.started)
 
 
-def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monkeypatch):
+def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monkeypatch, fit_helpers):
     pool, candidates, jobs = shadow_inputs
     sent, dump = [], pickle.dump
     monkeypatch.setattr(pickle, "dump", lambda obj, *args, **kwargs: sent.append(obj) or dump(obj, *args, **kwargs))
     cfgs = [replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in (1, 2)]
     rows = [np.arange(40, 0, -2), np.arange(30, 60)]
-    with FitHelpers(2) as helpers:
+    with fit_helpers(2) as helpers:
         models = helpers.submit(jobs(cfgs, rows)).wait()
     # two helpers, so a stack of one job each
     assert [len(stack) for stack in sent] == [1, 1]
@@ -236,31 +293,51 @@ def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monke
         assert model.model.params.tobytes() == alone.model.params.tobytes()
 
 
-def test_a_helper_whose_input_ends_exits_with_0_after_its_last_reply_and_its_stray_output(shadow_inputs):
-    """A helper started as FitHelpers starts one, whose fit prints without a newline to what it sees as stdout."""
+def exit_code(proc, seconds: float = 60.0) -> int | None:
+    """The helper's exit code, or None if it still runs after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return proc.poll()
+
+
+def test_a_helper_whose_input_ends_exits_with_0_after_its_last_reply_and_its_stray_output(
+        shadow_inputs, fit_helpers, start_path, monkeypatch, capfd):
+    """A helper whose fit prints without a newline to what it sees as stdout."""
     _, _, jobs = shadow_inputs
-    src = str(Path(parallel.__file__).resolve().parent.parent)
-    noisy = ("import sys; sys.path[:0] = sys.argv[1:]; from leakaudit import parallel; real = parallel.fit_stack; "
-             "parallel.fit_stack = lambda jobs: print('stray', end='') or real(jobs); parallel.serve()")
+    real = parallel.fit_stack
+    # a forked helper runs this process's patched fit_stack, a spawned one patches its own
+    monkeypatch.setattr(parallel, "fit_stack", lambda jobs: print("stray", end="") or real(jobs))
+    monkeypatch.setattr(parallel, "_SERVE", "import sys; sys.path[:0] = sys.argv[1:]; from leakaudit import parallel; "
+                        "real = parallel.fit_stack; parallel.fit_stack = lambda jobs: print('stray', end='') or "
+                        "real(jobs); parallel.serve(sys.stdin.buffer, sys.stdout.buffer)")
     stack = jobs([replace(FAST_CFG, fixed_epochs=2, seed=seed) for seed in (1, 2)])
-    proc = subprocess.Popen([sys.executable, "-S", "-c", noisy, src, *sys.path], stdin=subprocess.PIPE,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        pickle.dump(stack, proc.stdin)
-        proc.stdin.flush()
-        ok, models = pickle.load(proc.stdout)
+    with fit_helpers(1) as helpers:
+        models = helpers.submit(stack).wait()
+        [proc] = helpers.procs
+        assert os.getsid(proc.pid) == proc.pid  # in a session of its own, which a Ctrl-C does not reach
+        if start_path == "fork":  # its stdout is its stderr, and it keeps no fd of the parent's but 0-2
+            fds = {int(fd): os.readlink(f"/proc/{proc.pid}/fd/{fd}") for fd in os.listdir(f"/proc/{proc.pid}/fd")}
+            assert len(fds) == 5 and fds[1] == fds[2]
         proc.stdin.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stdout.read() == b"" and proc.stderr.read() == b"stray"
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-        proc.stderr.close()
-    assert ok and [m.model.params.tobytes() for m in models] == [m.model.params.tobytes() for m in fit_stack(stack)]
+        assert exit_code(proc) == 0
+        assert proc.stdout.read() == b""
+    assert capfd.readouterr() == ("", "stray")
+    assert [m.model.params.tobytes() for m in models] == [m.model.params.tobytes() for m in real(stack)]
 
 
-def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
+def test_a_helper_whose_input_ends_exits_while_the_others_run(fit_helpers):
+    """No helper holds another's input open: the first of two exits on its own."""
+    with fit_helpers(2) as helpers:
+        helpers.start()
+        first, second = helpers.procs
+        first.stdin.close()
+        assert exit_code(first) == 0
+        assert second.poll() is None
+    assert stopped(fit_helpers.started)
+
+
+def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs, fit_helpers):
     _, _, jobs = shadow_inputs
 
     class Jobs(FitJobs):
@@ -269,7 +346,7 @@ def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
                 raise KeyError("job source failed")
             return FitJobs(**{**vars(self), "rows": self.rows[part], "cfgs": self.cfgs[part]})
 
-    helpers = FitHelpers(2)
+    helpers = fit_helpers(2)
     with pytest.raises(KeyError), helpers:
         helpers.start()
         procs = list(helpers.procs)
@@ -278,36 +355,37 @@ def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs):
     assert helpers.procs == []
 
 
-def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_running(tmp_path, monkeypatch):
-    started = set()
+def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_running(tmp_path, monkeypatch,
+                                                                                      fit_helpers):
     real_target_job = pipeline.target_job
-
-    class Recorded(FitHelpers):
-        def start(self):
-            super().start()
-            started.update(self.procs)
 
     def one_class_target_job(challenge, cfg):
         val, [(train, train_cfg)] = real_target_job(challenge, cfg)
         return val, [(train[labels[train] == 1], train_cfg)]
 
     labels = synth_dataset(pooled_config(tmp_path, "out").synth).y
-    monkeypatch.setattr(pipeline, "FitHelpers", Recorded)
     monkeypatch.setattr(pipeline, "helper_count", lambda seconds: 2)
     monkeypatch.setattr(pipeline, "target_job", one_class_target_job)
     report = pipeline.run_experiment(pooled_config(tmp_path, "out"))
     assert set(report["errors"]) == {"0", "1"}
     assert all(error.startswith("ValueError: class weights undefined: both classes must be present")
                for error in report["errors"].values())
-    assert len(started) == 2 and stopped(started)
+    assert len(fit_helpers.started) == 2 and stopped(fit_helpers.started)
+
+
+def parent_env(env: dict[str, str]) -> dict[str, str]:
+    """The environment of a Python process that imports this checkout's leakaudit, with ``env`` added.
+
+    It is ours without BLAS thread counts, and without ``PYTHONUNBUFFERED``, so that stdout is buffered.
+    """
+    base = {k: v for k, v in os.environ.items() if k not in (*BLAS_THREAD_VARS, "PYTHONUNBUFFERED")}
+    return {**base, **env, "PYTHONPATH": str(Path(parallel.__file__).resolve().parent.parent)}
 
 
 def os_threads(code: str, env: dict[str, str]) -> list[str]:
     """What ``code`` prints, then the OS threads of the Python process that ran it, with ``env`` added."""
-    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    src = str(Path(parallel.__file__).resolve().parent.parent)
     code += "; print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')))"
-    return subprocess.run([sys.executable, "-c", code], env={**base, **env, "PYTHONPATH": src},
+    return subprocess.run([sys.executable, "-c", code], env=parent_env(env),
                           capture_output=True, text=True, check=True).stdout.split()
 
 
@@ -322,11 +400,107 @@ def test_a_process_that_imports_leakaudit_runs_blas_on_one_thread_unless_the_use
     assert os_threads(numpy_first, {})[1] == str(cores)
 
 
-@pytest.mark.skipif(not Path("/proc/self/environ").exists(), reason="reads a helper's /proc/PID/environ (Linux)")
-def test_helpers_run_blas_on_one_thread_whatever_the_parent_runs(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    with FitHelpers(1) as helpers:
-        helpers.start()
-        environ = Path(f"/proc/{helpers.procs[0].pid}/environ").read_bytes().split(b"\0")
-    assert {f"{var}=1".encode() for var in BLAS_THREAD_VARS} <= set(environ)
+# The start of a parent process that imports leakaudit first. With argv[1] == "thread" it runs a second
+# thread, so its helpers are spawned. start_of(proc) is how a helper started.
+PARENT = """
+import sys, threading, time
+from pathlib import Path
+import leakaudit
+if sys.argv[1:] == ["thread"]:
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
+def start_of(proc):
+    while not (cmdline := Path(f"/proc/{proc.pid}/cmdline").read_bytes()):  # empty while a spawned helper execs
+        time.sleep(0.001)
+    return "fork" if cmdline == Path("/proc/self/cmdline").read_bytes() else "spawn"
+"""
+
+
+def one_stack(epochs: int) -> str:
+    """Code that makes ``stack``, two 4-unit models of ``epochs`` epochs on 64 rows of random data."""
+    return f"""
+import numpy as np
+from leakaudit.nnet import FitJobs, TrainConfig
+X, y = np.random.default_rng(0).normal(size=(64, 4)), np.arange(64) % 2
+cfgs = [TrainConfig(hidden_dims=(4,), fixed_epochs={epochs}, seed=seed) for seed in (1, 2)]
+stack = FitJobs(X, y, X, y, [np.arange(64)] * 2, cfgs)
+"""
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_helpers_run_blas_on_one_thread_whatever_the_parent_runs(start):
+    """Each helper's own thread count after it trained a stack, under a parent on one BLAS thread or on two."""
+    if start == "spawn" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("on one core OpenBLAS starts no second thread, and the parent forks")
+    code = PARENT + one_stack(2) + """
+import json
+from leakaudit import parallel
+with parallel.FitHelpers(1) as helpers:
+    helpers.submit(stack).wait()
+    [proc] = helpers.procs
+    status = Path(f"/proc/{proc.pid}/status").read_text().splitlines()
+    threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+    environ = Path(f"/proc/{proc.pid}/environ").read_bytes().decode().split("\\0")
+    print(json.dumps({"start": start_of(proc), "threads": threads, "environ": environ}))
+"""
+    env = {var: "2" for var in BLAS_THREAD_VARS} if start == "spawn" else {}
+    shown = json.loads(subprocess.run([sys.executable, "-c", code], env=parent_env(env), capture_output=True,
+                                      text=True, check=True, timeout=120).stdout)
+    assert shown["start"] == start
+    assert shown["threads"] == 1
+    if start == "spawn":
+        assert {f"{var}=1" for var in BLAS_THREAD_VARS} <= set(shown["environ"])
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_a_partial_line_the_parent_left_unflushed_appears_once(start):
+    """On stdout and on a stderr that buffers, as stdout does, also when a forked helper logs through both."""
+    code = PARENT + one_stack(2) + """
+import io, logging
+from leakaudit import parallel
+sys.stderr = io.TextIOWrapper(io.BufferedWriter(io.FileIO(2, "w", closefd=False)), line_buffering=True)
+log = logging.getLogger("helper")
+for stream in (sys.stdout, sys.stderr):
+    log.addHandler(logging.StreamHandler(stream))
+real = parallel.fit_stack
+parallel.fit_stack = lambda jobs: log.warning("fit") or real(jobs)
+sys.stdout.write("out")
+sys.stderr.write("partial")
+with parallel.FitHelpers(1) as helpers:
+    helpers.submit(stack).wait()
+    started = start_of(helpers.procs[0])
+sys.stderr.write(" line\\n")
+print("", started)
+"""
+    args = ["thread"] if start == "spawn" else []
+    done = subprocess.run([sys.executable, "-c", code, *args], env=parent_env({}), capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout == f"out {start}\n"
+    # a forked helper's stdout is its stderr; a spawned helper runs its own fit_stack, which logs nothing
+    assert done.stderr == {"fork": "partialfit\nfit\n line\n", "spawn": "partial line\n"}[start]
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_a_ctrl_c_in_the_parent_stops_every_helper(start):
+    """SIGINT to the parent's process group, as a terminal sends it, while both helpers fit."""
+    code = PARENT + one_stack(100_000) + """
+from leakaudit.parallel import FitHelpers
+with FitHelpers(2) as helpers:
+    batch = helpers.submit(stack)
+    print(*(start_of(proc) for proc in helpers.procs), *(proc.pid for proc in helpers.procs), flush=True)
+    batch.wait()
+"""
+    args = ["thread"] if start == "spawn" else []
+    parent = subprocess.Popen([sys.executable, "-c", code, *args], env=parent_env({}), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        starts_and_pids = parent.stdout.readline().split()
+        os.killpg(parent.pid, signal.SIGINT)
+        _, err = parent.communicate(timeout=60)
+    finally:
+        parent.kill()
+        parent.wait()
+    assert starts_and_pids[:2] == [start, start]
+    assert parent.returncode != 0 and err.rstrip().endswith("KeyboardInterrupt")
+    for pid in map(int, starts_and_pids[2:]):
+        with pytest.raises(ProcessLookupError):  # the parent waited for it
+            os.kill(pid, 0)

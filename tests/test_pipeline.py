@@ -393,13 +393,26 @@ def test_save_scores_writes_the_bytes_of_csv_writer(ids, data):
         path = Path(tmp) / "scores.csv"
         save_scores(table, path, artifacts, ids)
         written = path.read_bytes()
-    expected = StringIO()
-    expected.write("id,score,is_member,flags\n")
+    expected = ["id,score,is_member,flags\n"]
     order = np.searchsorted(artifacts.rows, challenge.candidates)
-    csv.writer(expected, lineterminator="\n").writerows(
-        [ids[r], repr(float(scores[i])), int(artifacts.is_member[i]), table.flags.get(i, "")]
-        for r, i in zip(challenge.candidates.tolist(), order.tolist()))
-    assert written == expected.getvalue().encode()
+    for r, i in zip(challenge.candidates.tolist(), order.tolist()):
+        # csv.writer quotes a field that holds a character of its line end, so with \r\n it quotes a lone \r,
+        # which it leaves bare with \n (Python 3.11)
+        line = StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(
+            [ids[r], repr(float(scores[i])), int(artifacts.is_member[i]), table.flags.get(i, "")])
+        expected.append(line.getvalue().removesuffix("\r\n") + "\n")
+    assert written == "".join(expected).encode()
+
+
+def test_save_scores_quotes_an_id_holding_a_lone_carriage_return(tmp_path):
+    challenge = Challenge(members=np.array([0]), validation=np.array([], dtype=np.intp), population=np.array([1]),
+                          nonmembers=np.array([1]), p_member=0.5, seed=0)
+    artifacts = TargetArtifacts(model=None, confidences=np.zeros(2), challenge=challenge)
+    save_scores(AttackScores(scores=np.array([0.5, 0.25]), flags={}), tmp_path / "scores.csv", artifacts, ["a\rb", "c"])
+    with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["id", "score", "is_member", "flags"], ["a\rb", "0.5", "1", ""],
+                                        ["c", "0.25", "0", ""]]
 
 
 class TestReportRender:
