@@ -6,11 +6,13 @@ validation split, the population and the non-members drawn from it.
 :func:`draw_shadows` alone draws the shadows' sampling universe, per-sample
 inclusion mask and a reserved Z set excluded from all shadow training;
 a run trains its draw, a re-attack and a resumed run check it against
-``manifest.json``. :func:`start_fits` is the one place that decides where
-and how fits run: the target's alone, and the shadows' in
-:func:`train_shadow_ensemble` in lockstep stacks, in helper processes or
-here. A sample is its dataset row throughout: the challenge, the
-shadows' universe and Z set are row arrays, and ids are read only to
+``manifest.json``. :func:`fit_batch` is the one place that decides where
+and how fits run: in helper processes or here, in lockstep stacks of the
+jobs whose recipes stack. :func:`train_shadow_ensemble` trains a
+repetition's fits as one batch, the target's first: it joins the
+shadows' first stack where its recipe is theirs but the seed, and trains
+alone where it stops early. A sample is its dataset row throughout: the
+challenge, the shadows' universe and Z set are row arrays, and ids are read only to
 build the records of ``challenge.json`` (:meth:`Challenge.record`) and
 ``manifest.json`` (:meth:`ShadowPlan.manifest`). This module draws and
 trains and writes no file: :mod:`leakaudit.pipeline` writes both records.
@@ -19,13 +21,13 @@ trains and writes no file: :mod:`leakaudit.pipeline` writes both records.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from leakaudit.data import Dataset
-from leakaudit.nnet import FitJobs, TrainConfig, TrainedModel, fit, fit_stack, predict_confidences, stack_capacity
+from leakaudit.nnet import FitJobs, TrainConfig, TrainedModel, fit, fit_stack, predict_confidences
 from leakaudit.parallel import FitHelpers
 from leakaudit.recipe import check
 from leakaudit.seeds import derive_rng, derive_seed
@@ -40,7 +42,7 @@ __all__ = [
     "nonmember_count",
     "draw_challenge",
     "target_job",
-    "start_fits",
+    "fit_batch",
     "run_game",
     "draw_shadows",
     "train_shadow_ensemble",
@@ -237,33 +239,37 @@ def draw_challenge(dataset: Dataset, game: GameConfig, seed: int) -> Challenge:
                      nonmembers=nonmembers, p_member=game.p_member, seed=seed)
 
 
-def target_job(challenge: Challenge, cfg: TrainConfig) -> tuple[np.ndarray, list]:
-    """The target's fit in ``challenge``'s game as :func:`start_fits` takes it: validation rows, one job."""
-    seed = derive_seed(challenge.seed, "target")
-    return np.sort(challenge.validation), [(np.sort(challenge.members), replace(cfg, seed=seed))]
+def target_job(challenge: Challenge, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, TrainConfig]:
+    """The target's fit in ``challenge``'s game as :func:`fit_batch` takes it: training and validation rows, recipe."""
+    return np.sort(challenge.members), np.sort(challenge.validation), replace(
+        cfg, seed=derive_seed(challenge.seed, "target"))
 
 
-def start_fits(dataset: Dataset, val: np.ndarray, jobs: Sequence[tuple[np.ndarray, TrainConfig]],
-               helpers: FitHelpers) -> Callable[[], list[TrainedModel]]:
-    """Start a fit for every job, validated on the rows ``val``; returns the wait for their models, in job order.
+def fit_batch(dataset: Dataset, jobs: Sequence[tuple[np.ndarray, np.ndarray, TrainConfig]],
+              helpers: FitHelpers) -> list[TrainedModel]:
+    """Fit every job, in helpers if there are any, else here; returns their models in job order.
 
-    A job is its training rows of ``dataset`` and its recipe. With helpers
-    the jobs are queued there as one batch (see :meth:`FitHelpers.submit`)
-    and this returns at once. With none they are fitted here: one job,
-    the target, by :func:`fit`, and more, the shadows, as a helper would,
-    by :func:`fit_stack` in stacks of at most :func:`stack_capacity`.
+    A job is its training rows and its validation rows of ``dataset``, and
+    its recipe. With helpers the jobs go there as one batch (see
+    :meth:`FitHelpers.submit`). With none they are fitted here, as a helper
+    would, by :func:`fit_stack`, in stacks of as many consecutive jobs as
+    :meth:`FitJobs.stack_end` allows; a stack of one, such as an
+    early-stopping target, by :func:`fit`.
     """
-    if len(jobs) == 1 and not helpers:
-        (rows, cfg), = jobs
-        model = fit(dataset.take(rows), dataset.take(val), cfg)
-        return lambda: [model]
-    rows, cfgs = zip(*jobs)
-    batch = FitJobs(dataset.X, dataset.y, dataset.X[val], dataset.y[val], rows, cfgs)
+    rows, val_rows, cfgs = zip(*jobs)
+    batch = FitJobs(dataset.X, dataset.y, rows, val_rows, cfgs)
     if helpers:
-        return helpers.submit(batch).wait
-    size = stack_capacity(dataset.dimension, cfgs[0].hidden_dims)
-    models = [model for start in range(0, len(batch), size) for model in fit_stack(batch[start:start + size])]
-    return lambda: models
+        return helpers.submit(batch).wait()
+    models: list[TrainedModel] = []
+    start = 0
+    while start < len(batch):
+        stop = batch.stack_end(start)
+        if stop - start == 1:
+            models.append(fit(dataset.take(rows[start]), dataset.take(val_rows[start]), cfgs[start]))
+        else:
+            models += fit_stack(batch[start:stop])
+        start = stop
+    return models
 
 
 def run_game(dataset: Dataset, challenge: Challenge, target: TrainedModel) -> TargetArtifacts:
@@ -321,18 +327,21 @@ def draw_shadows(dataset: Dataset, pool: np.ndarray, candidates: np.ndarray,
     )
 
 
-def train_shadow_ensemble(dataset: Dataset, plan: ShadowPlan, cfg: TrainConfig,
-                          helpers: FitHelpers) -> ShadowEnsemble:
-    """Train the shadows of ``plan``, each on its mask column, validated on Z.
+def train_shadow_ensemble(dataset: Dataset, plan: ShadowPlan, cfg: TrainConfig, helpers: FitHelpers,
+                          lead: Sequence[tuple[np.ndarray, np.ndarray, TrainConfig]] = ()
+                          ) -> tuple[ShadowEnsemble, list[TrainedModel]]:
+    """Train the shadows of ``plan``, each on its mask column, validated on Z; returns them and the models of ``lead``.
 
     Shadows reuse the target hyperparameters and train for exactly
-    ``plan.shadow_epochs`` epochs, where :func:`start_fits` runs them; each
-    shadow's model is the same wherever, and beside whichever shadows, it trains.
+    ``plan.shadow_epochs`` epochs. The jobs of ``lead``, a repetition's
+    target, go ahead of them in one :func:`fit_batch`, so that
+    they stack with the shadows where their recipes do. Each model is the
+    same wherever, and beside whichever models, it trains.
     """
-    jobs = [(plan.universe[np.flatnonzero(plan.mask[:, j])], replace(cfg, seed=s, fixed_epochs=plan.shadow_epochs))
-            for j, s in enumerate(plan.shadow_seeds)]
-    models = start_fits(dataset, plan.z, jobs, helpers)()
-    return ShadowEnsemble(**vars(plan), models=tuple(models))
+    jobs = [(plan.universe[np.flatnonzero(plan.mask[:, j])], plan.z,
+             replace(cfg, seed=s, fixed_epochs=plan.shadow_epochs)) for j, s in enumerate(plan.shadow_seeds)]
+    models = fit_batch(dataset, [*lead, *jobs], helpers)
+    return ShadowEnsemble(**vars(plan), models=tuple(models[len(lead):])), models[:len(lead)]
 
 
 def collect_confidences(ensemble: ShadowEnsemble, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -24,16 +24,18 @@ pass over the (K, P) moments. A step of a small model costs numpy
 dispatch more than arithmetic, so a stack of K costs far less than K
 steps; :func:`stack_capacity` sizes a stack to at most
 :data:`STACK_ELEMENTS` parameters in all, which keeps large models in
-stacks of one. Its input, :class:`FitJobs`, holds one feature matrix,
-label vector and validation set, and per job only its training rows and
-recipe. A stack casts the rows its jobs train on to float32 once, each
-row once however many jobs train on it (:meth:`FitJobs.packed`), and
-each step gathers the stack's mini-batches from them by row, so no
-job's training set is copied. The models of a
+stacks of one. Its input, :class:`FitJobs`, holds one feature matrix and
+label vector, and per job only its training rows, its validation rows
+and its recipe. A stack casts the rows its jobs train and validate on to
+float32 once, each row once however many jobs use it
+(:meth:`FitJobs.packed`), and each step gathers the stack's mini-batches
+from them by row, so no job's training set is copied. The models of a
 stack share the recipe but the seed, and train a fixed number of
-epochs, as the shadows of a repetition do; only :func:`fit`, the stack
-of one, stops early. Every mini-batch is ``batch_size`` rows: a model's
-last batch is padded with rows of weight 0, which draw no dropout and
+epochs, as a repetition's shadows do, and its target where its recipe
+sets the shadows' epochs; only a stack of one, such as an early-stopping
+target, stops early. Each epoch a stack scores every validation set for
+the models that share it. Every mini-batch is ``batch_size`` rows: a
+model's last batch is padded with rows of weight 0, which draw no dropout and
 count in no mean, so every step of an epoch and every train-loss pass is
 stacked. Each model gets the bytes :func:`fit` gives it alone: every
 shape its arithmetic runs in is set by its own row count, and its bias
@@ -355,32 +357,62 @@ def stack_capacity(dim: int, hidden_dims: Sequence[int]) -> int:
 class FitJobs:
     """:func:`fit_stack`'s input: job ``j`` trains on rows ``rows[j]`` of ``X`` and ``y`` with recipe ``cfgs[j]``.
 
-    Every job is validated on ``X_val`` and ``y_val``; a slice holds its jobs on the same arrays.
+    It picks its epoch by its loss on rows ``val_rows[j]``, which jobs may
+    share, as a repetition's shadows share Z. A slice holds its jobs on the
+    same arrays. A job without validation rows, or with a row outside
+    ``X``, raises :class:`ValueError` naming it.
     """
 
     X: np.ndarray
     y: np.ndarray
-    X_val: np.ndarray
-    y_val: np.ndarray
     rows: Sequence[np.ndarray]
+    val_rows: Sequence[np.ndarray]
     cfgs: Sequence[TrainConfig]
+
+    def __post_init__(self):
+        if not len(self.rows) == len(self.val_rows) == len(self.cfgs):
+            raise ValueError(f"{len(self.rows)} training row sets, {len(self.val_rows)} validation row sets "
+                             f"and {len(self.cfgs)} recipes")
+        for j, (rows, val_rows) in enumerate(zip(self.rows, self.val_rows)):
+            if not len(val_rows):
+                raise ValueError(f"job {j} has no validation rows")
+            for name, job_rows in (("training", rows), ("validation", val_rows)):
+                if len(job_rows) and not 0 <= np.min(job_rows) <= np.max(job_rows) < len(self.X):
+                    raise ValueError(f"job {j} has a {name} row outside the {len(self.X)} rows of X")
 
     def __len__(self) -> int:
         return len(self.cfgs)
 
     def __getitem__(self, jobs: slice) -> "FitJobs":
-        return replace(self, rows=self.rows[jobs], cfgs=self.cfgs[jobs])
+        return replace(self, rows=self.rows[jobs], val_rows=self.val_rows[jobs], cfgs=self.cfgs[jobs])
+
+    def stack_end(self, start: int) -> int:
+        """The end of the jobs from ``start`` that :func:`fit_stack` takes as one stack, as many as it holds.
+
+        They are consecutive jobs whose recipes are job ``start``'s but the
+        seed, with ``fixed_epochs`` set, and at most :func:`stack_capacity`
+        of them; a job that stacks with none, such as one that stops early,
+        is a stack of one.
+        """
+        first = self.cfgs[start]
+        stop = min(len(self), start + stack_capacity(self.X.shape[1], first.hidden_dims))
+        end = start + 1
+        while end < stop and first.fixed_epochs is not None and replace(self.cfgs[end], seed=first.seed) == first:
+            end += 1
+        return end
 
     def packed(self) -> "FitJobs":
-        """The same jobs on only the rows of ``X`` and ``y`` that they train on, each row once, all in float32.
+        """The same jobs on only the rows of ``X`` and ``y`` that they train or validate on, each once, in float32.
 
-        The features, labels and validation set are cast to float32, the
-        training dtype, once here, which also halves what a helper is sent.
-        The features are gathered :data:`PACK_ELEMENTS` at a time, so no
-        float64 copy of the rows is ever held whole.
+        The features and labels are cast to float32, the training dtype,
+        once here, which also halves what a helper is sent. The features
+        are gathered :data:`PACK_ELEMENTS` at a time, so no float64 copy of
+        the rows is ever held whole. Jobs that share a validation array
+        share its packed one, which a pickle then holds once.
         """
+        shared = {id(rows): rows for rows in self.val_rows}
         used = np.zeros(len(self.y), dtype=bool)
-        for rows in self.rows:
+        for rows in (*self.rows, *shared.values()):
             used[rows] = True
         union = np.flatnonzero(used)
         position = np.cumsum(used) - 1  # a used row's index in the union
@@ -388,9 +420,10 @@ class FitJobs:
         block = max(1, PACK_ELEMENTS // max(1, X.shape[1]))
         for start in range(0, len(union), block):
             X[start:start + block] = self.X[union[start:start + block]]
+        val_rows = {key: position[rows] for key, rows in shared.items()}
         return replace(self, X=X, y=self.y[union].astype(np.float32, copy=False),
-                       X_val=self.X_val.astype(np.float32, copy=False),
-                       rows=[position[rows] for rows in self.rows])
+                       rows=[position[rows] for rows in self.rows],
+                       val_rows=[val_rows[id(rows)] for rows in self.val_rows])
 
 
 def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
@@ -400,15 +433,20 @@ def fit(d_train: Dataset, d_val: Dataset, cfg: TrainConfig) -> TrainedModel:
     many epochs run; the returned weights are still those of the epoch
     with the lowest validation loss. This is :func:`fit_stack`'s stack of one.
     """
-    return fit_stack(FitJobs(d_train.features_array(), d_train.labels_array(), d_val.features_array(),
-                             d_val.labels_array(), [np.arange(len(d_train))], [cfg]))[0]
+    if d_val.dimension != d_train.dimension:
+        raise ValueError(f"train/validation dimensions differ: {d_train.dimension} vs {d_val.dimension}")
+    n = len(d_train)
+    return fit_stack(FitJobs(np.concatenate([d_train.features_array(), d_val.features_array()]),
+                             np.concatenate([d_train.labels_array(), d_val.labels_array()]),
+                             [np.arange(n)], [np.arange(n, n + len(d_val))], [cfg]))[0]
 
 
 class _Lane:
-    """One job of a stack: its training rows, class weights, generators, batch count, losses and best epoch so far."""
+    """One job of a stack: its rows, validation set, class weights, generators, batch count, losses and best epoch."""
 
-    def __init__(self, y: np.ndarray, rows: np.ndarray, cfg: TrainConfig, dim: int):
+    def __init__(self, y: np.ndarray, rows: np.ndarray, cfg: TrainConfig, dim: int, val_set: int):
         self.rows = rows
+        self.val_set = val_set  # the first job whose validation rows are this job's
         self.count = len(rows)
         self.weights = class_weights(y[rows])
         self.init = init_model(dim, cfg).astype(np.float32)
@@ -446,10 +484,11 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
     """The :func:`fit` of every job, in job order, trained in lockstep as one stack.
 
     A stack of more than one job takes jobs whose recipes differ only in
-    the seed and set ``fixed_epochs``, as the shadows of a repetition do;
-    it raises :class:`ValueError` for any other. Every model is byte for
-    byte the one :func:`fit` returns on its training rows alone, and all
-    end on the same epoch; only a stack of one stops early.
+    the seed and set ``fixed_epochs``, as the shadows of a repetition do
+    (see :meth:`FitJobs.stack_end`); it raises :class:`ValueError` for any
+    other. Every model is byte for byte the one :func:`fit` returns on its
+    training rows alone, and all end on the same epoch; only a stack of
+    one stops early.
 
     Every mini-batch is ``batch_size`` rows: a model's last batch is
     padded with copies of its first row of weight 0, and its output delta
@@ -460,19 +499,22 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
     permutation of its rows and its dropout for its own rows only, as it
     would alone, and steps with its own bias corrections. The per-epoch
     train losses are scored stacked over models of one batch count, on
-    their rows padded to whole batches, a block of models at a time. Every
-    shape that a model's bytes depend on is thus set by its own row count.
+    their rows padded to whole batches, and each validation set over the
+    models that validate on it, a block of models at a time; models of one
+    batch count are ordered by validation set, so that they are adjacent.
+    Every shape that a model's bytes depend on is thus set by its own row
+    counts.
     """
     cfg, dim = jobs.cfgs[0], jobs.X.shape[1]
-    if jobs.X_val.shape[1] != dim:
-        raise ValueError(f"train/validation dimensions differ: {dim} vs {jobs.X_val.shape[1]}")
     if any(replace(job_cfg, seed=cfg.seed) != cfg for job_cfg in jobs.cfgs[1:]):
         raise ValueError("the jobs of a stack must share the architecture and every other setting but the seed")
     if len(jobs) > 1 and cfg.fixed_epochs is None:
         raise ValueError("the jobs of a stack must train fixed_epochs; only a stack of one stops early")
     jobs = jobs.packed()
-    in_job_order = [_Lane(jobs.y, rows, job_cfg, dim) for rows, job_cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
-    lanes = sorted(in_job_order, key=lambda lane: -lane.batches)
+    first_use: dict[bytes, int] = {}  # each validation set by the first job that validates on it
+    in_job_order = [_Lane(jobs.y, rows, job_cfg, dim, first_use.setdefault(val_rows.tobytes(), j)) for j, (
+        rows, val_rows, job_cfg) in enumerate(zip(jobs.rows, jobs.val_rows, jobs.cfgs, strict=True))]
+    lanes = sorted(in_job_order, key=lambda lane: (-lane.batches, lane.val_set))
     batch, like, epochs = cfg.batch_size, lanes[0].init, cfg.fixed_epochs or cfg.max_epochs
     counts, batches = (np.array([getattr(lane, name) for lane in lanes]) for name in ("count", "batches"))
     # each model's rows in its own order, padded to whole batches with its first row, which there weighs 0
@@ -513,9 +555,15 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
                       (epoch_corrections[0, lead, s, None], epoch_corrections[1, lead, s, None]),
                       int(real[0]) if n == 1 else real.ravel().tolist(), real.astype(params.dtype)))
     widest = max(cfg.hidden_dims, default=1)
-    val_pos = jobs.y_val == 1
-    val_blocks = _blocks(0, len(lanes), max(1, VALIDATION_ELEMENTS // (len(val_pos) * widest)))
-    val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes])
+    # each run of stack rows that share a validation set scores it a block at a time, with each model's class weights
+    val_blocks = []
+    val_starts = [k for k in range(len(lanes)) if k == 0 or lanes[k].val_set != lanes[k - 1].val_set]
+    for start, stop in zip(val_starts, [*val_starts[1:], len(lanes)]):
+        val_rows = jobs.val_rows[lanes[start].val_set]
+        X_val, val_pos = np.take(jobs.X, val_rows, axis=0), np.take(jobs.y, val_rows) == 1
+        for k, n in _blocks(start, stop, max(1, VALIDATION_ELEMENTS // (len(val_rows) * widest))):
+            val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes[k:k + n]])
+            val_blocks.append((k, n, X_val, val_pos, val_w))
     # the train losses: the models of one batch count score their padded rows together, a block at a time
     starts = [k for k in range(len(lanes)) if k == 0 or batches[k] != batches[k - 1]]
     loss_blocks = [part for start, stop in zip(starts, [*starts[1:], len(lanes)])
@@ -542,9 +590,10 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
             logits = _loss_logits(block(k, n)[0], np.take(jobs.X, block_rows, axis=0)).reshape(n, width)
             terms = _bce(logits, pos, np.where(pos, class_w[k:k + n, 1:], class_w[k:k + n, :1]))
             train_losses += [float(np.add.reduce(t[:c]) / c) for t, c in zip(terms, counts[k:k + n].tolist())]
-        # the shared validation set, scored a block of the stack at a time with each model's class weights
-        val_logits = np.concatenate([_loss_logits(block(k, n)[0], jobs.X_val).reshape(n, -1) for k, n in val_blocks])
-        val_losses = (np.add.reduce(_bce(val_logits, val_pos, val_w), axis=-1) / len(val_pos)).tolist()
+        val_losses = []
+        for k, n, X_val, val_pos, val_w in val_blocks:
+            val_logits = _loss_logits(block(k, n)[0], X_val).reshape(n, -1)
+            val_losses += (np.add.reduce(_bce(val_logits, val_pos, val_w), axis=-1) / len(val_pos)).tolist()
         for k, lane in enumerate(lanes):
             if lane.end_epoch(epoch, train_losses[k], val_losses[k]):
                 best[k] = params[k]

@@ -29,22 +29,33 @@ The parent dispatches from its own thread. :meth:`FitHelpers.submit`
 queues a batch of jobs, a :class:`leakaudit.nnet.FitJobs`, and returns;
 while any :class:`Batch` is waited for, the parent sends each idle
 helper a stack of queued jobs, a slice of the batch packed to the rows
-it trains on (:meth:`leakaudit.nnet.FitJobs.packed`). The helper trains
-it in lockstep with :func:`leakaudit.nnet.fit_stack`, as
-:func:`leakaudit.game.start_fits` trains a batch when there are no
-helpers. A repetition submits two batches: the target alone, then its
-shadows. A stack takes an even share of the jobs not yet finished,
-counting those still running, so that the helpers finish together, and
-at most :func:`leakaudit.nnet.stack_capacity` jobs, which keeps large
-models in stacks of one; it never mixes two batches. The parent finds
-the idle helper with ``select`` on the helpers' stdout and stores each
-result under its batch and job index, so the output does not depend on
-scheduling. Helpers use POSIX pipes and ``select``.
+it trains and validates on (:meth:`leakaudit.nnet.FitJobs.packed`). The
+helper trains it in lockstep with :func:`leakaudit.nnet.fit_stack`, as
+:func:`leakaudit.game.fit_batch` trains a batch when there are no
+helpers. A repetition submits one batch: its target, then its shadows.
+
+A stack is a run of consecutive jobs of one batch that ``fit_stack``
+takes together (:meth:`leakaudit.nnet.FitJobs.stack_end`): recipes that
+differ only in the seed, with ``fixed_epochs`` set, and at most
+:func:`leakaudit.nnet.stack_capacity` of them, which keeps large models
+in stacks of one. Of that run an idle helper takes the first jobs whose
+model-steps, ``ceil(rows / batch_size) × epochs`` each, come nearest to
+an even share of the model-steps not yet finished, those still running
+included, so that the helpers finish together. With two helpers a
+positive-control repetition, of 2,200 model-steps for the target and
+1,600 or 1,800 for each shadow, runs as the target and four shadows on
+one helper and six shadows on the other, where an even share of the
+jobs would have given the target and five. An early-stopping target
+stacks with nothing and trains alone. The parent finds the idle helper
+with ``select`` on the helpers' stdout and stores each result under its
+batch and job index, so the output does not depend on scheduling.
+Helpers use POSIX pipes and ``select``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import pickle
@@ -59,7 +70,7 @@ from pathlib import Path
 from typing import BinaryIO, NoReturn
 
 from leakaudit import BLAS_THREAD_VARS
-from leakaudit.nnet import FitJobs, TrainedModel, fit_stack, stack_capacity
+from leakaudit.nnet import FitJobs, TrainedModel, fit_stack
 
 __all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
 
@@ -149,9 +160,8 @@ class FitHelpers:
 
         Idle helpers get the first jobs at once, the rest as helpers come
         free while any batch is waited for. The jobs of a batch train in
-        stacks, so a batch of more than one job must be what
-        :func:`leakaudit.nnet.fit_stack` stacks: recipes that differ only
-        in the seed and set ``fixed_epochs``.
+        stacks of consecutive jobs that :func:`leakaudit.nnet.fit_stack`
+        takes together; a job that stacks with none trains alone.
         """
         if not self.n:
             raise ValueError("FitHelpers(0) has no helper to run a job")
@@ -163,19 +173,18 @@ class FitHelpers:
         return batch
 
     def _dispatch(self) -> None:
-        """Send each idle helper the next stack of queued jobs, the oldest batch first."""
+        """Send each idle helper the next stack of queued jobs, the oldest batch first (see the module's docstring)."""
         while self._idle and self._queue:
             batch = self._queue[0]
             if batch.sent == len(batch.jobs):
                 self._queue.popleft()
                 continue
-            unfinished = (sum(len(indices) for _, indices in self._running.values())
-                          + sum(len(b.jobs) - b.sent for b in self._queue))
-            jobs = batch.jobs
-            size = min(math.ceil(unfinished / self.n), len(jobs) - batch.sent,
-                       stack_capacity(jobs.X.shape[1], jobs.cfgs[batch.sent].hidden_dims))
-            indices = range(batch.sent, batch.sent + size)
-            stack = jobs[indices.start:indices.stop].packed()
+            unfinished = (sum(b.steps[i] for b, indices in self._running.values() for i in indices)
+                          + sum(sum(b.steps[b.sent:]) for b in self._queue))
+            start = batch.sent
+            size = _share(batch.steps[start:batch.jobs.stack_end(start)], unfinished / self.n)
+            indices = range(start, start + size)
+            stack = batch.jobs[indices.start:indices.stop].packed()
             proc = self._idle.pop()
             self._running[proc] = batch, indices
             batch.sent += size
@@ -231,6 +240,9 @@ class Batch:
         self.helpers = helpers
         self.jobs = jobs
         self.sent = 0
+        # each job's model-steps, what the helpers share out: its batches an epoch times its (most) epochs
+        self.steps = [math.ceil(len(rows) / cfg.batch_size) * (cfg.fixed_epochs or cfg.max_epochs)
+                      for rows, cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
         self.results: dict[int, TrainedModel] = {}
         self.failure: tuple[BaseException, str] | None = None
 
@@ -253,6 +265,15 @@ class Batch:
         if len(self.results) < len(self.jobs):
             raise RuntimeError("the fit helpers were stopped before this batch finished")
         return [self.results[i] for i in range(len(self.jobs))]
+
+
+def _share(steps: Sequence[int], share: float) -> int:
+    """How many of the jobs of ``steps`` model-steps, taken in order, come nearest to ``share`` in all; at least one.
+
+    Of two counts equally near, the larger.
+    """
+    totals = list(itertools.accumulate(steps))
+    return min(range(len(totals), 0, -1), key=lambda count: abs(totals[count - 1] - share))
 
 
 def _one_thread() -> bool:

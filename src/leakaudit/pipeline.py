@@ -10,8 +10,9 @@ included, and its shadows. A run and a re-attack share one loop
 against its ``challenge.json`` and ``manifest.json`` (:func:`_stale`)
 before anything is trained, loaded or written. Then a stored repetition
 is loaded from its checkpoints, and a run trains any other one: it
-starts the target's fit, trains the shadows and queries the target, in
-that one order whether the fits run in-process or in helpers. Each ends
+trains the target and the shadows as one batch of fits, the target's
+first, and queries the target, in that one order whether the fits run
+in-process or in helpers. Each ends
 in :func:`_finish_rep`, from the target's game and the shadow ensemble to
 the score and ROC CSVs and the ``rep_report.json``, and all aggregate
 into ``report.json``. So a resumed run writes what a fresh run with its
@@ -64,7 +65,6 @@ from leakaudit.game import (
     draw_challenge,
     draw_shadows,
     run_game,
-    start_fits,
     target_job,
     train_shadow_ensemble,
 )
@@ -132,10 +132,10 @@ def _run_single_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int, challenge
         ensemble = ShadowEnsemble(**vars(shadows), models=tuple(
             load_model(rep_dir / name) for name in shadows.checkpoints))
     else:
-        # with helpers every fit is queued before the first wait, the target, the longest, first
-        target = start_fits(dataset, *target_job(challenge, cfg.train), helpers)
-        ensemble = train_shadow_ensemble(dataset, shadows, cfg.train, helpers)
-        artifacts = run_game(dataset, challenge, target()[0])
+        # one batch of every fit, the target's first, so that it can share the shadows' first stack
+        ensemble, [target] = train_shadow_ensemble(dataset, shadows, cfg.train, helpers,
+                                                   lead=[target_job(challenge, cfg.train)])
+        artifacts = run_game(dataset, challenge, target)
 
         rep_dir.mkdir(parents=True, exist_ok=True)
         save_model(artifacts.model, rep_dir / "target.npz")

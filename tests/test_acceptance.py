@@ -378,7 +378,7 @@ def _null_study_tprs(study, n_reps=5):
         target_confs = predict_confidences(trained, ds.X[candidates], ds.y[candidates])
         is_member = np.isin(candidates, challenge.members)
         plan = draw_shadows(ds, pop, candidates, ShadowParams(count=4, epochs=3), seed)
-        ensemble = train_shadow_ensemble(ds, plan, replace(cfg, seed=seed), FitHelpers(0))
+        ensemble, _ = train_shadow_ensemble(ds, plan, replace(cfg, seed=seed), FitHelpers(0))
         values = collect_confidences(ensemble, ds.X[candidates], ds.y[candidates])
         tables = {
             "lira": run_lira(target_confs, values, ensemble.inclusion(candidates), LiraParams(global_variance=True)),

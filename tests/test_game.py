@@ -17,7 +17,7 @@ from leakaudit.game import (
     draw_challenge,
     draw_shadows,
     run_game,
-    start_fits,
+    fit_batch,
     target_job,
     train_shadow_ensemble,
 )
@@ -36,13 +36,13 @@ NO_HELPERS = FitHelpers(0)
 def play(dataset, cfg, game_cfg, seed):
     """A repetition's game in-process: draw the challenge, fit the target, query it on the candidates."""
     challenge = draw_challenge(dataset, game_cfg, seed)
-    return run_game(dataset, challenge, start_fits(dataset, *target_job(challenge, cfg), NO_HELPERS)()[0])
+    return run_game(dataset, challenge, fit_batch(dataset, [target_job(challenge, cfg)], NO_HELPERS)[0])
 
 
 def train_shadows(dataset, challenge, shadow, cfg, seed):
     """The shadows that ``draw_shadows`` draws for ``challenge`` under ``seed``, trained in-process."""
     plan = draw_shadows(dataset, challenge.population, challenge.candidates, shadow, seed)
-    return train_shadow_ensemble(dataset, plan, cfg, NO_HELPERS)
+    return train_shadow_ensemble(dataset, plan, cfg, NO_HELPERS)[0]
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +183,7 @@ class TestAssignMembership:
 
 class TestRunGame:
     def test_members_are_training_split(self, artifacts):
-        val, [(train, cfg)] = target_job(artifacts.challenge, FAST_CFG)
+        train, val, cfg = target_job(artifacts.challenge, FAST_CFG)
         assert np.array_equal(train, np.sort(artifacts.challenge.members))
         assert np.array_equal(val, np.sort(artifacts.challenge.validation))
         assert cfg.seed == derive_seed(artifacts.challenge.seed, "target")
@@ -304,7 +304,7 @@ class TestShadowEnsemble:
         train_shadow_ensemble(dataset, plan, FAST_CFG, NO_HELPERS)
         [jobs] = stacks
         assert jobs.X is dataset.X and jobs.y is dataset.y
-        assert np.array_equal(jobs.X_val, dataset.X[plan.z]) and np.array_equal(jobs.y_val, dataset.y[plan.z])
+        assert all(val_rows is plan.z for val_rows in jobs.val_rows)
         assert len(jobs) == 4
         for j, (rows, cfg) in enumerate(zip(jobs.rows, jobs.cfgs, strict=True)):
             assert rows.tolist() == [r for r, bit in zip(plan.universe.tolist(), plan.mask[:, j]) if bit]
@@ -322,11 +322,33 @@ class TestShadowEnsemble:
         plan = draw_shadows(dataset, artifacts.challenge.population, artifacts.challenge.candidates,
                             ShadowParams(count=5, epochs=3), 2)
         monkeypatch.setattr(nnet, "VALIDATION_ELEMENTS", 2 * len(plan.z) * 64)
-        ensemble = train_shadow_ensemble(dataset, plan, cfg, NO_HELPERS)
+        ensemble, _ = train_shadow_ensemble(dataset, plan, cfg, NO_HELPERS)
         assert stack_capacity(dataset.dimension, cfg.hidden_dims) == 3 and stacks == [3, 2]
         full = (ensemble.mask.sum(axis=0) // cfg.batch_size).tolist()
         assert len(set(full[:3])) > 1 and len(set(full[3:])) > 1, full
         assert_each_shadow_fits_as_alone(dataset, ensemble, cfg, 3)
+
+    @pytest.mark.parametrize("train,stacks,alone", [
+        (replace(FAST_CFG, fixed_epochs=2), [5], 0),  # the shadows' epochs: the target heads their stack
+        (replace(FAST_CFG, fixed_epochs=3), [4], 1),  # fixed epochs, but not the shadows' 2
+        (FAST_CFG, [4], 1),  # it stops early
+    ], ids=["stacks", "other_epochs", "early"])
+    def test_the_target_joins_the_shadows_stack_only_where_its_recipe_is_theirs(self, dataset, artifacts, monkeypatch,
+                                                                                train, stacks, alone):
+        """In-process, a target that stacks with nothing goes through ``fit``; every model is what it gets alone."""
+        stacked, fits = [], []
+        real_fit_stack, real_fit = game.fit_stack, game.fit
+        monkeypatch.setattr(game, "fit_stack", lambda jobs: stacked.append(len(jobs)) or real_fit_stack(jobs))
+        monkeypatch.setattr(game, "fit", lambda *job: fits.append(job) or real_fit(*job))
+        plan = draw_shadows(dataset, artifacts.challenge.population, artifacts.challenge.candidates,
+                            ShadowParams(count=4, epochs=2), 11)
+        rows, val, cfg = job = target_job(artifacts.challenge, train)
+        ensemble, [target] = train_shadow_ensemble(dataset, plan, train, NO_HELPERS, lead=[job])
+        assert stacked == stacks and len(fits) == alone
+        expected = real_fit(dataset.take(rows), dataset.take(val), cfg)
+        assert target.model.params.tobytes() == expected.model.params.tobytes()
+        assert target.val_losses == expected.val_losses and target.best_epoch == expected.best_epoch
+        assert_each_shadow_fits_as_alone(dataset, ensemble, train, 2)
 
     def test_a_model_without_hidden_layers_trains_in_process(self, dataset, artifacts):
         """``hidden_dims = ()``, a logistic model: the target fits, and each stacked shadow gets what it gets alone."""

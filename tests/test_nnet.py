@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leakaudit.nnet as nnet
 from leakaudit.data import Dataset, class_weights
@@ -419,30 +421,56 @@ def stack_jobs():
     Their training rows of one pool differ, and so do their last batches:
     129 rows end on a batch of 1, 128 on a full batch, 191 on a batch of
     63, and 63 rows are one batch of 63. They train 30 fixed epochs, each
-    with its own seed, and share one validation set, as the shadows do.
+    with its own seed, and share one validation set, rows 300-329 of the
+    same arrays, as the shadows share Z.
     """
     pool = toy_dataset(n=300, dim=5, seed=4, separation=2.0)
     val = toy_dataset(n=30, dim=5, seed=2, separation=2.0)
     cfg = TrainConfig(hidden_dims=(6, 3), dropout_rate=0.3, batch_size=64, learning_rate=1e-2, fixed_epochs=30)
-    return FitJobs(pool.X, pool.y, val.X, val.y,
+    return FitJobs(np.concatenate([pool.X, val.X]), np.concatenate([pool.y, val.y]),
                    [np.arange(2 * j, 2 * j + n) for j, n in enumerate((129, 128, 191, 63))],
-                   [replace(cfg, seed=10 + j) for j in range(4)])
+                   [np.arange(300, 330)] * 4, [replace(cfg, seed=10 + j) for j in range(4)])
 
 
 def pick(jobs, order):
     """The jobs at the indices ``order``, in that order."""
-    return replace(jobs, rows=[jobs.rows[i] for i in order], cfgs=[jobs.cfgs[i] for i in order])
+    return replace(jobs, rows=[jobs.rows[i] for i in order], val_rows=[jobs.val_rows[i] for i in order],
+                   cfgs=[jobs.cfgs[i] for i in order])
 
 
 def alone(jobs, j):
-    """Job ``j`` as :func:`fit` takes it: its training rows and the validation set as datasets, and its recipe."""
-    return (Dataset([f"r{r}" for r in jobs.rows[j]], jobs.X[jobs.rows[j]], jobs.y[jobs.rows[j]]),
-            Dataset([f"v{r}" for r in range(len(jobs.y_val))], jobs.X_val, jobs.y_val), jobs.cfgs[j])
+    """Job ``j`` as :func:`fit` takes it: its training rows and its validation rows as datasets, and its recipe."""
+    return (*(Dataset([f"r{r}" for r in rows], jobs.X[rows], jobs.y[rows])
+              for rows in (jobs.rows[j], jobs.val_rows[j])), jobs.cfgs[j])
 
 
 def same_model(a, b):
     return (a.model.params.tobytes() == b.model.params.tobytes() and a.train_losses == b.train_losses
             and a.val_losses == b.val_losses and a.best_epoch == b.best_epoch)
+
+
+@st.composite
+def mixed_validation_jobs(draw):
+    """A stack of 2-6 jobs that validate on three sets of rows, one of them a target-shaped job with the most batches.
+
+    The target-shaped job trains on 120-150 of rows 0-159 (8-10 batches of
+    16), the others on 10-60 (1-4 batches). Each job validates on rows
+    160-199, on rows 200-239, or on 20 rows drawn from all 240, training
+    rows among them. Rows 0 and 1, one of each class, are in every
+    training set.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X, y = rng.normal(size=(240, 4)), np.arange(240) % 2
+    X[y == 1] += 1.0
+    count = draw(st.integers(2, 6))
+    target = draw(st.integers(0, count - 1))
+    sizes = [draw(st.integers(118, 148)) if j == target else draw(st.integers(8, 58)) for j in range(count)]
+    rows = [np.concatenate([[0, 1], np.sort(rng.choice(np.arange(2, 160), size=size, replace=False))])
+            for size in sizes]
+    sets = [np.arange(160, 200), np.arange(200, 240), np.sort(rng.choice(240, size=20, replace=False))]
+    val_rows = [sets[draw(st.integers(0, 2))] for _ in range(count)]
+    cfg = TrainConfig(hidden_dims=(4,), dropout_rate=0.2, batch_size=16, learning_rate=1e-2, fixed_epochs=3)
+    return FitJobs(X, y.astype(float), rows, val_rows, [replace(cfg, seed=draw(st.integers(0, 99))) for _ in rows])
 
 
 class TestStack:
@@ -458,6 +486,37 @@ class TestStack:
                 stacked = [model for part in parts for model in fit_stack(pick(jobs, part))]
                 for i, model in zip(order, stacked, strict=True):
                     assert same_model(model, models[i]), (order, cut, i)
+
+    @given(mixed_validation_jobs(), st.sampled_from([nnet.VALIDATION_ELEMENTS, 1]))
+    @settings(max_examples=30, deadline=None)
+    def test_jobs_on_different_validation_rows_each_get_the_model_they_get_alone(self, jobs, elements):
+        """Each validation set is scored for the models that share it, in blocks of as many as ``elements`` allows."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nnet, "VALIDATION_ELEMENTS", elements)
+            stacked = fit_stack(jobs)
+        for j, model in enumerate(stacked):
+            assert same_model(model, fit(*alone(jobs, j))), j
+
+    def test_a_job_without_validation_rows_or_with_a_row_outside_X_is_refused_by_name(self):
+        jobs = stack_jobs()
+        rows, val_rows = list(jobs.rows), list(jobs.val_rows)
+        with pytest.raises(ValueError, match="^job 2 has no validation rows$"):
+            replace(jobs, val_rows=[*val_rows[:2], np.arange(0), val_rows[3]])
+        with pytest.raises(ValueError, match="^job 1 has a validation row outside the 330 rows of X$"):
+            replace(jobs, val_rows=[val_rows[0], np.array([5, 330]), *val_rows[2:]])
+        with pytest.raises(ValueError, match="^job 3 has a training row outside the 330 rows of X$"):
+            replace(jobs, rows=[*rows[:3], np.array([-1, 4])])
+        with pytest.raises(ValueError, match="4 training row sets, 3 validation row sets and 4 recipes"):
+            replace(jobs, val_rows=val_rows[:3])
+
+    def test_a_stack_ends_at_a_recipe_it_cannot_take_or_at_its_capacity(self):
+        jobs = stack_jobs()
+        early, other = replace(jobs.cfgs[0], fixed_epochs=None), replace(jobs.cfgs[0], learning_rate=0.5)
+        assert [jobs.stack_end(start) for start in range(4)] == [4, 4, 4, 4]
+        assert replace(jobs, cfgs=[early, *jobs.cfgs[1:]]).stack_end(0) == 1  # it stops early, so alone
+        assert replace(jobs, cfgs=[*jobs.cfgs[:2], other, jobs.cfgs[3]]).stack_end(0) == 2
+        large = [replace(cfg, hidden_dims=(128, 128)) for cfg in jobs.cfgs]  # over 16k parameters
+        assert [replace(jobs, cfgs=large).stack_end(start) for start in range(4)] == [1, 2, 3, 4]
 
     def test_stacked_training_steps_match_the_loss_and_grads_reference(self):
         """Each stacked model's first epoch is the per-batch loss_and_grads and adamw_step loop on that model alone."""
@@ -519,17 +578,18 @@ class TestStack:
             fit_stack(replace(jobs, cfgs=[replace(cfg, fixed_epochs=None) for cfg in jobs.cfgs]))
 
     def test_a_packed_stack_holds_each_row_it_trains_on_once_and_trains_the_same(self):
-        """In float32, the training dtype: the features, labels and validation set, each cast once."""
+        """In float32, the training dtype: the features and labels of the rows it trains and validates on, once."""
         jobs = stack_jobs()
         jobs = replace(jobs, rows=[jobs.rows[0][::-1], *jobs.rows[1:3], jobs.rows[3] + 220])  # rows 0-194, 226-288
         packed = jobs.packed()
         union = np.unique(np.concatenate(jobs.rows))
-        assert {packed.X.dtype, packed.y.dtype, packed.X_val.dtype} == {np.dtype(np.float32)}
-        assert len(union) == 195 + 63 and np.array_equal(packed.X, jobs.X[union].astype(np.float32))
-        for rows, packed_rows in zip(jobs.rows, packed.rows, strict=True):
+        assert {packed.X.dtype, packed.y.dtype} == {np.dtype(np.float32)}
+        assert len(union) == 195 + 63 and np.array_equal(packed.X[:len(union)], jobs.X[union].astype(np.float32))
+        assert len(packed.X) == len(union) + 30  # and the validation rows, 300-329, once for the four jobs
+        for rows, packed_rows in zip([*jobs.rows, *jobs.val_rows], [*packed.rows, *packed.val_rows], strict=True):
             assert np.array_equal(packed.X[packed_rows], jobs.X[rows].astype(np.float32))
             assert np.array_equal(packed.y[packed_rows], jobs.y[rows])
-        assert np.array_equal(packed.X_val, jobs.X_val.astype(np.float32)) and packed.cfgs == jobs.cfgs
+        assert all(rows is packed.val_rows[0] for rows in packed.val_rows) and packed.cfgs == jobs.cfgs
         for model, packed_model in zip(fit_stack(jobs), fit_stack(packed), strict=True):
             assert same_model(model, packed_model)
 
@@ -537,7 +597,7 @@ class TestStack:
         """16 jobs on about half of 12,000 rows of 16 features, as in a wide-challenge stack: it casts in blocks."""
         rng = np.random.default_rng(0)
         X, y = rng.normal(size=(12_000, 16)), (rng.random(12_000) < 0.3).astype(float)
-        jobs = FitJobs(X, y, X[:2_700], y[:2_700], [np.flatnonzero(rng.random(12_000) < 0.5) for _ in range(16)],
+        jobs = FitJobs(X, y, [np.flatnonzero(rng.random(12_000) < 0.5) for _ in range(16)], [np.arange(2_700)] * 16,
                        [TrainConfig(hidden_dims=(8,), fixed_epochs=2, seed=j) for j in range(16)])
         tracemalloc.start()
         try:

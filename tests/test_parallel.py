@@ -6,6 +6,7 @@ second thread runs.
 """
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -44,14 +45,17 @@ def shadow_draw():
 def shadow_inputs(shadow_draw):
     """The pool and the candidates as datasets, and ``jobs(cfgs, rows)``, validated on the candidates.
 
-    Each job trains on its ``rows`` of the pool, or on the whole pool.
+    The jobs' arrays hold the pool's rows, then the candidates'. Each job
+    trains on its ``rows`` of the pool, or on the whole pool.
     """
     dataset, pool, candidates = shadow_draw
     pool, candidates = dataset.take(np.sort(pool)), dataset.take(np.sort(candidates))
+    val = np.arange(len(pool), len(pool) + len(candidates))
 
     def jobs(cfgs, rows=None):
         rows = rows or [np.arange(len(pool))] * len(cfgs)
-        return FitJobs(pool.X, pool.y, candidates.X, candidates.y, rows, list(cfgs))
+        return FitJobs(np.concatenate([pool.X, candidates.X]), np.concatenate([pool.y, candidates.y]), rows,
+                       [val] * len(cfgs), list(cfgs))
 
     return pool, candidates, jobs
 
@@ -116,9 +120,9 @@ def fit_helpers(start_path, monkeypatch):
 def test_helper_fits_are_bit_identical_to_in_process(shadow_draw, fit_helpers):
     dataset = shadow_draw[0]
     plan = draw_shadows(*shadow_draw, SHADOW, 11)
-    local = train_shadow_ensemble(dataset, plan, FAST_CFG, FitHelpers(0))
+    local, _ = train_shadow_ensemble(dataset, plan, FAST_CFG, FitHelpers(0))
     with fit_helpers(2) as helpers:
-        remote = train_shadow_ensemble(dataset, plan, FAST_CFG, helpers)
+        remote, _ = train_shadow_ensemble(dataset, plan, FAST_CFG, helpers)
         procs = list(helpers.procs)
     assert len(procs) == 2 and stopped(procs)
     assert remote.shadow_seeds == local.shadow_seeds
@@ -255,17 +259,105 @@ def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_re
                                                           for cfg in cfgs]
 
 
-def test_stacks_share_out_the_unfinished_jobs_and_never_exceed_a_stack(shadow_inputs, fit_helpers):
-    """The first stack takes an even share of all jobs not yet finished; a large model goes one at a time."""
+class AnsweringHelper:
+    """A stand-in for a helper process that answers each stack when the parent flushes it, training nothing.
+
+    Its reply is each job's seed, and ``stacks`` lists the seeds of every stack it was sent.
+    """
+
+    def __init__(self):
+        read, write = os.pipe()
+        self.stdout, self._replies = open(read, "rb"), open(write, "wb")
+        self.stacks = []
+        helper = self
+
+        class Input(io.BytesIO):
+            def flush(self):
+                if self.getvalue():
+                    helper.answer(pickle.loads(self.getvalue()))
+                    self.seek(0)
+                    self.truncate()
+
+        self.stdin = Input()
+
+    def answer(self, stack) -> None:
+        seeds = [cfg.seed for cfg in stack.cfgs]
+        self.stacks.append(seeds)
+        pickle.dump((True, seeds), self._replies)
+        self._replies.flush()
+
+    def kill(self) -> None:
+        pass
+
+    def wait(self) -> int:
+        self._replies.close()
+        return 0
+
+
+def split(cfg: ExperimentConfig, n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Repetition 0 of ``cfg`` trained on ``n`` answering helpers: each one's stacks, the jobs' seeds, the replies.
+
+    The seeds and the replies are in job order, the target's first.
+    """
+    dataset = synth_dataset(cfg.synth)
+    challenge, plan = pipeline._draw_rep(dataset, cfg, 0)
+    job = pipeline.target_job(challenge, cfg.train)
+    helpers = FitHelpers(n)
+    helpers.procs = [AnsweringHelper() for _ in range(n)]
+    helpers._idle = list(helpers.procs)
+    with helpers:
+        ensemble, [target] = train_shadow_ensemble(dataset, plan, cfg.train, helpers, lead=[job])
+        stacks = [proc.stacks for proc in helpers.procs]
+    return stacks, [job[2].seed, *plan.shadow_seeds], [target, *ensemble.models]
+
+
+# the positive-control workload at seed 1: a 675-row target, 11 batches of 64, and shadows of 8 or 9 batches
+CONTROL = ExperimentConfig(
+    synth=SynthSpec(n=1500, dim=64, positive_fraction=0.2, separation=4.0, seed=1),
+    train=TrainConfig(hidden_dims=(32,), dropout_rate=0.0, weight_decay=0.0, learning_rate=3e-4, max_epochs=200,
+                      fixed_epochs=200),
+    shadow=ShadowParams(count=10, epochs=200, z_fraction=0.5), seed=1,
+)
+
+
+def sent_once_in_runs(stacks: list[list[list[int]]], seeds: list[int]) -> bool:
+    """Whether the helpers' ``stacks`` hold every job of ``seeds`` once, each stack a run of consecutive jobs."""
+    sent = [stack for helper in stacks for stack in helper]
+    runs = [seeds[seeds.index(stack[0]):seeds.index(stack[0]) + len(stack)] for stack in sent]
+    return sent == runs and sorted(seed for stack in sent for seed in stack) == sorted(seeds)
+
+
+def test_two_helpers_split_a_positive_control_repetition_by_model_steps():
+    """2,200 target model-steps and 1,600 or 1,800 a shadow: the target and four shadows, then six; not 5 and 5."""
+    stacks, seeds, replies = split(CONTROL, 2)
+    assert sorted(stacks) == sorted([[seeds[:5]], [seeds[5:]]])
+    assert replies == seeds
+
+
+def test_an_early_stopping_target_rides_alone_and_every_job_is_sent_once():
+    stacks, seeds, replies = split(replace(CONTROL, train=replace(CONTROL.train, fixed_epochs=None)), 2)
+    assert [seeds[0]] in [stack for helper in stacks for stack in helper]
+    assert sent_once_in_runs(stacks, seeds)
+    assert replies == seeds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_stack_exceeds_its_capacity_and_the_models_return_in_job_order(n):
+    cfg = replace(CONTROL, train=replace(CONTROL.train, hidden_dims=(80,)))  # 5,281 parameters, 3 to a stack
+    stacks, seeds, replies = split(cfg, n)
+    assert max(len(stack) for helper in stacks for stack in helper) == 3
+    assert sent_once_in_runs(stacks, seeds)
+    assert replies == seeds
+
+
+def test_a_real_helper_pair_shares_out_model_steps_and_never_exceeds_a_stack(shadow_inputs, fit_helpers):
+    """On started helpers: equal jobs split evenly, the larger count on a tie; a large model goes one at a time."""
     _, _, jobs = shadow_inputs
-    small = jobs([replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in range(11)])
     with fit_helpers(2) as helpers:
-        target = helpers.submit(small[:1])
-        shadows = helpers.submit(small[1:])
-        # the target alone, then 6 of the 10 shadows: half of the 11 jobs not yet finished
-        assert sorted(len(indices) for _, indices in helpers._running.values()) == [1, 6]
-        target.wait()
-        shadows.wait()
+        batch = helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in range(11)]))
+        # 5.5 jobs' model-steps each: 6 on the first, then the other 5
+        assert sorted(len(indices) for _, indices in helpers._running.values()) == [5, 6]
+        batch.wait()
         large = replace(FAST_CFG, hidden_dims=(128, 128), fixed_epochs=1)  # over 16k parameters
         helpers.submit(jobs([replace(large, seed=seed) for seed in range(3)]))
         assert [len(indices) for _, indices in helpers._running.values()] == [1, 1]
@@ -282,12 +374,12 @@ def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monke
         models = helpers.submit(jobs(cfgs, rows)).wait()
     # two helpers, so a stack of one job each
     assert [len(stack) for stack in sent] == [1, 1]
-    # in float32, the training dtype, which halves the features sent
+    # in float32, the training dtype, which halves the features sent; the candidates validate each job
     for stack, job_rows in zip(sent, rows, strict=True):
-        assert stack.X.dtype == stack.X_val.dtype == np.float32
-        assert np.array_equal(stack.X, pool.X[np.sort(job_rows)].astype(np.float32))
-        assert np.array_equal(stack.y, pool.y[np.sort(job_rows)])
-        assert np.array_equal(stack.X_val, candidates.X.astype(np.float32))
+        assert stack.X.dtype == stack.y.dtype == np.float32
+        assert np.array_equal(stack.X, np.concatenate([pool.X[np.sort(job_rows)], candidates.X]).astype(np.float32))
+        assert np.array_equal(stack.y, np.concatenate([pool.y[np.sort(job_rows)], candidates.y]))
+        assert np.array_equal(stack.val_rows[0], np.arange(len(job_rows), len(job_rows) + len(candidates)))
     for model, job_rows, cfg in zip(models, rows, cfgs, strict=True):
         alone = fit(pool.take(job_rows), candidates, cfg)
         assert model.model.params.tobytes() == alone.model.params.tobytes()
@@ -344,7 +436,8 @@ def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs, fit_helper
         def __getitem__(self, part):
             if part.start == 1:  # read once the first job runs in a helper
                 raise KeyError("job source failed")
-            return FitJobs(**{**vars(self), "rows": self.rows[part], "cfgs": self.cfgs[part]})
+            return FitJobs(**{**vars(self), "rows": self.rows[part], "val_rows": self.val_rows[part],
+                              "cfgs": self.cfgs[part]})
 
     helpers = fit_helpers(2)
     with pytest.raises(KeyError), helpers:
@@ -360,16 +453,21 @@ def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_ru
     real_target_job = pipeline.target_job
 
     def one_class_target_job(challenge, cfg):
-        val, [(train, train_cfg)] = real_target_job(challenge, cfg)
-        return val, [(train[labels[train] == 1], train_cfg)]
+        train, val, train_cfg = real_target_job(challenge, cfg)
+        return train[labels[train] == 1], val, train_cfg
 
     labels = synth_dataset(pooled_config(tmp_path, "out").synth).y
+    sent, dump = [], pickle.dump
+    monkeypatch.setattr(pickle, "dump", lambda obj, *args, **kwargs: sent.append(obj) or dump(obj, *args, **kwargs))
     monkeypatch.setattr(pipeline, "helper_count", lambda seconds: 2)
     monkeypatch.setattr(pipeline, "target_job", one_class_target_job)
     report = pipeline.run_experiment(pooled_config(tmp_path, "out"))
     assert set(report["errors"]) == {"0", "1"}
     assert all(error.startswith("ValueError: class weights undefined: both classes must be present")
                for error in report["errors"].values())
+    # each repetition's target failed in a helper, at the head of a stack of shadows
+    targets = [stack for stack in sent if np.all(stack.y[stack.rows[0]] == 1)]
+    assert len(targets) == 2 and all(len(stack) > 1 for stack in targets)
     assert len(fit_helpers.started) == 2 and stopped(fit_helpers.started)
 
 
@@ -422,7 +520,7 @@ import numpy as np
 from leakaudit.nnet import FitJobs, TrainConfig
 X, y = np.random.default_rng(0).normal(size=(64, 4)), np.arange(64) % 2
 cfgs = [TrainConfig(hidden_dims=(4,), fixed_epochs={epochs}, seed=seed) for seed in (1, 2)]
-stack = FitJobs(X, y, X, y, [np.arange(64)] * 2, cfgs)
+stack = FitJobs(X, y, [np.arange(64)] * 2, [np.arange(64)] * 2, cfgs)
 """
 
 

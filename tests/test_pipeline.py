@@ -130,7 +130,7 @@ class TestRunExperiment:
     def test_challenge_without_a_non_member_fails_before_any_fit(self, tmp_path, monkeypatch):
         """round(108 * 0.001 / 0.999) == 0 non-members: each repetition fails at its draw, with nothing trained."""
         fits = []
-        monkeypatch.setattr(game, "fit", lambda *job: fits.append(job))
+        monkeypatch.setattr(game, "fit_batch", lambda *args: fits.append(args))
         cfg = replace(TINY, game=GameConfig(p_member=0.999), output_dir=str(tmp_path))
         report = run_experiment(cfg)
         assert fits == []
@@ -262,7 +262,7 @@ class TestResume:
         cfg = copy_run(run_dir, tmp_path)
         (tmp_path / "rep_000" / "rep_report.json").unlink()
         before = files(tmp_path)
-        monkeypatch.setattr(pipeline, "start_fits", lambda *args: pytest.fail("a fit started before the check"))
+        monkeypatch.setattr(game, "fit_batch", lambda *args: pytest.fail("a fit started before the check"))
         with pytest.raises(ValueError, match=rf"rep_001: the config or the data no longer draws the stored {stale}"):
             run_experiment(replace(cfg, **change))
         assert files(tmp_path) == before
