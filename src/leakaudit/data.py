@@ -17,8 +17,14 @@ In memory a :class:`Dataset` is columnar: a tuple of ids, a read-only
 feature matrix, a label vector and one array per metadata column, all
 indexed by row. A row position is the one handle of a sample: a game's
 split and challenge hold rows (see :func:`leakaudit.game.draw_challenge`),
-and sub-datasets are taken by row (:meth:`Dataset.take`);
-:meth:`Dataset.rows` and :meth:`Dataset.subset` serve callers holding ids.
+and sub-datasets are taken by row (:meth:`Dataset.take`). No repetition
+code calls :meth:`Dataset.subset`, which takes ids, or
+:meth:`Dataset.rows`, which only ``subset`` calls; nor do
+:meth:`Dataset.features_array` and :meth:`Dataset.labels_array` give
+more than ``X`` and ``y``, to their one caller :func:`leakaudit.nnet.fit`.
+The benchmark's tracer wraps ``subset`` and ``features_array`` by name
+(``perfbench/spans.py``), so the four stay until the declared benchmark
+change of ROADMAP item 12 drops them with those hooks.
 """
 
 from __future__ import annotations

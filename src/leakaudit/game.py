@@ -251,7 +251,7 @@ def fit_batch(dataset: Dataset, jobs: Sequence[tuple[np.ndarray, np.ndarray, Tra
 
     A job is its training rows and its validation rows of ``dataset``, and
     its recipe. With helpers the jobs go there as one batch (see
-    :meth:`FitHelpers.submit`). With none they are fitted here, as a helper
+    :meth:`FitHelpers.fit`). With none they are fitted here, as a helper
     would, by :func:`fit_stack`, in stacks of as many consecutive jobs as
     :meth:`FitJobs.stack_end` allows; a stack of one, such as an
     early-stopping target, by :func:`fit`.
@@ -259,7 +259,7 @@ def fit_batch(dataset: Dataset, jobs: Sequence[tuple[np.ndarray, np.ndarray, Tra
     rows, val_rows, cfgs = zip(*jobs)
     batch = FitJobs(dataset.X, dataset.y, rows, val_rows, cfgs)
     if helpers:
-        return helpers.submit(batch).wait()
+        return helpers.fit(batch)
     models: list[TrainedModel] = []
     start = 0
     while start < len(batch):

@@ -25,16 +25,16 @@ helpers serve from two pipes with :func:`serve`. It does not use
 ``multiprocessing``: a pool's handler threads cost the parent memory,
 and its ``spawn`` start re-runs an unguarded ``__main__``.
 
-The parent dispatches from its own thread. :meth:`FitHelpers.submit`
-queues a batch of jobs, a :class:`leakaudit.nnet.FitJobs`, and returns;
-while any :class:`Batch` is waited for, the parent sends each idle
-helper a stack of queued jobs, a slice of the batch packed to the rows
-it trains and validates on (:meth:`leakaudit.nnet.FitJobs.packed`). The
-helper trains it in lockstep with :func:`leakaudit.nnet.fit_stack`, as
+The parent dispatches from its own thread. :meth:`FitHelpers.fit`
+takes a batch of jobs, a :class:`leakaudit.nnet.FitJobs`, and blocks
+until every job has returned: it sends each idle helper the next stack
+of the batch, packed to the rows it trains and validates on
+(:meth:`leakaudit.nnet.FitJobs.packed`). The helper trains it in
+lockstep with :func:`leakaudit.nnet.fit_stack`, as
 :func:`leakaudit.game.fit_batch` trains a batch when there are no
-helpers. A repetition submits one batch: its target, then its shadows.
+helpers. A repetition fits one batch: its target, then its shadows.
 
-A stack is a run of consecutive jobs of one batch that ``fit_stack``
+A stack is a run of consecutive jobs of the batch that ``fit_stack``
 takes together (:meth:`leakaudit.nnet.FitJobs.stack_end`): recipes that
 differ only in the seed, with ``fixed_epochs`` set, and at most
 :func:`leakaudit.nnet.stack_capacity` of them, which keeps large models
@@ -48,8 +48,8 @@ one helper and six shadows on the other, where an even share of the
 jobs would have given the target and five. An early-stopping target
 stacks with nothing and trains alone. The parent finds the idle helper
 with ``select`` on the helpers' stdout and stores each result under its
-batch and job index, so the output does not depend on scheduling.
-Helpers use POSIX pipes and ``select``.
+job index, so the output does not depend on scheduling. Helpers use
+POSIX pipes and ``select``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import signal
 import subprocess
 import sys
 import traceback
-from collections import deque
 from collections.abc import Sequence
 from pathlib import Path
 from typing import BinaryIO, NoReturn
@@ -72,7 +71,7 @@ from typing import BinaryIO, NoReturn
 from leakaudit import BLAS_THREAD_VARS
 from leakaudit.nnet import FitJobs, TrainedModel, fit_stack
 
-__all__ = ["Batch", "FitHelpers", "helper_count", "step_seconds"]
+__all__ = ["FitHelpers", "helper_count", "step_seconds"]
 
 # Below this many estimated seconds of fits per repetition the fits run in-process. A forked helper
 # starts in about 1 ms (a 45 MB parent on a 2-vCPU host), but a spawned one imports numpy and
@@ -114,17 +113,13 @@ class FitHelpers:
     """``n`` helper processes that run fit jobs, a stack at a time.
 
     A context manager: the helpers start on the first :meth:`start` or
-    :meth:`submit` and are all stopped and waited for on exit. With
+    :meth:`fit` and are all stopped and waited for on exit. With
     ``n == 0`` it is empty (false) and starts nothing.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.procs: list[subprocess.Popen | _Forked] = []
-        self._idle: list[subprocess.Popen | _Forked] = []
-        # each running helper's batch and job indices
-        self._running: dict[subprocess.Popen | _Forked, tuple[Batch, range]] = {}
-        self._queue: deque[Batch] = deque()  # batches with jobs not yet sent, oldest first
 
     def __len__(self) -> int:
         return self.n
@@ -153,118 +148,74 @@ class FitHelpers:
                                  stdout=subprocess.PIPE, env=env, start_new_session=True)
                 for _ in range(self.n)
             ]
-        self._idle = list(self.procs)
 
-    def submit(self, jobs: FitJobs) -> Batch:
-        """Queue a fit of every job behind the batches already queued; returns without waiting.
+    def fit(self, jobs: FitJobs) -> list[TrainedModel]:
+        """Fit every job on the helpers; returns their models in job order once every job has returned.
 
-        Idle helpers get the first jobs at once, the rest as helpers come
-        free while any batch is waited for. The jobs of a batch train in
-        stacks of consecutive jobs that :func:`leakaudit.nnet.fit_stack`
-        takes together; a job that stacks with none trains alone.
+        The jobs train in stacks of consecutive jobs that
+        :func:`leakaudit.nnet.fit_stack` takes together; a job that stacks
+        with none trains alone. Each idle helper gets the next stack (see
+        the module's docstring). An exception that a fit raised in a helper
+        is raised here once the other running stacks have returned, and
+        leaves the helpers ready. A helper that dies or an interrupt stops
+        every helper, since a stack may be half sent or half read.
         """
         if not self.n:
             raise ValueError("FitHelpers(0) has no helper to run a job")
         self.start()
-        batch = Batch(self, jobs)
-        self._queue.append(batch)
-        with self._stopped_on_error():
-            self._dispatch()
-        return batch
-
-    def _dispatch(self) -> None:
-        """Send each idle helper the next stack of queued jobs, the oldest batch first (see the module's docstring)."""
-        while self._idle and self._queue:
-            batch = self._queue[0]
-            if batch.sent == len(batch.jobs):
-                self._queue.popleft()
-                continue
-            unfinished = (sum(b.steps[i] for b, indices in self._running.values() for i in indices)
-                          + sum(sum(b.steps[b.sent:]) for b in self._queue))
-            start = batch.sent
-            size = _share(batch.steps[start:batch.jobs.stack_end(start)], unfinished / self.n)
-            indices = range(start, start + size)
-            stack = batch.jobs[indices.start:indices.stop].packed()
-            proc = self._idle.pop()
-            self._running[proc] = batch, indices
-            batch.sent += size
-            # the rows the stack trains on once, then each job's rows and recipe; protocol 5 streams the
-            # arrays from their own memory, with no copy
-            pickle.dump(stack, proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            proc.stdin.flush()
-
-    def _collect(self) -> None:
-        """Wait for a running helper's reply; file every reply that is ready under its batch and job indices."""
-        ready, _, _ = select.select([p.stdout for p in self._running], [], [])
-        for proc in [p for p in self._running if p.stdout in ready]:
-            ok, value = pickle.load(proc.stdout)
-            batch, indices = self._running.pop(proc)
-            self._idle.append(proc)
-            if ok:
-                batch.results.update(zip(indices, value))
-            elif batch.failure is None:
-                batch.failure = value
-                if batch in self._queue:  # send none of its other jobs
-                    self._queue.remove(batch)
-
-    @contextlib.contextmanager
-    def _stopped_on_error(self):
-        """Stop every helper if the body raises, since a job may be half sent or half read."""
+        # each job's model-steps, what the helpers share out: its batches an epoch times its (most) epochs
+        steps = [math.ceil(len(rows) / cfg.batch_size) * (cfg.fixed_epochs or cfg.max_epochs)
+                 for rows, cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
+        idle = list(self.procs)
+        running: dict[subprocess.Popen | _Forked, range] = {}  # each running helper's job indices
+        results: list[TrainedModel | None] = [None] * len(jobs)
+        failure: tuple[BaseException, str] | None = None
+        sent = 0
         try:
-            yield
-        except (EOFError, BrokenPipeError) as exc:
+            while True:
+                while idle and sent < len(jobs) and failure is None:
+                    unfinished = sum(steps[i] for indices in running.values() for i in indices) + sum(steps[sent:])
+                    indices = range(sent, sent + _share(steps[sent:jobs.stack_end(sent)], unfinished / self.n))
+                    proc = idle.pop()
+                    running[proc] = indices
+                    sent = indices.stop
+                    # the stack packed to the rows it trains on, then each job's rows and recipe; protocol 5
+                    # streams the arrays from their own memory, with no copy
+                    pickle.dump(jobs[indices.start:indices.stop].packed(), proc.stdin,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+                    proc.stdin.flush()
+                if not running:
+                    break
+                ready, _, _ = select.select([p.stdout for p in running], [], [])
+                for proc in [p for p in running if p.stdout in ready]:
+                    ok, value = pickle.load(proc.stdout)
+                    indices = running.pop(proc)
+                    idle.append(proc)
+                    if ok:
+                        results[indices.start:indices.stop] = value
+                    elif failure is None:  # send none of the other jobs
+                        failure = value
+        except BaseException as exc:
+            for proc in running:
+                proc.kill()
             self.close()
-            raise RuntimeError("a fit helper exited before returning its result") from exc
-        except BaseException:
-            self.close()
+            if isinstance(exc, (EOFError, BrokenPipeError)):
+                raise RuntimeError("a fit helper exited before returning its result") from exc
             raise
+        if failure is not None:
+            error, helper_traceback = failure
+            raise error from RuntimeError(f"in a fit helper:\n{helper_traceback}")
+        return results
 
     def close(self) -> None:
-        """Stop every helper: kill those mid-job, end the input of the rest, then wait for all."""
-        for proc in self._running:
-            proc.kill()
+        """Stop every helper: end the input of each, then wait for all."""
         procs, self.procs = self.procs, []
-        self._idle, self._running, self._queue = [], {}, deque()
         for proc in procs:
-            with contextlib.suppress(BrokenPipeError):  # a killed helper left a job unread
+            with contextlib.suppress(BrokenPipeError):  # a killed helper left a stack unread
                 proc.stdin.close()
         for proc in procs:
             proc.wait()
             proc.stdout.close()
-
-
-class Batch:
-    """The jobs of one :meth:`FitHelpers.submit` call; :meth:`wait` returns their models."""
-
-    def __init__(self, helpers: FitHelpers, jobs: FitJobs):
-        self.helpers = helpers
-        self.jobs = jobs
-        self.sent = 0
-        # each job's model-steps, what the helpers share out: its batches an epoch times its (most) epochs
-        self.steps = [math.ceil(len(rows) / cfg.batch_size) * (cfg.fixed_epochs or cfg.max_epochs)
-                      for rows, cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
-        self.results: dict[int, TrainedModel] = {}
-        self.failure: tuple[BaseException, str] | None = None
-
-    def wait(self) -> list[TrainedModel]:
-        """The models of this batch in job order, once every job sent has returned.
-
-        Meanwhile the helpers keep running the jobs of every queued batch.
-        An exception that a fit raised in a helper is raised here once
-        this batch's other running stacks have returned. A helper that
-        dies or an interrupt stops every helper.
-        """
-        helpers = self.helpers
-        with helpers._stopped_on_error():
-            while self in helpers._queue or any(b is self for b, _ in helpers._running.values()):
-                helpers._collect()
-                helpers._dispatch()
-        if self.failure is not None:
-            error, helper_traceback = self.failure
-            raise error from RuntimeError(f"in a fit helper:\n{helper_traceback}")
-        if len(self.results) < len(self.jobs):
-            raise RuntimeError("the fit helpers were stopped before this batch finished")
-        return [self.results[i] for i in range(len(self.jobs))]
 
 
 def _share(steps: Sequence[int], share: float) -> int:

@@ -143,13 +143,12 @@ def test_a_fit_error_in_a_helper_raises_its_type_and_leaves_the_helpers_ready(sh
     with fit_helpers(2) as helpers:
         with pytest.raises(ValueError, match="both classes must be present") as info:
             # the first stack, of the first two jobs, holds the one-class training set
-            helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 4,
-                                [everything, one_class, everything, everything])).wait()
+            helpers.fit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 4, [everything, one_class, everything, everything]))
         assert "in a fit helper" in str(info.value.__cause__)
         # the other helper finished its stack, so both take the next batch; the
         # first stack, of two jobs, finishes last, and its results still come first
         cfgs = [replace(FAST_CFG, fixed_epochs=20, seed=seed) for seed in (1, 2, 3)]
-        again = helpers.submit(jobs(cfgs)).wait()
+        again = helpers.fit(jobs(cfgs))
         procs = list(helpers.procs)
     assert stopped(procs)
     assert [m.model.params.tobytes() for m in again] == [fit(pool, candidates, cfg).model.params.tobytes()
@@ -178,24 +177,6 @@ def test_start_rule_picks_helpers_by_shadow_steps():
     assert [helper_count(seconds[name]) for name in ("control", "default", "wide")] == [helpers, helpers, 0]
     assert helper_count(MIN_FIT_SECONDS) == helpers
     assert helper_count(0.999 * MIN_FIT_SECONDS) == 0
-
-
-def test_a_batch_returns_its_models_in_job_order_when_a_later_batch_finishes_first(shadow_inputs, fit_helpers):
-    pool, candidates, jobs = shadow_inputs
-    slow = [replace(FAST_CFG, fixed_epochs=epochs, seed=seed) for epochs, seed in ((800, 1), (1, 2))]
-    fast = [replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in (3, 4, 5)]
-    with fit_helpers(2) as helpers:
-        first = helpers.submit(jobs(slow))
-        second = helpers.submit(jobs(fast))
-        fast_models = second.wait()
-        # the second batch ran on the helper the short job freed while the 800-epoch job ran
-        assert any(b is first for b, _ in helpers._running.values())
-        slow_models = first.wait()
-        procs = list(helpers.procs)
-    assert stopped(procs)
-    for models, cfgs in ((slow_models, slow), (fast_models, fast)):
-        assert [m.model.params.tobytes() for m in models] == [fit(pool, candidates, cfg).model.params.tobytes()
-                                                              for cfg in cfgs]
 
 
 def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, monkeypatch, fit_helpers):
@@ -243,16 +224,24 @@ def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_pat
         assert target.best_epoch < len(target.val_losses) < early.max_epochs
 
 
-def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs, fit_helpers):
+def sent_stacks(monkeypatch) -> list:
+    """Every stack that pickle.dump is handed from now on, in the order it is sent."""
+    sent, dump = [], pickle.dump
+    monkeypatch.setattr(pickle, "dump", lambda obj, *args, **kwargs: sent.append(obj) or dump(obj, *args, **kwargs))
+    return sent
+
+
+def test_a_stack_holding_a_failing_job_raises_its_type_and_leaves_the_helpers_ready(shadow_inputs, monkeypatch,
+                                                                                    fit_helpers):
     pool, candidates, jobs = shadow_inputs
     everything, one_class = np.arange(len(pool)), np.flatnonzero(pool.y == 1)
+    sent = sent_stacks(monkeypatch)
     with fit_helpers(1) as helpers:
-        batch = helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 3, [everything, one_class, everything]))
-        assert [list(indices) for _, indices in helpers._running.values()] == [[0, 1, 2]]  # one stack
         with pytest.raises(ValueError, match="both classes must be present"):
-            batch.wait()
+            helpers.fit(jobs([replace(FAST_CFG, fixed_epochs=1)] * 3, [everything, one_class, everything]))
+        assert [len(stack) for stack in sent] == [3]  # one stack
         cfgs = [replace(FAST_CFG, fixed_epochs=2, seed=seed) for seed in (1, 2)]
-        again = helpers.submit(jobs(cfgs)).wait()
+        again = helpers.fit(jobs(cfgs))
         procs = list(helpers.procs)
     assert stopped(procs)
     assert [m.model.params.tobytes() for m in again] == [fit(pool, candidates, cfg).model.params.tobytes()
@@ -304,7 +293,6 @@ def split(cfg: ExperimentConfig, n: int) -> tuple[list[list[int]], list[int], li
     job = pipeline.target_job(challenge, cfg.train)
     helpers = FitHelpers(n)
     helpers.procs = [AnsweringHelper() for _ in range(n)]
-    helpers._idle = list(helpers.procs)
     with helpers:
         ensemble, [target] = train_shadow_ensemble(dataset, plan, cfg.train, helpers, lead=[job])
         stacks = [proc.stacks for proc in helpers.procs]
@@ -350,28 +338,29 @@ def test_no_stack_exceeds_its_capacity_and_the_models_return_in_job_order(n):
     assert replies == seeds
 
 
-def test_a_real_helper_pair_shares_out_model_steps_and_never_exceeds_a_stack(shadow_inputs, fit_helpers):
+def test_a_real_helper_pair_shares_out_model_steps_and_never_exceeds_a_stack(shadow_inputs, monkeypatch,
+                                                                             fit_helpers):
     """On started helpers: equal jobs split evenly, the larger count on a tie; a large model goes one at a time."""
     _, _, jobs = shadow_inputs
+    sent = sent_stacks(monkeypatch)
     with fit_helpers(2) as helpers:
-        batch = helpers.submit(jobs([replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in range(11)]))
+        helpers.fit(jobs([replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in range(11)]))
         # 5.5 jobs' model-steps each: 6 on the first, then the other 5
-        assert sorted(len(indices) for _, indices in helpers._running.values()) == [5, 6]
-        batch.wait()
+        assert [len(stack) for stack in sent] == [6, 5]
+        sent.clear()
         large = replace(FAST_CFG, hidden_dims=(128, 128), fixed_epochs=1)  # over 16k parameters
-        helpers.submit(jobs([replace(large, seed=seed) for seed in range(3)]))
-        assert [len(indices) for _, indices in helpers._running.values()] == [1, 1]
+        helpers.fit(jobs([replace(large, seed=seed) for seed in range(3)]))
+        assert [len(stack) for stack in sent] == [1, 1, 1]
     assert stopped(fit_helpers.started)
 
 
 def test_a_helper_is_sent_only_the_rows_its_stack_trains_on(shadow_inputs, monkeypatch, fit_helpers):
     pool, candidates, jobs = shadow_inputs
-    sent, dump = [], pickle.dump
-    monkeypatch.setattr(pickle, "dump", lambda obj, *args, **kwargs: sent.append(obj) or dump(obj, *args, **kwargs))
+    sent = sent_stacks(monkeypatch)
     cfgs = [replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in (1, 2)]
     rows = [np.arange(40, 0, -2), np.arange(30, 60)]
     with fit_helpers(2) as helpers:
-        models = helpers.submit(jobs(cfgs, rows)).wait()
+        models = helpers.fit(jobs(cfgs, rows))
     # two helpers, so a stack of one job each
     assert [len(stack) for stack in sent] == [1, 1]
     # in float32, the training dtype, which halves the features sent; the candidates validate each job
@@ -405,7 +394,7 @@ def test_a_helper_whose_input_ends_exits_with_0_after_its_last_reply_and_its_str
                         "real(jobs); parallel.serve(sys.stdin.buffer, sys.stdout.buffer)")
     stack = jobs([replace(FAST_CFG, fixed_epochs=2, seed=seed) for seed in (1, 2)])
     with fit_helpers(1) as helpers:
-        models = helpers.submit(stack).wait()
+        models = helpers.fit(stack)
         [proc] = helpers.procs
         assert os.getsid(proc.pid) == proc.pid  # in a session of its own, which a Ctrl-C does not reach
         if start_path == "fork":  # its stdout is its stderr, and it keeps no fd of the parent's but 0-2
@@ -443,9 +432,30 @@ def test_an_exception_in_the_parent_stops_every_helper(shadow_inputs, fit_helper
     with pytest.raises(KeyError), helpers:
         helpers.start()
         procs = list(helpers.procs)
-        helpers.submit(Jobs(**vars(jobs([replace(FAST_CFG, fixed_epochs=400)] * 2)))).wait()
+        helpers.fit(Jobs(**vars(jobs([replace(FAST_CFG, fixed_epochs=400)] * 2))))
     assert len(procs) == 2 and stopped(procs)
     assert helpers.procs == []
+
+
+def test_a_helper_that_exits_before_it_replies_stops_every_helper(shadow_inputs, fit_helpers, monkeypatch):
+    _, _, jobs = shadow_inputs
+    # a forked helper runs this process's patched fit_stack, a spawned one patches its own
+    monkeypatch.setattr(parallel, "fit_stack", lambda jobs: os._exit(3))
+    monkeypatch.setattr(parallel, "_SERVE", "import os, sys; sys.path[:0] = sys.argv[1:]; from leakaudit import "
+                        "parallel; parallel.fit_stack = lambda jobs: os._exit(3); "
+                        "parallel.serve(sys.stdin.buffer, sys.stdout.buffer)")
+    with fit_helpers(2) as helpers:
+        with pytest.raises(RuntimeError, match="^a fit helper exited before returning its result$"):
+            helpers.fit(jobs([replace(FAST_CFG, fixed_epochs=1, seed=seed) for seed in (1, 2)]))
+        assert helpers.procs == []
+    started = fit_helpers.started
+    assert len(started) == 2 and stopped(started)
+    # the first to exit stops the other, which may have exited first
+    codes = [proc.returncode for proc in started]
+    assert 3 in codes and set(codes) <= {3, -signal.SIGKILL}
+    for proc in started:
+        with pytest.raises(ProcessLookupError):  # reaped
+            os.kill(proc.pid, 0)
 
 
 def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_running(tmp_path, monkeypatch,
@@ -457,8 +467,7 @@ def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_ru
         return train[labels[train] == 1], val, train_cfg
 
     labels = synth_dataset(pooled_config(tmp_path, "out").synth).y
-    sent, dump = [], pickle.dump
-    monkeypatch.setattr(pickle, "dump", lambda obj, *args, **kwargs: sent.append(obj) or dump(obj, *args, **kwargs))
+    sent = sent_stacks(monkeypatch)
     monkeypatch.setattr(pipeline, "helper_count", lambda seconds: 2)
     monkeypatch.setattr(pipeline, "target_job", one_class_target_job)
     report = pipeline.run_experiment(pooled_config(tmp_path, "out"))
@@ -533,7 +542,7 @@ def test_helpers_run_blas_on_one_thread_whatever_the_parent_runs(start):
 import json
 from leakaudit import parallel
 with parallel.FitHelpers(1) as helpers:
-    helpers.submit(stack).wait()
+    helpers.fit(stack)
     [proc] = helpers.procs
     status = Path(f"/proc/{proc.pid}/status").read_text().splitlines()
     threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
@@ -564,7 +573,7 @@ parallel.fit_stack = lambda jobs: log.warning("fit") or real(jobs)
 sys.stdout.write("out")
 sys.stderr.write("partial")
 with parallel.FitHelpers(1) as helpers:
-    helpers.submit(stack).wait()
+    helpers.fit(stack)
     started = start_of(helpers.procs[0])
 sys.stderr.write(" line\\n")
 print("", started)
@@ -583,9 +592,9 @@ def test_a_ctrl_c_in_the_parent_stops_every_helper(start):
     code = PARENT + one_stack(100_000) + """
 from leakaudit.parallel import FitHelpers
 with FitHelpers(2) as helpers:
-    batch = helpers.submit(stack)
+    helpers.start()
     print(*(start_of(proc) for proc in helpers.procs), *(proc.pid for proc in helpers.procs), flush=True)
-    batch.wait()
+    helpers.fit(stack)
 """
     args = ["thread"] if start == "spawn" else []
     parent = subprocess.Popen([sys.executable, "-c", code, *args], env=parent_env({}), stdout=subprocess.PIPE,
