@@ -7,12 +7,12 @@ bit-deterministic under the config seed.
 
 Models train in float32 and are scored in float64. A fit's parameters,
 moments, gradients, mini-batches and dropout masks are float32, and so
-are its per-epoch validation and train-loss forward passes; each loss
-is then taken in float64 from those logits, so that the best epoch and
-early stopping compare float64 losses. :func:`forward_logits`, and with
-it :func:`predict_confidences`, casts a model up to float64 before it
-scores, which is exact, so a trained model and its checkpoint, loaded
-as float64, score the same bytes.
+are its loss passes, on the validation rows after each epoch and on the
+training rows at the best epoch once; each loss is taken in float64 from
+those logits, so that the best epoch and early stopping compare float64
+losses. :func:`forward_logits`, and with it :func:`predict_confidences`,
+casts a model up to float64 before it scores, which is exact, so a
+trained model and its checkpoint, loaded as float64, score the same bytes.
 
 A model keeps all its weights and biases in one flat ``params`` vector,
 so one optimizer step is a single pass over one array.
@@ -34,12 +34,13 @@ stack share the recipe but the seed, and train a fixed number of
 epochs, as a repetition's shadows do, and its target where its recipe
 sets the shadows' epochs; only a stack of one, such as an early-stopping
 target, stops early. Each epoch a stack scores every validation set for
-the models that share it. Every mini-batch is ``batch_size`` rows: a
-model's last batch is padded with rows of weight 0, which draw no dropout and
-count in no mean, so every step of an epoch and every train-loss pass is
-stacked. Each model gets the bytes :func:`fit` gives it alone: every
-shape its arithmetic runs in is set by its own row count, and its bias
-corrections are of its own step count, in the parameters' dtype.
+the models that share it, and once it ends each model's train loss at its
+best epoch. Every mini-batch is ``batch_size`` rows: a model's last batch
+is padded with rows of weight 0, which draw no dropout and count in no
+mean, so every step of an epoch and the train-loss pass are stacked.
+Each model gets the bytes :func:`fit` gives it alone: every shape its
+arithmetic runs in is set by its own row count, and its bias corrections
+are of its own step count, in the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ log = logging.getLogger(__name__)
 
 LOSS_CLIP_EPS = 1e-7
 CONF_CLIP_EPS = 1e-12
-# Parameters of all the models of one stack together. Timed with one-thread BLAS on a 2-vCPU host, with
-# every step and train-loss pass of an epoch stacked, a model-step costs about 0.5x as much in a stack of 6
-# at 2k parameters (the positive-control recipe) and 0.85x at 8k (128 units on 64 features), where
-# stacking stops paying much (the default 256x128 recipe on 64 features has 49,665).
+# Parameters of all the models of one stack together. A stack scores its models' validation losses every epoch
+# and their train losses once, at their best epochs. Timed with one-thread BLAS on a 2-vCPU host when it scored
+# the train losses every epoch too, a model-step cost about 0.5x as much in a stack of 6 at 2k parameters (the
+# positive-control recipe) and 0.85x at 8k (128 units on 64 features), where stacking stops paying much.
 STACK_ELEMENTS = 2 ** 14
 # Hidden activations that one validation pass of a stack holds at most (256 KiB): a larger stack scores
 # its validation set a block of models at a time, so that its peak memory stays near a lone model's.
@@ -160,10 +161,10 @@ class MlpModel:
 
 @dataclass
 class TrainedModel:
-    """Best-validation-epoch model plus the per-epoch loss log (1-indexed)."""
+    """The best validation epoch's model, its train loss scored once there, and each epoch's validation loss."""
 
     model: MlpModel
-    train_losses: list[float]
+    train_loss: float
     val_losses: list[float]
     best_epoch: int
 
@@ -453,14 +454,12 @@ class _Lane:
         self.shuffle_rng = derive_rng(cfg.seed, "shuffle")
         self.dropout_rng = derive_rng(cfg.seed, "dropout")
         self.batches = math.ceil(self.count / cfg.batch_size)
-        self.train_losses: list[float] = []
         self.val_losses: list[float] = []
         self.best_val = np.inf
         self.best_epoch = 0
 
-    def end_epoch(self, epoch: int, train_loss: float, val_loss: float) -> bool:
-        """Record the losses after ``epoch``; whether they are the best so far."""
-        self.train_losses.append(train_loss)
+    def end_epoch(self, epoch: int, val_loss: float) -> bool:
+        """Record the validation loss after ``epoch``; whether it is the best so far."""
         self.val_losses.append(val_loss)
         if val_loss < self.best_val:
             self.best_val, self.best_epoch = val_loss, epoch
@@ -497,13 +496,13 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
     of models with that batch, gathered from the float32 rows of
     ``jobs.packed()`` by one ``np.take``. Each model draws its own
     permutation of its rows and its dropout for its own rows only, as it
-    would alone, and steps with its own bias corrections. The per-epoch
-    train losses are scored stacked over models of one batch count, on
-    their rows padded to whole batches, and each validation set over the
-    models that validate on it, a block of models at a time; models of one
-    batch count are ordered by validation set, so that they are adjacent.
-    Every shape that a model's bytes depend on is thus set by its own row
-    counts.
+    would alone, and steps with its own bias corrections. Each epoch scores
+    each validation set over the models that validate on it, a block of
+    models at a time; models of one batch count are ordered by validation
+    set, so that they are adjacent. After the last epoch, each model's
+    train loss at its best epoch is scored once, stacked over models of one
+    batch count on their rows padded to whole batches. Every shape that a
+    model's bytes depend on is thus set by its own row counts.
     """
     cfg, dim = jobs.cfgs[0], jobs.X.shape[1]
     if any(replace(job_cfg, seed=cfg.seed) != cfg for job_cfg in jobs.cfgs[1:]):
@@ -564,10 +563,6 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
         for k, n in _blocks(start, stop, max(1, VALIDATION_ELEMENTS // (len(val_rows) * widest))):
             val_w = np.stack([np.where(val_pos, lane.weights[1], lane.weights[0]) for lane in lanes[k:k + n]])
             val_blocks.append((k, n, X_val, val_pos, val_w))
-    # the train losses: the models of one batch count score their padded rows together, a block at a time
-    starts = [k for k in range(len(lanes)) if k == 0 or batches[k] != batches[k - 1]]
-    loss_blocks = [part for start, stop in zip(starts, [*starts[1:], len(lanes)])
-                   for part in _blocks(start, stop, max(1, VALIDATION_ELEMENTS // (batches[start] * batch * widest)))]
 
     for epoch in range(1, epochs + 1):
         for lane_rows, lane_w, k in zip(epoch_rows, epoch_w, range(len(lanes))):
@@ -583,25 +578,28 @@ def fit_stack(jobs: FitJobs) -> list[TrainedModel]:
             adamw_step(model.params, grad.params, m_rows, v_rows, cfg.learning_rate, cfg.weight_decay, None,
                        corrections=c, scratch=scratch_rows)
 
-        train_losses = []
-        for k, n in loss_blocks:
-            width = batches[k] * batch
-            pos, block_rows = positive[k:k + n, :width], rows[k if n == 1 else slice(k, k + n), :width]
-            logits = _loss_logits(block(k, n)[0], np.take(jobs.X, block_rows, axis=0)).reshape(n, width)
-            terms = _bce(logits, pos, np.where(pos, class_w[k:k + n, 1:], class_w[k:k + n, :1]))
-            train_losses += [float(np.add.reduce(t[:c]) / c) for t, c in zip(terms, counts[k:k + n].tolist())]
         val_losses = []
         for k, n, X_val, val_pos, val_w in val_blocks:
             val_logits = _loss_logits(block(k, n)[0], X_val).reshape(n, -1)
             val_losses += (np.add.reduce(_bce(val_logits, val_pos, val_w), axis=-1) / len(val_pos)).tolist()
         for k, lane in enumerate(lanes):
-            if lane.end_epoch(epoch, train_losses[k], val_losses[k]):
+            if lane.end_epoch(epoch, val_losses[k]):
                 best[k] = params[k]
         # patience counts only epochs that did not improve, so 0 stops as 1 does
         if cfg.fixed_epochs is None and epoch - lanes[0].best_epoch >= max(cfg.patience, 1):
             break
-    return [TrainedModel(model=_view(best[lanes.index(lane)].copy(), like), train_losses=lane.train_losses,
-                         val_losses=lane.val_losses, best_epoch=lane.best_epoch) for lane in in_job_order]
+    # each model's train loss at its best epoch: the models of one batch count score their padded rows together
+    train_losses = []
+    starts = [k for k in range(len(lanes)) if k == 0 or batches[k] != batches[k - 1]]
+    for start, stop in zip(starts, [*starts[1:], len(lanes)]):
+        width = batches[start] * batch
+        for k, n in _blocks(start, stop, max(1, VALIDATION_ELEMENTS // (width * max(widest, dim)))):
+            index, pos = k if n == 1 else slice(k, k + n), positive[k:k + n, :width]
+            logits = _loss_logits(_view(best[index], like), np.take(jobs.X, rows[index, :width], axis=0))
+            terms = _bce(logits.reshape(n, width), pos, np.where(pos, class_w[k:k + n, 1:], class_w[k:k + n, :1]))
+            train_losses += [float(np.add.reduce(t[:c]) / c) for t, c in zip(terms, counts[k:k + n].tolist())]
+    return [TrainedModel(model=_view(best[k].copy(), like), train_loss=train_losses[k], val_losses=lanes[k].val_losses,
+                         best_epoch=lanes[k].best_epoch) for k in map(lanes.index, in_job_order)]
 
 
 def predict_confidences(model: MlpModel | TrainedModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -632,7 +630,7 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
         "dropout_rate": model.dropout_rate,
         "input_dim": model.input_dim,
         "best_epoch": trained.best_epoch,
-        "train_losses": trained.train_losses,
+        "train_loss": trained.train_loss,
         "val_losses": trained.val_losses,
     }
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -640,6 +638,7 @@ def save_model(trained: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
+    """The model :func:`save_model` wrote; a checkpoint of per-epoch ``train_losses`` gives its best epoch's."""
     with np.load(path) as npz:
         meta = json.loads(bytes(npz["meta_json"]).decode("utf-8"))
         weights = [npz[f"w_{i}"] for i in range(meta["n_layers"])]
@@ -652,7 +651,7 @@ def load_model(path: str | Path) -> TrainedModel:
     )
     return TrainedModel(
         model=model,
-        train_losses=list(meta["train_losses"]),
+        train_loss=meta["train_loss"] if "train_loss" in meta else meta["train_losses"][meta["best_epoch"] - 1],
         val_losses=list(meta["val_losses"]),
         best_epoch=meta["best_epoch"],
     )

@@ -96,9 +96,11 @@ _ONE_THREAD_BLAS = dict.fromkeys(BLAS_THREAD_VARS, "1")
 
 
 def step_seconds(batch_size: int, dims: Sequence[int]) -> float:
-    """Estimated seconds of one optimizer step, its share of the per-epoch evaluation included, on one core.
+    """Estimated seconds of one optimizer step, its share of the per-epoch validation pass included, on one core.
 
-    It prices one model's step, as if fits ran one at a time: a step in a stack costs less.
+    It prices one model's step, as if fits ran one at a time: a step in a stack costs less. The constants
+    were fitted when every epoch also scored the train loss, which a fit now scores once, at its best
+    epoch; they are kept, so that the same fits go to helpers.
     """
     return STEP_BASE_S + MULTIPLY_ADD_S * batch_size * sum(a * b for a, b in zip(dims, dims[1:]))
 

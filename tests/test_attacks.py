@@ -54,7 +54,7 @@ def flags_by_id(table, ids=IDS):
 
 def make_artifacts(challenge, confidences):
     """A target's artifacts around an untrained model: the scores' CSV reads only the rows, challenge and members."""
-    model = TrainedModel(model=init_model(1, TrainConfig(hidden_dims=(1,))), train_losses=[], val_losses=[],
+    model = TrainedModel(model=init_model(1, TrainConfig(hidden_dims=(1,))), train_loss=0.0, val_losses=[],
                          best_epoch=0)
     return TargetArtifacts(model=model, confidences=np.asarray(confidences, dtype=float), challenge=challenge)
 

@@ -67,7 +67,7 @@ def assert_each_shadow_fits_as_alone(dataset, ensemble, cfg, epochs):
         rows = ensemble.universe[ensemble.mask[:, j] == 1]
         model = fit(dataset.take(rows), z, replace(cfg, seed=ensemble.shadow_seeds[j], fixed_epochs=epochs))
         assert stacked.model.params.tobytes() == model.model.params.tobytes(), j
-        assert stacked.train_losses == model.train_losses and stacked.val_losses == model.val_losses, j
+        assert stacked.train_loss == model.train_loss and stacked.val_losses == model.val_losses, j
         assert stacked.best_epoch == model.best_epoch, j
 
 
@@ -276,7 +276,7 @@ class TestShadowEnsemble:
 
     def test_shadow_epochs_respected(self, ensemble):
         for m in ensemble.models:
-            assert len(m.train_losses) == 2
+            assert len(m.val_losses) == 2
 
     def test_rejects_tiny_k(self, dataset):
         rows = np.arange(len(dataset))

@@ -1,5 +1,6 @@
 """Tests for the numpy MLP: gradients, optimizer, training loop, persistence."""
 
+import json
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -42,6 +43,11 @@ def toy_dataset(n=40, dim=4, seed=0, separation=3.0):
 def training_logits(model, X):
     """The float32 inference logits that a fit takes its per-epoch losses from."""
     return _forward(model, np.asarray(X, dtype=np.float32), False, None)
+
+
+def padded_training_logits(model, X, batch_size):
+    """training_logits of the rows of X, scored as a fit scores its train loss: padded to whole batches by row 0."""
+    return training_logits(model, np.concatenate([X, np.repeat(X[:1], -len(X) % batch_size, axis=0)]))[:len(X)]
 
 
 def reference_epoch(X, y, cfg):
@@ -311,7 +317,6 @@ class TestFit:
         ds = toy_dataset()
         cfg = TrainConfig(hidden_dims=(4,), max_epochs=3, fixed_epochs=15, seed=0)
         trained = fit(ds, ds, cfg)
-        assert len(trained.train_losses) == 15
         assert len(trained.val_losses) == 15
 
     def test_returned_weights_are_best_epoch(self):
@@ -330,7 +335,7 @@ class TestFit:
         assert val_loss == pytest.approx(min(trained.val_losses), rel=1e-12)
 
     def test_epoch_losses_match_the_weighted_bce_reference(self):
-        """Each epoch's train and validation loss equals weighted_bce_loss with the train split's class weights."""
+        """The train and validation losses equal weighted_bce_loss with the train split's class weights."""
         rng = np.random.default_rng(5)
         train, val = (Dataset([f"{name}{i}" for i in range(n)], rng.normal(size=(n, 3)),
                               (np.arange(n) % 4 == 0).astype(int))
@@ -338,7 +343,7 @@ class TestFit:
         trained = fit(train, val, TrainConfig(hidden_dims=(5,), dropout_rate=0.2, fixed_epochs=1, seed=1))
         cw = class_weights(train.y)
         assert cw[0] != cw[1]
-        assert trained.train_losses == [weighted_bce_loss(training_logits(trained.model, train.X), train.y, cw)]
+        assert trained.train_loss == weighted_bce_loss(training_logits(trained.model, train.X), train.y, cw)
         assert trained.val_losses == [weighted_bce_loss(training_logits(trained.model, val.X), val.y, cw)]
 
     def test_early_stopping_stops_after_patience(self):
@@ -369,7 +374,7 @@ class TestFit:
         t2 = fit(ds, ds, cfg)
         for w1, w2 in zip(t1.model.weights, t2.model.weights):
             assert np.array_equal(w1, w2)
-        assert t1.train_losses == t2.train_losses
+        assert t1.train_loss == t2.train_loss
 
     def test_training_steps_match_the_loss_and_grads_reference(self):
         ds = toy_dataset(n=50)
@@ -445,7 +450,7 @@ def alone(jobs, j):
 
 
 def same_model(a, b):
-    return (a.model.params.tobytes() == b.model.params.tobytes() and a.train_losses == b.train_losses
+    return (a.model.params.tobytes() == b.model.params.tobytes() and a.train_loss == b.train_loss
             and a.val_losses == b.val_losses and a.best_epoch == b.best_epoch)
 
 
@@ -486,6 +491,19 @@ class TestStack:
                 stacked = [model for part in parts for model in fit_stack(pick(jobs, part))]
                 for i, model in zip(order, stacked, strict=True):
                     assert same_model(model, models[i]), (order, cut, i)
+
+    def test_the_train_loss_is_the_returned_models_on_its_training_rows(self):
+        """Scored at the best epoch, which is not the last: an early-stopping fit, and job 2 of a fixed-epoch stack."""
+        train, val = toy_dataset(n=30, seed=2, separation=1.0), toy_dataset(n=20, seed=102, separation=1.0)
+        early = fit(train, val, TrainConfig(hidden_dims=(4,), dropout_rate=0.0, learning_rate=5e-2, batch_size=8,
+                                            max_epochs=50, patience=3, seed=2))
+        jobs = stack_jobs()
+        stacked, d_train = fit_stack(jobs)[2], alone(jobs, 2)[0]
+        assert stacked.train_loss == fit(*alone(jobs, 2)).train_loss
+        for trained, ds, batch_size in ((early, train, 8), (stacked, d_train, 64)):
+            assert trained.best_epoch < len(trained.val_losses)
+            logits = padded_training_logits(trained.model, ds.X, batch_size)
+            assert trained.train_loss == weighted_bce_loss(logits, ds.y, class_weights(ds.y))
 
     @given(mixed_validation_jobs(), st.sampled_from([nnet.VALIDATION_ELEMENTS, 1]))
     @settings(max_examples=30, deadline=None)
@@ -561,7 +579,7 @@ class TestStack:
         models = fit_stack(replace(jobs, cfgs=[replace(cfg, fixed_epochs=2) for cfg in jobs.cfgs]))
         assert seen == {(name, np.dtype(np.float32)) for name in ("_forward", "_output_delta", "adamw_step")}
         assert {t.model.params.dtype for t in models} == {np.dtype(np.float32)}
-        assert {type(loss) for t in models for loss in t.train_losses + t.val_losses} == {float}
+        assert {type(loss) for t in models for loss in [t.train_loss, *t.val_losses]} == {float}
 
     @pytest.mark.parametrize("change", [{"learning_rate": 2e-2}, {"fixed_epochs": 29}, {"patience": 4},
                                         {"max_epochs": 31}, {"hidden_dims": (6, 4)}])
@@ -649,7 +667,7 @@ class TestPersistence:
         save_model(trained, path)
         loaded = load_model(path)
         assert loaded.best_epoch == trained.best_epoch
-        assert loaded.train_losses == trained.train_losses
+        assert loaded.train_loss == trained.train_loss
         assert loaded.val_losses == trained.val_losses
         for w1, w2 in zip(trained.model.weights, loaded.model.weights):
             assert np.array_equal(w1, w2)
@@ -659,6 +677,16 @@ class TestPersistence:
         assert np.array_equal(
             forward_logits(trained.model, X), forward_logits(loaded.model, X)
         )
+
+    def test_a_checkpoint_of_every_epochs_train_loss_loads_its_best_epochs(self, tmp_path):
+        """The meta layout of checkpoints that kept a train loss per epoch, as runs before one loss wrote them."""
+        meta = {"n_layers": 1, "dropout_rate": 0.0, "input_dim": 2, "best_epoch": 2,
+                "train_losses": [0.7, 0.5, 0.4], "val_losses": [0.8, 0.6, 0.65]}
+        np.savez(tmp_path / "old.npz", w_0=np.ones((2, 1), dtype=np.float32), b_0=np.zeros(1, dtype=np.float32),
+                 meta_json=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+        loaded = load_model(tmp_path / "old.npz")
+        assert (loaded.train_loss, loaded.val_losses, loaded.best_epoch) == (0.5, [0.8, 0.6, 0.65], 2)
+        assert loaded.model.params.tolist() == [1.0, 1.0, 0.0]
 
     def test_a_checkpoint_holds_float32_and_its_model_scores_the_same_bytes(self, tmp_path):
         ds = toy_dataset()

@@ -130,7 +130,7 @@ def test_helper_fits_are_bit_identical_to_in_process(shadow_draw, fit_helpers):
     assert np.array_equal(remote.universe, local.universe) and np.array_equal(remote.z, local.z)
     for a, b in zip(remote.models, local.models, strict=True):
         assert a.model.params.tobytes() == b.model.params.tobytes()
-        assert a.train_losses == b.train_losses and a.val_losses == b.val_losses
+        assert a.train_loss == b.train_loss and a.val_losses == b.val_losses
         assert a.best_epoch == b.best_epoch
         # the unpickled model's layers are still views of its params
         a.model.weights[0][0, 0] = 7.0

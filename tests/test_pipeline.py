@@ -164,6 +164,18 @@ def copy_run(run_dir, dest: Path) -> ExperimentConfig:
     return replace(cfg, output_dir=str(dest))
 
 
+def with_per_epoch_train_losses(path: Path) -> float:
+    """Rewrite a checkpoint's meta as checkpoints were once written, a train loss per epoch; return its train loss."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    loss = meta.pop("train_loss")
+    meta["train_losses"] = [loss + (epoch - meta["best_epoch"]) for epoch in range(1, len(meta["val_losses"]) + 1)]
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    return loss
+
+
 def files(out: Path) -> dict[str, bytes]:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -292,6 +304,17 @@ class TestResume:
         error = report["errors"]["1"]
         assert error.startswith("FileNotFoundError") and f"rep_001/{checkpoint}" in error
         assert report["repetitions"] == run_dir[2]["repetitions"][:1]
+
+    def test_checkpoints_of_per_epoch_train_losses_attack_and_resume_rewriting_every_file_alike(self, run_dir,
+                                                                                                 tmp_path):
+        cfg = copy_run(run_dir, tmp_path)
+        losses = {path: with_per_epoch_train_losses(path) for path in sorted(tmp_path.rglob("*.npz"))}
+        assert [load_model(path).train_loss for path in losses] == list(losses.values())
+        before = files(tmp_path)
+        rerun_attacks(cfg)
+        assert files(tmp_path) == before
+        assert run_experiment(cfg)["errors"] == {}
+        assert files(tmp_path) == before
 
     def test_a_marker_is_not_read_and_a_garbled_one_is_rewritten(self, run_dir, tmp_path):
         cfg = copy_run(run_dir, tmp_path)
@@ -488,7 +511,7 @@ class TestManifest:
         assert stored == plan.manifest(dataset.ids)
         assert stored["checkpoints"] == [f"shadow_{j:02d}.npz" for j in range(cfg.shadow.count)]
         assert all((out / "rep_000" / name).exists() for name in stored["checkpoints"])
-        assert load_model(out / "rep_000" / stored["checkpoints"][0]).train_losses
+        assert load_model(out / "rep_000" / stored["checkpoints"][0]).train_loss > 0.0
 
     @staticmethod
     def attack_edited(run_dir, tmp_path, edit, field):
