@@ -7,11 +7,11 @@ validation split, the population and the non-members drawn from it.
 inclusion mask and a reserved Z set excluded from all shadow training;
 a run trains its draw, a re-attack and a resumed run check it against
 ``manifest.json``. :func:`fit_batch` is the one place that decides where
-and how fits run: in helper processes or here, in lockstep stacks of the
-jobs whose recipes stack. :func:`train_shadow_ensemble` trains a
-repetition's fits as one batch, the target's first: it joins the
-shadows' first stack where its recipe is theirs but the seed, and trains
-alone where it stops early. A sample is its dataset row throughout: the
+and how fits run: in helper processes if the batch pays for them, or
+here, in lockstep stacks of the jobs whose recipes stack.
+:func:`train_shadow_ensemble` trains a repetition's fits as one batch,
+the target's first: it joins the shadows' first stack where its recipe
+is theirs but the seed, and trains alone where it stops early. A sample is its dataset row throughout: the
 challenge, the shadows' universe and Z set are row arrays, and ids are read only to
 build the records of ``challenge.json`` (:meth:`Challenge.record`) and
 ``manifest.json`` (:meth:`ShadowPlan.manifest`). This module draws and
@@ -20,6 +20,7 @@ trains and writes no file: :mod:`leakaudit.pipeline` writes both records.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,7 @@ import numpy as np
 
 from leakaudit.data import Dataset
 from leakaudit.nnet import FitJobs, TrainConfig, TrainedModel, fit, fit_stack, predict_confidences
-from leakaudit.parallel import FitHelpers
+from leakaudit.parallel import FitHelpers, fit_seconds
 from leakaudit.recipe import check
 from leakaudit.seeds import derive_rng, derive_seed
 
@@ -48,6 +49,8 @@ __all__ = [
     "train_shadow_ensemble",
     "collect_confidences",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,18 +250,20 @@ def target_job(challenge: Challenge, cfg: TrainConfig) -> tuple[np.ndarray, np.n
 
 def fit_batch(dataset: Dataset, jobs: Sequence[tuple[np.ndarray, np.ndarray, TrainConfig]],
               helpers: FitHelpers) -> list[TrainedModel]:
-    """Fit every job, in helpers if there are any, else here; returns their models in job order.
+    """Fit every job, in helpers if the batch pays for them, else here; returns their models in job order.
 
     A job is its training rows and its validation rows of ``dataset``, and
-    its recipe. With helpers the jobs go there as one batch (see
-    :meth:`FitHelpers.fit`). With none they are fitted here, as a helper
-    would, by :func:`fit_stack`, in stacks of as many consecutive jobs as
-    :meth:`FitJobs.stack_end` allows; a stack of one, such as an
-    early-stopping target, by :func:`fit`.
+    its recipe. The jobs go to the helpers as one batch (see :meth:`FitHelpers.fit`) when
+    :meth:`FitHelpers.pays` for their price, :func:`leakaudit.parallel.fit_seconds`. Otherwise they
+    are fitted here, as a helper would, by :func:`fit_stack`, in stacks of as many consecutive jobs as
+    :meth:`FitJobs.stack_end` allows; a stack of one, such as an early-stopping target, by :func:`fit`.
     """
     rows, val_rows, cfgs = zip(*jobs)
     batch = FitJobs(dataset.X, dataset.y, rows, val_rows, cfgs)
-    if helpers:
+    seconds = fit_seconds(batch)
+    on_helpers = helpers.pays(seconds)
+    log.debug("%d fits priced at %.2f s on one core: on %d fit helpers", len(batch), seconds, on_helpers * helpers.n)
+    if on_helpers:
         return helpers.fit(batch)
     models: list[TrainedModel] = []
     start = 0

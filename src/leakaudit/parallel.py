@@ -25,23 +25,28 @@ helpers serve from two pipes with :func:`serve`. It does not use
 ``multiprocessing``: a pool's handler threads cost the parent memory,
 and its ``spawn`` start re-runs an unguarded ``__main__``.
 
-The parent dispatches from its own thread. :meth:`FitHelpers.fit`
-takes a batch of jobs, a :class:`leakaudit.nnet.FitJobs`, and blocks
-until every job has returned: it sends each idle helper the next stack
-of the batch, packed to the rows it trains and validates on
+This module alone prices fits (:func:`fit_seconds`), and
+:func:`leakaudit.game.fit_batch` sends a batch to the helpers only when
+:meth:`FitHelpers.pays` for its price. A run holds one helper per
+available core (:func:`helper_count`), started at the first batch that
+pays, so a re-attack or a cheap recipe starts none. The parent
+dispatches from its own thread. :meth:`FitHelpers.fit` takes a batch of
+jobs, a :class:`leakaudit.nnet.FitJobs`, and blocks until every job has
+returned: it sends each idle helper the next stack of the batch, packed
+to the rows it trains and validates on
 (:meth:`leakaudit.nnet.FitJobs.packed`). The helper trains it in
-lockstep with :func:`leakaudit.nnet.fit_stack`, as
-:func:`leakaudit.game.fit_batch` trains a batch when there are no
-helpers. A repetition fits one batch: its target, then its shadows.
+lockstep with :func:`leakaudit.nnet.fit_stack`, as ``fit_batch`` trains
+a batch in-process. A repetition fits one batch: its target, then its
+shadows.
 
 A stack is a run of consecutive jobs of the batch that ``fit_stack``
 takes together (:meth:`leakaudit.nnet.FitJobs.stack_end`): recipes that
 differ only in the seed, with ``fixed_epochs`` set, and at most
 :func:`leakaudit.nnet.stack_capacity` of them, which keeps large models
 in stacks of one. Of that run an idle helper takes the first jobs whose
-model-steps, ``ceil(rows / batch_size) × epochs`` each, come nearest to
-an even share of the model-steps not yet finished, those still running
-included, so that the helpers finish together. With two helpers a
+model-steps come nearest to an even share of the model-steps not yet
+finished, those still running included, so that the helpers finish
+together. With two helpers a
 positive-control repetition, of 2,200 model-steps for the target and
 1,600 or 1,800 for each shadow, runs as the target and four shadows on
 one helper and six shadows on the other, where an even share of the
@@ -71,9 +76,9 @@ from typing import BinaryIO, NoReturn
 from leakaudit import BLAS_THREAD_VARS
 from leakaudit.nnet import FitJobs, TrainedModel, fit_stack
 
-__all__ = ["FitHelpers", "helper_count", "step_seconds"]
+__all__ = ["FitHelpers", "fit_seconds", "helper_count", "step_seconds"]
 
-# Below this many estimated seconds of fits per repetition the fits run in-process. A forked helper
+# Below this many estimated seconds a batch of fits runs in-process. A forked helper
 # starts in about 1 ms (a 45 MB parent on a 2-vCPU host), but a spawned one imports numpy and
 # leakaudit afresh, 0.14-0.20 s of CPU each; on either path every stack is packed, pickled and sent
 # through a pipe, and the shadows train in smaller stacks than the one stack of an in-process run.
@@ -100,15 +105,27 @@ def step_seconds(batch_size: int, dims: Sequence[int]) -> float:
 
     It prices one model's step, as if fits ran one at a time: a step in a stack costs less. The constants
     were fitted when every epoch also scored the train loss, which a fit now scores once, at its best
-    epoch; they are kept, so that the same fits go to helpers.
+    epoch.
     """
     return STEP_BASE_S + MULTIPLY_ADD_S * batch_size * sum(a * b for a, b in zip(dims, dims[1:]))
 
 
-def helper_count(fit_seconds: float) -> int:
-    """Helpers worth starting for this many estimated seconds of fits: one per available core, or none."""
+def _model_steps(jobs: FitJobs) -> list[int]:
+    """Each job's model-steps: its batches an epoch, ``ceil(rows / batch_size)``, times its (most) epochs."""
+    return [math.ceil(len(rows) / cfg.batch_size) * (cfg.fixed_epochs or cfg.max_epochs)
+            for rows, cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
+
+
+def fit_seconds(jobs: FitJobs) -> float:
+    """Estimated one-core seconds of the jobs' fits: each job's model-steps times :func:`step_seconds` of its layers."""
+    return sum(steps * step_seconds(cfg.batch_size, (jobs.X.shape[1], *cfg.hidden_dims, 1))
+               for steps, cfg in zip(_model_steps(jobs), jobs.cfgs))
+
+
+def helper_count() -> int:
+    """The helpers of a run: one per available core, or none on one core."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cores if cores > 1 and fit_seconds >= MIN_FIT_SECONDS else 0
+    return cores if cores > 1 else 0
 
 
 class FitHelpers:
@@ -116,21 +133,22 @@ class FitHelpers:
 
     A context manager: the helpers start on the first :meth:`start` or
     :meth:`fit` and are all stopped and waited for on exit. With
-    ``n == 0`` it is empty (false) and starts nothing.
+    ``n == 0`` it starts nothing.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.procs: list[subprocess.Popen | _Forked] = []
 
-    def __len__(self) -> int:
-        return self.n
-
     def __enter__(self) -> "FitHelpers":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def pays(self, seconds: float) -> bool:
+        """Whether fits priced at ``seconds`` go to the helpers: there are some, and ``seconds >= MIN_FIT_SECONDS``."""
+        return self.n > 0 and seconds >= MIN_FIT_SECONDS
 
     def start(self) -> None:
         """Start the helpers unless they run; returns without waiting for them to load.
@@ -165,9 +183,7 @@ class FitHelpers:
         if not self.n:
             raise ValueError("FitHelpers(0) has no helper to run a job")
         self.start()
-        # each job's model-steps, what the helpers share out: its batches an epoch times its (most) epochs
-        steps = [math.ceil(len(rows) / cfg.batch_size) * (cfg.fixed_epochs or cfg.max_epochs)
-                 for rows, cfg in zip(jobs.rows, jobs.cfgs, strict=True)]
+        steps = _model_steps(jobs)  # what the helpers share out
         idle = list(self.procs)
         running: dict[subprocess.Popen | _Forked, range] = {}  # each running helper's job indices
         results: list[TrainedModel | None] = [None] * len(jobs)

@@ -69,7 +69,7 @@ from leakaudit.game import (
     train_shadow_ensemble,
 )
 from leakaudit.nnet import load_model, predict_confidences, save_model
-from leakaudit.parallel import FitHelpers, helper_count, step_seconds
+from leakaudit.parallel import FitHelpers, helper_count
 from leakaudit.seeds import derive_seed
 from leakaudit.stats import wilcoxon_signed_rank
 from leakaudit.synth import synth_dataset
@@ -95,29 +95,6 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def _rep_dir(out_dir: Path, rep: int) -> Path:
     return out_dir / f"rep_{rep:03d}"
-
-
-def _fit_seconds(cfg: ExperimentConfig, dataset: Dataset) -> float:
-    """Estimated one-core seconds of one repetition's fits: the target's at most, and the shadows'.
-
-    The target trains on the train split for at most its epoch budget.
-    The shadows are priced as if they sampled from the train and
-    population splits, but their drawn universe leaves out the Z set
-    (:func:`leakaudit.game.draw_shadows`), so the estimate runs high: 1.20 s
-    for CI's 600-row "same output on one core and on all cores" recipe,
-    whose drawn model-steps, priced the same way, come to 0.99 s. Counting
-    Z would move that recipe below
-    :data:`leakaudit.parallel.MIN_FIT_SECONDS` (1.0 s) and off the helpers
-    whose output that step compares, so the estimate keeps its value; to
-    correct it is a change of its own.
-    """
-    batch = cfg.train.batch_size
-    n = len(dataset)
-    universe = n - math.floor(cfg.game.fractions[1] * n)
-    target_epochs = cfg.train.fixed_epochs or cfg.train.max_epochs
-    steps = (target_epochs * math.ceil(math.floor(cfg.game.fractions[0] * n) / batch)
-             + cfg.shadow.count * cfg.shadow.epochs * math.ceil(cfg.shadow.inclusion_rate * universe / batch))
-    return steps * step_seconds(batch, (dataset.dimension, *cfg.train.hidden_dims, 1))
 
 
 def _draw_rep(dataset: Dataset, cfg: ExperimentConfig, rep: int) -> tuple[Challenge, ShadowPlan]:
@@ -278,8 +255,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     A resume scores each stored repetition again from its checkpoints with
     ``cfg``'s attacks and FPR targets, and trains the others (see
-    :func:`_run_reps`). Large enough fits train side by side in helper
-    processes (see :mod:`leakaudit.parallel`), which end before this returns.
+    :func:`_run_reps`). A batch of fits that pays for helpers trains in one
+    per available core (:mod:`leakaudit.parallel`); they end before this returns.
     """
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     return _run_reps(cfg, train=True)
@@ -329,8 +306,8 @@ def _run_reps(cfg: ExperimentConfig, train: bool) -> dict:
 
     summaries: list[dict] = []
     member_sets: list[set[str]] = []
-    # the helpers start at the first fit, so a re-attack starts none
-    with FitHelpers(helper_count(_fit_seconds(cfg, dataset))) as helpers:
+    # the helpers start at the first batch that pays for them, so a re-attack or a cheap recipe starts none
+    with FitHelpers(helper_count()) as helpers:
         for rep, rep_dir, challenge, shadows, stored in drawn:
             try:
                 summaries.append(_run_single_rep(dataset, cfg, rep, challenge, shadows, rep_dir, helpers, stored))

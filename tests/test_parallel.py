@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leakaudit import BLAS_THREAD_VARS, parallel, pipeline
+from leakaudit import BLAS_THREAD_VARS, game, parallel, pipeline
 from leakaudit.config import ExperimentConfig
 from leakaudit.game import GameConfig, ShadowParams, draw_challenge, draw_shadows, train_shadow_ensemble
 from leakaudit.nnet import FitJobs, TrainConfig, fit, load_model
-from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, helper_count, step_seconds
+from leakaudit.parallel import MIN_FIT_SECONDS, FitHelpers, fit_seconds, helper_count, step_seconds
 from leakaudit.synth import SynthSpec, synth_dataset
 
 FAST_CFG = TrainConfig(hidden_dims=(4,), dropout_rate=0.1, learning_rate=1e-2,
@@ -101,7 +101,7 @@ def start_path(request):
 def fit_helpers(start_path, monkeypatch):
     """FitHelpers, pipeline's included, that assert every helper they start took ``start_path``.
 
-    Its ``started`` lists every helper started in the test.
+    Every batch pays for helpers, however cheap. Its ``started`` lists every helper started in the test.
     """
     class Helpers(FitHelpers):
         started = []
@@ -114,6 +114,7 @@ def fit_helpers(start_path, monkeypatch):
                 self.started.extend(self.procs)
 
     monkeypatch.setattr(pipeline, "FitHelpers", Helpers)
+    monkeypatch.setattr(parallel, "MIN_FIT_SECONDS", 0)
     return Helpers
 
 
@@ -155,28 +156,55 @@ def test_a_fit_error_in_a_helper_raises_its_type_and_leaves_the_helpers_ready(sh
                                                           for cfg in cfgs]
 
 
-def test_start_rule_picks_helpers_by_shadow_steps():
-    cores = len(os.sched_getaffinity(0))
-    helpers = cores if cores > 1 else 0
+class Priced(Exception):
+    """What a stand-in for the batch's price raises, with the batch it was handed."""
+
+
+def drawn_batch(cfg: ExperimentConfig, monkeypatch) -> FitJobs:
+    """Repetition 0's batch of fits, the target's first, as :func:`game.fit_batch` prices it; nothing trains."""
+    def price(jobs):
+        raise Priced(jobs)
+
+    monkeypatch.setattr(game, "fit_seconds", price)
+    dataset = synth_dataset(cfg.synth)
+    challenge, plan = pipeline._draw_rep(dataset, cfg, 0)
+    with pytest.raises(Priced) as priced:
+        train_shadow_ensemble(dataset, plan, cfg.train, FitHelpers(0), lead=[pipeline.target_job(challenge, cfg.train)])
+    return priced.value.args[0]
+
+
+def test_start_rule_picks_helpers_by_the_price_of_the_drawn_batch(monkeypatch):
     # the positive-control recipe: 10 shadows x 200 epochs of a 32-unit MLP over 1,500 samples
     control = ExperimentConfig(
         synth=SynthSpec(n=1500, dim=64), train=TrainConfig(hidden_dims=(32,), fixed_epochs=200),
         shadow=ShadowParams(count=10, epochs=200, z_fraction=0.5),
     )
-    # the default 256x128 recipe on the same data: few steps, each about 12 times dearer
+    # the default 256x128 recipe on the same data: few steps, each about 6 times the control's
     default = ExperimentConfig(synth=SynthSpec(n=1500, dim=64))
     # a wide challenge: 16 shadows x 2 epochs of an 8-unit MLP over 12,000 samples
     wide = replace(control, synth=SynthSpec(n=12000, dim=16), train=TrainConfig(hidden_dims=(8,), fixed_epochs=2),
                    shadow=ShadowParams(count=16, epochs=2))
-    seconds = {name: pipeline._fit_seconds(cfg, synth_dataset(cfg.synth))
-               for name, cfg in (("control", control), ("default", default), ("wide", wide))}
-    # 2,200 target and 22,000 shadow steps; 1,100 and 1,650; 170 and 2,720
-    assert seconds["control"] == pytest.approx(24_200 * step_seconds(64, (64, 32, 1)))
-    assert seconds["default"] == pytest.approx(2_750 * step_seconds(64, (64, 256, 128, 1)))
-    assert seconds["wide"] == pytest.approx(2_890 * step_seconds(64, (16, 8, 1)))
-    assert [helper_count(seconds[name]) for name in ("control", "default", "wide")] == [helpers, helpers, 0]
-    assert helper_count(MIN_FIT_SECONDS) == helpers
-    assert helper_count(0.999 * MIN_FIT_SECONDS) == 0
+    # CI's "same output on one core and on all cores" recipe, whose shadows' universe leaves Z out
+    ci = ExperimentConfig(synth=SynthSpec(n=600, dim=8, positive_fraction=0.4),
+                          train=TrainConfig(hidden_dims=(8,), max_epochs=240, fixed_epochs=240),
+                          shadow=ShadowParams(count=8, epochs=240), repetitions=1)
+    cases = [(control, 19_000, (64, 32, 1), True), (default, 2_585, (64, 256, 128, 1), True),
+             (wide, 2_548, (16, 8, 1), False), (ci, 8_880, (8, 8, 1), False),
+             (replace(ci, shadow=replace(ci.shadow, count=10)), 10_800, (8, 8, 1), True)]
+    two = FitHelpers(2)
+    for cfg, steps, dims, pays in cases:
+        batch = drawn_batch(cfg, monkeypatch)
+        assert sum(parallel._model_steps(batch)) == steps
+        assert fit_seconds(batch) == pytest.approx(steps * step_seconds(64, dims))
+        assert two.pays(fit_seconds(batch)) == pays
+    assert two.pays(MIN_FIT_SECONDS) and not two.pays(0.999 * MIN_FIT_SECONDS)
+    assert not FitHelpers(0).pays(100 * MIN_FIT_SECONDS)
+
+
+@pytest.mark.parametrize("cores, helpers", [({0}, 0), ({0, 1}, 2)])
+def test_a_run_holds_one_helper_per_available_core_and_none_on_one(monkeypatch, cores, helpers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    assert helper_count() == helpers
 
 
 def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, monkeypatch, fit_helpers):
@@ -188,12 +216,18 @@ def test_run_experiment_stops_its_helpers_when_a_repetition_raises(tmp_path, mon
         train=replace(FAST_CFG, fixed_epochs=2), shadow=SHADOW, repetitions=2,
         output_dir=str(tmp_path / "out"),
     )
-    monkeypatch.setattr(pipeline, "helper_count", lambda steps: 2)
+    monkeypatch.setattr(pipeline, "helper_count", lambda: 2)
     monkeypatch.setattr(pipeline, "run_lira", failing_lira)
     report = pipeline.run_experiment(cfg)
     assert report["errors"] == {"0": "ArithmeticError: scoring failed", "1": "ArithmeticError: scoring failed"}
     started = fit_helpers.started
     assert len(started) == 2 and stopped(started)  # one pair of helpers served both repetitions
+
+
+def run_files(out: Path) -> dict:
+    """Each file of the run directory ``out``, by its path in it, and its sha256."""
+    return {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 def pooled_config(tmp_path, name):
@@ -211,17 +245,28 @@ def test_run_experiment_on_helpers_writes_the_files_of_an_in_process_run(tmp_pat
     for recipe, train in (("fixed", replace(FAST_CFG, fixed_epochs=2)), ("early", early)):
         outputs = {}
         for count in (0, 1, 2, 3):
-            monkeypatch.setattr(pipeline, "helper_count", lambda seconds, count=count: count)
+            monkeypatch.setattr(pipeline, "helper_count", lambda count=count: count)
             out = tmp_path / f"{recipe}_{count}"
             pipeline.run_experiment(replace(pooled_config(tmp_path, out.name), train=train))
-            outputs[count] = {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
-                              for p in sorted(out.rglob("*")) if p.is_file()}
+            outputs[count] = run_files(out)
         assert len(outputs[0]) == 1 + 2 * (8 + SHADOW.count)
         assert outputs[1] == outputs[2] == outputs[3] == outputs[0], recipe
     assert len(fit_helpers.started) == 2 * (1 + 2 + 3) and stopped(fit_helpers.started)
     for rep in (0, 1):
         target = load_model(tmp_path / "early_0" / f"rep_{rep:03d}" / "target.npz")
         assert target.best_epoch < len(target.val_losses) < early.max_epochs
+
+
+def test_a_run_whose_batches_price_under_the_threshold_starts_no_helper(tmp_path, monkeypatch):
+    monkeypatch.setattr(FitHelpers, "start", lambda self: pytest.fail("a helper started"))
+    outputs = {}
+    for count in (0, 2):
+        monkeypatch.setattr(pipeline, "helper_count", lambda count=count: count)
+        out = tmp_path / f"helpers_{count}"
+        pipeline.run_experiment(pooled_config(tmp_path, out.name))
+        outputs[count] = run_files(out)
+    assert len(outputs[0]) == 1 + 2 * (8 + SHADOW.count)
+    assert outputs[2] == outputs[0]
 
 
 def sent_stacks(monkeypatch) -> list:
@@ -468,7 +513,7 @@ def test_a_target_that_fails_in_a_helper_raises_its_type_and_leaves_no_helper_ru
 
     labels = synth_dataset(pooled_config(tmp_path, "out").synth).y
     sent = sent_stacks(monkeypatch)
-    monkeypatch.setattr(pipeline, "helper_count", lambda seconds: 2)
+    monkeypatch.setattr(pipeline, "helper_count", lambda: 2)
     monkeypatch.setattr(pipeline, "target_job", one_class_target_job)
     report = pipeline.run_experiment(pooled_config(tmp_path, "out"))
     assert set(report["errors"]) == {"0", "1"}
